@@ -13,6 +13,7 @@ or ``paper`` (the full configuration of Section 6 — very slow in pure Python).
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -60,28 +61,46 @@ def figure4_result(experiment_config, environment):
     return run_workload_experiment(MIXED_WORKLOAD, experiment_config, environment)
 
 
-#: The regenerated figure panels are also appended here so that the numbers
-#: survive pytest's output capturing (EXPERIMENTS.md records them from this file).
-PANEL_LOG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmark_panels.txt")
+#: The recorded measurements (``.github/compare_bench.py`` reads them).
+RESULT_PATH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "BENCH_scaling.json",
+)
 
 
-def _emit(line: str) -> None:
-    print(line)
-    with open(PANEL_LOG, "a") as handle:
-        handle.write(line + "\n")
+def record_entries(entries) -> None:
+    """Merge *entries* into ``BENCH_scaling.json`` when asked to record.
+
+    Only with ``REPRO_BENCH_RECORD=1``: the tier-1 command collects these
+    benches too and must leave the tree as it found it.  Keys recorded by
+    other benches survive the merge.
+    """
+    if os.environ.get("REPRO_BENCH_RECORD") != "1":
+        return
+    recorded = {}
+    if os.path.exists(RESULT_PATH):
+        try:
+            with open(RESULT_PATH) as handle:
+                recorded = json.load(handle)
+        except ValueError:
+            recorded = {}
+    recorded.update(entries)
+    with open(RESULT_PATH, "w") as handle:
+        json.dump(recorded, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def print_series(title, series):
     """Render one panel as the series of (mappings, value) points."""
-    _emit("")
-    _emit(title)
+    print("")
+    print(title)
     for algorithm, points in sorted(series.items()):
         rendered = ", ".join("({}, {:.1f})".format(count, value) for count, value in points)
-        _emit("  {:<8} {}".format(algorithm, rendered))
+        print("  {:<8} {}".format(algorithm, rendered))
 
 
 def print_slowdown(title, points):
-    _emit("")
-    _emit(title)
+    print("")
+    print(title)
     for count, factor in points:
-        _emit("  {:>3} mappings: {:.2f}x".format(count, factor))
+        print("  {:>3} mappings: {:.2f}x".format(count, factor))

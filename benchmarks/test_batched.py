@@ -24,7 +24,6 @@ there (2489 committed/s).
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
@@ -48,12 +47,8 @@ from repro.workload.federation_gen import (
     generate_federation_environment,
 )
 
+from conftest import record_entries
 from test_federation import SCALES
-
-RESULT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_scaling.json",
-)
 
 #: The federation throughput PR 3 recorded in ``BENCH_scaling.json`` at the
 #: small scale (the number the tentpole's >=2x target is measured against).
@@ -224,9 +219,7 @@ def test_batched_federation_throughput():
         "trace_wire_bytes_by_kind": analysis.wire_bytes_by_kind(),
     }
 
-    from test_federation import _merge_entry
-
-    _merge_entry("batched", entry)
+    record_entries({"batched": entry})
 
     print(
         "\nbatched federation bench ({} peers, {} scale): {} committed in "

@@ -35,7 +35,6 @@ poll drain at 8 peers.
 
 from __future__ import annotations
 
-import json
 import os
 import statistics
 import time
@@ -52,6 +51,8 @@ from repro.workload.federation_gen import (
     generate_federation_environment,
 )
 
+from conftest import record_entries
+
 #: Peer counts measured per scale; the speedup headline uses the largest.
 PEER_COUNTS = {
     "tiny": [4],
@@ -61,26 +62,6 @@ PEER_COUNTS = {
 
 #: Idle drains measured per protocol (median reported).
 REPEATS = {"tiny": 3, "small": 5, "paper": 7}
-
-RESULT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_scaling.json",
-)
-
-
-def _merge_entry(key, entry):
-    """Merge one entry into the trajectory file, preserving other keys."""
-    recorded = {}
-    if os.path.exists(RESULT_PATH):
-        try:
-            with open(RESULT_PATH) as handle:
-                recorded = json.load(handle)
-        except ValueError:
-            recorded = {}
-    recorded[key] = entry
-    with open(RESULT_PATH, "w") as handle:
-        json.dump(recorded, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def _scenario(num_peers):
@@ -260,7 +241,7 @@ def test_drain_protocol_latency(tmp_path):
         "poll_seconds": headline["poll_seconds"],
         "staging_window": staging,
     }
-    _merge_entry("drain_protocol", entry)
+    record_entries({"drain_protocol": entry})
 
     for measured in by_peers:
         print(

@@ -21,7 +21,6 @@ Scales with ``REPRO_BENCH_SCALE`` (tiny/small/paper) like the other benches.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
@@ -45,6 +44,8 @@ from repro.workload.federation_gen import (
     generate_federation_environment,
 )
 
+from conftest import record_entries
+
 SCALES = {
     "tiny": FederationScenarioConfig(
         num_peers=3, cross_mappings=4, operations_per_peer=4, initial_tuples=16, seed=0
@@ -66,30 +67,10 @@ SCALES = {
     ),
 }
 
-RESULT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_scaling.json",
-)
-
 TRACE_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "BENCH_trace.jsonl",
 )
-
-
-def _merge_entry(key, entry):
-    """Merge one entry into the trajectory file, preserving other keys."""
-    recorded = {}
-    if os.path.exists(RESULT_PATH):
-        try:
-            with open(RESULT_PATH) as handle:
-                recorded = json.load(handle)
-        except ValueError:
-            recorded = {}
-    recorded[key] = entry
-    with open(RESULT_PATH, "w") as handle:
-        json.dump(recorded, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def _traced_replay(environment, config):
@@ -199,7 +180,7 @@ def test_federation_throughput():
     assert trace_cli([TRACE_PATH]) == 0
 
     # Merge into the trajectory file next to the tracker measurement.
-    _merge_entry("federation", entry)
+    record_entries({"federation": entry})
 
     print(
         "\nfederation bench ({} peers, {} scale): {} user ops -> {} committed "
@@ -293,7 +274,7 @@ def test_federation_open_loop_throughput():
         "transport_wire_bytes_sent": metrics["transport_wire_bytes_sent"],
         "convergence_equivalent": convergence.equivalent,
     }
-    _merge_entry("federation_open_loop", entry)
+    record_entries({"federation_open_loop": entry})
 
     print(
         "\nfederation open-loop bench ({} scale): {} ops in bursts -> "

@@ -25,7 +25,6 @@ perf trajectory (CI uploads it as an artifact).
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
@@ -44,6 +43,8 @@ from repro.workload.experiment import (
 )
 from repro.workload.mapping_gen import mapping_prefix
 
+from conftest import record_entries
+
 #: Mapping density of the measured workload (the densest Figure 3 cell).
 MAPPING_COUNT = 25
 
@@ -54,11 +55,6 @@ SCALE_FACTORS = {"tiny": 1, "small": 3, "paper": 4}
 #: default scale; the tiny CI smoke run keeps a soft bar because sub-100ms
 #: timings are noisy.
 MIN_SPEEDUP = {"tiny": 1.5, "small": 3.0, "paper": 3.0}
-
-RESULT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_scaling.json",
-)
 
 
 class LegacyPreciseTracker(DependencyTracker):
@@ -187,19 +183,7 @@ def test_precise_tracker_scaling():
         "wall_speedup": wall_speedup,
         "semantics_match": True,
     }
-    # Merge into the trajectory file: overwrite only this bench's keys so
-    # entries recorded by other benches (e.g. "federation") survive.
-    merged = {}
-    if os.path.exists(RESULT_PATH):
-        try:
-            with open(RESULT_PATH) as handle:
-                merged = json.load(handle)
-        except ValueError:
-            merged = {}
-    merged.update(report)
-    with open(RESULT_PATH, "w") as handle:
-        json.dump(merged, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    record_entries(report)
     print(
         "\nPRECISE tracker overhead at {}x scale, {} mappings: "
         "legacy {:.2f}s vs indexed {:.2f}s ({:.1f}x); "

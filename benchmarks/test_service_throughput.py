@@ -11,7 +11,6 @@ watch.
 
 import os
 
-from conftest import _emit
 
 from repro.service import AdmissionConfig, RepositoryService
 from repro.workload import ClientSpec, ClosedLoopDriver, build_environment, build_workload
@@ -71,20 +70,20 @@ def test_service_throughput_panel(benchmark):
     metrics = service.metrics_snapshot()
 
     clients, updates_each = _service_scale()
-    _emit("")
-    _emit(
+    print("")
+    print(
         "Service throughput panel ({} clients x {} updates, answer delay 2 ticks)".format(
             clients, updates_each
         )
     )
-    _emit("  ticks                    {:>10}".format(report.ticks))
-    _emit("  committed updates        {:>10.0f}".format(metrics["committed"]))
-    _emit("  committed updates/sec    {:>10.1f}".format(metrics["throughput_per_second"]))
-    _emit("  abort rate               {:>10.3f}".format(metrics["abort_rate"]))
-    _emit("  frontier parks           {:>10.0f}".format(metrics["parks"]))
-    _emit("  p50 frontier wait (s)    {:>10.4f}".format(metrics["frontier_wait_p50_seconds"]))
-    _emit("  p95 frontier wait (s)    {:>10.4f}".format(metrics["frontier_wait_p95_seconds"]))
-    _emit("  p50 turnaround (s)       {:>10.4f}".format(metrics["turnaround_p50_seconds"]))
+    print("  ticks                    {:>10}".format(report.ticks))
+    print("  committed updates        {:>10.0f}".format(metrics["committed"]))
+    print("  committed updates/sec    {:>10.1f}".format(metrics["throughput_per_second"]))
+    print("  abort rate               {:>10.3f}".format(metrics["abort_rate"]))
+    print("  frontier parks           {:>10.0f}".format(metrics["parks"]))
+    print("  p50 frontier wait (s)    {:>10.4f}".format(metrics["frontier_wait_p50_seconds"]))
+    print("  p95 frontier wait (s)    {:>10.4f}".format(metrics["frontier_wait_p95_seconds"]))
+    print("  p50 turnaround (s)       {:>10.4f}".format(metrics["turnaround_p50_seconds"]))
 
     assert report.all_done, "closed loop did not drain within the tick budget"
     assert metrics["committed"] == clients * updates_each

@@ -54,6 +54,8 @@ from repro.workload.federation_gen import (
     generate_federation_environment,
 )
 
+from conftest import RESULT_PATH, record_entries
+
 SCALES = {
     "tiny": FederationScenarioConfig(
         num_peers=4, cross_mappings=6, operations_per_peer=4, initial_tuples=60, seed=0
@@ -75,26 +77,6 @@ SCALES = {
         seed=0,
     ),
 }
-
-RESULT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_scaling.json",
-)
-
-
-def _merge_entry(key, entry):
-    """Merge one entry into the trajectory file, preserving other keys."""
-    recorded = {}
-    if os.path.exists(RESULT_PATH):
-        try:
-            with open(RESULT_PATH) as handle:
-                recorded = json.load(handle)
-        except ValueError:
-            recorded = {}
-    recorded[key] = entry
-    with open(RESULT_PATH, "w") as handle:
-        json.dump(recorded, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def _recorded_batched():
@@ -231,7 +213,7 @@ def test_socket_federation_throughput(tmp_path):
         entry["speedup_vs_batched_wire_recorded"] = (
             committed_per_second / recorded["wire_committed_per_second"]
         )
-    _merge_entry("federation_sockets", entry)
+    record_entries({"federation_sockets": entry})
 
     print(
         "\nsocket federation bench ({} peers, {} scale, {} cores): {} user ops "

@@ -21,7 +21,6 @@ file-backed database.  Results land under the ``sql_chase`` key of
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import sqlite3
@@ -36,6 +35,8 @@ from repro.storage.mirror import DeltaMirror
 from repro.storage.sqlite_backend import SQLiteDatabase
 from repro.workload.experiment import ExperimentConfig, build_environment
 from repro.workload.mapping_gen import mapping_prefix
+
+from conftest import record_entries
 
 #: Mapping density of the measured sweep (the densest Figure 3 cell).
 MAPPING_COUNT = 25
@@ -55,10 +56,6 @@ INJECTED_VIOLATION_DELETES = 10
 MIN_SWEEP_SPEEDUP = {"tiny": 1.2, "small": 2.0, "paper": 2.0}
 MIN_LOAD_SPEEDUP = {"tiny": 1.0, "small": 1.5, "paper": 1.5}
 
-RESULT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_scaling.json",
-)
 
 
 def _build_store(scale):
@@ -203,17 +200,7 @@ def test_sql_chase_sweep(tmp_path):
     }
     mirror.close()
 
-    merged = {}
-    if os.path.exists(RESULT_PATH):
-        try:
-            with open(RESULT_PATH) as handle:
-                merged = json.load(handle)
-        except ValueError:
-            merged = {}
-    merged["sql_chase"] = report
-    with open(RESULT_PATH, "w") as handle:
-        json.dump(merged, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    record_entries({"sql_chase": report})
 
     print(
         "\nSQL chase sweep over {} rows, {} mappings: python {:.3f}s vs "

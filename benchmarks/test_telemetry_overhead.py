@@ -26,7 +26,8 @@ from repro.federation import ProcessFederation, databases_equivalent
 from repro.workload.federated_loop import expanding_answer
 from repro.workload.federation_gen import generate_federation_environment
 
-from test_sockets import SCALES, _merge_entry
+from conftest import record_entries
+from test_sockets import SCALES
 
 #: Tight on purpose: at 50 ms the on run pays ~20 heartbeats/s/peer, a
 #: harsher duty cycle than the 250 ms production default.
@@ -94,7 +95,7 @@ def test_telemetry_overhead(tmp_path):
         "overhead_fraction": max(0.0, 1.0 - on_vs_off),
         "budget_fraction": OVERHEAD_BUDGET,
     }
-    _merge_entry("telemetry_overhead", entry)
+    record_entries({"telemetry_overhead": entry})
 
     print(
         "\ntelemetry overhead bench ({} scale, {} cores): off {:.0f}/s, "

@@ -29,7 +29,7 @@ import timeit
 
 from repro.obs.trace import NOOP_TRACER, Tracer
 
-from test_federation import _merge_entry
+from conftest import record_entries
 from test_service_throughput import _build_driver, _service_scale
 
 #: The disabled-path budget from the observability tentpole.
@@ -110,7 +110,7 @@ def test_disabled_tracing_overhead_budget():
         "disabled_overhead_fraction": disabled_overhead,
         "disabled_overhead_budget": DISABLED_OVERHEAD_BUDGET,
     }
-    _merge_entry("trace_overhead", entry)
+    record_entries({"trace_overhead": entry})
 
     print(
         "\ntrace overhead bench: disabled {:.4f}s, traced {:.4f}s "

@@ -4,7 +4,7 @@ Everything is encoded into plain JSON-able structures (dicts, lists, strings,
 numbers) with a ``"t"`` type tag per node, then serialized deterministically
 (sorted keys, compact separators) behind a versioned header::
 
-    {"v": 1, "k": "<payload kind>", "b": <body>}
+    {"v": 2, "k": "<payload kind>", "b": <body>}
 
 Decoding rejects unknown versions and unknown tags loudly — a peer speaking a
 future dialect fails fast instead of silently misreading bytes.  Round-trip
@@ -17,6 +17,17 @@ the codec also provides :func:`payloads_equivalent` — structural equality of
 two payloads after canonicalizing null names in first-occurrence order — for
 differential tests that compare independently minted envelopes.
 
+Version 2 sends only what the receiver lacks.  Terms are compact (constants
+are bare JSON scalars, labeled nulls ``{"n": name}``, variables
+``{"x": name}``) and tuples are ``[relation, value...]`` lists.  A mapping
+travels **by name** when the caller passes the federation's *mappings* table
+(``name -> Tgd``, the one :class:`~repro.federation.exchange.ExchangeRules`
+builds on both ends from the same mapping list) and the tgd is in it;
+otherwise — no table, as for config files and checkpoints, or an unlisted
+tgd — the inline dict is emitted.  The field is self-describing (a string
+is a name, a dict is a body), so decoders accept either; a name missing from
+the decoder's table is a :class:`CodecError`.
+
 Layering note: the federation/service types are imported lazily inside the
 codec functions so this module stays importable from below those layers (the
 transport imports the codec, and the codec must be able to name the
@@ -26,7 +37,7 @@ transport's bundle type without a cycle).
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Mapping, Optional
 
 from ..core.atoms import Atom
 from ..core.schema import DatabaseSchema, RelationSchema
@@ -43,10 +54,14 @@ from ..core.writes import Write, WriteKind
 # partially-initialized modules depending on which package was imported first.
 
 #: The codec dialect this build speaks.  Bump on any incompatible change.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 #: Constant payload types the wire codec can carry losslessly.
 _SCALAR_TYPES = (str, int, float, bool, type(None))
+
+
+#: A federation's mapping table (``name -> Tgd``); ``None`` encodes inline.
+Mappings = Optional[Mapping[str, Tgd]]
 
 
 class CodecError(ValueError):
@@ -66,46 +81,55 @@ def _check_scalar(value: object) -> object:
     return value
 
 
-def encode_term(term: object) -> Dict[str, Any]:
-    """Encode a :class:`Constant`, :class:`LabeledNull` or :class:`Variable`."""
+def encode_term(term: object) -> Any:
+    """Encode a :class:`Constant` (bare scalar), :class:`LabeledNull` or :class:`Variable`."""
     if isinstance(term, Constant):
-        return {"t": "const", "v": _check_scalar(term.value)}
+        return _check_scalar(term.value)
     if isinstance(term, LabeledNull):
-        return {"t": "null", "n": term.name}
+        return {"n": term.name}
     if isinstance(term, Variable):
-        return {"t": "var", "n": term.name}
+        return {"x": term.name}
     raise CodecError("not a term: {!r}".format(term))
 
 
-def decode_term(body: Dict[str, Any]) -> object:
-    tag = body.get("t")
-    if tag == "const":
-        return Constant(body["v"])
-    if tag == "null":
-        return LabeledNull(body["n"])
-    if tag == "var":
-        return Variable(body["n"])
-    raise CodecError("unknown term tag {!r}".format(tag))
+def decode_term(body: Any) -> object:
+    if isinstance(body, _SCALAR_TYPES):
+        return Constant(body)
+    if isinstance(body, dict) and len(body) == 1:
+        if "n" in body:
+            return LabeledNull(body["n"])
+        if "x" in body:
+            return Variable(body["x"])
+    raise CodecError("unknown term {!r}".format(body))
 
 
-def encode_tuple(row: Tuple) -> Dict[str, Any]:
-    """Encode a data tuple."""
-    return {"r": row.relation, "vs": [encode_term(value) for value in row.values]}
+def _relation_and_terms(body: Any, what: str) -> List[Any]:
+    if not isinstance(body, list) or not body or not isinstance(body[0], str):
+        raise CodecError("malformed {} {!r}".format(what, body))
+    return body
 
 
-def decode_tuple(body: Dict[str, Any]) -> Tuple:
-    return Tuple(body["r"], [decode_term(value) for value in body["vs"]])
+def encode_tuple(row: Tuple) -> List[Any]:
+    """Encode a data tuple as ``[relation, value...]``."""
+    return [row.relation] + [encode_term(value) for value in row.values]
 
 
-def encode_atom(atom: Atom) -> Dict[str, Any]:
-    return {"r": atom.relation, "ts": [encode_term(term) for term in atom.terms]}
+def decode_tuple(body: List[Any]) -> Tuple:
+    body = _relation_and_terms(body, "tuple")
+    return Tuple(body[0], [decode_term(value) for value in body[1:]])
 
 
-def decode_atom(body: Dict[str, Any]) -> Atom:
-    return Atom(body["r"], [decode_term(term) for term in body["ts"]])
+def encode_atom(atom: Atom) -> List[Any]:
+    return [atom.relation] + [encode_term(term) for term in atom.terms]
+
+
+def decode_atom(body: List[Any]) -> Atom:
+    body = _relation_and_terms(body, "atom")
+    return Atom(body[0], [decode_term(term) for term in body[1:]])
 
 
 def encode_tgd(tgd: Tgd) -> Dict[str, Any]:
+    """The inline (self-contained) form of a mapping."""
     return {
         "n": tgd.name,
         "l": [encode_atom(atom) for atom in tgd.lhs],
@@ -121,16 +145,34 @@ def decode_tgd(body: Dict[str, Any]) -> Tgd:
     )
 
 
+def _encode_tgd_ref(tgd: Tgd, mappings: Mappings) -> Any:
+    """*tgd* by name when *mappings* lists it, inline otherwise."""
+    if mappings is not None:
+        known = mappings.get(tgd.name)
+        if known is tgd or known == tgd:
+            return tgd.name
+    return encode_tgd(tgd)
+
+
+def _decode_tgd_ref(body: Any, mappings: Mappings) -> Tgd:
+    if isinstance(body, str):
+        tgd = mappings.get(body) if mappings is not None else None
+        if tgd is None:
+            raise CodecError(
+                "mapping {!r} travels by name but is not in the receiver's "
+                "mapping table".format(body)
+            )
+        return tgd
+    return decode_tgd(body)
+
+
 def _encode_assignment(items) -> List[List[Any]]:
-    """A variable assignment, canonically ordered by variable name."""
-    pairs = sorted(items, key=lambda item: item[0].name)
-    return [[encode_term(variable), encode_term(value)] for variable, value in pairs]
+    """A variable assignment as ``[name, value]`` pairs ordered by name."""
+    return sorted([variable.name, encode_term(value)] for variable, value in items)
 
 
 def _decode_assignment_items(body) -> frozenset:
-    return frozenset(
-        (decode_term(variable), decode_term(value)) for variable, value in body
-    )
+    return frozenset((Variable(name), decode_term(value)) for name, value in body)
 
 
 # ----------------------------------------------------------------------
@@ -181,87 +223,105 @@ def decode_versioned_write(body: Dict[str, Any]):
 # ----------------------------------------------------------------------
 # Violations and frontier structures
 # ----------------------------------------------------------------------
-def encode_violation(violation) -> Dict[str, Any]:
+def encode_violation(violation, mappings: Mappings = None) -> Dict[str, Any]:
     return {
-        "tgd": encode_tgd(violation.tgd),
+        "tgd": _encode_tgd_ref(violation.tgd, mappings),
         "b": _encode_assignment(violation.bindings),
         "w": [encode_tuple(row) for row in violation.witness],
         "k": violation.kind.value,
     }
 
 
-def decode_violation(body: Dict[str, Any]):
+def decode_violation(body: Dict[str, Any], mappings: Mappings = None):
     from ..core.violations import Violation, ViolationKind
 
     return Violation(
-        tgd=decode_tgd(body["tgd"]),
+        tgd=_decode_tgd_ref(body["tgd"], mappings),
         bindings=_decode_assignment_items(body["b"]),
         witness=tuple(decode_tuple(row) for row in body["w"]),
         kind=ViolationKind(body["k"]),
     )
 
 
-def encode_frontier_tuple(frontier) -> Dict[str, Any]:
-    return {
+def encode_frontier_tuple(
+    frontier, mappings: Mappings = None, within=None
+) -> Dict[str, Any]:
+    """Encode a frontier tuple; its violation is omitted when it is *within*.
+
+    Every frontier tuple of a positive request carries the request's own
+    violation, which the request body already holds once.
+    """
+    body = {
         "row": encode_tuple(frontier.row),
-        "vio": encode_violation(frontier.violation),
         "cand": [encode_tuple(row) for row in frontier.candidates],
         "fresh": [
             encode_term(null)
             for null in sorted(frontier.fresh_nulls, key=lambda n: n.name)
         ],
     }
+    if frontier.violation != within:
+        body["vio"] = encode_violation(frontier.violation, mappings)
+    return body
 
 
-def decode_frontier_tuple(body: Dict[str, Any]):
+def decode_frontier_tuple(body: Dict[str, Any], mappings: Mappings = None, within=None):
     from ..core.frontier import FrontierTuple
 
+    if "vio" in body:
+        within = decode_violation(body["vio"], mappings)
+    elif within is None:
+        raise CodecError("frontier tuple without a violation")
     return FrontierTuple(
         row=decode_tuple(body["row"]),
-        violation=decode_violation(body["vio"]),
+        violation=within,
         candidates=tuple(decode_tuple(row) for row in body["cand"]),
         fresh_nulls=frozenset(decode_term(null) for null in body["fresh"]),
     )
 
 
-def encode_frontier_request(request) -> Dict[str, Any]:
+def encode_frontier_request(request, mappings: Mappings = None) -> Dict[str, Any]:
     from ..core.frontier import NegativeFrontierRequest, PositiveFrontierRequest
 
     if isinstance(request, PositiveFrontierRequest):
         return {
             "t": "pos",
-            "vio": encode_violation(request.violation),
-            "fts": [encode_frontier_tuple(ft) for ft in request.frontier_tuples],
+            "vio": encode_violation(request.violation, mappings),
+            "fts": [
+                encode_frontier_tuple(ft, mappings, within=request.violation)
+                for ft in request.frontier_tuples
+            ],
         }
     if isinstance(request, NegativeFrontierRequest):
         return {
             "t": "neg",
-            "vio": encode_violation(request.violation),
+            "vio": encode_violation(request.violation, mappings),
             "cand": [encode_tuple(row) for row in request.candidates],
         }
     raise CodecError("not a frontier request: {!r}".format(request))
 
 
-def decode_frontier_request(body: Dict[str, Any]):
+def decode_frontier_request(body: Dict[str, Any], mappings: Mappings = None):
     from ..core.frontier import NegativeFrontierRequest, PositiveFrontierRequest
 
     tag = body.get("t")
     if tag == "pos":
+        violation = decode_violation(body["vio"], mappings)
         return PositiveFrontierRequest(
-            violation=decode_violation(body["vio"]),
+            violation=violation,
             frontier_tuples=tuple(
-                decode_frontier_tuple(ft) for ft in body["fts"]
+                decode_frontier_tuple(ft, mappings, within=violation)
+                for ft in body["fts"]
             ),
         )
     if tag == "neg":
         return NegativeFrontierRequest(
-            violation=decode_violation(body["vio"]),
+            violation=decode_violation(body["vio"], mappings),
             candidates=tuple(decode_tuple(row) for row in body["cand"]),
         )
     raise CodecError("unknown frontier request tag {!r}".format(tag))
 
 
-def encode_frontier_operation(operation) -> Dict[str, Any]:
+def encode_frontier_operation(operation, mappings: Mappings = None) -> Dict[str, Any]:
     from ..core.frontier import (
         DeleteSubsetOperation,
         ExpandOperation,
@@ -269,11 +329,14 @@ def encode_frontier_operation(operation) -> Dict[str, Any]:
     )
 
     if isinstance(operation, ExpandOperation):
-        return {"t": "expand", "ft": encode_frontier_tuple(operation.frontier_tuple)}
+        return {
+            "t": "expand",
+            "ft": encode_frontier_tuple(operation.frontier_tuple, mappings),
+        }
     if isinstance(operation, UnifyOperation):
         return {
             "t": "unify",
-            "ft": encode_frontier_tuple(operation.frontier_tuple),
+            "ft": encode_frontier_tuple(operation.frontier_tuple, mappings),
             "with": encode_tuple(operation.target),
         }
     if isinstance(operation, DeleteSubsetOperation):
@@ -281,7 +344,7 @@ def encode_frontier_operation(operation) -> Dict[str, Any]:
     raise CodecError("not a frontier operation: {!r}".format(operation))
 
 
-def decode_frontier_operation(body: Dict[str, Any]):
+def decode_frontier_operation(body: Dict[str, Any], mappings: Mappings = None):
     from ..core.frontier import (
         DeleteSubsetOperation,
         ExpandOperation,
@@ -290,10 +353,10 @@ def decode_frontier_operation(body: Dict[str, Any]):
 
     tag = body.get("t")
     if tag == "expand":
-        return ExpandOperation(decode_frontier_tuple(body["ft"]))
+        return ExpandOperation(decode_frontier_tuple(body["ft"], mappings))
     if tag == "unify":
         return UnifyOperation(
-            decode_frontier_tuple(body["ft"]), decode_tuple(body["with"])
+            decode_frontier_tuple(body["ft"], mappings), decode_tuple(body["with"])
         )
     if tag == "del":
         return DeleteSubsetOperation(
@@ -305,7 +368,7 @@ def decode_frontier_operation(body: Dict[str, Any]):
 # ----------------------------------------------------------------------
 # User operations (local and federation-synthesized)
 # ----------------------------------------------------------------------
-def encode_user_operation(operation) -> Dict[str, Any]:
+def encode_user_operation(operation, mappings: Mappings = None) -> Dict[str, Any]:
     """Encode any :class:`~repro.core.update.UserOperation` the system produces."""
     from ..core.update import (
         DeleteOperation,
@@ -330,20 +393,20 @@ def encode_user_operation(operation) -> Dict[str, Any]:
     if isinstance(operation, RemoteFiringOperation):
         return {
             "t": "fire",
-            "tgd": encode_tgd(operation.tgd),
+            "tgd": _encode_tgd_ref(operation.tgd, mappings),
             "a": _encode_assignment(operation.assignment.items()),
             "rows": [encode_tuple(row) for row in operation.head_rows],
         }
     if isinstance(operation, RemoteRetractionOperation):
         return {
             "t": "retract",
-            "tgd": encode_tgd(operation.tgd),
+            "tgd": _encode_tgd_ref(operation.tgd, mappings),
             "a": _encode_assignment(operation.assignment.items()),
         }
     raise CodecError("not a wire-encodable user operation: {!r}".format(operation))
 
 
-def decode_user_operation(body: Dict[str, Any]):
+def decode_user_operation(body: Dict[str, Any], mappings: Mappings = None):
     from ..core.update import (
         DeleteOperation,
         InsertOperation,
@@ -365,13 +428,13 @@ def decode_user_operation(body: Dict[str, Any]):
         )
     if tag == "fire":
         return RemoteFiringOperation(
-            decode_tgd(body["tgd"]),
+            _decode_tgd_ref(body["tgd"], mappings),
             dict(_decode_assignment_items(body["a"])),
             tuple(decode_tuple(row) for row in body["rows"]),
         )
     if tag == "retract":
         return RemoteRetractionOperation(
-            decode_tgd(body["tgd"]),
+            _decode_tgd_ref(body["tgd"], mappings),
             dict(_decode_assignment_items(body["a"])),
         )
     raise CodecError("unknown user operation tag {!r}".format(tag))
@@ -406,18 +469,24 @@ def _decode_origin(body: Dict[str, Any]):
     return RemoteOrigin(peer=body["peer"], ticket_id=body["ticket"])
 
 
-def _encode_choice(choice) -> Dict[str, Any]:
+def _encode_choice(choice, mappings: Mappings = None) -> Dict[str, Any]:
+    """An answer: an index into the request's alternatives, or the operation.
+
+    Answerers send the index whenever the chosen operation is one of the
+    listed alternatives (``FederatedQuestion.by_index``) — the executing peer
+    still holds the request parked, so echoing its tuples back is waste.
+    """
     if isinstance(choice, int):
         return {"t": "index", "i": choice}
-    return {"t": "op", "op": encode_frontier_operation(choice)}
+    return {"t": "op", "op": encode_frontier_operation(choice, mappings)}
 
 
-def _decode_choice(body: Dict[str, Any]):
+def _decode_choice(body: Dict[str, Any], mappings: Mappings = None):
     tag = body.get("t")
     if tag == "index":
         return body["i"]
     if tag == "op":
-        return decode_frontier_operation(body["op"])
+        return decode_frontier_operation(body["op"], mappings)
     raise CodecError("unknown answer-choice tag {!r}".format(tag))
 
 
@@ -450,7 +519,7 @@ def payload_kind(payload: object) -> str:
     raise CodecError("not a wire-encodable payload: {!r}".format(payload))
 
 
-def encode_payload(payload: object) -> Dict[str, Any]:
+def encode_payload(payload: object, mappings: Mappings = None) -> Dict[str, Any]:
     """Encode any transport payload into its JSON-able wire body.
 
     When the payload carries a trace context (tracing enabled at the sender)
@@ -458,16 +527,16 @@ def encode_payload(payload: object) -> Dict[str, Any]:
     whenever tracing is off, so golden bytes are unchanged and pre-tracing
     decoders are never confronted with it unless tracing actually ran.
     """
-    body = _encode_payload_body(payload)
+    body = _encode_payload_body(payload, mappings)
     trace = getattr(payload, "trace", None)
     if trace is not None:
         body["tr"] = {"si": trace.span_id, "ti": trace.trace_id}
     return body
 
 
-def decode_payload(body: Dict[str, Any]) -> object:
+def decode_payload(body: Dict[str, Any], mappings: Mappings = None) -> object:
     """Decode a wire body; a ``"tr"`` field restores the trace context."""
-    payload = _decode_payload_body(body)
+    payload = _decode_payload_body(body, mappings)
     trace = body.get("tr")
     if trace is not None and hasattr(payload, "trace"):
         import dataclasses
@@ -480,7 +549,7 @@ def decode_payload(body: Dict[str, Any]) -> object:
     return payload
 
 
-def _encode_payload_body(payload: object) -> Dict[str, Any]:
+def _encode_payload_body(payload: object, mappings: Mappings) -> Dict[str, Any]:
     from ..federation import envelopes as env
     from ..federation.transport import Bundle
     from ..service.tickets import TicketStatus
@@ -488,13 +557,13 @@ def _encode_payload_body(payload: object) -> Dict[str, Any]:
     if isinstance(payload, env.RemoteUpdate):
         return {
             "t": "remote-update",
-            "op": encode_user_operation(payload.operation),
+            "op": encode_user_operation(payload.operation, mappings),
             "o": _encode_origin(payload.origin),
         }
     if isinstance(payload, env.ExchangeFiring):
         return {
             "t": "firing",
-            "tgd": encode_tgd(payload.tgd),
+            "tgd": _encode_tgd_ref(payload.tgd, mappings),
             "a": _encode_assignment(payload.assignment_items),
             "rows": [encode_tuple(row) for row in payload.head_rows],
             "o": _encode_origin(payload.origin),
@@ -502,7 +571,7 @@ def _encode_payload_body(payload: object) -> Dict[str, Any]:
     if isinstance(payload, env.ExchangeRetraction):
         return {
             "t": "retraction",
-            "tgd": encode_tgd(payload.tgd),
+            "tgd": _encode_tgd_ref(payload.tgd, mappings),
             "a": _encode_assignment(payload.assignment_items),
             "row": encode_tuple(payload.removed_row),
             "o": _encode_origin(payload.origin),
@@ -512,7 +581,7 @@ def _encode_payload_body(payload: object) -> Dict[str, Any]:
             "t": "question-opened",
             "peer": payload.executing_peer,
             "id": payload.decision_id,
-            "req": encode_frontier_request(payload.request),
+            "req": encode_frontier_request(payload.request, mappings),
             "o": _encode_origin(payload.origin),
             "desc": payload.ticket_description,
         }
@@ -528,7 +597,7 @@ def _encode_payload_body(payload: object) -> Dict[str, Any]:
             "t": "question-answer",
             "peer": payload.executing_peer,
             "id": payload.decision_id,
-            "c": _encode_choice(payload.choice),
+            "c": _encode_choice(payload.choice, mappings),
             "by": payload.answered_by,
         }
     if isinstance(payload, env.CommitNotice):
@@ -542,7 +611,7 @@ def _encode_payload_body(payload: object) -> Dict[str, Any]:
     if isinstance(payload, Bundle):
         return {
             "t": "bundle",
-            "ps": [encode_payload(inner) for inner in payload.payloads],
+            "ps": [encode_payload(inner, mappings) for inner in payload.payloads],
         }
     if isinstance(payload, _SCALAR_TYPES):
         # Plain scalars pass through (handy for transport-level tests and
@@ -551,7 +620,7 @@ def _encode_payload_body(payload: object) -> Dict[str, Any]:
     raise CodecError("not a wire-encodable payload: {!r}".format(payload))
 
 
-def _decode_payload_body(body: Dict[str, Any]) -> object:
+def _decode_payload_body(body: Dict[str, Any], mappings: Mappings) -> object:
     from ..federation import envelopes as env
     from ..federation.transport import Bundle
     from ..service.tickets import TicketStatus
@@ -559,19 +628,19 @@ def _decode_payload_body(body: Dict[str, Any]) -> object:
     tag = body.get("t")
     if tag == "remote-update":
         return env.RemoteUpdate(
-            operation=decode_user_operation(body["op"]),
+            operation=decode_user_operation(body["op"], mappings),
             origin=_decode_origin(body["o"]),
         )
     if tag == "firing":
         return env.ExchangeFiring(
-            tgd=decode_tgd(body["tgd"]),
+            tgd=_decode_tgd_ref(body["tgd"], mappings),
             assignment_items=_decode_assignment_items(body["a"]),
             head_rows=tuple(decode_tuple(row) for row in body["rows"]),
             origin=_decode_origin(body["o"]),
         )
     if tag == "retraction":
         return env.ExchangeRetraction(
-            tgd=decode_tgd(body["tgd"]),
+            tgd=_decode_tgd_ref(body["tgd"], mappings),
             assignment_items=_decode_assignment_items(body["a"]),
             removed_row=decode_tuple(body["row"]),
             origin=_decode_origin(body["o"]),
@@ -580,7 +649,7 @@ def _decode_payload_body(body: Dict[str, Any]) -> object:
         return env.QuestionOpened(
             executing_peer=body["peer"],
             decision_id=body["id"],
-            request=decode_frontier_request(body["req"]),
+            request=decode_frontier_request(body["req"], mappings),
             origin=_decode_origin(body["o"]),
             ticket_description=body["desc"],
         )
@@ -594,7 +663,7 @@ def _decode_payload_body(body: Dict[str, Any]) -> object:
         return env.QuestionAnswer(
             executing_peer=body["peer"],
             decision_id=body["id"],
-            choice=_decode_choice(body["c"]),
+            choice=_decode_choice(body["c"], mappings),
             answered_by=body["by"],
         )
     if tag == "commit-notice":
@@ -603,7 +672,9 @@ def _decode_payload_body(body: Dict[str, Any]) -> object:
             status=TicketStatus(body["s"]),
         )
     if tag == "bundle":
-        return Bundle(tuple(decode_payload(inner) for inner in body["ps"]))
+        return Bundle(
+            tuple(decode_payload(inner, mappings) for inner in body["ps"])
+        )
     if tag == "raw":
         return body["v"]
     raise CodecError("unknown payload tag {!r}".format(tag))
@@ -626,14 +697,16 @@ def loads(data: bytes) -> object:
         raise CodecError("malformed wire bytes: {}".format(error)) from None
 
 
-def encode_envelope(payload: object) -> bytes:
+def encode_envelope(payload: object, mappings: Mappings = None) -> bytes:
     """Encode a transport payload into self-describing, versioned bytes."""
-    return dumps(
-        {"v": WIRE_VERSION, "k": payload_kind(payload), "b": encode_payload(payload)}
-    )
+    return dumps({
+        "v": WIRE_VERSION,
+        "k": payload_kind(payload),
+        "b": encode_payload(payload, mappings),
+    })
 
 
-def decode_envelope(data: bytes) -> object:
+def decode_envelope(data: bytes, mappings: Mappings = None) -> object:
     """Decode wire bytes; unknown versions and kinds are a :class:`CodecError`."""
     structure = loads(data)
     if not isinstance(structure, dict) or "v" not in structure:
@@ -645,7 +718,7 @@ def decode_envelope(data: bytes) -> object:
                 version, WIRE_VERSION
             )
         )
-    return decode_payload(structure["b"])
+    return decode_payload(structure["b"], mappings)
 
 
 # ----------------------------------------------------------------------
@@ -656,14 +729,15 @@ def _canonicalize_nulls(node: object, renaming: Dict[str, str]) -> object:
 
     Traversal is deterministic: lists in order, dict keys sorted — the same
     order :func:`dumps` serializes, so two payloads that differ only in null
-    names canonicalize to identical structures.
+    names canonicalize to identical structures.  An encoded null is the only
+    one-key dict keyed ``"n"`` (inline tgds carry ``"l"`` and ``"h"`` too).
     """
     if isinstance(node, dict):
-        if node.get("t") == "null" and "n" in node and len(node) == 2:
+        if len(node) == 1 and "n" in node:
             name = node["n"]
             if name not in renaming:
                 renaming[name] = "_{}".format(len(renaming))
-            return {"t": "null", "n": renaming[name]}
+            return {"n": renaming[name]}
         return {
             key: _canonicalize_nulls(node[key], renaming)
             for key in sorted(node)

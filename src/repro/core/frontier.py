@@ -131,6 +131,22 @@ class PositiveFrontierRequest:
                 options.append(UnifyOperation(frontier_tuple, candidate))
         return options
 
+    def index_of(self, operation: FrontierOperation) -> Optional[int]:
+        """Position of *operation* in :meth:`alternatives` (``None`` if absent)."""
+        if not isinstance(operation, (ExpandOperation, UnifyOperation)):
+            return None
+        offset = 0
+        for frontier_tuple in self.frontier_tuples:
+            if operation.frontier_tuple == frontier_tuple:
+                if isinstance(operation, ExpandOperation):
+                    return offset
+                try:
+                    return offset + 1 + frontier_tuple.candidates.index(operation.target)
+                except ValueError:
+                    return None
+            offset += 1 + len(frontier_tuple.candidates)
+        return None
+
 
 @dataclass(frozen=True)
 class NegativeFrontierRequest:
@@ -147,6 +163,15 @@ class NegativeFrontierRequest:
         are free to construct larger :class:`DeleteSubsetOperation` values.
         """
         return [DeleteSubsetOperation((row,)) for row in self.candidates]
+
+    def index_of(self, operation: FrontierOperation) -> Optional[int]:
+        """Position of *operation* in :meth:`alternatives` (``None`` if absent)."""
+        if isinstance(operation, DeleteSubsetOperation) and len(operation.rows) == 1:
+            try:
+                return self.candidates.index(operation.rows[0])
+            except ValueError:
+                pass
+        return None
 
 
 FrontierRequest = Union[PositiveFrontierRequest, NegativeFrontierRequest]

@@ -14,10 +14,11 @@ each committed update's write set (see
 :meth:`~repro.concurrency.optimistic.OptimisticScheduler.add_commit_listener`);
 :func:`envelopes_for_commit` turns it into exchange payloads:
 
-* an inserted row seeds the cross mapping's violation query over the source
-  peer's committed snapshot (the RHS relations are empty there, so the query
-  returns exactly the new LHS matches), and each new exported assignment
-  becomes an :class:`~repro.federation.envelopes.ExchangeFiring` carrying the
+* an inserted row seeds the cross mapping's LHS over the source peer's
+  committed snapshot (another peer owns the RHS relations, so every LHS match
+  is a violation there and no ``NOT EXISTS`` needs evaluating), and each new
+  exported assignment becomes an
+  :class:`~repro.federation.envelopes.ExchangeFiring` carrying the
   instantiated head rows — existentials materialized as peer-fresh nulls;
 * a deleted row at the RHS-owning peer is matched against the mapping's RHS
   over the pre-delete state; exported assignments that thereby lost their
@@ -35,7 +36,7 @@ from ..core.terms import NullFactory, Variable
 from ..core.tgd import Tgd
 from ..core.writes import WriteKind
 from ..query.compiled import get_plan
-from ..query.violation_query import violation_queries_for_write_row
+from ..query.violation_query import seeds_for_lhs_write
 from ..service.tickets import RemoteOrigin
 from ..storage.interface import DatabaseView
 from ..storage.overlay import OverlayView
@@ -68,9 +69,18 @@ class ExchangeRules:
         self.owner_of = dict(owner_of)
         self.local: Dict[str, List[Tgd]] = {}
         self.cross: List[CrossMapping] = []
+        #: The federation's mapping table: every peer (and the coordinator)
+        #: builds it from the same mapping list, so the wire codec can send
+        #: a mapping as its name (see :mod:`repro.codec.wire`).
+        self.by_name: Dict[str, Tgd] = {}
         self._outgoing: Dict[str, Dict[str, List[CrossMapping]]] = {}
         self._incoming: Dict[str, Dict[str, List[CrossMapping]]] = {}
         for tgd in mappings:
+            if self.by_name.setdefault(tgd.name, tgd) != tgd:
+                raise FederationError(
+                    "two different mappings are both named {!r} — names "
+                    "identify mappings on the wire".format(tgd.name)
+                )
             source = self._single_owner(tgd, tgd.lhs_relations(), "LHS")
             target = self._single_owner(tgd, tgd.rhs_relations(), "RHS")
             if source == target:
@@ -175,11 +185,12 @@ def envelopes_for_commit(
         if added is not None:
             for cross in rules.outgoing(peer, added.relation):
                 plan = get_plan(cross.tgd)
-                for query in violation_queries_for_write_row(
-                    cross.tgd, added, removed=False
-                ):
-                    for row in query.evaluate(view):
-                        exported = plan.exported(row.assignment())
+                # LHS matches only: the RHS relations live at another peer
+                # (checked once, at Peer construction), so the violation
+                # query's NOT EXISTS could never filter anything here.
+                for seed in seeds_for_lhs_write(cross.tgd, added):
+                    for assignment, _ in plan.lhs.find_matches(view, seed):
+                        exported = plan.exported(assignment)
                         key = (cross.tgd, freeze_assignment(exported))
                         if key in fired:
                             continue

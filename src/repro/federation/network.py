@@ -116,6 +116,21 @@ class FederatedQuestion:
     def alternatives(self) -> List[FrontierOperation]:
         return self.request.alternatives()
 
+    def by_index(
+        self, choice: Union[FrontierOperation, int]
+    ) -> Union[FrontierOperation, int]:
+        """*choice* as its index into :meth:`alternatives`, when it is one.
+
+        The form answers travel in: the executing peer still holds the
+        request parked and resolves the index against it, so the chosen
+        operation's tuples are not echoed back.  An operation that is not a
+        listed alternative (a multi-row delete subset) stays as it is.
+        """
+        if isinstance(choice, int):
+            return choice
+        index = self.request.index_of(choice)
+        return choice if index is None else index
+
 
 @dataclass
 class FederationPumpReport:
@@ -180,6 +195,7 @@ class FederatedNetwork:
             # An explicitly traced network traces its transport too (a
             # transport built separately defaults to the process tracer).
             self.transport.tracer = tracer
+        self.transport.mappings = self.rules.by_name
         #: Construction parameters kept for peer restarts (see
         #: :meth:`restart_peer`): a reborn peer's service is rebuilt with the
         #: same tracker, admission policy and budgets as its predecessor.
@@ -720,7 +736,7 @@ class FederatedNetwork:
                 QuestionAnswer(
                     executing_peer=question.executing_peer,
                     decision_id=question.decision_id,
-                    choice=choice,
+                    choice=question.by_index(choice),
                     answered_by=peer_name,
                     trace=question.trace,
                 ),

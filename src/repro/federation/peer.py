@@ -31,7 +31,12 @@ from .envelopes import (
     QuestionCancelled,
     QuestionOpened,
 )
-from .exchange import ExchangeRules, coalesce_envelopes, envelopes_for_commit
+from .exchange import (
+    ExchangeRules,
+    FederationError,
+    coalesce_envelopes,
+    envelopes_for_commit,
+)
 
 
 class Peer:
@@ -50,6 +55,16 @@ class Peer:
         self.service = service
         self.owned = frozenset(owned_relations)
         self._rules = rules
+        # Commit-time exchange fires on every LHS match without consulting
+        # the RHS (see envelopes_for_commit), which is only sound while the
+        # RHS of this peer's outgoing mappings is stored elsewhere.
+        for cross in rules.cross:
+            shared = cross.tgd.rhs_relations() & self.owned
+            if cross.source == name and shared:
+                raise FederationError(
+                    "peer {!r} owns RHS relation(s) {} of its outgoing cross "
+                    "mapping {}".format(name, sorted(shared), cross.tgd.name)
+                )
         self._firing_factory = firing_factory
         #: Relations whose writes can produce exchange envelopes here; write
         #: sets touching none of them skip commit-time exchange entirely.

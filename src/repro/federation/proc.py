@@ -226,6 +226,9 @@ class PeerHost:
             for relation in relations:
                 self.owner_of[relation] = peer
         self.rules = ExchangeRules(mappings, self.owner_of)
+        #: Mappings cross the wire by name: every peer and the coordinator
+        #: build this same table from the same configured mapping list.
+        self._mappings = self.rules.by_name
         initial = FrozenDatabase(self.schema, {
             relation: frozenset(decode_tuple(body) for body in rows)
             for relation, rows in config["initial"].items()
@@ -347,10 +350,9 @@ class PeerHost:
     # ------------------------------------------------------------------
     def _build_peer(self, initial, mappings, restore_path: Optional[str]) -> None:
         local = self.rules.local_mappings(self.name)
-        #: fid -> local service ticket (operations executing here).
+        #: fid -> local service ticket of operations executing here whose
+        #: terminal status the coordinator has not been told yet.
         self._fed_local: Dict[int, object] = {}
-        #: fids already reported terminal to the coordinator.
-        self._fed_reported: set = set()
         #: fid -> root span (or None) of operations routed *from* here.
         self._fed_routed: Dict[int, object] = {}
         if restore_path is None:
@@ -563,7 +565,7 @@ class PeerHost:
         self.frames_received[source] = self.frames_received.get(source, 0) + 1
         if self.tracer.enabled:
             before = self.tracer.clock()
-            payload = decode_envelope(payload_bytes)
+            payload = decode_envelope(payload_bytes, self._mappings)
             decode_seconds = self.tracer.clock() - before
             context = getattr(payload, "trace", None)
             if context is not None:
@@ -583,7 +585,7 @@ class PeerHost:
                     decode_seconds=decode_seconds,
                 )
         else:
-            payload = decode_envelope(payload_bytes)
+            payload = decode_envelope(payload_bytes, self._mappings)
         if isinstance(payload, Bundle):
             self.payloads_received += len(payload)
             for inner in payload.payloads:
@@ -620,7 +622,9 @@ class PeerHost:
                 "executing": payload.executing_peer,
                 "decision": payload.decision_id,
                 "inbox": self.name,
-                "request": encode_frontier_request(payload.request),
+                "request": encode_frontier_request(
+                    payload.request, self._mappings
+                ),
                 "origin": {
                     "peer": payload.origin.peer,
                     "ticket": payload.origin.ticket_id,
@@ -702,7 +706,10 @@ class PeerHost:
                 for frame in pending:
                     self._send_event_frame(frame)
         elif kind == "submit":
-            self._handle_submit(int(body["fid"]), decode_user_operation(body["op"]))
+            self._handle_submit(
+                int(body["fid"]),
+                decode_user_operation(body["op"], self._mappings),
+            )
         elif kind == "answer":
             self._handle_answer(body)
         elif kind == "status":
@@ -788,7 +795,9 @@ class PeerHost:
             # real federation must tolerate it.
             self.answers_dropped += 1
             return
-        choice = _decode_choice(body["choice"])
+        # Normally an index into the request the executing peer still holds
+        # parked: relayed onward as-is, no tuples materialised here.
+        choice = _decode_choice(body["choice"], self._mappings)
         if executing == self.name:
             # A locally-executing question: answer straight into the service
             # (no mark_answered — that is only for answers that arrived as
@@ -883,7 +892,9 @@ class PeerHost:
                     "executing": self.name,
                     "decision": question.decision_id,
                     "inbox": self.name,
-                    "request": encode_frontier_request(question.request),
+                    "request": encode_frontier_request(
+                        question.request, self._mappings
+                    ),
                     "origin": {
                         "peer": self.name,
                         "ticket": question.ticket.ticket_id,
@@ -912,14 +923,11 @@ class PeerHost:
             self._activity_seq += 1
 
     def _mirror_tickets(self) -> None:
-        for fid, ticket in self._fed_local.items():
-            if fid in self._fed_reported or not ticket.is_done:
-                continue
-            self._fed_reported.add(fid)
-            self.flight.record(
-                "ticket", fid=fid, status=ticket.status.value
-            )
-            self._event({"t": "ticket", "fid": fid, "status": ticket.status.value})
+        done = [fid for fid, ticket in self._fed_local.items() if ticket.is_done]
+        for fid in done:
+            status = self._fed_local.pop(fid).status.value
+            self.flight.record("ticket", fid=fid, status=status)
+            self._event({"t": "ticket", "fid": fid, "status": status})
 
     def _stage_outbox(self) -> None:
         if not self._staging.passthrough:
@@ -931,7 +939,7 @@ class PeerHost:
             for destination, payload in self.peer.outbox:
                 size = 0
                 if self._staging.max_bytes:
-                    size = len(encode_envelope(payload))
+                    size = len(encode_envelope(payload, self._mappings))
                 self._staging.stage(
                     destination, payload, self._pump_rounds, now, size=size
                 )
@@ -991,7 +999,7 @@ class PeerHost:
             ))
         if self.tracer.enabled:
             before = self.tracer.clock()
-            encoded = encode_envelope(payload)
+            encoded = encode_envelope(payload, self._mappings)
             encode_seconds = self.tracer.clock() - before
             context = getattr(payload, "trace", None)
             if context is not None:
@@ -1008,7 +1016,7 @@ class PeerHost:
                     encode_seconds=encode_seconds,
                 )
         else:
-            encoded = encode_envelope(payload)
+            encoded = encode_envelope(payload, self._mappings)
         self._links[destination].enqueue(
             encode_frame(FRAME_ENVELOPE, encoded), monotonic()
         )
@@ -1067,9 +1075,6 @@ class PeerHost:
         body["t"] = "telemetry"
         body["seq"] = self._telemetry_seq
         body["wall"] = time.time()
-        body["links"] = {
-            peer: link.stats() for peer, link in self._links.items()
-        }
         # Metrics travel as deltas against the previous heartbeat: numeric
         # keys carry the difference (the timeline re-accumulates them into
         # absolutes), non-numeric keys pass through as-is.
@@ -1099,16 +1104,19 @@ class PeerHost:
         )
 
     def _idle_push(self) -> None:
-        """Push one unsolicited went-idle status delta to the coordinator.
+        """Push one unsolicited went-idle notice to the coordinator.
 
         The event-driven half of the watermark drain: the moment this peer
         settles (service quiescent, nothing staged, queued, or parked) it
-        pushes a telemetry frame carrying its final per-link watermarks and
-        activity seq, so the coordinator's ``drain()`` blocks on its
-        selector instead of pacing status rounds.  One push per activity
-        seq — a peer that stays idle stays silent — and it fires regardless
-        of ``telemetry_interval``, so the watermark drain works with
-        periodic heartbeats off.
+        tells the coordinator its per-link watermarks and activity seq — and
+        nothing else — so ``drain()`` blocks on its selector instead of
+        pacing status rounds.  The notice fires on every went-idle
+        transition (about twice per user operation in a closed loop), which
+        is why it carries no metrics: those ride the periodic heartbeat and
+        the status rounds.  One notice per activity seq — a peer that stays
+        idle stays silent — and it fires regardless of
+        ``telemetry_interval``, so the watermark drain works with periodic
+        heartbeats off.
         """
         if self._coordinator is None or self._coordinator.closed:
             return
@@ -1117,13 +1125,20 @@ class PeerHost:
         if self._halted or not self._is_idle():
             return
         self._idle_pushed_at = self._activity_seq
-        self._telemetry_seq += 1
         # Same discipline as the periodic heartbeat: the flight ring syncs
         # to disk *before* the frame goes out, so anything the coordinator
-        # learns from this push is already covered by a postmortem dump.
-        self.flight.record("heartbeat", seq=self._telemetry_seq, idle=True)
+        # learns from this notice is already covered by a postmortem dump.
+        self.flight.record("idle", activity_seq=self._activity_seq)
         self._flight_sync()
-        frame = encode_frame(FRAME_CONTROL, dumps(self._telemetry_body()))
+        frame = encode_frame(FRAME_CONTROL, dumps({
+            "t": "idle",
+            "peer": self.name,
+            "activity_seq": self._activity_seq,
+            "sent": {
+                peer: link.frames_sent for peer, link in self._links.items()
+            },
+            "received": self.frames_received,
+        }))
         try:
             self._coordinator.send_bytes(frame)
         except SocketTransportError:
@@ -1207,6 +1222,11 @@ class PeerHost:
                 peer: link.frames_sent for peer, link in self._links.items()
             },
             "received": dict(self.frames_received),
+            # Per-link inflight gauges; in the status shape (not only the
+            # heartbeat's) so metrics() has one key set whichever came last.
+            "links": {
+                peer: link.stats() for peer, link in self._links.items()
+            },
             "payloads_received": self.payloads_received,
             "open_questions": len(self._inbox),
             "committed": snapshot["committed"],

@@ -54,7 +54,7 @@ from ..codec.wire import (
 from ..core.update import DeleteOperation, InsertOperation, UserOperation
 from ..service.tickets import RemoteOrigin, TicketStatus
 from ..storage.memory import FrozenDatabase
-from .exchange import FederationError
+from .exchange import ExchangeRules, FederationError
 from .network import AnswerStrategy, FederatedQuestion
 from ..obs.timeline import TelemetryTimeline
 from ..obs.trace import SpanContext
@@ -176,6 +176,9 @@ class ProcessFederation:
                 "no peer owns relation(s) {}".format(sorted(unowned))
             )
         self.owner_of = owner_of
+        #: The same mapping table every peer builds from its config: question
+        #: events name their mappings, and this resolves the names.
+        self._mappings_by_name = ExchangeRules(self._mappings, owner_of).by_name
         self._tracker = tracker
         self._admission = admission
         self._max_total_steps = max_total_steps
@@ -219,9 +222,9 @@ class ProcessFederation:
         self._last_liveness: Dict[str, str] = {}
         #: Decomposition record of the most recent drain() (None before one).
         self.last_drain: Optional[Dict] = None
-        #: The watermark drain's working set: the latest status-shaped body
-        #: per peer that carried an ``activity_seq`` (unsolicited went-idle
-        #: pushes, heartbeats, and status replies all qualify).  Kept apart
+        #: The watermark drain's working set: the latest body per peer that
+        #: carried an ``activity_seq`` (unsolicited went-idle notices,
+        #: heartbeats, and status replies all qualify).  Kept apart
         #: from the timeline's merged view on purpose — kill/restart *clears*
         #: a peer's entry, because a reborn peer resets its activity seq and
         #: a stale pre-restart view could coincidentally match it.
@@ -396,9 +399,22 @@ class ProcessFederation:
         except (OSError, ValueError):  # pragma: no cover - best effort
             pass
 
+    def _note_watermark(self, peer: str, body: Dict) -> None:
+        """Keep *body* as the peer's drain view unless a newer one is held.
+
+        Frames are dispatched as they arrive but a status reply is consumed
+        later, by whoever awaited it: a went-idle notice that was sent after
+        the reply (higher ``activity_seq``) can already be in place by then,
+        and the older reply must not bury it — the peer, idle, would never
+        send another.
+        """
+        known = self._watermarks.get(peer)
+        if known is None or body["activity_seq"] >= known["activity_seq"]:
+            self._watermarks[peer] = body
+
     def _observe_telemetry(self, peer: str, body: Dict, kind: str) -> None:
         if "activity_seq" in body:
-            self._watermarks[peer] = body
+            self._note_watermark(peer, body)
         self.timeline.observe(peer, body, kind=kind)
         self._spool({
             "rec": "telemetry",
@@ -452,7 +468,15 @@ class ProcessFederation:
 
     def _dispatch(self, handle: _PeerHandle, body: Dict) -> None:
         kind = body["t"]
-        if kind == "telemetry":
+        if kind == "idle":
+            # The went-idle notice: link watermarks and the activity seq,
+            # nothing more — it feeds the drain and proves the peer alive,
+            # but is neither merged into the timeline's view nor spooled
+            # (it arrives about twice per user operation).
+            body["quiescent"] = True
+            self._note_watermark(body["peer"], body)
+            self.timeline.touch(body["peer"])
+        elif kind == "telemetry":
             self._observe_telemetry(body["peer"], body, "telemetry")
         elif kind == "ticket":
             ticket = self._tickets.get(int(body["fid"]))
@@ -462,7 +486,9 @@ class ProcessFederation:
             question = FederatedQuestion(
                 executing_peer=body["executing"],
                 decision_id=int(body["decision"]),
-                request=decode_frontier_request(body["request"]),
+                request=decode_frontier_request(
+                    body["request"], self._mappings_by_name
+                ),
                 origin=RemoteOrigin(
                     body["origin"]["peer"], body["origin"]["ticket"]
                 ),
@@ -529,7 +555,7 @@ class ProcessFederation:
         self._send(peer_name, {
             "t": "submit",
             "fid": ticket.fid,
-            "op": encode_user_operation(operation),
+            "op": encode_user_operation(operation, self._mappings_by_name),
         })
         return ticket
 
@@ -565,7 +591,9 @@ class ProcessFederation:
             "t": "answer",
             "executing": question.executing_peer,
             "decision": question.decision_id,
-            "choice": _encode_choice(choice),
+            "choice": _encode_choice(
+                question.by_index(choice), self._mappings_by_name
+            ),
             "tr": _encode_trace(question.trace),
         })
 
@@ -634,7 +662,7 @@ class ProcessFederation:
         ``watermark``) picks which one runs:
 
         * ``watermark`` — conservation-based, event-driven.  Peers push an
-          unsolicited went-idle status delta the moment they settle; the
+          unsolicited went-idle notice the moment they settle; the
           coordinator blocks on its selector until every live peer's view
           is quiescent with every link's frames-sent equal to the
           destination's frames-received, then issues exactly one confirming

@@ -119,6 +119,10 @@ class Transport:
         #: send and decode it on delivery (the default; see the module doc).
         self.wire = wire
         self.tracer = tracer if tracer is not None else default_tracer()
+        #: The federation's mapping table (``name -> Tgd``); the owning
+        #: network sets it so mappings cross the wire by name.  ``None``
+        #: (a bare transport) encodes them inline.
+        self.mappings = None
         #: Counters for the metrics snapshot.
         self.sent = 0
         self.delivered = 0
@@ -193,11 +197,11 @@ class Transport:
             kind = payload_kind(payload)
             if self.tracer.enabled:
                 before = self.tracer.clock()
-                queued = encode_envelope(payload)
+                queued = encode_envelope(payload, self.mappings)
                 encode_seconds = self.tracer.clock() - before
                 self.encode_seconds += encode_seconds
             else:
-                queued = encode_envelope(payload)
+                queued = encode_envelope(payload, self.mappings)
             self.wire_bytes_sent += len(queued)
             self.wire_bytes_by_kind[kind] = (
                 self.wire_bytes_by_kind.get(kind, 0) + len(queued)
@@ -297,7 +301,7 @@ class Transport:
                 decoded: List[Envelope] = []
                 for envelope in deliverable:
                     before = self.tracer.clock()
-                    payload = decode_envelope(envelope.payload)
+                    payload = decode_envelope(envelope.payload, self.mappings)
                     decode_seconds = self.tracer.clock() - before
                     self.decode_seconds += decode_seconds
                     span = self._wire_spans.pop(envelope.seq, None)
@@ -307,7 +311,10 @@ class Transport:
                 deliverable = decoded
             else:
                 deliverable = [
-                    replace(envelope, payload=decode_envelope(envelope.payload))
+                    replace(
+                        envelope,
+                        payload=decode_envelope(envelope.payload, self.mappings),
+                    )
                     for envelope in deliverable
                 ]
         elif self.tracer.enabled:

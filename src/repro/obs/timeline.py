@@ -12,7 +12,8 @@ status reply, which shares the same body shape — into a
   ``ProcessFederation.metrics()`` now serves);
 * a bounded **history** of samples for rate computations (committed/s in
   ``repro-top``);
-* **liveness**: heartbeat age against the expected interval.  A peer whose
+* **liveness**: age of the last frame (heartbeat, status reply or went-idle
+  notice) against the expected heartbeat interval.  A peer whose
   heartbeat is ``stalled_after`` intervals late is ``stalled``; at
   ``dead_after`` intervals it is ``dead`` — long before any drain timeout.
   Control-channel EOF marks a peer dead immediately and *sticky* (no
@@ -137,6 +138,14 @@ class TelemetryTimeline:
             if isinstance(seq, int) and seq > entry.seq:
                 entry.seq = seq
             entry.history.append((now, entry.seq, view.get("committed", 0)))
+
+    def touch(self, peer: str, now: Optional[float] = None) -> None:
+        """Any frame from *peer* proves it alive: refresh its arrival time.
+
+        For frames that carry nothing to merge (the went-idle notice).
+        """
+        self.register_peer(peer)
+        self.peers[peer].last_arrival = self.clock() if now is None else now
 
     def mark_dead(self, peer: str, reason: str) -> None:
         """Sticky death: control-channel EOF or an explicit kill."""

@@ -28,6 +28,7 @@ import json
 import os
 from typing import Dict, List, Optional, Sequence, Set, Tuple as PyTuple
 
+from ..codec.rows import encode_row
 from ..codec.wire import (
     CodecError,
     WIRE_VERSION,
@@ -273,11 +274,14 @@ def encode_committed_state(view: DatabaseView, watermark: int) -> Dict:
     return {
         "watermark": watermark,
         "schema": encode_schema(view.schema),
+        # Rows in the flat row codec's order: deterministic (up to rows that
+        # differ only in a constant's *type*, which that codec cannot tell
+        # apart), and computed without serialising every row to compare it.
         "relations": {
-            relation: sorted(
-                (encode_tuple(row) for row in view.tuples(relation)),
-                key=lambda encoded: json.dumps(encoded, sort_keys=True),
-            )
+            relation: [
+                encode_tuple(row)
+                for row in sorted(view.tuples(relation), key=encode_row)
+            ]
             for relation in view.relations()
         },
     }

@@ -10,6 +10,10 @@ builds.  A deliberate format change must bump
 :data:`~repro.codec.WIRE_VERSION` and regenerate the fixture:
 
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/codec/test_golden.py
+
+Every payload that mentions a mapping is pinned twice: inline (no mapping
+table — what config files and checkpoints hold) and by name (encoded and
+decoded against the table a federation builds from its mapping list).
 """
 
 from __future__ import annotations
@@ -54,6 +58,8 @@ _TGD = Tgd(
     [Atom("B", [Variable("x"), Variable("z")])],
     name="sigma1",
 )
+#: The mapping table of the ``*-by-name`` records.
+_TABLE = {"sigma1": _TGD}
 _ORIGIN = RemoteOrigin("p0", 11)
 _VIOLATION = Violation(
     tgd=_TGD,
@@ -69,8 +75,26 @@ _FRONTIER = FrontierTuple(
 )
 
 
+def golden_cases():
+    """The fixed ``(name, payload, mapping table)`` set the fixture pins."""
+    inline = golden_payloads()
+    by_name = [
+        (name + "-by-name", payload, _TABLE)
+        for name, payload in inline
+        if name in _MENTIONS_A_MAPPING
+    ]
+    return [(name, payload, None) for name, payload in inline] + by_name
+
+
+_MENTIONS_A_MAPPING = {
+    "firing", "retraction", "remote-firing-operation",
+    "question-opened-positive", "question-opened-negative",
+    "question-answer-expand", "bundle",
+}
+
+
 def golden_payloads():
-    """The fixed payload set the fixture pins, in a stable order."""
+    """The payloads themselves, in a stable order (also framed by test_framing)."""
     firing = ExchangeFiring(
         tgd=_TGD,
         assignment_items=freeze_assignment({Variable("x"): Constant("c1")}),
@@ -167,27 +191,34 @@ def _load_fixture():
 def test_fixture_exists_or_regenerate():
     if os.environ.get("REPRO_REGEN_GOLDEN") == "1" or not os.path.exists(GOLDEN_PATH):
         with open(GOLDEN_PATH, "w") as handle:
-            for name, payload in golden_payloads():
+            for name, payload, mappings in golden_cases():
                 handle.write(json.dumps({
                     "name": name,
-                    "bytes": encode_envelope(payload).decode("ascii"),
+                    "bytes": encode_envelope(payload, mappings).decode("ascii"),
                 }) + "\n")
     assert os.path.exists(GOLDEN_PATH)
 
 
-@pytest.mark.parametrize("name,payload", golden_payloads())
-def test_encoding_matches_golden_bytes(name, payload):
+@pytest.mark.parametrize("name,payload,mappings", golden_cases())
+def test_encoding_matches_golden_bytes(name, payload, mappings):
     recorded = _load_fixture()
     assert name in recorded, (
         "no golden record for {!r}; regenerate with REPRO_REGEN_GOLDEN=1".format(name)
     )
-    assert encode_envelope(payload).decode("ascii") == recorded[name], (
+    assert encode_envelope(payload, mappings).decode("ascii") == recorded[name], (
         "wire bytes for {!r} changed; a deliberate format change must bump "
         "WIRE_VERSION and regenerate the fixture".format(name)
     )
 
 
-@pytest.mark.parametrize("name,payload", golden_payloads())
-def test_golden_bytes_decode_to_expected_payloads(name, payload):
+@pytest.mark.parametrize("name,payload,mappings", golden_cases())
+def test_golden_bytes_decode_to_expected_payloads(name, payload, mappings):
     recorded = _load_fixture()
-    assert decode_envelope(recorded[name].encode("ascii")) == payload
+    assert decode_envelope(recorded[name].encode("ascii"), mappings) == payload
+
+
+def test_by_name_records_carry_no_mapping_body():
+    recorded = _load_fixture()
+    for name in _MENTIONS_A_MAPPING:
+        assert '"tgd":"sigma1"' in recorded[name + "-by-name"]
+        assert '"tgd":{' in recorded[name]

@@ -352,6 +352,98 @@ def test_integer_constants_survive_the_wire():
 
 
 # ----------------------------------------------------------------------
+# Mappings by name (wire v2)
+# ----------------------------------------------------------------------
+def _payloads_and_table(seed, count=40):
+    """Random payloads plus a table of the first mapping seen under each name.
+
+    The generator reuses nine names for different bodies, so the table lists
+    some of a payload's mappings and clashes by name with others — exactly
+    the mix the self-describing field exists for.
+    """
+    gen = Gen(seed)
+    table = {}
+    generate = gen.tgd
+
+    def remembering():
+        tgd = generate()
+        table.setdefault(tgd.name, tgd)
+        return tgd
+
+    gen.tgd = remembering
+    return [gen.payload() for _ in range(count)], table
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_payload_round_trip_with_a_mapping_table(seed):
+    payloads, table = _payloads_and_table(seed)
+    for payload in payloads:
+        data = encode_envelope(payload, table)
+        assert decode_envelope(data, table) == payload
+        # Never longer than inline, and still decodable by a receiver whose
+        # table is a superset.
+        assert len(data) <= len(encode_envelope(payload))
+        superset = dict(table, extra=next(iter(table.values())))
+        assert decode_envelope(data, superset) == payload
+
+
+def _firing(tgd):
+    return ExchangeFiring(
+        tgd=tgd,
+        assignment_items=freeze_assignment({Variable("v0"): Constant("c")}),
+        head_rows=(Tuple("H0", [Constant("c"), LabeledNull("m1")]),),
+        origin=RemoteOrigin("p0", 1),
+    )
+
+
+def test_listed_mapping_travels_by_name_and_resolves_to_the_table_object():
+    tgd = Gen(0).tgd()
+    table = {tgd.name: tgd}
+    body = json.loads(encode_envelope(_firing(tgd), table))["b"]
+    assert body["tgd"] == tgd.name
+    assert decode_envelope(encode_envelope(_firing(tgd), table), table).tgd is tgd
+
+
+def test_mapping_not_in_the_table_travels_inline():
+    gen = Gen(1)
+    listed, other = gen.tgd(), gen.tgd()
+    assert listed != other
+    # Same name, different body: the name would resolve to the wrong mapping.
+    clash = Tgd(other.lhs, other.rhs, name=listed.name)
+    for tgd in (other, clash):
+        data = encode_envelope(_firing(tgd), {listed.name: listed})
+        assert isinstance(json.loads(data)["b"]["tgd"], dict)
+        # Inline is self-contained: any receiver decodes it, table or not.
+        assert decode_envelope(data).tgd == tgd
+        assert decode_envelope(data, {listed.name: listed}).tgd == tgd
+
+
+def test_unknown_mapping_name_is_rejected():
+    tgd = Gen(2).tgd()
+    data = encode_envelope(_firing(tgd), {tgd.name: tgd})
+    with pytest.raises(CodecError, match="not in the receiver's mapping table"):
+        decode_envelope(data)
+    with pytest.raises(CodecError, match="not in the receiver's mapping table"):
+        decode_envelope(data, {"another": tgd})
+
+
+def test_frontier_tuples_omit_the_violation_their_request_carries():
+    gen = Gen(3)
+    violation = gen.violation()
+    shared = FrontierTuple(
+        row=gen.row(), violation=violation, candidates=(gen.row(),),
+    )
+    foreign = gen.frontier_tuple()
+    request = PositiveFrontierRequest(
+        violation=violation, frontier_tuples=(shared, foreign)
+    )
+    body = encode_frontier_request(request)
+    assert "vio" not in body["fts"][0]
+    assert "vio" in body["fts"][1]
+    assert decode_frontier_request(body) == request
+
+
+# ----------------------------------------------------------------------
 # Null-renaming-aware equality
 # ----------------------------------------------------------------------
 def _firing_with_nulls(names):
@@ -410,7 +502,7 @@ def test_malformed_bytes_are_rejected():
     with pytest.raises(CodecError):
         decode_envelope(b"\xff\xfe not json")
     with pytest.raises(CodecError):
-        decode_envelope(b'{"v": 1, "b": {"t": "no-such-payload"}}')
+        decode_envelope(dumps({"v": WIRE_VERSION, "b": {"t": "no-such-payload"}}))
 
 
 def test_unencodable_payload_is_rejected():

@@ -215,3 +215,40 @@ class TestWritesForOperations:
         assert kinds.count("UnifyOperation") == sum(
             len(frontier.candidates) for frontier in plan.frontier_tuples
         )
+
+
+class TestIndexOf:
+    """``index_of`` is ``alternatives().index`` without building the list."""
+
+    def test_positive_request_positions(self):
+        database, mappings = genealogy_repository()
+        violation = _lhs_violation_after_insert(
+            database, mappings, make_tuple("Person", "John")
+        )
+        request = plan_forward_repair(violation, database, NullFactory(prefix="f"))
+        alternatives = request.alternatives()
+        assert any(isinstance(option, UnifyOperation) for option in alternatives)
+        for position, option in enumerate(alternatives):
+            assert request.index_of(option) == position
+
+    def test_negative_request_positions(self, travel):
+        database, mappings = travel
+        violation = _rhs_violation_after_delete(
+            database, mappings, make_tuple("R", "XYZ", "Geneva Winery", "Great!")
+        )
+        request = plan_backward_repair(violation, database)
+        assert isinstance(request, NegativeFrontierRequest)
+        for position, option in enumerate(request.alternatives()):
+            assert request.index_of(option) == position
+
+    def test_operations_that_are_not_alternatives_have_no_index(self, travel):
+        database, mappings = travel
+        violation = _rhs_violation_after_delete(
+            database, mappings, make_tuple("R", "XYZ", "Geneva Winery", "Great!")
+        )
+        request = plan_backward_repair(violation, database)
+        # A legal answer (any non-empty subset) that is not on the menu.
+        assert request.index_of(DeleteSubsetOperation(request.candidates)) is None
+        stranger = make_tuple("R", "nobody", "nowhere", "n/a")
+        assert request.index_of(DeleteSubsetOperation((stranger,))) is None
+        assert request.index_of(ExpandOperation(None)) is None

@@ -53,6 +53,35 @@ def test_rules_reject_unowned_relation(schema):
         ExchangeRules([parse_tgd("A1(x) -> B1(x)")], {"A1": "a"})
 
 
+def test_rules_reject_two_mappings_under_one_name(schema):
+    first = parse_tgd("A1(x) -> B1(x)", name="m")
+    with pytest.raises(FederationError, match="both named 'm'"):
+        ExchangeRules([first, parse_tgd("A2(x, y) -> B1(x)", name="m")], OWNERSHIP)
+    # The same mapping listed twice is one mapping.
+    rules = ExchangeRules([first, parse_tgd("A1(x) -> B1(x)", name="m")], OWNERSHIP)
+    assert rules.by_name == {"m": first}
+
+
+def test_peer_rejects_owning_the_rhs_of_its_outgoing_mapping(schema):
+    """The invariant commit-time exchange relies on to skip the anti-join."""
+    from repro.federation import Peer
+    from repro.service import RepositoryService
+    from repro.storage.memory import FrozenDatabase
+
+    rules = ExchangeRules([parse_tgd("A1(x) -> B1(x)", name="m")], OWNERSHIP)
+    empty = FrozenDatabase(
+        schema, {name: frozenset() for name in schema.relation_names()}
+    )
+    with pytest.raises(FederationError, match="owns RHS relation"):
+        Peer(
+            name="a",
+            service=RepositoryService(empty, []),
+            owned_relations=("A1", "A2", "B1"),
+            rules=rules,
+            firing_factory=NullFactory(prefix="af"),
+        )
+
+
 def test_rules_reject_straddling_side(schema):
     with pytest.raises(FederationError, match="single peer"):
         ExchangeRules([parse_tgd("A1(x), B1(x) -> A2(x, x)")], OWNERSHIP)

@@ -156,7 +156,7 @@ def test_unowned_relations_stay_empty_everywhere():
                 )
 
 
-def question_fixture():
+def question_fixture(wire=None):
     schema = DatabaseSchema.from_dict(
         {"Seed": ["x"], "Person": ["name"], "Father": ["child", "father"]}
     )
@@ -176,7 +176,7 @@ def question_fixture():
         initial,
         mappings,
         ownership={"a": ["Seed"], "b": ["Person", "Father"]},
-        transport=Transport(delay=1),
+        transport=Transport(delay=1, wire=wire),
     )
     return network
 
@@ -242,6 +242,120 @@ def test_answering_a_closed_question_raises():
     network.answer("a", question, unify)
     with pytest.raises(FederationError, match="not open"):
         network.answer("a", question, unify)
+
+
+def test_remote_answer_travels_as_an_index_into_the_parked_request():
+    network = question_fixture(wire=True)  # the test reads the bytes
+    network.submit("a", InsertOperation(make_tuple("Seed", "alice")))
+    question = _pump_until_question(network, "a")[0]
+    position, unify = [
+        (position, alternative)
+        for position, alternative in enumerate(question.alternatives())
+        if isinstance(alternative, UnifyOperation)
+    ][0]
+    assert question.by_index(unify) == position
+    assert question.by_index(position) == position
+    network.answer("a", question, unify)
+    # The request the answer belongs to never rides back: index only.
+    envelope = network.transport._queues[("a", "b")][-1]
+    assert envelope.payload_kind == "question-answer"
+    assert b'"c":{"i":%d,"t":"index"}' % position in envelope.payload
+    network.run_until_quiescent()
+    assert network.global_snapshot().count("Father") == 1
+    assert network.metrics()["answers_dropped"] == 0
+
+
+def test_answer_that_is_not_a_listed_alternative_travels_inline():
+    from repro.core.frontier import DeleteSubsetOperation
+    from repro.storage.memory import FrozenDatabase
+
+    schema = DatabaseSchema.from_dict(
+        {"Del": ["x"], "L": ["x"], "M": ["x"], "N": ["x"]}
+    )
+    mappings = parse_tgds(["L(x), M(x) -> N(x)"])
+    initial = FrozenDatabase(schema, {
+        "Del": frozenset(),
+        "L": frozenset({make_tuple("L", "v")}),
+        "M": frozenset({make_tuple("M", "v")}),
+        "N": frozenset({make_tuple("N", "v")}),
+    })
+    network = FederatedNetwork(
+        schema, initial, mappings, ownership={"a": ["Del"], "b": ["L", "M", "N"]},
+        transport=Transport(wire=True),
+    )
+    # Submitted at a, executed at b: the negative frontier routes back to a.
+    network.submit("a", DeleteOperation(make_tuple("N", "v")))
+    question = _pump_until_question(network, "a")[0]
+    both = DeleteSubsetOperation(question.request.candidates)
+    assert len(both.rows) == 2
+    assert question.by_index(both) is both
+    network.answer("a", question, both)
+    envelope = network.transport._queues[("a", "b")][-1]
+    assert b'"t":"op"' in envelope.payload
+    network.run_until_quiescent()
+    snapshot = network.global_snapshot()
+    assert snapshot.count("L") == 0 and snapshot.count("M") == 0
+    assert network.metrics()["answers_dropped"] == 0
+
+
+def test_stale_and_out_of_range_indexed_answers_are_dropped():
+    from repro.federation.envelopes import QuestionAnswer
+
+    network = question_fixture()
+    network.submit("a", InsertOperation(make_tuple("Seed", "alice")))
+    question = _pump_until_question(network, "a")[0]
+    # Out of range for the parked request, then a decision b never asked.
+    for decision_id, choice in ((question.decision_id, 99), (4242, 0)):
+        network.transport.send("a", "b", QuestionAnswer(
+            executing_peer="b", decision_id=decision_id, choice=choice,
+            answered_by="a",
+        ))
+    for _ in range(3):
+        network.pump()
+    assert network.metrics()["answers_dropped"] == 2
+    # The question survived both and still takes its real answer.
+    unify = [
+        position
+        for position, alternative in enumerate(question.alternatives())
+        if isinstance(alternative, UnifyOperation)
+    ][0]
+    network.answer("a", question, unify)
+    network.run_until_quiescent()
+    assert network.metrics()["answers_dropped"] == 2
+    assert network.global_snapshot().count("Father") == 1
+
+
+def test_two_federations_in_one_process_may_reuse_mapping_names():
+    """Mapping names resolve per federation: no process-global registry."""
+    from repro.storage.memory import FrozenDatabase
+
+    schema = DatabaseSchema.from_dict({"A1": ["x"], "B1": ["x"], "B2": ["x"]})
+    initial = FrozenDatabase(
+        schema, {name: frozenset() for name in schema.relation_names()}
+    )
+    ownership = {"a": ["A1"], "b": ["B1", "B2"]}
+    # Both call their only mapping "sigma1"; the bodies differ.
+    into_b1 = FederatedNetwork(
+        schema, initial, parse_tgds(["A1(x) -> B1(x)"]), ownership,
+        transport=Transport(wire=True),
+    )
+    into_b2 = FederatedNetwork(
+        schema, initial, parse_tgds(["A1(x) -> B2(x)"]), ownership,
+        transport=Transport(wire=True),
+    )
+    for network in (into_b1, into_b2):
+        network.submit("a", InsertOperation(make_tuple("A1", "v")))
+        network.pump()
+        # Both firings sit encoded on their wires, by the same name.
+        assert b'"tgd":"sigma1"' in network.transport._queues[("a", "b")][-1].payload
+    # Decoded interleaved: a shared table would resolve one of them wrongly.
+    for _ in range(3):
+        into_b1.pump()
+        into_b2.pump()
+    assert into_b1.quiescent() and into_b2.quiescent()
+    first, second = into_b1.global_snapshot(), into_b2.global_snapshot()
+    assert (first.count("B1"), first.count("B2")) == (1, 0)
+    assert (second.count("B1"), second.count("B2")) == (0, 1)
 
 
 def test_bounded_admission_defers_deliveries_instead_of_losing_them():

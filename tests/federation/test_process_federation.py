@@ -18,6 +18,7 @@ guarantee the CI smoke job relies on).
 from __future__ import annotations
 
 import contextlib
+import time
 
 import pytest
 
@@ -205,6 +206,62 @@ def test_user_update_routed_to_owner_process(tmp_path):
         # at the owner's process, not where it was submitted.
         metrics = federation.metrics()
         assert metrics["b"]["committed"] >= 1
+
+
+def test_relayed_answer_crosses_the_sockets_as_an_index(tmp_path, monkeypatch):
+    """Coordinator -> origin peer -> executing peer: the answer never
+    carries the request's tuples back, only a position in it."""
+    from repro.core.frontier import UnifyOperation
+
+    schema = DatabaseSchema.from_dict(
+        {"Seed": ["x"], "Person": ["name"], "Father": ["child", "father"]}
+    )
+    mappings = parse_tgds(
+        [
+            "Seed(x) -> Person(x)",                             # cross a -> b
+            "Person(x) -> exists y . Father(x, y), Person(y)",  # cyclic local at b
+        ]
+    )
+    initial = FrozenDatabase(
+        schema, {name: frozenset() for name in schema.relation_names()}
+    )
+    sent = []
+    send = ProcessFederation._send
+
+    def recording(self, name, body):
+        sent.append((name, body))
+        return send(self, name, body)
+
+    monkeypatch.setattr(ProcessFederation, "_send", recording)
+    with running(ProcessFederation(
+        schema,
+        initial,
+        mappings,
+        ownership={"a": ["Seed"], "b": ["Person", "Father"]},
+        workdir=str(tmp_path),
+    )) as federation:
+        ticket = federation.submit("a", InsertOperation(make_tuple("Seed", "alice")))
+        deadline = time.monotonic() + DRAIN_TIMEOUT
+        while not federation.inbox("a"):
+            assert time.monotonic() < deadline, "the question never reached a"
+            federation.poll(0.05)
+        question = federation.inbox("a")[0]
+        assert question.executing_peer == "b"
+        position, unify = [
+            (position, alternative)
+            for position, alternative in enumerate(question.alternatives())
+            if isinstance(alternative, UnifyOperation)
+        ][0]
+        federation.answer("a", question, unify)
+        answers = [body for _, body in sent if body["t"] == "answer"]
+        assert [body["choice"] for body in answers] == [{"t": "index", "i": position}]
+        federation.drain(timeout=DRAIN_TIMEOUT)
+        assert ticket.status is TicketStatus.COMMITTED
+        snapshot = federation.global_snapshot()
+        assert (snapshot.count("Person"), snapshot.count("Father")) == (1, 1)
+        assert all(
+            view["answers_dropped"] == 0 for view in federation.metrics().values()
+        )
 
 
 # ----------------------------------------------------------------------

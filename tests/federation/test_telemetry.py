@@ -178,6 +178,73 @@ def test_metrics_are_heartbeat_fresh_without_a_drain(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# The went-idle notice: watermarks only
+# ----------------------------------------------------------------------
+def test_idle_notice_carries_watermarks_and_nothing_else(tmp_path, monkeypatch):
+    """It fires on every went-idle transition, so it must stay tiny.
+
+    No metrics, no link stats; the coordinator uses it for the drain's
+    watermark view and liveness only — neither ``metrics()`` nor the spool
+    may change shape (or grow) with a burst of them.
+    """
+    from repro.codec.wire import dumps
+
+    notices = []
+    dispatch = ProcessFederation._dispatch
+
+    def recording(self, handle, body):
+        if body["t"] == "idle":
+            notices.append(dict(body))
+        return dispatch(self, handle, body)
+
+    monkeypatch.setattr(ProcessFederation, "_dispatch", recording)
+    # Heartbeats off: whatever refreshes liveness below is the idle notice.
+    with running(chain_federation(tmp_path, telemetry_interval=0.0)) as federation:
+        federation.submit("a", InsertOperation(make_tuple("A1", "v0")))
+        federation.drain(timeout=DRAIN_TIMEOUT)
+
+        def shape():
+            return {
+                peer: (frozenset(view), frozenset(view["metrics"]))
+                for peer, view in federation.metrics().items()
+            }
+
+        before = shape()
+        committed_before = federation.metrics()["b"]["committed"]
+        with open(federation._spool_path) as handle:
+            spooled_before = sum(1 for _ in handle)
+        seen = len(notices)
+        tickets = [
+            federation.submit("a", InsertOperation(make_tuple("A1", "burst%d" % i)))
+            for i in range(12)
+        ]
+        _wait_until(
+            lambda: (federation.poll(0.05) or True)
+            and all(ticket.is_done for ticket in tickets)
+            and {"a", "b"} <= {notice["peer"] for notice in notices[seen:]},
+            message="went-idle notices after the burst",
+        )
+        assert shape() == before
+        # Not merged: the view still shows the last status round's numbers.
+        assert federation.metrics()["b"]["committed"] == committed_before
+        with open(federation._spool_path) as handle:
+            assert sum(1 for _ in handle) == spooled_before
+        # ... but the drain view and the watchdog did hear from the peer.
+        latest = {notice["peer"]: notice for notice in notices}
+        for name in ("a", "b"):
+            assert (
+                federation._watermarks[name]["activity_seq"]
+                == latest[name]["activity_seq"]
+            )
+            assert federation.liveness()[name]["state"] == LIVE
+        federation.drain(timeout=DRAIN_TIMEOUT)
+        assert federation.metrics()["b"]["committed"] > committed_before
+    for notice in notices:
+        assert set(notice) == {"t", "peer", "activity_seq", "sent", "received"}
+        assert len(dumps(notice)) <= 256
+
+
+# ----------------------------------------------------------------------
 # The liveness watchdog
 # ----------------------------------------------------------------------
 def test_watchdog_flags_a_stopped_peer_and_recovers(tmp_path):

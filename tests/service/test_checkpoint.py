@@ -108,6 +108,26 @@ def test_restore_rejects_unknown_version(tmp_path):
         RepositoryService.restore(str(path), mappings)
 
 
+def test_restore_rejects_a_version_1_checkpoint(tmp_path):
+    """A checkpoint in the previous dialect fails the gate, clearly."""
+    import json
+
+    from repro.codec import CodecError
+
+    path = tmp_path / "v1.ckpt"
+    path.write_text(json.dumps({
+        "v": 1, "t": "service-checkpoint", "watermark": 0,
+        "schema": [["Person", ["name"]]],
+        "relations": {"Person": [
+            {"r": "Person", "vs": [{"t": "const", "v": "John"}]},
+        ]},
+        "null_factory": ["x", 1], "next_decision_id": 1, "pending": [], "extra": {},
+    }))
+    _, mappings = _service()
+    with pytest.raises(CodecError, match="version 1 .this build speaks 2"):
+        RepositoryService.restore(str(path), mappings)
+
+
 def test_durable_dir_attaches_segments(tmp_path):
     database, mappings = genealogy_repository()
     service = RepositoryService(

@@ -155,11 +155,38 @@ def test_unknown_segment_version_is_rejected(tmp_path):
         WriteLogSegments(str(directory))
 
 
-def test_snapshot_file_rejects_wrong_kind(tmp_path):
+# What the previous wire dialect wrote: tagged terms, ``{"r", "vs"}`` tuples.
+_V1_ROW = {"r": "R", "vs": [{"t": "const", "v": "a"}, {"t": "null", "n": "x1"}]}
+
+
+def test_version_1_segments_and_snapshots_are_rejected_not_misread(tmp_path):
+    """Compact terms and tuples bumped the dialect; old files fail the gate."""
+    import json
+
     from repro.codec import CodecError
+
+    directory = tmp_path / "v1"
+    directory.mkdir()
+    record = {"v": 1, "t": "write", "e": {
+        "seq": 1, "pri": 1, "tid": 1, "w": {"k": "insert", "row": _V1_ROW},
+    }}
+    (directory / "segment-00000001.log").write_text(json.dumps(record) + "\n")
+    with pytest.raises(CodecError, match="version 1 .this build speaks 2"):
+        WriteLogSegments(str(directory))
+    snapshot = tmp_path / "v1-snapshot.json"
+    snapshot.write_text(json.dumps({
+        "v": 1, "t": "snapshot", "watermark": 0,
+        "schema": [["R", ["a", "b"]]], "relations": {"R": [_V1_ROW]},
+    }))
+    with pytest.raises(CodecError, match="version 1 .this build speaks 2"):
+        read_snapshot(str(snapshot))
+
+
+def test_snapshot_file_rejects_wrong_kind(tmp_path):
+    from repro.codec import WIRE_VERSION, CodecError
     from repro.codec.wire import dumps
 
     path = tmp_path / "notsnap.json"
-    path.write_bytes(dumps({"v": 1, "t": "something-else"}) + b"\n")
+    path.write_bytes(dumps({"v": WIRE_VERSION, "t": "something-else"}) + b"\n")
     with pytest.raises(CodecError, match="not a snapshot file"):
         read_snapshot(str(path))
