@@ -22,10 +22,20 @@ clients never observe in-flight chase work.
 
 from __future__ import annotations
 
+import glob
+import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Union
 
+from ..codec.wire import (
+    CodecError,
+    WIRE_VERSION,
+    decode_user_operation,
+    dumps,
+    encode_user_operation,
+    loads,
+)
 from ..concurrency.aborts import RunStatistics
 from ..concurrency.dependencies import DependencyTracker, make_tracker
 from ..concurrency.optimistic import OptimisticScheduler, SchedulerStalled
@@ -37,6 +47,7 @@ from ..core.tgd import Tgd
 from ..core.tuples import Tuple
 from ..core.update import UpdateStatus, UserOperation
 from ..obs.trace import SpanContext, default_tracer
+from ..storage.durable import WriteLogSegments, recover, replace_file
 from ..storage.interface import DatabaseView
 from ..storage.memory import FrozenDatabase
 from ..storage.versioned import VersionedDatabase
@@ -77,6 +88,16 @@ class RestoredService:
     extra: Dict = field(default_factory=dict)
 
 
+class _Base(NamedTuple):
+    """The base snapshot a service's latest checkpoint manifest refers to."""
+
+    path: str
+    watermark: int
+    #: Bytes of the base file: the retained log may grow to this before the
+    #: base is rewritten (one fixed rule, deliberately not a knob).
+    size: int
+
+
 class RepositoryService:
     """A multi-client update-exchange service over one Youtopia repository."""
 
@@ -106,11 +127,19 @@ class RepositoryService:
         store.load_initial(initial)
         if durable_dir is not None:
             # Durable mode: mirror the write log to codec-encoded segment
-            # files so "snapshot below the watermark + surviving segments"
-            # always reproduces this repository (see repro.storage.durable).
-            from ..storage.durable import WriteLogSegments
-
-            store.attach_segments(WriteLogSegments(durable_dir))
+            # files so "base snapshot + the log's committed entries above
+            # it" always reproduces this repository (repro.storage.durable).
+            segments = WriteLogSegments(durable_dir)
+            if segments.segment_indexes():
+                # This service numbers its updates from 1; appended to a
+                # predecessor's log they would be replayed as that one's.
+                raise ServiceError(
+                    "durable_dir {!r} already holds a redo log".format(durable_dir)
+                )
+            store.attach_segments(segments)
+        #: The base snapshot the last checkpoint referred to (``None`` before
+        #: the first one): what decides whether the next writes a new base.
+        self._base: Optional[_Base] = None
         self._oracle = DeferredOracle(start=first_decision_id)
         if null_factory is None:
             null_factory = NullFactory.avoiding_view(initial, prefix="s")
@@ -451,12 +480,16 @@ class RepositoryService:
     def checkpoint(self, path: str, extra: Optional[Dict] = None) -> Dict:
         """Persist everything a restarted service needs to resume this one.
 
-        The checkpoint file (wire-codec encoded, versioned) holds:
+        The file at *path* is a small manifest (wire-codec encoded, versioned,
+        replaced atomically) holding:
 
-        * the **committed store** below the scheduler's commit watermark (and
-          the watermark itself) — in-flight chase work is deliberately *not*
-          serialized: an uncommitted update is exactly re-executable from its
-          initial operation, so
+        * the scheduler's commit **watermark** and the names of what holds
+          the committed store below it: a **base** snapshot file plus, with a
+          ``durable_dir``, the redo **log** whose committed entries between
+          the base's watermark and this one :meth:`restore` replays onto it.
+          In-flight chase work is deliberately *not* serialized: an
+          uncommitted update is exactly re-executable from its initial
+          operation, so
         * the **pending inbox**: every queued or admitted-but-uncommitted
           ticket's operation and federation origin, in submission order, for
           re-submission at restore;
@@ -467,19 +500,43 @@ class RepositoryService:
         * an opaque *extra* dict for the caller (the federation peer stores
           its exchange bookkeeping there).
 
-        Returns the decoded body (handy for tests and logging).
+        The base is rewritten only when the log cannot cheaply supply what
+        was committed since: there is no log, or the retained log has
+        outgrown the base (the segments the new base covers are then
+        dropped).  Checkpoint cost is O(in-flight) amortised and a restore
+        never replays more log than it loads base.  A log backs its latest
+        checkpoint only: a base rewrite retires what older manifests need.
+
+        Returns the decoded manifest (handy for tests and logging).
         """
-        import os
-
-        from ..codec.wire import WIRE_VERSION, dumps, encode_user_operation
-        from ..storage.durable import encode_committed_state
-
+        store = self._scheduler.store
+        segments = store.segments
         watermark = self._scheduler.commit_watermark()
-        committed = self._scheduler.store.view_for(watermark)
+        manifest_path = os.path.abspath(path)
+        # The base lives with the log it is the floor of; without a log it
+        # can only belong to this one manifest.  Named by watermark, so a
+        # new base never touches the one the current manifest refers to.
+        home = (
+            manifest_path if segments is None
+            else os.path.join(os.path.abspath(segments.directory), "snapshot")
+        )
+        base_path = "{}.base-{}".format(home, watermark)
+        previous = base = self._base
+        if (
+            previous is None
+            or not previous.path.startswith(home + ".base-")
+            or (
+                watermark != previous.watermark
+                and (segments is None or segments.retained_bytes() > previous.size)
+            )
+        ):
+            base = _Base(base_path, watermark, store.snapshot_to(base_path, watermark))
         pending = []
-        for ticket in self.tickets():
-            if ticket.is_done:
-                continue
+        for ticket in sorted(
+            self._queue.peek_all()
+            + [self._tickets[ticket_id] for ticket_id in self._in_flight],
+            key=lambda ticket: ticket.ticket_id,
+        ):
             entry: Dict = {
                 "ticket": ticket.ticket_id,
                 "op": encode_user_operation(ticket.operation),
@@ -490,21 +547,38 @@ class RepositoryService:
                     "ticket": ticket.origin.ticket_id,
                 }
             pending.append(entry)
-        # The committed-state body is the same dialect snapshot files use
-        # (one shared encoder), wrapped with the service-side extras.
-        body: Dict = dict(encode_committed_state(committed, watermark))
-        body.update({
+        directory = os.path.dirname(manifest_path)
+        body: Dict = {
             "v": WIRE_VERSION,
             "t": "service-checkpoint",
+            "watermark": watermark,
+            # Both relative to the manifest, so the state directory can move.
+            "base": os.path.relpath(base.path, directory),
+            "log": (
+                None if segments is None
+                else os.path.relpath(segments.directory, directory)
+            ),
             "null_factory": list(self._null_factory.state()),
             "next_decision_id": self._oracle.next_decision_id,
             "pending": pending,
             "extra": extra or {},
-        })
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        with open(path, "wb") as handle:
-            handle.write(dumps(body) + b"\n")
+        }
+        if segments is not None:
+            # Commit records flush the log, but write-less commits advance
+            # the watermark without one: the manifest must not name a
+            # watermark whose tombstones the on-disk log has not reached.
+            segments.flush()
+        replace_file(manifest_path, dumps(body) + b"\n")
+        if base is not previous:
+            # Only now does nothing refer to the old base and the segments
+            # the new one covers: a crash before this line leaves the old
+            # manifest and everything it needs in place.
+            self._base = base
+            for stale in glob.glob(glob.escape(home) + ".base-*"):
+                if stale != base.path:
+                    os.remove(stale)
+            if segments is not None:
+                segments.drop_covered(watermark)
         return body
 
     @classmethod
@@ -516,31 +590,34 @@ class RepositoryService:
     ) -> "RestoredService":
         """Rebuild a service from a :meth:`checkpoint` file.
 
-        The committed snapshot becomes the new service's initial database;
-        the checkpointed null-factory state and decision-id high-water mark
-        carry over (unless the caller overrides ``null_factory`` /
+        The base snapshot the manifest names is loaded and the log's
+        committed, non-rolled-back entries between the base's watermark and
+        the manifest's are replayed onto it by content, in log order; the
+        result becomes the new service's initial database.  The checkpointed
+        null-factory state and decision-id high-water mark carry over
+        (unless the caller overrides ``null_factory`` /
         ``first_decision_id`` explicitly); every pending operation is
         re-submitted — with its federation origin — through a fresh
         ``"restore"`` session, in the original submission order.  Returns a
         :class:`RestoredService` with the old-ticket-id → new-ticket mapping
         so callers (the federation peer) can re-link their bookkeeping.
         """
-        import json as _json
-
-        from ..codec.wire import CodecError, WIRE_VERSION, decode_user_operation
-        from ..storage.durable import decode_committed_state
-
         with open(path, "rb") as handle:
-            body = _json.loads(handle.read().decode("utf-8"))
+            body = loads(handle.read())
         if body.get("v") != WIRE_VERSION:
             raise CodecError(
                 "unsupported checkpoint version {!r} (this build speaks {})".format(
                     body.get("v"), WIRE_VERSION
                 )
             )
-        if body.get("t") != "service-checkpoint":
+        if body.get("t") != "service-checkpoint" or "base" not in body:
             raise CodecError("not a service checkpoint: {!r}".format(path))
-        _, initial, _ = decode_committed_state(body)
+        directory = os.path.dirname(os.path.abspath(path))
+        initial = recover(
+            os.path.join(directory, body["base"]),
+            None if body.get("log") is None else os.path.join(directory, body["log"]),
+            body["watermark"],
+        )
         service_arguments.setdefault(
             "null_factory", NullFactory.from_state(body["null_factory"])
         )
@@ -563,6 +640,12 @@ class RepositoryService:
         return RestoredService(
             service=service, resubmitted=resubmitted, extra=body.get("extra", {})
         )
+
+    def close(self) -> None:
+        """Release the redo log's append handle (a no-op without ``durable_dir``)."""
+        segments = self._scheduler.store.segments
+        if segments is not None:
+            segments.close()
 
     @property
     def null_factory(self) -> NullFactory:

@@ -191,7 +191,7 @@ class VersionedDatabase:
         #: Number of compaction passes performed (introspection).
         self.compactions = 0
         #: Optional durable redo log (:class:`~repro.storage.durable.WriteLogSegments`):
-        #: when attached, every applied write, rollback and compaction is
+        #: when attached, every applied write, rollback and commit is
         #: mirrored to codec-encoded segment files (see :meth:`attach_segments`).
         self._segments = None
         #: Attached SQL-chase mirrors (:class:`~repro.storage.mirror.DeltaMirror`):
@@ -217,8 +217,17 @@ class VersionedDatabase:
         write log (the initial database is not attributable to any update).
         """
         for relation in view.relations():
-            for row in view.tuples(relation):
-                self._new_tuple(row, priority, log_write=None)
+            self.load_rows(view.tuples(relation), priority)
+
+    def load_rows(self, rows: Iterable[Tuple], priority: int = 0) -> None:
+        """Load *rows* as unlogged versions, one tuple identity per row.
+
+        Unlike a view, an iterable may repeat a row: equal rows become
+        distinct identities, which is how a base snapshot hands back the
+        identity multiplicity it was written with.
+        """
+        for row in rows:
+            self._new_tuple(row, priority, log_write=None)
 
     def attach_segments(self, segments) -> None:
         """Enable durable mode: mirror the write log to *segments*.
@@ -226,10 +235,11 @@ class VersionedDatabase:
         *segments* is a :class:`~repro.storage.durable.WriteLogSegments`.
         From this call on, every applied write is appended to the segment
         files through the wire codec, rollbacks append tombstones, and
-        :meth:`compact_below` both records the watermark and drops fully
-        covered segment files — so ``snapshot_to(path, watermark)`` plus the
-        surviving segments always reproduce the store (see
-        :mod:`repro.storage.durable`).
+        :meth:`compact_below` appends a commit record carrying the watermark
+        (and flushes).  Nothing is deleted at commit time, so a base written
+        by ``snapshot_to(path, B)`` plus ``segments.replay(after=B, upto=W)``
+        reproduces the committed store at any later recorded watermark ``W``
+        (see :mod:`repro.storage.durable`).
         """
         self._segments = segments
 
@@ -269,26 +279,40 @@ class VersionedDatabase:
             return None
         return record.visible_content(priority)
 
-    def snapshot_to(self, path: str, watermark: float) -> None:
-        """Persist the committed store at *watermark* as one codec snapshot."""
+    def snapshot_to(self, path: str, watermark: float) -> int:
+        """Persist the committed store at *watermark* as one codec snapshot.
+
+        One row per tuple *identity* (not per distinct content), so a later
+        by-content replay onto the restored snapshot deletes or rewrites one
+        of two equal-valued identities exactly as it did here.  The file is
+        replaced atomically; returns the number of bytes written.
+        """
         from .durable import write_snapshot
 
-        write_snapshot(path, self.view_for(watermark), int(watermark))
+        relations: Dict[str, List[Tuple]] = {
+            name: [] for name in self._schema.relation_names()
+        }
+        for _, version in self.committed_versions(watermark):
+            if version.content is not None:
+                relations[version.content.relation].append(version.content)
+        return write_snapshot(path, self._schema, relations, int(watermark))
 
     @classmethod
     def restore_from(cls, path: str) -> "PyTuple[VersionedDatabase, int]":
         """Rebuild a store from a :meth:`snapshot_to` file.
 
         Returns ``(store, watermark)``: the snapshot's rows are loaded as
-        priority-0 initial contents (visible to every future update), exactly
-        like :meth:`load_initial` — a restored store starts a fresh priority
-        sequence, which is what the service layer's checkpoint/restore wants.
+        priority-0 initial contents (visible to every future update, not
+        logged), one tuple identity per row — a restored store starts a
+        fresh priority sequence, which is what the service layer's
+        checkpoint/restore wants.
         """
         from .durable import read_snapshot
 
-        _, frozen, watermark = read_snapshot(path)
-        store = cls(frozen.schema)
-        store.load_initial(frozen)
+        schema, relations, watermark = read_snapshot(path)
+        store = cls(schema)
+        for rows in relations.values():
+            store.load_rows(rows)
         return store, watermark
 
     def write_log(self) -> WriteLogView:
@@ -796,10 +820,9 @@ class VersionedDatabase:
         self._bump_relations(touched_relations)
         self.compactions += 1
         if self._segments is not None:
-            # Mirror the watermark to disk: fully covered segment files can
-            # go, so the durable footprint tracks the in-flight set exactly
-            # like the in-memory log does.
-            self._segments.compact_below(watermark)
+            # The commit record is the durability point of this batch; the
+            # segments themselves stay until a base snapshot covers them.
+            self._segments.record_commit(watermark)
         return removed_versions
 
     # ------------------------------------------------------------------

@@ -54,3 +54,41 @@ def versioned_travel(travel):
     store = VersionedDatabase(database.schema)
     store.load_initial(database.snapshot())
     return store, mappings
+
+
+@pytest.fixture
+def dying_write(monkeypatch):
+    """``dying_write(nth)``: the *nth* file the durable layer writes dies half-way.
+
+    The write keeps the first half of its data and raises ``OSError`` — the
+    crash-mid-write that atomic snapshot and checkpoint files must survive.
+    """
+    from repro.storage import durable
+
+    def arm(nth=1):
+        opened = []
+
+        class _DiesHalfWay:
+            def __init__(self, handle):
+                self._handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self._handle.close()
+
+            def write(self, data):
+                self._handle.write(data[:len(data) // 2])
+                raise OSError("disk full")
+
+        def fake_open(name, mode):
+            handle = open(name, mode)
+            if "w" not in mode:
+                return handle
+            opened.append(name)
+            return _DiesHalfWay(handle) if len(opened) == nth else handle
+
+        monkeypatch.setattr(durable, "open", fake_open, raising=False)
+
+    return arm

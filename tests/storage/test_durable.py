@@ -1,25 +1,30 @@
 """Durable mode: codec-encoded segments + snapshots reproduce the store.
 
-The contract under test: at any moment, ``snapshot_to(path, watermark)`` plus
-replaying the surviving write-log segments onto the restored snapshot yields
-a store whose every view matches the original — across rollbacks (tombstoned
-priorities filtered), commit-time compaction (covered segment files deleted,
-watermark recorded) and process "restarts" (a fresh
-:class:`~repro.storage.durable.WriteLogSegments` over the same directory).
+The contract under test: at any moment, a base written by
+``snapshot_to(path, watermark)`` plus replaying the redo log's entries above
+that watermark onto the restored base yields a store whose every view matches
+the original — across rollbacks (tombstoned priorities filtered), commits
+(a commit record carries the watermark; segments stay until a base covers
+them), process "restarts" (a fresh
+:class:`~repro.storage.durable.WriteLogSegments` over the same directory),
+kills mid-append (a torn tail is dropped) and two tuple identities holding
+equal content (the base keeps both).
 """
 
 from __future__ import annotations
 
 import os
 import random
+import shutil
 
 import pytest
 
+from repro.codec import CodecError
 from repro.core.schema import DatabaseSchema
 from repro.core.terms import Constant, LabeledNull
 from repro.core.tuples import Tuple
-from repro.core.writes import delete, insert
-from repro.storage.durable import WriteLogSegments, read_snapshot, write_snapshot
+from repro.core.writes import delete, insert, modify
+from repro.storage.durable import WriteLogSegments, read_snapshot, recover
 from repro.storage.interface import dump_sorted
 from repro.storage.memory import FrozenDatabase
 from repro.storage.versioned import LATEST, VersionedDatabase
@@ -49,9 +54,14 @@ def _replay_onto(snapshot_path, segments_dir):
     """A 'restarted process': restore the snapshot, replay fresh segments."""
     store, watermark = VersionedDatabase.restore_from(snapshot_path)
     reopened = WriteLogSegments(segments_dir)
-    for entry in reopened.replay():
+    for entry in reopened.replay(after=watermark):
         store.apply_write(entry.write, entry.priority)
     return store, watermark
+
+
+def _read(path):
+    with open(path, "rb") as handle:
+        return handle.read()
 
 
 def _same_contents(a, b, priority=LATEST):
@@ -66,19 +76,21 @@ def test_snapshot_round_trip():
     store.load_initial(_initial())
     store.apply_write(insert(Tuple("S", ["s2"])), priority=1)
     store.snapshot_to(path, 1)
-    schema, frozen, watermark = read_snapshot(path)
+    schema, relations, watermark = read_snapshot(path)
     assert watermark == 1
     assert schema.relation_names() == SCHEMA.relation_names()
-    assert set(frozen.tuples("S")) == {Tuple("S", ["s1"]), Tuple("S", ["s2"])}
+    assert sorted(relations) == ["R", "S"]
+    assert set(relations["S"]) == {Tuple("S", ["s1"]), Tuple("S", ["s2"])}
     restored, restored_watermark = VersionedDatabase.restore_from(path)
     assert restored_watermark == 1
     assert dump_sorted(restored.latest_view()) == dump_sorted(store.view_for(1))
 
 
 def test_segments_replay_applied_writes(tmp_path):
-    store, _ = _store(tmp_path)
+    store, segments = _store(tmp_path)
     store.apply_writes([insert(Tuple("S", ["w1"])), insert(Tuple("S", ["w2"]))], 1)
     store.apply_write(delete(Tuple("S", ["s1"])), 2)
+    segments.close()  # nothing committed yet: the appends were still buffered
     replayed = WriteLogSegments(str(tmp_path / "segments")).replay()
     assert [entry.write.describe() for entry in replayed] == [
         logged.write.describe() for logged in store.write_log()
@@ -87,33 +99,47 @@ def test_segments_replay_applied_writes(tmp_path):
 
 
 def test_rollback_tombstones_filter_replay(tmp_path):
-    store, _ = _store(tmp_path)
+    store, segments = _store(tmp_path)
     store.apply_writes([insert(Tuple("S", ["keep"]))], 1)
     store.apply_writes([insert(Tuple("S", ["drop"])), insert(Tuple("R", ["q", "q"]))], 2)
     store.rollback(2)
+    segments.close()
     replayed = WriteLogSegments(str(tmp_path / "segments")).replay()
     assert {entry.priority for entry in replayed} == {1}
 
 
-def test_compaction_drops_covered_segments_and_records_watermark(tmp_path):
+def test_commit_records_the_watermark_and_a_base_drops_covered_segments(tmp_path):
     store, segments = _store(tmp_path)
     for priority in range(1, 9):
         store.apply_writes([insert(Tuple("S", ["v{}".format(priority)]))], priority)
     before = len(segments.segment_indexes())
     assert before >= 2  # small segments roll over
-    store.compact_below(6)
+    store.compact_below(6)  # the commit: one appended record, one flush
+    assert not os.path.exists(tmp_path / "segments" / "segments-meta.json")
     reopened = WriteLogSegments(str(tmp_path / "segments"))
     assert reopened.watermark == 6
-    # Only entries above the watermark replay; covered files are gone.
-    assert {entry.priority for entry in reopened.replay()} == {7, 8}
+    # Committing deletes nothing: the log alone still reproduces 1..6 ...
+    assert len(reopened.segment_indexes()) >= before
+    assert {e.priority for e in reopened.replay(upto=6)} == set(range(1, 7))
+    # ... while 7 and 8 (appended before the commit record, so flushed with
+    # it) are the uncommitted tail a watermark-bounded replay never reads.
+    assert {e.priority for e in reopened.replay(after=6)} == {7, 8}
+    # Only a base snapshot at the watermark retires the segments it covers.
+    store.snapshot_to(str(tmp_path / "base.json"), 6)
+    retained_before = segments.retained_bytes()
+    assert segments.drop_covered(6) >= 1
+    assert segments.retained_bytes() < retained_before
+    segments.close()
+    reopened = WriteLogSegments(str(tmp_path / "segments"))
     assert len(reopened.segment_indexes()) < before
+    assert {e.priority for e in reopened.replay(after=6)} == {7, 8}
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_randomized_snapshot_plus_replay_reproduces_the_store(tmp_path, seed):
     """The durability contract, differentially, under a random history."""
     rng = random.Random(seed)
-    store, _ = _store(tmp_path, name="segments{}".format(seed))
+    store, segments = _store(tmp_path, name="segments{}".format(seed))
     committed = 0
     live_rows = [Tuple("S", ["s1"])]
     for priority in range(1, 25):
@@ -140,8 +166,195 @@ def test_randomized_snapshot_plus_replay_reproduces_the_store(tmp_path, seed):
     snapshot_path = str(tmp_path / "snap{}.json".format(seed))
     # Snapshot at the store's compaction watermark (the service always does).
     store.snapshot_to(snapshot_path, committed)
+    segments.drop_covered(committed)
+    segments.close()
     rebuilt, _ = _replay_onto(snapshot_path, str(tmp_path / "segments{}".format(seed)))
     assert _same_contents(rebuilt, store)
+
+
+def _random_committed_history(store, rng, priorities):
+    """Inserts/deletes with rollbacks; returns the watermark of each commit."""
+    commits = []
+    live_rows = [Tuple("S", ["s1"])]
+    for priority in priorities:
+        row = Tuple("S", ["c{}".format(priority)])
+        if rng.random() < 0.65 or not live_rows:
+            writes = [insert(row), insert(Tuple("R", ["r{}".format(priority), row.values[0]]))]
+        else:
+            writes = [delete(live_rows.pop(rng.randrange(len(live_rows))))]
+        store.apply_writes(writes, priority)
+        if rng.random() < 0.2:
+            store.rollback(priority)
+            if writes[0].kind.name == "DELETE":
+                live_rows.append(writes[0].row)
+        elif writes[0].kind.name == "INSERT":
+            live_rows.append(row)
+        if rng.random() < 0.4:
+            # Everything up to here is committed or rolled back.
+            store.compact_below(priority)
+            commits.append(priority)
+    return commits
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_reopening_after_an_unclean_stop_yields_the_last_committed_state(tmp_path, seed):
+    """No snapshot, no close: the directory alone holds the committed state.
+
+    A kill loses exactly what was still in the append handle's buffer, so the
+    "killed" directory is a copy taken while the live log is still open.
+    Replaying it up to its last commit record onto the initial database gives
+    the live store's view at that watermark.
+    """
+    rng = random.Random(seed)
+    store, segments = _store(tmp_path)
+    commits = _random_committed_history(store, rng, range(1, 40))
+    store.apply_writes([insert(Tuple("S", ["in-flight"]))], 40)  # never commits
+    killed = str(tmp_path / "killed")
+    shutil.copytree(str(tmp_path / "segments"), killed)
+    reopened = WriteLogSegments(killed)
+    assert reopened.watermark == commits[-1]
+    rebuilt = VersionedDatabase(SCHEMA)
+    rebuilt.load_initial(_initial())
+    for entry in reopened.replay(upto=reopened.watermark):
+        rebuilt.apply_write(entry.write, entry.priority)
+    assert dump_sorted(rebuilt.latest_view()) == dump_sorted(
+        store.view_for(reopened.watermark)
+    )
+    segments.close()
+
+
+def test_base_keeps_both_identities_of_equal_content(tmp_path):
+    """The 3-row store of ``test_duplicate_identity_unify``, across a base.
+
+    A unify leaves two identities holding ``R(a, n2)``; the base is written;
+    a later ``DELETE`` removes one of them.  The live store still shows the
+    row through its twin, so base + replay must too — a base written through
+    a (content-deduplicating) view would lose it.
+    """
+    schema = DatabaseSchema.from_dict({"R": ["a", "b"], "S": ["a"]})
+    first, second = LabeledNull("n1"), LabeledNull("n2")
+    left = Tuple("R", [Constant("a"), first])
+    right = Tuple("R", [Constant("a"), second])
+    store = VersionedDatabase(schema)
+    store.load_initial(FrozenDatabase(schema, {
+        "R": frozenset({left, right}),
+        "S": frozenset({Tuple("S", [second])}),
+    }))
+    segments = WriteLogSegments(str(tmp_path / "log"))
+    store.attach_segments(segments)
+    store.apply_writes([modify(left, right, first, second)], priority=1)
+    store.compact_below(1)
+    base = str(tmp_path / "base.json")
+    store.snapshot_to(base, 1)
+    assert read_snapshot(base)[1]["R"] == [right, right]
+    store.apply_writes([delete(right)], priority=2)
+    store.compact_below(2)
+    assert list(store.view_for(2).tuples("R")) == [right]
+    segments.close()
+    rebuilt, _ = _replay_onto(base, str(tmp_path / "log"))
+    assert list(rebuilt.latest_view().tuples("R")) == [right]
+    assert set(recover(base, str(tmp_path / "log"), 2).tuples("R")) == {right}
+    assert set(recover(base, None, 1).tuples("R")) == {right}
+    with pytest.raises(CodecError, match="needs the redo log"):
+        recover(base, None, 2)
+
+
+# ----------------------------------------------------------------------
+# Torn tails and atomic files
+# ----------------------------------------------------------------------
+def _three_segment_log(directory):
+    """Ten committed single-write priorities over segments of four entries."""
+    store = VersionedDatabase(SCHEMA)
+    store.load_initial(_initial())
+    segments = WriteLogSegments(directory, max_entries_per_segment=4)
+    store.attach_segments(segments)
+    for priority in range(1, 11):
+        store.apply_writes([insert(Tuple("S", ["t{}".format(priority)]))], priority)
+        if priority % 3 == 0:
+            store.rollback(priority)
+        store.compact_below(priority)
+    segments.close()
+    return sorted(name for name in os.listdir(directory) if name.endswith(".log"))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 7, 2026])
+def test_a_chopped_newest_segment_loses_only_its_torn_record(tmp_path, seed):
+    """Seeded byte-chopper: cut the newest segment anywhere, reopen, go on."""
+    rng = random.Random(seed)
+    directory = str(tmp_path / "log")
+    names = _three_segment_log(directory)
+    assert len(names) >= 3
+    newest = os.path.join(directory, names[-1])
+    whole = _read(newest)
+    complete = WriteLogSegments(directory).replay()
+    for _ in range(12):
+        with open(newest, "wb") as handle:
+            handle.write(whole[:rng.randrange(len(whole))])
+        reopened = WriteLogSegments(directory, max_entries_per_segment=4)
+        # Exactly the committed history up to the last commit record that
+        # survived whole: nothing invented, nothing lost, nothing reordered.
+        committed = reopened.replay(upto=reopened.watermark)
+        assert committed == [e for e in complete if e.priority <= reopened.watermark]
+        # An append first truncates the torn record away, so the next reopen
+        # (where this segment may no longer be the newest) reads cleanly.
+        reopened.record_rollback(99)
+        reopened.close()
+        again = WriteLogSegments(directory, max_entries_per_segment=4)
+        assert again.watermark == reopened.watermark
+        assert again.replay(upto=again.watermark) == committed
+        for name in os.listdir(directory):
+            if name > names[-1]:
+                os.remove(os.path.join(directory, name))
+
+
+def test_damage_anywhere_but_the_newest_tail_is_an_error(tmp_path):
+    directory = str(tmp_path / "log")
+    names = _three_segment_log(directory)
+    oldest = os.path.join(directory, names[0])
+    newest = os.path.join(directory, names[-1])
+    whole = _read(oldest)
+    with open(oldest, "wb") as handle:
+        handle.write(whole[:-7])  # a sealed segment cut mid-record
+    with pytest.raises(CodecError, match="unterminated record in sealed segment"):
+        WriteLogSegments(directory)
+    with open(oldest, "wb") as handle:
+        handle.write(whole)
+    lines = _read(newest).split(b"\n")
+    lines[0] = lines[0][:-5]  # an undecodable record that is not the last one
+    with open(newest, "wb") as handle:
+        handle.write(b"\n".join(lines))
+    with pytest.raises(CodecError, match="malformed wire bytes"):
+        WriteLogSegments(directory)
+    lines[0] = b'{"v": 2, "t": "checkpoint"}'
+    with open(newest, "wb") as handle:
+        handle.write(b"\n".join(lines))
+    with pytest.raises(CodecError, match="unknown segment record type"):
+        WriteLogSegments(directory)
+
+
+def test_an_undecodable_terminated_last_record_is_dropped_too(tmp_path):
+    directory = str(tmp_path / "log")
+    names = _three_segment_log(directory)
+    newest = os.path.join(directory, names[-1])
+    before = [entry.seq for entry in WriteLogSegments(directory).replay()]
+    with open(newest, "ab") as handle:
+        handle.write(b'{"v": 2, "t": "wri\x00\x00\n')
+    assert [entry.seq for entry in WriteLogSegments(directory).replay()] == before
+
+
+def test_a_snapshot_write_that_dies_half_way_keeps_the_old_file(tmp_path, dying_write):
+    path = str(tmp_path / "snap.json")
+    store = VersionedDatabase(SCHEMA)
+    store.load_initial(_initial())
+    store.snapshot_to(path, 0)
+    good = _read(path)
+    store.apply_write(insert(Tuple("S", ["s2"])), priority=1)
+    dying_write()
+    with pytest.raises(OSError, match="disk full"):
+        store.snapshot_to(path, 1)
+    assert _read(path) == good
+    assert os.listdir(str(tmp_path)) == ["snap.json"]  # no temp file left behind
+    assert read_snapshot(path)[2] == 0
 
 
 def test_unknown_segment_version_is_rejected(tmp_path):
