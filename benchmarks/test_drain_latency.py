@@ -9,10 +9,10 @@ drained repeatedly under both protocols:
 * ``poll`` — the original barrier: 10 ms-paced status rounds until two
   consecutive rounds return identical counter fingerprints (at minimum two
   full rounds plus two paces, regardless of how idle the peers are);
-* ``watermark`` — conservation-based: peers pushed a went-idle status
-  delta when they settled, so the coordinator already holds a quiescent,
-  link-conserved view of every peer and needs exactly one confirming
-  status round.
+* ``watermark`` — conservation-based: the drain subscribes to went-idle
+  notices, every (already idle) peer answers at once with its watermarks,
+  and the coordinator — holding a quiescent, link-conserved view of every
+  peer — needs exactly one confirming status round.
 
 The median over several repeats goes into the ``drain_protocol`` entry of
 ``BENCH_scaling.json`` per peer count, with the top-level ``drain_speedup``
@@ -132,7 +132,7 @@ def _measure_peer_count(workdir, num_peers, repeats):
 
         # The protocol comparison proper: repeated drains of the now-idle
         # federation, watermark first (its views are warm either way — the
-        # peers pushed their went-idle deltas during the settle).
+        # settle drain's confirming round left them).
         watermark_wall, watermark_rounds = _timed_idle_drains(
             federation, "watermark", repeats
         )

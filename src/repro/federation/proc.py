@@ -313,6 +313,9 @@ class PeerHost:
         #: unchanged seq plus conserved per-link sent/received watermarks
         #: means nothing was in flight in between.
         self._activity_seq = 0
+        #: True while a coordinator ``drain()`` is subscribed to went-idle
+        #: notices (the ``watch`` control frame); a reborn peer starts False.
+        self._watched = False
         #: The activity seq the last went-idle push reported (-1 = never).
         self._idle_pushed_at = -1
 
@@ -511,11 +514,10 @@ class PeerHost:
         if self._next_telemetry is not None:
             due.append(self._next_telemetry)
         if not self._halted:
-            due.extend(
-                link.next_due()
-                for link in self._links.values()
-                if link.next_due() is not None
-            )
+            for link in self._links.values():
+                link_due = link.next_due()
+                if link_due is not None:
+                    due.append(link_due)
             if self._retry or self._submit_retry:
                 # Admission frees on commits; retry shortly even without input.
                 due.append(monotonic() + 0.01)
@@ -714,6 +716,15 @@ class PeerHost:
             self._handle_answer(body)
         elif kind == "status":
             self._send_control(channel, self._status_reply(body.get("round", 0)))
+        elif kind == "watch":
+            self._watched = bool(body["on"])
+            if self._watched:
+                # A new subscriber has seen nothing: forget the per-seq
+                # dedupe so a peer that is already idle reports at once —
+                # here, ahead of the reply to any status request queued
+                # behind this frame, so no notice trails a finished drain.
+                self._idle_pushed_at = -1
+                self._idle_push()
         elif kind == "hold":
             self._links[body["peer"]].held = True
         elif kind == "release":
@@ -1023,10 +1034,10 @@ class PeerHost:
 
     def _flush(self, force: bool = False) -> None:
         now = float("inf") if force else monotonic()
-        before = sum(link.frames_sent for link in self._links.values())
+        sent = 0
         for link in self._links.values():
-            link.flush(now, hello=self._hello)
-        if sum(link.frames_sent for link in self._links.values()) != before:
+            sent += link.flush(now, hello=self._hello)
+        if sent:
             self._activity_seq += 1
 
     # ------------------------------------------------------------------
@@ -1104,32 +1115,29 @@ class PeerHost:
         )
 
     def _idle_push(self) -> None:
-        """Push one unsolicited went-idle notice to the coordinator.
+        """Push one went-idle notice to a coordinator that is draining.
 
-        The event-driven half of the watermark drain: the moment this peer
-        settles (service quiescent, nothing staged, queued, or parked) it
+        The event-driven half of the watermark drain: ``drain()`` subscribes
+        with a ``watch`` control frame, and while it is subscribed this peer
         tells the coordinator its per-link watermarks and activity seq — and
-        nothing else — so ``drain()`` blocks on its selector instead of
-        pacing status rounds.  The notice fires on every went-idle
-        transition (about twice per user operation in a closed loop), which
-        is why it carries no metrics: those ride the periodic heartbeat and
-        the status rounds.  One notice per activity seq — a peer that stays
-        idle stays silent — and it fires regardless of
-        ``telemetry_interval``, so the watermark drain works with periodic
-        heartbeats off.
+        nothing else — the moment it settles (service quiescent, nothing
+        staged, queued, or parked), so the drain blocks on its selector
+        instead of pacing status rounds.  Outside a drain nobody reads the
+        notice, so an unwatched peer sends none: a busy peer emits only what
+        its operations need plus its heartbeat.  One notice per activity seq
+        — a watched peer that stays idle stays silent — counted only once
+        the frame went out, and independent of ``telemetry_interval``, so
+        the watermark drain works with periodic heartbeats off.
         """
-        if self._coordinator is None or self._coordinator.closed:
+        if not self._watched or self._activity_seq == self._idle_pushed_at:
             return
-        if self._activity_seq == self._idle_pushed_at:
+        if self._coordinator is None or self._coordinator.closed:
             return
         if self._halted or not self._is_idle():
             return
-        self._idle_pushed_at = self._activity_seq
-        # Same discipline as the periodic heartbeat: the flight ring syncs
-        # to disk *before* the frame goes out, so anything the coordinator
-        # learns from this notice is already covered by a postmortem dump.
+        # Recorded, not flushed: the ring reaches disk at heartbeats, under
+        # ring pressure and at dumps, and the drain does not wait on a file.
         self.flight.record("idle", activity_seq=self._activity_seq)
-        self._flight_sync()
         frame = encode_frame(FRAME_CONTROL, dumps({
             "t": "idle",
             "peer": self.name,
@@ -1142,7 +1150,8 @@ class PeerHost:
         try:
             self._coordinator.send_bytes(frame)
         except SocketTransportError:
-            pass
+            return  # not marked as pushed: the next idle pass retries
+        self._idle_pushed_at = self._activity_seq
 
     def _flight_sync(self) -> None:
         """Copy tracer spans recorded since the last sync into the flight ring."""

@@ -59,7 +59,12 @@ from .network import AnswerStrategy, FederatedQuestion
 from ..obs.timeline import TelemetryTimeline
 from ..obs.trace import SpanContext
 from .proc import COORDINATOR, encode_peer_config
-from .socket_transport import ChannelClosed, FrameChannel, SocketAddress
+from .socket_transport import (
+    ChannelClosed,
+    FrameChannel,
+    SocketAddress,
+    SocketTransportError,
+)
 
 
 class ProcessFederationError(FederationError):
@@ -223,8 +228,8 @@ class ProcessFederation:
         #: Decomposition record of the most recent drain() (None before one).
         self.last_drain: Optional[Dict] = None
         #: The watermark drain's working set: the latest body per peer that
-        #: carried an ``activity_seq`` (unsolicited went-idle notices,
-        #: heartbeats, and status replies all qualify).  Kept apart
+        #: carried an ``activity_seq`` (went-idle notices a drain subscribed
+        #: to, heartbeats, and status replies all qualify).  Kept apart
         #: from the timeline's merged view on purpose — kill/restart *clears*
         #: a peer's entry, because a reborn peer resets its activity seq and
         #: a stale pre-restart view could coincidentally match it.
@@ -463,7 +468,8 @@ class ProcessFederation:
             for frame in frames:
                 self._dispatch(handle, loads(frame.payload))
                 handled += 1
-        self.liveness()
+        if self.timeline.liveness_due():
+            self.liveness()
         return handled
 
     def _dispatch(self, handle: _PeerHandle, body: Dict) -> None:
@@ -472,7 +478,7 @@ class ProcessFederation:
             # The went-idle notice: link watermarks and the activity seq,
             # nothing more — it feeds the drain and proves the peer alive,
             # but is neither merged into the timeline's view nor spooled
-            # (it arrives about twice per user operation).
+            # (a drain gets one per settling of every peer it watches).
             body["quiescent"] = True
             self._note_watermark(body["peer"], body)
             self.timeline.touch(body["peer"])
@@ -661,8 +667,11 @@ class ProcessFederation:
         the constructor's ``drain_mode``, then ``REPRO_DRAIN``, default
         ``watermark``) picks which one runs:
 
-        * ``watermark`` — conservation-based, event-driven.  Peers push an
-          unsolicited went-idle notice the moment they settle; the
+        * ``watermark`` — conservation-based, event-driven.  The drain
+          subscribes to every live peer's went-idle notices (a ``watch``
+          control frame on entry, cancelled on every way out): a watched
+          peer reports the moment it settles, at once if it already has,
+          and a peer nobody is draining sends none.  The
           coordinator blocks on its selector until every live peer's view
           is quiescent with every link's frames-sent equal to the
           destination's frames-received, then issues exactly one confirming
@@ -774,6 +783,9 @@ class ProcessFederation:
         round_seconds: List[float] = []
         rounds = 0
         time_to_idle: Optional[float] = None
+        # Subscribe before looking at any view: a peer that is already idle
+        # answers the watch with a notice at once, a busy one when it settles.
+        self._watch(True)
         try:
             while True:
                 self.poll(0.0)
@@ -795,22 +807,14 @@ class ProcessFederation:
                     if name in self._watermarks
                 }
                 if len(views) < len(names) or not self._round_settled(views):
-                    # Not a candidate yet.  A peer with no observation at
-                    # all (fresh spawn, cleared by restart) needs one paced
-                    # round to seed its view; otherwise block on the
-                    # selector until a went-idle push (or heartbeat) moves
-                    # some view — the event-driven wait that replaces poll
-                    # mode's fixed-cadence rounds.
-                    if len(views) < len(names):
-                        round_started = time.monotonic()
-                        self._status_round(names, deadline)
-                        round_seconds.append(time.monotonic() - round_started)
-                        rounds += 1
-                    else:
-                        time_to_idle = None
-                        self.poll(
-                            min(0.25, max(0.0, deadline - time.monotonic()))
-                        )
+                    # Not a candidate yet (a peer with no observation at all
+                    # — fresh spawn, cleared by restart — reports as soon as
+                    # it is idle, being watched): block on the selector
+                    # until a went-idle push (or heartbeat) moves some view
+                    # — the event-driven wait that replaces poll mode's
+                    # fixed-cadence rounds.
+                    time_to_idle = None
+                    self.poll(min(0.25, max(0.0, deadline - time.monotonic())))
                     if time.monotonic() > deadline:
                         self._record_drain(
                             rounds, started, round_seconds, "timeout",
@@ -864,6 +868,19 @@ class ProcessFederation:
                 rounds, started, round_seconds, "peer-lost", "watermark"
             )
             raise
+        finally:
+            self._watch(False)
+
+    def _watch(self, on: bool) -> None:
+        """Subscribe to (or cancel) every live peer's went-idle notices."""
+        for name, handle in self._handles.items():
+            if handle.channel is not None:
+                try:
+                    self._send(name, {"t": "watch", "on": on})
+                except SocketTransportError:
+                    # The peer is gone: the next poll() reads the EOF.  A
+                    # watch left on is harmless; the next watch-on resets it.
+                    pass
 
     def _drain_timeout_message(self, timeout: float, replies: Dict[str, Dict]) -> str:
         return (

@@ -26,11 +26,11 @@ Record shapes (one JSON object per line)::
     {"rec": "span",  "seq": 18, "span": {<Span.to_record() document>}}
     {"rec": "event", "seq": 19, "kind": "dump", "reason": "sigterm", ...}
 
-The cost discipline matches the tracer's: recording is a dict build plus a
-deque append (no I/O), disabled recorders (``directory=None``) return after
-one attribute read, and nothing here ever touches the chase hot path — the
-recorder only sees host-level events, whose rate is per-delivery and
-per-commit, not per-chase-step.
+The cost discipline matches the tracer's: recording is a dict build, its
+JSON line and a deque append (no I/O), disabled recorders
+(``directory=None``) return after one attribute read, and nothing here ever
+touches the chase hot path — the recorder only sees host-level events, whose
+rate is per-delivery and per-commit, not per-chase-step.
 """
 
 from __future__ import annotations
@@ -67,7 +67,8 @@ class FlightRecorder:
         self.clock = clock
         #: The in-memory window (introspection and the dump tail).
         self.ring: Deque[Dict[str, object]] = deque(maxlen=capacity)
-        self._pending: List[Dict[str, object]] = []
+        #: Serialised records not yet on disk, one JSONL line each.
+        self._pending: List[str] = []
         self._seq = 0
         self._dumped = False
         self._segment = 0
@@ -112,7 +113,10 @@ class FlightRecorder:
 
     def _append(self, entry: Dict[str, object]) -> None:
         self.ring.append(entry)
-        self._pending.append(entry)
+        # Serialised here, not at flush: the host flushes once per heartbeat,
+        # and dumping a whole interval's records in one go would stall the
+        # peer's loop for milliseconds (it showed as the p99 turnaround).
+        self._pending.append(json.dumps(entry, sort_keys=True) + "\n")
         if len(self._pending) >= self.segment_records:
             # Self-flush on pressure: the unflushed window a crash can lose
             # stays bounded even if the host never reaches a heartbeat.
@@ -139,8 +143,8 @@ class FlightRecorder:
         written = 0
         try:
             with open(self._paths[self._segment], "a") as handle:
-                for entry in pending:
-                    handle.write(json.dumps(entry, sort_keys=True) + "\n")
+                for line in pending:
+                    handle.write(line)
                     written += 1
                     self._segment_count += 1
                     if self._segment_count >= self.segment_records:
@@ -150,8 +154,8 @@ class FlightRecorder:
                 # Rotate and keep writing the remainder into the fresh one.
                 self._rotate()
                 with open(self._paths[self._segment], "a") as handle:
-                    for entry in pending[written:]:
-                        handle.write(json.dumps(entry, sort_keys=True) + "\n")
+                    for line in pending[written:]:
+                        handle.write(line)
                         written += 1
                         self._segment_count += 1
                     handle.flush()

@@ -86,6 +86,9 @@ class TelemetryTimeline:
         self.peers: Dict[str, PeerTelemetry] = {}
         #: Drain-latency decomposition records, in call order.
         self.drains: List[Dict[str, object]] = []
+        #: Clock time until which every verdict of the last :meth:`liveness`
+        #: report holds (0 = something touched the timeline since).
+        self._settled_until = 0.0
 
     def register_peer(self, name: str) -> None:
         if name not in self.peers:
@@ -114,6 +117,7 @@ class TelemetryTimeline:
             entry = self.peers[peer]
         now = self.clock() if now is None else now
         entry.last_arrival = now
+        self._settled_until = 0.0
         metrics = body.get("metrics") or {}
         if body.get("metrics_delta"):
             merged = dict(entry.accumulated)
@@ -146,11 +150,13 @@ class TelemetryTimeline:
         """
         self.register_peer(peer)
         self.peers[peer].last_arrival = self.clock() if now is None else now
+        self._settled_until = 0.0
 
     def mark_dead(self, peer: str, reason: str) -> None:
         """Sticky death: control-channel EOF or an explicit kill."""
         self.register_peer(peer)
         self.peers[peer].dead_reason = reason
+        self._settled_until = 0.0
 
     def revive(self, peer: str) -> None:
         """A restarted peer starts a fresh heartbeat stream."""
@@ -161,6 +167,7 @@ class TelemetryTimeline:
         entry.last_arrival = None
         entry.accumulated = {}
         entry.history.clear()
+        self._settled_until = 0.0
 
     # ------------------------------------------------------------------
     # Queries
@@ -200,14 +207,35 @@ class TelemetryTimeline:
         """Per-peer ``{state, age, seq, reason}`` — the watchdog's verdict."""
         now = self.clock() if now is None else now
         report: Dict[str, Dict[str, object]] = {}
+        settled_until = float("inf")
         for name, entry in self.peers.items():
+            age = self.heartbeat_age(name, now)
             report[name] = {
                 "state": self.state(name, now),
-                "age": self.heartbeat_age(name, now),
+                "age": age,
                 "seq": entry.seq,
                 "reason": entry.dead_reason,
             }
+            if age is not None and entry.dead_reason is None:
+                # Untouched, this peer's verdict next escalates when its age
+                # crosses the first threshold still ahead of it.
+                for factor in (self.stalled_after, self.dead_after):
+                    if age < factor * self.interval:
+                        settled_until = min(
+                            settled_until, now + factor * self.interval - age
+                        )
+        self._settled_until = settled_until
         return report
+
+    def liveness_due(self) -> bool:
+        """Whether a verdict may differ from the last :meth:`liveness` report.
+
+        True once a frame, a death or a revival touched the timeline, or a
+        peer's stalled/dead deadline passed; callers that only need to notice
+        *transitions* (the coordinator's ``poll``) skip the evaluation
+        otherwise.  :meth:`liveness` itself is always exact.
+        """
+        return self.clock() >= self._settled_until
 
     def committed_rate(self, peer: str) -> Optional[float]:
         """Commits per second over the peer's sample history window."""

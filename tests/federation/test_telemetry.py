@@ -178,17 +178,11 @@ def test_metrics_are_heartbeat_fresh_without_a_drain(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# The went-idle notice: watermarks only
+# The went-idle notice: a subscription the drain holds, watermarks only
 # ----------------------------------------------------------------------
-def test_idle_notice_carries_watermarks_and_nothing_else(tmp_path, monkeypatch):
-    """It fires on every went-idle transition, so it must stay tiny.
-
-    No metrics, no link stats; the coordinator uses it for the drain's
-    watermark view and liveness only — neither ``metrics()`` nor the spool
-    may change shape (or grow) with a burst of them.
-    """
-    from repro.codec.wire import dumps
-
+@pytest.fixture
+def idle_notices(monkeypatch):
+    """Every ``idle`` frame any coordinator in this test dispatches."""
     notices = []
     dispatch = ProcessFederation._dispatch
 
@@ -198,6 +192,58 @@ def test_idle_notice_carries_watermarks_and_nothing_else(tmp_path, monkeypatch):
         return dispatch(self, handle, body)
 
     monkeypatch.setattr(ProcessFederation, "_dispatch", recording)
+    return notices
+
+
+def _burst(federation, tag, count=12):
+    return [
+        federation.submit(
+            "a", InsertOperation(make_tuple("A1", "{}{}".format(tag, index)))
+        )
+        for index in range(count)
+    ]
+
+
+def _poll_for(federation, seconds):
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        federation.poll(0.05)
+
+
+def test_a_peer_that_is_not_being_drained_sends_no_idle_notice(
+    tmp_path, idle_notices
+):
+    """Submitting and polling is not draining: nobody reads a notice then."""
+    with running(chain_federation(tmp_path)) as federation:
+        # A finished drain leaves nobody subscribed either.
+        federation.drain(timeout=DRAIN_TIMEOUT)
+        seen = len(idle_notices)
+        tickets = _burst(federation, "quiet")
+        _wait_until(
+            lambda: (federation.poll(0.05) or True)
+            and all(ticket.is_done for ticket in tickets),
+            message="the burst to commit",
+        )
+        # Several heartbeat intervals of settled, polled, undrained peers.
+        _poll_for(federation, 0.5)
+        assert idle_notices[seen:] == []
+        # Between drains liveness rests on the heartbeats alone.
+        for name in ("a", "b"):
+            assert federation.liveness()[name]["state"] == LIVE
+        federation.drain(timeout=DRAIN_TIMEOUT, mode="watermark")
+        assert len(idle_notices) > seen
+
+
+def test_idle_notice_carries_watermarks_and_nothing_else(tmp_path, idle_notices):
+    """It fires on every went-idle transition under a drain: keep it tiny.
+
+    No metrics, no link stats; the coordinator uses it for the drain's
+    watermark view and liveness only — neither ``metrics()`` nor the spool
+    may change shape (or grow) with a burst of them.
+    """
+    from repro.codec.wire import dumps
+
+    notices = idle_notices
     # Heartbeats off: whatever refreshes liveness below is the idle notice.
     with running(chain_federation(tmp_path, telemetry_interval=0.0)) as federation:
         federation.submit("a", InsertOperation(make_tuple("A1", "v0")))
@@ -214,10 +260,9 @@ def test_idle_notice_carries_watermarks_and_nothing_else(tmp_path, monkeypatch):
         with open(federation._spool_path) as handle:
             spooled_before = sum(1 for _ in handle)
         seen = len(notices)
-        tickets = [
-            federation.submit("a", InsertOperation(make_tuple("A1", "burst%d" % i)))
-            for i in range(12)
-        ]
+        # Subscribe the way drain() does, without its confirming rounds.
+        federation._watch(True)
+        tickets = _burst(federation, "burst")
         _wait_until(
             lambda: (federation.poll(0.05) or True)
             and all(ticket.is_done for ticket in tickets)
@@ -242,6 +287,126 @@ def test_idle_notice_carries_watermarks_and_nothing_else(tmp_path, monkeypatch):
     for notice in notices:
         assert set(notice) == {"t", "peer", "activity_seq", "sent", "received"}
         assert len(dumps(notice)) <= 256
+
+
+@pytest.mark.parametrize("telemetry_interval", [0.1, 0.0])
+def test_back_to_back_drains_under_the_subscription(tmp_path, telemetry_interval):
+    """Each drain subscribes afresh; heartbeats are not what settles it."""
+    with running(chain_federation(
+        tmp_path, telemetry_interval=telemetry_interval
+    )) as federation:
+        for tag in ("first", "second"):
+            tickets = _burst(federation, tag, count=4)
+            federation.drain(timeout=DRAIN_TIMEOUT, mode="watermark")
+            assert all(ticket.is_done for ticket in tickets)
+            assert federation.last_drain["settle_reason"] == "watermark-idle"
+            # Nothing moved since: the views the drain just confirmed still
+            # hold, so an immediate second drain is the one confirming round.
+            assert federation.drain(timeout=DRAIN_TIMEOUT, mode="watermark") == 1
+            assert federation.last_drain["settle_reason"] == "watermark-idle"
+
+
+def test_drain_right_after_restart_seeds_the_reborn_peers_view(
+    tmp_path, idle_notices
+):
+    with running(chain_federation(tmp_path)) as federation:
+        federation.submit("a", InsertOperation(make_tuple("A1", "v1")))
+        federation.drain(timeout=DRAIN_TIMEOUT, mode="watermark")
+        path = str(tmp_path / "b.ckpt")
+        federation.checkpoint_peer("b", path, halt=True)
+        federation.kill_peer("b")
+        federation.restart_peer("b", path)
+        # Invalidated (the reborn process restarts its activity seq), and
+        # the reborn process is unwatched: it settles without a notice.
+        assert "b" not in federation._watermarks
+        seen = len(idle_notices)
+        tickets = _burst(federation, "reborn", count=4)
+        _wait_until(
+            lambda: (federation.poll(0.05) or True)
+            and all(ticket.is_done for ticket in tickets),
+            message="the burst to commit on the reborn peer",
+        )
+        assert idle_notices[seen:] == []
+        federation.drain(timeout=DRAIN_TIMEOUT, mode="watermark")
+        assert federation.last_drain["settle_reason"] == "watermark-idle"
+        assert "b" in {notice["peer"] for notice in idle_notices[seen:]}
+        # The reborn service counts from zero: these are the burst's firings.
+        assert federation.metrics()["b"]["committed"] >= 4
+
+
+def test_a_drain_that_times_out_leaves_nobody_subscribed(tmp_path, idle_notices):
+    with running(chain_federation(tmp_path)) as federation:
+        federation.drain(timeout=DRAIN_TIMEOUT, mode="watermark")
+        # a's firing toward b queues behind the cut: a cannot go idle.
+        federation.partition("a", "b")
+        ticket = federation.submit("a", InsertOperation(make_tuple("A1", "cut")))
+        with pytest.raises(RuntimeError) as failure:
+            federation.drain(timeout=1.0, mode="watermark")
+        assert "failed to drain" in str(failure.value)
+        assert federation.last_drain["settle_reason"] == "timeout"
+        seen = len(idle_notices)
+        federation.heal("a", "b")
+        # Both peers now settle — silently, the subscription died with the
+        # drain that held it.
+        _wait_until(
+            lambda: (federation.poll(0.05) or True)
+            and federation.metrics().get("b", {}).get("committed", 0) >= 1,
+            message="the held firing to commit at b",
+        )
+        _poll_for(federation, 0.3)
+        assert idle_notices[seen:] == []
+        assert ticket.is_done
+        federation.drain(timeout=DRAIN_TIMEOUT, mode="watermark")
+        assert federation.last_drain["settle_reason"] == "watermark-idle"
+
+
+def test_a_notice_whose_send_failed_is_sent_again(tmp_path):
+    """The per-seq dedupe counts frames that went out, not attempts."""
+    from repro.codec.framing import FrameDecoder
+    from repro.codec.wire import loads
+    from repro.federation.proc import PeerHost, encode_peer_config
+    from repro.federation.socket_transport import (
+        SocketAddress,
+        SocketTransportError,
+    )
+
+    class FlakyCoordinator:
+        closed = False
+
+        def __init__(self):
+            self.failures_left = 1
+            self.sent = []
+
+        def send_bytes(self, data):
+            if self.failures_left:
+                self.failures_left -= 1
+                raise SocketTransportError("injected send failure")
+            self.sent.append(data)
+
+    schema, mappings, initial = chain_pieces()
+    ownership = {"a": ("A1", "A2"), "b": ("B1", "B2")}
+    addresses = {
+        name: SocketAddress.unix(str(tmp_path / "{}.sock".format(name)))
+        for name in ownership
+    }
+    host = PeerHost(loads(encode_peer_config(
+        "a", schema, initial, mappings, ownership, addresses
+    )))
+    try:
+        host._coordinator = coordinator = FlakyCoordinator()
+        host._idle_push()
+        assert coordinator.failures_left == 1  # unwatched: not even tried
+        # Subscribing makes an idle peer report at once: the failing send.
+        host._handle_control(None, {"t": "watch", "on": True})
+        assert coordinator.failures_left == 0 and coordinator.sent == []
+        host._idle_push()
+        assert len(coordinator.sent) == 1
+        (frame,) = FrameDecoder().feed(coordinator.sent[0])
+        assert loads(frame.payload)["t"] == "idle"
+        host._idle_push()
+        assert len(coordinator.sent) == 1  # one notice per activity seq
+    finally:
+        host._shutdown()
 
 
 # ----------------------------------------------------------------------
@@ -279,6 +444,28 @@ def test_watchdog_flags_a_stopped_peer_and_recovers(tmp_path):
             message="recovery after SIGCONT",
         )
         federation.drain(timeout=DRAIN_TIMEOUT)
+
+
+def test_poll_evaluates_the_watchdog_only_when_a_verdict_can_change(
+    tmp_path, monkeypatch
+):
+    with running(chain_federation(tmp_path)) as federation:
+        federation.drain(timeout=DRAIN_TIMEOUT)
+        evaluations = []
+        evaluate = federation.timeline.liveness
+        monkeypatch.setattr(
+            federation.timeline,
+            "liveness",
+            lambda now=None: evaluations.append(1) or evaluate(now),
+        )
+        for _ in range(1000):
+            federation.poll(0)
+        # One per heartbeat that landed meanwhile, not one per call.
+        assert len(evaluations) <= 20
+        # Called directly it is exact, every time.
+        before = len(evaluations)
+        assert federation.liveness()["b"]["state"] == LIVE
+        assert len(evaluations) == before + 1
 
 
 # ----------------------------------------------------------------------

@@ -73,6 +73,38 @@ def test_watchdog_escalates_with_heartbeat_age():
     assert timeline.state("a") == LIVE  # a fresh heartbeat revives age-death
 
 
+def test_liveness_is_due_only_when_a_verdict_can_change():
+    """Between a touch and the next age deadline every verdict holds."""
+    timeline, clock = _timeline(interval=1.0)
+    assert timeline.liveness_due()  # nothing evaluated yet
+    timeline.liveness()
+    assert not timeline.liveness_due()  # nobody heard from: no deadline
+    timeline.observe("a", _hb(1, {}))
+    assert timeline.liveness_due()  # a frame touched the timeline
+    assert timeline.liveness()["a"]["state"] == LIVE
+    clock.now += 1.4
+    assert not timeline.liveness_due()
+    clock.now += 0.2  # the stalled deadline (1.5 intervals) passed
+    assert timeline.liveness_due()
+    assert timeline.liveness()["a"]["state"] == STALLED
+    assert not timeline.liveness_due()
+    clock.now += 0.5  # the dead deadline (2 intervals) passed
+    assert timeline.liveness_due()
+    assert timeline.liveness()["a"]["state"] == DEAD
+    clock.now += 10_000
+    assert not timeline.liveness_due()  # nothing left to escalate to
+    timeline.touch("a")
+    assert timeline.liveness_due()
+    assert timeline.liveness()["a"]["state"] == LIVE
+    timeline.mark_dead("a", "eof(exit=-9)")
+    assert timeline.liveness_due()
+    timeline.liveness()
+    clock.now += 10_000
+    assert not timeline.liveness_due()  # sticky death never escalates
+    timeline.revive("a")
+    assert timeline.liveness_due()
+
+
 def test_mark_dead_is_sticky_until_revived():
     timeline, clock = _timeline()
     timeline.observe("a", _hb(1, {}))
