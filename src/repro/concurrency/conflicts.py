@@ -15,8 +15,8 @@ higher-numbered update per write.  Records the index skips are exactly those
 whose ``might_be_affected_by`` pre-filter is false, so they are charged
 arithmetically — one ``pairs_checked`` and one ``cost_units`` each, what the
 historical full scan spent on them — and the report stays bit-identical to
-:func:`find_direct_conflicts_scan` while the wall-clock work drops from
-O(logged reads) to O(relevant reads) per write.
+that scan (kept as a test oracle, ``tests/oracles/conflicts_scan.py``) while
+the wall-clock work drops from O(logged reads) to O(relevant reads) per write.
 """
 
 from __future__ import annotations
@@ -112,44 +112,4 @@ def find_direct_conflicts(
                 remaining = total - accounted
                 report.pairs_checked += remaining
                 report.cost_units += remaining
-    return report
-
-
-def find_direct_conflicts_scan(
-    writes: Sequence[VersionedWrite],
-    read_log: ReadLog,
-    store: VersionedDatabase,
-    abortable: Set[int],
-) -> ConflictReport:
-    """The historical full-scan conflict check, kept as a differential oracle.
-
-    Semantically (and counter-for-counter) identical to
-    :func:`find_direct_conflicts`; tests run both over the same inputs to pin
-    the indexed implementation to the original.
-    """
-    report = ConflictReport()
-    if not writes:
-        return report
-    views: Dict[int, object] = {}
-    for logged in writes:
-        writer = logged.priority
-        for record in list(read_log.records_with_reader_above(writer)):
-            reader = record.reader
-            if reader not in abortable or reader == writer:
-                continue
-            if reader in report.direct_conflicts:
-                # Already condemned by an earlier write in this batch.
-                continue
-            report.pairs_checked += 1
-            query = record.query
-            if not query.might_be_affected_by(logged.write):
-                report.cost_units += 1
-                continue
-            if reader not in views:
-                views[reader] = store.view_for(reader)
-            view = views[reader]
-            report.delta_evaluations += 1
-            report.cost_units += 2 * query.evaluation_cost()
-            if query.affected_by(logged.write, view):
-                report.direct_conflicts.add(reader)
     return report

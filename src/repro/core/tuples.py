@@ -24,7 +24,7 @@ class Tuple:
     not here.
     """
 
-    __slots__ = ("_relation", "_values", "_hash", "_null_set")
+    __slots__ = ("_relation", "_values", "_hash", "_null_set", "_repr")
 
     def __init__(self, relation: str, values: Iterable[object]):
         self._relation = relation
@@ -34,6 +34,9 @@ class Tuple:
         #: set is consulted on every log append, content indexing and
         #: conflict pre-filter, so recomputing it per call was pure churn.
         self._null_set: Optional[frozenset] = None
+        #: Lazily rendered by :meth:`__repr__`: the repair planner sorts
+        #: every correction-query answer with ``key=repr``.
+        self._repr: Optional[str] = None
 
     @property
     def relation(self) -> str:
@@ -68,8 +71,11 @@ class Tuple:
         return self._hash
 
     def __repr__(self) -> str:
-        rendered = ", ".join(str(value) for value in self._values)
-        return "{}({})".format(self._relation, rendered)
+        cached = self._repr
+        if cached is None:
+            rendered = ", ".join(str(value) for value in self._values)
+            cached = self._repr = "{}({})".format(self._relation, rendered)
+        return cached
 
     # ------------------------------------------------------------------
     # Labeled-null helpers

@@ -21,9 +21,12 @@ same codec dialect on actual sockets:
 
 Everything here is deliberately blocking-socket based: channels use blocking
 sockets with a send timeout, and the peer host multiplexes *reads* with a
-``selectors`` loop.  Frames are small (a per-destination bundle is one
-frame), so blocking ``sendall`` cannot stall meaningfully, and the code
-stays free of half-written-frame bookkeeping.
+``selectors`` loop, which keeps the code free of half-written-frame
+bookkeeping.  The price is known and unpaid: a blocking ``sendall`` *can*
+stall — with 5–10 KB per user operation both ends of a stream fill their
+kernel buffers and block in ``sendall`` toward each other until the send
+timeout fires (bench finding 1 in ``bench/README.md``; ROADMAP item 3 makes
+sends non-blocking).
 """
 
 from __future__ import annotations

@@ -240,21 +240,20 @@ class CompiledConjunction:
 def _candidate_tuples(
     atom: Atom, assignment: Assignment, view: DatabaseView
 ) -> Iterable[Tuple]:
-    """Tuples of the view that could match *atom* under *assignment*."""
-    best_position: Optional[int] = None
-    best_value: Optional[DataTerm] = None
+    """Tuples of the view that could match *atom* under *assignment*.
+
+    One probe with every column the atom has bound — its constants and its
+    already-assigned variables, in position order — so ``Atom.match`` only
+    runs on rows that agree with all of them.
+    """
+    bound: List[PyTuple[int, DataTerm]] = []
     for position, term in enumerate(atom.terms):
         if is_variable(term):
-            bound = assignment.get(term)
-            if bound is not None:
-                best_position, best_value = position, bound
-                break
-        else:
-            best_position, best_value = position, term
-            break
-    if best_position is None:
-        return view.tuples(atom.relation)
-    return view.tuples_with_value(atom.relation, best_position, best_value)
+            term = assignment.get(term)
+            if term is None:
+                continue
+        bound.append((position, term))
+    return view.tuples_matching(atom.relation, bound)
 
 
 class CompiledTgd:

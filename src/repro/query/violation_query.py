@@ -74,6 +74,9 @@ class ViolationQuery(ReadQuery):
         self._tgd = tgd
         self._seed: Assignment = dict(seed) if seed else {}
         self._plan: CompiledTgd = get_plan(tgd)
+        #: The read log and the tracker's verdict memo key on the query, two
+        #: or more hashes per logged read; neither field changes afterwards.
+        self._hash = hash((tgd, frozenset(self._seed.items())))
 
     @property
     def tgd(self) -> Tgd:
@@ -223,7 +226,7 @@ class ViolationQuery(ReadQuery):
         return self._tgd == other._tgd and self._seed == other._seed
 
     def __hash__(self) -> int:
-        return hash((self._tgd, frozenset(self._seed.items())))
+        return self._hash
 
 
 def seeds_for_lhs_write(tgd: Tgd, row: Tuple) -> List[Assignment]:

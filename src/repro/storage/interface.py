@@ -16,7 +16,15 @@ number at most ``j``).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple as PyTuple,
+)
 
 from ..core.schema import DatabaseSchema
 from ..core.terms import Constant, DataTerm, LabeledNull
@@ -51,12 +59,22 @@ class DatabaseView(ABC):
     # Default implementations that concrete views may override with
     # index-accelerated versions.
     # ------------------------------------------------------------------
-    def tuples_with_value(
-        self, relation: str, position: int, value: DataTerm
+    def tuples_matching(
+        self, relation: str, bound: Sequence[PyTuple[int, DataTerm]]
     ) -> Iterator[Tuple]:
-        """Visible tuples of *relation* whose field *position* equals *value*."""
+        """Visible tuples of *relation* equal to ``value`` at every ``position``.
+
+        *bound* is a sequence of ``(position, value)`` pairs — the probe a
+        join issues with every column it has bound.  A value may be a
+        constant or a labeled null (compared by identity of the null, not
+        unified); no pairs means ``tuples(relation)``; pairs that contradict
+        each other match nothing.  Each matching tuple is yielded once.
+        Indexed backends iterate the *first* pair's bucket and use the other
+        pairs only to discard, so the result is a subsequence of the
+        one-pair probe ``tuples_matching(relation, bound[:1])``.
+        """
         for row in self.tuples(relation):
-            if row[position] == value:
+            if all(row[position] == value for position, value in bound):
                 yield row
 
     def tuples_containing_null(self, null: LabeledNull) -> Iterator[Tuple]:

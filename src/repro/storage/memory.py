@@ -8,7 +8,7 @@ the multiversion store in :mod:`repro.storage.versioned` instead.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple as PyTuple
 
 from ..core.schema import DatabaseSchema, SchemaError
 from ..core.terms import DataTerm, LabeledNull
@@ -78,10 +78,18 @@ class MemoryDatabase(MutableDatabase):
     def contains(self, row: Tuple) -> bool:
         return row in self._relations.get(row.relation, set())
 
-    def tuples_with_value(
-        self, relation: str, position: int, value: DataTerm
+    def tuples_matching(
+        self, relation: str, bound: Sequence[PyTuple[int, DataTerm]]
     ) -> Iterator[Tuple]:
-        return iter(tuple(self._index.lookup(relation, position, value)))
+        if not bound:
+            return self.tuples(relation)
+        (first_position, first_value), *rest = bound
+        # A fresh list (callers may mutate while scanning) in bucket order.
+        return iter([
+            row
+            for row in self._index.lookup(relation, first_position, first_value)
+            if all(row[position] == value for position, value in rest)
+        ])
 
     def tuples_containing_null(self, null: LabeledNull) -> Iterator[Tuple]:
         return iter(tuple(self._index.with_null(null)))

@@ -10,7 +10,16 @@ an existing view and virtually adds or hides individual tuples.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple as PyTuple,
+)
 
 from ..core.schema import DatabaseSchema
 from ..core.terms import DataTerm, LabeledNull
@@ -72,11 +81,11 @@ class OverlayView(DatabaseView):
         # added rows are few (one write's worth), so the sum stays O(1).
         return base + sum(1 for row in self._added if row.relation == relation)
 
-    def tuples_with_value(
-        self, relation: str, position: int, value: DataTerm
+    def tuples_matching(
+        self, relation: str, bound: Sequence[PyTuple[int, DataTerm]]
     ) -> Iterator[Tuple]:
         seen: Set[Tuple] = set()
-        for row in self._base.tuples_with_value(relation, position, value):
+        for row in self._base.tuples_matching(relation, bound):
             if row in self._hidden:
                 continue
             seen.add(row)
@@ -84,8 +93,8 @@ class OverlayView(DatabaseView):
         for row in self._added:
             if (
                 row.relation == relation
-                and row[position] == value
                 and row not in seen
+                and all(row[position] == value for position, value in bound)
             ):
                 yield row
 

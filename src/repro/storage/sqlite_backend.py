@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import sqlite3
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple as PyTuple
 
 from ..codec.rows import decode_row, decode_term, encode_row, encode_term
 from ..core.atoms import Atom
@@ -116,15 +116,22 @@ class SQLiteDatabase(MutableDatabase):
         )
         return cursor.fetchone() is not None
 
-    def tuples_with_value(
-        self, relation: str, position: int, value: DataTerm
+    def tuples_matching(
+        self, relation: str, bound: Sequence[PyTuple[int, DataTerm]]
     ) -> Iterator[Tuple]:
-        attribute = self._schema.relation(relation).attributes[position]
+        if not bound:
+            yield from self.tuples(relation)
+            return
+        attributes = self._schema.relation(relation).attributes
         cursor = self._connection.execute(
-            "SELECT DISTINCT * FROM {} WHERE {} = ?".format(
-                quote_identifier(relation), quote_identifier(attribute)
+            "SELECT DISTINCT * FROM {} WHERE {}".format(
+                quote_identifier(relation),
+                " AND ".join(
+                    "{} = ?".format(quote_identifier(attributes[position]))
+                    for position, _ in bound
+                ),
             ),
-            (encode_term(value),),
+            tuple(encode_term(value) for _, value in bound),
         )
         for fields in cursor.fetchall():
             yield decode_row(relation, fields)

@@ -21,6 +21,27 @@ the hot consumers — instead of filtering the full log per read query they ask
 for "writes by update *j* touching relations R / null x", which is what turns
 tracker cost from O(run length) per read into O(relevant writes).
 
+Reads go through three content indexes over *every version's* content, keyed
+to tuple identities (tids): per ``(relation, position, value)``, per labeled
+null, and per exact content (``Tuple`` → the identities some version of which
+holds exactly that content).  All three over-approximate — a tid stays
+indexed under the contents of its old versions, and a version may be
+invisible at the reading priority — so every hit is re-checked against the
+identity's *visible* content before it counts; rollback and compaction prune
+the entries no remaining version justifies.  Two rules make the answers a
+function of the inputs rather than of set iteration order:
+
+* ``_find_visible_tid`` — behind ``contains``, insert, delete and modify —
+  consults only the exact-content index and returns the **lowest** tid whose
+  visible content equals the row, so that is the one of two equal-valued
+  identities a delete or modify hits;
+* :meth:`VersionedView.tuples_matching` — the join's probe, with every column
+  the join has bound — iterates the *first* pair's value bucket and uses the
+  other pairs' buckets only to drop identities before their version chains
+  are read, so its answer is a subsequence of the one-pair probe's (read
+  logs, abort decisions and the Figure 3/4 cost units hang off that order);
+  with every position bound it is one exact-content lookup.
+
 Long-running callers additionally *compact* the store below the scheduler's
 commit watermark (:meth:`VersionedDatabase.compact_below`): committed version
 chains collapse to their newest committed version, committed log entries are
@@ -169,14 +190,18 @@ class VersionedDatabase:
         self._log_seqs: Dict[int, List[int]] = {}
         self._log_by_relation: Dict[int, Dict[str, List[VersionedWrite]]] = {}
         self._log_by_null: Dict[int, Dict[LabeledNull, List[VersionedWrite]]] = {}
-        # Indexes over *every version's* content, keyed to tuple identities.
-        # They over-approximate (a tid stays indexed under contents of old
-        # versions and may outlive a rollback), so views re-check the visible
-        # content — but they turn the chase-hot correction queries from
-        # relation scans into bucket intersections, mirroring PositionIndex
-        # on the single-version store.
+        # Indexes over *every version's* content, keyed to tuple identities
+        # (see the module docstring).  They over-approximate — a tid stays
+        # indexed under contents of old versions — so readers re-check the
+        # visible content, but they turn the chase-hot joins and correction
+        # queries from relation scans into bucket probes, mirroring
+        # PositionIndex on the single-version store.
         self._value_index: Dict[PyTuple[str, int, DataTerm], Set[int]] = defaultdict(set)
         self._null_index: Dict[LabeledNull, Set[int]] = defaultdict(set)
+        # Exact content -> the identities some version of which holds exactly
+        # that content (one entry per distinct stored content): the one index
+        # behind _find_visible_tid.
+        self._content_index: Dict[Tuple, Set[int]] = defaultdict(set)
         #: Monotone stamp bumped by every mutation (write, rollback,
         #: compaction).  Memoizing consumers — the PRECISE tracker's delta
         #: verdict cache — key their entries to it.
@@ -475,8 +500,10 @@ class VersionedDatabase:
         return next(self._seq_counter)
 
     def _index_content(self, tid: int, row: Tuple) -> None:
+        self._content_index[row].add(tid)
+        relation, value_index = row.relation, self._value_index
         for position, value in enumerate(row.values):
-            self._value_index[(row.relation, position, value)].add(tid)
+            value_index[(relation, position, value)].add(tid)
         for null in row.null_set():
             self._null_index[null].add(tid)
 
@@ -558,21 +585,19 @@ class VersionedDatabase:
         return logged
 
     def _find_visible_tid(self, row: Tuple, priority: int) -> Optional[int]:
-        # Any identity whose visible content equals *row* must be indexed
-        # under the first value of some version equal to *row* — so the first
-        # position's bucket is a complete (over-approximate) candidate set,
-        # far smaller than the whole relation.  Pure read: no store mutation
-        # can happen mid-scan, so the bucket is iterated without a copy.
-        if row.values:
-            candidates: Iterable[int] = self._value_index.get(
-                (row.relation, 0, row.values[0]), ()
-            )
-        else:  # pragma: no cover - zero-arity relations do not occur
-            candidates = self._by_relation.get(row.relation, ())
+        # Any identity whose visible content equals *row* has a version
+        # holding exactly *row*, so the content index's entry is a complete
+        # candidate set — almost always one tid.  It over-approximates like
+        # its siblings (the matching version may be old, or invisible at
+        # *priority*), so each candidate's visible content is re-checked.
+        # Lowest tid first: which of two equal-valued identities a delete or
+        # modify hits is a function of the inputs, not of set iteration order.
+        bucket = self._content_index.get(row)
+        if not bucket:
+            return None
         tuples = self._tuples
-        for tid in candidates:
-            record = tuples.get(tid)
-            if record is not None and record.visible_content(priority) == row:
+        for tid in sorted(bucket):
+            if tuples[tid].visible_content(priority) == row:
                 return tid
         return None
 
@@ -692,10 +717,12 @@ class VersionedDatabase:
         """Drop *tid* from index buckets no remaining version justifies."""
         keep_values: Set[PyTuple[str, int, DataTerm]] = set()
         keep_nulls: Set[LabeledNull] = set()
+        keep_contents: Set[Tuple] = set()
         for version in remaining:
             row = version.content
             if row is None:
                 continue
+            keep_contents.add(row)
             for position, value in enumerate(row.values):
                 keep_values.add((row.relation, position, value))
             keep_nulls.update(row.null_set())
@@ -703,6 +730,12 @@ class VersionedDatabase:
             row = version.content
             if row is None:
                 continue
+            if row not in keep_contents:
+                bucket = self._content_index.get(row)
+                if bucket is not None:
+                    bucket.discard(tid)
+                    if not bucket:
+                        del self._content_index[row]
             for position, value in enumerate(row.values):
                 key = (row.relation, position, value)
                 if key in keep_values:
@@ -846,8 +879,10 @@ class VersionedDatabase:
 
     def index_entry_count(self) -> int:
         """Total (tid, bucket) memberships across the content indexes."""
-        return sum(len(bucket) for bucket in self._value_index.values()) + sum(
-            len(bucket) for bucket in self._null_index.values()
+        return sum(
+            len(bucket)
+            for index in (self._value_index, self._null_index, self._content_index)
+            for bucket in index.values()
         )
 
 
@@ -881,9 +916,8 @@ class VersionedView(DatabaseView):
                 yield content
 
     def contains(self, row: Tuple) -> bool:
-        # Exact containment through the value index: candidates are the
-        # identities indexed under the row's first value; each is re-checked
-        # against its visible content (the index over-approximates).
+        # Exact containment through the content index; its candidates are
+        # re-checked against their visible content (it over-approximates).
         return self._store._find_visible_tid(row, self._priority) is not None
 
     def cardinality_estimate(self, relation: str) -> Optional[int]:
@@ -907,95 +941,92 @@ class VersionedView(DatabaseView):
     # The store's indexes over-approximate (old versions, rolled-back
     # tids), so every hit is re-checked against the visible content.
     # ------------------------------------------------------------------
-    def _visible_candidates(self, tids: Iterable[int]) -> Iterator[Tuple]:
-        # Live store sets are copied so callers may write mid-iteration;
-        # owned containers (fresh intersection results) pass through bare.
-        if isinstance(tids, (set, frozenset)):
-            tids = tuple(tids)
-        return self._visible_owned(tids)
+    def _visible_contents(
+        self, tids: Iterable[int], bound: Sequence[PyTuple[int, DataTerm]] = ()
+    ) -> Iterator[Tuple]:
+        """Distinct visible contents of *tids* equal to every pair of *bound*.
 
-    def _visible_owned(self, tids: Iterable[int]) -> Iterator[Tuple]:
-        """Visible contents of *tids*, which the caller promises not to mutate."""
+        *tids* is a container the caller owns (a copy of a live bucket), so
+        callers of the generator may write mid-iteration.
+        """
         seen: Set[Tuple] = set()
         tuples = self._store._tuples
         priority = self._priority
         for tid in tids:
             record = tuples.get(tid)
             if record is None:
-                continue  # rolled back entirely; stale index entry
+                continue  # rolled back entirely since the bucket was copied
             content = record.visible_content(priority)
             if content is not None and content not in seen:
                 seen.add(content)
-                yield content
+                values = content.values
+                for position, value in bound:
+                    if values[position] != value:
+                        break
+                else:
+                    yield content
 
-    def tuples_with_value(
-        self, relation: str, position: int, value: DataTerm
+    def tuples_matching(
+        self, relation: str, bound: Sequence[PyTuple[int, DataTerm]]
     ) -> Iterator[Tuple]:
-        bucket = self._store._value_index.get((relation, position, value), ())
-        for content in self._visible_candidates(bucket):
-            if content.relation == relation and content[position] == value:
-                yield content
+        store = self._store
+        if not bound:
+            return self.tuples(relation)
+        if len(bound) == store.schema.arity_of(relation) and all(
+            position == index for index, (position, _) in enumerate(bound)
+        ):
+            # Every position bound: the probe is one exact-content lookup.
+            row = Tuple(relation, [value for _, value in bound])
+            return iter((row,) if self.contains(row) else ())
+        # The first pair's bucket, in its own order, minus every identity
+        # missing from another pair's bucket — dropped before its version
+        # chain is read.
+        value_index = store._value_index
+        (position, value), *rest = bound
+        survivors: Iterable[int] = value_index.get((relation, position, value), ())
+        if not rest:
+            survivors = tuple(survivors)
+        for position, value in rest:
+            bucket = value_index.get((relation, position, value), ())
+            survivors = [tid for tid in survivors if tid in bucket]
+        return self._visible_contents(survivors, bound)
 
     def tuples_containing_null(self, null: LabeledNull) -> Iterator[Tuple]:
         bucket = self._store._null_index.get(null, ())
-        for content in self._visible_candidates(bucket):
+        for content in self._visible_contents(tuple(bucket)):
             if content.contains_null(null):
                 yield content
 
     def more_specific_tuples(self, row: Tuple) -> List[Tuple]:
-        # Intersect the constant positions' buckets smallest-first: the
-        # narrowest bucket bounds every intermediate set, and an empty bucket
-        # short-circuits before any set is built.  This is the chase's
-        # hottest correction query, so the candidate set is owned (fresh)
-        # end-to-end — no defensive copies.
-        buckets = []
-        for position, value in enumerate(row.values):
-            if isinstance(value, LabeledNull):
-                continue
-            bucket = self._store._value_index.get((row.relation, position, value))
-            if not bucket:
-                return []
-            buckets.append(bucket)
-        if not buckets:
-            # All-null pattern: fall back to every identity of the relation
-            # (copied — the store's own set must not feed a bare iteration).
-            candidates: Iterable[int] = tuple(
-                self._store._by_relation.get(row.relation, ())
-            )
-        else:
-            buckets.sort(key=len)
-            smallest = set(buckets[0])
-            for bucket in buckets[1:]:
-                smallest &= bucket
-                if not smallest:
-                    return []
-            candidates = smallest
-        # When the row's nulls are pairwise distinct the witnessing map
-        # imposes no constraint beyond identity on the constant positions, so
-        # the full per-candidate specificity check reduces to comparing those
-        # positions.  The comparison is still required: the value index
-        # over-approximates (a tid stays bucketed under *old* versions'
-        # contents), so a candidate's visible content may no longer carry the
-        # constants its bucket membership came from.
-        nulls = [value for value in row.values if isinstance(value, LabeledNull)]
-        if len(nulls) == len(set(nulls)):
-            if self._store.schema.arity_of(row.relation) != len(row.values):
-                return []  # no stored tuple can match a wrong-arity pattern
-            constant_positions = [
+        # Any more-specific tuple agrees with *row* on its constant positions
+        # (Definition 2.4: the witnessing map is the identity on constants),
+        # so the candidates are one probe over those positions — a ground
+        # pattern is a single exact-content lookup.
+        if self._store.schema.arity_of(row.relation) != len(row.values):
+            return []  # no stored tuple can match a wrong-arity pattern
+        candidates = self.tuples_matching(
+            row.relation,
+            [
                 (position, value)
                 for position, value in enumerate(row.values)
                 if not isinstance(value, LabeledNull)
-            ]
-            return [
-                content
-                for content in self._visible_owned(candidates)
-                if all(
-                    content[position] == value
-                    for position, value in constant_positions
-                )
-            ]
+            ],
+        )
+        # The probe has checked the constants against the visible content;
+        # what is left of Definition 2.4 is that the witnessing map is a
+        # function — positions repeating a null must hold equal values.  With
+        # pairwise-distinct nulls there is nothing left to check.
+        first_at: Dict[LabeledNull, int] = {}
+        repeats = [
+            (first_at[value], position)
+            for position, value in enumerate(row.values)
+            if isinstance(value, LabeledNull)
+            and first_at.setdefault(value, position) != position
+        ]
+        if not repeats:
+            return list(candidates)
         return [
             content
-            for content in self._visible_owned(candidates)
-            if content.is_more_specific_than(row)
+            for content in candidates
+            if all(content[first] == content[again] for first, again in repeats)
         ]

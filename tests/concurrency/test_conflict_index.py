@@ -16,10 +16,8 @@ import random
 import pytest
 
 import repro.concurrency.optimistic as optimistic_module
-from repro.concurrency.conflicts import (
-    find_direct_conflicts,
-    find_direct_conflicts_scan,
-)
+from oracles.conflicts_scan import find_direct_conflicts_scan
+from repro.concurrency.conflicts import find_direct_conflicts
 from repro.concurrency.dependencies import make_tracker
 from repro.concurrency.optimistic import OptimisticScheduler
 from repro.core.oracle import RandomOracle

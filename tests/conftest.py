@@ -16,6 +16,12 @@ from repro.fixtures import (
 from repro.storage.versioned import VersionedDatabase
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: takes minutes (tests/test_examples.py's synthetic workload)"
+    )
+
+
 @pytest.fixture
 def travel():
     """A fresh copy of the Figure 2 repository: ``(database, mappings)``."""

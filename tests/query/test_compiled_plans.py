@@ -2,16 +2,24 @@
 
 import random
 
-from repro.core.terms import Constant, LabeledNull
+from repro.core.atoms import Atom
+from repro.core.schema import DatabaseSchema
+from repro.core.terms import Constant, LabeledNull, Variable
 from repro.core.tgd import MappingSet
 from repro.core.tuples import Tuple
 from repro.core.writes import delete, insert, modify
 from repro.fixtures import travel_database, travel_mappings
-from repro.query.compiled import CompiledMappings, compile_mappings, get_plan
+from repro.query.compiled import (
+    CompiledConjunction,
+    CompiledMappings,
+    compile_mappings,
+    get_plan,
+)
 from repro.query.homomorphism import find_matches
 from repro.query.violation_query import ViolationQuery, violation_queries_for_write_row
 from repro.storage.memory import MemoryDatabase
-from repro.storage.overlay import view_without_write
+from repro.storage.overlay import OverlayView, view_without_write
+from repro.storage.versioned import VersionedDatabase
 from repro.workload.mapping_gen import generate_mappings
 from repro.workload.schema_gen import generate_constant_pool, generate_schema
 
@@ -78,6 +86,49 @@ class TestCompiledConjunction:
                 assert plan.rhs.exists_match(database, exported) == bool(
                     find_matches(tgd.rhs, database, exported, limit=1)
                 )
+
+
+class _FirstColumnOnly(OverlayView):
+    """The probe as it was: only the first bound column reaches the index."""
+
+    def tuples_matching(self, relation, bound):
+        return self._base.tuples_matching(relation, bound[:1])
+
+
+def test_multi_column_probe_leaves_self_join_matches_identical():
+    """Same matches, same order, with every bound column in the probe.
+
+    ``E(x, y, y), E(y, z, x), E(x, y, k)``: a self-join with a repeated
+    variable, atoms probed with one, two and all three columns bound, over
+    version chains with modified, deleted and rolled-back rows.
+    """
+    rng = random.Random(17)
+    store = VersionedDatabase(DatabaseSchema.from_dict({"E": ["a", "b", "c"]}))
+    null = LabeledNull("n")
+    pool = [Constant(name) for name in "pqk"] + [null]
+    rows = [Tuple("E", [rng.choice(pool) for _ in range(3)]) for _ in range(60)]
+    store.load_rows(rows[:25])
+    for priority, row in enumerate(rows[25:], start=1):
+        store.apply_write(insert(row), priority)
+        if priority % 4 == 0:
+            store.apply_write(delete(rng.choice(rows[:25])), priority)
+        if priority % 5 == 0 and null in row.values:
+            filled = row.substitute({null: Constant("q")})
+            store.apply_write(modify(row, filled, null, Constant("q")), priority)
+        if priority % 7 == 0:
+            store.rollback(priority)
+    x, y, z = Variable("x"), Variable("y"), Variable("z")
+    conjunction = CompiledConjunction(
+        [Atom("E", [x, y, y]), Atom("E", [y, z, x]), Atom("E", [x, y, Constant("k")])]
+    )
+    total = 0
+    for priority in (0, 9, 20, 40):
+        view = store.view_for(priority)
+        for seed in ({}, {x: Constant("p")}, {y: null}, {x: Constant("k"), z: Constant("q")}):
+            matches = conjunction.find_matches(view, seed)
+            assert matches == conjunction.find_matches(_FirstColumnOnly(view), seed)
+            total += len(matches)
+    assert total > 20
 
 
 def _full_affected(query, write, view):

@@ -6,20 +6,23 @@ After every mutation the store must satisfy two exact invariants:
 
 * **visibility** — for every still-live priority, the indexed visibility
   answers (``contains``, ``more_specific_tuples``, ``tuples_containing_null``,
-  ``tuples_with_value``) equal brute-force recomputation over the relation
-  scan (the :class:`DatabaseView` defaults), and compaction never changes the
-  set of tuples such a priority sees;
+  ``tuples_matching`` with one, two and every position bound) equal
+  brute-force recomputation over the relation scan (the
+  :class:`DatabaseView` defaults), and compaction never changes the set of
+  tuples such a priority sees;
 * **index justification** — every entry of the over-approximate content
-  indexes is justified by some remaining version, and every remaining
-  version's content is fully indexed.  Together these bound the indexes by
-  the live version set: neither rollbacks nor compactions may leave residue,
-  or a long-running service grows garbage without bound.
+  indexes (per value, per null, per exact content) is justified by some
+  remaining version, and every remaining version's content is fully indexed.
+  Together these bound the indexes by the live version set: neither
+  rollbacks nor compactions may leave residue, or a long-running service
+  grows garbage without bound.
 """
 
 import random
 
 import pytest
 
+from oracles.probe import assert_probe_matches_default, probes_for
 from repro.core.schema import DatabaseSchema
 from repro.core.terms import Constant, LabeledNull
 from repro.core.tuples import Tuple
@@ -48,11 +51,20 @@ def _assert_indexes_exact(store):
                 version.content is not None and version.content.contains_null(null)
                 for version in record.versions
             ), "null-index entry not justified by any remaining version"
+    for row, bucket in store._content_index.items():
+        assert bucket, "content-index bucket left empty instead of removed"
+        for tid in bucket:
+            record = store._tuples.get(tid)
+            assert record is not None, "content-index bucket holds a dead tid"
+            assert any(
+                version.content == row for version in record.versions
+            ), "content-index entry not justified by any remaining version"
     for tid, record in store._tuples.items():
         for version in record.versions:
             row = version.content
             if row is None:
                 continue
+            assert tid in store._content_index.get(row, ())
             for position, value in enumerate(row.values):
                 assert tid in store._value_index.get((row.relation, position, value), ())
             for null in row.null_set():
@@ -75,13 +87,18 @@ def _assert_view_matches_bruteforce(store, priority, probe_rows, probe_nulls):
                 for index, value in enumerate(row.values)
             ),
         )
-        assert set(view.more_specific_tuples(pattern)) == set(
-            DatabaseView.more_specific_tuples(view, pattern)
+        repeated = Tuple(
+            row.relation, row.values[:1] + (probe_nulls[0],) * (len(row.values) - 1)
         )
-        if row.values:
-            assert set(view.tuples_with_value(row.relation, 0, row.values[0])) == set(
-                DatabaseView.tuples_with_value(view, row.relation, 0, row.values[0])
+        for each in (pattern, repeated, row):
+            assert set(view.more_specific_tuples(each)) == set(
+                DatabaseView.more_specific_tuples(view, each)
             )
+        # A constant no row holds and a labeled null as bound values; rows
+        # of rolled-back priorities and old versions of modified chains are
+        # among the probes, read at whatever priority the caller picked.
+        for bound in probes_for(row, (Constant("nowhere"), probe_nulls[0])):
+            assert_probe_matches_default(view, row.relation, bound, ordered=True)
     for null in probe_nulls:
         assert set(view.tuples_containing_null(null)) == set(
             DatabaseView.tuples_containing_null(view, null)
@@ -185,6 +202,57 @@ def test_random_lifecycle_preserves_visibility_and_prunes_indexes(seed):
         _assert_view_matches_bruteforce(
             store, priority, probe_rows[-10:], nulls
         )
+
+
+def test_abort_only_loop_returns_the_indexes_to_their_baseline():
+    schema = DatabaseSchema.from_dict({"R": ["a", "b"]})
+    store = VersionedDatabase(schema)
+    null = LabeledNull("n")
+    kept = Tuple("R", (Constant("k"), null))
+    store.load_rows([kept, Tuple("R", (Constant("k"), Constant("v")))])
+    baseline = store.index_entry_count()
+    contents = len(store._content_index)
+    assert baseline == 4 + 1 + 2  # value, null and exact-content memberships
+    for priority in range(1, 30):
+        filled = Tuple("R", (Constant("k"), Constant("f{}".format(priority))))
+        store.apply_writes(
+            [
+                insert(Tuple("R", (Constant("new"), Constant(str(priority))))),
+                modify(kept, filled, null, filled.values[1]),
+                delete(filled),
+            ],
+            priority,
+        )
+        assert store.index_entry_count() > baseline
+        store.rollback(priority)
+        assert store.index_entry_count() == baseline
+        assert len(store._content_index) == contents
+        assert store.view_for(priority).contains(kept)
+    _assert_indexes_exact(store)
+
+
+def test_delete_and_modify_of_a_shared_value_hit_the_lower_tid():
+    schema = DatabaseSchema.from_dict({"R": ["a", "b"]})
+    null = LabeledNull("n")
+    shared = Tuple("R", (Constant("a"), null))
+    for kind in ("delete", "modify"):
+        store = VersionedDatabase(schema)
+        store.load_rows([Tuple("R", (Constant("a"), Constant("other"))), shared, shared])
+        twins = sorted(store._content_index[shared])
+        assert len(twins) == 2
+        filled = Tuple("R", (Constant("a"), Constant("c")))
+        write = (
+            delete(shared) if kind == "delete"
+            else modify(shared, filled, null, Constant("c"))
+        )
+        logged = store.apply_write(write, priority=1)
+        assert logged.tid == twins[0]
+        # The twin is untouched, so the value stays visible through it ...
+        assert store.visible_content_of(twins[1], 1) == shared
+        assert store.view_for(1).contains(shared)
+        # ... and the next write of the same kind reaches it.
+        assert store.apply_write(write, priority=2).tid == twins[1]
+        assert not store.view_for(2).contains(shared)
 
 
 def test_compaction_collapses_committed_chains_and_drops_tombstones():

@@ -21,7 +21,12 @@ re-record.  Whoever fixes it flips these to plain tests.
 
 from __future__ import annotations
 
-import random
+import functools
+import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -29,31 +34,36 @@ from repro.core.frontier import FrontierTuple, UnifyOperation, writes_for_operat
 from repro.core.schema import DatabaseSchema, RelationSchema
 from repro.core.terms import Constant, LabeledNull
 from repro.core.tuples import Tuple
-from repro.core.update import InsertOperation
-from repro.core.violations import find_all_violations
 from repro.core.writes import modify
-from repro.service import RepositoryService
 from repro.storage.memory import FrozenDatabase
 from repro.storage.versioned import VersionedDatabase
+
+_SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
+
+# bench/workloads.py::RepoDurable, re-stated (bench/ is not importable here):
+# 600 initial tuples, the first 10 mappings, chunks of 200 operations, 80
+# warm-up operations; ``RepoDurable.streams`` is Section 6 mixed chunks with
+# cross-chunk fresh values.
+_REPLAY = """
+import json
+import random
+
+from repro.core.tuples import Tuple
+from repro.core.update import InsertOperation
+from repro.core.violations import find_all_violations
+from repro.service import RepositoryService
 from repro.workload import ExperimentConfig, build_environment, conservative_answer
 from repro.workload.mapping_gen import mapping_prefix
 from repro.workload.workloads import mixed_workload
 
-# bench/workloads.py::RepoDurable, re-stated (bench/ is not importable here).
-_INITIAL_TUPLES = 600
-_MAPPINGS = 10
-_CHUNK = 200
-_WARMUP_OPS = 80
 
-
-def _durable_stream(experiment, config, seed):
-    """``RepoDurable.streams``: Section 6 mixed chunks with cross-chunk fresh values."""
+def durable_stream(experiment, config, seed):
     rng = random.Random("durable-{}".format(seed))
     chunk = 0
     while True:
         chunk += 1
         for operation in mixed_workload(
-            experiment.schema, experiment.initial, _CHUNK,
+            experiment.schema, experiment.initial, 200,
             experiment.constant_pool, rng=rng,
             delete_fraction=config.delete_fraction,
         ):
@@ -70,6 +80,59 @@ def _durable_stream(experiment, config, seed):
             yield operation
 
 
+config = ExperimentConfig().scaled(num_initial_tuples=600)
+experiment = build_environment(config)
+mappings = list(mapping_prefix(experiment.mappings, 10))
+# The finding is on the Python evaluator, whatever REPRO_SQL_CHASE says.
+service = RepositoryService(experiment.initial, mappings, sql_chase=False)
+session = service.open_session("replay").session_id
+
+
+def run(stream, count):
+    for _ in range(count):
+        ticket = service.submit(session, next(stream))
+        while not ticket.is_done:
+            service.pump()
+            for question in service.inbox():
+                service.answer(
+                    session, question.decision_id, conservative_answer(question)
+                )
+
+
+def violations():
+    return sorted(repr(v) for v in find_all_violations(mappings, service.snapshot()))
+
+
+run(durable_stream(experiment, config, "warmup"), 80)
+measured = durable_stream(experiment, config, "13.3")
+run(measured, 604)
+before = violations()
+run(measured, 1)
+print(json.dumps({"before": before, "after": violations()}))
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def _replay():
+    """Violations before and after stream ``13.3``'s 605th operation.
+
+    A fresh subprocess with ``PYTHONHASHSEED=0``, as ``bench/run.py`` runs
+    the stream: in-process, whether the defect shows depended on the hash
+    seed and on the state earlier tests had left behind.
+    """
+    environment = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(_SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", _REPLAY],
+        capture_output=True, text=True, timeout=600, env=environment,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_repo_durable_stream_13_3_is_clean_up_to_its_604th_operation():
+    assert _replay()["before"] == []
+
+
 @pytest.mark.xfail(strict=True, reason="unify rewrites one of two equal-valued identities")
 def test_repo_durable_stream_13_3_leaves_no_violation():
     """The bench replay, sequential: one session, no ``durable_dir``.
@@ -79,31 +142,11 @@ def test_repo_durable_stream_13_3_leaves_no_violation():
     reports ``sigma3`` on ``R19(#g527, #g128, wzjdgcbk, fleosfnr)``: just
     before it the store holds two pairs of identities with equal visible
     content, one of them that very ``R19`` row, and the operation's unify of
-    ``#g128`` rewrites only one of the pair.  Independent of the hash seed.
+    ``#g128`` rewrites only one of the pair.  The store resolves a content to
+    its lowest tid, so the twin that keeps the stale null is now the higher
+    tid.
     """
-    config = ExperimentConfig().scaled(num_initial_tuples=_INITIAL_TUPLES)
-    experiment = build_environment(config)
-    mappings = list(mapping_prefix(experiment.mappings, _MAPPINGS))
-    # The finding is on the Python evaluator, whatever REPRO_SQL_CHASE says.
-    service = RepositoryService(experiment.initial, mappings, sql_chase=False)
-    session = service.open_session("replay").session_id
-
-    def run(stream, count):
-        for _ in range(count):
-            ticket = service.submit(session, next(stream))
-            while not ticket.is_done:
-                service.pump()
-                for question in service.inbox():
-                    service.answer(
-                        session, question.decision_id, conservative_answer(question)
-                    )
-
-    run(_durable_stream(experiment, config, "warmup"), _WARMUP_OPS)
-    measured = _durable_stream(experiment, config, "13.3")
-    run(measured, 604)
-    assert find_all_violations(mappings, service.snapshot()) == []
-    run(measured, 1)
-    assert find_all_violations(mappings, service.snapshot()) == []
+    assert _replay()["after"] == []
 
 
 @pytest.mark.xfail(strict=True, reason="unify rewrites one of two equal-valued identities")

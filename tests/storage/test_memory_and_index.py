@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles.probe import assert_probe_matches_default, probes_for
 from repro.core.schema import DatabaseSchema, SchemaError
 from repro.core.terms import Constant, LabeledNull
 from repro.core.tuples import Tuple, make_tuple
@@ -46,8 +47,10 @@ class TestMemoryDatabase:
         small_db.insert(make_tuple("P", "x", "y"))
         small_db.insert(make_tuple("P", "x", "z"))
         small_db.insert(make_tuple("P", "w", "y"))
-        found = set(small_db.tuples_with_value("P", 0, Constant("x")))
+        found = set(small_db.tuples_matching("P", [(0, Constant("x"))]))
         assert found == {make_tuple("P", "x", "y"), make_tuple("P", "x", "z")}
+        both = list(small_db.tuples_matching("P", [(0, Constant("x")), (1, Constant("z"))]))
+        assert both == [make_tuple("P", "x", "z")]
 
     def test_null_occurrence_lookup(self, small_db):
         null = LabeledNull("n1")
@@ -204,10 +207,29 @@ class TestOverlayViews:
     def test_indexed_lookups_respect_the_overlay(self, travel_db):
         added = make_tuple("C", "NYC")
         view = OverlayView(travel_db, added={added})
-        assert added in set(view.tuples_with_value("C", 0, Constant("NYC")))
+        assert added in set(view.tuples_matching("C", [(0, Constant("NYC"))]))
         null_row = make_tuple("T", "Niagara Falls", LabeledNull("x1"), "Toronto")
         view = OverlayView(travel_db, hidden={null_row})
         assert null_row not in set(view.tuples_containing_null(LabeledNull("x1")))
+
+    def test_multi_column_probe_matches_the_default_on_every_view(self, travel_db):
+        hidden = make_tuple("T", "Niagara Falls", LabeledNull("x1"), "Toronto")
+        added = make_tuple("T", "Niagara Falls", "ABC Tours", "Toronto")
+        overlay = OverlayView(
+            travel_db, added={added, make_tuple("C", "NYC")}, hidden={hidden}
+        )
+        strangers = (Constant("nowhere"), LabeledNull("x1"))
+        for view, ordered in (
+            (travel_db, True), (travel_db.snapshot(), False), (overlay, False)
+        ):
+            rows = [row for name in view.relations() for row in view.tuples(name)]
+            for row in rows + [hidden, added]:
+                for bound in probes_for(row, strangers):
+                    assert_probe_matches_default(view, row.relation, bound, ordered)
+        two = [(0, Constant("Niagara Falls")), (2, Constant("Toronto"))]
+        assert added in set(overlay.tuples_matching("T", two))
+        assert hidden not in set(overlay.tuples_matching("T", two))
+        assert hidden in set(travel_db.tuples_matching("T", two))
 
 
 # ----------------------------------------------------------------------

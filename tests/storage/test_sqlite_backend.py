@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles.probe import assert_probe_matches_default, probes_for
 from repro.core import ChaseEngine, DeleteOperation, InsertOperation, ScriptedOracle, satisfies_all
 from repro.core.frontier import DeleteSubsetOperation, NegativeFrontierRequest
 from repro.core.terms import Constant, LabeledNull
@@ -37,8 +38,14 @@ class TestMutableDatabaseConformance:
         }
 
     def test_indexed_lookup(self, sqlite_travel):
-        found = set(sqlite_travel.tuples_with_value("C", 0, Constant("Ithaca")))
+        found = set(sqlite_travel.tuples_matching("C", [(0, Constant("Ithaca"))]))
         assert found == {make_tuple("C", "Ithaca")}
+
+    def test_multi_column_probe_matches_the_default(self, sqlite_travel):
+        strangers = (Constant("nowhere"), LabeledNull("x1"))
+        for row in travel_tuples():
+            for bound in probes_for(row, strangers):
+                assert_probe_matches_default(sqlite_travel, row.relation, bound)
 
     def test_replace_null(self, sqlite_travel):
         modified = sqlite_travel.replace_null(LabeledNull("x1"), Constant("ABC Tours"))

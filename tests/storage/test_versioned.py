@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles.probe import assert_probe_matches_default, probes_for
 from repro.core.schema import DatabaseSchema
 from repro.core.terms import Constant, LabeledNull
 from repro.core.tuples import make_tuple
@@ -173,7 +174,7 @@ class TestIndexedCorrectionQueries:
     """The view's indexed correction queries must match the interface defaults.
 
     The chase-hot queries (``more_specific_tuples``, ``tuples_containing_null``,
-    ``tuples_with_value``) are index-accelerated on :class:`VersionedView`;
+    ``tuples_matching``) are index-accelerated on :class:`VersionedView`;
     the store's indexes over-approximate across versions and rollbacks, so
     these tests exercise modified, deleted and rolled-back tuples at several
     priorities and compare against the scanning defaults.
@@ -206,12 +207,8 @@ class TestIndexedCorrectionQueries:
         assert set(view.tuples_containing_null(null)) == set(
             DatabaseView.tuples_containing_null(view, null)
         )
-        for position, value in enumerate(pattern.values):
-            if isinstance(value, LabeledNull):
-                continue
-            assert set(view.tuples_with_value("Q", position, value)) == set(
-                DatabaseView.tuples_with_value(view, "Q", position, value)
-            )
+        for bound in probes_for(pattern, (Constant("y"), null)):
+            assert_probe_matches_default(view, "Q", bound, ordered=True)
 
     def test_indexed_queries_match_defaults_at_every_priority(self, busy_store):
         from repro.core.tuples import Tuple
