@@ -9,9 +9,9 @@ twice per candidate write — tracker cost grew superlinearly with run length.
 This benchmark runs the 25-mapping, all-insert PRECISE workload at a multiple
 of the default experiment scale twice:
 
-* once with ``LegacyPreciseTracker``, a faithful replica of the pre-index
-  implementation (full log scan, full double evaluation per delta test, no
-  commit-time compaction), and
+* once with ``LegacyPreciseTracker`` (``tests/oracles/precise_scan.py``), a
+  faithful replica of the pre-index implementation (full log scan, full
+  double evaluation per delta test, no commit-time compaction), and
 * once with the current :class:`~repro.concurrency.dependencies.PreciseTracker`
   on a compacting store,
 
@@ -26,14 +26,15 @@ perf trajectory (CI uploads it as an artifact).
 from __future__ import annotations
 
 import os
+import pathlib
+import sys
 import time
 
-from repro.concurrency.dependencies import DependencyTracker, PreciseTracker
+from repro.concurrency.dependencies import PreciseTracker
 from repro.concurrency.optimistic import OptimisticScheduler
 from repro.concurrency.policies import make_policy
 from repro.core.oracle import RandomOracle
 from repro.core.terms import NullFactory
-from repro.storage.overlay import view_without_write
 from repro.storage.versioned import VersionedDatabase
 from repro.workload.experiment import (
     ExperimentConfig,
@@ -45,6 +46,11 @@ from repro.workload.mapping_gen import mapping_prefix
 
 from conftest import record_entries
 
+# The replica lives with the other oracles; ``tests/`` is on the path already
+# under the tier-1 command, not when this file is run on its own.
+sys.path.append(str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
+from oracles.precise_scan import LegacyPreciseTracker  # noqa: E402
+
 #: Mapping density of the measured workload (the densest Figure 3 cell).
 MAPPING_COUNT = 25
 
@@ -55,41 +61,6 @@ SCALE_FACTORS = {"tiny": 1, "small": 3, "paper": 4}
 #: default scale; the tiny CI smoke run keeps a soft bar because sub-100ms
 #: timings are noisy.
 MIN_SPEEDUP = {"tiny": 1.5, "small": 3.0, "paper": 3.0}
-
-
-class LegacyPreciseTracker(DependencyTracker):
-    """Replica of the pre-indexed-log PRECISE tracker (the pre-PR hot path).
-
-    Scans the full write log per read and answers each delta test by fully
-    evaluating the query on the reader's view and on the view with the write
-    undone.  Correction queries keep their database-free exact test, exactly
-    as before.
-    """
-
-    name = "PRECISE"
-
-    def dependencies(self, query, reader, store, view, abortable):
-        self.reads_processed += 1
-        found = set()
-        for entry in store.write_log():
-            if entry.priority >= reader or entry.priority not in abortable:
-                continue
-            if entry.priority in found:
-                self.cost_units += 1
-                continue
-            self.cost_units += 2 * query.evaluation_cost()
-            if self._legacy_affected(query, entry.write, view):
-                found.add(entry.priority)
-        return found
-
-    @staticmethod
-    def _legacy_affected(query, write, view):
-        if not query.might_be_affected_by(write):
-            return False
-        if query.kind in ("more-specific", "null-occurrence"):
-            # Database-free exact tests, unchanged from the historical code.
-            return query.affected_by(write, view)
-        return query.evaluate(view) != query.evaluate(view_without_write(view, write))
 
 
 def _timed(tracker_class):

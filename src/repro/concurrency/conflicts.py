@@ -9,14 +9,27 @@ The check is identical for all cascading-abort algorithms — NAIVE, COARSE and
 PRECISE differ only in how the *cascade* from an abort is determined — so its
 cost does not skew the comparison between them.
 
-:func:`find_direct_conflicts` consumes the read log's *indexed* buckets (by
-read relation and by watched null) instead of scanning every read of every
-higher-numbered update per write.  Records the index skips are exactly those
-whose ``might_be_affected_by`` pre-filter is false, so they are charged
-arithmetically — one ``pairs_checked`` and one ``cost_units`` each, what the
-historical full scan spent on them — and the report stays bit-identical to
-that scan (kept as a test oracle, ``tests/oracles/conflicts_scan.py``) while
-the wall-clock work drops from O(logged reads) to O(relevant reads) per write.
+:func:`find_direct_conflicts` does not walk the log.  It probes the read
+log's buckets with the keys of the written rows and walks, per reader, only
+the records filed under one of them — the violation queries some join test of
+whose seed the row's values can meet, the more-specific queries whose
+pattern's constant it repeats, the null-occurrence queries of a null it
+mentions (:mod:`repro.concurrency.readlog`).  A record it never sees has
+``affected_by`` false on every view, so the set of condemned readers is the
+scan's.
+
+The report is the scan's too, counter for counter.  The scan walks a reader's
+records by rank and stops at the first one that condemns it; up to there it
+spends on each record either one unit (the ``might_be_affected_by``
+pre-filter said no) or a delta evaluation at ``2 * evaluation_cost()`` units
+(it said yes).  For a violation query the pre-filter is relation overlap —
+it does not look at the seed — so every violation record reading the written
+relation is charged a delta evaluation whether a join test admits the row or
+not: those come from the read log's per-reader, per-relation running sums, up
+to the rank the walk stopped at.  The walked records of the other kinds are
+charged as they are tested, and whatever remains below that rank failed its
+pre-filter at one unit each.  The scan itself is a test oracle
+(``tests/oracles/conflicts_scan.py``).
 """
 
 from __future__ import annotations
@@ -24,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Sequence, Set
 
-from ..core.terms import LabeledNull
 from ..storage.versioned import VersionedDatabase, VersionedWrite
 from .readlog import ReadLog
 
@@ -56,9 +68,8 @@ def find_direct_conflicts(
     of ``q`` (evaluated on ``i``'s own view, where ``w`` is visible), then
     ``i`` is in direct conflict and is reported for abortion.
 
-    Only the index-selected candidate records are actually walked; for the
-    rest the pre-filter verdict (false) is known from the bucket structure,
-    so their pairs/cost contributions are added arithmetically.
+    Only the records the written rows' keys select are walked; the rest of
+    what the scan would have spent is added from the read log's running sums.
     """
     report = ConflictReport()
     if not writes:
@@ -67,49 +78,38 @@ def find_direct_conflicts(
     for logged in writes:
         writer = logged.priority
         write = logged.write
-        touched_nulls: Set[LabeledNull] = set()
-        for row in write.rows_touched():
-            touched_nulls.update(row.null_set())
+        candidates = read_log.candidates(write, above=writer)
         for reader in read_log.readers_above(writer):
-            if reader not in abortable or reader == writer:
+            if reader not in abortable:
                 continue
             if reader in report.direct_conflicts:
                 # Already condemned by an earlier write in this batch; the
                 # full scan skips a condemned reader's records without
                 # counting them, so there is nothing to charge.
                 continue
-            total = read_log.record_count(reader)
-            accounted = 0  # records (by rank) already charged for this pair
-            condemned = False
-            for rank, record in read_log.candidate_records(
-                reader, write.relation, touched_nulls
-            ):
-                # The records skipped since the last candidate all fail the
-                # pre-filter: one pair and one cost unit each, just as the
-                # full scan would have spent.
-                gap = rank - accounted
-                report.pairs_checked += gap
-                report.cost_units += gap
-                accounted = rank
-                report.pairs_checked += 1
-                accounted += 1
+            # The scan walks all of the reader's records, or up to and
+            # including the first one that condemns it.
+            stop = read_log.record_count(reader)
+            others = 0  # walked records the running sums do not cover
+            for rank, record in candidates.get(reader, ()):
                 query = record.query
-                if not query.might_be_affected_by(write):
-                    report.cost_units += 1
-                    continue
+                if query.kind != "violation":
+                    others += 1
+                    if not query.might_be_affected_by(write):
+                        report.cost_units += 1
+                        continue
+                    report.delta_evaluations += 1
+                    report.cost_units += 2 * query.evaluation_cost()
                 if reader not in views:
                     views[reader] = store.view_for(reader)
-                view = views[reader]
-                report.delta_evaluations += 1
-                report.cost_units += 2 * query.evaluation_cost()
-                if query.affected_by(write, view):
+                if query.affected_by(write, views[reader]):
                     report.direct_conflicts.add(reader)
-                    condemned = True
+                    stop = rank + 1
                     break
-            if not condemned:
-                # Trailing records past the last candidate: all pre-filter
-                # misses, charged like the scan would have.
-                remaining = total - accounted
-                report.pairs_checked += remaining
-                report.cost_units += remaining
+            evaluations, cost = read_log.violation_charge(
+                reader, write.relation, stop
+            )
+            report.pairs_checked += stop
+            report.delta_evaluations += evaluations
+            report.cost_units += cost + (stop - evaluations - others)
     return report

@@ -22,21 +22,33 @@ Every tracker accumulates ``cost_units`` — a deterministic proxy for the work
 it performs — which the experiment harness uses alongside wall-clock time for
 the PRECISE-slowdown panel of Figures 3 and 4.
 
-The trackers consume the store's *indexed* write log rather than scanning (and
-copying) the full log per read: they ask for "writes by abortable update j
-touching relations R" (or "touching null x"), which bounds per-read work by
-the relevant writes instead of the run length.  ``cost_units`` accounting is
-kept bit-identical to the historical full-scan implementation — writes the
-scan *would* have examined are charged arithmetically from per-priority write
-counts and :meth:`~repro.storage.versioned.VersionedDatabase.log_position` —
-so the Figure 3c/4c cost-model panels are unchanged while wall-clock cost
-drops from O(log length) to O(relevant writes) per read.
+The trackers do not ask every in-flight update for its writes.  A read query
+names the keys a write must fall under to change its answer
+(:meth:`~repro.query.base.ReadQuery.watch_keys` — for a violation query one
+bound ``(relation, position, value)`` per join test of its seed), the store
+keeps its write log transposed by those keys
+(:meth:`~repro.storage.versioned.VersionedDatabase.writers_under`), and a
+read visits only the updates found there — on the Section 6 workload 96 % of
+reads visit nobody.  An update not visited holds no write the query's
+``affected_by`` (PRECISE) or exact correction test (COARSE) could say yes to,
+so the dependencies are the ones a scan of the log finds.
+
+``cost_units`` stay the scan's as well.  The scan charges every logged write
+of every abortable update below the reader — COARSE one unit each, PRECISE a
+delta test each up to an update's first influencing write and one unit per
+write after it — so an update without a dependency owes its log length times
+a constant.  That part is charged for everybody at once from the per-writer
+log lengths (:meth:`~repro.storage.versioned.VersionedDatabase.write_count_below`);
+a visited update that turns out to be a dependency is then corrected by the
+position of its first influencing write
+(:meth:`~repro.storage.versioned.VersionedDatabase.log_position`).  The scans
+themselves are test oracles (``tests/oracles/precise_scan.py``).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple as PyTuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple as PyTuple
 
 from ..query.base import ReadQuery
 from ..storage.interface import DatabaseView
@@ -77,9 +89,25 @@ class DependencyTracker(ABC):
         self.reads_processed = 0
 
     @staticmethod
-    def _writers_below(reader: int, abortable: Set[int]) -> List[int]:
-        """Abortable priorities strictly below *reader*, ascending."""
-        return sorted(priority for priority in abortable if priority < reader)
+    def _writers_to_visit(
+        query: ReadQuery, reader: int, store: VersionedDatabase, abortable: Set[int]
+    ) -> List[int]:
+        """Abortable updates below *reader* holding a write *query* watches for.
+
+        Every update left out logged no write under any of the query's watch
+        keys, so none of its writes can change the answer.  A query that
+        names no keys is shown every logged update.
+        """
+        keys = query.watch_keys()
+        if keys is None:
+            writers = store.priorities_in_log()
+        else:
+            writers = store.writers_under(keys)
+        return [
+            priority
+            for priority in writers
+            if priority < reader and priority in abortable
+        ]
 
     @staticmethod
     def _relevant_writes(
@@ -143,32 +171,25 @@ class CoarseTracker(DependencyTracker):
         abortable: Set[int],
     ) -> Set[int]:
         self.reads_processed += 1
-        relations = query.relations()
-        exact_kind = query.kind in ("more-specific", "null-occurrence")
+        # A full scan examines every write of every abortable update below
+        # the reader at one unit each, dependency or not.
+        self.cost_units += store.write_count_below(reader, abortable)
+        if query.kind not in ("more-specific", "null-occurrence"):
+            # Violation queries fall back to relation overlap: any write into
+            # one of the read relations establishes the dependency.
+            return {
+                priority
+                for priority in store.writers_under(query.relations())
+                if priority < reader and priority in abortable
+            }
+        # Correction queries have an exact, database-free test; use it (the
+        # paper calls correction queries "the easy case").
         found: Set[int] = set()
-        for priority in self._writers_below(reader, abortable):
-            count = store.write_count_by(priority)
-            if count == 0:
-                continue
-            # A full scan would have examined every one of the update's
-            # writes at one unit each; charge them all, then decide from the
-            # relevant subset only.
-            self.cost_units += count
-            if exact_kind:
-                # Correction queries have an exact, database-free test; use it
-                # (the paper calls correction queries "the easy case").
-                for entry in self._relevant_writes(query, priority, store):
-                    if query.might_be_affected_by(entry.write):
-                        found.add(priority)
-                        break
-            else:
-                # Violation queries fall back to relation overlap: any write
-                # bucket under one of the read relations establishes the
-                # dependency.
-                for name in relations:
-                    if store.writes_by_touching_relation(priority, name):
-                        found.add(priority)
-                        break
+        for priority in self._writers_to_visit(query, reader, store, abortable):
+            for entry in self._relevant_writes(query, priority, store):
+                if query.might_be_affected_by(entry.write):
+                    found.add(priority)
+                    break
         return found
 
 
@@ -215,9 +236,7 @@ class PreciseTracker(DependencyTracker):
         if query.kind in ("more-specific", "null-occurrence"):
             # Database-free exact verdict: depends on the write alone.
             return None
-        return tuple(
-            store.relation_stamp(relation) for relation in sorted(query.relations())
-        )
+        return tuple(map(store.relation_stamp, query.sorted_relations()))
 
     def _delta_verdict(
         self,
@@ -252,37 +271,32 @@ class PreciseTracker(DependencyTracker):
         if store is not self._memo_store:
             self._memo_store = store
             self._memo.clear()
-        writers = [
-            priority
-            for priority in self._writers_below(reader, abortable)
-            if store.write_count_by(priority)
-        ]
+        writes_below = store.write_count_below(reader, abortable)
         found: Set[int] = set()
-        if not writers:
+        if not writes_below:
             # No abortable writes below the reader: nothing to delta-test and
-            # nothing to charge — skip the memo-token construction entirely
-            # (the common case whenever admission keeps concurrency low).
+            # nothing to charge (the common case whenever admission keeps
+            # concurrency low).
             return found
-        token = self._memo_token(query, store)
+        # The full scan delta-tests every write of an update it finds no
+        # dependency on; charge that for everybody, correct the others below.
         unit_cost = 2 * query.evaluation_cost()
-        for priority in writers:
-            count = store.write_count_by(priority)
-            # Only the relevant writes can test positive; everything else the
-            # historical scan examined is charged arithmetically below.
-            hit_position: Optional[int] = None
+        self.cost_units += unit_cost * writes_below
+        token: object = _UNKNOWN
+        for priority in self._writers_to_visit(query, reader, store, abortable):
             for entry in self._relevant_writes(query, priority, store):
+                if token is _UNKNOWN:
+                    token = self._memo_token(query, store)
                 if self._delta_verdict(query, reader, entry, store, view, token):
-                    hit_position = store.log_position(priority, entry.seq)
+                    # Past its first influencing write the scan stops testing
+                    # and charges one unit per remaining write of the
+                    # now-established dependency.
+                    untested = store.write_count_by(priority) - store.log_position(
+                        priority, entry.seq
+                    )
+                    self.cost_units -= (unit_cost - 1) * untested
+                    found.add(priority)
                     break
-            if hit_position is None:
-                # The full scan would have delta-tested all ``count`` writes.
-                self.cost_units += unit_cost * count
-            else:
-                # The full scan delta-tests up to and including the first
-                # influencing write, then charges one unit per remaining
-                # write of the now-established dependency.
-                found.add(priority)
-                self.cost_units += unit_cost * hit_position + (count - hit_position)
         return found
 
 

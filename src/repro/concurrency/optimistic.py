@@ -347,7 +347,7 @@ class OptimisticScheduler:
         if result.applied:
             if step_span is not None:
                 before = tracer.clock()
-                self._process_conflicts(result)
+                self._process_conflicts(result, abortable)
                 after = tracer.clock()
                 # Phase-less on purpose: its time is accounted through the
                 # parent step's ``tracker_seconds`` reattribution (a phased
@@ -365,7 +365,7 @@ class OptimisticScheduler:
                 # layer moves it out of the chase phase (no double count).
                 tracker_box[0] += after - before
             else:
-                self._process_conflicts(result)
+                self._process_conflicts(result, abortable)
             # The step's writes have now been checked against every logged
             # read; stamp the execution with the current conflict epoch (its
             # earlier writes were stamped the same way by earlier steps).
@@ -374,8 +374,12 @@ class OptimisticScheduler:
             tracer.end_span(step_span, tracker_seconds=tracker_box[0])
         return result
 
-    def _process_conflicts(self, result: StepResult) -> None:
-        abortable = self._abortable()
+    def _process_conflicts(self, result: StepResult, abortable: Set[int]) -> None:
+        """Check the step's writes against the read log; abort who they hit.
+
+        *abortable* is the step's own set: nothing submits, aborts or commits
+        between its computation and this call.
+        """
         report = find_direct_conflicts(
             result.applied, self._read_log, self._store, abortable
         )

@@ -7,29 +7,48 @@ configured dependency tracker (Section 5.1): the lower-numbered updates whose
 writes influenced the answer.  Cascading aborts are computed from these
 dependencies.
 
-The log is *indexed by what a write could touch*, mirroring the store's
-indexed write log: per reader, records are bucketed by the relations their
-query reads (violation and more-specific queries) and by the labeled null
-they watch (null-occurrence queries).  The conflict checker asks for "the
-records of reader *i* a write into relation R touching nulls N could possibly
-affect" and skips everything else — every skipped record is guaranteed to
-fail the query's ``might_be_affected_by`` pre-filter, so skipping changes the
-cost of :func:`~repro.concurrency.conflicts.find_direct_conflicts`, never its
-outcome.
+The log is *indexed by what a write could join*.  A read query names the
+keys a write must fall under to change its answer
+(:meth:`~repro.query.base.ReadQuery.watch_keys`): a violation query one bound
+``(relation, position, value)`` per join test of its seed — the relation alone
+only where a test binds nothing —, a more-specific query its pattern's first
+constant, a null-occurrence query its null.  Each record is filed, per reader,
+under those keys with its rank in the reader's log; a query that names none
+is filed under a wildcard every write is shown.  The conflict checker probes
+with the keys of the written rows (:func:`~repro.storage.versioned.write_keys`)
+and gets back, per reader, the records the write could possibly affect.
+
+What is skipped is exact: a record not handed out has ``affected_by(write)``
+false on every view.  It is not free in the Figure 3/4 cost model, though —
+the full scan paid for it — and what it paid depends on the record's
+``might_be_affected_by`` pre-filter alone.  For a violation query that is
+"the write's relation is one I read", whatever the seed; so per reader and
+read relation the log keeps, by rank, the running count and delta cost of the
+violation records reading it (:meth:`ReadLog.violation_charge`).  Every other
+skipped record fails its pre-filter and cost the scan one unit.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from heapq import merge as heap_merge
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple as PyTuple
+from bisect import bisect_left
+from dataclasses import dataclass
+from typing import (
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterator,
+    List,
+    Set,
+    Tuple as PyTuple,
+)
 
-from ..core.terms import LabeledNull
+from ..core.writes import Write
 from ..query.base import ReadQuery
+from ..storage.versioned import write_keys
 
-#: Query kinds whose affectedness is scoped by the query's read relations.
-_RELATION_SCOPED_KINDS = ("violation", "more-specific")
+#: The bucket of records whose query names no watch keys; every write probes it.
+_WILDCARD = None
 
 
 @dataclass(frozen=True)
@@ -47,55 +66,10 @@ class ReadRecord:
     seq: int
 
 
-@dataclass
-class _ReaderIndex:
-    """Bucketed view of one reader's records, each entry paired with its rank.
-
-    The rank is the record's 0-based position in the reader's full log, which
-    is what lets the indexed conflict check reconstruct exactly how many
-    records a full scan would have walked before (and after) each candidate.
-    """
-
-    by_relation: Dict[str, List[PyTuple[int, ReadRecord]]] = field(default_factory=dict)
-    by_null: Dict[LabeledNull, List[PyTuple[int, ReadRecord]]] = field(default_factory=dict)
-    #: Records whose query kind the index cannot scope; always candidates.
-    wildcard: List[PyTuple[int, ReadRecord]] = field(default_factory=list)
-
-    def add(self, rank: int, record: ReadRecord) -> None:
-        query = record.query
-        kind = query.kind
-        if kind in _RELATION_SCOPED_KINDS:
-            for relation in query.relations():
-                self.by_relation.setdefault(relation, []).append((rank, record))
-        elif kind == "null-occurrence":
-            self.by_null.setdefault(query.null, []).append((rank, record))
-        else:
-            self.wildcard.append((rank, record))
-
-    def candidates(
-        self, relation: str, nulls: Iterable[LabeledNull]
-    ) -> Iterator[PyTuple[int, ReadRecord]]:
-        """Rank-ordered records a write into *relation* touching *nulls* could affect.
-
-        A record appears in exactly one bucket class (its query has one kind),
-        and a null-occurrence query sits in exactly one null bucket, so the
-        merged streams are disjoint and no deduplication is needed.
-        """
-        streams: List[List[PyTuple[int, ReadRecord]]] = []
-        bucket = self.by_relation.get(relation)
-        if bucket:
-            streams.append(bucket)
-        for null in nulls:
-            null_bucket = self.by_null.get(null)
-            if null_bucket:
-                streams.append(null_bucket)
-        if self.wildcard:
-            streams.append(self.wildcard)
-        if not streams:
-            return iter(())
-        if len(streams) == 1:
-            return iter(streams[0])
-        return heap_merge(*streams)
+#: A record with its 0-based position in its reader's log, which is what lets
+#: the indexed conflict check reconstruct how many records a full scan would
+#: have walked before reaching it.
+Ranked = PyTuple[int, ReadRecord]
 
 
 class ReadLog:
@@ -103,7 +77,14 @@ class ReadLog:
 
     def __init__(self) -> None:
         self._by_reader: Dict[int, List[ReadRecord]] = {}
-        self._index_by_reader: Dict[int, _ReaderIndex] = {}
+        # watch key -> reader -> that reader's records filed under the key,
+        # in rank order; per reader, the keys it has a bucket under (what
+        # removing it has to take back out).
+        self._buckets: Dict[Hashable, Dict[int, List[Ranked]]] = {}
+        self._keys_by_reader: Dict[int, List[Hashable]] = {}
+        # reader -> read relation -> (ranks, running delta cost) of the
+        # reader's violation records reading the relation.
+        self._charges: Dict[int, Dict[str, PyTuple[List[int], List[int]]]] = {}
         self._seq = itertools.count(1)
 
     def record(
@@ -119,7 +100,23 @@ class ReadLog:
         records = self._by_reader.setdefault(reader, [])
         rank = len(records)
         records.append(entry)
-        self._index_by_reader.setdefault(reader, _ReaderIndex()).add(rank, entry)
+        keys = query.watch_keys()
+        for key in (_WILDCARD,) if keys is None else keys:
+            per_reader = self._buckets.get(key)
+            if per_reader is None:
+                per_reader = self._buckets[key] = {}
+            bucket = per_reader.get(reader)
+            if bucket is None:
+                bucket = per_reader[reader] = []
+                self._keys_by_reader.setdefault(reader, []).append(key)
+            bucket.append((rank, entry))
+        if query.kind == "violation":
+            delta_cost = 2 * query.evaluation_cost()
+            charges = self._charges.setdefault(reader, {})
+            for relation in query.relations():
+                ranks, sums = charges.setdefault(relation, ([], []))
+                ranks.append(rank)
+                sums.append(sums[-1] + delta_cost if sums else delta_cost)
         return entry
 
     def remove_reader(self, reader: int) -> int:
@@ -128,7 +125,12 @@ class ReadLog:
         Returns the number of records dropped.
         """
         removed = self._by_reader.pop(reader, [])
-        self._index_by_reader.pop(reader, None)
+        for key in self._keys_by_reader.pop(reader, ()):
+            per_reader = self._buckets[key]
+            del per_reader[reader]
+            if not per_reader:
+                del self._buckets[key]
+        self._charges.pop(reader, None)
         return len(removed)
 
     def readers(self) -> List[int]:
@@ -147,19 +149,39 @@ class ReadLog:
         """All reads logged by *reader*, in log order."""
         return list(self._by_reader.get(reader, []))
 
-    def candidate_records(
-        self, reader: int, relation: str, nulls: Iterable[LabeledNull]
-    ) -> Iterator[PyTuple[int, ReadRecord]]:
-        """The ``(rank, record)`` pairs of *reader* a write could affect.
+    def candidates(self, write: Write, above: int) -> Dict[int, List[Ranked]]:
+        """Per reader numbered above *above*, the records *write* could affect.
 
-        *relation* is the written relation and *nulls* the labeled nulls of
-        the rows the write touched.  Every record of *reader* **not** yielded
-        is guaranteed to have ``might_be_affected_by(write) == False``.
+        Rank-ordered, each record once.  Every record **not** handed out has
+        ``affected_by(write, view) == False`` on every view; readers with
+        no such record are absent.
         """
-        index = self._index_by_reader.get(reader)
-        if index is None:
-            return iter(())
-        return index.candidates(relation, nulls)
+        found: Dict[int, Dict[int, ReadRecord]] = {}
+        buckets = self._buckets
+        for key in itertools.chain((_WILDCARD,), write_keys(write)):
+            per_reader = buckets.get(key)
+            if per_reader:
+                for reader, bucket in per_reader.items():
+                    if reader > above:
+                        found.setdefault(reader, {}).update(bucket)
+        return {reader: sorted(ranked.items()) for reader, ranked in found.items()}
+
+    def violation_charge(
+        self, reader: int, relation: str, stop: int
+    ) -> PyTuple[int, int]:
+        """What a scan owes for *reader*'s violation records reading *relation*.
+
+        Those ranked below *stop*: every one of them passes the relation-
+        overlap pre-filter for a write into *relation*, so the scan spent one
+        delta evaluation and ``2 * evaluation_cost()`` units on each.
+        Returns ``(delta evaluations, cost units)``.
+        """
+        charged = self._charges.get(reader, {}).get(relation)
+        if charged is None:
+            return 0, 0
+        ranks, sums = charged
+        count = bisect_left(ranks, stop)
+        return count, sums[count - 1] if count else 0
 
     def records_with_reader_above(self, priority: int) -> Iterator[ReadRecord]:
         """Reads logged by updates numbered strictly above *priority*.
@@ -192,6 +214,18 @@ class ReadLog:
     def total_records(self) -> int:
         """Total number of logged reads."""
         return sum(len(records) for records in self._by_reader.values())
+
+    def index_entry_count(self) -> int:
+        """Total (record, bucket) and (record, running sum) memberships."""
+        return sum(
+            len(bucket)
+            for per_reader in self._buckets.values()
+            for bucket in per_reader.values()
+        ) + sum(
+            len(ranks)
+            for charges in self._charges.values()
+            for ranks, _ in charges.values()
+        )
 
     def __len__(self) -> int:
         return self.total_records()

@@ -11,7 +11,7 @@ not their answers alone — so that a later write can be checked against them
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import FrozenSet, Hashable
+from typing import FrozenSet, Hashable, Optional, Tuple as PyTuple
 
 from ..core.writes import Write
 from ..storage.interface import DatabaseView
@@ -31,6 +31,23 @@ class ReadQuery(ABC):
         these relations is conservatively considered a dependency) and as a
         cheap pre-filter before the precise delta check.
         """
+
+    def sorted_relations(self) -> PyTuple[str, ...]:
+        """:meth:`relations` in one fixed order."""
+        return tuple(sorted(self.relations()))
+
+    def watch_keys(self) -> Optional[PyTuple[Hashable, ...]]:
+        """The index keys a write must fall under to change this query's answer.
+
+        Keys are the ones :func:`repro.storage.versioned.write_keys` files a
+        write under — a relation, a ``(relation, position, value)`` triple, a
+        labeled null.  The contract is one-sided: :meth:`affected_by` is
+        ``False``, on every view, for a write none of whose keys is listed.
+        The read log buckets its records and the trackers pick their writers
+        by these keys.  ``None`` (the default) means the query cannot tell,
+        and every write is shown to it.
+        """
+        return None
 
     @abstractmethod
     def evaluate(self, view: DatabaseView) -> Hashable:

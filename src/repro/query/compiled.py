@@ -44,6 +44,20 @@ from ..storage.interface import DatabaseView
 #: An assignment of mapping variables to data terms (constants or nulls).
 Assignment = Dict[Variable, DataTerm]
 
+#: An atom as a violation query's seed meets it: relation, arity, its
+#: ``(position, constant)`` pairs, the ``(position, variable)`` pairs a seed
+#: can bind (every variable of an LHS atom; of an RHS atom the frontier ones —
+#: the seed reaches it through the exported bindings alone) and, per repeated
+#: occurrence of a variable, ``(first position, this position, variable)``
+#: with ``None`` for a variable no seed binds.  Each in position order.
+AtomShape = PyTuple[
+    str,
+    int,
+    PyTuple[PyTuple[int, DataTerm], ...],
+    PyTuple[PyTuple[int, Variable], ...],
+    PyTuple[PyTuple[int, int, Optional[Variable]], ...],
+]
+
 #: A match: the completed assignment plus the tuple matched by each atom, in
 #: original atom order.
 Match = PyTuple[Assignment, PyTuple[Tuple, ...]]
@@ -271,8 +285,11 @@ class CompiledTgd:
         "lhs_relations",
         "rhs_relations",
         "relations",
+        "sorted_relations",
         "lhs_atoms_by_relation",
         "rhs_atoms_by_relation",
+        "join_shapes",
+        "join_shapes_by_relation",
     )
 
     def __init__(self, tgd: Tgd):
@@ -289,8 +306,22 @@ class CompiledTgd:
         self.lhs_relations = tgd.lhs_relations()
         self.rhs_relations = tgd.rhs_relations()
         self.relations = self.lhs_relations | self.rhs_relations
+        #: The read set in one fixed order (the tracker's memo token walks it).
+        self.sorted_relations: PyTuple[str, ...] = tuple(sorted(self.relations))
         self.lhs_atoms_by_relation = _atoms_by_relation(tgd.lhs)
         self.rhs_atoms_by_relation = _atoms_by_relation(tgd.rhs)
+        #: Per atom, LHS first, what a violation query's watch keys and join
+        #: tests are compiled from; the same grouped by relation.
+        self.join_shapes: PyTuple[AtomShape, ...] = tuple(
+            [_atom_shape(atom, self.lhs_variables) for atom in tgd.lhs]
+            + [_atom_shape(atom, self.frontier_variables) for atom in tgd.rhs]
+        )
+        by_relation: Dict[str, List[AtomShape]] = {}
+        for shape in self.join_shapes:
+            by_relation.setdefault(shape[0], []).append(shape)
+        self.join_shapes_by_relation: Dict[str, PyTuple[AtomShape, ...]] = {
+            relation: tuple(shapes) for relation, shapes in by_relation.items()
+        }
 
     def exported(self, assignment: Assignment) -> Assignment:
         """Restrict *assignment* to the variables the RHS can see."""
@@ -303,6 +334,23 @@ class CompiledTgd:
 
     def __repr__(self) -> str:
         return "CompiledTgd({})".format(self.tgd.name)
+
+
+def _atom_shape(atom: Atom, bindable: FrozenSet[Variable]) -> AtomShape:
+    terms = tuple(enumerate(atom.terms))
+    variables = tuple(pair for pair in terms if is_variable(pair[1]))
+    first_at: Dict[Variable, int] = {}
+    return (
+        atom.relation,
+        len(terms),
+        tuple(pair for pair in terms if not is_variable(pair[1])),
+        tuple(pair for pair in variables if pair[1] in bindable),
+        tuple(
+            (first_at[variable], position, variable if variable in bindable else None)
+            for position, variable in variables
+            if first_at.setdefault(variable, position) != position
+        ),
+    )
 
 
 def _atoms_by_relation(atoms: Sequence[Atom]) -> Dict[str, PyTuple[Atom, ...]]:

@@ -16,9 +16,9 @@ which the paper exploits when computing read dependencies (Section 5.1.1).
 
 from __future__ import annotations
 
-from typing import FrozenSet, List
+from typing import FrozenSet, Hashable, List, Tuple as PyTuple
 
-from ..core.terms import LabeledNull
+from ..core.terms import Constant, LabeledNull
 from ..core.tuples import Tuple
 from ..core.writes import Write
 from ..storage.interface import DatabaseView
@@ -32,6 +32,17 @@ class MoreSpecificQuery(ReadQuery):
 
     def __init__(self, pattern: Tuple):
         self._pattern = pattern
+        # A more specific row repeats every constant of the pattern in place
+        # (Definition 2.4), so it falls under the first one's key; a pattern
+        # of nulls alone is watched relation-wide.
+        for position, value in enumerate(pattern.values):
+            if isinstance(value, Constant):
+                self._watch_keys: PyTuple[Hashable, ...] = (
+                    (pattern.relation, position, value),
+                )
+                break
+        else:
+            self._watch_keys = (pattern.relation,)
 
     @property
     def pattern(self) -> Tuple:
@@ -40,6 +51,9 @@ class MoreSpecificQuery(ReadQuery):
 
     def relations(self) -> FrozenSet[str]:
         return frozenset({self._pattern.relation})
+
+    def watch_keys(self) -> PyTuple[Hashable, ...]:
+        return self._watch_keys
 
     def evaluate(self, view: DatabaseView) -> FrozenSet[Tuple]:
         return frozenset(view.more_specific_tuples(self._pattern))
@@ -89,6 +103,9 @@ class NullOccurrenceQuery(ReadQuery):
 
     def relations(self) -> FrozenSet[str]:
         return self._relations
+
+    def watch_keys(self) -> PyTuple[Hashable, ...]:
+        return (self._null,)
 
     def evaluate(self, view: DatabaseView) -> FrozenSet[Tuple]:
         return frozenset(view.tuples_containing_null(self._null))

@@ -17,12 +17,33 @@ the one full double evaluation would produce (the two views differ by at most
 one added and one removed tuple *value*, and every differing answer row must
 involve one of them); only the cost changes, which is what the PRECISE
 tracker and the conflict checker need from their hottest call.
+
+Most writes are decided before any of that, with no view at all.  Every one
+of those answer rows unifies the written row with an atom of the mapping
+*consistently with the query's seed*: an LHS atom matched under the seed, or
+an RHS atom whose frontier bindings merge with it.  What that takes of a row
+is fixed the day the query is built — the atom's constants, the seed's values
+at the positions of the variables it binds, equal values where an unbound
+variable repeats.  That conjunction is a :class:`JoinTest`, one per atom, and
+:meth:`ViolationQuery.affected_by` drops a written row no test of its
+relation admits before ``contains``, the overlay or any join.  Nothing is
+approximated: a test admits a row exactly when ``Atom.match`` under the seed
+would, so the rows dropped are the ones for which every loop below would have
+found no atom to start from (99 % of the calls on the Section 6 workload).
+
+One bound pair of each test is the query's *watch key* under that atom
+(:meth:`ViolationQuery.watch_keys`, computed at construction): the read log
+files the query there and the trackers look writers up there, so a write
+comes to meet only the reads whose seed it can join and the tests themselves
+are compiled for the few queries a write then reaches.
+:meth:`~repro.query.base.ReadQuery.might_be_affected_by` keeps its
+relation-overlap meaning — the Figure 3/4 cost model charges by it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple as PyTuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple as PyTuple
 
 from ..core.terms import DataTerm, Variable
 from ..core.tgd import Tgd
@@ -30,7 +51,7 @@ from ..core.tuples import Tuple
 from ..core.writes import Write
 from ..storage.interface import DatabaseView
 from .base import ReadQuery
-from .compiled import CompiledTgd, get_plan
+from .compiled import AtomShape, CompiledTgd, get_plan
 from .homomorphism import Assignment
 
 
@@ -65,6 +86,74 @@ def _merge_bindings(
     return merged
 
 
+def _watch_key(shape: AtomShape, seed: Assignment) -> Hashable:
+    """The index key every row unifying with the atom under *seed* falls under.
+
+    Such a row holds the seed's value wherever the atom has a variable the
+    seed binds, and the atom's constants in place; one of those pairs, with
+    the relation in front, is enough to file under.  The first seed-bound
+    position is preferred (seeds differ from query to query, a mapping's
+    constants do not), then the first constant; an atom with neither is
+    watched relation-wide.
+    """
+    relation, _, constants, variables, _ = shape
+    for position, variable in variables:
+        if variable in seed:
+            return (relation, position, seed[variable])
+    if constants:
+        return (relation,) + constants[0]
+    return relation
+
+
+class JoinTest:
+    """What a row must look like to unify with one atom under one seed.
+
+    ``pairs`` are the ``(position, value)`` the row must hold — the seed's
+    values first, then the atom's constants, so the atom's watch key is the
+    first of them — and ``equal`` the position pairs a repeated variable the
+    seed leaves open forces equal.
+    """
+
+    __slots__ = ("arity", "pairs", "equal")
+
+    def __init__(self, shape: AtomShape, seed: Assignment):
+        _, self.arity, constants, variables, repeats = shape
+        self.pairs: PyTuple[PyTuple[int, DataTerm], ...] = tuple(
+            [
+                (position, seed[variable])
+                for position, variable in variables
+                if variable in seed
+            ]
+        ) + constants
+        self.equal: PyTuple[PyTuple[int, int], ...] = tuple(
+            [
+                (first, again)
+                for first, again, variable in repeats
+                if variable not in seed
+            ]
+        )
+
+    def admits(self, row: Tuple) -> bool:
+        """Would the atom match *row* under the seed?  (The relation is the caller's.)"""
+        values = row.values
+        if len(values) != self.arity:
+            return False
+        for position, value in self.pairs:
+            if values[position] != value:
+                return False
+        for first, again in self.equal:
+            if values[first] != values[again]:
+                return False
+        return True
+
+
+def _admitted(tests: PyTuple[JoinTest, ...], row: Tuple) -> bool:
+    for test in tests:
+        if test.admits(row):
+            return True
+    return False
+
+
 class ViolationQuery(ReadQuery):
     """Find LHS matches of a mapping that have no corresponding RHS match."""
 
@@ -77,6 +166,13 @@ class ViolationQuery(ReadQuery):
         #: The read log and the tracker's verdict memo key on the query, two
         #: or more hashes per logged read; neither field changes afterwards.
         self._hash = hash((tgd, frozenset(self._seed.items())))
+        #: One key per atom, each once: every logged read is filed under them.
+        self._watch_keys: PyTuple[Hashable, ...] = tuple(
+            {_watch_key(shape, self._seed): None for shape in self._plan.join_shapes}
+        )
+        #: Per relation, one test per atom; compiled when a write into the
+        #: relation first gets as far as :meth:`affected_by`, which few do.
+        self._join_tests: Dict[str, PyTuple[JoinTest, ...]] = {}
 
     @property
     def tgd(self) -> Tgd:
@@ -92,6 +188,23 @@ class ViolationQuery(ReadQuery):
         # Both sides are read: the LHS to find candidate witnesses, the RHS in
         # the NOT EXISTS subquery.
         return self._plan.relations
+
+    def sorted_relations(self) -> PyTuple[str, ...]:
+        return self._plan.sorted_relations
+
+    def join_tests(self, relation: str) -> PyTuple[JoinTest, ...]:
+        """One test per atom over *relation*, LHS atoms first."""
+        tests = self._join_tests.get(relation)
+        if tests is None:
+            tests = self._join_tests[relation] = tuple(
+                JoinTest(shape, self._seed)
+                for shape in self._plan.join_shapes_by_relation.get(relation, ())
+            )
+        return tests
+
+    def watch_keys(self) -> PyTuple[Hashable, ...]:
+        """Each atom's key under the seed: a joining row falls under one of them."""
+        return self._watch_keys
 
     def evaluate(self, view: DatabaseView) -> FrozenSet[ViolationRow]:
         plan = self._plan
@@ -119,16 +232,23 @@ class ViolationQuery(ReadQuery):
         answer-row difference must involve one of those values, so only the
         seeded neighborhoods of the written tuple are searched.
         """
-        if not self.might_be_affected_by(write):
+        tests = self.join_tests(write.relation)
+        if not tests:
             return False
-        # The value-level delta between the two views.  A write whose value
-        # is no longer visible (overwritten since) — or whose removal is
-        # masked by an identical visible value — contributes nothing.
+        # The value-level delta between the two views.  A value no join test
+        # admits starts none of the searches below, whatever the views hold;
+        # one that is no longer visible (overwritten since) — or whose
+        # removal is masked by an identical visible value — contributes
+        # nothing.
         added = write.added_row()
-        if added is not None and not view.contains(added):
+        if added is not None and not (
+            _admitted(tests, added) and view.contains(added)
+        ):
             added = None
         removed = write.removed_row()
-        if removed is not None and view.contains(removed):
+        if removed is not None and not (
+            _admitted(tests, removed) and not view.contains(removed)
+        ):
             removed = None
         if added is None and removed is None:
             return False

@@ -19,7 +19,16 @@ partitions logged writes by writing priority, by (priority, relation) and by
 (priority, labeled null touched).  The dependency trackers (Section 5.1) are
 the hot consumers — instead of filtering the full log per read query they ask
 for "writes by update *j* touching relations R / null x", which is what turns
-tracker cost from O(run length) per read into O(relevant writes).
+tracker cost from O(run length) per read into O(relevant writes).  The same
+log is also *transposed*: every key a logged write falls under
+(:func:`write_keys` — its relation, each ``(relation, position, value)`` of
+the rows it touched, each labeled null in them) maps to the set of updates
+that logged such a write (:meth:`VersionedDatabase.writers_under`).  A
+tracker starts from the keys its read query watches and visits only the
+writers found there, instead of asking every in-flight update for its writes;
+what it owes the cost model for the updates it never visits comes from the
+per-writer log lengths (:meth:`VersionedDatabase.write_count_below`).  A
+writer's keys leave the index with its log — on rollback and on compaction.
 
 Reads go through three content indexes over *every version's* content, keyed
 to tuple identities (tids): per ``(relation, position, value)``, per labeled
@@ -59,6 +68,7 @@ from dataclasses import dataclass, field
 from heapq import merge as heap_merge
 from typing import (
     Dict,
+    Hashable,
     Iterable,
     Iterator,
     List,
@@ -166,6 +176,25 @@ class WriteLogView(SequenceABC):
 _EMPTY_LOG: PyTuple[VersionedWrite, ...] = ()
 
 
+def write_keys(write: Write) -> List[Hashable]:
+    """Every index key *write* falls under (a key may come up twice).
+
+    Its relation, then per row it touched (old and new content of a
+    modification) each ``(relation, position, value)`` and each labeled null.
+    The write log's transposed index files the writer under these and the
+    read log probes its buckets with them; a read query names the ones it
+    watches (:meth:`~repro.query.base.ReadQuery.watch_keys`).
+    """
+    keys: List[Hashable] = [write.relation]
+    for row in write.rows_touched():
+        relation = row.relation
+        keys.extend(
+            [(relation, position, value) for position, value in enumerate(row.values)]
+        )
+        keys.extend(row.null_set())
+    return keys
+
+
 #: Priority value that sees every committed and uncommitted version.
 LATEST = float("inf")
 
@@ -190,6 +219,11 @@ class VersionedDatabase:
         self._log_seqs: Dict[int, List[int]] = {}
         self._log_by_relation: Dict[int, Dict[str, List[VersionedWrite]]] = {}
         self._log_by_null: Dict[int, Dict[LabeledNull, List[VersionedWrite]]] = {}
+        # The log transposed: write key -> the priorities holding a logged
+        # write under it, and per priority the keys of its writes as they
+        # came (what dropping its log has to take back out).
+        self._writers: Dict[Hashable, Set[int]] = {}
+        self._keys_by_writer: Dict[int, List[Hashable]] = {}
         # Indexes over *every version's* content, keyed to tuple identities
         # (see the module docstring).  They over-approximate — a tid stays
         # indexed under contents of old versions — so readers re-check the
@@ -352,18 +386,6 @@ class VersionedDatabase:
         """Number of logged writes by the update numbered *priority*."""
         return len(self._log_by_priority.get(priority, _EMPTY_LOG))
 
-    def writes_by_touching_relation(
-        self, priority: int, relation: str
-    ) -> Sequence[VersionedWrite]:
-        """Writes by *priority* into *relation*, in seq order (O(1) lookup)."""
-        buckets = self._log_by_relation.get(priority)
-        if not buckets:
-            return _EMPTY_LOG
-        bucket = buckets.get(relation)
-        if bucket is None:
-            return _EMPTY_LOG
-        return WriteLogView(bucket)
-
     def writes_by_touching_relations(
         self, priority: int, relations: Iterable[str]
     ) -> Sequence[VersionedWrite]:
@@ -389,6 +411,32 @@ class VersionedDatabase:
         if bucket is None:
             return _EMPTY_LOG
         return WriteLogView(bucket)
+
+    def writers_under(self, keys: Iterable[Hashable]) -> Set[int]:
+        """The priorities holding a logged write under any of *keys*.
+
+        *keys* are :func:`write_keys` keys; an update none of whose logged
+        writes falls under any of them is not in the answer.
+        """
+        found: Set[int] = set()
+        writers = self._writers
+        for key in keys:
+            bucket = writers.get(key)
+            if bucket:
+                found.update(bucket)
+        return found
+
+    def write_count_below(self, reader: int, abortable: Set[int]) -> int:
+        """Logged writes by the updates of *abortable* numbered below *reader*.
+
+        What a scan of the log on behalf of *reader* would have walked; the
+        trackers charge their cost model from it without visiting anyone.
+        """
+        total = 0
+        for priority, log in self._log_by_priority.items():
+            if priority < reader and priority in abortable:
+                total += len(log)
+        return total
 
     def log_position(self, priority: int, seq: int) -> int:
         """1-based rank of the write numbered *seq* within *priority*'s log.
@@ -507,30 +555,13 @@ class VersionedDatabase:
         for null in row.null_set():
             self._null_index[null].add(tid)
 
-    def _append_log(self, entry: VersionedWrite) -> None:
-        self._write_log.append(entry)
-        if self._segments is not None:
-            self._segments.append((entry,))
-        priority = entry.priority
-        self._log_by_priority.setdefault(priority, []).append(entry)
-        self._log_seqs.setdefault(priority, []).append(entry.seq)
-        relation_buckets = self._log_by_relation.setdefault(priority, {})
-        relation_buckets.setdefault(entry.write.relation, []).append(entry)
-        touched_nulls: Set[LabeledNull] = set()
-        for row in entry.write.rows_touched():
-            touched_nulls.update(row.null_set())
-        if touched_nulls:
-            null_buckets = self._log_by_null.setdefault(priority, {})
-            for null in touched_nulls:
-                null_buckets.setdefault(null, []).append(entry)
-
     def extend_log(self, entries: Sequence[VersionedWrite]) -> None:
         """Bulk-append *entries* (seq-ascending) to the log and its indexes.
 
-        The batch is grouped by writing priority first, so each per-priority
-        bucket dictionary is resolved once per batch instead of once per
-        entry — the dict-churn that made the per-row :meth:`_append_log` the
-        hot allocation site on bursty chase steps.  Callers must pass entries
+        The one place the log and its indexes grow (the per-row write path
+        passes a batch of one).  The batch is grouped by writing priority
+        first, so each per-priority bucket dictionary is resolved once per
+        batch instead of once per entry.  Callers must pass entries
         in seq order with seqs above everything already logged (which is what
         :meth:`apply_writes` produces); bucket seq-ordering relies on it.
         """
@@ -547,6 +578,8 @@ class VersionedDatabase:
             seqs = self._log_seqs.setdefault(priority, [])
             relation_buckets = self._log_by_relation.setdefault(priority, {})
             null_buckets: Optional[Dict[LabeledNull, List[VersionedWrite]]] = None
+            filed = self._keys_by_writer.setdefault(priority, [])
+            writers = self._writers
             for entry in members:
                 log.append(entry)
                 seqs.append(entry.seq)
@@ -559,6 +592,14 @@ class VersionedDatabase:
                         null_buckets = self._log_by_null.setdefault(priority, {})
                     for null in touched_nulls:
                         null_buckets.setdefault(null, []).append(entry)
+                keys = write_keys(entry.write)
+                filed.extend(keys)
+                for key in keys:
+                    bucket = writers.get(key)
+                    if bucket is None:
+                        writers[key] = {priority}
+                    else:
+                        bucket.add(priority)
 
     def _new_tuple(
         self,
@@ -581,7 +622,7 @@ class VersionedDatabase:
             seq=seq, priority=priority, tid=tid, write=log_write or Write(WriteKind.INSERT, row)
         )
         if log_write is not None and not defer:
-            self._append_log(logged)
+            self.extend_log((logged,))
         return logged
 
     def _find_visible_tid(self, row: Tuple, priority: int) -> Optional[int]:
@@ -621,7 +662,7 @@ class VersionedDatabase:
         logged = VersionedWrite(seq=seq, priority=priority, tid=tid, write=write)
         if not defer:
             self._bump_relations((write.row.relation,))
-            self._append_log(logged)
+            self.extend_log((logged,))
         return logged
 
     def _modify(
@@ -640,7 +681,7 @@ class VersionedDatabase:
         logged = VersionedWrite(seq=seq, priority=priority, tid=tid, write=write)
         if not defer:
             self._bump_relations({write.row.relation, write.old_row.relation})
-            self._append_log(logged)
+            self.extend_log((logged,))
         return logged
 
     # ------------------------------------------------------------------
@@ -707,6 +748,12 @@ class VersionedDatabase:
             self._log_seqs.pop(priority, None)
             self._log_by_relation.pop(priority, None)
             self._log_by_null.pop(priority, None)
+            for key in self._keys_by_writer.pop(priority, ()):
+                bucket = self._writers.get(key)
+                if bucket is not None:  # a key of several of its writes comes up again
+                    bucket.discard(priority)
+                    if not bucket:
+                        del self._writers[key]
 
     def _prune_index_entries(
         self,
@@ -876,6 +923,10 @@ class VersionedDatabase:
     def priorities_in_log(self) -> Set[int]:
         """Every update priority that has at least one logged write."""
         return set(self._log_by_priority)
+
+    def log_index_entry_count(self) -> int:
+        """Total (writer, key) memberships of the transposed write log."""
+        return sum(len(bucket) for bucket in self._writers.values())
 
     def index_entry_count(self) -> int:
         """Total (tid, bucket) memberships across the content indexes."""

@@ -92,11 +92,11 @@ class TestExtendLog:
         ]
         logged = store.apply_writes(writes, 1)
         assert len(logged) == 3
-        assert [e.write.relation for e in store.writes_by_touching_relation(1, "P")] == [
+        assert [e.write.relation for e in store.writes_by_touching_relations(1, ["P"])] == [
             "P",
             "P",
         ]
-        assert len(store.writes_by_touching_relation(1, "Q")) == 1
+        assert len(store.writes_by_touching_relations(1, ["Q"])) == 1
         assert [e.write for e in store.writes_by_touching_null(1, null)] == [writes[0]]
 
     def test_failing_batch_keeps_applied_writes_rollbackable(self):

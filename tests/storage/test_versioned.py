@@ -114,7 +114,7 @@ class TestWriteLogAndRollback:
         assert store.write_count_by(2) == 2
         assert store.write_count_by(9) == 0
         assert len(store.writes_by(9)) == 0
-        assert [e.write.row for e in store.writes_by_touching_relation(2, "Q")] == [
+        assert [e.write.row for e in store.writes_by_touching_relations(2, ["Q"])] == [
             make_tuple("Q", "c", "d")
         ]
         merged = store.writes_by_touching_relations(2, {"P", "Q"})
