@@ -78,15 +78,18 @@ def find_direct_conflicts(
     for logged in writes:
         writer = logged.priority
         write = logged.write
+        # Abortable readers an earlier write in this batch has not already
+        # condemned: the full scan skips a condemned reader's records
+        # without counting them, so there is nothing to charge.
+        readers = [
+            reader
+            for reader in read_log.readers_above(writer)
+            if reader in abortable and reader not in report.direct_conflicts
+        ]
+        if not readers:
+            continue
         candidates = read_log.candidates(write, above=writer)
-        for reader in read_log.readers_above(writer):
-            if reader not in abortable:
-                continue
-            if reader in report.direct_conflicts:
-                # Already condemned by an earlier write in this batch; the
-                # full scan skips a condemned reader's records without
-                # counting them, so there is nothing to charge.
-                continue
+        for reader in readers:
             # The scan walks all of the reader's records, or up to and
             # including the first one that condemns it.
             stop = read_log.record_count(reader)

@@ -85,6 +85,9 @@ class ReadLog:
         # reader -> read relation -> (ranks, running delta cost) of the
         # reader's violation records reading the relation.
         self._charges: Dict[int, Dict[str, PyTuple[List[int], List[int]]]] = {}
+        # Filing waits for the first probe — an update nobody below it writes
+        # under commits without one: reader -> rank of its first unfiled record.
+        self._unfiled_from: Dict[int, int] = {}
         self._seq = itertools.count(1)
 
     def record(
@@ -98,26 +101,36 @@ class ReadLog:
             seq=next(self._seq),
         )
         records = self._by_reader.setdefault(reader, [])
-        rank = len(records)
+        self._unfiled_from.setdefault(reader, len(records))
         records.append(entry)
-        keys = query.watch_keys()
-        for key in (_WILDCARD,) if keys is None else keys:
-            per_reader = self._buckets.get(key)
-            if per_reader is None:
-                per_reader = self._buckets[key] = {}
-            bucket = per_reader.get(reader)
-            if bucket is None:
-                bucket = per_reader[reader] = []
-                self._keys_by_reader.setdefault(reader, []).append(key)
-            bucket.append((rank, entry))
-        if query.kind == "violation":
-            delta_cost = 2 * query.evaluation_cost()
-            charges = self._charges.setdefault(reader, {})
-            for relation in query.relations():
-                ranks, sums = charges.setdefault(relation, ([], []))
-                ranks.append(rank)
-                sums.append(sums[-1] + delta_cost if sums else delta_cost)
         return entry
+
+    def _file_records(self) -> None:
+        """Bring the buckets and the running sums up to the end of every log."""
+        buckets = self._buckets
+        for reader, start in self._unfiled_from.items():
+            records = self._by_reader[reader]
+            for rank in range(start, len(records)):
+                entry = records[rank]
+                query = entry.query
+                keys = query.watch_keys()
+                for key in (_WILDCARD,) if keys is None else keys:
+                    per_reader = buckets.get(key)
+                    if per_reader is None:
+                        per_reader = buckets[key] = {}
+                    bucket = per_reader.get(reader)
+                    if bucket is None:
+                        bucket = per_reader[reader] = []
+                        self._keys_by_reader.setdefault(reader, []).append(key)
+                    bucket.append((rank, entry))
+                if query.kind == "violation":
+                    delta_cost = 2 * query.evaluation_cost()
+                    charges = self._charges.setdefault(reader, {})
+                    for relation in query.relations():
+                        ranks, sums = charges.setdefault(relation, ([], []))
+                        ranks.append(rank)
+                        sums.append(sums[-1] + delta_cost if sums else delta_cost)
+        self._unfiled_from.clear()
 
     def remove_reader(self, reader: int) -> int:
         """Drop every read logged by *reader* (on abort or commit).
@@ -125,6 +138,7 @@ class ReadLog:
         Returns the number of records dropped.
         """
         removed = self._by_reader.pop(reader, [])
+        self._unfiled_from.pop(reader, None)
         for key in self._keys_by_reader.pop(reader, ()):
             per_reader = self._buckets[key]
             del per_reader[reader]
@@ -156,6 +170,8 @@ class ReadLog:
         ``affected_by(write, view) == False`` on every view; readers with
         no such record are absent.
         """
+        if self._unfiled_from:
+            self._file_records()
         found: Dict[int, Dict[int, ReadRecord]] = {}
         buckets = self._buckets
         for key in itertools.chain((_WILDCARD,), write_keys(write)):
@@ -176,6 +192,8 @@ class ReadLog:
         delta evaluation and ``2 * evaluation_cost()`` units on each.
         Returns ``(delta evaluations, cost units)``.
         """
+        if self._unfiled_from:
+            self._file_records()
         charged = self._charges.get(reader, {}).get(relation)
         if charged is None:
             return 0, 0
@@ -216,8 +234,11 @@ class ReadLog:
         return sum(len(records) for records in self._by_reader.values())
 
     def index_entry_count(self) -> int:
-        """Total (record, bucket) and (record, running sum) memberships."""
+        """(record, bucket) and (record, running sum) memberships, plus records yet to file."""
         return sum(
+            len(self._by_reader[reader]) - start
+            for reader, start in self._unfiled_from.items()
+        ) + sum(
             len(bucket)
             for per_reader in self._buckets.values()
             for bucket in per_reader.values()

@@ -32,10 +32,11 @@ would, so the rows dropped are the ones for which every loop below would have
 found no atom to start from (99 % of the calls on the Section 6 workload).
 
 One bound pair of each test is the query's *watch key* under that atom
-(:meth:`ViolationQuery.watch_keys`, computed at construction): the read log
-files the query there and the trackers look writers up there, so a write
-comes to meet only the reads whose seed it can join and the tests themselves
-are compiled for the few queries a write then reaches.
+(:meth:`ViolationQuery.watch_keys`): the read log files the query there and
+the trackers look writers up there, so a write comes to meet only the reads
+whose seed it can join.  Keys are compiled when a log first files the query
+and tests for the few queries a write then reaches; an update that runs with
+nobody else in flight pays for neither.
 :meth:`~repro.query.base.ReadQuery.might_be_affected_by` keeps its
 relation-overlap meaning — the Figure 3/4 cost model charges by it.
 """
@@ -166,12 +167,11 @@ class ViolationQuery(ReadQuery):
         #: The read log and the tracker's verdict memo key on the query, two
         #: or more hashes per logged read; neither field changes afterwards.
         self._hash = hash((tgd, frozenset(self._seed.items())))
-        #: One key per atom, each once: every logged read is filed under them.
-        self._watch_keys: PyTuple[Hashable, ...] = tuple(
-            {_watch_key(shape, self._seed): None for shape in self._plan.join_shapes}
-        )
-        #: Per relation, one test per atom; compiled when a write into the
-        #: relation first gets as far as :meth:`affected_by`, which few do.
+        #: One key per atom, each once, and per relation one test per atom:
+        #: compiled when the logs first file the query, and when a write into
+        #: the relation first gets as far as :meth:`affected_by`.  A query
+        #: nobody else's write ever meets needs neither.
+        self._watch_keys: Optional[PyTuple[Hashable, ...]] = None
         self._join_tests: Dict[str, PyTuple[JoinTest, ...]] = {}
 
     @property
@@ -204,7 +204,12 @@ class ViolationQuery(ReadQuery):
 
     def watch_keys(self) -> PyTuple[Hashable, ...]:
         """Each atom's key under the seed: a joining row falls under one of them."""
-        return self._watch_keys
+        keys = self._watch_keys
+        if keys is None:
+            keys = self._watch_keys = tuple(
+                {_watch_key(shape, self._seed): None for shape in self._plan.join_shapes}
+            )
+        return keys
 
     def evaluate(self, view: DatabaseView) -> FrozenSet[ViolationRow]:
         plan = self._plan

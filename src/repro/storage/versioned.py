@@ -221,9 +221,12 @@ class VersionedDatabase:
         self._log_by_null: Dict[int, Dict[LabeledNull, List[VersionedWrite]]] = {}
         # The log transposed: write key -> the priorities holding a logged
         # write under it, and per priority the keys of its writes as they
-        # came (what dropping its log has to take back out).
+        # came (what dropping its log has to take back out).  Filing waits
+        # for the first lookup: an update that runs with nobody below it in
+        # flight never causes one, and commits without having paid for it.
         self._writers: Dict[Hashable, Set[int]] = {}
         self._keys_by_writer: Dict[int, List[Hashable]] = {}
+        self._unfiled: List[VersionedWrite] = []
         # Indexes over *every version's* content, keyed to tuple identities
         # (see the module docstring).  They over-approximate — a tid stays
         # indexed under contents of old versions — so readers re-check the
@@ -418,6 +421,8 @@ class VersionedDatabase:
         *keys* are :func:`write_keys` keys; an update none of whose logged
         writes falls under any of them is not in the answer.
         """
+        if self._unfiled:
+            self._file_writes()
         found: Set[int] = set()
         writers = self._writers
         for key in keys:
@@ -425,6 +430,21 @@ class VersionedDatabase:
             if bucket:
                 found.update(bucket)
         return found
+
+    def _file_writes(self) -> None:
+        """Bring the transposed index up to the end of the log."""
+        writers = self._writers
+        for entry in self._unfiled:
+            priority = entry.priority
+            keys = write_keys(entry.write)
+            self._keys_by_writer.setdefault(priority, []).extend(keys)
+            for key in keys:
+                bucket = writers.get(key)
+                if bucket is None:
+                    writers[key] = {priority}
+                else:
+                    bucket.add(priority)
+        self._unfiled = []
 
     def write_count_below(self, reader: int, abortable: Set[int]) -> int:
         """Logged writes by the updates of *abortable* numbered below *reader*.
@@ -568,6 +588,7 @@ class VersionedDatabase:
         if not entries:
             return
         self._write_log.extend(entries)
+        self._unfiled.extend(entries)
         if self._segments is not None:
             self._segments.append(entries)
         by_priority: Dict[int, List[VersionedWrite]] = {}
@@ -578,8 +599,6 @@ class VersionedDatabase:
             seqs = self._log_seqs.setdefault(priority, [])
             relation_buckets = self._log_by_relation.setdefault(priority, {})
             null_buckets: Optional[Dict[LabeledNull, List[VersionedWrite]]] = None
-            filed = self._keys_by_writer.setdefault(priority, [])
-            writers = self._writers
             for entry in members:
                 log.append(entry)
                 seqs.append(entry.seq)
@@ -592,14 +611,6 @@ class VersionedDatabase:
                         null_buckets = self._log_by_null.setdefault(priority, {})
                     for null in touched_nulls:
                         null_buckets.setdefault(null, []).append(entry)
-                keys = write_keys(entry.write)
-                filed.extend(keys)
-                for key in keys:
-                    bucket = writers.get(key)
-                    if bucket is None:
-                        writers[key] = {priority}
-                    else:
-                        bucket.add(priority)
 
     def _new_tuple(
         self,
@@ -743,6 +754,10 @@ class VersionedDatabase:
         self._write_log[:] = [
             entry for entry in self._write_log if entry.priority not in dropped
         ]
+        if self._unfiled:
+            self._unfiled = [
+                entry for entry in self._unfiled if entry.priority not in dropped
+            ]
         for priority in dropped:
             self._log_by_priority.pop(priority, None)
             self._log_seqs.pop(priority, None)
@@ -925,8 +940,10 @@ class VersionedDatabase:
         return set(self._log_by_priority)
 
     def log_index_entry_count(self) -> int:
-        """Total (writer, key) memberships of the transposed write log."""
-        return sum(len(bucket) for bucket in self._writers.values())
+        """(writer, key) memberships of the transposed log, plus writes yet to file."""
+        return sum(len(bucket) for bucket in self._writers.values()) + len(
+            self._unfiled
+        )
 
     def index_entry_count(self) -> int:
         """Total (tid, bucket) memberships across the content indexes."""

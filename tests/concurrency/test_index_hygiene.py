@@ -54,10 +54,10 @@ def test_abort_only_loop_returns_the_log_indexes_to_their_baseline():
     store.load_rows([kept])
 
     def work(priority):
-        """What one update leaves in both logs: three writes, four reads."""
+        """What one update leaves in both logs: three writes, four tracked reads."""
         value = Constant("v{}".format(priority))
         filled = Tuple("R", (Constant("k"), value))
-        store.apply_writes(
+        logged = store.apply_writes(
             [insert(Tuple("S", (value,))), modify(kept, filled, null, value), delete(filled)],
             priority,
         )
@@ -67,7 +67,11 @@ def test_abort_only_loop_returns_the_log_indexes_to_their_baseline():
             MoreSpecificQuery(filled),
             NullOccurrenceQuery(null),
         ):
+            # What a tracker does per read; the write log files on lookup ...
+            store.writers_under(query.watch_keys())
             read_log.record(priority, query, set())
+        # ... and the read log on the conflict check's probe.
+        read_log.candidates(logged[0].write, above=0)
 
     # One update stays in flight throughout: the baseline is not "empty".
     work(1)
@@ -85,6 +89,21 @@ def test_abort_only_loop_returns_the_log_indexes_to_their_baseline():
     store.rollback(1)
     read_log.remove_reader(1)
     assert not any(_log_index_sizes(store, read_log))
+
+
+def test_writes_nobody_looked_up_leave_with_their_writer_unfiled():
+    schema = DatabaseSchema.from_dict({"R": ["a"]})
+    store = VersionedDatabase(schema)
+    for priority, leave in ((1, store.rollback), (2, lambda p: store.compact_below(p, [p]))):
+        store.apply_writes(
+            [insert(Tuple("R", (Constant("{}{}".format(priority, i)),))) for i in range(3)],
+            priority,
+        )
+        # Filing waits for a lookup; until then the writes count as pending.
+        assert store.log_index_entry_count() == 3 and not store._writers
+        leave(priority)
+        assert store.log_index_entry_count() == 0
+        assert store.writers_under(["R"]) == set() and not store._keys_by_writer
 
 
 def test_commit_and_compact_loop_returns_the_log_indexes_to_empty():
@@ -105,7 +124,7 @@ def test_commit_and_compact_loop_returns_the_log_indexes_to_empty():
     peak = 0
     for batch in range(LOOP // config.num_updates):
         scheduler.submit_all(build_workload(environment, MIXED_WORKLOAD, batch))
-        scheduler.pump(max_steps=config.num_updates)
+        scheduler.pump(max_steps=3 * config.num_updates)  # into the third round
         peak = max(peak, min(_log_index_sizes(store, scheduler.read_log)))
         scheduler.run()
         # Everything submitted has committed and been compacted away.
