@@ -48,7 +48,17 @@ themselves are test oracles (``tests/oracles/precise_scan.py``).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple as PyTuple
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple as PyTuple,
+)
 
 from ..query.base import ReadQuery
 from ..storage.interface import DatabaseView
@@ -89,16 +99,18 @@ class DependencyTracker(ABC):
         self.reads_processed = 0
 
     @staticmethod
-    def _writers_to_visit(
-        query: ReadQuery, reader: int, store: VersionedDatabase, abortable: Set[int]
+    def _writers_under(
+        keys: Optional[Iterable[Hashable]],
+        reader: int,
+        store: VersionedDatabase,
+        abortable: Set[int],
     ) -> List[int]:
-        """Abortable updates below *reader* holding a write *query* watches for.
+        """Abortable updates below *reader* holding a logged write under *keys*.
 
-        Every update left out logged no write under any of the query's watch
-        keys, so none of its writes can change the answer.  A query that
-        names no keys is shown every logged update.
+        With a query's watch keys, every update left out logged no write that
+        can change the query's answer.  ``None`` — a query that names no
+        keys — selects every logged update.
         """
-        keys = query.watch_keys()
         if keys is None:
             writers = store.priorities_in_log()
         else:
@@ -177,15 +189,15 @@ class CoarseTracker(DependencyTracker):
         if query.kind not in ("more-specific", "null-occurrence"):
             # Violation queries fall back to relation overlap: any write into
             # one of the read relations establishes the dependency.
-            return {
-                priority
-                for priority in store.writers_under(query.relations())
-                if priority < reader and priority in abortable
-            }
+            return set(
+                self._writers_under(query.relations(), reader, store, abortable)
+            )
         # Correction queries have an exact, database-free test; use it (the
         # paper calls correction queries "the easy case").
         found: Set[int] = set()
-        for priority in self._writers_to_visit(query, reader, store, abortable):
+        for priority in self._writers_under(
+            query.watch_keys(), reader, store, abortable
+        ):
             for entry in self._relevant_writes(query, priority, store):
                 if query.might_be_affected_by(entry.write):
                     found.add(priority)
@@ -283,7 +295,9 @@ class PreciseTracker(DependencyTracker):
         unit_cost = 2 * query.evaluation_cost()
         self.cost_units += unit_cost * writes_below
         token: object = _UNKNOWN
-        for priority in self._writers_to_visit(query, reader, store, abortable):
+        for priority in self._writers_under(
+            query.watch_keys(), reader, store, abortable
+        ):
             for entry in self._relevant_writes(query, priority, store):
                 if token is _UNKNOWN:
                     token = self._memo_token(query, store)
