@@ -26,6 +26,10 @@ the full scan paid for it — and what it paid depends on the record's
 read relation the log keeps, by rank, the running count and delta cost of the
 violation records reading it (:meth:`ReadLog.violation_charge`).  Every other
 skipped record fails its pre-filter and cost the scan one unit.
+
+Records are filed when the conflict checker first probes, not when they are
+logged: a reader no lower-numbered update writes under commits with its
+records never filed, and its queries' keys never compiled.
 """
 
 from __future__ import annotations

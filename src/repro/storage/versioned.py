@@ -27,8 +27,10 @@ that logged such a write (:meth:`VersionedDatabase.writers_under`).  A
 tracker starts from the keys its read query watches and visits only the
 writers found there, instead of asking every in-flight update for its writes;
 what it owes the cost model for the updates it never visits comes from the
-per-writer log lengths (:meth:`VersionedDatabase.write_count_below`).  A
-writer's keys leave the index with its log — on rollback and on compaction.
+per-writer log lengths (:meth:`VersionedDatabase.write_count_below`).
+Writes are filed at the first lookup after they were logged — a tracker makes
+none while nothing abortable is logged below its reader — and a writer's keys
+leave the index with its log, on rollback and on compaction.
 
 Reads go through three content indexes over *every version's* content, keyed
 to tuple identities (tids): per ``(relation, position, value)``, per labeled
