@@ -11,7 +11,9 @@ run and asserts the paper's qualitative shape:
   (between roughly 1.4x and 4.5x in the paper).
 """
 
-from conftest import print_series, print_slowdown
+from conftest import print_series, print_slowdown, retimed_slowdown
+
+from repro.workload import INSERT_WORKLOAD
 
 
 def _densest(series):
@@ -54,7 +56,9 @@ def test_fig3_cascading_requests(benchmark, figure3_result):
     assert precise_points[sparsest] <= 1
 
 
-def test_fig3_precise_slowdown(benchmark, figure3_result):
+def test_fig3_precise_slowdown(
+    benchmark, figure3_result, experiment_config, environment
+):
     """Panel (c): per-update slowdown of PRECISE relative to COARSE."""
     wall = benchmark.pedantic(
         figure3_result.precise_slowdown_series, rounds=1, iterations=1
@@ -67,8 +71,9 @@ def test_fig3_precise_slowdown(benchmark, figure3_result):
     # the scale produced any concurrency-control work at all.
     densest = figure3_result.cell(wall[-1][0], "COARSE")
     if densest.aborts > 0 or densest.cascading_abort_requests > 0:
-        # In the cost model, which is what the paper's panel plots.  The
-        # wall-clock ratio is printed, not asserted: the indexed trackers
-        # have brought it to 1.1-1.5x on cells of a tenth of a second each,
-        # and three runs of those spread wider than the distance to 1.
+        # On the clock, from more runs of the same cell than the one pass
+        # printed above: see ``retimed_slowdown``.
+        retimed = retimed_slowdown(INSERT_WORKLOAD, experiment_config, environment)
+        print("  {:>3} mappings, re-timed: {:.2f}x".format(wall[-1][0], retimed))
+        assert retimed > 1.0
         assert cost[-1][1] > 1.0

@@ -4,7 +4,9 @@ Same three panels as Figure 3, on the workload that also exercises the
 backward chase (deletions cascade and produce negative frontiers).
 """
 
-from conftest import print_series, print_slowdown
+from conftest import print_series, print_slowdown, retimed_slowdown
+
+from repro.workload import MIXED_WORKLOAD
 
 
 def _densest(series):
@@ -38,7 +40,9 @@ def test_fig4_cascading_requests(benchmark, figure4_result):
     assert top["NAIVE"] >= top["PRECISE"]
 
 
-def test_fig4_precise_slowdown(benchmark, figure4_result):
+def test_fig4_precise_slowdown(
+    benchmark, figure4_result, experiment_config, environment
+):
     """Panel (c): per-update slowdown of PRECISE relative to COARSE (mixed)."""
     wall = benchmark.pedantic(
         figure4_result.precise_slowdown_series, rounds=1, iterations=1
@@ -49,8 +53,9 @@ def test_fig4_precise_slowdown(benchmark, figure4_result):
     assert wall
     densest = figure4_result.cell(wall[-1][0], "COARSE")
     if densest.aborts > 0 or densest.cascading_abort_requests > 0:
-        # In the cost model, which is what the paper's panel plots.  The
-        # wall-clock ratio is printed, not asserted: the indexed trackers
-        # have brought it to 1.1-1.5x on cells of a tenth of a second each,
-        # and three runs of those spread wider than the distance to 1.
+        # On the clock, from more runs of the same cell than the one pass
+        # printed above: see ``retimed_slowdown``.
+        retimed = retimed_slowdown(MIXED_WORKLOAD, experiment_config, environment)
+        print("  {:>3} mappings, re-timed: {:.2f}x".format(wall[-1][0], retimed))
+        assert retimed > 1.0
         assert cost[-1][1] > 1.0

@@ -87,45 +87,52 @@ def _merge_bindings(
     return merged
 
 
+def _bound_pairs(
+    shape: AtomShape, seed: Assignment
+) -> PyTuple[PyTuple[int, DataTerm], ...]:
+    """The ``(position, value)`` a row unifying with the atom under *seed* holds.
+
+    The seed's value wherever the atom has a variable the seed binds, then
+    the atom's constants in place.  Seed-bound positions come first because
+    the first pair is what the atom is watched under: seeds differ from query
+    to query, a mapping's constants do not.
+    """
+    _, _, constants, variables, _ = shape
+    return tuple(
+        [
+            (position, seed[variable])
+            for position, variable in variables
+            if variable in seed
+        ]
+    ) + constants
+
+
 def _watch_key(shape: AtomShape, seed: Assignment) -> Hashable:
     """The index key every row unifying with the atom under *seed* falls under.
 
-    Such a row holds the seed's value wherever the atom has a variable the
-    seed binds, and the atom's constants in place; one of those pairs, with
-    the relation in front, is enough to file under.  The first seed-bound
-    position is preferred (seeds differ from query to query, a mapping's
-    constants do not), then the first constant; an atom with neither is
-    watched relation-wide.
+    One bound pair is enough to file under — the first, with the relation in
+    front; an atom that binds nothing is watched relation-wide.
     """
-    relation, _, constants, variables, _ = shape
-    for position, variable in variables:
-        if variable in seed:
-            return (relation, position, seed[variable])
-    if constants:
-        return (relation,) + constants[0]
-    return relation
+    pairs = _bound_pairs(shape, seed)
+    if pairs:
+        return (shape[0],) + pairs[0]
+    return shape[0]
 
 
 class JoinTest:
     """What a row must look like to unify with one atom under one seed.
 
-    ``pairs`` are the ``(position, value)`` the row must hold — the seed's
-    values first, then the atom's constants, so the atom's watch key is the
-    first of them — and ``equal`` the position pairs a repeated variable the
-    seed leaves open forces equal.
+    ``pairs`` are the ``(position, value)`` the row must hold
+    (:func:`_bound_pairs`, so the atom's watch key is the first of them) and
+    ``equal`` the position pairs a repeated variable the seed leaves open
+    forces equal.
     """
 
     __slots__ = ("arity", "pairs", "equal")
 
     def __init__(self, shape: AtomShape, seed: Assignment):
-        _, self.arity, constants, variables, repeats = shape
-        self.pairs: PyTuple[PyTuple[int, DataTerm], ...] = tuple(
-            [
-                (position, seed[variable])
-                for position, variable in variables
-                if variable in seed
-            ]
-        ) + constants
+        _, self.arity, _, _, repeats = shape
+        self.pairs = _bound_pairs(shape, seed)
         self.equal: PyTuple[PyTuple[int, int], ...] = tuple(
             [
                 (first, again)

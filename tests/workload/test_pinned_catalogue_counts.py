@@ -13,12 +13,7 @@ skipped one differently — moves a number here even when those three agree.
 
 A subprocess with ``PYTHONHASHSEED=0``, as ``bench/run.py`` does: the
 scheduler iterates sets of strings, so the counts are a function of the hash
-seed.  And without ``REPRO_SQL_CHASE``: the counts are the Python
-evaluator's, the one ``bench/`` runs; with violation queries evaluated in
-SQLite the forty rounds take two chase steps fewer (3197 steps, 17 301 reads,
-at this commit's parent too — ROADMAP item 1's side finding), so CI's
-second full-suite run on the SQL path checks this file against the same
-evaluator as the first.
+seed.
 """
 
 from __future__ import annotations
@@ -63,7 +58,6 @@ PINNED = {
 
 def test_catalogue_rounds_0_to_39_count_what_they_counted():
     environment = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(_SRC))
-    environment.pop("REPRO_SQL_CHASE", None)
     done = subprocess.run(
         [sys.executable, "-c", _CATALOGUE.format(keys=tuple(PINNED))],
         capture_output=True, text=True, timeout=600, env=environment,
