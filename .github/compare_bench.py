@@ -45,8 +45,6 @@ TRACKED = (
         "drain_protocol.staging_window.committed_per_second",
         ("drain_protocol", "staging_window", "committed_per_second"),
     ),
-    ("sql_chase.speedup", ("sql_chase", "speedup")),
-    ("sql_chase.bulk_load.speedup", ("sql_chase", "bulk_load", "speedup")),
 )
 
 

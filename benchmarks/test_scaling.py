@@ -11,9 +11,8 @@ of the default experiment scale twice:
 
 * once with ``LegacyPreciseTracker`` (``tests/oracles/precise_scan.py``), a
   faithful replica of the pre-index implementation (full log scan, full
-  double evaluation per delta test, no commit-time compaction), and
-* once with the current :class:`~repro.concurrency.dependencies.PreciseTracker`
-  on a compacting store,
+  double evaluation per delta test), and
+* once with the current :class:`~repro.concurrency.dependencies.PreciseTracker`,
 
 and asserts that (a) the two runs are *semantically identical* — same
 ``cost_units``, same aborts, same cascading-abort requests, so the Figure 3/4
@@ -81,7 +80,7 @@ def _timed(tracker_class):
     return Timed()
 
 
-def _run_workload(environment, config, tracker, compact_committed, group_commit=True):
+def _run_workload(environment, config, tracker, group_commit=True):
     mappings = mapping_prefix(environment.mappings, MAPPING_COUNT)
     operations = build_workload(environment, INSERT_WORKLOAD, config.seed)
     store = VersionedDatabase(environment.schema)
@@ -94,7 +93,6 @@ def _run_workload(environment, config, tracker, compact_committed, group_commit=
         policy=make_policy(config.policy),
         null_factory=NullFactory.avoiding_view(environment.initial, prefix="g"),
         max_total_steps=config.max_total_steps,
-        compact_committed=compact_committed,
         group_commit=group_commit,
     )
     scheduler.submit_all(operations)
@@ -124,12 +122,8 @@ def test_precise_tracker_scaling():
     )
     environment = build_environment(config)
 
-    legacy = _run_workload(
-        environment, config, _timed(LegacyPreciseTracker), compact_committed=False
-    )
-    indexed = _run_workload(
-        environment, config, _timed(PreciseTracker), compact_committed=True
-    )
+    legacy = _run_workload(environment, config, _timed(LegacyPreciseTracker))
+    indexed = _run_workload(environment, config, _timed(PreciseTracker))
 
     # The optimization must not alter tracker decisions, only their cost: the
     # Figure 3/4 panel inputs must be identical run to run.
@@ -170,21 +164,12 @@ def test_precise_tracker_scaling():
         )
     )
 
-    # Compaction is the second half of the story: the compacting store ends
-    # the run with an empty log (everything committed), the legacy store with
-    # every write ever logged.
-    assert indexed["final_log_entries"] <= legacy["final_log_entries"]
-
     if os.environ.get("REPRO_BENCH_BATCH") == "1":
         # Batched-path smoke (CI tier-1 sets this at tiny scale): re-run the
         # indexed workload with singleton commits and assert the group-commit
         # path changed nothing the panels measure.
         singleton = _run_workload(
-            environment,
-            config,
-            _timed(PreciseTracker),
-            compact_committed=True,
-            group_commit=False,
+            environment, config, _timed(PreciseTracker), group_commit=False
         )
         for key in (
             "cost_units",

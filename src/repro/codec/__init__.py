@@ -1,7 +1,7 @@
 """The wire-format codec: one canonical byte encoding for everything exchanged.
 
 Every object that crosses a process boundary in this reproduction — federation
-envelopes on the transport, rows in the SQLite mirror, write-log segments and
+envelopes on the transport, rows in the SQLite backend, write-log segments and
 snapshots on disk, service checkpoints — goes through this package.  Two
 encodings live here:
 

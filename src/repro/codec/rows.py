@@ -2,7 +2,7 @@
 
 Constants encode as ``c:<value>`` and labeled nulls as ``n:<name>``.  The
 encoding preserves equality — which is all conjunctive-query evaluation over
-the SQLite mirror needs — but it is *lossy on constant payload types*
+the SQLite backend needs — but it is *lossy on constant payload types*
 (``Constant(42)`` decodes as ``Constant('42')``), which is why the wire codec
 (:mod:`repro.codec.wire`) uses a typed encoding instead.  This module is the
 single definition both the SQL generator (:mod:`repro.query.sql`) and the

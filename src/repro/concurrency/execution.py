@@ -78,7 +78,6 @@ class UpdateExecution:
         null_factory: NullFactory,
         attempt: int = 1,
         compiled=None,
-        sql_evaluator=None,
     ):
         self.priority = priority
         self.operation = operation
@@ -100,10 +99,6 @@ class UpdateExecution:
         )
         self._oracle = oracle
         self._null_factory = null_factory
-        #: Optional set-based SQL evaluator (shared per scheduler): violation
-        #: queries run against the scheduler's delta mirror instead of the
-        #: Python matcher.  Same answers, same recorder calls, same costs.
-        self._sql_evaluator = sql_evaluator
         self._planner = RepairPlanner(self._mappings, null_factory)
         self._pending_writes: Optional[List[Write]] = None
         self._violation_queue: List[Violation] = []
@@ -193,7 +188,7 @@ class UpdateExecution:
         # ----- discover new violations -----
         applied_writes = [logged.write for logged in applied_logged]
         new_violations = violations_for_writes(
-            applied_writes, self._compiled, view, record, self._sql_evaluator
+            applied_writes, self._compiled, view, record
         )
         self._violation_queue = self._planner.refresh_queue(
             self._violation_queue, new_violations, view
@@ -288,5 +283,4 @@ class UpdateExecution:
             null_factory=self._null_factory,
             attempt=self.attempt + 1,
             compiled=self._compiled,
-            sql_evaluator=self._sql_evaluator,
         )

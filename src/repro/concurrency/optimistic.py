@@ -50,12 +50,10 @@ class OptimisticScheduler:
         max_total_steps: int = 1_000_000,
         promote_restarts_to_precise: bool = False,
         prune_committed: bool = False,
-        compact_committed: bool = True,
         group_commit: bool = True,
         proof_carrying_commit: bool = True,
         tracer=None,
         trace_peer: str = "",
-        sql_chase: Optional[object] = None,
     ):
         self._store = store
         self._tracer = tracer if tracer is not None else default_tracer()
@@ -71,25 +69,6 @@ class OptimisticScheduler:
         #: admits or restarts (the per-mapping plans are process-cached, but
         #: the relation-keyed lookup tables used to be rebuilt per execution).
         self._compiled_mappings = compile_mappings(self._mappings)
-        from ..query.sql_chase import resolve_sql_chase
-
-        #: SQL chase path (``None`` defers to ``REPRO_SQL_CHASE``): one
-        #: :class:`~repro.storage.mirror.DeltaMirror` shadows the store's
-        #: committed baseline (fed incrementally by commit-time compaction)
-        #: and one shared :class:`~repro.query.sql_chase.SqlViolationEvaluator`
-        #: serves every execution; readers join their in-flight delta in-query.
-        self._chase_mirror = None
-        self._sql_evaluator = None
-        sql_mode = resolve_sql_chase(sql_chase)
-        if sql_mode:
-            from ..query.sql_chase import SqlViolationEvaluator
-            from ..storage.mirror import DeltaMirror
-
-            self._chase_mirror = DeltaMirror(store.schema)
-            self._chase_mirror.attach_store(store)
-            self._sql_evaluator = SqlViolationEvaluator(
-                self._chase_mirror, differential=(sql_mode == "check")
-            )
         self._tracker = tracker
         self._oracle = oracle if oracle is not None else RandomOracle(seed=0)
         self._policy = policy if policy is not None else RoundRobinStepPolicy()
@@ -102,13 +81,6 @@ class OptimisticScheduler:
         #: so per-pump scans stay proportional to the in-flight set, not to
         #: everything ever served.  Batch callers keep them for inspection.
         self._prune_committed = prune_committed
-        #: Compact the store below the commit watermark as updates commit.
-        #: Committed version chains collapse and committed write-log entries
-        #: drop out; no tracker, conflict check or rollback can ever touch
-        #: them again (they all filter on the abortable set), so this only
-        #: bounds storage growth — long-running service sessions would
-        #: otherwise accrete garbage proportional to everything ever served.
-        self._compact_committed = compact_committed
         #: Group commit (the default): every maximal run of terminated updates
         #: commits as one batch — one watermark advance, one validation of the
         #: batch against the read log, one batch-listener round with the union
@@ -147,14 +119,6 @@ class OptimisticScheduler:
         self.statistics = RunStatistics(algorithm=tracker.name)
 
     # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def sql_evaluator(self):
-        """The shared SQL violation evaluator (``None`` with SQL chase off)."""
-        return self._sql_evaluator
-
-    # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
     def submit(
@@ -178,7 +142,6 @@ class OptimisticScheduler:
             oracle=self._oracle,
             null_factory=self._null_factory,
             compiled=self._compiled_mappings,
-            sql_evaluator=self._sql_evaluator,
         )
         self._executions[priority] = execution
         self.statistics.updates_submitted += 1
@@ -580,8 +543,11 @@ class OptimisticScheduler:
             listener(commits)
         self.statistics.group_commits += 1
         self.statistics.group_commit_members += len(members)
-        if self._compact_committed:
-            self._store.compact_below(self._commit_watermark, members)
+        # Committed version chains collapse and committed write-log entries
+        # drop out; no tracker, conflict check or rollback can ever touch them
+        # again (they all filter on the abortable set), so this only bounds
+        # storage growth.
+        self._store.compact_below(self._commit_watermark, members)
 
     # ------------------------------------------------------------------
     # Results

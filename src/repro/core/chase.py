@@ -48,13 +48,6 @@ class ChaseConfig:
     raise_on_budget: bool = False
     #: Record a provenance tree for the run.
     track_provenance: bool = True
-    #: SQL chase path: ``None`` defers to ``REPRO_SQL_CHASE``; truthy values
-    #: evaluate violation queries set-based in SQLite (a
-    #: :class:`~repro.storage.mirror.DeltaMirror` shadows the database),
-    #: ``"check"`` additionally verifies every answer against the Python
-    #: evaluator.  Identical violation sets either way — the Python path
-    #: stays the differential oracle.
-    sql_chase: Optional[object] = None
 
 
 class ChaseEngine:
@@ -83,19 +76,6 @@ class ChaseEngine:
         self._null_factory = null_factory
         self._config = config if config is not None else ChaseConfig()
         self.last_provenance: Optional[ChaseTree] = None
-        from ..query.sql_chase import resolve_sql_chase
-
-        self._sql_mirror = None
-        self._sql_evaluator = None
-        mode = resolve_sql_chase(self._config.sql_chase)
-        if mode:
-            from ..query.sql_chase import SqlViolationEvaluator
-            from ..storage.mirror import DeltaMirror
-
-            self._sql_mirror = DeltaMirror(database.schema)
-            self._sql_evaluator = SqlViolationEvaluator(
-                self._sql_mirror, differential=(mode == "check")
-            )
 
     @property
     def database(self) -> MutableDatabase:
@@ -125,11 +105,6 @@ class ChaseEngine:
 
         write_set: List[Write] = operation.initial_writes(self._database)
         violation_queue: List[Violation] = []
-        if self._sql_mirror is not None:
-            # The engine's database may have been mutated between runs by
-            # callers (fixtures do); re-shadow it wholesale once per run, then
-            # track it incrementally per step.
-            self._sql_mirror.reset_from(self._database)
 
         while True:
             # ---------------- deterministic stratum ----------------
@@ -138,13 +113,8 @@ class ChaseEngine:
                     return self._budget_exhausted(record)
                 record.steps += 1
                 applied = self._apply_writes(write_set, record, tree, root_id)
-                if self._sql_mirror is not None:
-                    self._sql_mirror.apply_writes_direct(applied)
                 new_violations = violations_for_writes(
-                    applied,
-                    self._compiled,
-                    self._database,
-                    evaluator=self._sql_evaluator,
+                    applied, self._compiled, self._database
                 )
                 if tree is not None:
                     for violation in new_violations:

@@ -167,24 +167,17 @@ def violations_for_write(
     mappings: Sequence[Tgd],
     view: DatabaseView,
     recorder: Optional[ReadRecorder] = None,
-    evaluator=None,
 ) -> List[Violation]:
     """Detect the new violations caused by *write* on *view*.
 
     Every violation query asked along the way is reported through *recorder*
     (together with its answer) so that the concurrency-control layer can log
-    the step's reads.  *evaluator* optionally substitutes a set-based engine
-    (:class:`~repro.query.sql_chase.SqlViolationEvaluator`) for the Python
-    query evaluation; the recorder still sees the same ``(query, answer)``
-    pairs, so read logs and cost panels are unchanged.
+    the step's reads.
     """
     violations: List[Violation] = []
     seen = set()
     for query, kind in violation_queries_for_write(write, mappings):
-        if evaluator is not None:
-            answer = evaluator.evaluate(query, view)
-        else:
-            answer = query.evaluate(view)
+        answer = query.evaluate(view)
         if recorder is not None:
             recorder(query, answer)
         for row in answer:
@@ -202,13 +195,12 @@ def violations_for_writes(
     mappings: Sequence[Tgd],
     view: DatabaseView,
     recorder: Optional[ReadRecorder] = None,
-    evaluator=None,
 ) -> List[Violation]:
     """Detect the new violations caused by a whole write set."""
     violations: List[Violation] = []
     seen = set()
     for write in writes:
-        for violation in violations_for_write(write, mappings, view, recorder, evaluator):
+        for violation in violations_for_write(write, mappings, view, recorder):
             key = (violation.tgd, violation.bindings, violation.kind)
             if key in seen:
                 continue

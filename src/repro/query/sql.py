@@ -26,7 +26,6 @@ from ..core.tgd import Tgd
 __all__ = [
     "conjunction_sql",
     "conjunctive_query_sql",
-    "create_index_statements",
     "create_table_statement",
     "decode_row",
     "decode_term",
@@ -52,27 +51,6 @@ def create_table_statement(schema: DatabaseSchema, relation: str) -> str:
     return "CREATE TABLE IF NOT EXISTS {} ({})".format(
         quote_identifier(relation), columns
     )
-
-
-def create_index_statements(schema: DatabaseSchema, relation: str) -> List[str]:
-    """Companion DDL: one single-column index per attribute of *relation*.
-
-    Set-based violation evaluation joins relations on arbitrary attribute
-    pairs, so the SQL chase mirror indexes every column.  The statements are
-    a *companion* to :func:`create_table_statement` rather than part of it —
-    callers opt in (the :class:`~repro.storage.sqlite_backend.SQLiteDatabase`
-    constructor's ``create_indexes`` flag, always-on in the chase mirror), so
-    the golden ``CREATE TABLE`` text existing tests pin stays stable.
-    """
-    relation_schema = schema.relation(relation)
-    return [
-        "CREATE INDEX IF NOT EXISTS {} ON {} ({})".format(
-            quote_identifier("idx_{}_{}".format(relation, attribute)),
-            quote_identifier(relation),
-            quote_identifier(attribute),
-        )
-        for attribute in relation_schema.attributes
-    ]
 
 
 class _AliasAllocator:

@@ -116,7 +116,6 @@ class RepositoryService:
         first_decision_id: int = 1,
         tracer=None,
         trace_peer: str = "",
-        sql_chase: Optional[object] = None,
     ):
         if isinstance(tracker, str):
             tracker = make_tracker(tracker)
@@ -156,7 +155,6 @@ class RepositoryService:
             group_commit=group_commit,
             tracer=self._tracer,
             trace_peer=trace_peer,
-            sql_chase=sql_chase,
         )
         self._scheduler.add_restart_listener(self._on_restart)
         self._queue = AdmissionQueue(admission)
@@ -172,16 +170,6 @@ class RepositoryService:
         self.metrics.registry.register_producer(
             lambda: self._scheduler.refresh_statistics().as_dict(),
             prefix="scheduler_",
-        )
-        # The SQL-chase evaluator's counters ride the same collect().  The
-        # one that matters operationally is ``python_fallbacks``: violation
-        # sweeps whose parameter count exceeded the SQLite host-parameter
-        # budget and silently fell back to the Python evaluator.  Keys are
-        # emitted (as zeros) even with SQL chase off so the snapshot key set
-        # is identical either way — the pinned-key tests and the federation
-        # bit-identical-metrics differentials rely on that.
-        self.metrics.registry.register_producer(
-            self._sql_chase_metrics, prefix="sql_chase_"
         )
         self._sessions: Dict[int, ClientSession] = {}
         self._tickets: Dict[int, UpdateTicket] = {}
@@ -696,21 +684,6 @@ class RepositoryService:
     def add_batch_commit_listener(self, listener: Callable[[List], None]) -> None:
         """Register a scheduler batch commit listener (see the scheduler's docs)."""
         self._scheduler.add_batch_commit_listener(listener)
-
-    def _sql_chase_metrics(self) -> Dict[str, int]:
-        """SQL-chase evaluator counters (all zero when the path is off)."""
-        evaluator = self._scheduler.sql_evaluator
-        return {
-            "enabled": int(evaluator is not None),
-            "evaluations": evaluator.evaluations if evaluator else 0,
-            "statements_rendered": (
-                evaluator.statements_rendered if evaluator else 0
-            ),
-            "statement_cache_hits": (
-                evaluator.statement_cache_hits if evaluator else 0
-            ),
-            "python_fallbacks": evaluator.python_fallbacks if evaluator else 0,
-        }
 
     def metrics_snapshot(self) -> Dict[str, float]:
         """Flat service+scheduler metrics dictionary (with store gauges)."""

@@ -1,7 +1,7 @@
 """SQLite-backed storage and query evaluation.
 
 The paper presents a chase step's reads as SQL queries against an RDBMS
-(Example 4.1).  This backend mirrors a repository into an SQLite database —
+(Example 4.1).  This backend stores a repository in an SQLite database —
 one table per relation, one TEXT column per attribute, terms encoded through
 the canonical row codec (:mod:`repro.codec.rows`, shared with the SQL
 generator) — and evaluates conjunctive and violation queries by generating
@@ -20,9 +20,8 @@ Transaction discipline: the connection runs in autocommit mode
 (``isolation_level=None``) so single-row writes are one statement with no
 per-row ``commit()`` round-trip, and every bulk operation — :meth:`load_from`,
 :meth:`replace_null` — wraps its statements in one explicit ``BEGIN``/
-``COMMIT`` pair with ``executemany`` batching.  The historical per-row-commit
-path made bulk loading O(transactions); the speedup is asserted by
-``benchmarks/test_sql_chase.py``.
+``COMMIT`` pair with ``executemany`` batching, instead of one transaction per
+row.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from ..core.tgd import Tgd
 from ..core.tuples import Tuple
 from ..query.sql import (
     conjunctive_query_sql,
-    create_index_statements,
     create_table_statement,
     quote_identifier,
     violation_query_sql,
@@ -48,20 +46,9 @@ from .interface import DatabaseView, MutableDatabase
 
 
 class SQLiteDatabase(MutableDatabase):
-    """A repository stored in an SQLite database (in-memory by default).
+    """A repository stored in an SQLite database (in-memory by default)."""
 
-    ``create_indexes=True`` additionally creates one index per attribute
-    (the :func:`~repro.query.sql.create_index_statements` companion DDL);
-    the flag is off by default so the table DDL and query plans of existing
-    callers are untouched.
-    """
-
-    def __init__(
-        self,
-        schema: DatabaseSchema,
-        path: str = ":memory:",
-        create_indexes: bool = False,
-    ):
+    def __init__(self, schema: DatabaseSchema, path: str = ":memory:"):
         self._schema = schema
         self._connection = sqlite3.connect(path)
         # Autocommit mode: the explicit BEGIN/COMMIT discipline below is the
@@ -72,9 +59,6 @@ class SQLiteDatabase(MutableDatabase):
         with self._transaction():
             for relation in schema.relation_names():
                 self._connection.execute(create_table_statement(schema, relation))
-                if create_indexes:
-                    for statement in create_index_statements(schema, relation):
-                        self._connection.execute(statement)
 
     @contextmanager
     def _transaction(self):
@@ -222,7 +206,7 @@ class SQLiteDatabase(MutableDatabase):
     # Bulk loading and SQL-level query evaluation
     # ------------------------------------------------------------------
     def load_from(self, view: DatabaseView) -> None:
-        """Copy every tuple of *view* into the SQLite mirror.
+        """Copy every tuple of *view* into the SQLite database.
 
         One transaction, one ``executemany`` per relation.  The per-row
         ``WHERE NOT EXISTS`` guard preserves set semantics against whatever

@@ -258,12 +258,6 @@ class VersionedDatabase:
         #: when attached, every applied write, rollback and commit is
         #: mirrored to codec-encoded segment files (see :meth:`attach_segments`).
         self._segments = None
-        #: Attached SQL-chase mirrors (:class:`~repro.storage.mirror.DeltaMirror`):
-        #: :meth:`compact_below` pushes each newly committed priority's log
-        #: entries to them (seq-sorted) just before dropping those entries,
-        #: so the mirrors' committed baseline can advance incrementally
-        #: without ever re-reading the store.
-        self._chase_mirrors: List = []
 
     # ------------------------------------------------------------------
     # Loading and basic accessors
@@ -312,30 +306,6 @@ class VersionedDatabase:
         """The attached durable segment log (``None`` in memory-only mode)."""
         return self._segments
 
-    def attach_chase_mirror(self, sink) -> None:
-        """Subscribe *sink* to committed write-log entries.
-
-        *sink* needs one method, ``enqueue_committed(entries)``; it is called
-        from :meth:`compact_below` with the committing priorities' log entries
-        in seq order, before those entries leave the log.  Rollbacks are
-        never forwarded — a rolled-back priority has no log entries left by
-        the time it could commit, so sinks only ever see durable history.
-        """
-        self._chase_mirrors.append(sink)
-
-    def committed_versions(
-        self, watermark: float
-    ) -> Iterator[PyTuple[int, Version]]:
-        """``(tid, version)`` for every tuple's visible version at *watermark*.
-
-        Deletion versions are included (``version.content is None``) so a
-        consumer seeding per-tid baseline state sees committed deletions too.
-        """
-        for tid, record in self._tuples.items():
-            version = record.visible_version(watermark)
-            if version is not None:
-                yield tid, version
-
     def visible_content_of(self, tid: int, priority: float) -> Optional[Tuple]:
         """The content of tuple identity *tid* visible at *priority* (or None)."""
         record = self._tuples.get(tid)
@@ -356,9 +326,10 @@ class VersionedDatabase:
         relations: Dict[str, List[Tuple]] = {
             name: [] for name in self._schema.relation_names()
         }
-        for _, version in self.committed_versions(watermark):
-            if version.content is not None:
-                relations[version.content.relation].append(version.content)
+        for record in self._tuples.values():
+            content = record.visible_content(watermark)
+            if content is not None:
+                relations[content.relation].append(content)
         return write_snapshot(path, self._schema, relations, int(watermark))
 
     @classmethod
@@ -475,10 +446,6 @@ class VersionedDatabase:
         the historical scan while the actual work is index-driven.
         """
         return bisect_right(self._log_seqs.get(priority, []), seq)
-
-    def mutation_stamp(self) -> int:
-        """Monotone counter bumped by every write, rollback and compaction."""
-        return self._mutation_stamp
 
     def relation_stamp(self, relation: str) -> int:
         """Monotone counter bumped by every mutation touching *relation*.
@@ -901,21 +868,6 @@ class VersionedDatabase:
             ]
             removed_versions += len(dropped)
             self._prune_index_entries(tid, dropped, record.versions)
-        if self._chase_mirrors:
-            # Push the committing entries before they leave the log: sorted
-            # by seq so a mirror replaying them per tid lands on the newest
-            # committed version (cross-push interleavings are handled by the
-            # mirror's max-seq-wins guard).
-            committed_entries = sorted(
-                (
-                    entry
-                    for priority in targets
-                    for entry in self._log_by_priority[priority]
-                ),
-                key=lambda entry: entry.seq,
-            )
-            for sink in self._chase_mirrors:
-                sink.enqueue_committed(committed_entries)
         self._drop_priorities_log(targets)
         # Compaction preserves visibility for every remaining reader, but it
         # does move physical versions; bump the touched relations so stamped

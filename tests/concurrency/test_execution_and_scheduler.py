@@ -33,11 +33,18 @@ from repro.storage.versioned import VersionedDatabase
 from repro.fixtures import travel_database, travel_mappings
 
 
-def _fresh_store():
+def _fresh_store(store_class=VersionedDatabase):
     database = travel_database()
-    store = VersionedDatabase(database.schema)
+    store = store_class(database.schema)
     store.load_initial(database.snapshot())
     return store
+
+
+class _NeverCompacting(VersionedDatabase):
+    """The no-compaction reference: commits leave every version and log entry."""
+
+    def compact_below(self, watermark, priorities=None):
+        return 0
 
 
 class TestUpdateExecution:
@@ -275,22 +282,21 @@ class TestOptimisticScheduler:
         database = travel_database()
         mappings = travel_mappings()
 
-        def run_with(compact):
-            store = _fresh_store()
+        def run_with(store_class):
+            store = _fresh_store(store_class)
             scheduler = OptimisticScheduler(
                 store=store,
                 mappings=mappings,
                 tracker=PreciseTracker(),
                 oracle=RandomOracle(seed=6),
                 null_factory=NullFactory(prefix="c"),
-                compact_committed=compact,
             )
             scheduler.submit_all(self._operations())
             statistics = scheduler.run()
             return store, scheduler, statistics
 
-        compacted_store, compacted, with_compaction = run_with(True)
-        plain_store, plain, without_compaction = run_with(False)
+        compacted_store, compacted, with_compaction = run_with(VersionedDatabase)
+        plain_store, plain, without_compaction = run_with(_NeverCompacting)
         # Compaction must not change any decision: identical statistics and
         # identical final contents.
         assert with_compaction.aborts == without_compaction.aborts

@@ -110,12 +110,6 @@ PINNED_METRIC_KEYS = {
     "wire_deliveries_deferred", "wire_answers_dropped",
     # send-side staging window counters
     "wire_payloads_staged", "wire_staged_flushes",
-    # SQL-chase evaluator counters (zeros with the path off, so the key set
-    # is identical with and without REPRO_SQL_CHASE — the silent-fallback
-    # counter must show in repro-top either way)
-    "sql_chase_enabled", "sql_chase_evaluations",
-    "sql_chase_statements_rendered", "sql_chase_statement_cache_hits",
-    "sql_chase_python_fallbacks",
 }
 
 #: The status-shaped top-level keys metrics() must keep bit-compatible.

@@ -83,8 +83,7 @@ def durable_stream(experiment, config, seed):
 config = ExperimentConfig().scaled(num_initial_tuples=600)
 experiment = build_environment(config)
 mappings = list(mapping_prefix(experiment.mappings, 10))
-# The finding is on the Python evaluator, whatever REPRO_SQL_CHASE says.
-service = RepositoryService(experiment.initial, mappings, sql_chase=False)
+service = RepositoryService(experiment.initial, mappings)
 session = service.open_session("replay").session_id
 
 
