@@ -4,13 +4,15 @@ Runs the *same* generated multi-peer scenario as ``test_federation.py``
 (same scale, same seed, same closed-loop driver pacing) in two
 configurations:
 
-* **baseline** — the PR 3 execution model: per-envelope staging and sends,
-  singleton commits, plain FIFO admission (the default
-  :class:`~repro.service.admission.AdmissionConfig`);
-* **batched** — the full batched path: commit batches with one listener
-  round and one compaction sweep, per-batch envelope coalescing, per-
+* **baseline** — per-envelope staging and sends and plain FIFO admission
+  (the default :class:`~repro.service.admission.AdmissionConfig`);
+* **batched** — the full batched path: per-batch envelope coalescing, per-
   destination transport bundles, and compatible-group admission tuned to
   keep intra-peer conflicts (and therefore aborts) low.
+
+Both commit in batches (one listener round and one compaction sweep per
+batch); the scheduler has no singleton mode, and the singleton reference
+lives in ``tests/concurrency/test_group_commit.py``.
 
 Both runs must converge to the single-repository reference chase, and their
 global snapshots must be homomorphically equivalent to each other
@@ -85,7 +87,6 @@ def _run_once(environment, batched: bool, wire: bool = False, tracer=None):
             environment.ownership,
             transport=Transport(delay=1, wire=wire),
             coalesce_envelopes=True,
-            group_commit=True,
             admission=BATCHED_ADMISSION,
             tracer=tracer,
         )
@@ -97,7 +98,6 @@ def _run_once(environment, batched: bool, wire: bool = False, tracer=None):
             environment.ownership,
             transport=Transport(delay=1, wire=wire),
             coalesce_envelopes=False,
-            group_commit=False,
             tracer=tracer,
         )
     specs = [

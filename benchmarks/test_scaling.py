@@ -80,7 +80,7 @@ def _timed(tracker_class):
     return Timed()
 
 
-def _run_workload(environment, config, tracker, group_commit=True):
+def _run_workload(environment, config, tracker):
     mappings = mapping_prefix(environment.mappings, MAPPING_COUNT)
     operations = build_workload(environment, INSERT_WORKLOAD, config.seed)
     store = VersionedDatabase(environment.schema)
@@ -93,7 +93,6 @@ def _run_workload(environment, config, tracker, group_commit=True):
         policy=make_policy(config.policy),
         null_factory=NullFactory.avoiding_view(environment.initial, prefix="g"),
         max_total_steps=config.max_total_steps,
-        group_commit=group_commit,
     )
     scheduler.submit_all(operations)
     started = time.perf_counter()
@@ -163,25 +162,6 @@ def test_precise_tracker_scaling():
             wall_speedup,
         )
     )
-
-    if os.environ.get("REPRO_BENCH_BATCH") == "1":
-        # Batched-path smoke (CI tier-1 sets this at tiny scale): re-run the
-        # indexed workload with singleton commits and assert the group-commit
-        # path changed nothing the panels measure.
-        singleton = _run_workload(
-            environment, config, _timed(PreciseTracker), group_commit=False
-        )
-        for key in (
-            "cost_units",
-            "reads",
-            "aborts",
-            "cascading_abort_requests",
-            "cascading_aborts",
-            "final_log_entries",
-            "final_versions",
-        ):
-            assert indexed[key] == singleton[key], key
-        print("batched-path smoke: group-commit run identical to singleton run")
 
     assert tracker_speedup >= MIN_SPEEDUP.get(scale, 3.0), (
         "indexed PRECISE tracker must be at least {}x faster than the "

@@ -51,6 +51,9 @@ from .core import (
 )
 from .storage import MemoryDatabase
 
+# Last: imports every layer above storage to bind the wire codec's names.
+from .codec import late as _codec_late  # noqa: E402,F401
+
 __version__ = "1.1.0"
 
 __all__ = [

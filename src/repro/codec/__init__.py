@@ -18,10 +18,12 @@ separators, canonical member ordering) so that golden-bytes fixtures can pin
 the format: an accidental change to any encoder fails the fixture check
 loudly instead of silently forking the wire dialect.
 
-Layering: this package sits below storage, service and federation (it only
-imports ``core``), and all three route their byte-level representation
-through it — the codec is the single place where "what do these objects look
-like as bytes" is decided.
+Layering: this package sits below storage, service and federation (at import
+time it only imports ``core`` and ``obs``; :mod:`repro.codec.late` binds the
+upper layers' types into the wire codec once the package root has loaded
+them), and all three route their byte-level representation through it — the
+codec is the single place where "what do these objects look like as bytes"
+is decided.
 """
 
 from .framing import (

@@ -28,14 +28,15 @@ tgd — the inline dict is emitted.  The field is self-describing (a string
 is a name, a dict is a body), so decoders accept either; a name missing from
 the decoder's table is a :class:`CodecError`.
 
-Layering note: the federation/service types are imported lazily inside the
-codec functions so this module stays importable from below those layers (the
-transport imports the codec, and the codec must be able to name the
-transport's bundle type without a cycle).
+Layering note: every name the codec uses is a plain module global, bound
+once per process; no codec call runs import machinery.  The types of the
+layers above ``core``'s leaves are bound late, by :mod:`repro.codec.late`
+(see the declarations below), and :func:`dumps` reuses one prebuilt encoder.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Any, Dict, List, Mapping, Optional
 
@@ -45,13 +46,37 @@ from ..core.terms import Constant, LabeledNull, Variable
 from ..core.tgd import Tgd
 from ..core.tuples import Tuple
 from ..core.writes import Write, WriteKind
+from ..obs.trace import SpanContext
 
-# NOTE: ``core.frontier`` / ``core.violations`` / ``core.update`` (and, below
-# those, the storage / service / federation layers) are imported lazily inside
-# the codec functions.  Those modules import the storage package, whose
-# ``__init__`` loads the SQLite backend, whose SQL generator imports this
-# codec's row module — a module-level import here would therefore observe
-# partially-initialized modules depending on which package was imported first.
+# Bound by :mod:`repro.codec.late`, which the package root imports last.  This
+# module is first imported while ``repro.core`` is still initialising (core ->
+# storage -> SQLite backend -> SQL generator -> this package), and every type
+# below comes from a module that imports the storage package or this codec, so
+# none of them can be imported here.
+FrontierTuple: type
+PositiveFrontierRequest: type
+NegativeFrontierRequest: type
+ExpandOperation: type
+UnifyOperation: type
+DeleteSubsetOperation: type
+InsertOperation: type
+DeleteOperation: type
+NullReplacementOperation: type
+Violation: type
+ViolationKind: type
+VersionedWrite: type
+RemoteFiringOperation: type
+RemoteRetractionOperation: type
+RemoteOrigin: type
+TicketStatus: type
+RemoteUpdate: type
+ExchangeFiring: type
+ExchangeRetraction: type
+QuestionOpened: type
+QuestionCancelled: type
+QuestionAnswer: type
+CommitNotice: type
+Bundle: type
 
 #: The codec dialect this build speaks.  Bump on any incompatible change.
 WIRE_VERSION = 2
@@ -210,8 +235,6 @@ def encode_versioned_write(entry) -> Dict[str, Any]:
 
 
 def decode_versioned_write(body: Dict[str, Any]):
-    from ..storage.versioned import VersionedWrite
-
     return VersionedWrite(
         seq=body["seq"],
         priority=body["pri"],
@@ -233,8 +256,6 @@ def encode_violation(violation, mappings: Mappings = None) -> Dict[str, Any]:
 
 
 def decode_violation(body: Dict[str, Any], mappings: Mappings = None):
-    from ..core.violations import Violation, ViolationKind
-
     return Violation(
         tgd=_decode_tgd_ref(body["tgd"], mappings),
         bindings=_decode_assignment_items(body["b"]),
@@ -265,8 +286,6 @@ def encode_frontier_tuple(
 
 
 def decode_frontier_tuple(body: Dict[str, Any], mappings: Mappings = None, within=None):
-    from ..core.frontier import FrontierTuple
-
     if "vio" in body:
         within = decode_violation(body["vio"], mappings)
     elif within is None:
@@ -280,8 +299,6 @@ def decode_frontier_tuple(body: Dict[str, Any], mappings: Mappings = None, withi
 
 
 def encode_frontier_request(request, mappings: Mappings = None) -> Dict[str, Any]:
-    from ..core.frontier import NegativeFrontierRequest, PositiveFrontierRequest
-
     if isinstance(request, PositiveFrontierRequest):
         return {
             "t": "pos",
@@ -301,8 +318,6 @@ def encode_frontier_request(request, mappings: Mappings = None) -> Dict[str, Any
 
 
 def decode_frontier_request(body: Dict[str, Any], mappings: Mappings = None):
-    from ..core.frontier import NegativeFrontierRequest, PositiveFrontierRequest
-
     tag = body.get("t")
     if tag == "pos":
         violation = decode_violation(body["vio"], mappings)
@@ -322,12 +337,6 @@ def decode_frontier_request(body: Dict[str, Any], mappings: Mappings = None):
 
 
 def encode_frontier_operation(operation, mappings: Mappings = None) -> Dict[str, Any]:
-    from ..core.frontier import (
-        DeleteSubsetOperation,
-        ExpandOperation,
-        UnifyOperation,
-    )
-
     if isinstance(operation, ExpandOperation):
         return {
             "t": "expand",
@@ -345,12 +354,6 @@ def encode_frontier_operation(operation, mappings: Mappings = None) -> Dict[str,
 
 
 def decode_frontier_operation(body: Dict[str, Any], mappings: Mappings = None):
-    from ..core.frontier import (
-        DeleteSubsetOperation,
-        ExpandOperation,
-        UnifyOperation,
-    )
-
     tag = body.get("t")
     if tag == "expand":
         return ExpandOperation(decode_frontier_tuple(body["ft"], mappings))
@@ -370,16 +373,6 @@ def decode_frontier_operation(body: Dict[str, Any], mappings: Mappings = None):
 # ----------------------------------------------------------------------
 def encode_user_operation(operation, mappings: Mappings = None) -> Dict[str, Any]:
     """Encode any :class:`~repro.core.update.UserOperation` the system produces."""
-    from ..core.update import (
-        DeleteOperation,
-        InsertOperation,
-        NullReplacementOperation,
-    )
-    from ..federation.operations import (
-        RemoteFiringOperation,
-        RemoteRetractionOperation,
-    )
-
     if isinstance(operation, InsertOperation):
         return {"t": "ins", "row": encode_tuple(operation.row)}
     if isinstance(operation, DeleteOperation):
@@ -407,16 +400,6 @@ def encode_user_operation(operation, mappings: Mappings = None) -> Dict[str, Any
 
 
 def decode_user_operation(body: Dict[str, Any], mappings: Mappings = None):
-    from ..core.update import (
-        DeleteOperation,
-        InsertOperation,
-        NullReplacementOperation,
-    )
-    from ..federation.operations import (
-        RemoteFiringOperation,
-        RemoteRetractionOperation,
-    )
-
     tag = body.get("t")
     if tag == "ins":
         return InsertOperation(decode_tuple(body["row"]))
@@ -464,8 +447,6 @@ def _encode_origin(origin) -> Dict[str, Any]:
 
 
 def _decode_origin(body: Dict[str, Any]):
-    from ..service.tickets import RemoteOrigin
-
     return RemoteOrigin(peer=body["peer"], ticket_id=body["ticket"])
 
 
@@ -495,22 +476,19 @@ def _decode_choice(body: Dict[str, Any], mappings: Mappings = None):
 # ----------------------------------------------------------------------
 def payload_kind(payload: object) -> str:
     """The wire kind string of *payload* (used in the envelope header)."""
-    from ..federation import envelopes as env
-    from ..federation.transport import Bundle
-
-    if isinstance(payload, env.RemoteUpdate):
+    if isinstance(payload, RemoteUpdate):
         return "remote-update"
-    if isinstance(payload, env.ExchangeFiring):
+    if isinstance(payload, ExchangeFiring):
         return "firing"
-    if isinstance(payload, env.ExchangeRetraction):
+    if isinstance(payload, ExchangeRetraction):
         return "retraction"
-    if isinstance(payload, env.QuestionOpened):
+    if isinstance(payload, QuestionOpened):
         return "question-opened"
-    if isinstance(payload, env.QuestionCancelled):
+    if isinstance(payload, QuestionCancelled):
         return "question-cancelled"
-    if isinstance(payload, env.QuestionAnswer):
+    if isinstance(payload, QuestionAnswer):
         return "question-answer"
-    if isinstance(payload, env.CommitNotice):
+    if isinstance(payload, CommitNotice):
         return "commit-notice"
     if isinstance(payload, Bundle):
         return "bundle"
@@ -539,10 +517,6 @@ def decode_payload(body: Dict[str, Any], mappings: Mappings = None) -> object:
     payload = _decode_payload_body(body, mappings)
     trace = body.get("tr")
     if trace is not None and hasattr(payload, "trace"):
-        import dataclasses
-
-        from ..obs.trace import SpanContext
-
         payload = dataclasses.replace(
             payload, trace=SpanContext(trace_id=trace["ti"], span_id=trace["si"])
         )
@@ -550,17 +524,13 @@ def decode_payload(body: Dict[str, Any], mappings: Mappings = None) -> object:
 
 
 def _encode_payload_body(payload: object, mappings: Mappings) -> Dict[str, Any]:
-    from ..federation import envelopes as env
-    from ..federation.transport import Bundle
-    from ..service.tickets import TicketStatus
-
-    if isinstance(payload, env.RemoteUpdate):
+    if isinstance(payload, RemoteUpdate):
         return {
             "t": "remote-update",
             "op": encode_user_operation(payload.operation, mappings),
             "o": _encode_origin(payload.origin),
         }
-    if isinstance(payload, env.ExchangeFiring):
+    if isinstance(payload, ExchangeFiring):
         return {
             "t": "firing",
             "tgd": _encode_tgd_ref(payload.tgd, mappings),
@@ -568,7 +538,7 @@ def _encode_payload_body(payload: object, mappings: Mappings) -> Dict[str, Any]:
             "rows": [encode_tuple(row) for row in payload.head_rows],
             "o": _encode_origin(payload.origin),
         }
-    if isinstance(payload, env.ExchangeRetraction):
+    if isinstance(payload, ExchangeRetraction):
         return {
             "t": "retraction",
             "tgd": _encode_tgd_ref(payload.tgd, mappings),
@@ -576,7 +546,7 @@ def _encode_payload_body(payload: object, mappings: Mappings) -> Dict[str, Any]:
             "row": encode_tuple(payload.removed_row),
             "o": _encode_origin(payload.origin),
         }
-    if isinstance(payload, env.QuestionOpened):
+    if isinstance(payload, QuestionOpened):
         return {
             "t": "question-opened",
             "peer": payload.executing_peer,
@@ -585,14 +555,14 @@ def _encode_payload_body(payload: object, mappings: Mappings) -> Dict[str, Any]:
             "o": _encode_origin(payload.origin),
             "desc": payload.ticket_description,
         }
-    if isinstance(payload, env.QuestionCancelled):
+    if isinstance(payload, QuestionCancelled):
         return {
             "t": "question-cancelled",
             "peer": payload.executing_peer,
             "id": payload.decision_id,
             "o": _encode_origin(payload.origin),
         }
-    if isinstance(payload, env.QuestionAnswer):
+    if isinstance(payload, QuestionAnswer):
         return {
             "t": "question-answer",
             "peer": payload.executing_peer,
@@ -600,7 +570,7 @@ def _encode_payload_body(payload: object, mappings: Mappings) -> Dict[str, Any]:
             "c": _encode_choice(payload.choice, mappings),
             "by": payload.answered_by,
         }
-    if isinstance(payload, env.CommitNotice):
+    if isinstance(payload, CommitNotice):
         if not isinstance(payload.status, TicketStatus):
             raise CodecError("commit notice with non-status {!r}".format(payload.status))
         return {
@@ -621,32 +591,28 @@ def _encode_payload_body(payload: object, mappings: Mappings) -> Dict[str, Any]:
 
 
 def _decode_payload_body(body: Dict[str, Any], mappings: Mappings) -> object:
-    from ..federation import envelopes as env
-    from ..federation.transport import Bundle
-    from ..service.tickets import TicketStatus
-
     tag = body.get("t")
     if tag == "remote-update":
-        return env.RemoteUpdate(
+        return RemoteUpdate(
             operation=decode_user_operation(body["op"], mappings),
             origin=_decode_origin(body["o"]),
         )
     if tag == "firing":
-        return env.ExchangeFiring(
+        return ExchangeFiring(
             tgd=_decode_tgd_ref(body["tgd"], mappings),
             assignment_items=_decode_assignment_items(body["a"]),
             head_rows=tuple(decode_tuple(row) for row in body["rows"]),
             origin=_decode_origin(body["o"]),
         )
     if tag == "retraction":
-        return env.ExchangeRetraction(
+        return ExchangeRetraction(
             tgd=_decode_tgd_ref(body["tgd"], mappings),
             assignment_items=_decode_assignment_items(body["a"]),
             removed_row=decode_tuple(body["row"]),
             origin=_decode_origin(body["o"]),
         )
     if tag == "question-opened":
-        return env.QuestionOpened(
+        return QuestionOpened(
             executing_peer=body["peer"],
             decision_id=body["id"],
             request=decode_frontier_request(body["req"], mappings),
@@ -654,20 +620,20 @@ def _decode_payload_body(body: Dict[str, Any], mappings: Mappings) -> object:
             ticket_description=body["desc"],
         )
     if tag == "question-cancelled":
-        return env.QuestionCancelled(
+        return QuestionCancelled(
             executing_peer=body["peer"],
             decision_id=body["id"],
             origin=_decode_origin(body["o"]),
         )
     if tag == "question-answer":
-        return env.QuestionAnswer(
+        return QuestionAnswer(
             executing_peer=body["peer"],
             decision_id=body["id"],
             choice=_decode_choice(body["c"], mappings),
             answered_by=body["by"],
         )
     if tag == "commit-notice":
-        return env.CommitNotice(
+        return CommitNotice(
             origin=_decode_origin(body["o"]),
             status=TicketStatus(body["s"]),
         )
@@ -683,11 +649,14 @@ def _decode_payload_body(body: Dict[str, Any], mappings: Mappings) -> object:
 # ----------------------------------------------------------------------
 # The byte layer
 # ----------------------------------------------------------------------
+#: The codec's dialect, built once (``json.dumps`` with any non-default
+#: option builds a fresh encoder per call).
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
 def dumps(structure: object) -> bytes:
     """Serialize a JSON-able structure deterministically (the codec's dialect)."""
-    return json.dumps(
-        structure, sort_keys=True, separators=(",", ":"), ensure_ascii=True
-    ).encode("utf-8")
+    return _ENCODER.encode(structure).encode("utf-8")
 
 
 def loads(data: bytes) -> object:

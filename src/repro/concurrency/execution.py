@@ -39,6 +39,7 @@ from ..core.update import UpdateStatus, UserOperation
 from ..core.violations import Violation, violations_for_writes
 from ..core.writes import Write
 from ..query.base import ReadQuery
+from ..query.compiled import compile_mappings
 from ..storage.versioned import VersionedDatabase, VersionedWrite
 
 #: Scheduler-provided callback: ``recorder(query, answer)``.
@@ -86,8 +87,6 @@ class UpdateExecution:
         self.steps_taken = 0
         self.frontier_operations = 0
         self.writes_performed = 0
-        from ..query.compiled import compile_mappings
-
         self._store = store
         self._mappings = list(mappings)
         #: Compiled plans shared process-wide through the global plan cache.

@@ -21,6 +21,7 @@ from ..core.tgd import Tgd
 from ..core.update import UserOperation
 from ..obs.trace import SpanContext, default_tracer
 from ..query.base import ReadQuery
+from ..query.compiled import compile_mappings
 from ..storage.interface import DatabaseView
 from ..storage.memory import FrozenDatabase
 from ..storage.versioned import VersionedDatabase, VersionedWrite
@@ -50,7 +51,6 @@ class OptimisticScheduler:
         max_total_steps: int = 1_000_000,
         promote_restarts_to_precise: bool = False,
         prune_committed: bool = False,
-        group_commit: bool = True,
         proof_carrying_commit: bool = True,
         tracer=None,
         trace_peer: str = "",
@@ -63,8 +63,6 @@ class OptimisticScheduler:
         #: commit).  Empty whenever tracing is disabled.
         self._trace_contexts: Dict[int, SpanContext] = {}
         self._mappings = list(mappings)
-        from ..query.compiled import compile_mappings
-
         #: One shared CompiledMappings for every execution this scheduler
         #: admits or restarts (the per-mapping plans are process-cached, but
         #: the relation-keyed lookup tables used to be rebuilt per execution).
@@ -81,16 +79,6 @@ class OptimisticScheduler:
         #: so per-pump scans stay proportional to the in-flight set, not to
         #: everything ever served.  Batch callers keep them for inspection.
         self._prune_committed = prune_committed
-        #: Group commit (the default): every maximal run of terminated updates
-        #: commits as one batch — one watermark advance, one validation of the
-        #: batch against the read log, one batch-listener round with the union
-        #: write set and one ``compact_below`` sweep.  With ``False`` each
-        #: member commits as its own singleton batch (own listener round and
-        #: compaction sweep) — the reference path the differential tests pin
-        #: the batched path against.  Chase execution, conflict processing and
-        #: abort semantics are identical either way; only commit-time
-        #: amortization differs.
-        self._group_commit = group_commit
         #: Proof-carrying commit (the default): group-commit validation is
         #: skipped when every batch member's writes were eagerly
         #: conflict-checked and no direct conflict has occurred anywhere
@@ -408,14 +396,10 @@ class OptimisticScheduler:
         An update can no longer be aborted once it has terminated and every
         lower-numbered update has committed: no future write can come from a
         lower-numbered update.  The maximal run of such updates forms one
-        *commit batch*; under group commit (the default) it is validated
-        against the read log and committed with one watermark advance, one
-        batch-listener round and one compaction sweep — the per-commit fixed
-        costs are paid once per batch instead of once per update.  An
-        intra-batch conflict (impossible under eager conflict processing, but
-        validated anyway) or ``group_commit=False`` falls back to committing
-        each member as its own singleton batch, which is bit-identical in
-        abort/cascade/cost semantics and differs only in amortization.
+        *commit batch*, committed by :meth:`_commit_batch` with one watermark
+        advance, one batch-listener round and one compaction sweep — the
+        per-commit fixed costs are paid once per batch instead of once per
+        update.
         """
         # Cheap pre-check before sorting: most steps terminate nothing, and
         # the commit batch can only be non-empty when something did.
@@ -430,24 +414,29 @@ class OptimisticScheduler:
             if not self._executions[priority].is_terminated:
                 break
             batch.append(priority)
-        if not batch:
-            return
-        if self._group_commit:
-            if len(batch) > 1 and self._batch_proof_carried(batch):
-                # Proof-carrying fast path: every member's writes were
-                # eagerly checked and nothing conflicted since — skip the
-                # redundant read-log re-check entirely.
-                self.statistics.group_validation_skips += 1
-                self._commit_members(batch)
-            elif len(batch) > 1 and not self._timed_validate_group(batch):
-                self.statistics.group_commit_fallbacks += 1
-                for priority in batch:
-                    self._commit_members([priority])
-            else:
-                self._commit_members(batch)
-        else:
+        if batch:
+            self._commit_batch(batch)
+
+    def _commit_batch(self, batch: List[int]) -> None:
+        """Validate one commit batch against the read log and commit it.
+
+        An intra-batch conflict (impossible under eager conflict processing,
+        but validated anyway) falls back to committing each member as its
+        own singleton batch, which is bit-identical in abort/cascade/cost
+        semantics and differs only in amortization.
+        """
+        if len(batch) > 1 and self._batch_proof_carried(batch):
+            # Proof-carrying fast path: every member's writes were eagerly
+            # checked and nothing conflicted since — skip the redundant
+            # read-log re-check entirely.
+            self.statistics.group_validation_skips += 1
+            self._commit_members(batch)
+        elif len(batch) > 1 and not self._timed_validate_group(batch):
+            self.statistics.group_commit_fallbacks += 1
             for priority in batch:
                 self._commit_members([priority])
+        else:
+            self._commit_members(batch)
 
     def _batch_proof_carried(self, batch: List[int]) -> bool:
         """``True`` when the batch provably needs no read-log re-validation.

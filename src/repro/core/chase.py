@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from ..query.compiled import compile_mappings
 from ..storage.interface import MutableDatabase
 from .frontier import writes_for_operation
 from .oracle import AlwaysUnifyOracle, FrontierOracle
@@ -27,7 +28,14 @@ from .planner import RepairPlanner
 from .provenance import ChaseTree
 from .terms import NullFactory
 from .tgd import Tgd
-from .update import UpdateRecord, UpdateStatus, UserOperation
+from .tuples import make_tuple
+from .update import (
+    DeleteOperation,
+    InsertOperation,
+    UpdateRecord,
+    UpdateStatus,
+    UserOperation,
+)
 from .violations import Violation, violations_for_writes
 from .writes import Write, WriteKind
 
@@ -61,8 +69,6 @@ class ChaseEngine:
         null_factory: Optional[NullFactory] = None,
         config: Optional[ChaseConfig] = None,
     ):
-        from ..query.compiled import compile_mappings
-
         self._database = database
         self._mappings: List[Tgd] = list(mappings)
         #: Shared compiled plans: one compilation per mapping per process.
@@ -205,15 +211,9 @@ class ChaseEngine:
 
 def chase_insert(engine: ChaseEngine, relation: str, *values: object) -> UpdateRecord:
     """Convenience helper: run the update induced by inserting a tuple."""
-    from .tuples import make_tuple
-    from .update import InsertOperation
-
     return engine.run(InsertOperation(make_tuple(relation, *values)))
 
 
 def chase_delete(engine: ChaseEngine, relation: str, *values: object) -> UpdateRecord:
     """Convenience helper: run the update induced by deleting a tuple."""
-    from .tuples import make_tuple
-    from .update import DeleteOperation
-
     return engine.run(DeleteOperation(make_tuple(relation, *values)))

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple as PyTuple
 
+from ..query.compiled import get_plan
 from ..query.correction_query import MoreSpecificQuery, NullOccurrenceQuery
 from ..storage.interface import DatabaseView
 from .frontier import (
@@ -159,8 +160,6 @@ class RepairPlanner:
         )
 
     def _generate_firing(self, violation: Violation) -> FiringState:
-        from ..query.compiled import get_plan
-
         plan = get_plan(violation.tgd)
         assignment = violation.exported_assignment()
         fresh: Dict = {}

@@ -161,7 +161,6 @@ class FederatedNetwork:
         admission: Union[AdmissionConfig, Dict[str, AdmissionConfig], None] = None,
         max_total_steps: int = 1_000_000,
         coalesce_envelopes: bool = True,
-        group_commit: bool = True,
         tracer=None,
         stage_rounds: int = 1,
     ):
@@ -205,7 +204,6 @@ class FederatedNetwork:
         self._tracker_spec = tracker
         self._admission_spec = admission
         self._max_total_steps = max_total_steps
-        self._group_commit = group_commit
         #: Coalesce commit batches' envelopes and flush per-destination
         #: bundles; ``False`` restores per-envelope staging and sends (the
         #: reference behavior the coalescing differential tests compare to).
@@ -240,7 +238,6 @@ class FederatedNetwork:
                 tracker=tracker,
                 admission=peer_admission,
                 max_total_steps=max_total_steps,
-                group_commit=group_commit,
                 tracer=self._tracer,
                 trace_peer=peer_name,
                 # Peer-unique null prefixes: two peers' chases must never mint
@@ -396,7 +393,6 @@ class FederatedNetwork:
             if isinstance(self._admission_spec, dict)
             else self._admission_spec,
             max_total_steps=self._max_total_steps,
-            group_commit=self._group_commit,
         )
         extra = restored.extra
         reborn = Peer(

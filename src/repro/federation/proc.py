@@ -142,7 +142,6 @@ def encode_peer_config(
     tracker: str = "PRECISE",
     admission: Optional[AdmissionConfig] = None,
     max_total_steps: int = 1_000_000,
-    group_commit: bool = True,
     coalesce: bool = True,
     link_delay: float = 0.0,
     reorder_seed: Optional[int] = None,
@@ -183,7 +182,6 @@ def encode_peer_config(
         "tracker": tracker,
         "admission": encode_admission(admission),
         "max_total_steps": max_total_steps,
-        "group_commit": group_commit,
         "coalesce": coalesce,
         "link_delay": link_delay,
         "reorder_seed": reorder_seed,
@@ -240,7 +238,6 @@ class PeerHost:
         self._admission = decode_admission(config["admission"])
         self._tracker = config["tracker"]
         self._max_total_steps = config["max_total_steps"]
-        self._group_commit = config["group_commit"]
         self._coalesce = config["coalesce"]
         self._trace_path = config.get("trace_path")
         if config.get("trace"):
@@ -371,7 +368,6 @@ class PeerHost:
                 tracker=self._tracker,
                 admission=self._admission,
                 max_total_steps=self._max_total_steps,
-                group_commit=self._group_commit,
                 tracer=self.tracer,
                 trace_peer=self.name,
                 null_factory=NullFactory.avoiding_view(
@@ -397,7 +393,6 @@ class PeerHost:
             tracker=self._tracker,
             admission=self._admission,
             max_total_steps=self._max_total_steps,
-            group_commit=self._group_commit,
             tracer=self.tracer,
             trace_peer=self.name,
         )

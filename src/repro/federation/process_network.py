@@ -31,7 +31,6 @@ orphan processes or socket files.
 
 from __future__ import annotations
 
-import json
 import os
 import selectors
 import shutil
@@ -57,7 +56,7 @@ from ..storage.memory import FrozenDatabase
 from .exchange import ExchangeRules, FederationError
 from .network import AnswerStrategy, FederatedQuestion
 from ..obs.timeline import TelemetryTimeline
-from ..obs.trace import SpanContext
+from ..obs.trace import SpanContext, encode_record
 from .proc import COORDINATOR, encode_peer_config
 from .socket_transport import (
     ChannelClosed,
@@ -136,7 +135,6 @@ class ProcessFederation:
         admission=None,
         max_total_steps: int = 1_000_000,
         coalesce_envelopes: bool = True,
-        group_commit: bool = True,
         link_delay: float = 0.0,
         reorder_seed: Optional[int] = None,
         trace: Optional[bool] = None,
@@ -188,7 +186,6 @@ class ProcessFederation:
         self._admission = admission
         self._max_total_steps = max_total_steps
         self._coalesce = coalesce_envelopes
-        self._group_commit = group_commit
         self._link_delay = link_delay
         self._reorder_seed = reorder_seed
         if trace is None:
@@ -322,7 +319,6 @@ class ProcessFederation:
             if isinstance(self._admission, dict)
             else self._admission,
             max_total_steps=self._max_total_steps,
-            group_commit=self._group_commit,
             coalesce=self._coalesce,
             link_delay=self._link_delay,
             reorder_seed=self._reorder_seed,
@@ -399,7 +395,7 @@ class ProcessFederation:
         if self._spool_handle is None:
             return
         try:
-            self._spool_handle.write(json.dumps(record, sort_keys=True) + "\n")
+            self._spool_handle.write(encode_record(record) + "\n")
             self._spool_handle.flush()
         except (OSError, ValueError):  # pragma: no cover - best effort
             pass

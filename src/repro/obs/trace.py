@@ -29,6 +29,12 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Union
 
+#: Serialises one JSONL record, keys sorted: the dialect of every record
+#: line the system writes (span exports, flight segments, the telemetry
+#: spool), byte-identical to ``json.dumps(record, sort_keys=True)``, which
+#: would build a fresh encoder per call.
+encode_record = json.JSONEncoder(sort_keys=True).encode
+
 
 @dataclass(frozen=True)
 class SpanContext:
@@ -226,7 +232,7 @@ class Tracer:
         """Write every recorded span as one JSON object per line; returns the count."""
         with open(path, "w") as handle:
             for span in self.spans:
-                handle.write(json.dumps(span.to_record(), sort_keys=True) + "\n")
+                handle.write(encode_record(span.to_record()) + "\n")
         return len(self.spans)
 
     def clear(self) -> None:

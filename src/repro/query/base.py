@@ -15,6 +15,7 @@ from typing import FrozenSet, Hashable, Optional, Tuple as PyTuple
 
 from ..core.writes import Write
 from ..storage.interface import DatabaseView
+from ..storage.overlay import view_without_write
 
 
 class ReadQuery(ABC):
@@ -77,8 +78,6 @@ class ReadQuery(ABC):
         """
         if not self.might_be_affected_by(write):
             return False
-        from ..storage.overlay import view_without_write
-
         return self.evaluate(view) != self.evaluate(view_without_write(view, write))
 
     def evaluation_cost(self) -> int:

@@ -51,6 +51,7 @@ from ..core.tgd import Tgd
 from ..core.tuples import Tuple
 from ..core.writes import Write
 from ..storage.interface import DatabaseView
+from ..storage.overlay import view_without_write
 from .base import ReadQuery
 from .compiled import AtomShape, CompiledTgd, get_plan
 from .homomorphism import Assignment
@@ -264,8 +265,6 @@ class ViolationQuery(ReadQuery):
             removed = None
         if added is None and removed is None:
             return False
-        from ..storage.overlay import view_without_write
-
         plan = self._plan
         without = view_without_write(view, write)
         # 1. A violating match whose witness uses the added value exists only

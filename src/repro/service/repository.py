@@ -111,7 +111,6 @@ class RepositoryService:
         max_total_steps: int = 1_000_000,
         clock: Callable[[], float] = time.perf_counter,
         null_factory: Optional[NullFactory] = None,
-        group_commit: bool = True,
         durable_dir: Optional[str] = None,
         first_decision_id: int = 1,
         tracer=None,
@@ -152,7 +151,6 @@ class RepositoryService:
             null_factory=null_factory,
             max_total_steps=max_total_steps,
             prune_committed=True,
-            group_commit=group_commit,
             tracer=self._tracer,
             trace_peer=trace_peer,
         )

@@ -43,6 +43,7 @@ from ..query.sql import (
     violation_query_sql,
 )
 from .interface import DatabaseView, MutableDatabase
+from .memory import FrozenDatabase
 
 
 class SQLiteDatabase(MutableDatabase):
@@ -195,8 +196,6 @@ class SQLiteDatabase(MutableDatabase):
         return modified
 
     def snapshot(self) -> DatabaseView:
-        from .memory import FrozenDatabase
-
         return FrozenDatabase(
             self._schema,
             {name: frozenset(self.tuples(name)) for name in self._schema.relation_names()},

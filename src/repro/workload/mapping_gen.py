@@ -22,6 +22,7 @@ from ..core.atoms import Atom
 from ..core.schema import DatabaseSchema
 from ..core.terms import Constant, Variable
 from ..core.tgd import MappingSet, Tgd
+from .schema_gen import generate_constant_pool
 
 #: Probability weights for choosing 1, 2 or 3 atoms on a side ("smaller sets
 #: have higher probability, as humans are highly unlikely to create mappings
@@ -158,8 +159,6 @@ def generate_mappings(
     20 more.  Generating the full set once (with a fixed seed) and slicing
     prefixes — see :func:`mapping_prefix` — reproduces that construction.
     """
-    from .schema_gen import generate_constant_pool
-
     rng = rng if rng is not None else random.Random(1)
     pool = list(constant_pool) if constant_pool is not None else generate_constant_pool(rng=rng)
     mappings = MappingSet()

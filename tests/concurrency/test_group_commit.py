@@ -6,7 +6,8 @@ updates — but must not change anything the paper measures: the committed
 store, the abort/cascade counters and the cost-model panels have to be
 bit-identical to committing every update as its own singleton batch.  These
 tests run randomized workloads (insert-only and mixed, several trackers and
-seeds) through both paths and compare everything.
+seeds) through both paths and compare everything.  The singleton path is
+:class:`SingletonCommitScheduler` below; the scheduler itself always groups.
 """
 
 from __future__ import annotations
@@ -48,7 +49,20 @@ PANEL_FIELDS = (
 )
 
 
-def _run(environment, operations, mappings, tracker_name, seed, group_commit,
+class SingletonCommitScheduler(OptimisticScheduler):
+    """The reference path: every member commits as its own singleton batch.
+
+    Each member gets its own watermark advance, listener round and compaction
+    sweep; chase execution, conflict processing and abort semantics are the
+    scheduler's own.
+    """
+
+    def _commit_batch(self, batch):
+        for priority in batch:
+            self._commit_members([priority])
+
+
+def _run(environment, operations, mappings, tracker_name, seed,
          scheduler_class=OptimisticScheduler, **scheduler_kwargs):
     store = VersionedDatabase(environment.schema)
     store.load_initial(environment.initial)
@@ -59,7 +73,6 @@ def _run(environment, operations, mappings, tracker_name, seed, group_commit,
         oracle=RandomOracle(seed=seed),
         policy=make_policy("round-robin-step"),
         null_factory=NullFactory.avoiding_view(environment.initial, prefix="g"),
-        group_commit=group_commit,
         **scheduler_kwargs,
     )
     scheduler.submit_all(operations)
@@ -68,11 +81,10 @@ def _run(environment, operations, mappings, tracker_name, seed, group_commit,
 
 
 def _assert_identical(environment, operations, mappings, tracker_name, seed):
-    grouped, grouped_stats = _run(
-        environment, operations, mappings, tracker_name, seed, group_commit=True
-    )
+    grouped, grouped_stats = _run(environment, operations, mappings, tracker_name, seed)
     single, single_stats = _run(
-        environment, operations, mappings, tracker_name, seed, group_commit=False
+        environment, operations, mappings, tracker_name, seed,
+        scheduler_class=SingletonCommitScheduler,
     )
     # Same committed repository, exactly (same seeds => same nulls).
     assert grouped.final_database().to_dict() == single.final_database().to_dict()
@@ -162,13 +174,14 @@ def test_failed_validation_falls_back_to_singletons():
 
     vetoed, vetoed_stats = _run(
         environment, operations, mappings, "PRECISE", config.seed,
-        group_commit=True, scheduler_class=VetoingScheduler,
+        scheduler_class=VetoingScheduler,
         # The proof-carrying fast path would bypass the vetoed validation
         # entirely; this test is about the fallback, so force validation.
         proof_carrying_commit=False,
     )
     single, single_stats = _run(
-        environment, operations, mappings, "PRECISE", config.seed, group_commit=False
+        environment, operations, mappings, "PRECISE", config.seed,
+        scheduler_class=SingletonCommitScheduler,
     )
     assert vetoed.final_database().to_dict() == single.final_database().to_dict()
     for field in PANEL_FIELDS:
@@ -196,11 +209,11 @@ def test_proof_carrying_commit_skips_redundant_validation(workload, seed):
 
     fast, fast_stats = _run(
         environment, operations, mappings, "PRECISE", seed,
-        group_commit=True, proof_carrying_commit=True,
+        proof_carrying_commit=True,
     )
     checked, checked_stats = _run(
         environment, operations, mappings, "PRECISE", seed,
-        group_commit=True, proof_carrying_commit=False,
+        proof_carrying_commit=False,
     )
     assert fast.final_database().to_dict() == checked.final_database().to_dict()
     for field in PANEL_FIELDS:
@@ -222,9 +235,7 @@ def test_group_validation_passes_on_clean_runs():
     environment = build_environment(config)
     mappings = mapping_prefix(environment.mappings, 10)
     operations = build_workload(environment, INSERT_WORKLOAD, config.seed)
-    grouped, stats = _run(
-        environment, operations, mappings, "PRECISE", config.seed, group_commit=True
-    )
+    grouped, stats = _run(environment, operations, mappings, "PRECISE", config.seed)
     assert stats.group_commit_fallbacks == 0
     # Validation cost is tracked, but outside the cost-model panels.
     assert stats.group_validation_cost_units >= 0
