@@ -29,7 +29,15 @@ outbox flushes to a fixpoint before sleeping again.  When the coordinator's
 connection closes — including because the coordinating process was killed —
 the host exits, which is what keeps test teardown free of orphan processes.
 
-The module doubles as the ``repro-peer`` console entry point::
+:func:`main` is the one way into a peer.  :class:`ProcessFederation` forks
+the coordinator and calls it in the child (POSIX only): the child inherits
+the coordinator's imported modules, environment and hash seed, but no
+descriptor above 2 — the fork closes them all and points stdout/stderr at
+``peer-<name>.log`` before :func:`main` reads its config — so a peer holds
+only the sockets and files it opens itself, and dropping the coordinator's
+connection still reaches it as EOF.  The module also is the ``repro-peer``
+console entry point, for a peer started on its own (another machine, another
+interpreter)::
 
     repro-peer --config /path/to/peer-config.json
 """

@@ -3,7 +3,7 @@
 :class:`ProcessFederation` is the multi-process counterpart of
 :class:`~repro.federation.network.FederatedNetwork`: the same schema /
 initial-state / mappings / ownership description, but every peer runs as its
-own OS process (spawned from the ``repro-peer`` entry point in
+own OS process (running the ``repro-peer`` entry point of
 :mod:`repro.federation.proc`) and the peers exchange envelopes directly over
 TCP or Unix-domain sockets, one :mod:`repro.codec.framing` frame per
 per-destination bundle.  The coordinator never touches an envelope: it only
@@ -23,6 +23,23 @@ the submitting client), and quiescence is a distributed condition —
 itself idle, every directed link's receive counter has caught up with its
 send counter, and the whole picture repeats unchanged on a second poll.
 
+Peers are forked from the coordinator (POSIX only), which has already
+imported every module a peer runs, so a peer starts in milliseconds instead
+of paying a fresh interpreter's imports.  Each peer is a direct child of the
+coordinator and runs exactly what ``repro-peer --config <file>`` runs; besides
+stdin it inherits memory only — the imported modules, ``os.environ`` and the
+hash seed.  Before it reads its config the child closes every inherited
+descriptor from 3 up (the coordinator's control channels, selector, spool
+and whatever its caller had open), points fds 1 and 2, ``sys.stdout``,
+``sys.stderr`` and ``faulthandler`` at ``peer-<name>.log``, freezes the
+inherited heap out of the garbage collector (no coordinator object is
+finalized in the child, where a socket finalizer could close a descriptor
+number the peer has reused), drops the shared tracer, restores the default
+SIGINT/SIGTERM handlers, and leaves only through ``os._exit``.  Forking is
+safe only while the coordinator is single-threaded (Python 3.12 warns
+otherwise).  A peer on another machine or under another interpreter runs
+the ``repro-peer`` console script directly.
+
 Teardown is strict by design: :meth:`close` walks exit-request → ``wait`` →
 ``terminate`` → ``kill`` and then :meth:`assert_reaped` verifies no child
 outlived the federation, which is what keeps failing tests from leaking
@@ -31,14 +48,18 @@ orphan processes or socket files.
 
 from __future__ import annotations
 
+import faulthandler
+import gc
 import os
 import selectors
 import shutil
+import signal
 import socket
 import subprocess
 import sys
 import tempfile
 import time
+import traceback
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..codec.framing import FRAME_CONTROL
@@ -55,9 +76,10 @@ from ..service.tickets import RemoteOrigin, TicketStatus
 from ..storage.memory import FrozenDatabase
 from .exchange import ExchangeRules, FederationError
 from .network import AnswerStrategy, FederatedQuestion
+from ..obs import trace as obs_trace
 from ..obs.timeline import TelemetryTimeline
 from ..obs.trace import SpanContext, encode_record
-from .proc import COORDINATOR, encode_peer_config
+from .proc import COORDINATOR, encode_peer_config, main as peer_main
 from .socket_transport import (
     ChannelClosed,
     FrameChannel,
@@ -96,6 +118,109 @@ class ProcessTicket:
         )
 
 
+class _PeerProcess:
+    """A forked peer, seen through the slice of ``subprocess.Popen`` the
+    coordinator uses: ``pid``, ``returncode``, ``poll``, ``wait``,
+    ``send_signal``, ``terminate`` and ``kill``, over ``os.waitpid`` and
+    ``os.kill``.  ``returncode`` follows Popen: ``-N`` for death by signal N.
+    """
+
+    __slots__ = ("pid", "returncode")
+
+    def __init__(self, pid: int):
+        self.pid = pid
+        self.returncode: Optional[int] = None
+
+    def _reap(self, flags: int) -> Optional[int]:
+        if self.returncode is None:
+            try:
+                pid, status = os.waitpid(self.pid, flags)
+            except ChildProcessError:
+                # Reaped by someone else; like Popen, call it a clean exit.
+                self.returncode = 0
+            else:
+                if pid:
+                    self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
+
+    def poll(self) -> Optional[int]:
+        return self._reap(os.WNOHANG)
+
+    def wait(self, timeout: Optional[float] = None) -> int:
+        if timeout is None:
+            return self._reap(0)
+        deadline = time.monotonic() + timeout
+        delay = 0.0005
+        while self.poll() is None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise subprocess.TimeoutExpired("repro-peer", timeout)
+            time.sleep(min(delay, remaining))
+            delay = min(delay * 2, 0.05)
+        return self.returncode
+
+    def send_signal(self, signum: int) -> None:
+        # Poll first: a reaped pid may already belong to someone else.
+        if self.poll() is None:
+            os.kill(self.pid, signum)
+
+    def terminate(self) -> None:
+        self.send_signal(signal.SIGTERM)
+
+    def kill(self) -> None:
+        self.send_signal(signal.SIGKILL)
+
+
+def _fork_peer(config_path: str, log_path: str) -> _PeerProcess:
+    """Fork a child that runs ``repro-peer --config config_path``."""
+    # No collection may run in the child before the freeze: the fork hooks
+    # allocate, and a collection there would finalize coordinator garbage.
+    collecting = gc.isenabled()
+    gc.disable()
+    pid = None
+    try:
+        pid = os.fork()
+    finally:
+        if pid != 0 and collecting:
+            gc.enable()
+    if pid:
+        return _PeerProcess(pid)
+    # The child never returns into the coordinator's stack: every way out
+    # is the os._exit below, so no coordinator finally-block, atexit hook
+    # or buffered file of the coordinator's runs here.
+    code = 1
+    try:
+        gc.freeze()
+        if collecting:
+            gc.enable()
+        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+        log = os.open(log_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+        os.dup2(log, 1)
+        os.dup2(log, 2)
+        if log > 2:
+            os.close(log)
+        sys.stdout = open(1, "w", buffering=1, closefd=False)
+        sys.stderr = open(
+            2, "w", buffering=1, closefd=False, errors="backslashreplace"
+        )
+        faulthandler.enable(sys.stderr)
+        obs_trace._shared_tracer = None
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        code = peer_main(["--config", config_path])
+    except SystemExit as exit_request:
+        code = exit_request.code or 0
+    except BaseException:
+        # Not re-raised: it would unwind into the coordinator's frames.
+        traceback.print_exc()
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(code if isinstance(code, int) else 1)
+
+
 class _PeerHandle:
     """Everything the coordinator tracks per peer process."""
 
@@ -115,7 +240,7 @@ class _PeerHandle:
         self.address = address
         self.config_path: Optional[str] = None
         self.log_path: Optional[str] = None
-        self.process: Optional[subprocess.Popen] = None
+        self.process: Optional[_PeerProcess] = None
         self.channel: Optional[FrameChannel] = None
         #: Replies keyed by message type, drained by the await helpers.
         self.replies: Dict[str, List[Dict]] = {}
@@ -336,31 +461,14 @@ class ProcessFederation:
             handle_file.write(config)
         handle.config_path = config_path
         handle.log_path = os.path.join(self.workdir, "peer-{}.log".format(name))
-        environment = dict(os.environ)
-        package_root = os.path.dirname(
-            os.path.dirname(os.path.abspath(__import__("repro").__file__))
-        )
-        existing = environment.get("PYTHONPATH")
-        environment["PYTHONPATH"] = (
-            package_root if not existing
-            else package_root + os.pathsep + existing
-        )
-        with open(handle.log_path, "ab") as log:
-            # Import-and-call rather than ``-m``: the package __init__ pulls
-            # the proc module in, so runpy would warn about re-executing it.
-            handle.process = subprocess.Popen(
-                [sys.executable, "-c",
-                 "import sys; from repro.federation.proc import main; "
-                 "sys.exit(main())",
-                 "--config", config_path],
-                stdout=log,
-                stderr=log,
-                env=environment,
-            )
+        handle.process = _fork_peer(config_path, handle.log_path)
 
     def _connect(self, name: str) -> None:
         handle = self._handles[name]
         deadline = time.monotonic() + self._startup_timeout
+        # A forked peer listens within milliseconds: retry fast, then back
+        # off so a slow start does not spin.
+        delay = 0.001
         while True:
             if handle.process.poll() is not None:
                 raise ProcessFederationError(
@@ -378,7 +486,8 @@ class ProcessFederation:
                             name, self._startup_timeout
                         )
                     )
-                time.sleep(0.02)
+                time.sleep(delay)
+                delay = min(delay * 2, 0.02)
         channel = FrameChannel(sock, label=name)
         channel.send_frame(
             FRAME_CONTROL, dumps({"t": "hello", "peer": COORDINATOR})
