@@ -22,11 +22,6 @@ THRESHOLD = 0.8
 TRACKED = (
     ("tracker_speedup", ("tracker_speedup",)),
     ("federation.committed_per_second", ("federation", "committed_per_second")),
-    ("batched.committed_per_second", ("batched", "committed_per_second")),
-    (
-        "batched.wire_committed_per_second",
-        ("batched", "wire_committed_per_second"),
-    ),
     (
         "federation_open_loop.committed_per_second",
         ("federation_open_loop", "committed_per_second"),
@@ -40,11 +35,6 @@ TRACKED = (
         ("federation_sockets", "payloads_per_frame"),
     ),
     ("telemetry_overhead.on_vs_off", ("telemetry_overhead", "on_vs_off")),
-    ("drain_protocol.drain_speedup", ("drain_protocol", "drain_speedup")),
-    (
-        "drain_protocol.staging_window.committed_per_second",
-        ("drain_protocol", "staging_window", "committed_per_second"),
-    ),
 )
 
 

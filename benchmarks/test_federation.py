@@ -86,7 +86,7 @@ def _traced_replay(environment, config):
         environment.initial,
         list(environment.mappings),
         environment.ownership,
-        transport=Transport(delay=1, wire=True),
+        transport=Transport(delay=1),
         tracer=tracer,
     )
     specs = [

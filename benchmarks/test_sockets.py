@@ -16,10 +16,8 @@ Honesty notes baked into the entry:
   socket federation *cannot* beat the in-process run (it pays real IPC
   for zero parallelism), so the multi-core speedup assertion is gated on
   ``cpu_cores > 1`` and the sub-1x ratio is recorded rather than hidden.
-* The speedup bar is capacity-normalized exactly like the batched bench:
-  the recorded ``batched`` entry's committed/s scaled by this machine's
-  same-run in-process measurement — i.e. the socket federation must beat
-  the in-process federation *measured in the same run* — so a slower
+* The speedup bar is capacity-normalized: the socket federation must beat
+  the in-process federation *measured in the same run*, so a slower
   runner tests parallelism, not its own clock.
 * The default (``small``) scale is deliberately compute-heavy
   (``initial_tuples=1200`` makes the chase ~6 ms/commit, well above the
@@ -34,7 +32,6 @@ assertions (the non-blocking CI benchmarks job sets it).
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
@@ -54,7 +51,7 @@ from repro.workload.federation_gen import (
     generate_federation_environment,
 )
 
-from conftest import RESULT_PATH, record_entries
+from conftest import record_entries
 
 SCALES = {
     "tiny": FederationScenarioConfig(
@@ -77,17 +74,6 @@ SCALES = {
         seed=0,
     ),
 }
-
-
-def _recorded_batched():
-    """The committed ``batched`` entry the speedup fields compare against."""
-    if not os.path.exists(RESULT_PATH):
-        return {}
-    try:
-        with open(RESULT_PATH) as handle:
-            return json.load(handle).get("batched", {})
-    except ValueError:
-        return {}
 
 
 def _run_inprocess(config):
@@ -172,7 +158,6 @@ def test_socket_federation_throughput(tmp_path):
     # at least absorb every user operation; equivalence above is the bar.
     assert min(committed, inprocess_committed) >= len(tickets)
 
-    recorded = _recorded_batched()
     committed_per_second = committed / max(wall, 1e-9)
     inprocess_per_second = inprocess_committed / max(inprocess_wall, 1e-9)
     entry = {
@@ -205,14 +190,6 @@ def test_socket_federation_throughput(tmp_path):
         "speedup_vs_inprocess_same_run": committed_per_second / inprocess_per_second,
         "convergence_equivalent": equivalent,
     }
-    if recorded.get("committed_per_second"):
-        entry["speedup_vs_batched_recorded"] = (
-            committed_per_second / recorded["committed_per_second"]
-        )
-    if recorded.get("wire_committed_per_second"):
-        entry["speedup_vs_batched_wire_recorded"] = (
-            committed_per_second / recorded["wire_committed_per_second"]
-        )
     record_entries({"federation_sockets": entry})
 
     print(
@@ -251,9 +228,8 @@ def test_socket_federation_throughput(tmp_path):
         )
         if entry["cpu_cores"] > 1:
             # The capacity-normalized >1x bar (see the module docstring):
-            # recorded-batched committed/s x (same-run in-process / recorded
-            # batched) = the same-run in-process measurement.  Real
-            # parallelism across processes must beat the GIL-serialized run.
+            # real parallelism across processes must beat the
+            # GIL-serialized run measured alongside it.
             assert committed_per_second > inprocess_per_second, (
                 "socket federation ({:.0f}/s on {} cores) did not beat the "
                 "in-process run ({:.0f}/s)".format(

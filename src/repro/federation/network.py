@@ -55,7 +55,6 @@ from .envelopes import (
     RemoteUpdate,
 )
 from .exchange import ExchangeRules, FederationError
-from .exchange import coalesce_envelopes as _coalesce_batch
 from .operations import RemoteFiringOperation, RemoteRetractionOperation
 from .peer import Peer
 from .transport import Bundle, Envelope, Transport
@@ -160,9 +159,7 @@ class FederatedNetwork:
         transport: Optional[Transport] = None,
         admission: Union[AdmissionConfig, Dict[str, AdmissionConfig], None] = None,
         max_total_steps: int = 1_000_000,
-        coalesce_envelopes: bool = True,
         tracer=None,
-        stage_rounds: int = 1,
     ):
         self.schema = schema
         self._tracer = tracer if tracer is not None else default_tracer()
@@ -204,20 +201,6 @@ class FederatedNetwork:
         self._tracker_spec = tracker
         self._admission_spec = admission
         self._max_total_steps = max_total_steps
-        #: Coalesce commit batches' envelopes and flush per-destination
-        #: bundles; ``False`` restores per-envelope staging and sends (the
-        #: reference behavior the coalescing differential tests compare to).
-        self.coalesce_envelopes = coalesce_envelopes
-        #: The in-process staging window (pump rounds only — byte/deadline
-        #: triggers belong to the socket world's real clocks).  K=1 is the
-        #: passthrough default: every round's outbox flushes that round,
-        #: bit-identical with the pre-window behavior.  K>1 parks outbox
-        #: payloads for K pump rounds and re-coalesces the cross-round
-        #: window before flushing.
-        self._stage_rounds = max(1, int(stage_rounds))
-        self._staged: Dict[str, List[PyTuple[str, object]]] = {}
-        self._staged_at: Dict[str, int] = {}
-        self._pump_round = 0
         self._peers: Dict[str, Peer] = {}
         for peer_name, relations in ownership.items():
             contents = {
@@ -255,7 +238,6 @@ class FederatedNetwork:
                 firing_factory=NullFactory.avoiding_view(
                     initial, prefix="{}f".format(peer_name)
                 ),
-                coalesce=coalesce_envelopes,
             )
         self._inboxes: Dict[str, Dict[PyTuple[str, int], FederatedQuestion]] = {
             name: {} for name in self._peers
@@ -401,7 +383,6 @@ class FederatedNetwork:
             owned_relations=self._ownership[name],
             rules=self.rules,
             firing_factory=NullFactory.from_state(extra["firing_factory"]),
-            coalesce=self.coalesce_envelopes,
         )
         for old_ticket_id, origin_body in extra.get("notify", ()):
             replacement = restored.resubmitted.get(old_ticket_id)
@@ -506,7 +487,6 @@ class FederatedNetwork:
     def pump(self) -> FederationPumpReport:
         """One federation round: deliver, chase every peer, route, flush."""
         report = FederationPumpReport()
-        self._pump_round += 1
         for envelope in self.transport.pump():
             self.peer(envelope.destination).activity_seq += 1
             self._deliver(envelope)
@@ -539,34 +519,8 @@ class FederatedNetwork:
             if not peer.outbox:
                 continue
             peer.activity_seq += 1
-            if self._stage_rounds > 1:
-                window = self._staged.setdefault(peer.name, [])
-                if not window:
-                    self._staged_at[peer.name] = self._pump_round
-                window.extend(peer.outbox)
-                peer.outbox.clear()
-                continue
             self._flush_pairs(peer, peer.outbox, report)
             peer.outbox.clear()
-        if self._stage_rounds > 1:
-            for name, window in self._staged.items():
-                if not window:
-                    continue
-                if (
-                    self._pump_round - self._staged_at[name] + 1
-                    < self._stage_rounds
-                ):
-                    continue
-                peer = self._peers[name]
-                if self.coalesce_envelopes and len(window) > 1:
-                    # The window's whole point: payloads staged across
-                    # *different* rounds coalesce together before the wire.
-                    coalesced = _coalesce_batch(window)
-                    peer.envelopes_coalesced += len(window) - len(coalesced)
-                    window = coalesced
-                peer.activity_seq += 1
-                self._flush_pairs(peer, window, report)
-                self._staged[name] = []
         return report
 
     def _flush_pairs(
@@ -575,26 +529,15 @@ class FederatedNetwork:
         pairs: List[PyTuple[str, object]],
         report: FederationPumpReport,
     ) -> None:
-        if self.coalesce_envelopes:
-            # Per-destination bundle flush: every payload staged for the
-            # same peer this round shares one envelope (one queue slot,
-            # one delay, one delivery).
-            order: List[str] = []
-            by_destination: Dict[str, List[object]] = {}
-            for destination, payload in pairs:
-                if destination not in by_destination:
-                    order.append(destination)
-                    by_destination[destination] = []
-                by_destination[destination].append(payload)
-                report.flushed += 1
-            for destination in order:
-                self.transport.send_bundle(
-                    peer.name, destination, by_destination[destination]
-                )
-        else:
-            for destination, payload in pairs:
-                self.transport.send(peer.name, destination, payload)
-                report.flushed += 1
+        """Per-destination bundle flush: every payload staged for the same
+        peer this round shares one envelope (one queue slot, one delay, one
+        delivery)."""
+        by_destination: Dict[str, List[object]] = {}
+        for destination, payload in pairs:
+            by_destination.setdefault(destination, []).append(payload)
+            report.flushed += 1
+        for destination, payloads in by_destination.items():
+            self.transport.send_bundle(peer.name, destination, payloads)
 
     def _deliver(self, envelope: Envelope) -> None:
         payload = envelope.payload
@@ -746,7 +689,7 @@ class FederatedNetwork:
         if self.transport.in_flight:
             return False
         for peer in self._peers.values():
-            if peer.outbox or self._staged.get(peer.name):
+            if peer.outbox:
                 return False
             if not peer.service.is_quiescent:
                 return False
@@ -759,14 +702,14 @@ class FederatedNetwork:
         watermark drain decides it: per-directed-link send watermarks equal
         to their delivery watermarks (``sent - delivered`` is the queue
         length, so conservation ⇔ nothing in flight) plus every peer idle
-        with nothing staged.  :meth:`run_until_quiescent` asserts this
+        with an empty outbox.  :meth:`run_until_quiescent` asserts this
         agrees with :meth:`quiescent` on every round — a built-in
         differential between the two formulations.
         """
         if not self.transport.watermarks_conserved():
             return False
         for peer in self._peers.values():
-            if peer.outbox or self._staged.get(peer.name):
+            if peer.outbox:
                 return False
             if not peer.service.is_quiescent:
                 return False

@@ -49,7 +49,6 @@ class Peer:
         owned_relations: PyTuple[str, ...],
         rules: ExchangeRules,
         firing_factory: NullFactory,
-        coalesce: bool = True,
     ):
         self.name = name
         self.service = service
@@ -69,9 +68,6 @@ class Peer:
         #: Relations whose writes can produce exchange envelopes here; write
         #: sets touching none of them skip commit-time exchange entirely.
         self._exchange_relations = rules.exchange_relations(name)
-        #: Coalesce each commit batch's envelopes before staging (dedup
-        #: absorbed firings, cancel firing/retraction pairs, merge notices).
-        self._coalesce = coalesce
         #: The session envelope deliveries are submitted under.
         self.gateway = service.open_session("federation:{}".format(name))
         #: Staged ``(destination, payload)`` pairs; the network flushes them
@@ -117,11 +113,7 @@ class Peer:
         staged: List[PyTuple[str, object]] = []
         for priority, writes in commits:
             self._stage_commit(priority, writes, staged)
-        if self._coalesce and len(staged) > 1:
-            coalesced = coalesce_envelopes(staged)
-            self.envelopes_coalesced += len(staged) - len(coalesced)
-            staged = coalesced
-        for destination, payload in staged:
+        for destination, payload in self._coalesce(staged):
             if isinstance(payload, ExchangeFiring):
                 self.firings_emitted += 1
             elif isinstance(payload, ExchangeRetraction):
@@ -129,6 +121,17 @@ class Peer:
             elif isinstance(payload, CommitNotice):
                 self.notices_emitted += 1
             self.outbox.append((destination, payload))
+
+    def _coalesce(
+        self, staged: List[PyTuple[str, object]]
+    ) -> List[PyTuple[str, object]]:
+        """Coalesce one commit batch's envelopes (dedup absorbed firings,
+        cancel firing/retraction pairs, merge notices)."""
+        if len(staged) < 2:
+            return staged
+        coalesced = coalesce_envelopes(staged)
+        self.envelopes_coalesced += len(staged) - len(coalesced)
+        return coalesced
 
     def _stage_commit(
         self,

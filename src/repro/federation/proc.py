@@ -94,7 +94,7 @@ from .envelopes import (
     QuestionOpened,
     RemoteUpdate,
 )
-from .exchange import ExchangeRules, FederationError, coalesce_envelopes
+from .exchange import ExchangeRules, FederationError
 from .operations import RemoteFiringOperation, RemoteRetractionOperation
 from .peer import Peer
 from .socket_transport import (
@@ -104,7 +104,6 @@ from .socket_transport import (
     OutgoingLink,
     SocketAddress,
     SocketTransportError,
-    StagingWindow,
     monotonic,
 )
 from .transport import Bundle
@@ -150,7 +149,6 @@ def encode_peer_config(
     tracker: str = "PRECISE",
     admission: Optional[AdmissionConfig] = None,
     max_total_steps: int = 1_000_000,
-    coalesce: bool = True,
     link_delay: float = 0.0,
     reorder_seed: Optional[int] = None,
     trace: bool = False,
@@ -159,9 +157,6 @@ def encode_peer_config(
     telemetry_interval: float = 0.0,
     flight_dir: Optional[str] = None,
     flight_capacity: int = 512,
-    stage_rounds: int = 1,
-    stage_bytes: int = 0,
-    stage_delay: float = 0.0,
 ) -> bytes:
     """One peer's complete startup description, as canonical codec JSON.
 
@@ -190,7 +185,6 @@ def encode_peer_config(
         "tracker": tracker,
         "admission": encode_admission(admission),
         "max_total_steps": max_total_steps,
-        "coalesce": coalesce,
         "link_delay": link_delay,
         "reorder_seed": reorder_seed,
         "trace": trace,
@@ -199,9 +193,6 @@ def encode_peer_config(
         "telemetry_interval": telemetry_interval,
         "flight_dir": flight_dir,
         "flight_capacity": flight_capacity,
-        "stage_rounds": stage_rounds,
-        "stage_bytes": stage_bytes,
-        "stage_delay": stage_delay,
     }
     return dumps(body) + b"\n"
 
@@ -246,7 +237,6 @@ class PeerHost:
         self._admission = decode_admission(config["admission"])
         self._tracker = config["tracker"]
         self._max_total_steps = config["max_total_steps"]
-        self._coalesce = config["coalesce"]
         self._trace_path = config.get("trace_path")
         if config.get("trace"):
             # One tracer per process, ids prefixed with the peer name so the
@@ -277,17 +267,6 @@ class PeerHost:
             self._links[peer] = OutgoingLink(
                 peer, address, delay=link_delay, rng=rng
             )
-        #: The adaptive envelope staging window (K pump rounds / B bytes /
-        #: T seconds, whichever trips first).  Default knobs make it a
-        #: passthrough: ``_stage_outbox`` keeps today's immediate-enqueue
-        #: path bit for bit.
-        self._staging = StagingWindow(
-            rounds=int(config.get("stage_rounds") or 1),
-            max_bytes=int(config.get("stage_bytes") or 0),
-            delay=float(config.get("stage_delay") or 0.0),
-        )
-        #: Scheduler pump rounds driven so far (the window's K clock).
-        self._pump_rounds = 0
         self._hello = encode_frame(
             FRAME_CONTROL, dumps({"t": "hello", "peer": self.name})
         )
@@ -390,7 +369,6 @@ class PeerHost:
                 firing_factory=NullFactory.avoiding_view(
                     initial, prefix="{}f".format(self.name)
                 ),
-                coalesce=self._coalesce,
             )
             return
         # Restart-from-checkpoint: the same rebuild the in-process
@@ -411,7 +389,6 @@ class PeerHost:
             owned_relations=self._ownership[self.name],
             rules=self.rules,
             firing_factory=NullFactory.from_state(extra["firing_factory"]),
-            coalesce=self._coalesce,
         )
         for old_ticket_id, origin_body in extra.get("notify", ()):
             replacement = restored.resubmitted.get(old_ticket_id)
@@ -491,7 +468,6 @@ class PeerHost:
                         self._read_channel(ready)
                 if not self._halted:
                     self._work()
-                    self._flush_staged()
                     self._flush()
                 # Heartbeats keep beating while halted: a frozen-for-kill
                 # peer is still alive, and the watchdog should know.
@@ -524,15 +500,6 @@ class PeerHost:
             if self._retry or self._submit_retry:
                 # Admission frees on commits; retry shortly even without input.
                 due.append(monotonic() + 0.01)
-            if self._staging.staged_count():
-                deadline = self._staging.next_deadline()
-                if deadline is not None:
-                    due.append(deadline)
-                else:
-                    # Round/byte-triggered windows need pump rounds to keep
-                    # advancing while the sockets are silent, or a staged
-                    # batch could sit forever.
-                    due.append(monotonic() + 0.002)
         if not due:
             return None  # only control traffic matters now
         return max(0.0, min(due) - monotonic())
@@ -833,11 +800,9 @@ class PeerHost:
 
     def _handle_checkpoint(self, channel: FrameChannel, body: Dict) -> None:
         # Reach a local fixpoint, then push every queued frame out regardless
-        # of simulated link delay or an open staging window: the frames'
-        # contents are already decided, and a checkpoint must not strand
-        # them in a dying process.
+        # of simulated link delay: the frames' contents are already decided,
+        # and a checkpoint must not strand them in a dying process.
         self._work()
-        self._flush_staged(force=True)
         self._flush(force=True)
         host_extra = {
             "fed_local": sorted(
@@ -874,7 +839,6 @@ class PeerHost:
     # ------------------------------------------------------------------
     def _work(self) -> None:
         while True:
-            self._pump_rounds += 1
             progress = False
             if self._retry:
                 pending, self._retry = self._retry, []
@@ -944,67 +908,22 @@ class PeerHost:
             self._event({"t": "ticket", "fid": fid, "status": status})
 
     def _stage_outbox(self) -> None:
-        if not self._staging.passthrough:
-            # A real window is open: payloads park per-destination and wait
-            # for a K/B/T trigger in _flush_staged.  Byte sizing re-encodes
-            # the payload (the flush encodes again) — acceptable for an
-            # off-by-default knob, and only when B > 0.
-            now = monotonic()
-            for destination, payload in self.peer.outbox:
-                size = 0
-                if self._staging.max_bytes:
-                    size = len(encode_envelope(payload, self._mappings))
-                self._staging.stage(
-                    destination, payload, self._pump_rounds, now, size=size
-                )
-            self.peer.outbox.clear()
-            return
-        order: List[str] = []
+        """Frame the outbox: one bundle per destination (a lone payload
+        travels bare), like the in-process network's flush."""
         by_destination: Dict[str, List[object]] = {}
         for destination, payload in self.peer.outbox:
-            if destination not in by_destination:
-                order.append(destination)
-                by_destination[destination] = []
-            by_destination[destination].append(payload)
+            by_destination.setdefault(destination, []).append(payload)
         self.peer.outbox.clear()
-        for destination in order:
-            self._enqueue_batch(destination, by_destination[destination])
-
-    def _flush_staged(self, force: bool = False) -> None:
-        """Release staged batches whose window tripped (all of them, forced).
-
-        The PR 4 coalescer runs over each released batch: the window's whole
-        point is that payloads from *different* commits can now cancel/dedup
-        before framing, which per-commit coalescing in the peer cannot see.
-        """
-        if not self._staging.staged_count():
-            return
-        now = monotonic()
-        for destination in self._staging.due(self._pump_rounds, now, force=force):
-            batch = self._staging.take(destination)
-            if not batch:
+        for destination, batch in by_destination.items():
+            if len(batch) == 1:
+                self._enqueue_payload(destination, batch[0])
                 continue
-            if self._coalesce and len(batch) > 1:
-                pairs = coalesce_envelopes(
-                    [(destination, payload) for payload in batch]
-                )
-                self.peer.envelopes_coalesced += len(batch) - len(pairs)
-                batch = [payload for _, payload in pairs]
-            self._enqueue_batch(destination, batch)
-
-    def _enqueue_batch(self, destination: str, batch: List[object]) -> None:
-        if len(batch) == 1 or not self._coalesce:
-            for payload in batch:
-                self._enqueue_payload(destination, payload)
-        else:
             trace = None
             for payload in batch:
                 trace = getattr(payload, "trace", None)
                 if trace is not None:
                     break
-            self._enqueue_payload(
-                destination, Bundle(tuple(batch), trace=trace)
-            )
+            self._enqueue_payload(destination, Bundle(tuple(batch), trace=trace))
 
     def _enqueue_payload(self, destination: str, payload: object) -> None:
         if destination == self.name:  # pragma: no cover - rules never stage this
@@ -1056,8 +975,6 @@ class PeerHost:
             "payloads_received": self.payloads_received,
             "deliveries_deferred": self.deliveries_deferred,
             "answers_dropped": self.answers_dropped,
-            "payloads_staged": self._staging.payloads_staged,
-            "staged_flushes": self._staging.flushed_batches,
         }
 
     def _telemetry_tick(self) -> None:
@@ -1111,7 +1028,6 @@ class PeerHost:
         return (
             self.peer.service.is_quiescent
             and not self.peer.outbox
-            and not self._staging.staged_count()
             and not any(link.queued for link in self._links.values())
             and not self._retry
             and not self._submit_retry
@@ -1124,7 +1040,7 @@ class PeerHost:
         with a ``watch`` control frame, and while it is subscribed this peer
         tells the coordinator its per-link watermarks and activity seq — and
         nothing else — the moment it settles (service quiescent, nothing
-        staged, queued, or parked), so the drain blocks on its selector
+        in the outbox, queued, or parked), so the drain blocks on its selector
         instead of pacing status rounds.  Outside a drain nobody reads the
         notice, so an unwatched peer sends none: a busy peer emits only what
         its operations need plus its heartbeat.  One notice per activity seq
@@ -1205,13 +1121,11 @@ class PeerHost:
 
     def _status_reply(self, round_number: int) -> Dict:
         outbox = len(self.peer.outbox)
-        staged = self._staging.staged_count()
         queued = sum(link.queued for link in self._links.values())
         snapshot = self.peer.service.metrics_snapshot()
         quiescent = (
             self.peer.service.is_quiescent
             and not outbox
-            and not staged
             and not queued
             and not self._retry
             and not self._submit_retry
@@ -1223,7 +1137,6 @@ class PeerHost:
             "quiescent": quiescent,
             "halted": self._halted,
             "outbox": outbox,
-            "staged": staged,
             "queued": queued,
             "activity_seq": self._activity_seq,
             "retry": len(self._retry) + len(self._submit_retry),

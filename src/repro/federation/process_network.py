@@ -21,7 +21,8 @@ asynchronous (admission backpressure happens inside the owning peer, not in
 the submitting client), and quiescence is a distributed condition —
 ``drain`` declares the federation quiescent only when every peer reports
 itself idle, every directed link's receive counter has caught up with its
-send counter, and the whole picture repeats unchanged on a second poll.
+send counter, and one confirming status round finds no peer's activity
+sequence moved since those views were taken.
 
 Peers are forked from the coordinator (POSIX only), which has already
 imported every module a peer runs, so a peer starts in milliseconds instead
@@ -259,7 +260,6 @@ class ProcessFederation:
         tracker: str = "PRECISE",
         admission=None,
         max_total_steps: int = 1_000_000,
-        coalesce_envelopes: bool = True,
         link_delay: float = 0.0,
         reorder_seed: Optional[int] = None,
         trace: Optional[bool] = None,
@@ -271,11 +271,13 @@ class ProcessFederation:
         dead_after: float = 2.0,
         flight: bool = True,
         flight_dir: Optional[str] = None,
-        stage_rounds: int = 1,
-        stage_bytes: int = 0,
-        stage_delay: float = 0.0,
-        drain_mode: Optional[str] = None,
     ):
+        # Checked before anything touches the filesystem: a constructor
+        # that raises leaves no workdir or open spool behind.
+        if transport not in ("unix", "tcp"):
+            raise ProcessFederationError(
+                "unknown transport {!r} (use 'unix' or 'tcp')".format(transport)
+            )
         self.schema = schema
         self._initial = initial
         self._mappings = list(mappings)
@@ -310,7 +312,6 @@ class ProcessFederation:
         self._tracker = tracker
         self._admission = admission
         self._max_total_steps = max_total_steps
-        self._coalesce = coalesce_envelopes
         self._link_delay = link_delay
         self._reorder_seed = reorder_seed
         if trace is None:
@@ -319,12 +320,6 @@ class ProcessFederation:
             trace = os.environ.get("REPRO_TRACE") == "1"
         self._trace = trace
         self._startup_timeout = startup_timeout
-        # -- send-side staging window + drain protocol -------------------
-        self._stage_rounds = int(stage_rounds)
-        self._stage_bytes = int(stage_bytes)
-        self._stage_delay = float(stage_delay)
-        #: Default drain protocol (None = env REPRO_DRAIN, else watermark).
-        self._drain_mode = drain_mode
         self._owns_workdir = workdir is None
         self.workdir = workdir or tempfile.mkdtemp(prefix="repro-fed-")
         os.makedirs(self.workdir, exist_ok=True)
@@ -404,10 +399,6 @@ class ProcessFederation:
                 )
                 for name in self._ownership
             }
-        if transport != "tcp":
-            raise ProcessFederationError(
-                "unknown transport {!r} (use 'unix' or 'tcp')".format(transport)
-            )
         addresses: Dict[str, SocketAddress] = {}
         probes = []
         try:
@@ -444,7 +435,6 @@ class ProcessFederation:
             if isinstance(self._admission, dict)
             else self._admission,
             max_total_steps=self._max_total_steps,
-            coalesce=self._coalesce,
             link_delay=self._link_delay,
             reorder_seed=self._reorder_seed,
             trace=self._trace,
@@ -452,9 +442,6 @@ class ProcessFederation:
             restore=restore,
             telemetry_interval=self._telemetry_interval,
             flight_dir=self._flight_dir,
-            stage_rounds=self._stage_rounds,
-            stage_bytes=self._stage_bytes,
-            stage_delay=self._stage_delay,
         )
         config_path = os.path.join(self.workdir, "peer-{}.json".format(name))
         with open(config_path, "wb") as handle_file:
@@ -748,141 +735,35 @@ class ProcessFederation:
                     return False
         return True
 
-    @staticmethod
-    def _round_fingerprint(replies: Dict[str, Dict]):
-        return {
-            name: (
-                reply["committed"],
-                tuple(sorted(reply["sent"].items())),
-                tuple(sorted(reply["received"].items())),
-                reply["open_questions"],
-            )
-            for name, reply in sorted(replies.items())
-        }
-
     def drain(
         self,
         answer_strategy: Optional[AnswerStrategy] = None,
         timeout: float = 60.0,
-        mode: Optional[str] = None,
     ) -> int:
         """Poll, answer, and wait until the federation is drained.
 
-        Two protocols decide the same distributed condition; *mode* (then
-        the constructor's ``drain_mode``, then ``REPRO_DRAIN``, default
-        ``watermark``) picks which one runs:
-
-        * ``watermark`` — conservation-based, event-driven.  The drain
-          subscribes to every live peer's went-idle notices (a ``watch``
-          control frame on entry, cancelled on every way out): a watched
-          peer reports the moment it settles, at once if it already has,
-          and a peer nobody is draining sends none.  The
-          coordinator blocks on its selector until every live peer's view
-          is quiescent with every link's frames-sent equal to the
-          destination's frames-received, then issues exactly one confirming
-          status round.  Drained iff the confirm round is settled and no
-          peer's monotonic ``activity_seq`` advanced since its view was
-          observed — an unchanged seq brackets the gap, so no frame can
-          have moved in between.
-        * ``poll`` — the original paced barrier, kept as the differential
-          oracle: status rounds until quiescence holds across two
-          *consecutive* rounds with an identical counter fingerprint.
+        The protocol is conservation-based and event-driven.  The drain
+        subscribes to every live peer's went-idle notices (a ``watch``
+        control frame on entry, cancelled on every way out): a watched peer
+        reports the moment it settles, at once if it already has, and a
+        peer nobody is draining sends none.  The coordinator blocks on its
+        selector until every live peer's view is quiescent with every
+        link's frames-sent equal to the destination's frames-received, then
+        issues exactly one confirming status round.  Drained iff the confirm
+        round is settled and no peer's monotonic ``activity_seq`` advanced
+        since its view was observed — an unchanged seq brackets the gap, so
+        no frame can have moved in between.
 
         Returns the number of status rounds.  Each call leaves a
         latency-decomposition record (round count, per-round wall seconds,
-        settle reason, mode, time-to-idle) on ``self.last_drain`` and the
+        settle reason, time-to-idle) on ``self.last_drain`` and the
         telemetry timeline's ``drains`` list.
         """
-        mode = (
-            mode
-            or self._drain_mode
-            or os.environ.get("REPRO_DRAIN")
-            or "watermark"
-        )
-        if mode not in ("watermark", "poll"):
-            raise ProcessFederationError(
-                "unknown drain mode {!r} (use 'watermark' or 'poll')".format(mode)
-            )
         # Settle state never survives across drain calls: a previous drain
         # that died mid-round (peer-lost, timeout) can leave status replies
         # parked that no awaiter will ever claim.
-        self._reset_drain_state()
-        if mode == "poll":
-            return self._drain_poll(answer_strategy, timeout)
-        return self._drain_watermark(answer_strategy, timeout)
-
-    def _reset_drain_state(self) -> None:
-        """Drop status replies a previous (aborted) drain left parked."""
         for handle in self._handles.values():
             handle.replies.pop("status-reply", None)
-
-    def _drain_poll(
-        self,
-        answer_strategy: Optional[AnswerStrategy],
-        timeout: float,
-    ) -> int:
-        deadline = time.monotonic() + timeout
-        started = time.monotonic()
-        round_seconds: List[float] = []
-        rounds = 0
-        settled_fingerprint = None
-        try:
-            while True:
-                # Recomputed per round: a peer that died mid-drain (watchdog
-                # marked it dead, channel gone) drops out instead of hanging
-                # every subsequent status round until the deadline.
-                names = [
-                    name for name, handle in self._handles.items()
-                    if handle.channel is not None
-                ]
-                self.poll(0.01)
-                if answer_strategy is not None:
-                    for peer_name in names:
-                        for question in self.inbox(peer_name):
-                            self.answer(
-                                peer_name, question, answer_strategy(question)
-                            )
-                round_started = time.monotonic()
-                replies = self._status_round(names, deadline)
-                round_seconds.append(time.monotonic() - round_started)
-                rounds += 1
-                if self._round_settled(replies):
-                    fingerprint = self._round_fingerprint(replies)
-                    if settled_fingerprint == fingerprint:
-                        open_questions = sum(
-                            len(self._inboxes[name]) for name in names
-                        )
-                        if answer_strategy is not None and open_questions:
-                            settled_fingerprint = None
-                            continue
-                        self._record_drain(
-                            rounds, started, round_seconds,
-                            "two-round-fingerprint", "poll",
-                        )
-                        return rounds
-                    settled_fingerprint = fingerprint
-                else:
-                    settled_fingerprint = None
-                if time.monotonic() > deadline:
-                    self._record_drain(
-                        rounds, started, round_seconds, "timeout", "poll"
-                    )
-                    raise RuntimeError(
-                        self._drain_timeout_message(timeout, replies)
-                    )
-        except ProcessFederationError:
-            # A status round hung on a dead/stalled peer: record what the
-            # drain managed before surfacing the coordination failure.
-            self._record_drain(
-                rounds, started, round_seconds, "peer-lost", "poll"
-            )
-            raise
-
-    def _drain_watermark(
-        self,
-        answer_strategy: Optional[AnswerStrategy],
-        timeout: float,
-    ) -> int:
         deadline = time.monotonic() + timeout
         started = time.monotonic()
         round_seconds: List[float] = []
@@ -915,15 +796,12 @@ class ProcessFederation:
                     # Not a candidate yet (a peer with no observation at all
                     # — fresh spawn, cleared by restart — reports as soon as
                     # it is idle, being watched): block on the selector
-                    # until a went-idle push (or heartbeat) moves some view
-                    # — the event-driven wait that replaces poll mode's
-                    # fixed-cadence rounds.
+                    # until a went-idle push (or heartbeat) moves some view.
                     time_to_idle = None
                     self.poll(min(0.25, max(0.0, deadline - time.monotonic())))
                     if time.monotonic() > deadline:
                         self._record_drain(
-                            rounds, started, round_seconds, "timeout",
-                            "watermark",
+                            rounds, started, round_seconds, "timeout"
                         )
                         raise RuntimeError(
                             self._drain_timeout_message(timeout, views)
@@ -954,7 +832,7 @@ class ProcessFederation:
                         continue
                     self._record_drain(
                         rounds, started, round_seconds, "watermark-idle",
-                        "watermark", time_to_idle,
+                        time_to_idle,
                     )
                     return rounds
                 # The candidate was stale (activity since the views were
@@ -963,15 +841,15 @@ class ProcessFederation:
                 time_to_idle = None
                 if time.monotonic() > deadline:
                     self._record_drain(
-                        rounds, started, round_seconds, "timeout", "watermark"
+                        rounds, started, round_seconds, "timeout"
                     )
                     raise RuntimeError(
                         self._drain_timeout_message(timeout, replies)
                     )
         except ProcessFederationError:
-            self._record_drain(
-                rounds, started, round_seconds, "peer-lost", "watermark"
-            )
+            # A status round hung on a dead/stalled peer: record what the
+            # drain managed before surfacing the coordination failure.
+            self._record_drain(rounds, started, round_seconds, "peer-lost")
             raise
         finally:
             self._watch(False)
@@ -1015,7 +893,6 @@ class ProcessFederation:
         started: float,
         round_seconds: List[float],
         settle_reason: str,
-        mode: str,
         time_to_idle: Optional[float] = None,
     ) -> None:
         record = {
@@ -1023,7 +900,6 @@ class ProcessFederation:
             "seconds": time.monotonic() - started,
             "round_seconds": [round(value, 6) for value in round_seconds],
             "settle_reason": settle_reason,
-            "mode": mode,
         }
         if time_to_idle is not None:
             record["time_to_idle_seconds"] = round(time_to_idle, 6)
@@ -1059,8 +935,10 @@ class ProcessFederation:
         victim is in flight" instant the in-process ``checkpoint_peer``
         trivially has.  With ``halt=True`` the victim freezes after writing
         the checkpoint (used by the kill flow, so no work postdates the
-        state the reborn process restores); without it the holds are
-        released and the federation resumes.
+        state the reborn process restores) and the holds stay until
+        :meth:`restart_peer` releases them; on every other way out — no
+        halt, a timeout, a lost peer — the holds are released and the
+        federation resumes.
         """
         deadline = time.monotonic() + timeout
         others = [
@@ -1069,39 +947,49 @@ class ProcessFederation:
         ]
         for other in others:
             self._send(other, {"t": "hold", "peer": name})
-        while True:
-            replies = self._status_round(others + [name], deadline)
-            victim = replies[name]
-            caught_up = all(
-                victim["received"].get(other, 0)
-                >= replies[other]["sent"].get(name, 0)
-                for other in others
-            )
-            # The victim need not be fully quiescent (parked questions are
-            # checkpointable state, as in-process), but nothing addressed to
-            # it may be in flight and nothing may be stuck in its own queues.
-            if (
-                caught_up
-                and not victim["outbox"]
-                and not victim["queued"]
-                and not victim["retry"]
-            ):
-                break
-            if time.monotonic() > deadline:
-                raise RuntimeError(
-                    "could not quiesce traffic toward {!r} within {}s".format(
-                        name, timeout
-                    )
+        halted = False
+        try:
+            while True:
+                replies = self._status_round(others + [name], deadline)
+                victim = replies[name]
+                caught_up = all(
+                    victim["received"].get(other, 0)
+                    >= replies[other]["sent"].get(name, 0)
+                    for other in others
                 )
-            self.poll(0.01)
-        self._send(name, {"t": "checkpoint", "path": path, "halt": halt})
-        self._await_reply(
-            name, "checkpoint-done", deadline,
-            matches=lambda body: body.get("path") == path,
-        )
-        if not halt:
-            for other in others:
-                self._send(other, {"t": "release", "peer": name})
+                # The victim need not be fully quiescent (parked questions
+                # are checkpointable state, as in-process), but nothing
+                # addressed to it may be in flight and nothing may be stuck
+                # in its own queues.
+                if (
+                    caught_up
+                    and not victim["outbox"]
+                    and not victim["queued"]
+                    and not victim["retry"]
+                ):
+                    break
+                if time.monotonic() > deadline:
+                    raise RuntimeError(
+                        "could not quiesce traffic toward {!r} within {}s".format(
+                            name, timeout
+                        )
+                    )
+                self.poll(0.01)
+            self._send(name, {"t": "checkpoint", "path": path, "halt": halt})
+            self._await_reply(
+                name, "checkpoint-done", deadline,
+                matches=lambda body: body.get("path") == path,
+            )
+            halted = halt
+        finally:
+            if not halted:
+                for other in others:
+                    try:
+                        self._send(other, {"t": "release", "peer": name})
+                    except (ProcessFederationError, SocketTransportError):
+                        # Gone meanwhile: no link left to release, and the
+                        # next poll() reads its EOF.
+                        pass
 
     def kill_peer(self, name: str, timeout: float = 10.0, force: bool = False) -> None:
         """Terminate a peer process (its unsaved state *is* the crash).

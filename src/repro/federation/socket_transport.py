@@ -346,96 +346,6 @@ class OutgoingLink:
             self.channel = None
 
 
-class StagingWindow:
-    """Per-destination send-side payload staging with three flush triggers.
-
-    The adaptive envelope staging window: payloads headed for the same
-    destination accumulate here instead of being framed immediately, and the
-    buffer flushes when the *first* of three knobs trips —
-
-    * ``rounds`` — K scheduler pump rounds have passed since the buffer
-      opened (K=1: flush in the same round it was staged, today's behavior);
-    * ``max_bytes`` — B encoded payload bytes are staged (0 disables);
-    * ``delay`` — T seconds have passed since the buffer opened (0 disables).
-
-    A wider window lets the coalescer cancel/dedup across more commits and
-    puts more payloads in each frame (throughput); a narrow one bounds the
-    latency a staged payload can sit (latency).  The window itself is
-    mechanism only: the host owns the clock, the round counter, and the
-    actual encode/enqueue of flushed batches.
-    """
-
-    __slots__ = ("rounds", "max_bytes", "delay", "_batches", "_bytes",
-                 "_opened_round", "_deadline", "flushed_batches",
-                 "payloads_staged")
-
-    def __init__(self, rounds: int = 1, max_bytes: int = 0, delay: float = 0.0):
-        self.rounds = max(1, int(rounds))
-        self.max_bytes = max(0, int(max_bytes))
-        self.delay = max(0.0, float(delay))
-        self._batches: Dict[str, List[object]] = {}
-        self._bytes: Dict[str, int] = {}
-        self._opened_round: Dict[str, int] = {}
-        self._deadline: Dict[str, float] = {}
-        self.flushed_batches = 0
-        self.payloads_staged = 0
-
-    @property
-    def passthrough(self) -> bool:
-        """True when the default knobs make staging a no-op window."""
-        return self.rounds <= 1 and not self.max_bytes and not self.delay
-
-    def stage(
-        self, destination: str, payload: object, round_number: int,
-        now: float, size: int = 0,
-    ) -> None:
-        batch = self._batches.get(destination)
-        if batch is None:
-            batch = self._batches[destination] = []
-            self._bytes[destination] = 0
-            self._opened_round[destination] = round_number
-            self._deadline[destination] = (
-                now + self.delay if self.delay > 0 else float("inf")
-            )
-        batch.append(payload)
-        self._bytes[destination] += size
-        self.payloads_staged += 1
-
-    def staged_count(self) -> int:
-        """Payloads currently parked in the window (a quiescence input)."""
-        return sum(len(batch) for batch in self._batches.values())
-
-    def next_deadline(self) -> Optional[float]:
-        """The earliest T-trigger deadline among open buffers (None if none)."""
-        deadlines = [due for due in self._deadline.values() if due != float("inf")]
-        return min(deadlines) if deadlines else None
-
-    def due(self, round_number: int, now: float, force: bool = False) -> List[str]:
-        """Destinations whose window tripped, in staging order."""
-        ready: List[str] = []
-        for destination, batch in self._batches.items():
-            if not batch:
-                continue
-            if (
-                force
-                or round_number - self._opened_round[destination] + 1 >= self.rounds
-                or (self.max_bytes and self._bytes[destination] >= self.max_bytes)
-                or now >= self._deadline[destination]
-            ):
-                ready.append(destination)
-        return ready
-
-    def take(self, destination: str) -> List[object]:
-        """Remove and return one destination's staged batch."""
-        batch = self._batches.pop(destination, [])
-        self._bytes.pop(destination, None)
-        self._opened_round.pop(destination, None)
-        self._deadline.pop(destination, None)
-        if batch:
-            self.flushed_batches += 1
-        return batch
-
-
 def monotonic() -> float:
     """The clock links and hosts share (separable for tests)."""
     return time.monotonic()

@@ -9,21 +9,16 @@ late messages overtake earlier ones), and a partitioned link *holds* its
 messages — nothing is ever dropped — until :meth:`Transport.heal` reconnects
 the pair.
 
-The fabric carries **bytes**, not objects: by default every payload is
-encoded through the wire codec (:mod:`repro.codec`) at :meth:`Transport.send`
-and decoded at delivery, so nothing crosses a link that could not equally
-cross a socket — every federation differential run therefore proves
-wire-serializability of the whole exchange protocol for free.  The in-process
-object mode of PR 3 survives as ``wire=False`` (and the
-``REPRO_WIRE_TRANSPORT=0`` environment override) for byte-vs-object
-differential comparisons; the *ordering and timing* semantics are identical
-in both modes.
+The fabric carries **bytes**, not objects: every payload is encoded through
+the wire codec (:mod:`repro.codec`) at :meth:`Transport.send` and decoded at
+delivery, so nothing crosses a link that could not equally cross a socket —
+every federation differential run therefore proves wire-serializability of
+the whole exchange protocol for free.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import random
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -59,10 +54,10 @@ class Bundle:
 class Envelope:
     """One message in flight between two peers.
 
-    On a byte transport (the default) the queued envelope's ``payload`` is
-    the encoded ``bytes`` and ``payload_kind`` names the wire kind; the
-    envelopes :meth:`Transport.pump` hands back carry the *decoded* payload
-    (receivers never see bytes).
+    The queued envelope's ``payload`` is the encoded ``bytes`` and
+    ``payload_kind`` names the wire kind; the envelopes
+    :meth:`Transport.pump` hands back carry the *decoded* payload (receivers
+    never see bytes).
     """
 
     seq: int
@@ -73,15 +68,12 @@ class Envelope:
     sent_at: int
     #: Earliest transport tick at which the message may be delivered.
     due_at: int
-    #: Wire kind of the payload ("" on an object transport).
-    payload_kind: str = ""
+    #: Wire kind of the payload.
+    payload_kind: str
 
     def describe(self) -> str:
         return "envelope #{} {} -> {}: {}".format(
-            self.seq,
-            self.source,
-            self.destination,
-            self.payload_kind or type(self.payload).__name__,
+            self.seq, self.source, self.destination, self.payload_kind
         )
 
 
@@ -101,7 +93,6 @@ class Transport:
         self,
         delay: int = 0,
         reorder_seed: Optional[int] = None,
-        wire: Optional[bool] = None,
         tracer=None,
     ):
         if delay < 0:
@@ -113,11 +104,6 @@ class Transport:
         self._rng = random.Random(reorder_seed) if reorder_seed is not None else None
         self._seq = itertools.count(1)
         self._tick = 0
-        if wire is None:
-            wire = os.environ.get("REPRO_WIRE_TRANSPORT", "1") != "0"
-        #: Byte transport: encode every payload through the wire codec on
-        #: send and decode it on delivery (the default; see the module doc).
-        self.wire = wire
         self.tracer = tracer if tracer is not None else default_tracer()
         #: The federation's mapping table (``name -> Tgd``); the owning
         #: network sets it so mappings cross the wire by name.  ``None``
@@ -136,7 +122,7 @@ class Transport:
         self.bundles_sent = 0
         self.payloads_sent = 0
         self.wire_bytes_sent = 0
-        #: Wire bytes attributed per payload kind (empty on object transports).
+        #: Wire bytes attributed per payload kind.
         self.wire_bytes_by_kind: Dict[str, int] = {}
         #: Codec CPU seconds, metered only while tracing is enabled.
         self.encode_seconds = 0.0
@@ -184,28 +170,25 @@ class Transport:
     def send(self, source: str, destination: str, payload: object) -> Envelope:
         """Enqueue *payload* on the ``source -> destination`` link.
 
-        On a byte transport the payload is wire-encoded *now* — the sender's
-        live objects never enter the queue, so mutating them after ``send``
-        cannot reach the receiver, exactly as over a real socket.
+        The payload is wire-encoded *now* — the sender's live objects never
+        enter the queue, so mutating them after ``send`` cannot reach the
+        receiver, exactly as over a real socket.
         """
         if source == destination:
             raise ValueError("a peer does not message itself over the transport")
-        kind = ""
-        queued: object = payload
+        kind = payload_kind(payload)
         encode_seconds = 0.0
-        if self.wire:
-            kind = payload_kind(payload)
-            if self.tracer.enabled:
-                before = self.tracer.clock()
-                queued = encode_envelope(payload, self.mappings)
-                encode_seconds = self.tracer.clock() - before
-                self.encode_seconds += encode_seconds
-            else:
-                queued = encode_envelope(payload, self.mappings)
-            self.wire_bytes_sent += len(queued)
-            self.wire_bytes_by_kind[kind] = (
-                self.wire_bytes_by_kind.get(kind, 0) + len(queued)
-            )
+        if self.tracer.enabled:
+            before = self.tracer.clock()
+            queued = encode_envelope(payload, self.mappings)
+            encode_seconds = self.tracer.clock() - before
+            self.encode_seconds += encode_seconds
+        else:
+            queued = encode_envelope(payload, self.mappings)
+        self.wire_bytes_sent += len(queued)
+        self.wire_bytes_by_kind[kind] = (
+            self.wire_bytes_by_kind.get(kind, 0) + len(queued)
+        )
         envelope = Envelope(
             seq=next(self._seq),
             source=source,
@@ -228,9 +211,9 @@ class Transport:
                     phase="wire",
                     parent=context,
                     peer=source,
-                    kind=kind or type(payload).__name__,
+                    kind=kind,
                     destination=destination,
-                    bytes=len(queued) if self.wire else 0,
+                    bytes=len(queued),
                     encode_seconds=encode_seconds,
                 )
         return envelope
@@ -294,35 +277,27 @@ class Transport:
         for envelope in deliverable:
             link = (envelope.source, envelope.destination)
             self.link_delivered[link] = self.link_delivered.get(link, 0) + 1
-        if self.wire:
-            # Decode at the delivery boundary: receivers get fresh objects
-            # reconstructed from the bytes, never the sender's instances.
-            if self.tracer.enabled:
-                decoded: List[Envelope] = []
-                for envelope in deliverable:
-                    before = self.tracer.clock()
-                    payload = decode_envelope(envelope.payload, self.mappings)
-                    decode_seconds = self.tracer.clock() - before
-                    self.decode_seconds += decode_seconds
-                    span = self._wire_spans.pop(envelope.seq, None)
-                    if span is not None:
-                        self.tracer.end_span(span, decode_seconds=decode_seconds)
-                    decoded.append(replace(envelope, payload=payload))
-                deliverable = decoded
-            else:
-                deliverable = [
-                    replace(
-                        envelope,
-                        payload=decode_envelope(envelope.payload, self.mappings),
-                    )
-                    for envelope in deliverable
-                ]
-        elif self.tracer.enabled:
-            for envelope in deliverable:
-                span = self._wire_spans.pop(envelope.seq, None)
-                if span is not None:
-                    self.tracer.end_span(span)
-        return deliverable
+        # Decode at the delivery boundary: receivers get fresh objects
+        # reconstructed from the bytes, never the sender's instances.
+        if not self.tracer.enabled:
+            return [
+                replace(
+                    envelope,
+                    payload=decode_envelope(envelope.payload, self.mappings),
+                )
+                for envelope in deliverable
+            ]
+        decoded: List[Envelope] = []
+        for envelope in deliverable:
+            before = self.tracer.clock()
+            payload = decode_envelope(envelope.payload, self.mappings)
+            decode_seconds = self.tracer.clock() - before
+            self.decode_seconds += decode_seconds
+            span = self._wire_spans.pop(envelope.seq, None)
+            if span is not None:
+                self.tracer.end_span(span, decode_seconds=decode_seconds)
+            decoded.append(replace(envelope, payload=payload))
+        return decoded
 
     # ------------------------------------------------------------------
     # Introspection
@@ -361,7 +336,6 @@ class Transport:
             "transport_partitioned_pairs": len(self._partitioned),
             "transport_bundles_sent": self.bundles_sent,
             "transport_payloads_sent": self.payloads_sent,
-            "transport_wire": int(self.wire),
             "transport_wire_bytes_sent": self.wire_bytes_sent,
         }
         for kind in sorted(self.wire_bytes_by_kind):

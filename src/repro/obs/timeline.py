@@ -256,10 +256,10 @@ class TelemetryTimeline:
         self.drains.append(record)
 
     def time_to_idle_series(self) -> List[float]:
-        """Seconds-to-first-idle-candidate of each watermark-mode drain.
+        """Seconds-to-first-idle-candidate of each settled drain.
 
-        Only drains that settled via the watermark protocol carry the
-        measurement (``time_to_idle_seconds``): the wall time from drain
+        Only drains that settled carry the measurement
+        (``time_to_idle_seconds``): the wall time from drain
         entry until every peer's observed view first looked conserved and
         idle, i.e. the workload's own settle tail with the coordinator's
         confirmation overhead excluded.

@@ -7,7 +7,9 @@ Neither rewrite may change what a destination peer observes, so alongside the
 unit tests for each rule there is a differential: the same generated
 multi-peer workload delivered coalesced-and-bundled versus one-envelope-at-a-
 time must converge to equivalent global states (both equal to the
-single-repository reference chase).
+single-repository reference chase).  The runtime always coalesces and
+bundles; the one-envelope-at-a-time reference is :class:`PerEnvelopeNetwork`
+below.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ class TestBundleTransport:
         assert transport.sent == 0
 
     def test_single_payload_is_sent_bare(self):
-        transport = Transport(wire=True)
+        transport = Transport()
         envelope = transport.send_bundle("a", "b", ["payload"])
         assert envelope is not None and envelope.payload_kind == "raw"
         assert transport.bundles_sent == 0
@@ -132,10 +134,10 @@ class TestBundleTransport:
         assert delivered.payload == "payload"
 
     def test_many_payloads_share_one_envelope(self):
-        transport = Transport(wire=True)
+        transport = Transport()
         envelope = transport.send_bundle("a", "b", ["one", "two", "three"])
-        # The queued envelope carries bytes on the (default) byte transport;
-        # the wire kind names the bundle without decoding it.
+        # The queued envelope carries bytes; the wire kind names the bundle
+        # without decoding it.
         assert envelope.payload_kind == "bundle"
         assert isinstance(envelope.payload, bytes)
         assert transport.sent == 1
@@ -150,22 +152,30 @@ class TestBundleTransport:
         assert metrics["transport_payloads_sent"] == 3
         assert metrics["transport_wire_bytes_sent"] > 0
 
-    def test_object_mode_keeps_payload_instances(self):
-        transport = Transport(wire=False)
-        envelope = transport.send_bundle("a", "b", ["one", "two"])
-        assert isinstance(envelope.payload, Bundle)
-        [delivered] = transport.pump()
-        assert delivered.payload is envelope.payload
+
+class PerEnvelopeNetwork(FederatedNetwork):
+    """The reference delivery: no coalescing, one transport send per payload."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        for peer in self.peers():
+            peer._coalesce = lambda staged: staged
+
+    def _flush_pairs(self, peer, pairs, report):
+        for destination, payload in pairs:
+            self.transport.send(peer.name, destination, payload)
+            report.flushed += 1
 
 
-def _run_network(environment, coalesce, delay=1, reorder_seed=None):
-    network = FederatedNetwork(
+def _run_network(
+    environment, network_class=FederatedNetwork, delay=1, reorder_seed=None
+):
+    network = network_class(
         environment.schema,
         environment.initial,
         list(environment.mappings),
         environment.ownership,
         transport=Transport(delay=delay, reorder_seed=reorder_seed),
-        coalesce_envelopes=coalesce,
     )
     specs = [
         FederatedClientSpec(peer=peer, name="client@{}".format(peer), operations=list(ops))
@@ -179,6 +189,16 @@ def _run_network(environment, coalesce, delay=1, reorder_seed=None):
     return network
 
 
+def _reference(environment):
+    return reference_chase(
+        environment.schema,
+        environment.initial,
+        list(environment.mappings),
+        environment.all_operations(),
+        oracle=AlwaysExpandOracle(),
+    )
+
+
 @pytest.mark.parametrize("seed,num_peers", [(0, 3), (1, 4), (5, 3)])
 def test_coalesced_delivery_equals_per_envelope_delivery(seed, num_peers):
     config = FederationScenarioConfig(
@@ -188,16 +208,10 @@ def test_coalesced_delivery_equals_per_envelope_delivery(seed, num_peers):
         seed=seed,
     )
     environment = generate_federation_environment(config)
-    coalesced = _run_network(environment, coalesce=True)
-    plain = _run_network(environment, coalesce=False)
+    coalesced = _run_network(environment)
+    plain = _run_network(environment, PerEnvelopeNetwork)
 
-    reference = reference_chase(
-        environment.schema,
-        environment.initial,
-        list(environment.mappings),
-        environment.all_operations(),
-        oracle=AlwaysExpandOracle(),
-    )
+    reference = _reference(environment)
     assert check_convergence(coalesced, reference).equivalent
     assert check_convergence(plain, reference).equivalent
     assert databases_equivalent(
@@ -214,12 +228,5 @@ def test_coalesced_run_under_reorder_and_delay_converges():
         num_peers=4, cross_mappings=6, operations_per_peer=6, seed=3
     )
     environment = generate_federation_environment(config)
-    network = _run_network(environment, coalesce=True, delay=2, reorder_seed=3)
-    reference = reference_chase(
-        environment.schema,
-        environment.initial,
-        list(environment.mappings),
-        environment.all_operations(),
-        oracle=AlwaysExpandOracle(),
-    )
-    assert check_convergence(network, reference).equivalent
+    network = _run_network(environment, delay=2, reorder_seed=3)
+    assert check_convergence(network, _reference(environment)).equivalent

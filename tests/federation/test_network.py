@@ -25,7 +25,7 @@ from repro.federation import (
 from repro.service.tickets import TicketStatus
 
 
-def chain_fixture(delay=1, reorder_seed=None, stage_rounds=1):
+def chain_fixture(delay=1, reorder_seed=None):
     schema = DatabaseSchema.from_dict(
         {"A1": ["x"], "A2": ["x", "y"], "B1": ["x"], "B2": ["x"]}
     )
@@ -47,7 +47,6 @@ def chain_fixture(delay=1, reorder_seed=None, stage_rounds=1):
         mappings,
         ownership={"a": ["A1", "A2"], "b": ["B1", "B2"]},
         transport=Transport(delay=delay, reorder_seed=reorder_seed),
-        stage_rounds=stage_rounds,
     )
     return schema, mappings, initial, network
 
@@ -66,31 +65,6 @@ def test_forward_cascade_across_peers():
         schema, initial, mappings, [InsertOperation(make_tuple("A1", "v1"))]
     )
     assert check_convergence(network, reference).equivalent
-
-
-def test_staged_flush_converges_to_the_same_state():
-    """A multi-round staging window delays flushes but changes no answers.
-
-    With ``stage_rounds=3`` a peer's outbox parks for up to two extra pump
-    rounds before hitting the transport; quiescence must keep counting the
-    parked envelopes (both the classic and the watermark detector), and the
-    drained state must match the unstaged run and the reference chase.
-    """
-    schema, mappings, initial, network = chain_fixture(stage_rounds=3)
-    operations = [
-        InsertOperation(make_tuple("A1", "v1")),
-        InsertOperation(make_tuple("A1", "v2")),
-    ]
-    for operation in operations:
-        network.submit("a", operation)
-    rounds = network.run_until_quiescent()
-    assert rounds >= 3  # the window held the first firing back
-    reference = reference_chase(schema, initial, mappings, operations)
-    assert check_convergence(network, reference).equivalent
-    metrics = network.metrics()
-    assert metrics["firings_emitted"] >= 1
-    # The parked-set bookkeeping is empty again after the drain.
-    assert network.quiescent() and network.watermark_quiescent()
 
 
 def test_backward_retraction_cascades_to_source_peer():
@@ -156,7 +130,7 @@ def test_unowned_relations_stay_empty_everywhere():
                 )
 
 
-def question_fixture(wire=None):
+def question_fixture():
     schema = DatabaseSchema.from_dict(
         {"Seed": ["x"], "Person": ["name"], "Father": ["child", "father"]}
     )
@@ -176,7 +150,7 @@ def question_fixture(wire=None):
         initial,
         mappings,
         ownership={"a": ["Seed"], "b": ["Person", "Father"]},
-        transport=Transport(delay=1, wire=wire),
+        transport=Transport(delay=1),
     )
     return network
 
@@ -245,7 +219,7 @@ def test_answering_a_closed_question_raises():
 
 
 def test_remote_answer_travels_as_an_index_into_the_parked_request():
-    network = question_fixture(wire=True)  # the test reads the bytes
+    network = question_fixture()
     network.submit("a", InsertOperation(make_tuple("Seed", "alice")))
     question = _pump_until_question(network, "a")[0]
     position, unify = [
@@ -281,7 +255,6 @@ def test_answer_that_is_not_a_listed_alternative_travels_inline():
     })
     network = FederatedNetwork(
         schema, initial, mappings, ownership={"a": ["Del"], "b": ["L", "M", "N"]},
-        transport=Transport(wire=True),
     )
     # Submitted at a, executed at b: the negative frontier routes back to a.
     network.submit("a", DeleteOperation(make_tuple("N", "v")))
@@ -337,11 +310,9 @@ def test_two_federations_in_one_process_may_reuse_mapping_names():
     # Both call their only mapping "sigma1"; the bodies differ.
     into_b1 = FederatedNetwork(
         schema, initial, parse_tgds(["A1(x) -> B1(x)"]), ownership,
-        transport=Transport(wire=True),
     )
     into_b2 = FederatedNetwork(
         schema, initial, parse_tgds(["A1(x) -> B2(x)"]), ownership,
-        transport=Transport(wire=True),
     )
     for network in (into_b1, into_b2):
         network.submit("a", InsertOperation(make_tuple("A1", "v")))

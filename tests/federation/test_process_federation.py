@@ -7,7 +7,9 @@ parts exactly equal — as (a) the in-process :class:`FederatedNetwork` over
 the simulated transport and (b) the single-repository chase over the union
 of mappings.  Randomized 3–5 peer scenarios, simulated link delay with
 seeded reordering, partition-then-heal, and a kill-and-restart of a peer
-*process* from a checkpoint file all go through the same comparison.
+*process* from a checkpoint file all go through the same comparison, each
+drained by the runtime's watermark protocol and, where a premature verdict
+would hide, by the paced poll oracle (``tests/oracles/poll_drain.py``) too.
 
 Every test tears its federation down through :func:`running`, which closes
 the coordinator and then *asserts* that no child process and no socket file
@@ -18,9 +20,15 @@ guarantee the CI smoke job relies on).
 from __future__ import annotations
 
 import contextlib
+import gc
+import os
+import signal
+import tempfile
 import time
+import warnings
 
 import pytest
+from oracles.poll_drain import poll_drain
 
 from repro.core.oracle import AlwaysExpandOracle
 from repro.core.schema import DatabaseSchema
@@ -30,6 +38,7 @@ from repro.core.update import InsertOperation
 from repro.federation import (
     FederatedNetwork,
     ProcessFederation,
+    ProcessFederationError,
     Transport,
     databases_equivalent,
     reference_chase,
@@ -110,6 +119,13 @@ def _run_inprocess(environment, delay=1):
     return network
 
 
+def _drain(federation, drain_mode, **kwargs):
+    """Drain with the runtime's watermark protocol or the poll oracle."""
+    if drain_mode == "poll":
+        return poll_drain(federation, **kwargs)
+    return federation.drain(**kwargs)
+
+
 def _submit_all(federation, environment):
     tickets = []
     for peer in sorted(environment.operations):
@@ -141,48 +157,6 @@ def test_forward_cascade_across_processes(tmp_path, transport):
     assert snapshot.count("A2") == 1
     assert snapshot.count("B1") == 1  # crossed a real socket
     assert snapshot.count("B2") == 1  # cascaded through b's local chase
-    reference = reference_chase(schema, initial, mappings, operations)
-    assert databases_equivalent(snapshot, reference.final)
-
-
-def test_staging_window_batches_the_wire_and_converges(tmp_path):
-    """Adaptive send staging parks payloads without changing drained state.
-
-    With a 4-round/25 ms staging window the peers hold outgoing envelopes
-    across scheduler pump rounds before flushing; the drain (watermark
-    protocol — the staged set must count against quiescence) still settles
-    to the reference state, and the wire metrics prove the window actually
-    staged and flushed batches rather than degenerating to passthrough.
-    """
-    schema, mappings, initial = chain_pieces()
-    operations = [
-        InsertOperation(make_tuple("A1", "v{}".format(index)))
-        for index in range(4)
-    ]
-    with running(ProcessFederation(
-        schema,
-        initial,
-        mappings,
-        ownership={"a": ["A1", "A2"], "b": ["B1", "B2"]},
-        stage_rounds=4,
-        stage_delay=0.025,
-        workdir=str(tmp_path),
-    )) as federation:
-        tickets = [federation.submit("a", operation) for operation in operations]
-        federation.drain(timeout=DRAIN_TIMEOUT)
-        assert all(ticket.status is TicketStatus.COMMITTED for ticket in tickets)
-        metrics = federation.metrics()
-        staged = sum(
-            (view.get("metrics") or {}).get("wire_payloads_staged", 0)
-            for view in metrics.values()
-        )
-        flushes = sum(
-            (view.get("metrics") or {}).get("wire_staged_flushes", 0)
-            for view in metrics.values()
-        )
-        assert staged >= 1, "the window never staged a payload"
-        assert flushes >= 1, "the window never flushed a batch"
-        snapshot = federation.global_snapshot()
     reference = reference_chase(schema, initial, mappings, operations)
     assert databases_equivalent(snapshot, reference.final)
 
@@ -299,8 +273,9 @@ def test_randomized_sockets_match_inprocess_and_reference(
     assert databases_equivalent(socket_snapshot, inprocess)
 
 
-# Both drain protocols on purpose: delayed, reordered links are exactly
-# where a premature watermark candidate would tempt an unsound detector.
+# The watermark drain and the poll oracle on purpose: delayed, reordered
+# links are exactly where a premature watermark candidate would tempt an
+# unsound detector.
 @pytest.mark.parametrize("drain_mode", ["watermark", "poll"])
 def test_delay_and_reorder_sockets_converge(tmp_path, drain_mode):
     config = FederationScenarioConfig(num_peers=4, cross_mappings=6, seed=1)
@@ -315,25 +290,25 @@ def test_delay_and_reorder_sockets_converge(tmp_path, drain_mode):
         workdir=str(tmp_path),
     )) as federation:
         tickets = _submit_all(federation, environment)
-        federation.drain(
+        _drain(
+            federation,
+            drain_mode,
             answer_strategy=expanding_answer,
             timeout=DRAIN_TIMEOUT,
-            mode=drain_mode,
         )
         assert all(ticket.is_done for ticket in tickets)
-        assert federation.last_drain["mode"] == drain_mode
         snapshot = federation.global_snapshot()
     assert databases_equivalent(snapshot, _reference(environment).final)
 
 
 def test_drain_modes_agree_on_randomized_topology(tmp_path):
-    """Watermark and poll drains settle the same state with the same keys.
+    """The watermark drain and the poll oracle settle the same state and keys.
 
-    The same randomized scenario runs once per protocol; both must match
+    The same randomized scenario runs once per drain; both must match
     the single-repository reference chase, and the post-drain ``metrics()``
     documents must carry bit-identical key sets (top-level peers, per-peer
     status keys, and per-peer metric-registry keys) so dashboards cannot
-    tell the protocols apart.
+    tell the two apart.
     """
     config = FederationScenarioConfig(num_peers=3, cross_mappings=5, seed=7)
     snapshots = {}
@@ -350,10 +325,11 @@ def test_drain_modes_agree_on_randomized_topology(tmp_path):
             workdir=str(workdir),
         )) as federation:
             tickets = _submit_all(federation, environment)
-            federation.drain(
+            _drain(
+                federation,
+                drain_mode,
                 answer_strategy=expanding_answer,
                 timeout=DRAIN_TIMEOUT,
-                mode=drain_mode,
             )
             assert all(ticket.is_done for ticket in tickets)
             snapshots[drain_mode] = federation.global_snapshot()
@@ -411,10 +387,11 @@ def test_partition_then_heal_sockets_converge(tmp_path, drain_mode):
         )
         federation.heal(peers[0], peers[1])
         federation.heal(peers[1], peers[2])
-        federation.drain(
+        _drain(
+            federation,
+            drain_mode,
             answer_strategy=expanding_answer,
             timeout=DRAIN_TIMEOUT,
-            mode=drain_mode,
         )
         assert all(ticket.is_done for ticket in tickets)
         snapshot = federation.global_snapshot()
@@ -429,7 +406,7 @@ def test_partition_then_heal_sockets_converge(tmp_path, drain_mode):
 # reset their outgoing links before the release — UDS alone never sees it.
 # Watermark mode on both transports: a reborn peer resets its activity
 # sequence, so kill/restart is where a stale coordinator watermark view
-# could fake quiescence.  Poll mode rides along once as the control.
+# could fake quiescence.  The poll oracle rides along once as the control.
 @pytest.mark.parametrize("transport,drain_mode", [
     ("unix", "watermark"),
     ("tcp", "watermark"),
@@ -470,19 +447,65 @@ def test_kill_and_restart_peer_process_converges(tmp_path, transport, drain_mode
         assert federation._handles[victim].process.poll() is not None
         federation.restart_peer(victim, path)
         assert federation._handles[victim].process.pid != old_pid
-        federation.drain(
+        _drain(
+            federation,
+            drain_mode,
             answer_strategy=expanding_answer,
             timeout=DRAIN_TIMEOUT,
-            mode=drain_mode,
         )
         assert all(ticket.is_done for ticket in tickets)
         snapshot = federation.global_snapshot()
     assert databases_equivalent(snapshot, _reference(environment).final)
 
 
+def test_failed_checkpoint_releases_its_holds(tmp_path):
+    """A checkpoint that times out must not leave the links toward its
+    victim held: the federation drains once the victim is back."""
+    schema, mappings, initial = chain_pieces()
+    with running(ProcessFederation(
+        schema,
+        initial,
+        mappings,
+        ownership={"a": ["A1", "A2"], "b": ["B1", "B2"]},
+        workdir=str(tmp_path),
+    )) as federation:
+        victim = federation._handles["b"].process.pid
+        os.kill(victim, signal.SIGSTOP)
+        try:
+            with pytest.raises(ProcessFederationError):
+                federation.checkpoint_peer(
+                    "b", str(tmp_path / "b.ckpt"), timeout=1.0
+                )
+        finally:
+            os.kill(victim, signal.SIGCONT)
+        ticket = federation.submit("a", InsertOperation(make_tuple("A1", "v1")))
+        federation.drain(timeout=5)
+        assert ticket.status is TicketStatus.COMMITTED
+        assert federation.global_snapshot().count("B2") == 1
+
+
 # ----------------------------------------------------------------------
 # Teardown discipline
 # ----------------------------------------------------------------------
+def test_failed_construction_leaks_no_workdir_or_handle(tmp_path, monkeypatch):
+    schema, mappings, initial = chain_pieces()
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    monkeypatch.setattr(tempfile, "tempdir", None)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(ProcessFederationError, match="unknown transport"):
+            ProcessFederation(
+                schema,
+                initial,
+                mappings,
+                ownership={"a": ["A1", "A2"], "b": ["B1", "B2"]},
+                transport="bogus",
+            )
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_close_reaps_processes_mid_federation(tmp_path):
     """Closing with traffic still in flight leaves no zombies or sockets."""
     schema, mappings, initial = chain_pieces()

@@ -108,13 +108,11 @@ PINNED_METRIC_KEYS = {
     # socket-layer counters (the wire_ producer added by this PR)
     "wire_frames_sent", "wire_frames_received", "wire_payloads_received",
     "wire_deliveries_deferred", "wire_answers_dropped",
-    # send-side staging window counters
-    "wire_payloads_staged", "wire_staged_flushes",
 }
 
 #: The status-shaped top-level keys metrics() must keep bit-compatible.
 PINNED_STATUS_KEYS = {
-    "peer", "quiescent", "halted", "outbox", "staged", "queued", "retry",
+    "peer", "quiescent", "halted", "outbox", "queued", "retry",
     "held", "sent", "received", "payloads_received", "open_questions",
     "committed", "metrics", "deliveries_deferred", "answers_dropped",
     "firings_emitted", "retractions_emitted", "notices_emitted",
@@ -224,7 +222,7 @@ def test_a_peer_that_is_not_being_drained_sends_no_idle_notice(
         # Between drains liveness rests on the heartbeats alone.
         for name in ("a", "b"):
             assert federation.liveness()[name]["state"] == LIVE
-        federation.drain(timeout=DRAIN_TIMEOUT, mode="watermark")
+        federation.drain(timeout=DRAIN_TIMEOUT)
         assert len(idle_notices) > seen
 
 
@@ -291,12 +289,12 @@ def test_back_to_back_drains_under_the_subscription(tmp_path, telemetry_interval
     )) as federation:
         for tag in ("first", "second"):
             tickets = _burst(federation, tag, count=4)
-            federation.drain(timeout=DRAIN_TIMEOUT, mode="watermark")
+            federation.drain(timeout=DRAIN_TIMEOUT)
             assert all(ticket.is_done for ticket in tickets)
             assert federation.last_drain["settle_reason"] == "watermark-idle"
             # Nothing moved since: the views the drain just confirmed still
             # hold, so an immediate second drain is the one confirming round.
-            assert federation.drain(timeout=DRAIN_TIMEOUT, mode="watermark") == 1
+            assert federation.drain(timeout=DRAIN_TIMEOUT) == 1
             assert federation.last_drain["settle_reason"] == "watermark-idle"
 
 
@@ -305,7 +303,7 @@ def test_drain_right_after_restart_seeds_the_reborn_peers_view(
 ):
     with running(chain_federation(tmp_path)) as federation:
         federation.submit("a", InsertOperation(make_tuple("A1", "v1")))
-        federation.drain(timeout=DRAIN_TIMEOUT, mode="watermark")
+        federation.drain(timeout=DRAIN_TIMEOUT)
         path = str(tmp_path / "b.ckpt")
         federation.checkpoint_peer("b", path, halt=True)
         federation.kill_peer("b")
@@ -321,7 +319,7 @@ def test_drain_right_after_restart_seeds_the_reborn_peers_view(
             message="the burst to commit on the reborn peer",
         )
         assert idle_notices[seen:] == []
-        federation.drain(timeout=DRAIN_TIMEOUT, mode="watermark")
+        federation.drain(timeout=DRAIN_TIMEOUT)
         assert federation.last_drain["settle_reason"] == "watermark-idle"
         assert "b" in {notice["peer"] for notice in idle_notices[seen:]}
         # The reborn service counts from zero: these are the burst's firings.
@@ -330,12 +328,12 @@ def test_drain_right_after_restart_seeds_the_reborn_peers_view(
 
 def test_a_drain_that_times_out_leaves_nobody_subscribed(tmp_path, idle_notices):
     with running(chain_federation(tmp_path)) as federation:
-        federation.drain(timeout=DRAIN_TIMEOUT, mode="watermark")
+        federation.drain(timeout=DRAIN_TIMEOUT)
         # a's firing toward b queues behind the cut: a cannot go idle.
         federation.partition("a", "b")
         ticket = federation.submit("a", InsertOperation(make_tuple("A1", "cut")))
         with pytest.raises(RuntimeError) as failure:
-            federation.drain(timeout=1.0, mode="watermark")
+            federation.drain(timeout=1.0)
         assert "failed to drain" in str(failure.value)
         assert federation.last_drain["settle_reason"] == "timeout"
         seen = len(idle_notices)
@@ -350,7 +348,7 @@ def test_a_drain_that_times_out_leaves_nobody_subscribed(tmp_path, idle_notices)
         _poll_for(federation, 0.3)
         assert idle_notices[seen:] == []
         assert ticket.is_done
-        federation.drain(timeout=DRAIN_TIMEOUT, mode="watermark")
+        federation.drain(timeout=DRAIN_TIMEOUT)
         assert federation.last_drain["settle_reason"] == "watermark-idle"
 
 
@@ -468,19 +466,14 @@ def test_poll_evaluates_the_watchdog_only_when_a_verdict_can_change(
 def test_drain_records_its_latency_decomposition(tmp_path):
     with running(chain_federation(tmp_path)) as federation:
         federation.submit("a", InsertOperation(make_tuple("A1", "v1")))
-        # Explicit mode: this test pins each protocol's decomposition, so it
-        # must not float with the REPRO_DRAIN default (CI runs the whole
-        # suite under REPRO_DRAIN=poll as the differential oracle).
-        rounds = federation.drain(timeout=DRAIN_TIMEOUT, mode="watermark")
+        rounds = federation.drain(timeout=DRAIN_TIMEOUT)
         record = federation.last_drain
         assert record is not None
-        # The watermark protocol needs at most one seeding round plus the
-        # single confirming round; with went-idle pushes seeding the views
-        # it is usually exactly one.
+        # At most one seeding round plus the single confirming round; with
+        # went-idle pushes seeding the views it is usually exactly one.
         assert record["rounds"] == rounds >= 1
-        assert rounds <= 4  # never the poll barrier's paced cadence
+        assert rounds <= 4  # never a paced cadence of status rounds
         assert record["settle_reason"] == "watermark-idle"
-        assert record["mode"] == "watermark"
         assert record["time_to_idle_seconds"] >= 0.0
         assert len(record["round_seconds"]) == rounds
         assert record["seconds"] >= sum(record["round_seconds"]) * 0.5
@@ -488,24 +481,15 @@ def test_drain_records_its_latency_decomposition(tmp_path):
         assert federation.timeline.time_to_idle_series() == [
             record["time_to_idle_seconds"]
         ]
-        # The poll-mode oracle still settles the same federation and leaves
-        # its own decomposition (two consecutive identical fingerprints).
-        poll_rounds = federation.drain(timeout=DRAIN_TIMEOUT, mode="poll")
-        poll_record = federation.last_drain
-        assert poll_record["rounds"] == poll_rounds >= 2
-        assert poll_record["settle_reason"] == "two-round-fingerprint"
-        assert poll_record["mode"] == "poll"
-        assert "time_to_idle_seconds" not in poll_record
-        # The spool carries both (what repro-top's footer renders).
+        # The spool carries it too (what repro-top's footer renders).
         with open(federation._spool_path) as handle:
-            assert sum('"rec": "drain"' in line for line in handle) >= 2
+            assert sum('"rec": "drain"' in line for line in handle) == 1
 
 
 # ----------------------------------------------------------------------
 # Satellite: drain settle state resets between calls (peer-lost sandwich)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("mode", ["watermark", "poll"])
-def test_drain_twice_around_a_mid_drain_freeze(tmp_path, mode):
+def test_drain_twice_around_a_mid_drain_freeze(tmp_path):
     """A drain that dies on a lost peer must not poison the next drain.
 
     SIGSTOP freezes b so the drain's status round times out (the
@@ -515,25 +499,19 @@ def test_drain_twice_around_a_mid_drain_freeze(tmp_path, mode):
     """
     with running(chain_federation(tmp_path)) as federation:
         ticket = federation.submit("a", InsertOperation(make_tuple("A1", "v1")))
-        federation.drain(timeout=DRAIN_TIMEOUT, mode=mode)
+        federation.drain(timeout=DRAIN_TIMEOUT)
         assert ticket.is_done
         victim = federation._handles["b"].process.pid
         os.kill(victim, signal.SIGSTOP)
         try:
             with pytest.raises(Exception) as failure:
-                federation.drain(timeout=3.0, mode=mode)
+                federation.drain(timeout=3.0)
             assert "timed out waiting" in str(failure.value)
             assert federation.last_drain["settle_reason"] == "peer-lost"
-            assert federation.last_drain["mode"] == mode
         finally:
             os.kill(victim, signal.SIGCONT)
-        rounds = federation.drain(timeout=DRAIN_TIMEOUT, mode=mode)
-        assert rounds >= 1
-        record = federation.last_drain
-        assert record["settle_reason"] in (
-            "watermark-idle", "two-round-fingerprint"
-        )
-        assert record["mode"] == mode
+        assert federation.drain(timeout=DRAIN_TIMEOUT) >= 1
+        assert federation.last_drain["settle_reason"] == "watermark-idle"
 
 
 # ----------------------------------------------------------------------
@@ -545,7 +523,7 @@ def test_interleaved_heartbeats_and_status_rounds_never_double_count():
     Heartbeats carry metrics as deltas against the previous *heartbeat*
     (the peer does not reset its delta base when it answers a status
     round), status replies carry absolutes.  Whatever the interleaving —
-    in particular an unsolicited heartbeat landing between two fingerprint
+    in particular an unsolicited heartbeat landing between two status
     rounds — the merged view must track the peer's true counters exactly:
     applying a heartbeat delta on top of a status absolute would
     double-count the interval.

@@ -136,7 +136,7 @@ def test_committed_rate_from_history():
 
 def test_drain_records_accumulate():
     timeline, _ = _timeline()
-    timeline.record_drain({"rounds": 3, "settle_reason": "two-round-fingerprint"})
+    timeline.record_drain({"rounds": 3, "settle_reason": "watermark-idle"})
     assert timeline.drains[-1]["rounds"] == 3
 
 
@@ -152,7 +152,7 @@ def test_spool_round_trip(tmp_path):
         {"rec": "liveness", "peer": "b", "state": "dead",
          "reason": "eof(exit=-9)", "age": 1.0, "wall": 100.5},
         {"rec": "drain", "wall": 100.6,
-         "drain": {"rounds": 2, "settle_reason": "two-round-fingerprint"}},
+         "drain": {"rounds": 2, "settle_reason": "watermark-idle"}},
     ]
     with open(path, "w") as handle:
         for record in records:

@@ -118,7 +118,7 @@ def test_remote_spans_root_in_user_operations(seed, delay, reorder):
     tracer = Tracer()
     network = _run(
         environment,
-        Transport(delay=delay, reorder_seed=reorder, wire=True),
+        Transport(delay=delay, reorder_seed=reorder),
         tracer=tracer,
     )
     _assert_causal_closure(TraceAnalysis(tracer.spans))
@@ -136,7 +136,7 @@ def test_partition_heal_preserves_causal_chains():
         environment.initial,
         list(environment.mappings),
         environment.ownership,
-        transport=Transport(delay=1, wire=True),
+        transport=Transport(delay=1),
         tracer=tracer,
     )
     peers = environment.config.peer_names()
@@ -174,12 +174,12 @@ def test_tracing_does_not_change_the_run(seed):
 
     untraced = _run(
         generate_federation_environment(config),
-        Transport(delay=1, reorder_seed=seed, wire=True),
+        Transport(delay=1, reorder_seed=seed),
         tracer=None,
     )
     traced = _run(
         generate_federation_environment(config),
-        Transport(delay=1, reorder_seed=seed, wire=True),
+        Transport(delay=1, reorder_seed=seed),
         tracer=Tracer(),
     )
     assert check_convergence(untraced, reference).equivalent

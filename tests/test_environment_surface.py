@@ -10,7 +10,7 @@ import re
 
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
-EXPECTED = {"REPRO_TRACE", "REPRO_FLIGHT_DIR", "REPRO_DRAIN", "REPRO_WIRE_TRANSPORT"}
+EXPECTED = {"REPRO_TRACE", "REPRO_FLIGHT_DIR"}
 
 
 def test_src_reads_exactly_the_pinned_environment_variables():
