@@ -27,7 +27,6 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple as
 
 from ..query.base import ReadQuery
 from ..query.correction_query import MoreSpecificQuery, NullOccurrenceQuery
-from ..query.homomorphism import exists_match
 from ..storage.interface import DatabaseView
 from .terms import DataTerm, LabeledNull, NullFactory, Variable
 from .tuples import Tuple, unification_assignment

@@ -19,7 +19,6 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from ..query.base import ReadQuery
 from ..query.compiled import CompiledMappings, compile_mappings, get_plan
-from ..query.homomorphism import exists_match, find_matches
 from ..query.violation_query import (
     ViolationQuery,
     ViolationRow,

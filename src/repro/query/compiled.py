@@ -3,7 +3,7 @@
 Violation queries, the repair planner and the incremental violation detector
 all interrogate the *structure* of a mapping on every chase step: which
 variables are exported, which atoms mention the written relation, in which
-order a backtracking join should match the atoms.  The :class:`Tgd` value
+order a join should match the atoms.  The :class:`Tgd` value
 object recomputes those answers from scratch on each call, which is fine for
 one chase but shows up everywhere once a scheduler replays thousands of steps.
 
@@ -13,8 +13,14 @@ A :class:`CompiledTgd` derives everything once per mapping:
   for deterministic null generation),
 * per-relation LHS/RHS atom lists (write seeding stops scanning every atom),
 * a :class:`CompiledConjunction` per side, which memoizes the
-  most-constrained-first atom ordering per set of pre-bound variables and
-  keeps the original-position permutation needed to report witnesses.
+  most-constrained-first atom ordering per set of pre-bound variables and,
+  beside each ordering, its *match plan*: per atom in match order the probe
+  (constants and already-bound variables, in position order), the witness
+  slot, the variables the atom binds and its repeated-variable checks.  A
+  join runs that plan depth-first over an explicit stack of candidate
+  iterators; it makes no closure and no reference cycle, so its view, store
+  and answer rows are freed by reference counting as soon as the caller
+  drops them, without waiting for the cyclic collector.
 
 Plans are value-cached: :func:`get_plan` memoizes on the (hashable) tgd, so
 every engine, planner and query sharing a mapping shares one plan.  A
@@ -25,10 +31,13 @@ detector.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -62,6 +71,26 @@ AtomShape = PyTuple[
 #: original atom order.
 Match = PyTuple[Assignment, PyTuple[Tuple, ...]]
 
+#: One atom of a match plan, in match order: relation, arity, witness slot
+#: (the atom's original position), the probe — per constant or already-bound
+#: variable, in position order, ``(position, variable, constant)`` with the
+#: variable ``None`` for a constant — and a reader of its positions, the
+#: ``(position, variable)`` first occurrences the atom binds, and readers of
+#: the first and the repeated positions of its repeated variables.
+MatchStep = PyTuple[
+    str,
+    int,
+    int,
+    PyTuple[PyTuple[int, Optional[Variable], Optional[DataTerm]], ...],
+    Optional[Callable],
+    PyTuple[PyTuple[int, Variable], ...],
+    Optional[Callable],
+    Optional[Callable],
+]
+
+#: A cached join plan: the ordering (atom, original position) and its steps.
+_Plan = PyTuple[PyTuple[PyTuple[Atom, int], ...], PyTuple[MatchStep, ...]]
+
 
 #: Cardinality estimates are quantized to power-of-two buckets before they
 #: key a cached ordering: a relation re-plans exactly when it grows (or
@@ -87,12 +116,17 @@ class CompiledConjunction:
     (:meth:`~repro.storage.interface.DatabaseView.cardinality_estimate`),
     :meth:`ordering_for` refines the static tie-break: among equally-bound
     atoms the *cheapest* relation is matched first (smallest live
-    cardinality), and the cached ordering is re-planned once the store's
-    stamps show some relation grew past a threshold — live statistics instead
-    of the purely structural most-bound-first rule.
+    cardinality), and the cached ordering is re-planned once some relation's
+    size crosses a power-of-two bucket boundary — live statistics instead of
+    the purely structural most-bound-first rule.
+
+    Each cached ordering carries its match plan (see :data:`MatchStep`), so
+    :meth:`find_matches` and :meth:`exists_match` derive nothing per call.
     """
 
-    __slots__ = ("atoms", "_variable_set", "_orderings", "_live_orderings")
+    __slots__ = (
+        "atoms", "_variable_set", "_orderings", "_live_orderings", "_match_plans"
+    )
 
     def __init__(self, atoms: Sequence[Atom]):
         self.atoms: PyTuple[Atom, ...] = tuple(atoms)
@@ -100,16 +134,22 @@ class CompiledConjunction:
         for atom in self.atoms:
             variables.update(atom.variable_set())
         self._variable_set: FrozenSet[Variable] = frozenset(variables)
-        # bound-variable frozenset -> tuple of (atom, original position)
-        self._orderings: Dict[FrozenSet[Variable], PyTuple[PyTuple[Atom, int], ...]] = {}
+        # bound-variable frozenset -> (ordering, match plan); an ordering is a
+        # tuple of (atom, original position) in match order.
+        self._orderings: Dict[FrozenSet[Variable], _Plan] = {}
         # (bound-variable frozenset, per-atom cardinality-bucket signature)
-        # -> ordering; consulted by ordering_for.  Keying on the quantized
-        # live statistics makes the cache store-agnostic: plans are shared
-        # process-wide, and two stores with different relation sizes simply
-        # hit different signature entries.
+        # -> (ordering, match plan); consulted by ordering_for.  Keying on the
+        # quantized live statistics makes the cache store-agnostic: plans are
+        # shared process-wide, and two stores with different relation sizes
+        # simply hit different signature entries.
         self._live_orderings: Dict[
-            PyTuple[FrozenSet[Variable], PyTuple[int, ...]],
-            PyTuple[PyTuple[Atom, int], ...],
+            PyTuple[FrozenSet[Variable], PyTuple[int, ...]], _Plan
+        ] = {}
+        # (bound-variable frozenset, ordering) -> (ordering, match plan): the
+        # one pair every entry of the two caches above that picked this
+        # ordering for this seed shares (many signatures pick the same one).
+        self._match_plans: Dict[
+            PyTuple[FrozenSet[Variable], PyTuple[PyTuple[Atom, int], ...]], _Plan
         ] = {}
 
     @property
@@ -121,7 +161,9 @@ class CompiledConjunction:
         self, bound: FrozenSet[Variable]
     ) -> PyTuple[PyTuple[Atom, int], ...]:
         """Atoms in match order, each paired with its original position."""
-        key = bound & self._variable_set
+        return self._static_plan(bound & self._variable_set)[0]
+
+    def _static_plan(self, key: FrozenSet[Variable]) -> _Plan:
         cached = self._orderings.get(key)
         if cached is not None:
             return cached
@@ -146,8 +188,8 @@ class CompiledConjunction:
                 key=score,
             )
         )
-        self._orderings[key] = ordered
-        return ordered
+        plan = self._orderings[key] = self._match_plan(key, ordered)
+        return plan
 
     def ordering_for(
         self, bound: FrozenSet[Variable], view: DatabaseView
@@ -162,15 +204,18 @@ class CompiledConjunction:
         time may have become the most expensive one to scan first — and the
         signature keying keeps the process-shared plan cache store-agnostic.
         """
+        return self._plan_for(bound, view)[0]
+
+    def _plan_for(self, bound: FrozenSet[Variable], view: DatabaseView) -> _Plan:
+        bound_key = bound & self._variable_set
         if len(self.atoms) <= 1:
-            return self.ordering(bound)
+            return self._static_plan(bound_key)
         estimates: List[int] = []
         for atom in self.atoms:
             estimate = view.cardinality_estimate(atom.relation)
             if estimate is None:
-                return self.ordering(bound)
+                return self._static_plan(bound_key)
             estimates.append(estimate)
-        bound_key = bound & self._variable_set
         buckets = tuple(_cardinality_bucket(estimate) for estimate in estimates)
         key = (bound_key, buckets)
         cached = self._live_orderings.get(key)
@@ -201,8 +246,17 @@ class CompiledConjunction:
                 key=score,
             )
         )
-        self._live_orderings[key] = ordered
-        return ordered
+        plan = self._live_orderings[key] = self._match_plan(bound_key, ordered)
+        return plan
+
+    def _match_plan(
+        self, bound: FrozenSet[Variable], ordered: PyTuple[PyTuple[Atom, int], ...]
+    ) -> _Plan:
+        key = (bound, ordered)
+        plan = self._match_plans.get(key)
+        if plan is None:
+            plan = self._match_plans[key] = (ordered, _match_steps(ordered, bound))
+        return plan
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -219,55 +273,135 @@ class CompiledConjunction:
         minus the per-call ordering and index-permutation work.
         """
         seed: Assignment = dict(assignment) if assignment else {}
-        ordered = self.ordering_for(frozenset(seed), view)
-        atom_count = len(ordered)
         results: List[Match] = []
-
-        def recurse(depth: int, current: Assignment, chosen: List[Tuple]) -> bool:
-            if depth == atom_count:
-                witness: List[Optional[Tuple]] = [None] * atom_count
-                for (atom, position), row in zip(ordered, chosen):
-                    witness[position] = row
-                results.append((dict(current), tuple(witness)))  # type: ignore[arg-type]
-                return limit is not None and len(results) >= limit
-            atom = ordered[depth][0]
-            for row in _candidate_tuples(atom, current, view):
-                extended = atom.match(row, current)
-                if extended is None:
-                    continue
-                chosen.append(row)
-                if recurse(depth + 1, extended, chosen):
-                    return True
-                chosen.pop()
-            return False
-
-        recurse(0, seed, [])
+        _run(self._plan_for(frozenset(seed), view)[1], view, seed, results, limit)
         return results
 
     def exists_match(
         self, view: DatabaseView, assignment: Optional[Assignment] = None
     ) -> bool:
         """``True`` when at least one homomorphism extending *assignment* exists."""
-        return bool(self.find_matches(view, assignment, limit=1))
+        seed: Assignment = dict(assignment) if assignment else {}
+        return _run(self._plan_for(frozenset(seed), view)[1], view, seed, None, None)
 
 
-def _candidate_tuples(
-    atom: Atom, assignment: Assignment, view: DatabaseView
-) -> Iterable[Tuple]:
-    """Tuples of the view that could match *atom* under *assignment*.
+def _getter(positions: Sequence[int]) -> Optional[Callable]:
+    """Read *positions* of a row's values as one tuple; ``None`` for none."""
+    if not positions:
+        return None
+    if len(positions) == 1:
+        position = positions[0]
+        return lambda values: (values[position],)
+    return itemgetter(*positions)
 
-    One probe with every column the atom has bound — its constants and its
-    already-assigned variables, in position order — so ``Atom.match`` only
-    runs on rows that agree with all of them.
+
+def _match_steps(
+    ordered: PyTuple[PyTuple[Atom, int], ...], bound: FrozenSet[Variable]
+) -> PyTuple[MatchStep, ...]:
+    """The match plan of *ordered* when the seed binds *bound*."""
+    bound_so_far = set(bound)
+    steps: List[MatchStep] = []
+    for atom, slot in ordered:
+        probe: List[PyTuple[int, Optional[Variable], Optional[DataTerm]]] = []
+        binds: List[PyTuple[int, Variable]] = []
+        repeats: List[PyTuple[int, int]] = []
+        first_at: Dict[Variable, int] = {}
+        for position, term in enumerate(atom.terms):
+            if not is_variable(term):
+                probe.append((position, None, term))
+            elif term in bound_so_far:
+                probe.append((position, term, None))
+            elif term in first_at:
+                repeats.append((first_at[term], position))
+            else:
+                first_at[term] = position
+                binds.append((position, term))
+        bound_so_far.update(first_at)
+        steps.append(
+            (
+                atom.relation,
+                atom.arity,
+                slot,
+                tuple(probe),
+                _getter([position for position, _, _ in probe]),
+                tuple(binds),
+                _getter([first for first, _ in repeats]),
+                _getter([then for _, then in repeats]),
+            )
+        )
+    return tuple(steps)
+
+
+def _run(
+    steps: PyTuple[MatchStep, ...],
+    view: DatabaseView,
+    current: Assignment,
+    results: Optional[List[Match]],
+    limit: Optional[int],
+) -> bool:
+    """Run a match plan depth-first over an explicit stack of candidates.
+
+    *current* is the seed, extended in place as atoms bind and shrunk again
+    on backtracking.  Each complete match is appended to *results* as a copy
+    of *current* and the witness rows in original atom order; ``True`` once
+    *limit* matches are in.  With *results* ``None`` the run only asks
+    whether a match exists and returns ``True`` at the first one.
+
+    Every probe pair is checked again on each candidate: a view may answer a
+    probe with a superset of its rows (one that indexes only the first pair).
     """
-    bound: List[PyTuple[int, DataTerm]] = []
-    for position, term in enumerate(atom.terms):
-        if is_variable(term):
-            term = assignment.get(term)
-            if term is None:
+    depth_count = len(steps)
+    if not depth_count:
+        if results is not None:
+            results.append((dict(current), ()))
+        return True
+    last = depth_count - 1
+    witness: List[Optional[Tuple]] = [None] * depth_count
+    candidates: List[Optional[Iterator[Tuple]]] = [None] * depth_count
+    expected: List[PyTuple[DataTerm, ...]] = [()] * depth_count
+    depth = 0
+    while depth >= 0:
+        relation, arity, slot, probe, probe_get, binds, first_get, then_get = steps[depth]
+        rows = candidates[depth]
+        if rows is None:
+            pairs = [
+                (position, term if variable is None else current[variable])
+                for position, variable, term in probe
+            ]
+            expected[depth] = tuple([value for _, value in pairs])
+            rows = candidates[depth] = iter(view.tuples_matching(relation, pairs))
+        else:
+            # Back from the atom after this one: unbind this atom's last row.
+            for _, variable in binds:
+                del current[variable]
+        values_expected = expected[depth]
+        for row in rows:
+            values = row.values
+            if len(values) != arity:
                 continue
-        bound.append((position, term))
-    return view.tuples_matching(atom.relation, bound)
+            if probe_get is not None and probe_get(values) != values_expected:
+                continue
+            if first_get is not None and first_get(values) != then_get(values):
+                continue
+            witness[slot] = row
+            if depth == last:
+                if results is None:
+                    return True
+                match = dict(current)
+                for position, variable in binds:
+                    match[variable] = values[position]
+                results.append((match, tuple(witness)))  # type: ignore[arg-type]
+                if limit is not None and len(results) >= limit:
+                    return True
+                continue
+            for position, variable in binds:
+                current[variable] = values[position]
+            depth += 1
+            break
+        else:
+            candidates[depth] = None
+            depth -= 1
+    return False
 
 
 class CompiledTgd:

@@ -2,12 +2,13 @@
 
 Satisfaction of the left- or right-hand side of a mapping is defined by the
 existence of a homomorphism from the formula into the database (Section 2 of
-the paper, following Fagin et al.).  The search itself — a backtracking join,
-atoms matched most-bound-first with an index lookup whenever some position is
-already bound — lives in :class:`repro.query.compiled.CompiledConjunction`;
-this module keeps the historical ad-hoc entry points, which compile the
-conjunction on the fly.  Hot callers (the chase, the violation queries) hold
-a compiled plan instead and skip the per-call compilation.
+the paper, following Fagin et al.).  The search itself — a depth-first join
+over an explicit stack of candidate iterators, atoms matched most-bound-first,
+each probed with every column it has bound — lives in
+:class:`repro.query.compiled.CompiledConjunction`, which compiles a match plan
+per ordering; this module keeps the historical ad-hoc entry points, which
+compile the conjunction on the fly.  Hot callers (the chase, the violation
+queries) hold a compiled plan instead and skip the per-call compilation.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def exists_match(
     assignment: Optional[Assignment] = None,
 ) -> bool:
     """``True`` when at least one homomorphism extending *assignment* exists."""
-    return bool(find_matches(atoms, view, assignment, limit=1))
+    return CompiledConjunction(atoms).exists_match(view, assignment)
 
 
 def formula_satisfied(
