@@ -99,7 +99,7 @@ class OptimisticScheduler:
         self._read_log = ReadLog()
         self._next_priority = 1
         self._total_steps = 0
-        self._restart_listeners: List[Callable[[int, int], None]] = []
+        self._newly_restarted: List[PyTuple[int, int]] = []
         self._commit_listeners: List[Callable[[int, List[VersionedWrite]], None]] = []
         self._batch_commit_listeners: List[
             Callable[[List[PyTuple[int, List[VersionedWrite]]]], None]
@@ -380,8 +380,7 @@ class OptimisticScheduler:
             )
         if self._promote_restarts and isinstance(self._tracker, HybridTracker):
             self._tracker.promote(restart_priority)
-        for listener in self._restart_listeners:
-            listener(victim, restart_priority)
+        self._newly_restarted.append((victim, restart_priority))
 
     def _abortable(self) -> Set[int]:
         return {
@@ -568,10 +567,6 @@ class OptimisticScheduler:
             execution.is_active for execution in self._executions.values()
         )
 
-    def add_restart_listener(self, listener: Callable[[int, int], None]) -> None:
-        """Register ``listener(old_priority, new_priority)`` for abort-restarts."""
-        self._restart_listeners.append(listener)
-
     def add_commit_listener(
         self, listener: Callable[[int, List[VersionedWrite]], None]
     ) -> None:
@@ -614,6 +609,17 @@ class OptimisticScheduler:
         """
         drained = self._newly_committed
         self._newly_committed = []
+        return drained
+
+    def drain_restarts(self) -> List[PyTuple[int, int]]:
+        """``(old_priority, new_priority)`` of the abort-restarts since the last drain.
+
+        In abort order, so a restart of a restart follows its first one.
+        Polled rather than pushed: a callback registered here would tie the
+        scheduler (and its store) into a reference cycle with its owner.
+        """
+        drained = self._newly_restarted
+        self._newly_restarted = []
         return drained
 
     def commit_watermark(self) -> int:

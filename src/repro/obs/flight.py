@@ -31,8 +31,10 @@ JSON line and a deque append (no I/O), disabled recorders
 (``directory=None``) return after one attribute read, and nothing here ever
 touches the chase hot path — the recorder only sees host-level events, whose
 rate is per-delivery and per-commit, not per-chase-step.  Measured on a
-2-core Xeon: ≈5 µs per record, flushes included, and a relayed insert
-leaves 3 records on its peers (control, delivery, notice).
+shared 2-core box: ≈10–13 µs per record under ``timeit``, flushes
+included, and ≈23 µs per record section-timed inside ``sock_relay`` peers
+(cache-cold, between socket reads); a relayed insert leaves 3 records on
+its peers (control, delivery, notice).
 """
 
 from __future__ import annotations

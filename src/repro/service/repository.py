@@ -142,7 +142,7 @@ class RepositoryService:
         if null_factory is None:
             null_factory = NullFactory.avoiding_view(initial, prefix="s")
         self._null_factory = null_factory
-        self._scheduler = OptimisticScheduler(
+        self._scheduler = scheduler = OptimisticScheduler(
             store=store,
             mappings=mappings,
             tracker=tracker,
@@ -154,19 +154,18 @@ class RepositoryService:
             tracer=self._tracer,
             trace_peer=trace_peer,
         )
-        self._scheduler.add_restart_listener(self._on_restart)
         self._queue = AdmissionQueue(admission)
         self._inbox = FrontierInbox(self._oracle)
         self.metrics = ServiceMetrics(started_at=self._clock())
         # The store and scheduler publish into the service registry as
         # producers, so one ``collect()`` yields the whole historical
         # snapshot (``snapshot()`` skips its direct arguments when these
-        # keys are already produced).
+        # keys are already produced).  The producers close over the store
+        # and the scheduler, never over the service: nothing the service
+        # owns refers back to it, so a dropped service is freed by refcount.
+        self.metrics.registry.register_producer(lambda: store_metrics(store))
         self.metrics.registry.register_producer(
-            lambda: store_metrics(self._scheduler.store)
-        )
-        self.metrics.registry.register_producer(
-            lambda: self._scheduler.refresh_statistics().as_dict(),
+            lambda: scheduler.refresh_statistics().as_dict(),
             prefix="scheduler_",
         )
         self._sessions: Dict[int, ClientSession] = {}
@@ -353,6 +352,7 @@ class RepositoryService:
         return reports
 
     def _reconcile(self, report: PumpReport) -> None:
+        self._apply_restarts()
         now = self._clock()
         for priority in self._scheduler.drain_newly_committed():
             ticket = self._by_priority.pop(priority, None)
@@ -387,8 +387,13 @@ class RepositoryService:
                 )
             report.parked.append(self._inbox.register(decision, ticket, now))
 
+    def _apply_restarts(self) -> None:
+        """Move every ticket an abort restarted to its fresh priority."""
+        for old_priority, new_priority in self._scheduler.drain_restarts():
+            self._on_restart(old_priority, new_priority)
+
     def _on_restart(self, old_priority: int, new_priority: int) -> None:
-        """Scheduler callback: an abort moved a ticket to a fresh priority."""
+        """An abort moved a ticket to a fresh priority."""
         ticket = self._by_priority.pop(old_priority, None)
         if ticket is None:
             return
@@ -427,6 +432,7 @@ class RepositoryService:
         The resumed update continues on the next :meth:`pump`.
         """
         session = self.session(session_id)
+        self._apply_restarts()  # a restart cancels the question it parked on
         question, operation = self._inbox.answer(decision_id, choice)
         ticket = question.ticket
         assert ticket.priority is not None
@@ -671,8 +677,10 @@ class RepositoryService:
         Commit listeners fire while the scheduler is still pumping, before the
         service reconciles ticket states, so the priority → ticket map is
         exactly right at that moment; afterwards committed priorities are
-        dropped from it.
+        dropped from it.  Restarts are applied first: an update that aborted
+        and committed within one pump commits under its fresh priority.
         """
+        self._apply_restarts()
         return self._by_priority.get(priority)
 
     def add_commit_listener(self, listener: Callable[[int, List], None]) -> None:

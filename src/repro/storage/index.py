@@ -11,10 +11,14 @@ that position.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, Iterator, List, Set, Tuple as PyTuple
+from typing import AbstractSet, Dict, Iterable, Set, Tuple as PyTuple
 
 from ..core.terms import DataTerm, LabeledNull
 from ..core.tuples import Tuple
+
+#: What a probe of an absent key returns: one shared empty set, so a miss
+#: allocates nothing (callers only read buckets).
+_NO_ROWS: AbstractSet[Tuple] = frozenset()
 
 
 class PositionIndex:
@@ -61,46 +65,44 @@ class PositionIndex:
             self._size -= 1
 
     def add_many(self, rows: Iterable[Tuple]) -> None:
-        """Bulk-index *rows*: the per-row bucket lookups are shared per key.
+        """Bulk-index *rows*: :meth:`add` per row, with the lookups bound once.
 
-        Groups the batch by bucket key first, so each ``(relation, position,
-        value)`` dict entry is touched once per batch instead of once per row
-        — the write-amplification the per-row path pays on bursty loads.
+        Each bucket receives its rows in the order given, exactly as a run
+        of :meth:`add` calls would leave it; only the per-call overhead goes.
+        A row counts once however often it is given, through its position-0
+        bucket (membership there is 1:1 with row membership).
         """
-        grouped: Dict[PyTuple[str, int, DataTerm], List[Tuple]] = {}
-        null_grouped: Dict[LabeledNull, List[Tuple]] = {}
+        by_value, by_null = self._by_value, self._by_null
+        added = 0
         for row in rows:
-            counted = False
-            for position, value in enumerate(row.values):
-                grouped.setdefault((row.relation, position, value), []).append(row)
-                counted = True
+            relation, values = row.relation, row.values
+            if not values:
+                added += 1
+                continue
+            first = by_value[(relation, 0, values[0])]
+            if row not in first:
+                first.add(row)
+                added += 1
+            for position in range(1, len(values)):
+                by_value[(relation, position, values[position])].add(row)
             for null in row.null_set():
-                null_grouped.setdefault(null, []).append(row)
-            if not counted:
-                self._size += 1
-        for key, members in grouped.items():
-            bucket = self._by_value[key]
-            before = len(bucket)
-            bucket.update(members)
-            if key[1] == 0:
-                # Position-0 membership is 1:1 with row membership, so the
-                # size delta of those buckets is the row count delta.
-                self._size += len(bucket) - before
-        for null, members in null_grouped.items():
-            self._by_null[null].update(members)
+                by_null[null].add(row)
+        self._size += added
 
     def remove_many(self, rows: Iterable[Tuple]) -> None:
         """Bulk-remove *rows* (each a no-op if absent)."""
         for row in rows:
             self.remove(row)
 
-    def lookup(self, relation: str, position: int, value: DataTerm) -> Set[Tuple]:
-        """Tuples of *relation* holding *value* at *position*."""
-        return self._by_value.get((relation, position, value), set())
+    def lookup(
+        self, relation: str, position: int, value: DataTerm
+    ) -> AbstractSet[Tuple]:
+        """Tuples of *relation* holding *value* at *position* (the live bucket)."""
+        return self._by_value.get((relation, position, value), _NO_ROWS)
 
-    def with_null(self, null: LabeledNull) -> Set[Tuple]:
-        """All indexed tuples containing *null*."""
-        return self._by_null.get(null, set())
+    def with_null(self, null: LabeledNull) -> AbstractSet[Tuple]:
+        """All indexed tuples containing *null* (the live bucket)."""
+        return self._by_null.get(null, _NO_ROWS)
 
     def rebuild(self, rows: Iterable[Tuple]) -> None:
         """Clear the index and re-index *rows* from scratch."""

@@ -11,6 +11,16 @@ The multiversion store used by the concurrency-control layer produces one
 :class:`DatabaseView` per update priority (Section 4.1 of the paper: an update
 numbered ``j`` sees the largest-numbered version created by updates with
 number at most ``j``).
+
+The three probes below (the join's ``tuples_matching``, the correction
+query ``more_specific_tuples`` and ``tuples_containing_null``) have scanning
+defaults here, which the tests use as the reference.  The in-memory stores
+override all three with index probes: the multiversion view over its
+content indexes, the two single-version stores through one shared
+implementation over a position index
+(:class:`~repro.storage.memory.IndexedProbes`; an immutable snapshot builds
+its index on its first probe).  The overlay view delegates the join and
+null probes to its base, and the SQLite store answers the join probe in SQL.
 """
 
 from __future__ import annotations

@@ -1,14 +1,31 @@
-"""Single-version in-memory store.
+"""Single-version in-memory stores.
 
 This is the storage backend used by single-chase scenarios: the examples, the
 fixtures, the initial-database generator, and as the materialization target of
 the final-state serializability checker.  The concurrency-control layer uses
 the multiversion store in :mod:`repro.storage.versioned` instead.
+
+Both stores here — the mutable :class:`MemoryDatabase` and its immutable
+:class:`FrozenDatabase` snapshots — answer the join probe, the correction
+query and the null-occurrence query through one implementation over a
+:class:`~repro.storage.index.PositionIndex` (:class:`IndexedProbes`).  The
+mutable store maintains its index on every write; a frozen snapshot builds
+its own with one bulk pass on its first probe and keeps it, so a snapshot
+that is only ever scanned or counted never pays for one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple as PyTuple
+from typing import (
+    AbstractSet,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple as PyTuple,
+)
 
 from ..core.schema import DatabaseSchema, SchemaError
 from ..core.terms import DataTerm, LabeledNull
@@ -17,12 +34,118 @@ from .index import PositionIndex
 from .interface import DatabaseView, MutableDatabase, StorageError
 
 
-class FrozenDatabase(DatabaseView):
-    """An immutable snapshot of a :class:`MemoryDatabase`."""
+class IndexedProbes(DatabaseView):
+    """The index-backed probes the single-version stores share.
+
+    A subclass provides :meth:`_probe_index`, a position index over exactly
+    its stored rows, and :meth:`_rows`, a relation's stored rows.  Every
+    answer is a fresh container, so callers may write while consuming it.
+    """
+
+    def _probe_index(self) -> PositionIndex:
+        raise NotImplementedError
+
+    def _rows(self, relation: str) -> AbstractSet[Tuple]:
+        raise NotImplementedError
+
+    def tuples_matching(
+        self, relation: str, bound: Sequence[PyTuple[int, DataTerm]]
+    ) -> Iterator[Tuple]:
+        if not bound:
+            return self.tuples(relation)
+        index = self._probe_index()
+        (position, value), *rest = bound
+        first = index.lookup(relation, position, value)
+        if not rest:
+            return iter(list(first))
+        # The first pair's bucket in its own order, minus every row missing
+        # from the narrowest other bucket; the survivors are re-checked on
+        # every pair (a row may be in one bucket and not the next).
+        narrowest = first
+        for position, value in rest:
+            bucket = index.lookup(relation, position, value)
+            if len(bucket) < len(narrowest):
+                narrowest = bucket
+        matches: List[Tuple] = []
+        for row in first:
+            if row in narrowest:
+                values = row.values
+                for position, value in rest:
+                    if values[position] != value:
+                        break
+                else:
+                    matches.append(row)
+        return iter(matches)
+
+    def tuples_containing_null(self, null: LabeledNull) -> Iterator[Tuple]:
+        return iter(tuple(self._probe_index().with_null(null)))
+
+    def more_specific_tuples(self, row: Tuple) -> List[Tuple]:
+        # The chase issues this correction query on every generated tuple, so
+        # it must not scan the relation.  Any more-specific tuple agrees with
+        # ``row`` on its constant positions (Definition 2.4: the witnessing
+        # map is the identity on constants), so intersecting the position
+        # index's buckets over those positions narrows the candidates to the
+        # few tuples sharing all constants.
+        index = self._probe_index()
+        relation = row.relation
+        candidates = None
+        first_at: Dict[LabeledNull, int] = {}
+        repeats: List[PyTuple[int, int]] = []
+        for position, value in enumerate(row.values):
+            if isinstance(value, LabeledNull):
+                first = first_at.setdefault(value, position)
+                if first != position:
+                    repeats.append((first, position))
+                continue
+            bucket = index.lookup(relation, position, value)
+            if candidates is None:
+                candidates = set(bucket)
+            else:
+                candidates &= bucket
+            if not candidates:
+                return []
+        if candidates is None:
+            # All-null pattern: every tuple of the relation is a candidate.
+            candidates = self._rows(relation)
+            if not candidates:
+                return []
+        if self._schema.arity_of(relation) != len(row.values):
+            return []  # no stored tuple can match a wrong-arity pattern
+        # What is left of Definition 2.4 is that the witnessing map is a
+        # function: positions repeating a null must hold equal values (the
+        # versioned view's twin check).  Distinct nulls leave nothing to check.
+        if not repeats:
+            return list(candidates)
+        return [
+            candidate
+            for candidate in candidates
+            if all(candidate[first] == candidate[again] for first, again in repeats)
+        ]
+
+
+class FrozenDatabase(IndexedProbes):
+    """An immutable snapshot of a :class:`MemoryDatabase`.
+
+    Its position index is built on the first probe and cached here: the
+    contents never change, so the index never goes stale.
+    """
 
     def __init__(self, schema: DatabaseSchema, contents: Dict[str, frozenset]):
         self._schema = schema
         self._contents = contents
+        self._index: Optional[PositionIndex] = None
+
+    def _probe_index(self) -> PositionIndex:
+        index = self._index
+        if index is None:
+            index = PositionIndex()
+            index.add_many(row for rows in self._contents.values() for row in rows)
+            self._index = index
+        return index
+
+    def _rows(self, relation: str) -> AbstractSet[Tuple]:
+        return self._contents.get(relation, frozenset())
 
     @property
     def schema(self) -> DatabaseSchema:
@@ -47,7 +170,7 @@ class FrozenDatabase(DatabaseView):
         return 0  # immutable: every read is memoizable forever
 
 
-class MemoryDatabase(MutableDatabase):
+class MemoryDatabase(IndexedProbes, MutableDatabase):
     """A mutable, indexed, single-version in-memory database."""
 
     def __init__(self, schema: DatabaseSchema):
@@ -78,56 +201,11 @@ class MemoryDatabase(MutableDatabase):
     def contains(self, row: Tuple) -> bool:
         return row in self._relations.get(row.relation, set())
 
-    def tuples_matching(
-        self, relation: str, bound: Sequence[PyTuple[int, DataTerm]]
-    ) -> Iterator[Tuple]:
-        if not bound:
-            return self.tuples(relation)
-        (first_position, first_value), *rest = bound
-        # A fresh list (callers may mutate while scanning) in bucket order.
-        return iter([
-            row
-            for row in self._index.lookup(relation, first_position, first_value)
-            if all(row[position] == value for position, value in rest)
-        ])
+    def _probe_index(self) -> PositionIndex:
+        return self._index
 
-    def tuples_containing_null(self, null: LabeledNull) -> Iterator[Tuple]:
-        return iter(tuple(self._index.with_null(null)))
-
-    def more_specific_tuples(self, row: Tuple) -> List[Tuple]:
-        # The chase issues this correction query on every generated tuple, so
-        # it must not scan the relation.  Any more-specific tuple agrees with
-        # ``row`` on its constant positions (Definition 2.4: the witnessing
-        # map is the identity on constants), so intersecting the position
-        # index's buckets over those positions narrows the candidates to the
-        # few tuples sharing all constants; only those are checked in full.
-        candidates = None
-        for position, value in enumerate(row.values):
-            if isinstance(value, LabeledNull):
-                continue
-            bucket = self._index.lookup(row.relation, position, value)
-            if candidates is None:
-                candidates = set(bucket)
-            else:
-                candidates &= bucket
-            if not candidates:
-                return []
-        if candidates is None:
-            # All-null pattern: every tuple of the relation is a candidate.
-            candidates = self._relations.get(row.relation, set())
-        # Candidates already agree with ``row`` on its constant positions;
-        # with pairwise-distinct nulls the witnessing map has no further
-        # condition to check (see the versioned view's twin fast path).
-        nulls = [value for value in row.values if isinstance(value, LabeledNull)]
-        if len(nulls) == len(set(nulls)):
-            if self._schema.arity_of(row.relation) != len(row.values):
-                return []  # no stored tuple can match a wrong-arity pattern
-            return list(candidates)
-        return [
-            candidate
-            for candidate in candidates
-            if candidate.is_more_specific_than(row)
-        ]
+    def _rows(self, relation: str) -> AbstractSet[Tuple]:
+        return self._relations.get(relation, frozenset())
 
     def count(self, relation: str) -> int:
         return len(self._relations.get(relation, set()))

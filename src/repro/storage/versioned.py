@@ -241,6 +241,11 @@ class VersionedDatabase:
         # that content (one entry per distinct stored content): the one index
         # behind _find_visible_tid.
         self._content_index: Dict[Tuple, Set[int]] = defaultdict(set)
+        # The size gauges, kept current by every write, rollback, compaction
+        # and load: telemetry reads them on every heartbeat and status reply,
+        # so they must not walk the store.
+        self._version_count = 0
+        self._index_entries = 0
         #: Monotone stamp bumped by every mutation (write, rollback,
         #: compaction).  Memoizing consumers — the PRECISE tracker's delta
         #: verdict cache — key their entries to it.
@@ -274,8 +279,10 @@ class VersionedDatabase:
         contents are visible to everyone; loading does not go through the
         write log (the initial database is not attributable to any update).
         """
-        for relation in view.relations():
-            self.load_rows(view.tuples(relation), priority)
+        self.load_rows(
+            (row for relation in view.relations() for row in view.tuples(relation)),
+            priority,
+        )
 
     def load_rows(self, rows: Iterable[Tuple], priority: int = 0) -> None:
         """Load *rows* as unlogged versions, one tuple identity per row.
@@ -283,9 +290,46 @@ class VersionedDatabase:
         Unlike a view, an iterable may repeat a row: equal rows become
         distinct identities, which is how a base snapshot hands back the
         identity multiplicity it was written with.
+
+        The bulk path: tids, seqs, versions and index buckets come out as
+        one :meth:`_new_tuple` per row would hand them out, but no write
+        record is built for a row, nothing is logged, and the relation
+        stamps move once per load.  A row failing validation stops the load after the rows
+        before it, which stay loaded and stamped.
         """
-        for row in rows:
-            self._new_tuple(row, priority, log_write=None)
+        schema = self._schema
+        arities = {name: schema.arity_of(name) for name in self._by_relation}
+        tuples, by_relation = self._tuples, self._by_relation
+        next_tid, next_seq = self._tid_counter.__next__, self._seq_counter.__next__
+        content_index, value_index = self._content_index, self._value_index
+        null_index = self._null_index
+        touched: Set[str] = set()
+        loaded = entries = 0
+        try:
+            for row in rows:
+                relation, values = row.relation, row.values
+                if arities.get(relation) != len(values):
+                    schema.validate_tuple(row)  # raises the precise SchemaError
+                tid = next_tid()
+                tuples[tid] = VersionedTuple(
+                    tid, relation, [Version(next_seq(), priority, row)]
+                )
+                by_relation[relation].add(tid)
+                touched.add(relation)
+                loaded += 1
+                # A fresh tid is in no bucket yet: every add is a new entry.
+                content_index[row].add(tid)
+                for position, value in enumerate(values):
+                    value_index[(relation, position, value)].add(tid)
+                nulls = row.null_set()
+                for null in nulls:
+                    null_index[null].add(tid)
+                entries += 1 + len(values) + len(nulls)
+        finally:
+            self._version_count += loaded
+            self._index_entries += entries
+            if touched:
+                self._bump_relations(touched)
 
     def attach_segments(self, segments) -> None:
         """Enable durable mode: mirror the write log to *segments*.
@@ -543,12 +587,23 @@ class VersionedDatabase:
         return next(self._seq_counter)
 
     def _index_content(self, tid: int, row: Tuple) -> None:
-        self._content_index[row].add(tid)
+        added = 0
+        bucket = self._content_index[row]
+        if tid not in bucket:
+            bucket.add(tid)
+            added += 1
         relation, value_index = row.relation, self._value_index
         for position, value in enumerate(row.values):
-            value_index[(relation, position, value)].add(tid)
+            bucket = value_index[(relation, position, value)]
+            if tid not in bucket:
+                bucket.add(tid)
+                added += 1
         for null in row.null_set():
-            self._null_index[null].add(tid)
+            bucket = self._null_index[null]
+            if tid not in bucket:
+                bucket.add(tid)
+                added += 1
+        self._index_entries += added
 
     def extend_log(self, entries: Sequence[VersionedWrite]) -> None:
         """Bulk-append *entries* (seq-ascending) to the log and its indexes.
@@ -588,12 +643,9 @@ class VersionedDatabase:
                         null_buckets.setdefault(null, []).append(entry)
 
     def _new_tuple(
-        self,
-        row: Tuple,
-        priority: int,
-        log_write: Optional[Write],
-        defer: bool = False,
+        self, write: Write, priority: int, defer: bool = False
     ) -> VersionedWrite:
+        row = write.row
         self._schema.validate_tuple(row)
         tid = next(self._tid_counter)
         record = VersionedTuple(tid=tid, relation=row.relation)
@@ -601,13 +653,11 @@ class VersionedDatabase:
         record.versions.append(Version(seq=seq, priority=priority, content=row))
         self._tuples[tid] = record
         self._by_relation[row.relation].add(tid)
+        self._version_count += 1
         self._index_content(tid, row)
+        logged = VersionedWrite(seq=seq, priority=priority, tid=tid, write=write)
         if not defer:
             self._bump_relations((row.relation,))
-        logged = VersionedWrite(
-            seq=seq, priority=priority, tid=tid, write=log_write or Write(WriteKind.INSERT, row)
-        )
-        if log_write is not None and not defer:
             self.extend_log((logged,))
         return logged
 
@@ -633,7 +683,7 @@ class VersionedDatabase:
     ) -> Optional[VersionedWrite]:
         if self._find_visible_tid(write.row, priority) is not None:
             return None
-        return self._new_tuple(write.row, priority, log_write=write, defer=defer)
+        return self._new_tuple(write, priority, defer=defer)
 
     def _delete(
         self, write: Write, priority: int, defer: bool = False
@@ -645,6 +695,7 @@ class VersionedDatabase:
         self._tuples[tid].versions.append(
             Version(seq=seq, priority=priority, content=None)
         )
+        self._version_count += 1
         logged = VersionedWrite(seq=seq, priority=priority, tid=tid, write=write)
         if not defer:
             self._bump_relations((write.row.relation,))
@@ -663,6 +714,7 @@ class VersionedDatabase:
         self._tuples[tid].versions.append(
             Version(seq=seq, priority=priority, content=write.row)
         )
+        self._version_count += 1
         self._index_content(tid, write.row)
         logged = VersionedWrite(seq=seq, priority=priority, tid=tid, write=write)
         if not defer:
@@ -703,6 +755,7 @@ class VersionedDatabase:
             record.versions = [
                 version for version in record.versions if version.priority != priority
             ]
+            self._version_count -= len(rolled_back)
             if not record.versions:
                 # The identity disappears entirely: purge its index entries so
                 # an abort-heavy service does not grow dead tids in the
@@ -752,6 +805,7 @@ class VersionedDatabase:
         remaining: Iterable[Version],
     ) -> None:
         """Drop *tid* from index buckets no remaining version justifies."""
+        dropped = 0
         keep_values: Set[PyTuple[str, int, DataTerm]] = set()
         keep_nulls: Set[LabeledNull] = set()
         keep_contents: Set[Tuple] = set()
@@ -769,8 +823,9 @@ class VersionedDatabase:
                 continue
             if row not in keep_contents:
                 bucket = self._content_index.get(row)
-                if bucket is not None:
-                    bucket.discard(tid)
+                if bucket is not None and tid in bucket:
+                    bucket.remove(tid)
+                    dropped += 1
                     if not bucket:
                         del self._content_index[row]
             for position, value in enumerate(row.values):
@@ -778,18 +833,21 @@ class VersionedDatabase:
                 if key in keep_values:
                     continue
                 bucket = self._value_index.get(key)
-                if bucket is not None:
-                    bucket.discard(tid)
+                if bucket is not None and tid in bucket:
+                    bucket.remove(tid)
+                    dropped += 1
                     if not bucket:
                         del self._value_index[key]
             for null in row.null_set():
                 if null in keep_nulls:
                     continue
                 bucket = self._null_index.get(null)
-                if bucket is not None:
-                    bucket.discard(tid)
+                if bucket is not None and tid in bucket:
+                    bucket.remove(tid)
+                    dropped += 1
                     if not bucket:
                         del self._null_index[null]
+        self._index_entries -= dropped
 
     # ------------------------------------------------------------------
     # Compaction
@@ -868,6 +926,7 @@ class VersionedDatabase:
             ]
             removed_versions += len(dropped)
             self._prune_index_entries(tid, dropped, record.versions)
+        self._version_count -= removed_versions
         self._drop_priorities_log(targets)
         # Compaction preserves visibility for every remaining reader, but it
         # does move physical versions; bump the touched relations so stamped
@@ -884,8 +943,8 @@ class VersionedDatabase:
     # Introspection
     # ------------------------------------------------------------------
     def version_count(self) -> int:
-        """Total number of versions stored."""
-        return sum(len(record.versions) for record in self._tuples.values())
+        """Total number of versions stored (O(1): kept current by every mutation)."""
+        return self._version_count
 
     def tuple_count(self) -> int:
         """Number of tuple identities stored (visible or not)."""
@@ -906,12 +965,8 @@ class VersionedDatabase:
         )
 
     def index_entry_count(self) -> int:
-        """Total (tid, bucket) memberships across the content indexes."""
-        return sum(
-            len(bucket)
-            for index in (self._value_index, self._null_index, self._content_index)
-            for bucket in index.values()
-        )
+        """Total (tid, bucket) memberships across the content indexes (O(1))."""
+        return self._index_entries
 
 
 class VersionedView(DatabaseView):

@@ -1,11 +1,12 @@
-"""``tuples_matching`` against the interface default, for any view.
+"""A view's probes against the interface defaults, for any view.
 
-The default (:meth:`DatabaseView.tuples_matching`) filters a relation scan;
-an indexed backend must return the same *set*, each tuple once.  Where a
-backend promises order (``ordered=True``: the multiversion view and the
-in-memory store iterate the first pair's bucket and use the other pairs only
-to discard) the multi-pair answer must also be, as a *list*, the one-pair
-answer filtered by the remaining pairs.
+The defaults (:meth:`DatabaseView.tuples_matching`, ``more_specific_tuples``,
+``tuples_containing_null``) filter relation scans; an indexed backend must
+return the same *set*, each tuple once.  Where a backend promises order
+(``ordered=True``: the multiversion view and the in-memory store iterate the
+first pair's bucket and use the other pairs only to discard) the multi-pair
+answer must also be, as a *list*, the one-pair answer filtered by the
+remaining pairs.
 """
 
 from __future__ import annotations
@@ -39,3 +40,18 @@ def assert_probe_matches_default(view, relation, bound, ordered=False):
             for row in view.tuples_matching(relation, bound[:1])
             if all(row[position] == value for position, value in bound)
         ]
+
+
+def assert_correction_queries_match_default(view, row):
+    """``more_specific_tuples(row)`` and the null probes of *row*'s nulls.
+
+    Both must return the interface default's answer as a *set*, each tuple
+    once.  *row* is any pattern: repeated nulls, all nulls, wrong arity.
+    """
+    answer = list(view.more_specific_tuples(row))
+    assert len(answer) == len(set(answer)), "a correction query yielded a tuple twice"
+    assert set(answer) == set(DatabaseView.more_specific_tuples(view, row))
+    for null in row.null_set():
+        found = list(view.tuples_containing_null(null))
+        assert len(found) == len(set(found)), "a null probe yielded a tuple twice"
+        assert set(found) == set(DatabaseView.tuples_containing_null(view, null))

@@ -1,5 +1,9 @@
 """Tests for the update-exchange service: sessions, admission, inbox, reads."""
 
+import gc
+import random
+import weakref
+
 import pytest
 
 from repro.core import InsertOperation, OracleError, make_tuple
@@ -13,6 +17,9 @@ from repro.service import (
     ServiceError,
     TicketStatus,
 )
+from repro.workload import ExperimentConfig, build_environment
+from repro.workload.closed_loop import conservative_answer
+from repro.workload.workloads import mixed_workload
 
 
 @pytest.fixture
@@ -348,3 +355,57 @@ def test_serve_cli_restore_requires_snapshot_path():
 
     with pytest.raises(SystemExit, match="--restore requires --snapshot-path"):
         main(["--restore"])
+
+
+def _contended_service():
+    """A small Section 6 run whose concurrent updates abort and restart."""
+    environment = build_environment(
+        ExperimentConfig(num_relations=6, max_mappings=10, num_initial_tuples=40, seed=11)
+    )
+    service = RepositoryService(environment.initial, list(environment.mappings))
+    session = service.open_session("writer")
+    tickets = [
+        service.submit(session.session_id, operation)
+        for operation in mixed_workload(
+            environment.schema, environment.initial, 12, environment.constant_pool,
+            rng=random.Random(11), delete_fraction=0.3,
+        )
+    ]
+    for _ in range(100):
+        service.run_until_blocked()
+        questions = service.inbox()
+        if not questions:
+            break
+        for question in questions:
+            service.answer(
+                session.session_id, question.decision_id, conservative_answer(question)
+            )
+    return service, tickets
+
+
+def test_restarted_tickets_follow_their_fresh_priority():
+    service, tickets = _contended_service()
+    assert all(ticket.status is TicketStatus.COMMITTED for ticket in tickets)
+    restarts = sum(ticket.attempts - 1 for ticket in tickets)
+    assert restarts > 0, "the scenario must exercise abort-restarts"
+    snapshot = service.metrics_snapshot()
+    assert snapshot["restarts"] == restarts == snapshot["scheduler_aborts"]
+    assert service.inbox() == []
+
+
+def test_dropped_service_frees_its_store_by_refcount():
+    """Nothing the service owns refers back to it: no cycle keeps the store."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        service, _ = _contended_service()
+        service.metrics_snapshot()  # the producers run
+        store = weakref.ref(service.scheduler.store)
+        dropped = weakref.ref(service)
+        del service
+        assert dropped() is None
+        assert store() is None
+    finally:
+        if enabled:
+            gc.enable()
