@@ -506,21 +506,37 @@ def encode_payload(payload: object, mappings: Mappings = None) -> Dict[str, Any]
     decoders are never confronted with it unless tracing actually ran.
     """
     body = _encode_payload_body(payload, mappings)
-    trace = getattr(payload, "trace", None)
+    trace = encode_trace(getattr(payload, "trace", None))
     if trace is not None:
-        body["tr"] = {"si": trace.span_id, "ti": trace.trace_id}
+        body["tr"] = trace
     return body
 
 
 def decode_payload(body: Dict[str, Any], mappings: Mappings = None) -> object:
     """Decode a wire body; a ``"tr"`` field restores the trace context."""
     payload = _decode_payload_body(body, mappings)
-    trace = body.get("tr")
+    trace = decode_trace(body.get("tr"))
     if trace is not None and hasattr(payload, "trace"):
-        payload = dataclasses.replace(
-            payload, trace=SpanContext(trace_id=trace["ti"], span_id=trace["si"])
-        )
+        payload = dataclasses.replace(payload, trace=trace)
     return payload
+
+
+def encode_trace(context: Optional[SpanContext]) -> Optional[Dict[str, str]]:
+    """A trace context as its ``"tr"`` wire field (``None`` stays ``None``).
+
+    The same shape rides in payload bodies and in the process federation's
+    control frames.
+    """
+    if context is None:
+        return None
+    return {"si": context.span_id, "ti": context.trace_id}
+
+
+def decode_trace(body: Optional[Dict[str, str]]) -> Optional[SpanContext]:
+    """The inverse of :func:`encode_trace`."""
+    if body is None:
+        return None
+    return SpanContext(trace_id=body["ti"], span_id=body["si"])
 
 
 def _encode_payload_body(payload: object, mappings: Mappings) -> Dict[str, Any]:

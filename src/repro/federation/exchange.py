@@ -34,6 +34,7 @@ from typing import Dict, FrozenSet, List, Sequence, Set, Tuple as PyTuple
 
 from ..core.terms import NullFactory, Variable
 from ..core.tgd import Tgd
+from ..core.update import DeleteOperation, InsertOperation, UserOperation
 from ..core.writes import WriteKind
 from ..query.compiled import get_plan
 from ..query.violation_query import seeds_for_lhs_write
@@ -95,6 +96,35 @@ class ExchangeRules:
             for relation in tgd.rhs_relations():
                 incoming.setdefault(relation, []).append(cross)
 
+    @classmethod
+    def for_federation(
+        cls, schema, mappings: Sequence[Tgd], ownership: Dict[str, Sequence[str]]
+    ) -> "ExchangeRules":
+        """Route *mappings* under a ``peer -> relations`` declaration that
+        gives every relation of *schema* exactly one owner."""
+        owner_of: Dict[str, str] = {}
+        for peer_name, relations in ownership.items():
+            for relation in relations:
+                if relation not in schema:
+                    raise FederationError(
+                        "peer {!r} claims unknown relation {!r}".format(
+                            peer_name, relation
+                        )
+                    )
+                if relation in owner_of:
+                    raise FederationError(
+                        "relation {!r} claimed by both {!r} and {!r}".format(
+                            relation, owner_of[relation], peer_name
+                        )
+                    )
+                owner_of[relation] = peer_name
+        unowned = [name for name in schema.relation_names() if name not in owner_of]
+        if unowned:
+            raise FederationError(
+                "no peer owns relation(s) {}".format(sorted(unowned))
+            )
+        return cls(mappings, owner_of)
+
     def _single_owner(
         self, tgd: Tgd, relations: FrozenSet[str], side: str
     ) -> str:
@@ -116,6 +146,24 @@ class ExchangeRules:
                 )
             )
         return owners.pop()
+
+    def owned_by(self, peer: str) -> PyTuple[str, ...]:
+        """The relations *peer* owns."""
+        return tuple(
+            relation for relation, owner in self.owner_of.items() if owner == peer
+        )
+
+    def route(self, peer: str, operation: UserOperation) -> str:
+        """The peer a user operation submitted at *peer* executes at.
+
+        An insert or delete runs at the owner of its relation.  Anything else
+        (a null replacement) runs where it was submitted: a labeled null's
+        occurrences are confined to the peer that minted it under this
+        exchange model.
+        """
+        if isinstance(operation, (InsertOperation, DeleteOperation)):
+            return self.owner_of[operation.row.relation]
+        return peer
 
     def local_mappings(self, peer: str) -> List[Tgd]:
         """The mappings peer *peer* chases natively."""

@@ -1,10 +1,11 @@
 """The federated network: many repositories, one collaborative exchange.
 
 A :class:`FederatedNetwork` is the multi-peer realization of the paper's
-setting: every peer runs its own full update-exchange service (store, tracker,
-optimistic scheduler, admission queue, frontier inbox) over the relations it
-owns, and the tgd mappings that link peers are driven by commit-time exchange
-over a simulated :class:`~repro.federation.transport.Transport`:
+setting, with every peer in one process: each :class:`~repro.federation.peer.Peer`
+runs its own full update-exchange service (store, tracker, optimistic
+scheduler, admission queue, frontier inbox) over the relations it owns, and
+the tgd mappings that link peers are driven by commit-time exchange over a
+simulated :class:`~repro.federation.transport.Transport`:
 
 * a user operation submitted at a peer executes at the *owner* of its target
   relation — locally, or routed as a :class:`~repro.federation.envelopes.RemoteUpdate`
@@ -15,16 +16,21 @@ over a simulated :class:`~repro.federation.transport.Transport`:
 * frontier questions raised while chasing a forwarded update are routed back
   to the *originating* peer's federated inbox, answered there, and the answer
   travels back to resume the parked update;
-* :meth:`FederatedNetwork.quiescent` holds when every queue — transport,
-  outboxes, admission, scheduler, inboxes — has drained, at which point the
-  union of the peers' committed stores is a chase fixpoint of the union
-  mapping set (differentially tested against the single-repository engine in
-  :mod:`repro.federation.convergence`).
+* :meth:`FederatedNetwork.quiescent` holds when the transport is empty and
+  every peer is idle (outbox, retry queue, admission, scheduler), at which
+  point the union of the peers' committed stores is a chase fixpoint of the
+  union mapping set (differentially tested against the single-repository
+  engine in :mod:`repro.federation.convergence`).
+
+Each peer's side of that protocol is :class:`~repro.federation.peer.Peer`,
+the same code a peer process (:mod:`repro.federation.proc`) runs; the network
+adds the transport, the federated ticket table and a
+:class:`FederatedQuestion` inbox per peer.
 
 The network is cooperatively scheduled like everything else in this
-reproduction: :meth:`pump` performs one federation round (deliver, chase,
-route, flush), and :meth:`run_until_quiescent` loops it, optionally answering
-open questions with a strategy.
+reproduction: :meth:`pump` performs one federation round (retry, deliver,
+chase, route, flush), and :meth:`run_until_quiescent` loops it, optionally
+answering open questions with a strategy.
 """
 
 from __future__ import annotations
@@ -33,31 +39,19 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple as PyTuple, Union
 
 from ..core.frontier import FrontierOperation, FrontierRequest
-from ..core.oracle import OracleError
 from ..core.schema import DatabaseSchema
-from ..core.terms import NullFactory
 from ..core.tgd import Tgd
-from ..core.update import DeleteOperation, InsertOperation, UserOperation
+from ..core.update import UserOperation
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import SpanContext, default_tracer
 from ..service.admission import AdmissionConfig, AdmissionError
-from ..service.repository import RepositoryService
 from ..service.tickets import RemoteOrigin, TicketStatus, UpdateTicket
 from ..storage.interface import DatabaseView
 from ..storage.memory import FrozenDatabase
-from .envelopes import (
-    CommitNotice,
-    ExchangeFiring,
-    ExchangeRetraction,
-    QuestionAnswer,
-    QuestionCancelled,
-    QuestionOpened,
-    RemoteUpdate,
-)
+from .envelopes import CommitNotice, QuestionAnswer, QuestionCancelled, QuestionOpened
 from .exchange import ExchangeRules, FederationError
-from .operations import RemoteFiringOperation, RemoteRetractionOperation
 from .peer import Peer
-from .transport import Bundle, Envelope, Transport
+from .transport import Transport, bundle_by_destination, unbundled
 
 
 @dataclass
@@ -107,6 +101,18 @@ class FederatedQuestion:
     description: str
     #: Trace context of the parked update (``None`` when tracing is off).
     trace: Optional[SpanContext] = field(default=None, compare=False)
+
+    @classmethod
+    def opened(cls, payload: QuestionOpened) -> "FederatedQuestion":
+        """The inbox entry of a question opened here or routed here."""
+        return cls(
+            executing_peer=payload.executing_peer,
+            decision_id=payload.decision_id,
+            request=payload.request,
+            origin=payload.origin,
+            description=payload.ticket_description,
+            trace=payload.trace,
+        )
 
     @property
     def key(self) -> PyTuple[str, int]:
@@ -163,82 +169,36 @@ class FederatedNetwork:
     ):
         self.schema = schema
         self._tracer = tracer if tracer is not None else default_tracer()
-        owner_of: Dict[str, str] = {}
-        for peer_name, relations in ownership.items():
-            for relation in relations:
-                if relation not in schema:
-                    raise FederationError(
-                        "peer {!r} claims unknown relation {!r}".format(
-                            peer_name, relation
-                        )
-                    )
-                if relation in owner_of:
-                    raise FederationError(
-                        "relation {!r} claimed by both {!r} and {!r}".format(
-                            relation, owner_of[relation], peer_name
-                        )
-                    )
-                owner_of[relation] = peer_name
-        unowned = [name for name in schema.relation_names() if name not in owner_of]
-        if unowned:
-            raise FederationError(
-                "no peer owns relation(s) {}".format(sorted(unowned))
-            )
-        self.owner_of = owner_of
-        self.rules = ExchangeRules(mappings, owner_of)
+        self.rules = ExchangeRules.for_federation(schema, mappings, ownership)
+        self.owner_of = self.rules.owner_of
         self.transport = transport if transport is not None else Transport()
         if tracer is not None:
             # An explicitly traced network traces its transport too (a
             # transport built separately defaults to the process tracer).
             self.transport.tracer = tracer
         self.transport.mappings = self.rules.by_name
-        #: Construction parameters kept for peer restarts (see
+        #: Per-peer service construction parameters, kept for restarts (see
         #: :meth:`restart_peer`): a reborn peer's service is rebuilt with the
-        #: same tracker, admission policy and budgets as its predecessor.
-        self._ownership: Dict[str, PyTuple[str, ...]] = {
-            name: tuple(relations) for name, relations in ownership.items()
-        }
-        self._tracker_spec = tracker
-        self._admission_spec = admission
-        self._max_total_steps = max_total_steps
-        self._peers: Dict[str, Peer] = {}
-        for peer_name, relations in ownership.items():
-            contents = {
-                relation: frozenset(initial.tuples(relation))
-                if owner_of[relation] == peer_name
-                else frozenset()
-                for relation in schema.relation_names()
-            }
-            if isinstance(admission, dict):
+        #: same tracker, admission policy, budgets and tracer.
+        self._service_arguments = {
+            name: {
+                "tracker": tracker,
                 # Heterogeneous federations: each peer may run its own
                 # admission policy (slow archive, fast edge).
-                peer_admission = admission.get(peer_name)
-            else:
-                peer_admission = admission
-            service = RepositoryService(
-                FrozenDatabase(schema, contents),
-                self.rules.local_mappings(peer_name),
-                tracker=tracker,
-                admission=peer_admission,
-                max_total_steps=max_total_steps,
-                tracer=self._tracer,
-                trace_peer=peer_name,
-                # Peer-unique null prefixes: two peers' chases must never mint
-                # the same labeled null, or shipping a head row would silently
-                # identify two unrelated unknowns at the destination.
-                null_factory=NullFactory.avoiding_view(
-                    initial, prefix="{}s".format(peer_name)
-                ),
+                "admission": admission.get(name)
+                if isinstance(admission, dict)
+                else admission,
+                "max_total_steps": max_total_steps,
+                "tracer": self._tracer,
+            }
+            for name in ownership
+        }
+        self._peers: Dict[str, Peer] = {
+            name: Peer.build(
+                name, schema, initial, self.rules, **self._service_arguments[name]
             )
-            self._peers[peer_name] = Peer(
-                name=peer_name,
-                service=service,
-                owned_relations=tuple(relations),
-                rules=self.rules,
-                firing_factory=NullFactory.avoiding_view(
-                    initial, prefix="{}f".format(peer_name)
-                ),
-            )
+            for name in ownership
+        }
         self._inboxes: Dict[str, Dict[PyTuple[str, int], FederatedQuestion]] = {
             name: {} for name in self._peers
         }
@@ -249,64 +209,31 @@ class FederatedNetwork:
         #: ``collect()`` is the whole :meth:`metrics` snapshot (transport and
         #: per-peer service metrics fold in as producers; the key set and
         #: order are bit-compatible with the pre-registry dict merging).
+        #: Exchange and delivery counters are the peers' own, summed.
         self.registry = MetricsRegistry()
+        #: The :class:`Peer` counters the registry sums (see :meth:`restart_peer`).
+        self._peer_counters: List[str] = []
         self.registry.gauge("peers").set_function(lambda: len(self._peers))
         self._updates_routed = self.registry.counter("updates_routed")
-        self._firings_delivered = self.registry.counter("firings_delivered")
-        self._retractions_delivered = self.registry.counter("retractions_delivered")
+        self._sum_of_peers("firings_delivered")
+        self._sum_of_peers("retractions_delivered")
         self._questions_routed = self.registry.counter("questions_routed")
         self._answers_routed = self.registry.counter("answers_routed")
-        self._answers_dropped = self.registry.counter("answers_dropped")
+        self._sum_of_peers("answers_dropped")
         self._cancellations = self.registry.counter("question_cancellations")
-        #: Envelope deliveries re-queued because the destination's bounded
-        #: admission queue was full (retried on later pumps).
-        self._deliveries_deferred = self.registry.counter("deliveries_deferred")
-        self.registry.gauge("firings_emitted").set_function(
-            lambda: sum(p.firings_emitted for p in self._peers.values())
-        )
-        self.registry.gauge("retractions_emitted").set_function(
-            lambda: sum(p.retractions_emitted for p in self._peers.values())
-        )
-        self.registry.gauge("envelopes_coalesced").set_function(
-            lambda: sum(p.envelopes_coalesced for p in self._peers.values())
-        )
+        self._sum_of_peers("deliveries_deferred")
+        self._sum_of_peers("firings_emitted")
+        self._sum_of_peers("retractions_emitted")
+        self._sum_of_peers("envelopes_coalesced")
         self.registry.register_producer(lambda: self.transport.metrics())
         self.registry.register_producer(self._peer_service_metrics)
 
-    # ------------------------------------------------------------------
-    # Counter compatibility properties (instruments live in the registry)
-    # ------------------------------------------------------------------
-    @property
-    def updates_routed(self) -> int:
-        return self._updates_routed.value
-
-    @property
-    def firings_delivered(self) -> int:
-        return self._firings_delivered.value
-
-    @property
-    def retractions_delivered(self) -> int:
-        return self._retractions_delivered.value
-
-    @property
-    def questions_routed(self) -> int:
-        return self._questions_routed.value
-
-    @property
-    def answers_routed(self) -> int:
-        return self._answers_routed.value
-
-    @property
-    def answers_dropped(self) -> int:
-        return self._answers_dropped.value
-
-    @property
-    def cancellations(self) -> int:
-        return self._cancellations.value
-
-    @property
-    def deliveries_deferred(self) -> int:
-        return self._deliveries_deferred.value
+    def _sum_of_peers(self, counter: str) -> None:
+        """Register a gauge summing one :class:`Peer` counter over the peers."""
+        self._peer_counters.append(counter)
+        self.registry.gauge(counter).set_function(
+            lambda: sum(getattr(peer, counter) for peer in self._peers.values())
+        )
 
     @property
     def tracer(self):
@@ -355,10 +282,10 @@ class FederatedNetwork:
         checkpoint: committed store as its initial state, pending operations
         re-submitted with their federation origins, null-factory and
         decision-id numbering resumed, commit-notice obligations re-linked to
-        the re-submitted tickets.  Envelopes in flight on the transport are
-        untouched and deliver to the reborn peer as usual (delivery
-        re-submits through its admission queue, so nothing cares that the
-        service behind the name changed).
+        the re-submitted tickets, deferred deliveries back in its retry queue.
+        Envelopes in flight on the transport are untouched and deliver to the
+        reborn peer as usual (delivery re-submits through its admission
+        queue, so nothing cares that the service behind the name changed).
 
         Open federated questions whose *executing* peer was the killed one
         are dropped from every inbox: their decisions died with the old
@@ -367,30 +294,12 @@ class FederatedNetwork:
         killed peer are re-pointed at their re-submitted service tickets.
         """
         old = self.peer(name)
-        restored = RepositoryService.restore(
-            path,
-            self.rules.local_mappings(name),
-            tracker=self._tracker_spec,
-            admission=self._admission_spec.get(name)
-            if isinstance(self._admission_spec, dict)
-            else self._admission_spec,
-            max_total_steps=self._max_total_steps,
+        reborn, restored = Peer.restore(
+            name, path, self.rules, **self._service_arguments[name]
         )
-        extra = restored.extra
-        reborn = Peer(
-            name=name,
-            service=restored.service,
-            owned_relations=self._ownership[name],
-            rules=self.rules,
-            firing_factory=NullFactory.from_state(extra["firing_factory"]),
-        )
-        for old_ticket_id, origin_body in extra.get("notify", ()):
-            replacement = restored.resubmitted.get(old_ticket_id)
-            if replacement is not None:
-                reborn.expect_notice(
-                    replacement.ticket_id,
-                    RemoteOrigin(origin_body["peer"], origin_body["ticket"]),
-                )
+        # The network observes the crash; its counters do not restart.
+        for counter in self._peer_counters:
+            setattr(reborn, counter, getattr(old, counter))
         self._peers[name] = reborn
         # Questions executed by the dead service are unanswerable; drop them
         # everywhere (the reborn peer re-asks under fresh decision ids).
@@ -407,25 +316,15 @@ class FederatedNetwork:
             replacement = restored.resubmitted.get(ticket.local_ticket.ticket_id)
             if replacement is not None:
                 ticket.local_ticket = replacement
-        # The old peer's sessions are gone; nothing else references it.
-        del old
         return reborn
 
     # ------------------------------------------------------------------
     # Submission and routing
     # ------------------------------------------------------------------
-    def _route(self, peer_name: str, operation: UserOperation) -> str:
-        if isinstance(operation, (InsertOperation, DeleteOperation)):
-            return self.owner_of[operation.row.relation]
-        # Null replacements (and anything exotic) execute where submitted:
-        # a labeled null's occurrences are confined to the peer that minted
-        # it under this exchange model.
-        return peer_name
-
     def submit(self, peer_name: str, operation: UserOperation) -> FederatedTicket:
         """Submit a user operation at *peer_name*; it executes at the owner."""
         peer = self.peer(peer_name)
-        target = self._route(peer_name, operation)
+        target = self.rules.route(peer_name, operation)
         ticket = FederatedTicket(
             ticket_id=self._next_ticket_id,
             peer=peer_name,
@@ -448,30 +347,10 @@ class FederatedNetwork:
                 raise
         else:
             self._updates_routed.inc()
-            trace = None
-            if self._tracer.enabled:
-                # Routed submissions root their trace here at the origin (the
-                # executing service's ticket span becomes a child); the root
-                # closes when the commit notice makes it back.
-                ticket.trace_span = self._tracer.start_span(
-                    "update",
-                    peer=peer_name,
-                    kind="user",
-                    op_type=type(operation).__name__,
-                    op=operation.describe(),
-                    ticket=ticket.ticket_id,
-                    routed_to=target,
-                )
-                trace = ticket.trace_span.context
-            self.transport.send(
-                peer_name,
-                target,
-                RemoteUpdate(
-                    operation=operation,
-                    origin=RemoteOrigin(peer_name, ticket.ticket_id),
-                    trace=trace,
-                ),
+            update, ticket.trace_span = peer.routed_update(
+                operation, target, ticket.ticket_id
             )
+            self.transport.send(peer_name, target, update)
         return ticket
 
     def ticket(self, ticket_id: int) -> FederatedTicket:
@@ -485,11 +364,17 @@ class FederatedNetwork:
     # The federation round
     # ------------------------------------------------------------------
     def pump(self) -> FederationPumpReport:
-        """One federation round: deliver, chase every peer, route, flush."""
+        """One federation round: retry, deliver, chase every peer, route, flush."""
         report = FederationPumpReport()
+        for peer in self._peers.values():
+            if peer.retry_deferred():
+                peer.activity_seq += 1
         for envelope in self.transport.pump():
             self.peer(envelope.destination).activity_seq += 1
-            self._deliver(envelope)
+            # A bundle unpacks in order, so delivery is indistinguishable
+            # from its payloads arriving back-to-back on a FIFO link.
+            for payload in unbundled(envelope.payload):
+                self._deliver_payload(envelope.destination, payload)
             report.delivered += 1
         for peer in self._peers.values():
             service_report = peer.service.pump()
@@ -500,16 +385,9 @@ class FederatedNetwork:
         for peer in self._peers.values():
             opened_local, vanished = peer.scan_questions()
             inbox = self._inboxes[peer.name]
-            for question in opened_local:
-                federated = FederatedQuestion(
-                    executing_peer=peer.name,
-                    decision_id=question.decision_id,
-                    request=question.request,
-                    origin=RemoteOrigin(peer.name, question.ticket.ticket_id),
-                    description=question.ticket.describe(),
-                    trace=question.ticket.trace_context,
-                )
-                inbox[federated.key] = federated
+            for opened in opened_local:
+                question = FederatedQuestion.opened(opened)
+                inbox[question.key] = question
                 report.questions_opened += 1
             for decision_id in vanished:
                 inbox.pop((peer.name, decision_id), None)
@@ -532,67 +410,14 @@ class FederatedNetwork:
         """Per-destination bundle flush: every payload staged for the same
         peer this round shares one envelope (one queue slot, one delay, one
         delivery)."""
-        by_destination: Dict[str, List[object]] = {}
-        for destination, payload in pairs:
-            by_destination.setdefault(destination, []).append(payload)
-            report.flushed += 1
-        for destination, payloads in by_destination.items():
-            self.transport.send_bundle(peer.name, destination, payloads)
+        for destination, payload in bundle_by_destination(pairs):
+            self.transport.send(peer.name, destination, payload)
+        report.flushed += len(pairs)
 
-    def _deliver(self, envelope: Envelope) -> None:
-        payload = envelope.payload
-        if isinstance(payload, Bundle):
-            # Bundles unpack in order, so delivery is indistinguishable from
-            # the payloads having arrived back-to-back on a FIFO link.
-            for inner in payload.payloads:
-                self._deliver_payload(envelope.source, envelope.destination, inner)
-        else:
-            self._deliver_payload(envelope.source, envelope.destination, payload)
-
-    def _deliver_payload(self, source: str, destination: str, payload: object) -> None:
-        peer = self.peer(destination)
-        if isinstance(payload, (RemoteUpdate, ExchangeFiring, ExchangeRetraction)):
-            if isinstance(payload, RemoteUpdate):
-                operation = payload.operation
-            elif isinstance(payload, ExchangeFiring):
-                operation = RemoteFiringOperation(
-                    payload.tgd, payload.assignment(), payload.head_rows
-                )
-            else:
-                operation = RemoteRetractionOperation(
-                    payload.tgd, payload.assignment()
-                )
-            try:
-                ticket = peer.service.submit(
-                    peer.gateway.session_id,
-                    operation,
-                    origin=payload.origin,
-                    trace=payload.trace,
-                )
-            except AdmissionError:
-                # The destination's bounded admission queue is full.  Nothing
-                # may be lost: put the payload back on the wire (bare, even if
-                # it arrived bundled) and try again on a later pump (transport
-                # backpressure, not a crash).
-                self.transport.send(source, destination, payload)
-                self._deliveries_deferred.inc()
-                return
-            if isinstance(payload, RemoteUpdate):
-                peer.expect_notice(ticket.ticket_id, payload.origin)
-            elif isinstance(payload, ExchangeFiring):
-                self._firings_delivered.inc()
-            else:
-                self._retractions_delivered.inc()
-        elif isinstance(payload, QuestionOpened):
-            federated = FederatedQuestion(
-                executing_peer=payload.executing_peer,
-                decision_id=payload.decision_id,
-                request=payload.request,
-                origin=payload.origin,
-                description=payload.ticket_description,
-                trace=payload.trace,
-            )
-            self._inboxes[destination][federated.key] = federated
+    def _deliver_payload(self, destination: str, payload: object) -> None:
+        if isinstance(payload, QuestionOpened):
+            question = FederatedQuestion.opened(payload)
+            self._inboxes[destination][question.key] = question
             self._questions_routed.inc()
         elif isinstance(payload, QuestionCancelled):
             removed = self._inboxes[destination].pop(
@@ -600,16 +425,6 @@ class FederatedNetwork:
             )
             if removed is not None:
                 self._cancellations.inc()
-        elif isinstance(payload, QuestionAnswer):
-            try:
-                peer.service.answer(
-                    peer.gateway.session_id, payload.decision_id, payload.choice
-                )
-                peer.mark_answered(payload.decision_id)
-            except OracleError:
-                # The asking update aborted (its question was cancelled) while
-                # the answer was in flight; the restart will ask afresh.
-                self._answers_dropped.inc()
         elif isinstance(payload, CommitNotice):
             ticket = self._tickets.get(payload.origin.ticket_id)
             if ticket is not None:
@@ -618,8 +433,8 @@ class FederatedNetwork:
                     self._tracer.end_span(
                         ticket.trace_span, status=payload.status.value
                     )
-        else:  # pragma: no cover - the payload union is closed
-            raise FederationError("undeliverable payload {!r}".format(payload))
+        else:
+            self.peer(destination).deliver(payload)
 
     def _mirror_local_tickets(self) -> None:
         still_unresolved: List[FederatedTicket] = []
@@ -660,13 +475,7 @@ class FederatedNetwork:
             )
         del inbox[question.key]
         if question.executing_peer == peer_name:
-            peer = self.peer(peer_name)
-            try:
-                peer.service.answer(
-                    peer.gateway.session_id, question.decision_id, choice
-                )
-            except OracleError:
-                self._answers_dropped.inc()
+            self.peer(peer_name).answer(question.decision_id, choice)
         else:
             self._answers_routed.inc()
             self.transport.send(
@@ -686,14 +495,7 @@ class FederatedNetwork:
     # ------------------------------------------------------------------
     def quiescent(self) -> bool:
         """``True`` when no queue anywhere can produce further work."""
-        if self.transport.in_flight:
-            return False
-        for peer in self._peers.values():
-            if peer.outbox:
-                return False
-            if not peer.service.is_quiescent:
-                return False
-        return True
+        return not self.transport.in_flight and self._peers_idle()
 
     def watermark_quiescent(self) -> bool:
         """The conservation form of :meth:`quiescent`.
@@ -701,19 +503,15 @@ class FederatedNetwork:
         Same distributed condition, decided the way the socket federation's
         watermark drain decides it: per-directed-link send watermarks equal
         to their delivery watermarks (``sent - delivered`` is the queue
-        length, so conservation ⇔ nothing in flight) plus every peer idle
-        with an empty outbox.  :meth:`run_until_quiescent` asserts this
-        agrees with :meth:`quiescent` on every round — a built-in
-        differential between the two formulations.
+        length, so conservation ⇔ nothing in flight) plus every peer idle.
+        :meth:`run_until_quiescent` asserts this agrees with
+        :meth:`quiescent` on every round — a built-in differential between
+        the two formulations.
         """
-        if not self.transport.watermarks_conserved():
-            return False
-        for peer in self._peers.values():
-            if peer.outbox:
-                return False
-            if not peer.service.is_quiescent:
-                return False
-        return True
+        return self.transport.watermarks_conserved() and self._peers_idle()
+
+    def _peers_idle(self) -> bool:
+        return all(peer.idle for peer in self._peers.values())
 
     def run_until_quiescent(
         self,

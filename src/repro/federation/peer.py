@@ -1,18 +1,25 @@
-"""One federation peer: a full repository service plus exchange bookkeeping.
+"""One federation peer: a full repository service plus the exchange protocol.
 
 A :class:`Peer` owns a subset of the federation's relations and wraps its own
 :class:`~repro.service.repository.RepositoryService` — its own multiversion
 store, dependency tracker, optimistic scheduler, admission queue and frontier
-inbox.  The federation talks to it through one *gateway* session (envelope
-deliveries are submitted there) and through two hooks:
+inbox.  It is the one implementation of a peer's side of the exchange, which
+both runtimes drive (:class:`~repro.federation.network.FederatedNetwork` in
+one process, :class:`~repro.federation.proc.PeerHost` in a peer process):
 
-* a scheduler commit listener that turns every committed update's write set
-  into outgoing exchange envelopes (cross-peer firings and retractions, plus
-  commit notices for routed user updates), staged in :attr:`Peer.outbox`;
-* :meth:`Peer.scan_questions`, which diffs the service's frontier inbox after
-  each pump — new questions of *remote-origin* updates are staged for routing
-  to the originating peer, questions that vanished without being answered
-  (their update aborted) produce cancellations.
+* :meth:`Peer.build` and :meth:`Peer.restore` construct it with the
+  runtime's tracer, fresh or from a :meth:`Peer.checkpoint`;
+* :meth:`Peer.deliver` re-submits routed updates, firings and retractions
+  under the peer's *gateway* session and resumes parked decisions; what the
+  bounded admission queue turns away waits in :attr:`Peer.retry`;
+* a scheduler commit listener turns every committed write set into outgoing
+  firings, retractions and commit notices, staged in :attr:`Peer.outbox`;
+* :meth:`Peer.scan_questions` diffs the service's frontier inbox after each
+  pump: questions of *remote-origin* updates are staged for the originating
+  peer, questions that vanished unanswered produce cancellations.
+
+Each runtime keeps only how payloads move, its ticket table and where it
+files questions and commit notices.
 """
 
 from __future__ import annotations
@@ -20,16 +27,21 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional, Set, Tuple as PyTuple
 
+from ..codec.wire import decode_payload, encode_payload
+from ..core.oracle import OracleError
 from ..core.terms import NullFactory
-from ..service.inbox import InboxQuestion
-from ..service.repository import RepositoryService
+from ..service.admission import AdmissionError
+from ..service.repository import RepositoryService, RestoredService
 from ..service.tickets import RemoteOrigin, TicketStatus
+from ..storage.memory import FrozenDatabase
 from .envelopes import (
     CommitNotice,
     ExchangeFiring,
     ExchangeRetraction,
+    QuestionAnswer,
     QuestionCancelled,
     QuestionOpened,
+    RemoteUpdate,
 )
 from .exchange import (
     ExchangeRules,
@@ -37,6 +49,7 @@ from .exchange import (
     coalesce_envelopes,
     envelopes_for_commit,
 )
+from .operations import RemoteFiringOperation, RemoteRetractionOperation
 
 
 class Peer:
@@ -70,8 +83,9 @@ class Peer:
         self._exchange_relations = rules.exchange_relations(name)
         #: The session envelope deliveries are submitted under.
         self.gateway = service.open_session("federation:{}".format(name))
-        #: Staged ``(destination, payload)`` pairs; the network flushes them
-        #: into the transport at the end of each federation pump.
+        #: Staged ``(destination, payload)`` pairs; the runtime flushes them
+        #: (see :func:`~repro.federation.transport.bundle_by_destination`)
+        #: at the end of each round.
         self.outbox: List[PyTuple[str, object]] = []
         #: Open service decisions we know about: decision_id -> origin of the
         #: asking ticket (``None`` when the question is answerable locally).
@@ -81,19 +95,217 @@ class Peer:
         self._answered_remote: Set[int] = set()
         #: Local ticket ids whose terminal state the origin peer awaits.
         self._notify: Dict[int, RemoteOrigin] = {}
-        #: Exchange counters (aggregated by the network's metrics snapshot).
+        #: Update-bearing deliveries the bounded admission queue turned
+        #: away, in arrival order (see :meth:`retry_deferred`).
+        self.retry: List[object] = []
+        #: Exchange counters (aggregated by the network's metrics snapshot
+        #: and the peer process's status replies).
         self.firings_emitted = 0
         self.retractions_emitted = 0
         self.notices_emitted = 0
         #: Envelopes the per-batch coalescing dropped before the wire.
         self.envelopes_coalesced = 0
-        #: Monotonic activity sequence, the in-process twin of the socket
-        #: peer host's: the network advances it whenever this peer receives
-        #: a delivery, makes pump progress, or flushes its outbox.  Unchanged
-        #: seq between two observations plus conserved link watermarks means
-        #: nothing moved in between.
+        self.firings_delivered = 0
+        self.retractions_delivered = 0
+        #: Deliveries that found the admission queue full (each counted once).
+        self.deliveries_deferred = 0
+        #: Answers whose asking update had already aborted.
+        self.answers_dropped = 0
+        #: Monotonic activity sequence: the runtime advances it whenever
+        #: this peer receives a delivery or a client request, makes progress
+        #: or sends.  Unchanged seq between two observations plus conserved
+        #: link watermarks means nothing moved in between (the socket
+        #: federation's drain compares it across observations).
         self.activity_seq = 0
         service.add_batch_commit_listener(self._on_batch_commit)
+
+    # ------------------------------------------------------------------
+    # Construction and restore
+    # ------------------------------------------------------------------
+    @classmethod
+    def build(
+        cls,
+        name: str,
+        schema,
+        initial,
+        rules: ExchangeRules,
+        *,
+        tracer,
+        **service_arguments,
+    ) -> "Peer":
+        """A fresh peer storing its owned part of the union database
+        *initial* and minting nulls that avoid all of it."""
+        contents = {
+            relation: frozenset(initial.tuples(relation))
+            if rules.owner_of[relation] == name
+            else frozenset()
+            for relation in schema.relation_names()
+        }
+        service = RepositoryService(
+            FrozenDatabase(schema, contents),
+            rules.local_mappings(name),
+            tracer=tracer,
+            trace_peer=name,
+            # Peer-unique null prefixes: two peers' chases must never mint
+            # the same labeled null, or shipping a head row would silently
+            # identify two unrelated unknowns at the destination.
+            null_factory=NullFactory.avoiding_view(
+                initial, prefix="{}s".format(name)
+            ),
+            **service_arguments,
+        )
+        return cls(
+            name=name,
+            service=service,
+            owned_relations=rules.owned_by(name),
+            rules=rules,
+            firing_factory=NullFactory.avoiding_view(
+                initial, prefix="{}f".format(name)
+            ),
+        )
+
+    @classmethod
+    def restore(
+        cls,
+        name: str,
+        path: str,
+        rules: ExchangeRules,
+        *,
+        tracer,
+        **service_arguments,
+    ) -> PyTuple["Peer", RestoredService]:
+        """Rebuild a peer from a :meth:`checkpoint` file.
+
+        Returns the peer and the :class:`RestoredService`, whose ticket
+        mapping and ``extra`` re-link the runtime's own tables.
+        """
+        restored = RepositoryService.restore(
+            path,
+            rules.local_mappings(name),
+            tracer=tracer,
+            trace_peer=name,
+            **service_arguments,
+        )
+        extra = restored.extra
+        peer = cls(
+            name=name,
+            service=restored.service,
+            owned_relations=rules.owned_by(name),
+            rules=rules,
+            firing_factory=NullFactory.from_state(extra["firing_factory"]),
+        )
+        for old_ticket_id, origin_body in extra.get("notify", ()):
+            replacement = restored.resubmitted.get(old_ticket_id)
+            if replacement is not None:
+                peer.expect_notice(
+                    replacement.ticket_id,
+                    RemoteOrigin(origin_body["peer"], origin_body["ticket"]),
+                )
+        peer.retry = [
+            decode_payload(body, rules.by_name) for body in extra.get("retry", ())
+        ]
+        return peer, restored
+
+    # ------------------------------------------------------------------
+    # Submission, delivery and backpressure
+    # ------------------------------------------------------------------
+    def routed_update(
+        self, operation, target: str, ticket_id: int
+    ) -> PyTuple[RemoteUpdate, Optional[object]]:
+        """The :class:`RemoteUpdate` of a user operation submitted here for
+        *target*, and the root span of its trace (``None`` untraced), which
+        the runtime closes when the commit notice makes it back."""
+        tracer = self.service.tracer
+        span = None
+        if tracer.enabled:
+            span = tracer.start_span(
+                "update",
+                peer=self.name,
+                kind="user",
+                op_type=type(operation).__name__,
+                op=operation.describe(),
+                ticket=ticket_id,
+                routed_to=target,
+            )
+        update = RemoteUpdate(
+            operation=operation,
+            origin=RemoteOrigin(self.name, ticket_id),
+            trace=None if span is None else span.context,
+        )
+        return update, span
+
+    def deliver(self, payload: object) -> bool:
+        """Deliver an update-bearing payload or a :class:`QuestionAnswer`.
+
+        ``False`` when the bounded admission queue was full and the payload
+        now waits in :attr:`retry`.
+        """
+        if isinstance(payload, QuestionAnswer):
+            self.answer(payload.decision_id, payload.choice, routed=True)
+            return True
+        if not isinstance(payload, (RemoteUpdate, ExchangeFiring, ExchangeRetraction)):
+            raise FederationError("undeliverable payload {!r}".format(payload))
+        if self._submit_delivery(payload):
+            return True
+        self.retry.append(payload)
+        self.deliveries_deferred += 1
+        return False
+
+    def retry_deferred(self) -> bool:
+        """Re-submit deferred deliveries in order; ``True`` if any got in."""
+        if not self.retry:
+            return False
+        pending, self.retry = self.retry, []
+        for payload in pending:
+            if not self._submit_delivery(payload):
+                self.retry.append(payload)
+        return len(self.retry) != len(pending)
+
+    def _submit_delivery(self, payload) -> bool:
+        """Submit one update-bearing payload; ``False`` when admission is full."""
+        if isinstance(payload, RemoteUpdate):
+            operation = payload.operation
+        elif isinstance(payload, ExchangeFiring):
+            operation = RemoteFiringOperation(
+                payload.tgd, payload.assignment(), payload.head_rows
+            )
+        else:
+            operation = RemoteRetractionOperation(payload.tgd, payload.assignment())
+        try:
+            ticket = self.service.submit(
+                self.gateway.session_id,
+                operation,
+                origin=payload.origin,
+                trace=payload.trace,
+            )
+        except AdmissionError:
+            return False
+        if isinstance(payload, RemoteUpdate):
+            self.expect_notice(ticket.ticket_id, payload.origin)
+        elif isinstance(payload, ExchangeFiring):
+            self.firings_delivered += 1
+        else:
+            self.retractions_delivered += 1
+        return True
+
+    def answer(self, decision_id: int, choice, routed: bool = False) -> None:
+        """Answer a parked decision; dropped if its update aborted meanwhile.
+
+        A *routed* answer came from the originating peer, so its question's
+        disappearance is success, not a cancellation.
+        """
+        try:
+            self.service.answer(self.gateway.session_id, decision_id, choice)
+        except OracleError:
+            self.answers_dropped += 1
+            return
+        if routed:
+            self._answered_remote.add(decision_id)
+
+    @property
+    def idle(self) -> bool:
+        """Nothing left here: outbox flushed, nothing deferred, service quiet."""
+        return not self.outbox and not self.retry and self.service.is_quiescent
 
     # ------------------------------------------------------------------
     # Commit-time exchange
@@ -108,7 +320,7 @@ class Peer:
         The whole batch's envelopes are produced first, coalesced together
         (duplicates across the batch's members are exactly what the
         per-commit listener could never see), and only then staged for the
-        network's per-destination bundle flush.
+        runtime's per-destination flush.
         """
         staged: List[PyTuple[str, object]] = []
         for priority, writes in commits:
@@ -192,50 +404,45 @@ class Peer:
     # ------------------------------------------------------------------
     # Question routing
     # ------------------------------------------------------------------
-    def mark_answered(self, decision_id: int) -> None:
-        """A routed question was answered via the transport; not a cancel."""
-        self._answered_remote.add(decision_id)
-
-    def scan_questions(self) -> PyTuple[List[InboxQuestion], List[int]]:
+    def scan_questions(self) -> PyTuple[List[QuestionOpened], List[int]]:
         """Diff the service inbox; stage routing envelopes for remote questions.
 
         Returns ``(opened_local, vanished_ids)``: the questions newly opened
-        for *locally originated* updates (the network files them in this
-        peer's federated inbox) and every previously known decision id that
-        left the service inbox (the network drops stale local entries; for
-        remote-origin ones a :class:`QuestionCancelled` was staged unless the
-        question disappeared because we answered it).
+        for *locally originated* updates, as the :class:`QuestionOpened` the
+        runtime files in this peer's own federated inbox (exactly as it
+        files one delivered from another peer), and every previously known
+        decision id that left the service inbox (the runtime drops stale
+        local entries; for remote-origin ones a :class:`QuestionCancelled`
+        was staged unless the question disappeared because we answered it).
         """
         questions = self.service.inbox()
         if not self._known_questions and not questions:
             # Nothing known, nothing open: the diff is empty (the common
             # case on every quiet federation round).
             return [], []
-        opened_local: List[InboxQuestion] = []
+        opened_local: List[QuestionOpened] = []
         open_ids: Set[int] = set()
         for question in questions:
             open_ids.add(question.decision_id)
             if question.decision_id in self._known_questions:
                 continue
             origin = question.ticket.origin
-            if origin is None or origin.peer == self.name:
-                self._known_questions[question.decision_id] = None
-                opened_local.append(question)
+            local = origin is None or origin.peer == self.name
+            self._known_questions[question.decision_id] = None if local else origin
+            opened = QuestionOpened(
+                executing_peer=self.name,
+                decision_id=question.decision_id,
+                request=question.request,
+                origin=RemoteOrigin(self.name, question.ticket.ticket_id)
+                if local
+                else origin,
+                ticket_description=question.ticket.describe(),
+                trace=question.ticket.trace_context,
+            )
+            if local:
+                opened_local.append(opened)
             else:
-                self._known_questions[question.decision_id] = origin
-                self.outbox.append(
-                    (
-                        origin.peer,
-                        QuestionOpened(
-                            executing_peer=self.name,
-                            decision_id=question.decision_id,
-                            request=question.request,
-                            origin=origin,
-                            ticket_description=question.ticket.describe(),
-                            trace=question.ticket.trace_context,
-                        ),
-                    )
-                )
+                self.outbox.append((origin.peer, opened))
         vanished: List[int] = []
         for decision_id in list(self._known_questions):
             if decision_id in open_ids:
@@ -271,9 +478,10 @@ class Peer:
         null already living in another peer's store — and the commit-notice
         obligations (``ticket id → origin``) of routed updates still in
         flight, so their originators still learn the terminal state after the
-        restart.  The outbox is always empty at checkpoint time in a pumped
-        federation (the network flushes it every round); anything in flight
-        on the transport survives the restart on the transport itself.
+        restart, and the deferred deliveries of :attr:`retry`.  The outbox is
+        always empty at checkpoint time in a pumped federation (both
+        runtimes flush it every round); anything in flight between peers
+        survives the restart on the links themselves.
 
         *extra* lets the caller piggyback its own restart bookkeeping (the
         socket harness's peer host stores its federated-ticket table there);
@@ -286,6 +494,9 @@ class Peer:
             "notify": [
                 [ticket_id, {"peer": origin.peer, "ticket": origin.ticket_id}]
                 for ticket_id, origin in sorted(self._notify.items())
+            ],
+            "retry": [
+                encode_payload(payload, self._rules.by_name) for payload in self.retry
             ],
         })
         return self.service.checkpoint(path, extra=body)

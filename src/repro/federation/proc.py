@@ -2,13 +2,13 @@
 
 This is the other half of the multi-process federation (the coordinator side
 lives in :mod:`repro.federation.process_network`).  A :class:`PeerHost` is
-what runs *inside* each spawned process: it owns a full
-:class:`~repro.federation.peer.Peer` (service, store, scheduler, admission,
-inbox) built from a codec-JSON config file, listens on its socket address,
-and mirrors — deliberately, line for line — the delivery semantics of
-:meth:`repro.federation.network.FederatedNetwork._deliver_payload`, so that a
-drained socket federation is the *same* exchange protocol as the in-process
-one and the differential oracle applies.
+what runs *inside* each spawned process: it builds (or restores) one
+:class:`~repro.federation.peer.Peer` from a codec-JSON config file, listens
+on its socket address, and drives the same peer code the in-process
+:class:`~repro.federation.network.FederatedNetwork` drives, so a drained
+socket federation is the same exchange and the differential oracle applies.
+The host adds sockets, the control protocol, the fid tables of coordinator
+submissions, telemetry and the flight recorder.
 
 Two kinds of traffic cross the host's sockets, both as
 :mod:`repro.codec.framing` frames:
@@ -20,8 +20,8 @@ Two kinds of traffic cross the host's sockets, both as
   round-trip);
 * **control frames** between the coordinator and each peer — submissions,
   question answers, status polls, partition holds, checkpoint/halt and exit
-  — with events (ticket terminals, question opened/vanished) pushed back on
-  the same connection.
+  — with events (ticket terminals, question opened — as its wire payload —
+  or vanished) pushed back on the same connection.
 
 The host is single-threaded and reactive: a ``selectors`` loop blocks on the
 sockets, and every wakeup runs deliveries, service pumps, question scans and
@@ -51,6 +51,7 @@ import signal
 import sys
 import time
 import traceback
+from dataclasses import asdict
 from random import Random
 from typing import Dict, List, Optional, Tuple
 
@@ -60,14 +61,13 @@ from ..codec.wire import (
     CodecError,
     _decode_choice,
     decode_envelope,
-    decode_payload,
     decode_schema,
     decode_tgd,
+    decode_trace,
     decode_tuple,
     decode_user_operation,
     dumps,
     encode_envelope,
-    encode_frontier_request,
     encode_payload,
     encode_schema,
     encode_tgd,
@@ -76,26 +76,12 @@ from ..codec.wire import (
     loads,
     payload_kind,
 )
-from ..core.oracle import OracleError
-from ..core.terms import NullFactory
-from ..core.update import DeleteOperation, InsertOperation
 from ..obs.flight import FlightRecorder
-from ..obs.trace import NOOP_TRACER, SpanContext, Tracer
+from ..obs.trace import NOOP_TRACER, Tracer
 from ..service.admission import AdmissionConfig, AdmissionError
-from ..service.repository import RepositoryService
-from ..service.tickets import RemoteOrigin
 from ..storage.memory import FrozenDatabase
-from .envelopes import (
-    CommitNotice,
-    ExchangeFiring,
-    ExchangeRetraction,
-    QuestionAnswer,
-    QuestionCancelled,
-    QuestionOpened,
-    RemoteUpdate,
-)
+from .envelopes import CommitNotice, QuestionAnswer, QuestionCancelled, QuestionOpened
 from .exchange import ExchangeRules, FederationError
-from .operations import RemoteFiringOperation, RemoteRetractionOperation
 from .peer import Peer
 from .socket_transport import (
     ChannelClosed,
@@ -106,7 +92,7 @@ from .socket_transport import (
     SocketTransportError,
     monotonic,
 )
-from .transport import Bundle
+from .transport import bundle_by_destination, unbundled
 
 #: The reserved peer name the coordinator identifies itself with.
 COORDINATOR = "@coordinator"
@@ -115,30 +101,6 @@ COORDINATOR = "@coordinator"
 # ----------------------------------------------------------------------
 # Peer config files (written by the coordinator, read by the peer process)
 # ----------------------------------------------------------------------
-def encode_admission(admission: Optional[AdmissionConfig]) -> Optional[Dict]:
-    if admission is None:
-        return None
-    return {
-        "max_in_flight": admission.max_in_flight,
-        "batch_size": admission.batch_size,
-        "max_queue_depth": admission.max_queue_depth,
-        "compatible_groups": admission.compatible_groups,
-    }
-
-
-def decode_admission(body: Optional[Dict]) -> Optional[AdmissionConfig]:
-    if body is None:
-        return None
-    return AdmissionConfig(
-        max_in_flight=int(body["max_in_flight"]),
-        batch_size=int(body["batch_size"]),
-        max_queue_depth=None
-        if body["max_queue_depth"] is None
-        else int(body["max_queue_depth"]),
-        compatible_groups=bool(body["compatible_groups"]),
-    )
-
-
 def encode_peer_config(
     name: str,
     schema,
@@ -162,7 +124,7 @@ def encode_peer_config(
 
     *initial* is the **union** initial database: the peer filters its own
     store down to owned relations but needs the whole thing for null-factory
-    avoidance, exactly like the in-process network's constructor.
+    avoidance (see :meth:`Peer.build`).
     """
     body = {
         "v": WIRE_VERSION,
@@ -183,7 +145,7 @@ def encode_peer_config(
             peer: address.to_body() for peer, address in addresses.items()
         },
         "tracker": tracker,
-        "admission": encode_admission(admission),
+        "admission": None if admission is None else asdict(admission),
         "max_total_steps": max_total_steps,
         "link_delay": link_delay,
         "reorder_seed": reorder_seed,
@@ -214,29 +176,18 @@ class PeerHost:
             raise CodecError("not a peer config")
         self.name = config["name"]
         self.schema = decode_schema(config["schema"])
-        mappings = [decode_tgd(body) for body in config["mappings"]]
-        self._ownership = {
-            peer: tuple(relations) for peer, relations in config["ownership"]
-        }
-        self.owner_of: Dict[str, str] = {}
-        for peer, relations in self._ownership.items():
-            for relation in relations:
-                self.owner_of[relation] = peer
-        self.rules = ExchangeRules(mappings, self.owner_of)
+        self.rules = ExchangeRules.for_federation(
+            self.schema,
+            [decode_tgd(body) for body in config["mappings"]],
+            {peer: relations for peer, relations in config["ownership"]},
+        )
         #: Mappings cross the wire by name: every peer and the coordinator
         #: build this same table from the same configured mapping list.
         self._mappings = self.rules.by_name
-        initial = FrozenDatabase(self.schema, {
-            relation: frozenset(decode_tuple(body) for body in rows)
-            for relation, rows in config["initial"].items()
-        })
         self._addresses = {
             peer: SocketAddress.from_body(body)
             for peer, body in config["addresses"].items()
         }
-        self._admission = decode_admission(config["admission"])
-        self._tracker = config["tracker"]
-        self._max_total_steps = config["max_total_steps"]
         self._trace_path = config.get("trace_path")
         if config.get("trace"):
             # One tracer per process, ids prefixed with the peer name so the
@@ -247,12 +198,8 @@ class PeerHost:
             # environment must not wire peer processes to *unprefixed*
             # process-local tracers whose ids would collide when merged.
             self.tracer = NOOP_TRACER
-        self._build_peer(initial, mappings, config.get("restore"))
 
-        # -- sockets -----------------------------------------------------
-        self._listener = FrameListener(self._addresses[self.name])
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(self._listener, selectors.EVENT_READ, self._listener)
+        # -- outgoing links ---------------------------------------------
         link_delay = float(config.get("link_delay") or 0.0)
         reorder_seed = config.get("reorder_seed")
         self._links: Dict[str, OutgoingLink] = {}
@@ -280,28 +227,49 @@ class PeerHost:
         self.payloads_received = 0
         #: Own federated inbox keys ``(executing_peer, decision_id)``.
         self._inbox: Dict[Tuple[str, int], bool] = {}
-        #: Envelope deliveries deferred by a full admission queue.
-        self._retry: List[object] = []
-        #: Coordinator submissions deferred the same way (flood submission
-        #: must be loss-free: admission overflow is backpressure here, not a
-        #: client error, because the submitting client is a remote process).
+        #: Coordinator submissions deferred by a full admission queue (flood
+        #: submission must be loss-free: admission overflow is backpressure
+        #: here, not a client error, because the submitting client is a
+        #: remote process).  Deferred *deliveries* wait in ``peer.retry``.
         self._submit_retry: List[Tuple[int, object]] = []
-        self.deliveries_deferred = 0
-        self.answers_dropped = 0
+        #: fid -> local service ticket of operations executing here whose
+        #: terminal status the coordinator has not been told yet.
+        self._fed_local: Dict[int, object] = {}
+        #: fid -> root span (or None) of operations routed *from* here.
+        self._fed_routed: Dict[int, object] = {}
         self._halted = False
         self._exit = False
-        #: Monotonic activity sequence: advances whenever this peer decodes
-        #: an envelope frame, pushes frames onto a socket, makes local chase
-        #: progress, or executes a coordinator submit/answer.  The
-        #: coordinator's watermark drain compares it across observations —
-        #: unchanged seq plus conserved per-link sent/received watermarks
-        #: means nothing was in flight in between.
-        self._activity_seq = 0
         #: True while a coordinator ``drain()`` is subscribed to went-idle
         #: notices (the ``watch`` control frame); a reborn peer starts False.
         self._watched = False
         #: The activity seq the last went-idle push reported (-1 = never).
         self._idle_pushed_at = -1
+
+        initial = FrozenDatabase(self.schema, {
+            relation: frozenset(decode_tuple(body) for body in rows)
+            for relation, rows in config["initial"].items()
+        })
+        service_arguments = {
+            "tracker": config["tracker"],
+            "admission": None
+            if config["admission"] is None
+            else AdmissionConfig(**config["admission"]),
+            "max_total_steps": config["max_total_steps"],
+            "tracer": self.tracer,
+        }
+        if config.get("restore") is None:
+            self.peer = Peer.build(
+                self.name, self.schema, initial, self.rules, **service_arguments
+            )
+        else:
+            self._restore(config["restore"], service_arguments)
+
+        # -- sockets -----------------------------------------------------
+        # Listening only once the peer exists: a restore that fails exits
+        # before the coordinator can connect.
+        self._listener = FrameListener(self._addresses[self.name])
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ, self._listener)
 
         # -- telemetry + flight recorder --------------------------------
         #: Unsolicited heartbeat cadence in seconds (0 = telemetry off).
@@ -332,72 +300,12 @@ class PeerHost:
             self._wire_metrics, prefix="wire_"
         )
 
-    # ------------------------------------------------------------------
-    # Peer construction / restore
-    # ------------------------------------------------------------------
-    def _build_peer(self, initial, mappings, restore_path: Optional[str]) -> None:
-        local = self.rules.local_mappings(self.name)
-        #: fid -> local service ticket of operations executing here whose
-        #: terminal status the coordinator has not been told yet.
-        self._fed_local: Dict[int, object] = {}
-        #: fid -> root span (or None) of operations routed *from* here.
-        self._fed_routed: Dict[int, object] = {}
-        if restore_path is None:
-            contents = {
-                relation: frozenset(initial.tuples(relation))
-                if self.owner_of[relation] == self.name
-                else frozenset()
-                for relation in self.schema.relation_names()
-            }
-            service = RepositoryService(
-                FrozenDatabase(self.schema, contents),
-                local,
-                tracker=self._tracker,
-                admission=self._admission,
-                max_total_steps=self._max_total_steps,
-                tracer=self.tracer,
-                trace_peer=self.name,
-                null_factory=NullFactory.avoiding_view(
-                    initial, prefix="{}s".format(self.name)
-                ),
-            )
-            self.peer = Peer(
-                name=self.name,
-                service=service,
-                owned_relations=self._ownership[self.name],
-                rules=self.rules,
-                firing_factory=NullFactory.avoiding_view(
-                    initial, prefix="{}f".format(self.name)
-                ),
-            )
-            return
-        # Restart-from-checkpoint: the same rebuild the in-process
-        # network's restart_peer performs, driven by the checkpoint file.
-        restored = RepositoryService.restore(
-            restore_path,
-            local,
-            tracker=self._tracker,
-            admission=self._admission,
-            max_total_steps=self._max_total_steps,
-            tracer=self.tracer,
-            trace_peer=self.name,
+    def _restore(self, path: str, service_arguments: Dict) -> None:
+        """Restart from a checkpoint: the peer, then the host's own tables."""
+        self.peer, restored = Peer.restore(
+            self.name, path, self.rules, **service_arguments
         )
-        extra = restored.extra
-        self.peer = Peer(
-            name=self.name,
-            service=restored.service,
-            owned_relations=self._ownership[self.name],
-            rules=self.rules,
-            firing_factory=NullFactory.from_state(extra["firing_factory"]),
-        )
-        for old_ticket_id, origin_body in extra.get("notify", ()):
-            replacement = restored.resubmitted.get(old_ticket_id)
-            if replacement is not None:
-                self.peer.expect_notice(
-                    replacement.ticket_id,
-                    RemoteOrigin(origin_body["peer"], origin_body["ticket"]),
-                )
-        host_extra = extra.get("host", {})
+        host_extra = restored.extra.get("host", {})
         for fid, old_ticket_id in host_extra.get("fed_local", ()):
             replacement = restored.resubmitted.get(old_ticket_id)
             if replacement is not None:
@@ -407,14 +315,9 @@ class PeerHost:
             # connection (FIFO) — the coordinator already knows.
         for fid in host_extra.get("fed_routed", ()):
             self._fed_routed[int(fid)] = None
-        self._restore_inbox = [
-            (executing, int(decision))
-            for executing, decision in host_extra.get("inbox", ())
-        ]
-        self._restore_retry = [
-            decode_payload(body) for body in host_extra.get("retry", ())
-        ]
-        self._restore_submit_retry = [
+        for executing, decision in host_extra.get("inbox", ()):
+            self._inbox[(executing, int(decision))] = True
+        self._submit_retry = [
             (int(fid), decode_user_operation(body))
             for fid, body in host_extra.get("submit_retry", ())
         ]
@@ -422,35 +325,17 @@ class PeerHost:
         # barrier compares every sender's frames_sent against this peer's
         # frames_received, and a reborn peer restarting at zero could never
         # catch up with a survivor's full history.
-        self._restore_frames_received = [
-            (peer, int(count))
-            for peer, count in host_extra.get("frames_received", ())
-        ]
-        self._restore_frames_sent = [
-            (peer, int(count))
-            for peer, count in host_extra.get("frames_sent", ())
-        ]
-        self._restore_payloads_received = int(
-            host_extra.get("payloads_received", 0)
-        )
+        for peer, count in host_extra.get("frames_received", ()):
+            self.frames_received[peer] = int(count)
+        for peer, count in host_extra.get("frames_sent", ()):
+            if peer in self._links:
+                self._links[peer].frames_sent = int(count)
+        self.payloads_received = int(host_extra.get("payloads_received", 0))
 
     # ------------------------------------------------------------------
     # The loop
     # ------------------------------------------------------------------
     def run(self) -> None:
-        # Deliveries the checkpoint caught in the deferred-retry queue.
-        for payload in getattr(self, "_restore_retry", ()):
-            self._retry.append(payload)
-        for entry in getattr(self, "_restore_submit_retry", ()):
-            self._submit_retry.append(entry)
-        for key in getattr(self, "_restore_inbox", ()):
-            self._inbox[tuple(key)] = True
-        for peer, count in getattr(self, "_restore_frames_received", ()):
-            self.frames_received[peer] = count
-        for peer, count in getattr(self, "_restore_frames_sent", ()):
-            if peer in self._links:
-                self._links[peer].frames_sent = count
-        self.payloads_received += getattr(self, "_restore_payloads_received", 0)
         try:
             # SIGTERM (the coordinator's terminate escalation, or an operator)
             # must leave a postmortem: the handler raises so a select blocked
@@ -497,7 +382,7 @@ class PeerHost:
                 link_due = link.next_due()
                 if link_due is not None:
                     due.append(link_due)
-            if self._retry or self._submit_retry:
+            if self.peer.retry or self._submit_retry:
                 # Admission frees on commits; retry shortly even without input.
                 due.append(monotonic() + 0.01)
         if not due:
@@ -530,99 +415,31 @@ class PeerHost:
                 self._handle_envelope(channel.label, frame.payload)
 
     # ------------------------------------------------------------------
-    # Envelope delivery (mirrors FederatedNetwork._deliver_payload)
+    # Envelope delivery
     # ------------------------------------------------------------------
     def _handle_envelope(self, source: str, payload_bytes: bytes) -> None:
-        self._activity_seq += 1
+        self.peer.activity_seq += 1
         self.frames_received[source] = self.frames_received.get(source, 0) + 1
         if self.tracer.enabled:
             before = self.tracer.clock()
             payload = decode_envelope(payload_bytes, self._mappings)
-            decode_seconds = self.tracer.clock() - before
-            context = getattr(payload, "trace", None)
-            if context is not None:
-                # The receive half of the wire hop: codec CPU in the attrs,
-                # parented into the payload's trace like the in-process
-                # transport's wire span.
-                self.tracer.record_span(
-                    "wire",
-                    before,
-                    before + decode_seconds,
-                    phase="wire",
-                    parent=context,
-                    peer=self.name,
-                    kind=payload_kind(payload),
-                    destination=self.name,
-                    bytes=len(payload_bytes),
-                    decode_seconds=decode_seconds,
-                )
+            seconds = self.tracer.clock() - before
+            self._wire_span(
+                payload, before, seconds, self.name, len(payload_bytes),
+                decode_seconds=seconds,
+            )
         else:
             payload = decode_envelope(payload_bytes, self._mappings)
-        if isinstance(payload, Bundle):
-            self.payloads_received += len(payload)
-            for inner in payload.payloads:
-                self._deliver_payload(inner)
-        else:
-            self.payloads_received += 1
-            self._deliver_payload(payload)
+        payloads = unbundled(payload)
+        self.payloads_received += len(payloads)
+        for inner in payloads:
+            self._deliver_payload(inner)
 
     def _deliver_payload(self, payload: object) -> None:
-        if isinstance(payload, (RemoteUpdate, ExchangeFiring, ExchangeRetraction)):
-            admitted = self._submit_delivery(payload)
-            if self.flight.enabled:
-                self.flight.record(
-                    "delivery",
-                    payload=payload_kind(payload),
-                    origin=payload.origin.peer,
-                    deferred=not admitted,
-                )
-            if not admitted:
-                # Bounded admission queue is full: defer and retry on a
-                # later work round (backpressure, never loss).
-                self._retry.append(payload)
-                self.deliveries_deferred += 1
-        elif isinstance(payload, QuestionOpened):
-            key = (payload.executing_peer, payload.decision_id)
-            self._inbox[key] = True
-            self.flight.record(
-                "question",
-                executing=payload.executing_peer,
-                decision=payload.decision_id,
-            )
-            self._event({
-                "t": "question",
-                "executing": payload.executing_peer,
-                "decision": payload.decision_id,
-                "inbox": self.name,
-                "request": encode_frontier_request(
-                    payload.request, self._mappings
-                ),
-                "origin": {
-                    "peer": payload.origin.peer,
-                    "ticket": payload.origin.ticket_id,
-                },
-                "desc": payload.ticket_description,
-                "tr": _encode_trace(payload.trace),
-            })
+        if isinstance(payload, QuestionOpened):
+            self._file_question(payload)
         elif isinstance(payload, QuestionCancelled):
-            key = (payload.executing_peer, payload.decision_id)
-            if self._inbox.pop(key, None) is not None:
-                self._event({
-                    "t": "question-gone",
-                    "executing": payload.executing_peer,
-                    "decision": payload.decision_id,
-                    "inbox": self.name,
-                })
-        elif isinstance(payload, QuestionAnswer):
-            try:
-                self.peer.service.answer(
-                    self.peer.gateway.session_id, payload.decision_id, payload.choice
-                )
-                self.peer.mark_answered(payload.decision_id)
-            except OracleError:
-                # The asking update aborted while the answer was in flight;
-                # the restart will ask afresh.
-                self.answers_dropped += 1
+            self._drop_question(payload.executing_peer, payload.decision_id)
         elif isinstance(payload, CommitNotice):
             fid = payload.origin.ticket_id
             span = self._fed_routed.pop(fid, False)
@@ -635,31 +452,36 @@ class PeerHost:
                 self._event({
                     "t": "ticket", "fid": fid, "status": payload.status.value,
                 })
-        else:  # pragma: no cover - the payload union is closed
-            raise FederationError("undeliverable payload {!r}".format(payload))
-
-    def _submit_delivery(self, payload: object) -> bool:
-        """Re-submit one update-bearing payload; False when admission is full."""
-        if isinstance(payload, RemoteUpdate):
-            operation = payload.operation
-        elif isinstance(payload, ExchangeFiring):
-            operation = RemoteFiringOperation(
-                payload.tgd, payload.assignment(), payload.head_rows
-            )
         else:
-            operation = RemoteRetractionOperation(payload.tgd, payload.assignment())
-        try:
-            ticket = self.peer.service.submit(
-                self.peer.gateway.session_id,
-                operation,
-                origin=payload.origin,
-                trace=payload.trace,
-            )
-        except AdmissionError:
-            return False
-        if isinstance(payload, RemoteUpdate):
-            self.peer.expect_notice(ticket.ticket_id, payload.origin)
-        return True
+            admitted = self.peer.deliver(payload)
+            if self.flight.enabled and not isinstance(payload, QuestionAnswer):
+                self.flight.record(
+                    "delivery",
+                    payload=payload_kind(payload),
+                    origin=payload.origin.peer,
+                    deferred=not admitted,
+                )
+
+    def _file_question(self, payload: QuestionOpened) -> None:
+        """File a question opened here, or routed here, in the own inbox."""
+        self._inbox[(payload.executing_peer, payload.decision_id)] = True
+        self.flight.record(
+            "question", executing=payload.executing_peer, decision=payload.decision_id
+        )
+        self._event({
+            "t": "question",
+            "inbox": self.name,
+            "q": encode_payload(payload, self._mappings),
+        })
+
+    def _drop_question(self, executing: str, decision: int) -> None:
+        if self._inbox.pop((executing, decision), None) is not None:
+            self._event({
+                "t": "question-gone",
+                "executing": executing,
+                "decision": decision,
+                "inbox": self.name,
+            })
 
     # ------------------------------------------------------------------
     # Control handling
@@ -730,11 +552,8 @@ class PeerHost:
             raise FederationError("unknown control message {!r}".format(kind))
 
     def _handle_submit(self, fid: int, operation) -> None:
-        self._activity_seq += 1
-        if isinstance(operation, (InsertOperation, DeleteOperation)):
-            target = self.owner_of[operation.row.relation]
-        else:
-            target = self.name
+        self.peer.activity_seq += 1
+        target = self.rules.route(self.name, operation)
         if target == self.name:
             try:
                 self._fed_local[fid] = self.peer.service.submit(
@@ -743,30 +562,13 @@ class PeerHost:
             except AdmissionError:
                 self._submit_retry.append((fid, operation))
             return
-        trace = None
-        span = None
-        if self.tracer.enabled:
-            # Routed submissions root their trace at the origin peer, like
-            # FederatedNetwork.submit; the root closes on the commit notice.
-            span = self.tracer.start_span(
-                "update",
-                peer=self.name,
-                kind="user",
-                op_type=type(operation).__name__,
-                op=operation.describe(),
-                ticket=fid,
-                routed_to=target,
-            )
-            trace = span.context
-        self._fed_routed[fid] = span
-        self._enqueue_payload(target, RemoteUpdate(
-            operation=operation,
-            origin=RemoteOrigin(self.name, fid),
-            trace=trace,
-        ))
+        update, self._fed_routed[fid] = self.peer.routed_update(
+            operation, target, fid
+        )
+        self._enqueue_payload(target, update)
 
     def _handle_answer(self, body: Dict) -> None:
-        self._activity_seq += 1
+        self.peer.activity_seq += 1
         executing = body["executing"]
         decision = int(body["decision"])
         key = (executing, decision)
@@ -774,28 +576,22 @@ class PeerHost:
             # Cancelled (or already answered) while the coordinator's answer
             # was in flight — the in-process equivalent cannot race here, a
             # real federation must tolerate it.
-            self.answers_dropped += 1
+            self.peer.answers_dropped += 1
             return
         # Normally an index into the request the executing peer still holds
         # parked: relayed onward as-is, no tuples materialised here.
         choice = _decode_choice(body["choice"], self._mappings)
         if executing == self.name:
-            # A locally-executing question: answer straight into the service
-            # (no mark_answered — that is only for answers that arrived as
-            # envelopes, mirroring FederatedNetwork.answer's local path).
-            try:
-                self.peer.service.answer(
-                    self.peer.gateway.session_id, decision, choice
-                )
-            except OracleError:
-                self.answers_dropped += 1
+            # A locally-executing question: answered straight into the
+            # service, like FederatedNetwork.answer's local path.
+            self.peer.answer(decision, choice)
             return
         self._enqueue_payload(executing, QuestionAnswer(
             executing_peer=executing,
             decision_id=decision,
             choice=choice,
             answered_by=self.name,
-            trace=_decode_trace(body.get("tr")),
+            trace=decode_trace(body.get("tr")),
         ))
 
     def _handle_checkpoint(self, channel: FrameChannel, body: Dict) -> None:
@@ -812,7 +608,6 @@ class PeerHost:
             ),
             "fed_routed": sorted(self._fed_routed),
             "inbox": sorted([executing, decision] for executing, decision in self._inbox),
-            "retry": [encode_payload(payload) for payload in self._retry],
             "submit_retry": sorted(
                 [fid, encode_user_operation(operation)]
                 for fid, operation in self._submit_retry
@@ -840,13 +635,8 @@ class PeerHost:
     def _work(self) -> None:
         while True:
             progress = False
-            if self._retry:
-                pending, self._retry = self._retry, []
-                for payload in pending:
-                    if not self._submit_delivery(payload):
-                        self._retry.append(payload)
-                if len(self._retry) != len(pending):
-                    progress = True
+            if self.peer.retry_deferred():
+                progress = True
             if self._submit_retry:
                 pending_submits, self._submit_retry = self._submit_retry, []
                 for fid, operation in pending_submits:
@@ -861,34 +651,10 @@ class PeerHost:
             if report.steps or report.admitted or report.committed:
                 progress = True
             opened_local, vanished = self.peer.scan_questions()
-            for question in opened_local:
-                key = (self.name, question.decision_id)
-                self._inbox[key] = True
-                context = question.ticket.trace_context
-                self._event({
-                    "t": "question",
-                    "executing": self.name,
-                    "decision": question.decision_id,
-                    "inbox": self.name,
-                    "request": encode_frontier_request(
-                        question.request, self._mappings
-                    ),
-                    "origin": {
-                        "peer": self.name,
-                        "ticket": question.ticket.ticket_id,
-                    },
-                    "desc": question.ticket.describe(),
-                    "tr": _encode_trace(context),
-                })
+            for opened in opened_local:
+                self._file_question(opened)
             for decision_id in vanished:
-                key = (self.name, decision_id)
-                if self._inbox.pop(key, None) is not None:
-                    self._event({
-                        "t": "question-gone",
-                        "executing": self.name,
-                        "decision": decision_id,
-                        "inbox": self.name,
-                    })
+                self._drop_question(self.name, decision_id)
             self.peer.scan_failures()
             self._mirror_tickets()
             if opened_local or vanished:
@@ -898,7 +664,7 @@ class PeerHost:
                 progress = True
             if not progress:
                 return
-            self._activity_seq += 1
+            self.peer.activity_seq += 1
 
     def _mirror_tickets(self) -> None:
         done = [fid for fid, ticket in self._fed_local.items() if ticket.is_done]
@@ -908,22 +674,10 @@ class PeerHost:
             self._event({"t": "ticket", "fid": fid, "status": status})
 
     def _stage_outbox(self) -> None:
-        """Frame the outbox: one bundle per destination (a lone payload
-        travels bare), like the in-process network's flush."""
-        by_destination: Dict[str, List[object]] = {}
-        for destination, payload in self.peer.outbox:
-            by_destination.setdefault(destination, []).append(payload)
+        """Frame the outbox: one message per destination."""
+        for destination, payload in bundle_by_destination(self.peer.outbox):
+            self._enqueue_payload(destination, payload)
         self.peer.outbox.clear()
-        for destination, batch in by_destination.items():
-            if len(batch) == 1:
-                self._enqueue_payload(destination, batch[0])
-                continue
-            trace = None
-            for payload in batch:
-                trace = getattr(payload, "trace", None)
-                if trace is not None:
-                    break
-            self._enqueue_payload(destination, Bundle(tuple(batch), trace=trace))
 
     def _enqueue_payload(self, destination: str, payload: object) -> None:
         if destination == self.name:  # pragma: no cover - rules never stage this
@@ -933,26 +687,38 @@ class PeerHost:
         if self.tracer.enabled:
             before = self.tracer.clock()
             encoded = encode_envelope(payload, self._mappings)
-            encode_seconds = self.tracer.clock() - before
-            context = getattr(payload, "trace", None)
-            if context is not None:
-                self.tracer.record_span(
-                    "wire",
-                    before,
-                    before + encode_seconds,
-                    phase="wire",
-                    parent=context,
-                    peer=self.name,
-                    kind=payload_kind(payload),
-                    destination=destination,
-                    bytes=len(encoded),
-                    encode_seconds=encode_seconds,
-                )
+            seconds = self.tracer.clock() - before
+            self._wire_span(
+                payload, before, seconds, destination, len(encoded),
+                encode_seconds=seconds,
+            )
         else:
             encoded = encode_envelope(payload, self._mappings)
         self._links[destination].enqueue(
             encode_frame(FRAME_ENVELOPE, encoded), monotonic()
         )
+
+    def _wire_span(
+        self, payload, start: float, seconds: float, destination: str,
+        size: int, **codec_seconds: float,
+    ) -> None:
+        """Record one half of a wire hop (this peer's codec CPU in the
+        attrs), parented into the payload's trace like the in-process
+        transport's wire span."""
+        context = getattr(payload, "trace", None)
+        if context is not None:
+            self.tracer.record_span(
+                "wire",
+                start,
+                start + seconds,
+                phase="wire",
+                parent=context,
+                peer=self.name,
+                kind=payload_kind(payload),
+                destination=destination,
+                bytes=size,
+                **codec_seconds,
+            )
 
     def _flush(self, force: bool = False) -> None:
         now = float("inf") if force else monotonic()
@@ -960,7 +726,7 @@ class PeerHost:
         for link in self._links.values():
             sent += link.flush(now, hello=self._hello)
         if sent:
-            self._activity_seq += 1
+            self.peer.activity_seq += 1
 
     # ------------------------------------------------------------------
     # Telemetry and the flight recorder
@@ -973,8 +739,8 @@ class PeerHost:
             ),
             "frames_received": sum(self.frames_received.values()),
             "payloads_received": self.payloads_received,
-            "deliveries_deferred": self.deliveries_deferred,
-            "answers_dropped": self.answers_dropped,
+            "deliveries_deferred": self.peer.deliveries_deferred,
+            "answers_dropped": self.peer.answers_dropped,
         }
 
     def _telemetry_tick(self) -> None:
@@ -1024,13 +790,11 @@ class PeerHost:
         return body
 
     def _is_idle(self) -> bool:
-        """The cheap no-snapshot quiescence check the idle push gates on."""
+        """The cheap no-snapshot quiescence check (idle push, status reply)."""
         return (
-            self.peer.service.is_quiescent
-            and not self.peer.outbox
-            and not any(link.queued for link in self._links.values())
-            and not self._retry
+            self.peer.idle
             and not self._submit_retry
+            and not any(link.queued for link in self._links.values())
         )
 
     def _idle_push(self) -> None:
@@ -1048,7 +812,7 @@ class PeerHost:
         the frame went out, and independent of ``telemetry_interval``, so
         the watermark drain works with periodic heartbeats off.
         """
-        if not self._watched or self._activity_seq == self._idle_pushed_at:
+        if not self._watched or self.peer.activity_seq == self._idle_pushed_at:
             return
         if self._coordinator is None or self._coordinator.closed:
             return
@@ -1056,11 +820,11 @@ class PeerHost:
             return
         # Recorded, not flushed: the ring reaches disk at heartbeats, under
         # ring pressure and at dumps, and the drain does not wait on a file.
-        self.flight.record("idle", activity_seq=self._activity_seq)
+        self.flight.record("idle", activity_seq=self.peer.activity_seq)
         frame = encode_frame(FRAME_CONTROL, dumps({
             "t": "idle",
             "peer": self.name,
-            "activity_seq": self._activity_seq,
+            "activity_seq": self.peer.activity_seq,
             "sent": {
                 peer: link.frames_sent for peer, link in self._links.items()
             },
@@ -1070,7 +834,7 @@ class PeerHost:
             self._coordinator.send_bytes(frame)
         except SocketTransportError:
             return  # not marked as pushed: the next idle pass retries
-        self._idle_pushed_at = self._activity_seq
+        self._idle_pushed_at = self.peer.activity_seq
 
     def _flight_sync(self) -> None:
         """Copy tracer spans recorded since the last sync into the flight ring."""
@@ -1120,26 +884,17 @@ class PeerHost:
             pass
 
     def _status_reply(self, round_number: int) -> Dict:
-        outbox = len(self.peer.outbox)
-        queued = sum(link.queued for link in self._links.values())
         snapshot = self.peer.service.metrics_snapshot()
-        quiescent = (
-            self.peer.service.is_quiescent
-            and not outbox
-            and not queued
-            and not self._retry
-            and not self._submit_retry
-        )
         return {
             "t": "status-reply",
             "round": round_number,
             "peer": self.name,
-            "quiescent": quiescent,
+            "quiescent": self._is_idle(),
             "halted": self._halted,
-            "outbox": outbox,
-            "queued": queued,
-            "activity_seq": self._activity_seq,
-            "retry": len(self._retry) + len(self._submit_retry),
+            "outbox": len(self.peer.outbox),
+            "queued": sum(link.queued for link in self._links.values()),
+            "activity_seq": self.peer.activity_seq,
+            "retry": len(self.peer.retry) + len(self._submit_retry),
             "held": sorted(
                 peer for peer, link in self._links.items() if link.held
             ),
@@ -1161,8 +916,8 @@ class PeerHost:
             # path uniformly.  tests/federation/test_telemetry.py pins the
             # shape so a new instrument cannot silently drop off again.
             "metrics": snapshot,
-            "deliveries_deferred": self.deliveries_deferred,
-            "answers_dropped": self.answers_dropped,
+            "deliveries_deferred": self.peer.deliveries_deferred,
+            "answers_dropped": self.peer.answers_dropped,
             "firings_emitted": self.peer.firings_emitted,
             "retractions_emitted": self.peer.retractions_emitted,
             "notices_emitted": self.peer.notices_emitted,
@@ -1186,21 +941,6 @@ class PeerHost:
                 ready.close()
         self._selector.close()
         self._listener.close()
-
-
-# ----------------------------------------------------------------------
-# Control-body trace contexts (same shape as the codec's "tr" field)
-# ----------------------------------------------------------------------
-def _encode_trace(context: Optional[SpanContext]) -> Optional[Dict[str, str]]:
-    if context is None:
-        return None
-    return {"ti": context.trace_id, "si": context.span_id}
-
-
-def _decode_trace(body: Optional[Dict[str, str]]) -> Optional[SpanContext]:
-    if body is None:
-        return None
-    return SpanContext(trace_id=body["ti"], span_id=body["si"])
 
 
 # ----------------------------------------------------------------------

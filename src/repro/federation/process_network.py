@@ -66,20 +66,21 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..codec.framing import FRAME_CONTROL
 from ..codec.wire import (
     _encode_choice,
-    decode_frontier_request,
+    decode_payload,
     decode_tuple,
     dumps,
+    encode_trace,
     encode_user_operation,
     loads,
 )
-from ..core.update import DeleteOperation, InsertOperation, UserOperation
-from ..service.tickets import RemoteOrigin, TicketStatus
+from ..core.update import UserOperation
+from ..service.tickets import TicketStatus
 from ..storage.memory import FrozenDatabase
 from .exchange import ExchangeRules, FederationError
 from .network import AnswerStrategy, FederatedQuestion
 from ..obs import trace as obs_trace
 from ..obs.timeline import TelemetryTimeline
-from ..obs.trace import SpanContext, encode_record
+from ..obs.trace import encode_record
 from .proc import COORDINATOR, encode_peer_config, main as peer_main
 from .socket_transport import (
     ChannelClosed,
@@ -284,31 +285,12 @@ class ProcessFederation:
         self._ownership = {
             name: tuple(relations) for name, relations in ownership.items()
         }
-        owner_of: Dict[str, str] = {}
-        for peer_name, relations in self._ownership.items():
-            for relation in relations:
-                if relation not in schema:
-                    raise FederationError(
-                        "peer {!r} claims unknown relation {!r}".format(
-                            peer_name, relation
-                        )
-                    )
-                if relation in owner_of:
-                    raise FederationError(
-                        "relation {!r} claimed by both {!r} and {!r}".format(
-                            relation, owner_of[relation], peer_name
-                        )
-                    )
-                owner_of[relation] = peer_name
-        unowned = [name for name in schema.relation_names() if name not in owner_of]
-        if unowned:
-            raise FederationError(
-                "no peer owns relation(s) {}".format(sorted(unowned))
-            )
-        self.owner_of = owner_of
-        #: The same mapping table every peer builds from its config: question
-        #: events name their mappings, and this resolves the names.
-        self._mappings_by_name = ExchangeRules(self._mappings, owner_of).by_name
+        #: Routing, and the mapping table every peer builds from the same
+        #: list (mappings cross the wire by name).
+        self._rules = ExchangeRules.for_federation(
+            schema, self._mappings, self._ownership
+        )
+        self.owner_of = self._rules.owner_of
         self._tracker = tracker
         self._admission = admission
         self._max_total_steps = max_total_steps
@@ -581,17 +563,8 @@ class ProcessFederation:
             if ticket is not None and not ticket.is_done:
                 ticket.status = TicketStatus(body["status"])
         elif kind == "question":
-            question = FederatedQuestion(
-                executing_peer=body["executing"],
-                decision_id=int(body["decision"]),
-                request=decode_frontier_request(
-                    body["request"], self._mappings_by_name
-                ),
-                origin=RemoteOrigin(
-                    body["origin"]["peer"], body["origin"]["ticket"]
-                ),
-                description=body["desc"],
-                trace=_decode_trace(body.get("tr")),
+            question = FederatedQuestion.opened(
+                decode_payload(body["q"], self._rules.by_name)
             )
             self._inboxes[body["inbox"]][question.key] = question
         elif kind == "question-gone":
@@ -632,11 +605,6 @@ class ProcessFederation:
     def peer_names(self) -> List[str]:
         return list(self._ownership)
 
-    def _route(self, peer_name: str, operation: UserOperation) -> str:
-        if isinstance(operation, (InsertOperation, DeleteOperation)):
-            return self.owner_of[operation.row.relation]
-        return peer_name
-
     def submit(self, peer_name: str, operation: UserOperation) -> ProcessTicket:
         """Submit a user operation at *peer_name* (asynchronous: the ticket
         reaches a terminal status when the peer's event says so)."""
@@ -645,7 +613,7 @@ class ProcessFederation:
         ticket = ProcessTicket(
             fid=self._next_fid,
             peer=peer_name,
-            target=self._route(peer_name, operation),
+            target=self._rules.route(peer_name, operation),
             operation=operation,
         )
         self._next_fid += 1
@@ -653,7 +621,7 @@ class ProcessFederation:
         self._send(peer_name, {
             "t": "submit",
             "fid": ticket.fid,
-            "op": encode_user_operation(operation, self._mappings_by_name),
+            "op": encode_user_operation(operation, self._rules.by_name),
         })
         return ticket
 
@@ -690,9 +658,9 @@ class ProcessFederation:
             "executing": question.executing_peer,
             "decision": question.decision_id,
             "choice": _encode_choice(
-                question.by_index(choice), self._mappings_by_name
+                question.by_index(choice), self._rules.by_name
             ),
-            "tr": _encode_trace(question.trace),
+            "tr": encode_trace(question.trace),
         })
 
     # ------------------------------------------------------------------
@@ -1194,14 +1162,3 @@ class ProcessFederation:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-
-def _encode_trace(context: Optional[SpanContext]) -> Optional[Dict[str, str]]:
-    if context is None:
-        return None
-    return {"ti": context.trace_id, "si": context.span_id}
-
-
-def _decode_trace(body: Optional[Dict[str, str]]) -> Optional[SpanContext]:
-    if body is None:
-        return None
-    return SpanContext(trace_id=body["ti"], span_id=body["si"])

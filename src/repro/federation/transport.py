@@ -22,7 +22,9 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple as PyTuple
+from typing import (
+    Deque, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple as PyTuple,
+)
 
 from ..codec.wire import decode_envelope, encode_envelope, payload_kind
 from ..obs.trace import Span, SpanContext, default_tracer
@@ -48,6 +50,38 @@ class Bundle:
 
     def __len__(self) -> int:
         return len(self.payloads)
+
+
+def bundle_by_destination(
+    pairs: Iterable[PyTuple[str, object]],
+) -> List[PyTuple[str, object]]:
+    """The flush rule of both federation runtimes: one message per
+    destination, in first-staged order, made by :func:`bundled`."""
+    by_destination: Dict[str, List[object]] = {}
+    for destination, payload in pairs:
+        by_destination.setdefault(destination, []).append(payload)
+    return [
+        (destination, bundled(batch)) for destination, batch in by_destination.items()
+    ]
+
+
+def bundled(payloads: Sequence[object]) -> object:
+    """One payload as itself, several as a :class:`Bundle` carrying the
+    first traced member's context: the whole flush is one wire hop in that
+    update's trace (every member keeps its own context for the receiver)."""
+    if len(payloads) == 1:
+        return payloads[0]
+    trace = None
+    for payload in payloads:
+        trace = getattr(payload, "trace", None)
+        if trace is not None:
+            break
+    return Bundle(tuple(payloads), trace=trace)
+
+
+def unbundled(payload: object) -> PyTuple[object, ...]:
+    """The payloads one message carries, in the order they are delivered."""
+    return payload.payloads if isinstance(payload, Bundle) else (payload,)
 
 
 @dataclass(frozen=True)
@@ -202,7 +236,11 @@ class Transport:
         self.sent += 1
         link = (source, destination)
         self.link_sent[link] = self.link_sent.get(link, 0) + 1
-        self.payloads_sent += len(payload) if isinstance(payload, Bundle) else 1
+        if isinstance(payload, Bundle):
+            self.bundles_sent += 1
+            self.payloads_sent += len(payload)
+        else:
+            self.payloads_sent += 1
         if self.tracer.enabled:
             context = getattr(payload, "trace", None)
             if context is not None:
@@ -223,26 +261,13 @@ class Transport:
     ) -> Optional[Envelope]:
         """Flush *payloads* to one destination as a single bundled envelope.
 
-        An empty iterable sends nothing; a single payload is sent bare (no
-        bundle wrapper to unpack); several payloads travel as one
-        :class:`Bundle`.  Returns the envelope sent, if any.
+        An empty iterable sends nothing; otherwise the payloads travel as
+        :func:`bundled` makes them.  Returns the envelope sent, if any.
         """
         batch = list(payloads)
         if not batch:
             return None
-        if len(batch) == 1:
-            return self.send(source, destination, batch[0])
-        self.bundles_sent += 1
-        trace = None
-        if self.tracer.enabled:
-            # The bundle inherits the first traced member's context so the
-            # whole flush appears as one wire hop in that update's trace
-            # (every member still carries its own context for the receiver).
-            for payload in batch:
-                trace = getattr(payload, "trace", None)
-                if trace is not None:
-                    break
-        return self.send(source, destination, Bundle(tuple(batch), trace=trace))
+        return self.send(source, destination, bundled(batch))
 
     def pump(self) -> List[Envelope]:
         """Advance one tick and return the envelopes delivered this tick.

@@ -358,6 +358,43 @@ def test_bounded_admission_defers_deliveries_instead_of_losing_them():
     assert network.peer("b").service.count("B1") == 6
 
 
+def test_deferred_deliveries_wait_in_the_destination_peers_retry_queue():
+    from repro.service import AdmissionConfig
+    from repro.storage.memory import FrozenDatabase
+
+    schema = DatabaseSchema.from_dict({"A1": ["x"], "B1": ["x"]})
+    network = FederatedNetwork(
+        schema,
+        FrozenDatabase(schema, {"A1": frozenset(), "B1": frozenset()}),
+        parse_tgds(["A1(x) -> B1(x)"]),
+        ownership={"a": ["A1"], "b": ["B1"]},
+        transport=Transport(),
+        admission=AdmissionConfig(max_in_flight=1, batch_size=1, max_queue_depth=1),
+    )
+    tickets = [
+        network.submit("a", InsertOperation(make_tuple("B1", "w{}".format(index))))
+        for index in range(6)
+    ]
+    network.pump()
+    deferred = network.metrics()["deliveries_deferred"]
+    assert deferred > 0
+    # Deferred at the destination, not re-sent: the a -> b link is empty and
+    # every deferred update waits in b's own retry queue.
+    assert network.transport.pending("a", "b") == 0
+    assert len(network.peer("b").retry) == deferred
+    rounds = 0
+    while network.peer("b").retry:
+        assert not network.quiescent()
+        assert not network.watermark_quiescent()
+        network.pump()
+        rounds += 1
+        assert rounds < 200
+    assert network.metrics()["deliveries_deferred"] == deferred  # counted once
+    network.run_until_quiescent(max_rounds=200)
+    assert all(ticket.status is TicketStatus.COMMITTED for ticket in tickets)
+    assert network.peer("b").service.count("B1") == 6
+
+
 def test_invalid_topologies_rejected():
     schema = DatabaseSchema.from_dict({"A1": ["x"], "B1": ["x"]})
     from repro.storage.memory import FrozenDatabase

@@ -37,6 +37,7 @@ from repro.core.tuples import make_tuple
 from repro.core.update import InsertOperation
 from repro.federation import (
     FederatedNetwork,
+    FederationError,
     ProcessFederation,
     ProcessFederationError,
     Transport,
@@ -159,6 +160,22 @@ def test_forward_cascade_across_processes(tmp_path, transport):
     assert snapshot.count("B2") == 1  # cascaded through b's local chase
     reference = reference_chase(schema, initial, mappings, operations)
     assert databases_equivalent(snapshot, reference.final)
+
+
+@pytest.mark.parametrize("ownership,message", [
+    ({"a": ["A1"]}, "no peer owns"),
+    ({"a": ["A1", "B1"], "b": ["B1"]}, "claimed by both"),
+    ({"a": ["A1", "C1"], "b": ["B1"]}, "unknown relation"),
+])
+def test_invalid_topologies_rejected_before_anything_starts(
+    tmp_path, ownership, message
+):
+    schema = DatabaseSchema.from_dict({"A1": ["x"], "B1": ["x"]})
+    initial = FrozenDatabase(schema, {"A1": frozenset(), "B1": frozenset()})
+    workdir = tmp_path / "federation"
+    with pytest.raises(FederationError, match=message):
+        ProcessFederation(schema, initial, [], ownership, workdir=str(workdir))
+    assert not workdir.exists()
 
 
 def test_user_update_routed_to_owner_process(tmp_path):

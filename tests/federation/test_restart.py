@@ -15,12 +15,18 @@ from __future__ import annotations
 import pytest
 
 from repro.core.oracle import AlwaysExpandOracle
+from repro.core.schema import DatabaseSchema
+from repro.core.tgd import parse_tgds
+from repro.core.tuples import make_tuple
+from repro.core.update import InsertOperation
 from repro.federation import (
     FederatedNetwork,
     Transport,
     check_convergence,
     reference_chase,
 )
+from repro.obs import Tracer
+from repro.storage.memory import FrozenDatabase
 from repro.workload.federated_loop import expanding_answer
 from repro.workload.federation_gen import (
     FederationScenarioConfig,
@@ -142,3 +148,37 @@ def test_restart_under_partition_then_heal_converges(tmp_path):
     network.heal(peers[0], peers[1])
     network.run_until_quiescent(answer_strategy=expanding_answer, max_rounds=5_000)
     _assert_converges(environment, network)
+
+
+def test_restarted_peer_keeps_the_network_tracer(tmp_path):
+    """A reborn peer's service records into the network's tracer, under its
+    own peer label, exactly like the peer it replaced."""
+    schema = DatabaseSchema.from_dict(
+        {"A1": ["x"], "A2": ["x", "y"], "B1": ["x"], "B2": ["x"]}
+    )
+    initial = FrozenDatabase(
+        schema, {name: frozenset() for name in schema.relation_names()}
+    )
+    tracer = Tracer()
+    network = FederatedNetwork(
+        schema,
+        initial,
+        parse_tgds(
+            ["A1(x) -> exists y . A2(x, y)", "A2(x, y) -> B1(x)", "B1(x) -> B2(x)"]
+        ),
+        {"a": ["A1", "A2"], "b": ["B1", "B2"]},
+        tracer=tracer,
+    )
+    network.submit("a", InsertOperation(make_tuple("A1", "v1")))
+    network.run_until_quiescent()
+    path = str(tmp_path / "b.ckpt")
+    network.checkpoint_peer("b", path)
+    network.restart_peer("b", path)
+    assert network.peer("b").service.tracer is tracer
+
+    before = sum(1 for span in tracer.spans if span.peer == "b")
+    network.submit("b", InsertOperation(make_tuple("B1", "w1")))
+    network.run_until_quiescent()
+    after = sum(1 for span in tracer.spans if span.peer == "b")
+    assert after > before
+    assert network.global_snapshot().count("B2") == 2
