@@ -454,7 +454,7 @@ def _encode_choice(choice, mappings: Mappings = None) -> Dict[str, Any]:
     """An answer: an index into the request's alternatives, or the operation.
 
     Answerers send the index whenever the chosen operation is one of the
-    listed alternatives (``FederatedQuestion.by_index``) — the executing peer
+    listed alternatives (``QuestionOpened.by_index``) — the executing peer
     still holds the request parked, so echoing its tuples back is waste.
     """
     if isinstance(choice, int):

@@ -50,11 +50,7 @@ from .network import (
 )
 from .operations import RemoteFiringOperation, RemoteRetractionOperation
 from .peer import Peer
-from .process_network import (
-    ProcessFederation,
-    ProcessFederationError,
-    ProcessTicket,
-)
+from .process_network import ProcessFederation, ProcessFederationError
 from .socket_transport import (
     ChannelClosed,
     FrameChannel,
@@ -86,7 +82,6 @@ __all__ = [
     "Peer",
     "ProcessFederation",
     "ProcessFederationError",
-    "ProcessTicket",
     "QuestionAnswer",
     "QuestionCancelled",
     "QuestionOpened",

@@ -12,7 +12,7 @@ back to the peer whose users caused it, and the answer travels forward again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple as PyTuple, Union
+from typing import Dict, FrozenSet, List, Optional, Tuple as PyTuple, Union
 
 from ..core.frontier import FrontierOperation, FrontierRequest
 from ..core.terms import DataTerm, Variable
@@ -79,7 +79,11 @@ class ExchangeRetraction:
 
 @dataclass(frozen=True)
 class QuestionOpened:
-    """A forwarded update parked on a frontier question; route it home."""
+    """A forwarded update parked on a frontier question; route it home.
+
+    Filed in the originating peer's federated inbox, it is also what that
+    peer's clients see and answer (``FederatedQuestion``).
+    """
 
     executing_peer: str
     decision_id: int
@@ -90,6 +94,28 @@ class QuestionOpened:
     #: ``compare=False`` keeps equality/hashing — and with them golden
     #: decode comparisons and coalescing dedup — independent of tracing.
     trace: Optional[SpanContext] = field(default=None, compare=False)
+
+    @property
+    def key(self) -> PyTuple[str, int]:
+        return (self.executing_peer, self.decision_id)
+
+    def alternatives(self) -> List[FrontierOperation]:
+        return self.request.alternatives()
+
+    def by_index(
+        self, choice: Union[FrontierOperation, int]
+    ) -> Union[FrontierOperation, int]:
+        """*choice* as its index into :meth:`alternatives`, when it is one.
+
+        The form answers travel in: the executing peer still holds the
+        request parked and resolves the index against it, so the chosen
+        operation's tuples are not echoed back.  An operation that is not a
+        listed alternative (a multi-row delete subset) stays as it is.
+        """
+        if isinstance(choice, int):
+            return choice
+        index = self.request.index_of(choice)
+        return choice if index is None else index
 
 
 @dataclass(frozen=True)

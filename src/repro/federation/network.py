@@ -23,9 +23,11 @@ simulated :class:`~repro.federation.transport.Transport`:
   engine in :mod:`repro.federation.convergence`).
 
 Each peer's side of that protocol is :class:`~repro.federation.peer.Peer`,
-the same code a peer process (:mod:`repro.federation.proc`) runs; the network
-adds the transport, the federated ticket table and a
-:class:`FederatedQuestion` inbox per peer.
+the same code a peer process (:mod:`repro.federation.proc`) runs.  The
+client's side is :class:`ClientDesk`, the same for the socket federation
+(:mod:`repro.federation.process_network`): the :class:`FederatedTicket`
+table and a :class:`FederatedQuestion` inbox per peer, kept up to date from
+the peers' events.  The network adds the transport that moves payloads.
 
 The network is cooperatively scheduled like everything else in this
 reproduction: :meth:`pump` performs one federation round (retry, deliver,
@@ -35,20 +37,20 @@ answering open questions with a strategy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple as PyTuple, Union
 
-from ..core.frontier import FrontierOperation, FrontierRequest
+from ..core.frontier import FrontierOperation
 from ..core.schema import DatabaseSchema
 from ..core.tgd import Tgd
 from ..core.update import UserOperation
 from ..obs.metrics import MetricsRegistry
-from ..obs.trace import SpanContext, default_tracer
+from ..obs.trace import default_tracer
 from ..service.admission import AdmissionConfig, AdmissionError
-from ..service.tickets import RemoteOrigin, TicketStatus, UpdateTicket
+from ..service.tickets import TicketStatus
 from ..storage.interface import DatabaseView
 from ..storage.memory import FrozenDatabase
-from .envelopes import CommitNotice, QuestionAnswer, QuestionCancelled, QuestionOpened
+from .envelopes import QuestionOpened
 from .exchange import ExchangeRules, FederationError
 from .peer import Peer
 from .transport import Transport, bundle_by_destination, unbundled
@@ -56,21 +58,16 @@ from .transport import Transport, bundle_by_destination, unbundled
 
 @dataclass
 class FederatedTicket:
-    """The network-level handle of one user submission."""
+    """A client's handle of one user submission, in either runtime."""
 
     ticket_id: int
     peer: str
     target: str
     operation: UserOperation
+    #: ``QUEUED`` until the submitting peer reports the terminal status (for
+    #: a routed update, once the commit notice crossed back to it:
+    #: partitions delay knowledge, as they should).
     status: TicketStatus = TicketStatus.QUEUED
-    #: The executing service's ticket (set immediately for local execution;
-    #: remote execution is tracked through commit notices instead, so the
-    #: originating peer only learns of the commit once the notice crosses the
-    #: transport — partitions delay knowledge, as they should).
-    local_ticket: Optional[UpdateTicket] = None
-    #: Root tracing span of a *routed* submission (local submissions root
-    #: their trace in the executing service's ticket instead).
-    trace_span: Optional[object] = field(default=None, repr=False)
 
     @property
     def is_remote(self) -> bool:
@@ -90,51 +87,130 @@ class FederatedTicket:
         )
 
 
-@dataclass(frozen=True)
-class FederatedQuestion:
-    """One open frontier question as seen from a peer's federated inbox."""
+#: One open frontier question in a peer's federated inbox: the
+#: :class:`~repro.federation.envelopes.QuestionOpened` that filed it there.
+FederatedQuestion = QuestionOpened
 
-    executing_peer: str
-    decision_id: int
-    request: FrontierRequest
-    origin: RemoteOrigin
-    description: str
-    #: Trace context of the parked update (``None`` when tracing is off).
-    trace: Optional[SpanContext] = field(default=None, compare=False)
 
-    @classmethod
-    def opened(cls, payload: QuestionOpened) -> "FederatedQuestion":
-        """The inbox entry of a question opened here or routed here."""
-        return cls(
-            executing_peer=payload.executing_peer,
-            decision_id=payload.decision_id,
-            request=payload.request,
-            origin=payload.origin,
-            description=payload.ticket_description,
-            trace=payload.trace,
+#: ``strategy(question) -> choice`` used by :meth:`run_until_quiescent`.
+AnswerStrategy = Callable[[FederatedQuestion], Union[FrontierOperation, int]]
+
+
+class ClientDesk:
+    """The client-facing half of a federation, shared by both runtimes.
+
+    A client submits a user operation at a peer and holds a
+    :class:`FederatedTicket`; it answers the questions of that peer's
+    :class:`FederatedQuestion` inbox.  The peers report ticket terminals and
+    questions filed or gone (:attr:`~repro.federation.peer.Peer.events`),
+    which a runtime hands to :meth:`_apply`.  A runtime provides ``rules``
+    and says how a submission and an answer reach the peer:
+    ``_submit_at(ticket)`` and ``_answer_at(peer_name, question, choice)``.
+    """
+
+    def _open_desk(self, peer_names: Sequence[str]) -> None:
+        self._inboxes: Dict[str, Dict[PyTuple[str, int], FederatedQuestion]] = {
+            name: {} for name in peer_names
+        }
+        self._tickets: Dict[int, FederatedTicket] = {}
+        self._next_ticket_id = 1
+
+    def _inbox_of(self, peer_name: str) -> Dict[PyTuple[str, int], FederatedQuestion]:
+        try:
+            return self._inboxes[peer_name]
+        except KeyError:
+            raise FederationError("unknown peer {!r}".format(peer_name))
+
+    def submit(self, peer_name: str, operation: UserOperation) -> FederatedTicket:
+        """Submit a user operation at *peer_name*; it executes at the owner."""
+        self._inbox_of(peer_name)
+        ticket = FederatedTicket(
+            ticket_id=self._next_ticket_id,
+            peer=peer_name,
+            target=self.rules.route(peer_name, operation),
+            operation=operation,
         )
+        self._next_ticket_id += 1
+        self._tickets[ticket.ticket_id] = ticket
+        try:
+            self._submit_at(ticket)
+        except AdmissionError:
+            # Local admission overflow is the submitting client's error;
+            # unregister the stillborn ticket and let the caller back off.
+            del self._tickets[ticket.ticket_id]
+            raise
+        return ticket
 
-    @property
-    def key(self) -> PyTuple[str, int]:
-        return (self.executing_peer, self.decision_id)
+    def ticket(self, ticket_id: int) -> FederatedTicket:
+        """Look a federated ticket up by id."""
+        try:
+            return self._tickets[ticket_id]
+        except KeyError:
+            raise FederationError("unknown federated ticket #{}".format(ticket_id))
 
-    def alternatives(self) -> List[FrontierOperation]:
-        return self.request.alternatives()
+    def tickets(self) -> List[FederatedTicket]:
+        """Every federated ticket, in submission order."""
+        return [self._tickets[ticket_id] for ticket_id in sorted(self._tickets)]
 
-    def by_index(
-        self, choice: Union[FrontierOperation, int]
-    ) -> Union[FrontierOperation, int]:
-        """*choice* as its index into :meth:`alternatives`, when it is one.
+    def peer_names(self) -> List[str]:
+        """The peer names, in declaration order."""
+        return list(self._inboxes)
 
-        The form answers travel in: the executing peer still holds the
-        request parked and resolves the index against it, so the chosen
-        operation's tuples are not echoed back.  An operation that is not a
-        listed alternative (a multi-row delete subset) stays as it is.
+    def inbox(self, peer_name: str) -> List[FederatedQuestion]:
+        """The open questions answerable at *peer_name*, oldest first."""
+        questions = self._inbox_of(peer_name)
+        if not questions:
+            return []
+        return [question for _, question in sorted(questions.items())]
+
+    def answer(
+        self,
+        peer_name: str,
+        question: FederatedQuestion,
+        choice: Union[FrontierOperation, int],
+    ) -> None:
+        """A client at *peer_name* answers one of its open federated questions.
+
+        The answer goes to the peer, which resumes a local question and sends
+        a remote one's answer on to the executing peer (subject to the same
+        delays and partitions as everything else).
         """
-        if isinstance(choice, int):
-            return choice
-        index = self.request.index_of(choice)
-        return choice if index is None else index
+        inbox = self._inbox_of(peer_name)
+        if question.key not in inbox:
+            raise FederationError(
+                "question {} is not open at peer {!r}".format(question.key, peer_name)
+            )
+        del inbox[question.key]
+        self._answer_at(peer_name, question, question.by_index(choice))
+
+    def _answer_open(self, strategy: AnswerStrategy, peer_names: Sequence[str]) -> None:
+        """Answer every open question of *peer_names* with *strategy*."""
+        for peer_name in peer_names:
+            for question in self.inbox(peer_name):
+                self.answer(peer_name, question, strategy(question))
+
+    def _apply(self, event: Dict) -> None:
+        """Apply one peer event: a ``ticket`` terminal status, a ``question``
+        filed in the peer's inbox or a ``question-gone``."""
+        kind = event["t"]
+        if kind == "ticket":
+            ticket = self._tickets.get(event["fid"])
+            if ticket is not None and not ticket.is_done:
+                ticket.status = TicketStatus(event["status"])
+        elif kind == "question":
+            question = event["q"]
+            self._inboxes[event["inbox"]][question.key] = question
+        else:
+            self._inboxes[event["inbox"]].pop(
+                (event["executing"], event["decision"]), None
+            )
+
+    def _drop_questions_of(self, executing: str) -> None:
+        """Drop every question a restarted peer executed: its decisions died
+        with the old service (the re-submitted updates re-ask them)."""
+        for inbox in self._inboxes.values():
+            for key in [key for key in inbox if key[0] == executing]:
+                del inbox[key]
 
 
 @dataclass
@@ -148,11 +224,7 @@ class FederationPumpReport:
     questions_opened: int = 0
 
 
-#: ``strategy(question) -> choice`` used by :meth:`run_until_quiescent`.
-AnswerStrategy = Callable[[FederatedQuestion], Union[FrontierOperation, int]]
-
-
-class FederatedNetwork:
+class FederatedNetwork(ClientDesk):
     """A set of named peers exchanging updates over a simulated transport."""
 
     def __init__(
@@ -199,32 +271,30 @@ class FederatedNetwork:
             )
             for name in ownership
         }
-        self._inboxes: Dict[str, Dict[PyTuple[str, int], FederatedQuestion]] = {
-            name: {} for name in self._peers
-        }
-        self._tickets: Dict[int, FederatedTicket] = {}
-        self._unresolved: List[FederatedTicket] = []
-        self._next_ticket_id = 1
+        self._open_desk(list(self._peers))
         #: Federation-level counters, registered into one registry whose
         #: ``collect()`` is the whole :meth:`metrics` snapshot (transport and
         #: per-peer service metrics fold in as producers; the key set and
         #: order are bit-compatible with the pre-registry dict merging).
-        #: Exchange and delivery counters are the peers' own, summed.
+        #: Routing, exchange and delivery counters are the peers' own, summed.
         self.registry = MetricsRegistry()
         #: The :class:`Peer` counters the registry sums (see :meth:`restart_peer`).
         self._peer_counters: List[str] = []
         self.registry.gauge("peers").set_function(lambda: len(self._peers))
-        self._updates_routed = self.registry.counter("updates_routed")
-        self._sum_of_peers("firings_delivered")
-        self._sum_of_peers("retractions_delivered")
-        self._questions_routed = self.registry.counter("questions_routed")
-        self._answers_routed = self.registry.counter("answers_routed")
-        self._sum_of_peers("answers_dropped")
-        self._cancellations = self.registry.counter("question_cancellations")
-        self._sum_of_peers("deliveries_deferred")
-        self._sum_of_peers("firings_emitted")
-        self._sum_of_peers("retractions_emitted")
-        self._sum_of_peers("envelopes_coalesced")
+        for counter in (
+            "updates_routed",
+            "firings_delivered",
+            "retractions_delivered",
+            "questions_routed",
+            "answers_routed",
+            "answers_dropped",
+            "question_cancellations",
+            "deliveries_deferred",
+            "firings_emitted",
+            "retractions_emitted",
+            "envelopes_coalesced",
+        ):
+            self._sum_of_peers(counter)
         self.registry.register_producer(lambda: self.transport.metrics())
         self.registry.register_producer(self._peer_service_metrics)
 
@@ -254,10 +324,6 @@ class FederatedNetwork:
         """Every peer, in declaration order."""
         return list(self._peers.values())
 
-    def peer_names(self) -> List[str]:
-        """The peer names, in declaration order."""
-        return list(self._peers)
-
     def partition(self, a: str, b: str) -> None:
         """Cut the link between two peers (messages queue, nothing is lost)."""
         self.peer(a), self.peer(b)  # validate names
@@ -281,84 +347,47 @@ class FederatedNetwork:
         dropped — that *is* the crash.  The replacement is restored from the
         checkpoint: committed store as its initial state, pending operations
         re-submitted with their federation origins, null-factory and
-        decision-id numbering resumed, commit-notice obligations re-linked to
-        the re-submitted tickets, deferred deliveries back in its retry queue.
-        Envelopes in flight on the transport are untouched and deliver to the
-        reborn peer as usual (delivery re-submits through its admission
-        queue, so nothing cares that the service behind the name changed).
+        decision-id numbering resumed, commit-notice obligations and client
+        tickets re-linked to the re-submitted tickets, deferred deliveries
+        back in its retry queue (see :meth:`Peer.restore`).  Envelopes in
+        flight on the transport are untouched and deliver to the reborn peer
+        as usual (delivery re-submits through its admission queue, so
+        nothing cares that the service behind the name changed).
 
         Open federated questions whose *executing* peer was the killed one
         are dropped from every inbox: their decisions died with the old
         service, and the re-submitted updates will re-ask them under fresh
-        decision ids.  Federated tickets that were executing locally at the
-        killed peer are re-pointed at their re-submitted service tickets.
+        decision ids.
         """
         old = self.peer(name)
-        reborn, restored = Peer.restore(
+        reborn, _ = Peer.restore(
             name, path, self.rules, **self._service_arguments[name]
         )
         # The network observes the crash; its counters do not restart.
         for counter in self._peer_counters:
             setattr(reborn, counter, getattr(old, counter))
         self._peers[name] = reborn
-        # Questions executed by the dead service are unanswerable; drop them
-        # everywhere (the reborn peer re-asks under fresh decision ids).
-        for inbox in self._inboxes.values():
-            for key in [key for key in inbox if key[0] == name]:
-                del inbox[key]
-        # Re-point federated tickets that were executing at the killed peer
-        # onto their re-submitted successors (committed ones already mirrored).
-        for ticket in self._tickets.values():
-            if ticket.target != name or ticket.local_ticket is None:
-                continue
-            if ticket.is_done:
-                continue
-            replacement = restored.resubmitted.get(ticket.local_ticket.ticket_id)
-            if replacement is not None:
-                ticket.local_ticket = replacement
+        self._drop_questions_of(name)
+        for peer in self._peers.values():
+            peer.drop_questions(name)
         return reborn
 
     # ------------------------------------------------------------------
-    # Submission and routing
+    # Submission and answers (the client desk's way to a peer)
     # ------------------------------------------------------------------
-    def submit(self, peer_name: str, operation: UserOperation) -> FederatedTicket:
-        """Submit a user operation at *peer_name*; it executes at the owner."""
-        peer = self.peer(peer_name)
-        target = self.rules.route(peer_name, operation)
-        ticket = FederatedTicket(
-            ticket_id=self._next_ticket_id,
-            peer=peer_name,
-            target=target,
-            operation=operation,
-        )
-        self._next_ticket_id += 1
-        self._tickets[ticket.ticket_id] = ticket
-        self._unresolved.append(ticket)
-        if target == peer_name:
-            try:
-                ticket.local_ticket = peer.service.submit(
-                    peer.gateway.session_id, operation
-                )
-            except AdmissionError:
-                # Local admission overflow is the submitting client's error;
-                # unregister the stillborn ticket and let the caller back off.
-                del self._tickets[ticket.ticket_id]
-                self._unresolved.remove(ticket)
-                raise
-        else:
-            self._updates_routed.inc()
-            update, ticket.trace_span = peer.routed_update(
-                operation, target, ticket.ticket_id
-            )
-            self.transport.send(peer_name, target, update)
-        return ticket
+    def _submit_at(self, ticket: FederatedTicket) -> None:
+        routed = self.peer(ticket.peer).submit(ticket.ticket_id, ticket.operation)
+        if routed is not None:
+            self.transport.send(ticket.peer, *routed)
 
-    def ticket(self, ticket_id: int) -> FederatedTicket:
-        """Look a federated ticket up by id."""
-        try:
-            return self._tickets[ticket_id]
-        except KeyError:
-            raise FederationError("unknown federated ticket #{}".format(ticket_id))
+    def _answer_at(
+        self, peer_name: str, question: FederatedQuestion, choice
+    ) -> None:
+        routed = self.peer(peer_name).answer_question(
+            question.key, choice, question.trace
+        )
+        if routed is not None:
+            self.transport.send(peer_name, routed.executing_peer, routed)
 
     # ------------------------------------------------------------------
     # The federation round
@@ -370,11 +399,12 @@ class FederatedNetwork:
             if peer.retry_deferred():
                 peer.activity_seq += 1
         for envelope in self.transport.pump():
-            self.peer(envelope.destination).activity_seq += 1
+            destination = self.peer(envelope.destination)
+            destination.activity_seq += 1
             # A bundle unpacks in order, so delivery is indistinguishable
             # from its payloads arriving back-to-back on a FIFO link.
             for payload in unbundled(envelope.payload):
-                self._deliver_payload(envelope.destination, payload)
+                destination.deliver(payload)
             report.delivered += 1
         for peer in self._peers.values():
             service_report = peer.service.pump()
@@ -383,16 +413,12 @@ class FederatedNetwork:
             report.steps += service_report.steps
             report.committed += len(service_report.committed)
         for peer in self._peers.values():
-            opened_local, vanished = peer.scan_questions()
-            inbox = self._inboxes[peer.name]
-            for opened in opened_local:
-                question = FederatedQuestion.opened(opened)
-                inbox[question.key] = question
-                report.questions_opened += 1
-            for decision_id in vanished:
-                inbox.pop((peer.name, decision_id), None)
-            peer.scan_failures()
-        self._mirror_local_tickets()
+            peer.scan()
+            for event in peer.events:
+                self._apply(event)
+                if event["t"] == "question":
+                    report.questions_opened += 1
+            peer.events.clear()
         for peer in self._peers.values():
             if not peer.outbox:
                 continue
@@ -413,82 +439,6 @@ class FederatedNetwork:
         for destination, payload in bundle_by_destination(pairs):
             self.transport.send(peer.name, destination, payload)
         report.flushed += len(pairs)
-
-    def _deliver_payload(self, destination: str, payload: object) -> None:
-        if isinstance(payload, QuestionOpened):
-            question = FederatedQuestion.opened(payload)
-            self._inboxes[destination][question.key] = question
-            self._questions_routed.inc()
-        elif isinstance(payload, QuestionCancelled):
-            removed = self._inboxes[destination].pop(
-                (payload.executing_peer, payload.decision_id), None
-            )
-            if removed is not None:
-                self._cancellations.inc()
-        elif isinstance(payload, CommitNotice):
-            ticket = self._tickets.get(payload.origin.ticket_id)
-            if ticket is not None:
-                ticket.status = payload.status
-                if ticket.trace_span is not None:
-                    self._tracer.end_span(
-                        ticket.trace_span, status=payload.status.value
-                    )
-        else:
-            self.peer(destination).deliver(payload)
-
-    def _mirror_local_tickets(self) -> None:
-        still_unresolved: List[FederatedTicket] = []
-        for ticket in self._unresolved:
-            if ticket.local_ticket is not None:
-                ticket.status = ticket.local_ticket.status
-            if not ticket.is_done:
-                still_unresolved.append(ticket)
-        self._unresolved = still_unresolved
-
-    # ------------------------------------------------------------------
-    # The federated inbox
-    # ------------------------------------------------------------------
-    def inbox(self, peer_name: str) -> List[FederatedQuestion]:
-        """The open questions answerable at *peer_name*, oldest first."""
-        self.peer(peer_name)
-        questions = self._inboxes[peer_name]
-        if not questions:
-            return []
-        return [question for _, question in sorted(questions.items())]
-
-    def answer(
-        self,
-        peer_name: str,
-        question: FederatedQuestion,
-        choice: Union[FrontierOperation, int],
-    ) -> None:
-        """A client at *peer_name* answers one of its open federated questions.
-
-        Local questions resume immediately; remote ones travel back to the
-        executing peer as a :class:`QuestionAnswer` envelope (and are subject
-        to the same delays and partitions as everything else).
-        """
-        inbox = self._inboxes[self.peer(peer_name).name]
-        if question.key not in inbox:
-            raise FederationError(
-                "question {} is not open at peer {!r}".format(question.key, peer_name)
-            )
-        del inbox[question.key]
-        if question.executing_peer == peer_name:
-            self.peer(peer_name).answer(question.decision_id, choice)
-        else:
-            self._answers_routed.inc()
-            self.transport.send(
-                peer_name,
-                question.executing_peer,
-                QuestionAnswer(
-                    executing_peer=question.executing_peer,
-                    decision_id=question.decision_id,
-                    choice=question.by_index(choice),
-                    answered_by=peer_name,
-                    trace=question.trace,
-                ),
-            )
 
     # ------------------------------------------------------------------
     # Quiescence and draining
@@ -529,9 +479,7 @@ class FederatedNetwork:
         for round_number in range(1, max_rounds + 1):
             self.pump()
             if answer_strategy is not None:
-                for peer_name in self._peers:
-                    for question in self.inbox(peer_name):
-                        self.answer(peer_name, question, answer_strategy(question))
+                self._answer_open(answer_strategy, list(self._peers))
             settled = self.watermark_quiescent()
             if settled != self.quiescent():
                 raise FederationError(
@@ -561,10 +509,6 @@ class FederatedNetwork:
                 owner.service.scheduler.committed_view().tuples(relation)
             )
         return FrozenDatabase(self.schema, contents)
-
-    def tickets(self) -> List[FederatedTicket]:
-        """Every federated ticket, in submission order."""
-        return [self._tickets[ticket_id] for ticket_id in sorted(self._tickets)]
 
     def _peer_service_metrics(self) -> Dict[str, object]:
         """Per-peer service metrics producer (looks peers up live, so a

@@ -14,12 +14,15 @@ one process, :class:`~repro.federation.proc.PeerHost` in a peer process):
   bounded admission queue turns away waits in :attr:`Peer.retry`;
 * a scheduler commit listener turns every committed write set into outgoing
   firings, retractions and commit notices, staged in :attr:`Peer.outbox`;
-* :meth:`Peer.scan_questions` diffs the service's frontier inbox after each
-  pump: questions of *remote-origin* updates are staged for the originating
-  peer, questions that vanished unanswered produce cancellations.
+* :meth:`Peer.submit` and :meth:`Peer.answer_question` serve this peer's
+  clients, keeping their federated ticket ids and inbox keys; what the
+  clients see is reported in :attr:`Peer.events`, which the runtime's
+  :class:`~repro.federation.network.ClientDesk` applies;
+* :meth:`Peer.scan` diffs the service's frontier inbox after each pump:
+  questions of *remote-origin* updates are staged for the originating peer,
+  questions that vanished unanswered produce cancellations.
 
-Each runtime keeps only how payloads move, its ticket table and where it
-files questions and commit notices.
+Each runtime keeps only how payloads and events move.
 """
 
 from __future__ import annotations
@@ -27,12 +30,17 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional, Set, Tuple as PyTuple
 
-from ..codec.wire import decode_payload, encode_payload
+from ..codec.wire import (
+    decode_payload,
+    decode_user_operation,
+    encode_payload,
+    encode_user_operation,
+)
 from ..core.oracle import OracleError
 from ..core.terms import NullFactory
 from ..service.admission import AdmissionError
 from ..service.repository import RepositoryService, RestoredService
-from ..service.tickets import RemoteOrigin, TicketStatus
+from ..service.tickets import RemoteOrigin, TicketStatus, UpdateTicket
 from ..storage.memory import FrozenDatabase
 from .envelopes import (
     CommitNotice,
@@ -50,6 +58,9 @@ from .exchange import (
     envelopes_for_commit,
 )
 from .operations import RemoteFiringOperation, RemoteRetractionOperation
+
+#: The payloads a delivery re-submits through the admission queue.
+UPDATE_BEARING = (RemoteUpdate, ExchangeFiring, ExchangeRetraction)
 
 
 class Peer:
@@ -95,11 +106,32 @@ class Peer:
         self._answered_remote: Set[int] = set()
         #: Local ticket ids whose terminal state the origin peer awaits.
         self._notify: Dict[int, RemoteOrigin] = {}
+        #: Federated ticket id -> service ticket of a client operation
+        #: executing here, until its terminal status is reported.
+        self._executing: Dict[int, UpdateTicket] = {}
+        #: Federated ticket id -> root span (``None`` untraced or restored)
+        #: of a client operation routed from here, until its notice arrives.
+        self._routed: Dict[int, Optional[object]] = {}
+        #: This peer's federated inbox: ``(executing_peer, decision_id)``
+        #: keys of the open questions its clients may answer.
+        self.inbox: Set[PyTuple[str, int]] = set()
+        #: Events for the runtime's client desk, in order, shaped like the
+        #: peer process's ``ticket`` (terminal status), ``question`` (filed
+        #: here; ``q`` is the :class:`QuestionOpened`) and ``question-gone``
+        #: control frames.
+        self.events: List[Dict] = []
         #: Update-bearing deliveries the bounded admission queue turned
         #: away, in arrival order (see :meth:`retry_deferred`).
         self.retry: List[object] = []
+        #: Client ``(ticket id, operation)`` submissions the admission queue
+        #: turned away, where the runtime defers instead of raising.
+        self.deferred: List[PyTuple[int, object]] = []
         #: Exchange counters (aggregated by the network's metrics snapshot
         #: and the peer process's status replies).
+        self.updates_routed = 0
+        self.questions_routed = 0
+        self.answers_routed = 0
+        self.question_cancellations = 0
         self.firings_emitted = 0
         self.retractions_emitted = 0
         self.notices_emitted = 0
@@ -176,8 +208,12 @@ class Peer:
     ) -> PyTuple["Peer", RestoredService]:
         """Rebuild a peer from a :meth:`checkpoint` file.
 
-        Returns the peer and the :class:`RestoredService`, whose ticket
-        mapping and ``extra`` re-link the runtime's own tables.
+        Returns the peer and the :class:`RestoredService`, whose ``extra``
+        carries the runtime's own restart bookkeeping.  Client operations
+        that were executing here follow their re-submitted service tickets;
+        inbox keys of questions this peer executed are dropped, because their
+        decisions died with the old service (the re-submitted updates re-ask
+        them under fresh decision ids).
         """
         restored = RepositoryService.restore(
             path,
@@ -201,20 +237,46 @@ class Peer:
                     replacement.ticket_id,
                     RemoteOrigin(origin_body["peer"], origin_body["ticket"]),
                 )
+        for ticket_id, old_ticket_id in extra.get("executing", ()):
+            replacement = restored.resubmitted.get(old_ticket_id)
+            if replacement is not None:
+                peer._executing[ticket_id] = replacement
+            # Missing: it finished before the checkpoint, and the runtime
+            # applied its terminal event before the checkpoint was taken.
+        peer._routed = dict.fromkeys(extra.get("routed", ()))
+        peer.inbox = {
+            (executing, decision)
+            for executing, decision in extra.get("inbox", ())
+            if executing != name
+        }
         peer.retry = [
             decode_payload(body, rules.by_name) for body in extra.get("retry", ())
+        ]
+        peer.deferred = [
+            (ticket_id, decode_user_operation(body, rules.by_name))
+            for ticket_id, body in extra.get("deferred", ())
         ]
         return peer, restored
 
     # ------------------------------------------------------------------
-    # Submission, delivery and backpressure
+    # The client desk: submissions, answers, ticket terminals
     # ------------------------------------------------------------------
-    def routed_update(
-        self, operation, target: str, ticket_id: int
-    ) -> PyTuple[RemoteUpdate, Optional[object]]:
-        """The :class:`RemoteUpdate` of a user operation submitted here for
-        *target*, and the root span of its trace (``None`` untraced), which
-        the runtime closes when the commit notice makes it back."""
+    def submit(
+        self, ticket_id: int, operation
+    ) -> Optional[PyTuple[str, RemoteUpdate]]:
+        """Submit a client's operation under its federated *ticket_id*.
+
+        It executes here if this peer owns its target (a full admission queue
+        raises :class:`AdmissionError`); else the ``(owner, RemoteUpdate)``
+        for the runtime to send at once is returned.
+        """
+        target = self._rules.route(self.name, operation)
+        if target == self.name:
+            self._executing[ticket_id] = self.service.submit(
+                self.gateway.session_id, operation
+            )
+            return None
+        self.updates_routed += 1
         tracer = self.service.tracer
         span = None
         if tracer.enabled:
@@ -227,39 +289,100 @@ class Peer:
                 ticket=ticket_id,
                 routed_to=target,
             )
-        update = RemoteUpdate(
+        self._routed[ticket_id] = span
+        return target, RemoteUpdate(
             operation=operation,
             origin=RemoteOrigin(self.name, ticket_id),
             trace=None if span is None else span.context,
         )
-        return update, span
 
+    def answer_question(
+        self, key: PyTuple[str, int], choice, trace
+    ) -> Optional[QuestionAnswer]:
+        """A client here answers question *key*: a local one resumes, a
+        routed one's :class:`QuestionAnswer` is returned for the runtime to
+        send.  An answer that raced a cancellation is dropped."""
+        if key not in self.inbox:
+            self.answers_dropped += 1
+            return None
+        self.inbox.discard(key)
+        executing, decision_id = key
+        if executing == self.name:
+            self.answer(decision_id, choice)
+            return None
+        self.answers_routed += 1
+        return QuestionAnswer(executing, decision_id, choice, self.name, trace)
+
+    def drop_questions(self, executing: str) -> None:
+        """Forget the inbox keys of questions a restarted peer executed."""
+        self.inbox = {key for key in self.inbox if key[0] != executing}
+
+    def _file(self, opened: QuestionOpened) -> None:
+        self.inbox.add(opened.key)
+        self.events.append({"t": "question", "inbox": self.name, "q": opened})
+
+    def _unfile(self, executing: str, decision_id: int) -> bool:
+        if (executing, decision_id) not in self.inbox:
+            return False
+        self.inbox.discard((executing, decision_id))
+        self.events.append({
+            "t": "question-gone",
+            "executing": executing,
+            "decision": decision_id,
+            "inbox": self.name,
+        })
+        return True
+
+    # ------------------------------------------------------------------
+    # Delivery and backpressure
+    # ------------------------------------------------------------------
     def deliver(self, payload: object) -> bool:
-        """Deliver an update-bearing payload or a :class:`QuestionAnswer`.
+        """Deliver one payload that arrived from another peer.
 
-        ``False`` when the bounded admission queue was full and the payload
-        now waits in :attr:`retry`.
+        ``False`` when the bounded admission queue was full and the
+        (update-bearing) payload now waits in :attr:`retry`.
         """
-        if isinstance(payload, QuestionAnswer):
+        if isinstance(payload, QuestionOpened):
+            self.questions_routed += 1
+            self._file(payload)
+        elif isinstance(payload, QuestionCancelled):
+            if self._unfile(payload.executing_peer, payload.decision_id):
+                self.question_cancellations += 1
+        elif isinstance(payload, CommitNotice):
+            ticket_id = payload.origin.ticket_id
+            if ticket_id in self._routed:
+                span = self._routed.pop(ticket_id)
+                if span is not None:
+                    self.service.tracer.end_span(span, status=payload.status.value)
+                self._report(ticket_id, payload.status)
+        elif isinstance(payload, QuestionAnswer):
             self.answer(payload.decision_id, payload.choice, routed=True)
-            return True
-        if not isinstance(payload, (RemoteUpdate, ExchangeFiring, ExchangeRetraction)):
+        elif not isinstance(payload, UPDATE_BEARING):
             raise FederationError("undeliverable payload {!r}".format(payload))
-        if self._submit_delivery(payload):
-            return True
-        self.retry.append(payload)
-        self.deliveries_deferred += 1
-        return False
+        elif not self._submit_delivery(payload):
+            self.retry.append(payload)
+            self.deliveries_deferred += 1
+            return False
+        return True
 
     def retry_deferred(self) -> bool:
-        """Re-submit deferred deliveries in order; ``True`` if any got in."""
-        if not self.retry:
+        """Re-submit deferred deliveries, then deferred client submissions,
+        in order; ``True`` if any got in."""
+        if not self.retry and not self.deferred:
             return False
         pending, self.retry = self.retry, []
         for payload in pending:
             if not self._submit_delivery(payload):
                 self.retry.append(payload)
-        return len(self.retry) != len(pending)
+        submissions, self.deferred = self.deferred, []
+        for ticket_id, operation in submissions:
+            try:
+                self.submit(ticket_id, operation)
+            except AdmissionError:
+                self.deferred.append((ticket_id, operation))
+        return len(self.retry) + len(self.deferred) != len(pending) + len(
+            submissions
+        )
 
     def _submit_delivery(self, payload) -> bool:
         """Submit one update-bearing payload; ``False`` when admission is full."""
@@ -305,7 +428,12 @@ class Peer:
     @property
     def idle(self) -> bool:
         """Nothing left here: outbox flushed, nothing deferred, service quiet."""
-        return not self.outbox and not self.retry and self.service.is_quiescent
+        return (
+            not self.outbox
+            and not self.retry
+            and not self.deferred
+            and self.service.is_quiescent
+        )
 
     # ------------------------------------------------------------------
     # Commit-time exchange
@@ -382,7 +510,21 @@ class Peer:
                 notice = replace(notice, trace=context)
             staged.append((notify_origin.peer, notice))
 
-    def scan_failures(self) -> None:
+    def scan(self) -> bool:
+        """After a service pump: route questions, report failures and
+        finished client tickets; ``True`` if a question opened or vanished."""
+        changed = self._scan_questions()
+        self._scan_failures()
+        for ticket_id, ticket in list(self._executing.items()):
+            if ticket.is_done:
+                del self._executing[ticket_id]
+                self._report(ticket_id, ticket.status)
+        return changed
+
+    def _report(self, ticket_id: int, status: TicketStatus) -> None:
+        self.events.append({"t": "ticket", "fid": ticket_id, "status": status.value})
+
+    def _scan_failures(self) -> None:
         """Report routed updates that died without committing.
 
         The commit listener only ever sees commits; a routed update stopped
@@ -404,28 +546,27 @@ class Peer:
     # ------------------------------------------------------------------
     # Question routing
     # ------------------------------------------------------------------
-    def scan_questions(self) -> PyTuple[List[QuestionOpened], List[int]]:
-        """Diff the service inbox; stage routing envelopes for remote questions.
+    def _scan_questions(self) -> bool:
+        """Diff the service inbox; ``True`` if a question opened or vanished.
 
-        Returns ``(opened_local, vanished_ids)``: the questions newly opened
-        for *locally originated* updates, as the :class:`QuestionOpened` the
-        runtime files in this peer's own federated inbox (exactly as it
-        files one delivered from another peer), and every previously known
-        decision id that left the service inbox (the runtime drops stale
-        local entries; for remote-origin ones a :class:`QuestionCancelled`
-        was staged unless the question disappeared because we answered it).
+        A newly opened question of a *locally originated* update is filed in
+        this peer's inbox (exactly as one delivered from another peer is), a
+        remote-origin one is staged for its originating peer.  A vanished
+        one is unfiled here, or staged as a :class:`QuestionCancelled` unless
+        it disappeared because the originating peer's answer arrived.
         """
         questions = self.service.inbox()
         if not self._known_questions and not questions:
             # Nothing known, nothing open: the diff is empty (the common
             # case on every quiet federation round).
-            return [], []
-        opened_local: List[QuestionOpened] = []
+            return False
+        changed = False
         open_ids: Set[int] = set()
         for question in questions:
             open_ids.add(question.decision_id)
             if question.decision_id in self._known_questions:
                 continue
+            changed = True
             origin = question.ticket.origin
             local = origin is None or origin.peer == self.name
             self._known_questions[question.decision_id] = None if local else origin
@@ -440,18 +581,19 @@ class Peer:
                 trace=question.ticket.trace_context,
             )
             if local:
-                opened_local.append(opened)
+                self._file(opened)
             else:
                 self.outbox.append((origin.peer, opened))
-        vanished: List[int] = []
         for decision_id in list(self._known_questions):
             if decision_id in open_ids:
                 continue
+            changed = True
             origin = self._known_questions.pop(decision_id)
-            vanished.append(decision_id)
             answered = decision_id in self._answered_remote
             self._answered_remote.discard(decision_id)
-            if origin is not None and not answered:
+            if origin is None:
+                self._unfile(self.name, decision_id)
+            elif not answered:
                 self.outbox.append(
                     (
                         origin.peer,
@@ -462,7 +604,7 @@ class Peer:
                         ),
                     )
                 )
-        return opened_local, vanished
+        return changed
 
     # ------------------------------------------------------------------
     # Checkpoint (durability across peer restarts)
@@ -478,14 +620,16 @@ class Peer:
         null already living in another peer's store — and the commit-notice
         obligations (``ticket id → origin``) of routed updates still in
         flight, so their originators still learn the terminal state after the
-        restart, and the deferred deliveries of :attr:`retry`.  The outbox is
-        always empty at checkpoint time in a pumped federation (both
-        runtimes flush it every round); anything in flight between peers
-        survives the restart on the links themselves.
+        restart, the deferred deliveries of :attr:`retry` and submissions of
+        :attr:`deferred`, and the client desk: the federated ticket ids of
+        operations executing here or routed from here, and the inbox keys.
+        The outbox and :attr:`events` are always empty at checkpoint time in
+        a pumped federation (both runtimes flush them every round); anything
+        in flight between peers survives the restart on the links themselves.
 
         *extra* lets the caller piggyback its own restart bookkeeping (the
-        socket harness's peer host stores its federated-ticket table there);
-        the peer's own keys win on collision.
+        peer process stores its wire counters there); the peer's own keys
+        win on collision.
         """
         body = dict(extra or {})
         body.update({
@@ -497,6 +641,17 @@ class Peer:
             ],
             "retry": [
                 encode_payload(payload, self._rules.by_name) for payload in self.retry
+            ],
+            "executing": sorted(
+                [ticket_id, ticket.ticket_id]
+                for ticket_id, ticket in self._executing.items()
+                if not ticket.is_done
+            ),
+            "routed": sorted(self._routed),
+            "inbox": sorted([executing, decision] for executing, decision in self.inbox),
+            "deferred": [
+                [ticket_id, encode_user_operation(operation, self._rules.by_name)]
+                for ticket_id, operation in self.deferred
             ],
         })
         return self.service.checkpoint(path, extra=body)

@@ -7,8 +7,9 @@ what runs *inside* each spawned process: it builds (or restores) one
 on its socket address, and drives the same peer code the in-process
 :class:`~repro.federation.network.FederatedNetwork` drives, so a drained
 socket federation is the same exchange and the differential oracle applies.
-The host adds sockets, the control protocol, the fid tables of coordinator
-submissions, telemetry and the flight recorder.
+The peer also keeps the client side of the protocol (ticket ids, inbox keys,
+the events the coordinator's client desk applies); the host adds sockets,
+the control protocol, telemetry and the flight recorder.
 
 Two kinds of traffic cross the host's sockets, both as
 :mod:`repro.codec.framing` frames:
@@ -72,7 +73,6 @@ from ..codec.wire import (
     encode_schema,
     encode_tgd,
     encode_tuple,
-    encode_user_operation,
     loads,
     payload_kind,
 )
@@ -80,9 +80,8 @@ from ..obs.flight import FlightRecorder
 from ..obs.trace import NOOP_TRACER, Tracer
 from ..service.admission import AdmissionConfig, AdmissionError
 from ..storage.memory import FrozenDatabase
-from .envelopes import CommitNotice, QuestionAnswer, QuestionCancelled, QuestionOpened
 from .exchange import ExchangeRules, FederationError
-from .peer import Peer
+from .peer import UPDATE_BEARING, Peer
 from .socket_transport import (
     ChannelClosed,
     FrameChannel,
@@ -225,18 +224,6 @@ class PeerHost:
         #: coordinator compares with senders' ``frames_sent``).
         self.frames_received: Dict[str, int] = {}
         self.payloads_received = 0
-        #: Own federated inbox keys ``(executing_peer, decision_id)``.
-        self._inbox: Dict[Tuple[str, int], bool] = {}
-        #: Coordinator submissions deferred by a full admission queue (flood
-        #: submission must be loss-free: admission overflow is backpressure
-        #: here, not a client error, because the submitting client is a
-        #: remote process).  Deferred *deliveries* wait in ``peer.retry``.
-        self._submit_retry: List[Tuple[int, object]] = []
-        #: fid -> local service ticket of operations executing here whose
-        #: terminal status the coordinator has not been told yet.
-        self._fed_local: Dict[int, object] = {}
-        #: fid -> root span (or None) of operations routed *from* here.
-        self._fed_routed: Dict[int, object] = {}
         self._halted = False
         self._exit = False
         #: True while a coordinator ``drain()`` is subscribed to went-idle
@@ -301,26 +288,11 @@ class PeerHost:
         )
 
     def _restore(self, path: str, service_arguments: Dict) -> None:
-        """Restart from a checkpoint: the peer, then the host's own tables."""
+        """Restart from a checkpoint: the peer, then the host's wire counters."""
         self.peer, restored = Peer.restore(
             self.name, path, self.rules, **service_arguments
         )
         host_extra = restored.extra.get("host", {})
-        for fid, old_ticket_id in host_extra.get("fed_local", ()):
-            replacement = restored.resubmitted.get(old_ticket_id)
-            if replacement is not None:
-                self._fed_local[int(fid)] = replacement
-            # Missing: the ticket finished before the checkpoint, and its
-            # terminal event preceded checkpoint-done on the old control
-            # connection (FIFO) — the coordinator already knows.
-        for fid in host_extra.get("fed_routed", ()):
-            self._fed_routed[int(fid)] = None
-        for executing, decision in host_extra.get("inbox", ()):
-            self._inbox[(executing, int(decision))] = True
-        self._submit_retry = [
-            (int(fid), decode_user_operation(body))
-            for fid, body in host_extra.get("submit_retry", ())
-        ]
         # Wire counters must survive the restart: the coordinator's drain
         # barrier compares every sender's frames_sent against this peer's
         # frames_received, and a reborn peer restarting at zero could never
@@ -382,7 +354,7 @@ class PeerHost:
                 link_due = link.next_due()
                 if link_due is not None:
                     due.append(link_due)
-            if self.peer.retry or self._submit_retry:
+            if self.peer.retry or self.peer.deferred:
                 # Admission frees on commits; retry shortly even without input.
                 due.append(monotonic() + 0.01)
         if not due:
@@ -433,55 +405,31 @@ class PeerHost:
         payloads = unbundled(payload)
         self.payloads_received += len(payloads)
         for inner in payloads:
-            self._deliver_payload(inner)
-
-    def _deliver_payload(self, payload: object) -> None:
-        if isinstance(payload, QuestionOpened):
-            self._file_question(payload)
-        elif isinstance(payload, QuestionCancelled):
-            self._drop_question(payload.executing_peer, payload.decision_id)
-        elif isinstance(payload, CommitNotice):
-            fid = payload.origin.ticket_id
-            span = self._fed_routed.pop(fid, False)
-            if span is not False:
-                if span is not None:
-                    self.tracer.end_span(span, status=payload.status.value)
-                self.flight.record(
-                    "notice", fid=fid, status=payload.status.value
-                )
-                self._event({
-                    "t": "ticket", "fid": fid, "status": payload.status.value,
-                })
-        else:
-            admitted = self.peer.deliver(payload)
-            if self.flight.enabled and not isinstance(payload, QuestionAnswer):
+            admitted = self.peer.deliver(inner)
+            if self.flight.enabled and isinstance(inner, UPDATE_BEARING):
                 self.flight.record(
                     "delivery",
-                    payload=payload_kind(payload),
-                    origin=payload.origin.peer,
+                    payload=payload_kind(inner),
+                    origin=inner.origin.peer,
                     deferred=not admitted,
                 )
+        self._publish()
 
-    def _file_question(self, payload: QuestionOpened) -> None:
-        """File a question opened here, or routed here, in the own inbox."""
-        self._inbox[(payload.executing_peer, payload.decision_id)] = True
-        self.flight.record(
-            "question", executing=payload.executing_peer, decision=payload.decision_id
-        )
-        self._event({
-            "t": "question",
-            "inbox": self.name,
-            "q": encode_payload(payload, self._mappings),
-        })
-
-    def _drop_question(self, executing: str, decision: int) -> None:
-        if self._inbox.pop((executing, decision), None) is not None:
-            self._event({
-                "t": "question-gone",
-                "executing": executing,
-                "decision": decision,
-                "inbox": self.name,
-            })
+    def _publish(self) -> None:
+        """Send the peer's events to the coordinator's client desk."""
+        for event in self.peer.events:
+            if event["t"] == "question":
+                opened = event["q"]
+                self.flight.record(
+                    "question",
+                    executing=opened.executing_peer,
+                    decision=opened.decision_id,
+                )
+                event = dict(event, q=encode_payload(opened, self._mappings))
+            elif event["t"] == "ticket":
+                self.flight.record("ticket", fid=event["fid"], status=event["status"])
+            self._event(event)
+        self.peer.events.clear()
 
     # ------------------------------------------------------------------
     # Control handling
@@ -528,9 +476,7 @@ class PeerHost:
             # at-least-once.
             self._links[body["peer"]].reset()
         elif kind == "drop-questions":
-            executing = body["executing"]
-            for key in [key for key in self._inbox if key[0] == executing]:
-                del self._inbox[key]
+            self.peer.drop_questions(body["executing"])
         elif kind == "checkpoint":
             self._handle_checkpoint(channel, body)
         elif kind == "snapshot":
@@ -553,46 +499,30 @@ class PeerHost:
 
     def _handle_submit(self, fid: int, operation) -> None:
         self.peer.activity_seq += 1
-        target = self.rules.route(self.name, operation)
-        if target == self.name:
-            try:
-                self._fed_local[fid] = self.peer.service.submit(
-                    self.peer.gateway.session_id, operation
-                )
-            except AdmissionError:
-                self._submit_retry.append((fid, operation))
+        try:
+            routed = self.peer.submit(fid, operation)
+        except AdmissionError:
+            # Flood submission must be loss-free: admission overflow is
+            # backpressure here, not a client error, because the submitting
+            # client is a remote process.
+            self.peer.deferred.append((fid, operation))
             return
-        update, self._fed_routed[fid] = self.peer.routed_update(
-            operation, target, fid
-        )
-        self._enqueue_payload(target, update)
+        if routed is not None:
+            self._enqueue_payload(*routed)
 
     def _handle_answer(self, body: Dict) -> None:
         self.peer.activity_seq += 1
-        executing = body["executing"]
-        decision = int(body["decision"])
-        key = (executing, decision)
-        if self._inbox.pop(key, None) is None:
-            # Cancelled (or already answered) while the coordinator's answer
-            # was in flight — the in-process equivalent cannot race here, a
-            # real federation must tolerate it.
-            self.peer.answers_dropped += 1
-            return
-        # Normally an index into the request the executing peer still holds
-        # parked: relayed onward as-is, no tuples materialised here.
-        choice = _decode_choice(body["choice"], self._mappings)
-        if executing == self.name:
-            # A locally-executing question: answered straight into the
-            # service, like FederatedNetwork.answer's local path.
-            self.peer.answer(decision, choice)
-            return
-        self._enqueue_payload(executing, QuestionAnswer(
-            executing_peer=executing,
-            decision_id=decision,
-            choice=choice,
-            answered_by=self.name,
-            trace=decode_trace(body.get("tr")),
-        ))
+        # The coordinator's answer can race a cancellation, which the peer
+        # tolerates.  The choice is normally an index into the request the
+        # executing peer still holds parked: relayed onward as-is, no tuples
+        # materialised here.
+        routed = self.peer.answer_question(
+            (body["executing"], int(body["decision"])),
+            _decode_choice(body["choice"], self._mappings),
+            decode_trace(body.get("tr")),
+        )
+        if routed is not None:
+            self._enqueue_payload(routed.executing_peer, routed)
 
     def _handle_checkpoint(self, channel: FrameChannel, body: Dict) -> None:
         # Reach a local fixpoint, then push every queued frame out regardless
@@ -601,17 +531,6 @@ class PeerHost:
         self._work()
         self._flush(force=True)
         host_extra = {
-            "fed_local": sorted(
-                [fid, ticket.ticket_id]
-                for fid, ticket in self._fed_local.items()
-                if not ticket.is_done
-            ),
-            "fed_routed": sorted(self._fed_routed),
-            "inbox": sorted([executing, decision] for executing, decision in self._inbox),
-            "submit_retry": sorted(
-                [fid, encode_user_operation(operation)]
-                for fid, operation in self._submit_retry
-            ),
             # Exact at checkpoint time: every link toward this peer is held
             # and this peer is caught up (coordinator's checkpoint protocol),
             # so the counters restored from here continue the same streams.
@@ -637,41 +556,18 @@ class PeerHost:
             progress = False
             if self.peer.retry_deferred():
                 progress = True
-            if self._submit_retry:
-                pending_submits, self._submit_retry = self._submit_retry, []
-                for fid, operation in pending_submits:
-                    try:
-                        self._fed_local[fid] = self.peer.service.submit(
-                            self.peer.gateway.session_id, operation
-                        )
-                        progress = True
-                    except AdmissionError:
-                        self._submit_retry.append((fid, operation))
             report = self.peer.service.pump()
             if report.steps or report.admitted or report.committed:
                 progress = True
-            opened_local, vanished = self.peer.scan_questions()
-            for opened in opened_local:
-                self._file_question(opened)
-            for decision_id in vanished:
-                self._drop_question(self.name, decision_id)
-            self.peer.scan_failures()
-            self._mirror_tickets()
-            if opened_local or vanished:
+            if self.peer.scan():
                 progress = True
+            self._publish()
             if self.peer.outbox:
                 self._stage_outbox()
                 progress = True
             if not progress:
                 return
             self.peer.activity_seq += 1
-
-    def _mirror_tickets(self) -> None:
-        done = [fid for fid, ticket in self._fed_local.items() if ticket.is_done]
-        for fid in done:
-            status = self._fed_local.pop(fid).status.value
-            self.flight.record("ticket", fid=fid, status=status)
-            self._event({"t": "ticket", "fid": fid, "status": status})
 
     def _stage_outbox(self) -> None:
         """Frame the outbox: one message per destination."""
@@ -791,10 +687,8 @@ class PeerHost:
 
     def _is_idle(self) -> bool:
         """The cheap no-snapshot quiescence check (idle push, status reply)."""
-        return (
-            self.peer.idle
-            and not self._submit_retry
-            and not any(link.queued for link in self._links.values())
+        return self.peer.idle and not any(
+            link.queued for link in self._links.values()
         )
 
     def _idle_push(self) -> None:
@@ -894,7 +788,7 @@ class PeerHost:
             "outbox": len(self.peer.outbox),
             "queued": sum(link.queued for link in self._links.values()),
             "activity_seq": self.peer.activity_seq,
-            "retry": len(self.peer.retry) + len(self._submit_retry),
+            "retry": len(self.peer.retry) + len(self.peer.deferred),
             "held": sorted(
                 peer for peer, link in self._links.items() if link.held
             ),
@@ -908,7 +802,7 @@ class PeerHost:
                 peer: link.stats() for peer, link in self._links.items()
             },
             "payloads_received": self.payloads_received,
-            "open_questions": len(self._inbox),
+            "open_questions": len(self.peer.inbox),
             "committed": snapshot["committed"],
             # The *full* registry collect, not a hand-kept key list: every
             # registered instrument and producer (service counters, store

@@ -12,17 +12,20 @@ status polls for the drain barrier — so the exchange protocol on the peer
 links is exactly the wire codec the in-process transport already speaks, and
 the in-process federation stays available as the differential oracle.
 
-The public surface intentionally shadows the in-process network where the
-concept carries over: ``submit`` / ``ticket`` / ``inbox`` / ``answer`` /
-``drain`` (the process world's ``run_until_quiescent``) / ``partition`` /
-``heal`` / ``checkpoint_peer`` / ``kill_peer`` / ``restart_peer`` /
-``global_snapshot``.  Differences are forced by distribution: submission is
-asynchronous (admission backpressure happens inside the owning peer, not in
-the submitting client), and quiescence is a distributed condition —
-``drain`` declares the federation quiescent only when every peer reports
-itself idle, every directed link's receive counter has caught up with its
-send counter, and one confirming status round finds no peer's activity
-sequence moved since those views were taken.
+The client surface — ``submit`` / ``ticket`` / ``tickets`` / ``inbox`` /
+``answer`` — is the in-process network's own
+:class:`~repro.federation.network.ClientDesk`, fed by the peers' ``ticket``,
+``question`` and ``question-gone`` event frames.  The rest shadows the
+in-process network where the concept carries over: ``drain`` (the process
+world's ``run_until_quiescent``) / ``partition`` / ``heal`` /
+``checkpoint_peer`` / ``kill_peer`` / ``restart_peer`` / ``global_snapshot``.
+Differences are forced by distribution: submission is asynchronous (admission
+backpressure happens inside the peer, not in the submitting client), and
+quiescence is a distributed condition — ``drain`` declares the federation
+quiescent only when every peer reports itself idle, every directed link's
+receive counter has caught up with its send counter, and one confirming
+status round finds no peer's activity sequence moved since those views were
+taken.
 
 Peers are forked from the coordinator (POSIX only), which has already
 imported every module a peer runs, so a peer starts in milliseconds instead
@@ -61,7 +64,7 @@ import sys
 import tempfile
 import time
 import traceback
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..codec.framing import FRAME_CONTROL
 from ..codec.wire import (
@@ -73,11 +76,9 @@ from ..codec.wire import (
     encode_user_operation,
     loads,
 )
-from ..core.update import UserOperation
-from ..service.tickets import TicketStatus
 from ..storage.memory import FrozenDatabase
 from .exchange import ExchangeRules, FederationError
-from .network import AnswerStrategy, FederatedQuestion
+from .network import AnswerStrategy, ClientDesk, FederatedQuestion, FederatedTicket
 from ..obs import trace as obs_trace
 from ..obs.timeline import TelemetryTimeline
 from ..obs.trace import encode_record
@@ -92,32 +93,6 @@ from .socket_transport import (
 
 class ProcessFederationError(FederationError):
     """A coordination failure: a peer died, timed out, or misbehaved."""
-
-
-class ProcessTicket:
-    """The coordinator-side handle of one submitted user operation."""
-
-    __slots__ = ("fid", "peer", "target", "operation", "status")
-
-    def __init__(self, fid: int, peer: str, target: str, operation: UserOperation):
-        self.fid = fid
-        self.peer = peer
-        self.target = target
-        self.operation = operation
-        self.status = TicketStatus.QUEUED
-
-    @property
-    def is_done(self) -> bool:
-        return self.status in (TicketStatus.COMMITTED, TicketStatus.FAILED)
-
-    def describe(self) -> str:
-        return "process ticket #{} {}@{} -> {}: {}".format(
-            self.fid,
-            self.status.value,
-            self.peer,
-            self.target,
-            self.operation.describe(),
-        )
 
 
 class _PeerProcess:
@@ -249,7 +224,7 @@ class _PeerHandle:
         self.last_status: Optional[Dict] = None
 
 
-class ProcessFederation:
+class ProcessFederation(ClientDesk):
     """Many peer *processes*, one federation, driven over control sockets."""
 
     def __init__(
@@ -287,10 +262,10 @@ class ProcessFederation:
         }
         #: Routing, and the mapping table every peer builds from the same
         #: list (mappings cross the wire by name).
-        self._rules = ExchangeRules.for_federation(
+        self.rules = ExchangeRules.for_federation(
             schema, self._mappings, self._ownership
         )
-        self.owner_of = self._rules.owner_of
+        self.owner_of = self.rules.owner_of
         self._tracker = tracker
         self._admission = admission
         self._max_total_steps = max_total_steps
@@ -352,11 +327,7 @@ class ProcessFederation:
             for name in self._ownership
         }
         self._selector = selectors.DefaultSelector()
-        self._inboxes: Dict[str, Dict[Tuple[str, int], FederatedQuestion]] = {
-            name: {} for name in self._ownership
-        }
-        self._tickets: Dict[int, ProcessTicket] = {}
-        self._next_fid = 1
+        self._open_desk(list(self._ownership))
         self._next_round = 1
         self._closed = False
         #: Peers whose control EOF is expected (killed or exiting).
@@ -558,19 +529,10 @@ class ProcessFederation:
             self.timeline.touch(body["peer"])
         elif kind == "telemetry":
             self._observe_telemetry(body["peer"], body, "telemetry")
-        elif kind == "ticket":
-            ticket = self._tickets.get(int(body["fid"]))
-            if ticket is not None and not ticket.is_done:
-                ticket.status = TicketStatus(body["status"])
-        elif kind == "question":
-            question = FederatedQuestion.opened(
-                decode_payload(body["q"], self._rules.by_name)
-            )
-            self._inboxes[body["inbox"]][question.key] = question
-        elif kind == "question-gone":
-            self._inboxes[body["inbox"]].pop(
-                (body["executing"], int(body["decision"])), None
-            )
+        elif kind in ("ticket", "question", "question-gone"):
+            if kind == "question":
+                body["q"] = decode_payload(body["q"], self.rules.by_name)
+            self._apply(body)
         else:
             # A reply (status-reply, checkpoint-done, snapshot-reply,
             # trace-exported): parked for whoever is awaiting it.
@@ -600,66 +562,21 @@ class ProcessFederation:
         handle.channel.send_frame(FRAME_CONTROL, dumps(body))
 
     # ------------------------------------------------------------------
-    # Submission, questions, answers (the FederatedNetwork surface)
+    # Submission and answers (the client desk's way to a peer)
     # ------------------------------------------------------------------
-    def peer_names(self) -> List[str]:
-        return list(self._ownership)
-
-    def submit(self, peer_name: str, operation: UserOperation) -> ProcessTicket:
-        """Submit a user operation at *peer_name* (asynchronous: the ticket
-        reaches a terminal status when the peer's event says so)."""
-        if peer_name not in self._handles:
-            raise FederationError("unknown peer {!r}".format(peer_name))
-        ticket = ProcessTicket(
-            fid=self._next_fid,
-            peer=peer_name,
-            target=self._rules.route(peer_name, operation),
-            operation=operation,
-        )
-        self._next_fid += 1
-        self._tickets[ticket.fid] = ticket
-        self._send(peer_name, {
+    def _submit_at(self, ticket: FederatedTicket) -> None:
+        self._send(ticket.peer, {
             "t": "submit",
-            "fid": ticket.fid,
-            "op": encode_user_operation(operation, self._rules.by_name),
+            "fid": ticket.ticket_id,
+            "op": encode_user_operation(ticket.operation, self.rules.by_name),
         })
-        return ticket
 
-    def ticket(self, fid: int) -> ProcessTicket:
-        try:
-            return self._tickets[fid]
-        except KeyError:
-            raise FederationError("unknown federated ticket #{}".format(fid))
-
-    def tickets(self) -> List[ProcessTicket]:
-        return [self._tickets[fid] for fid in sorted(self._tickets)]
-
-    def inbox(self, peer_name: str) -> List[FederatedQuestion]:
-        """The open questions answerable at *peer_name*, oldest first."""
-        if peer_name not in self._inboxes:
-            raise FederationError("unknown peer {!r}".format(peer_name))
-        questions = self._inboxes[peer_name]
-        if not questions:
-            return []
-        return [question for _, question in sorted(questions.items())]
-
-    def answer(self, peer_name: str, question: FederatedQuestion, choice) -> None:
-        """Answer one of *peer_name*'s open federated questions."""
-        inbox = self._inboxes[peer_name]
-        if question.key not in inbox:
-            raise FederationError(
-                "question {} is not open at peer {!r}".format(
-                    question.key, peer_name
-                )
-            )
-        del inbox[question.key]
+    def _answer_at(self, peer_name: str, question: FederatedQuestion, choice) -> None:
         self._send(peer_name, {
             "t": "answer",
             "executing": question.executing_peer,
             "decision": question.decision_id,
-            "choice": _encode_choice(
-                question.by_index(choice), self._rules.by_name
-            ),
+            "choice": _encode_choice(choice, self.rules.by_name),
             "tr": encode_trace(question.trace),
         })
 
@@ -750,11 +667,7 @@ class ProcessFederation:
                     if handle.channel is not None
                 ]
                 if answer_strategy is not None:
-                    for peer_name in names:
-                        for question in self.inbox(peer_name):
-                            self.answer(
-                                peer_name, question, answer_strategy(question)
-                            )
+                    self._answer_open(answer_strategy, names)
                 views = {
                     name: self._watermarks[name]
                     for name in names
@@ -993,10 +906,10 @@ class ProcessFederation:
         """Spawn a fresh process for *name* restoring the checkpoint *path*.
 
         Mirrors the in-process ``restart_peer`` epilogue: questions whose
-        executing service died are dropped everywhere (the re-submitted
-        updates re-ask under fresh decision ids), and the holds the kill
-        flow placed toward the victim are released so held frames deliver
-        to the reborn process.
+        executing service died are dropped everywhere (the reborn peer drops
+        its own keys on restore; the re-submitted updates re-ask under fresh
+        decision ids), and the holds the kill flow placed toward the victim
+        are released so held frames deliver to the reborn process.
         """
         if self._handles[name].process is not None:
             if self._handles[name].process.poll() is None:
@@ -1009,9 +922,7 @@ class ProcessFederation:
         # The reborn process starts a fresh heartbeat stream.
         self.timeline.revive(name)
         self.liveness()
-        for inbox in self._inboxes.values():
-            for key in [key for key in inbox if key[0] == name]:
-                del inbox[key]
+        self._drop_questions_of(name)
         for other, handle in self._handles.items():
             if other == name or handle.channel is None:
                 continue

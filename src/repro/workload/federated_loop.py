@@ -179,7 +179,60 @@ class FederatedOpenLoopReport:
     drained: bool = False
 
 
-class FederatedOpenLoopDriver:
+class _QuestionLoop:
+    """The round both federated drivers run: pump, answer the questions that
+    waited ``answer_delay`` rounds in their peer's inbox, pump again."""
+
+    def __init__(
+        self,
+        network: FederatedNetwork,
+        answer_delay: int,
+        answer_strategy: FederatedAnswerStrategy,
+    ):
+        self.network = network
+        self.answer_delay = answer_delay
+        self.answer_strategy = answer_strategy
+        #: (inbox peer, question key) -> the round the question was first seen.
+        self._asked_round: Dict[PyTuple[str, PyTuple[str, int]], int] = {}
+
+    def _refresh_questions(self, round_number: int) -> None:
+        open_keys = set()
+        for peer_name in self.network.peer_names():
+            for question in self.network.inbox(peer_name):
+                key = (peer_name, question.key)
+                open_keys.add(key)
+                self._asked_round.setdefault(key, round_number)
+        for key in list(self._asked_round):
+            if key not in open_keys:
+                del self._asked_round[key]
+
+    def _answer_due(self, round_number: int) -> List[int]:
+        """Answer every question that waited long enough; returns the waits."""
+        waits: List[int] = []
+        for peer_name in self.network.peer_names():
+            for question in self.network.inbox(peer_name):
+                key = (peer_name, question.key)
+                asked = self._asked_round.get(key, round_number)
+                if round_number - asked < self.answer_delay:
+                    continue
+                self.network.answer(
+                    peer_name, question, self.answer_strategy(question)
+                )
+                waits.append(round_number - asked)
+                self._asked_round.pop(key, None)
+        return waits
+
+    def _exchange_round(self, round_number: int) -> List[int]:
+        """One driver round after submissions; returns the answered waits."""
+        self.network.pump()
+        self._refresh_questions(round_number)
+        waits = self._answer_due(round_number)
+        self.network.pump()
+        self._refresh_questions(round_number)
+        return waits
+
+
+class FederatedOpenLoopDriver(_QuestionLoop):
     """Submits per-peer operation streams on an open-loop arrival process."""
 
     def __init__(
@@ -190,15 +243,12 @@ class FederatedOpenLoopDriver:
         answer_delay: int = 1,
         answer_strategy: FederatedAnswerStrategy = expanding_answer,
     ):
-        self.network = network
+        super().__init__(network, answer_delay, answer_strategy)
         self.arrivals = arrivals
-        self.answer_delay = answer_delay
-        self.answer_strategy = answer_strategy
         self._streams: Dict[str, List[UserOperation]] = {
             peer: list(stream) for peer, stream in operations.items()
         }
         self._rng = random.Random(arrivals.seed)
-        self._asked_round: Dict[PyTuple[str, PyTuple[str, int]], int] = {}
 
     def _submit_arrivals(
         self, round_number: int, report: FederatedOpenLoopReport
@@ -227,32 +277,6 @@ class FederatedOpenLoopDriver:
                 report.max_queue_depth, peer.service.queue_depth
             )
 
-    def _refresh_questions(self, round_number: int) -> None:
-        open_keys = set()
-        for peer_name in self.network.peer_names():
-            for question in self.network.inbox(peer_name):
-                key = (peer_name, question.key)
-                open_keys.add(key)
-                self._asked_round.setdefault(key, round_number)
-        for key in list(self._asked_round):
-            if key not in open_keys:
-                del self._asked_round[key]
-
-    def _answer_due(
-        self, round_number: int, report: FederatedOpenLoopReport
-    ) -> None:
-        for peer_name in self.network.peer_names():
-            for question in list(self.network.inbox(peer_name)):
-                key = (peer_name, question.key)
-                asked = self._asked_round.get(key, round_number)
-                if round_number - asked < self.answer_delay:
-                    continue
-                self.network.answer(
-                    peer_name, question, self.answer_strategy(question)
-                )
-                report.answered += 1
-                self._asked_round.pop(key, None)
-
     def run(self, max_rounds: int = 10_000) -> FederatedOpenLoopReport:
         """Run until every stream is submitted *and* the federation drained."""
         report = FederatedOpenLoopReport()
@@ -260,11 +284,7 @@ class FederatedOpenLoopDriver:
             report.rounds = round_number
             self._submit_arrivals(round_number, report)
             self._observe_queues(report)
-            self.network.pump()
-            self._refresh_questions(round_number)
-            self._answer_due(round_number, report)
-            self.network.pump()
-            self._refresh_questions(round_number)
+            report.answered += len(self._exchange_round(round_number))
             if not any(self._streams.values()):
                 report.all_submitted = True
                 if self.network.quiescent():
@@ -273,7 +293,7 @@ class FederatedOpenLoopDriver:
         return report
 
 
-class FederatedClosedLoopDriver:
+class FederatedClosedLoopDriver(_QuestionLoop):
     """Drives a :class:`FederatedNetwork` with think-time clients per peer."""
 
     def __init__(
@@ -283,36 +303,8 @@ class FederatedClosedLoopDriver:
         answer_delay: int = 1,
         answer_strategy: FederatedAnswerStrategy = expanding_answer,
     ):
-        self.network = network
-        self.answer_delay = answer_delay
-        self.answer_strategy = answer_strategy
+        super().__init__(network, answer_delay, answer_strategy)
         self.clients = [_FederatedClient(spec) for spec in specs]
-        self._asked_round: Dict[PyTuple[str, PyTuple[str, int]], int] = {}
-
-    def _refresh_questions(self, round_number: int) -> None:
-        open_keys = set()
-        for peer_name in self.network.peer_names():
-            for question in self.network.inbox(peer_name):
-                key = (peer_name, question.key)
-                open_keys.add(key)
-                self._asked_round.setdefault(key, round_number)
-        for key in list(self._asked_round):
-            if key not in open_keys:
-                del self._asked_round[key]
-
-    def _answer_due(self, round_number: int, report: FederatedDriverReport) -> None:
-        for peer_name in self.network.peer_names():
-            for question in list(self.network.inbox(peer_name)):
-                key = (peer_name, question.key)
-                asked = self._asked_round.get(key, round_number)
-                if round_number - asked < self.answer_delay:
-                    continue
-                self.network.answer(
-                    peer_name, question, self.answer_strategy(question)
-                )
-                report.answered += 1
-                report.question_wait_rounds.append(round_number - asked)
-                self._asked_round.pop(key, None)
 
     def run(self, max_rounds: int = 10_000) -> FederatedDriverReport:
         """Run until every client finished *and* the federation drained."""
@@ -322,11 +314,9 @@ class FederatedClosedLoopDriver:
             for client in self.clients:
                 if client.tick(self.network) is not None:
                     report.submitted += 1
-            self.network.pump()
-            self._refresh_questions(round_number)
-            self._answer_due(round_number, report)
-            self.network.pump()
-            self._refresh_questions(round_number)
+            waits = self._exchange_round(round_number)
+            report.answered += len(waits)
+            report.question_wait_rounds.extend(waits)
             if all(client.is_done for client in self.clients):
                 report.all_done = True
                 if self.network.quiescent():

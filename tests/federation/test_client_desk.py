@@ -1,0 +1,130 @@
+"""The client surface is the same in both runtimes.
+
+A client of a federation sees tickets, a per-peer inbox of questions and
+answers; :class:`~repro.federation.network.ClientDesk` is that surface, and
+both :class:`FederatedNetwork` and :class:`ProcessFederation` must present it
+identically: ticket ids, terminal statuses, where a routed update's question
+is filed, what answering does, and which calls are rejected.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import time
+
+import pytest
+
+from repro.core.frontier import UnifyOperation
+from repro.core.schema import DatabaseSchema
+from repro.core.tgd import parse_tgds
+from repro.core.tuples import make_tuple
+from repro.core.update import InsertOperation
+from repro.federation import FederatedNetwork, FederationError, ProcessFederation
+from repro.service.tickets import TicketStatus
+from repro.storage.memory import FrozenDatabase
+
+TIMEOUT = 120.0
+
+CHAIN = (
+    {"A1": ["x"], "A2": ["x", "y"], "B1": ["x"], "B2": ["x"]},
+    ["A1(x) -> exists y . A2(x, y)", "A2(x, y) -> B1(x)", "B1(x) -> B2(x)"],
+    {"a": ["A1", "A2"], "b": ["B1", "B2"]},
+)
+CYCLIC = (
+    {"Seed": ["x"], "Person": ["name"], "Father": ["child", "father"]},
+    ["Seed(x) -> Person(x)", "Person(x) -> exists y . Father(x, y), Person(y)"],
+    {"a": ["Seed"], "b": ["Person", "Father"]},
+)
+
+
+@pytest.fixture(params=["inprocess", "process"])
+def federation_of(request, tmp_path):
+    """Build a federation of the parametrized runtime over a topology."""
+
+    @contextlib.contextmanager
+    def build(topology):
+        relations, mappings, ownership = topology
+        schema = DatabaseSchema.from_dict(relations)
+        arguments = (
+            schema,
+            FrozenDatabase(schema, {name: frozenset() for name in relations}),
+            parse_tgds(mappings),
+            ownership,
+        )
+        if request.param == "inprocess":
+            yield FederatedNetwork(*arguments)
+            return
+        federation = ProcessFederation(*arguments, workdir=str(tmp_path))
+        try:
+            yield federation
+        finally:
+            federation.close()
+            federation.assert_reaped()
+
+    return build
+
+
+def _settle(federation):
+    if isinstance(federation, FederatedNetwork):
+        federation.run_until_quiescent()
+    else:
+        federation.drain(timeout=TIMEOUT)
+
+
+def _advance(federation):
+    if isinstance(federation, FederatedNetwork):
+        federation.pump()
+    else:
+        federation.poll(0.05)
+
+
+def test_tickets_and_rejections(federation_of):
+    with federation_of(CHAIN) as federation:
+        tickets = [
+            federation.submit("a", InsertOperation(make_tuple("A1", "v1"))),
+            federation.submit("a", InsertOperation(make_tuple("B1", "w1"))),
+            federation.submit("b", InsertOperation(make_tuple("B1", "w2"))),
+        ]
+        assert [ticket.ticket_id for ticket in tickets] == [1, 2, 3]
+        assert federation.tickets() == tickets
+        assert [ticket.target for ticket in tickets] == ["a", "b", "b"]
+        _settle(federation)
+        assert [ticket.status for ticket in tickets] == [TicketStatus.COMMITTED] * 3
+        assert all(ticket.is_done for ticket in tickets)
+        assert federation.ticket(2) is tickets[1]
+        with pytest.raises(FederationError):
+            federation.ticket(99)
+        with pytest.raises(FederationError):
+            federation.inbox("zz")
+        with pytest.raises(FederationError):
+            federation.submit("zz", InsertOperation(make_tuple("A1", "v2")))
+
+
+def test_routed_question_is_answered_at_its_origin(federation_of):
+    with federation_of(CYCLIC) as federation:
+        # Person is b's: the update is routed there, and the question its
+        # chase raises comes back to a, where the client is.
+        ticket = federation.submit("a", InsertOperation(make_tuple("Person", "alice")))
+        assert ticket.target == "b"
+        deadline = time.monotonic() + TIMEOUT
+        while not federation.inbox("a"):
+            assert time.monotonic() < deadline, "the question never reached a"
+            _advance(federation)
+        (question,) = federation.inbox("a")
+        assert question.executing_peer == "b"
+        assert federation.inbox("b") == []
+        unify = [
+            alternative
+            for alternative in question.alternatives()
+            if isinstance(alternative, UnifyOperation)
+        ][0]
+        with pytest.raises(FederationError):
+            federation.answer("zz", question, unify)
+        federation.answer("a", question, unify)
+        with pytest.raises(FederationError):
+            federation.answer("a", question, unify)
+        _settle(federation)
+        assert ticket.status is TicketStatus.COMMITTED
+        assert federation.inbox("a") == []
+        snapshot = federation.global_snapshot()
+        assert (snapshot.count("Person"), snapshot.count("Father")) == (1, 1)

@@ -49,6 +49,7 @@ from repro.storage.memory import FrozenDatabase
 from repro.workload.federated_loop import (
     FederatedClientSpec,
     FederatedClosedLoopDriver,
+    conservative_answer,
     expanding_answer,
 )
 from repro.workload.federation_gen import (
@@ -473,6 +474,45 @@ def test_kill_and_restart_peer_process_converges(tmp_path, transport, drain_mode
         assert all(ticket.is_done for ticket in tickets)
         snapshot = federation.global_snapshot()
     assert databases_equivalent(snapshot, _reference(environment).final)
+
+
+def test_restarted_peer_process_forgets_its_dead_services_questions(tmp_path):
+    """A question the killed service asked dies with it: the reborn process
+    re-asks under a fresh decision id and counts only the new one."""
+    schema = DatabaseSchema.from_dict(
+        {"Seed": ["x"], "Person": ["name"], "Father": ["child", "father"]}
+    )
+    mappings = parse_tgds(
+        [
+            "Seed(x) -> Person(x)",
+            "Person(x) -> exists y . Father(x, y), Person(y)",
+        ]
+    )
+    initial = FrozenDatabase(
+        schema, {name: frozenset() for name in schema.relation_names()}
+    )
+    with running(ProcessFederation(
+        schema,
+        initial,
+        mappings,
+        ownership={"a": ["Seed"], "b": ["Person", "Father"]},
+        workdir=str(tmp_path),
+    )) as federation:
+        ticket = federation.submit("b", InsertOperation(make_tuple("Person", "alice")))
+        deadline = time.monotonic() + DRAIN_TIMEOUT
+        while [question.key for question in federation.inbox("b")] != [("b", 1)]:
+            assert time.monotonic() < deadline, "the question never reached b"
+            federation.poll(0.05)
+        path = str(tmp_path / "b.ckpt")
+        federation.checkpoint_peer("b", path, halt=True)
+        federation.kill_peer("b")
+        federation.restart_peer("b", path)
+        federation.drain(
+            answer_strategy=conservative_answer, timeout=DRAIN_TIMEOUT
+        )
+        assert ticket.status is TicketStatus.COMMITTED
+        assert federation.inbox("b") == []
+        assert federation.metrics()["b"]["open_questions"] == 0
 
 
 def test_failed_checkpoint_releases_its_holds(tmp_path):
