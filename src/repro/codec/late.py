@@ -24,7 +24,6 @@ from ..core.frontier import (
 from ..core.update import DeleteOperation, InsertOperation, NullReplacementOperation
 from ..core.violations import Violation, ViolationKind
 from ..federation.envelopes import (
-    CommitNotice,
     ExchangeFiring,
     ExchangeRetraction,
     QuestionAnswer,
@@ -34,7 +33,7 @@ from ..federation.envelopes import (
 )
 from ..federation.operations import RemoteFiringOperation, RemoteRetractionOperation
 from ..federation.transport import Bundle
-from ..service.tickets import RemoteOrigin, TicketStatus
+from ..service.tickets import RemoteOrigin
 from ..storage.versioned import VersionedWrite
 from . import wire
 

@@ -50,9 +50,9 @@ from ..obs.trace import SpanContext
 
 # Bound by :mod:`repro.codec.late`, which the package root imports last.  This
 # module is first imported while ``repro.core`` is still initialising (core ->
-# storage -> SQLite backend -> SQL generator -> this package), and every type
-# below comes from a module that imports the storage package or this codec, so
-# none of them can be imported here.
+# storage -> durable log -> this package), and every type below comes from a
+# module that imports the storage package or this codec, so none of them can
+# be imported here.
 FrontierTuple: type
 PositiveFrontierRequest: type
 NegativeFrontierRequest: type
@@ -68,14 +68,12 @@ VersionedWrite: type
 RemoteFiringOperation: type
 RemoteRetractionOperation: type
 RemoteOrigin: type
-TicketStatus: type
 RemoteUpdate: type
 ExchangeFiring: type
 ExchangeRetraction: type
 QuestionOpened: type
 QuestionCancelled: type
 QuestionAnswer: type
-CommitNotice: type
 Bundle: type
 
 #: The codec dialect this build speaks.  Bump on any incompatible change.
@@ -488,8 +486,6 @@ def payload_kind(payload: object) -> str:
         return "question-cancelled"
     if isinstance(payload, QuestionAnswer):
         return "question-answer"
-    if isinstance(payload, CommitNotice):
-        return "commit-notice"
     if isinstance(payload, Bundle):
         return "bundle"
     if isinstance(payload, _SCALAR_TYPES):
@@ -586,14 +582,6 @@ def _encode_payload_body(payload: object, mappings: Mappings) -> Dict[str, Any]:
             "c": _encode_choice(payload.choice, mappings),
             "by": payload.answered_by,
         }
-    if isinstance(payload, CommitNotice):
-        if not isinstance(payload.status, TicketStatus):
-            raise CodecError("commit notice with non-status {!r}".format(payload.status))
-        return {
-            "t": "commit-notice",
-            "o": _encode_origin(payload.origin),
-            "s": payload.status.value,
-        }
     if isinstance(payload, Bundle):
         return {
             "t": "bundle",
@@ -647,11 +635,6 @@ def _decode_payload_body(body: Dict[str, Any], mappings: Mappings) -> object:
             decision_id=body["id"],
             choice=_decode_choice(body["c"], mappings),
             answered_by=body["by"],
-        )
-    if tag == "commit-notice":
-        return CommitNotice(
-            origin=_decode_origin(body["o"]),
-            status=TicketStatus(body["s"]),
         )
     if tag == "bundle":
         return Bundle(

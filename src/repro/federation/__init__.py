@@ -27,7 +27,6 @@ from .convergence import (
     reference_chase,
 )
 from .envelopes import (
-    CommitNotice,
     ExchangeFiring,
     ExchangeRetraction,
     QuestionAnswer,
@@ -64,7 +63,6 @@ from .transport import Bundle, Envelope, Transport
 __all__ = [
     "Bundle",
     "ChannelClosed",
-    "CommitNotice",
     "ConvergenceReport",
     "CrossMapping",
     "Envelope",

@@ -7,6 +7,8 @@ are re-submitted through the destination peer's admission queue on delivery;
 the question-routing payloads implement the paper's collaboration loop across
 peers — a frontier question raised while chasing a forwarded update travels
 back to the peer whose users caused it, and the answer travels forward again.
+No payload reports a routed update's outcome: the peer that executes it tells
+the client desk directly (see :class:`~repro.federation.peer.Peer`).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from ..core.tgd import Tgd
 from ..core.tuples import Tuple
 from ..core.update import UserOperation
 from ..obs.trace import SpanContext
-from ..service.tickets import RemoteOrigin, TicketStatus
+from ..service.tickets import RemoteOrigin
 
 #: Hashable form of an exported variable assignment.
 AssignmentItems = FrozenSet[PyTuple[Variable, DataTerm]]
@@ -145,18 +147,6 @@ class QuestionAnswer:
     trace: Optional[SpanContext] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
-class CommitNotice:
-    """A routed user update reached a terminal state at its executing peer."""
-
-    origin: RemoteOrigin
-    status: TicketStatus
-    #: Originating update's trace context (``None`` when tracing is off).
-    #: ``compare=False`` keeps equality/hashing — and with them golden
-    #: decode comparisons and coalescing dedup — independent of tracing.
-    trace: Optional[SpanContext] = field(default=None, compare=False)
-
-
 ExchangePayload = Union[
     RemoteUpdate,
     ExchangeFiring,
@@ -164,5 +154,4 @@ ExchangePayload = Union[
     QuestionOpened,
     QuestionCancelled,
     QuestionAnswer,
-    CommitNotice,
 ]

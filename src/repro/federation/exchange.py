@@ -42,12 +42,7 @@ from ..service.tickets import RemoteOrigin
 from ..storage.interface import DatabaseView
 from ..storage.overlay import OverlayView
 from ..storage.versioned import VersionedWrite
-from .envelopes import (
-    CommitNotice,
-    ExchangeFiring,
-    ExchangeRetraction,
-    freeze_assignment,
-)
+from .envelopes import ExchangeFiring, ExchangeRetraction, freeze_assignment
 
 
 class FederationError(ValueError):
@@ -301,7 +296,7 @@ def coalesce_envelopes(
 ) -> List[PyTuple[str, object]]:
     """Coalesce one commit batch's staged ``(destination, payload)`` pairs.
 
-    Three in-order rewrites, each preserving the destination's observable
+    Two in-order rewrites, each preserving the destination's observable
     outcome (delivery is per-link FIFO, and a batch is flushed as one bundle,
     so "deliver the coalesced sequence" ≡ "deliver the original sequence"):
 
@@ -320,9 +315,6 @@ def coalesce_envelopes(
       owner, and :class:`ExchangeRules` guarantees those differ, so no peer
       can stage both sides of a key today — the rule keeps the rewrite sound
       for any future payload source that can.
-    * **Merge commit notices.**  Several notices for the same origin collapse
-      to the last (terminal states do not regress; duplicates simply
-      re-deliver knowledge the origin already has).
 
     Question-routing payloads and remote updates pass through untouched —
     their per-message identity matters (answers and cancellations reference
@@ -331,7 +323,6 @@ def coalesce_envelopes(
     kept: List[Optional[PyTuple[str, object]]] = []
     live_firing: Dict[PyTuple[str, Tgd, frozenset], int] = {}
     seen_retraction: Set[PyTuple[str, Tgd, frozenset]] = set()
-    notice_at: Dict[PyTuple[str, RemoteOrigin], int] = {}
     for destination, payload in staged:
         if isinstance(payload, ExchangeFiring):
             key = (destination, payload.tgd, payload.assignment_items)
@@ -348,13 +339,6 @@ def coalesce_envelopes(
             if key in seen_retraction:
                 continue
             seen_retraction.add(key)
-            kept.append((destination, payload))
-        elif isinstance(payload, CommitNotice):
-            key = (destination, payload.origin)
-            previous = notice_at.get(key)
-            if previous is not None:
-                kept[previous] = None  # merged into this (later) notice
-            notice_at[key] = len(kept)
             kept.append((destination, payload))
         else:
             kept.append((destination, payload))

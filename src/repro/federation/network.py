@@ -9,7 +9,9 @@ simulated :class:`~repro.federation.transport.Transport`:
 
 * a user operation submitted at a peer executes at the *owner* of its target
   relation — locally, or routed as a :class:`~repro.federation.envelopes.RemoteUpdate`
-  through the owner's admission queue;
+  through the owner's admission queue, and the owner reports its terminal
+  status straight to the client desk (nothing travels back to the submitting
+  peer);
 * when an update commits, its writes fire the cross-peer mappings whose LHS
   the committing peer owns; the resulting head firings (and, for deletions,
   retractions) travel as envelopes and are re-submitted at the destination;
@@ -64,9 +66,9 @@ class FederatedTicket:
     peer: str
     target: str
     operation: UserOperation
-    #: ``QUEUED`` until the submitting peer reports the terminal status (for
-    #: a routed update, once the commit notice crossed back to it:
-    #: partitions delay knowledge, as they should).
+    #: ``QUEUED`` until the executing peer reports the terminal status: the
+    #: submitting peer for a local operation, the owner for a routed one
+    #: (a partition holding the routed update delays it, as it should).
     status: TicketStatus = TicketStatus.QUEUED
 
     @property
@@ -347,9 +349,9 @@ class FederatedNetwork(ClientDesk):
         dropped — that *is* the crash.  The replacement is restored from the
         checkpoint: committed store as its initial state, pending operations
         re-submitted with their federation origins, null-factory and
-        decision-id numbering resumed, commit-notice obligations and client
-        tickets re-linked to the re-submitted tickets, deferred deliveries
-        back in its retry queue (see :meth:`Peer.restore`).  Envelopes in
+        decision-id numbering resumed, the report obligations of routed
+        updates and client tickets re-linked to the re-submitted tickets,
+        deferred deliveries back in its retry queue (see :meth:`Peer.restore`).  Envelopes in
         flight on the transport are untouched and deliver to the reborn peer
         as usual (delivery re-submits through its admission queue, so
         nothing cares that the service behind the name changed).

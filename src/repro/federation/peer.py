@@ -13,11 +13,14 @@ one process, :class:`~repro.federation.proc.PeerHost` in a peer process):
   under the peer's *gateway* session and resumes parked decisions; what the
   bounded admission queue turns away waits in :attr:`Peer.retry`;
 * a scheduler commit listener turns every committed write set into outgoing
-  firings, retractions and commit notices, staged in :attr:`Peer.outbox`;
+  firings and retractions, staged in :attr:`Peer.outbox`;
 * :meth:`Peer.submit` and :meth:`Peer.answer_question` serve this peer's
   clients, keeping their federated ticket ids and inbox keys; what the
   clients see is reported in :attr:`Peer.events`, which the runtime's
-  :class:`~repro.federation.network.ClientDesk` applies;
+  :class:`~repro.federation.network.ClientDesk` applies.  A routed user
+  operation's terminal status is reported by the peer that executed it,
+  straight to the desk, under the federated ticket id its origin carries:
+  the submitting peer only forwards it;
 * :meth:`Peer.scan` diffs the service's frontier inbox after each pump:
   questions of *remote-origin* updates are staged for the originating peer,
   questions that vanished unanswered produce cancellations.
@@ -43,7 +46,6 @@ from ..service.repository import RepositoryService, RestoredService
 from ..service.tickets import RemoteOrigin, TicketStatus, UpdateTicket
 from ..storage.memory import FrozenDatabase
 from .envelopes import (
-    CommitNotice,
     ExchangeFiring,
     ExchangeRetraction,
     QuestionAnswer,
@@ -104,14 +106,12 @@ class Peer:
         #: Routed decisions answered through a delivered QuestionAnswer (their
         #: disappearance from the inbox is success, not cancellation).
         self._answered_remote: Set[int] = set()
-        #: Local ticket ids whose terminal state the origin peer awaits.
+        #: Local ticket ids of delivered routed updates whose terminal status
+        #: this peer reports to the client desk, under ``origin.ticket_id``.
         self._notify: Dict[int, RemoteOrigin] = {}
         #: Federated ticket id -> service ticket of a client operation
         #: executing here, until its terminal status is reported.
         self._executing: Dict[int, UpdateTicket] = {}
-        #: Federated ticket id -> root span (``None`` untraced or restored)
-        #: of a client operation routed from here, until its notice arrives.
-        self._routed: Dict[int, Optional[object]] = {}
         #: This peer's federated inbox: ``(executing_peer, decision_id)``
         #: keys of the open questions its clients may answer.
         self.inbox: Set[PyTuple[str, int]] = set()
@@ -233,9 +233,8 @@ class Peer:
         for old_ticket_id, origin_body in extra.get("notify", ()):
             replacement = restored.resubmitted.get(old_ticket_id)
             if replacement is not None:
-                peer.expect_notice(
-                    replacement.ticket_id,
-                    RemoteOrigin(origin_body["peer"], origin_body["ticket"]),
+                peer._notify[replacement.ticket_id] = RemoteOrigin(
+                    origin_body["peer"], origin_body["ticket"]
                 )
         for ticket_id, old_ticket_id in extra.get("executing", ()):
             replacement = restored.resubmitted.get(old_ticket_id)
@@ -243,7 +242,6 @@ class Peer:
                 peer._executing[ticket_id] = replacement
             # Missing: it finished before the checkpoint, and the runtime
             # applied its terminal event before the checkpoint was taken.
-        peer._routed = dict.fromkeys(extra.get("routed", ()))
         peer.inbox = {
             (executing, decision)
             for executing, decision in extra.get("inbox", ())
@@ -268,7 +266,10 @@ class Peer:
 
         It executes here if this peer owns its target (a full admission queue
         raises :class:`AdmissionError`); else the ``(owner, RemoteUpdate)``
-        for the runtime to send at once is returned.
+        for the runtime to send at once is returned, and the owner reports
+        the terminal status.  A traced routed operation's root span closes
+        here, on forwarding; the owner's ``remote`` update span, its child,
+        carries the outcome.
         """
         target = self._rules.route(self.name, operation)
         if target == self.name:
@@ -278,7 +279,7 @@ class Peer:
             return None
         self.updates_routed += 1
         tracer = self.service.tracer
-        span = None
+        context = None
         if tracer.enabled:
             span = tracer.start_span(
                 "update",
@@ -289,11 +290,11 @@ class Peer:
                 ticket=ticket_id,
                 routed_to=target,
             )
-        self._routed[ticket_id] = span
+            context = tracer.end_span(span).context
         return target, RemoteUpdate(
             operation=operation,
             origin=RemoteOrigin(self.name, ticket_id),
-            trace=None if span is None else span.context,
+            trace=context,
         )
 
     def answer_question(
@@ -348,13 +349,6 @@ class Peer:
         elif isinstance(payload, QuestionCancelled):
             if self._unfile(payload.executing_peer, payload.decision_id):
                 self.question_cancellations += 1
-        elif isinstance(payload, CommitNotice):
-            ticket_id = payload.origin.ticket_id
-            if ticket_id in self._routed:
-                span = self._routed.pop(ticket_id)
-                if span is not None:
-                    self.service.tracer.end_span(span, status=payload.status.value)
-                self._report(ticket_id, payload.status)
         elif isinstance(payload, QuestionAnswer):
             self.answer(payload.decision_id, payload.choice, routed=True)
         elif not isinstance(payload, UPDATE_BEARING):
@@ -404,7 +398,7 @@ class Peer:
         except AdmissionError:
             return False
         if isinstance(payload, RemoteUpdate):
-            self.expect_notice(ticket.ticket_id, payload.origin)
+            self._notify[ticket.ticket_id] = payload.origin
         elif isinstance(payload, ExchangeFiring):
             self.firings_delivered += 1
         else:
@@ -438,10 +432,6 @@ class Peer:
     # ------------------------------------------------------------------
     # Commit-time exchange
     # ------------------------------------------------------------------
-    def expect_notice(self, ticket_id: int, origin: RemoteOrigin) -> None:
-        """Mark a delivered routed update: its commit must be reported home."""
-        self._notify[ticket_id] = origin
-
     def _on_batch_commit(self, commits) -> None:
         """Scheduler batch listener: one staging round per commit batch.
 
@@ -456,17 +446,15 @@ class Peer:
         for destination, payload in self._coalesce(staged):
             if isinstance(payload, ExchangeFiring):
                 self.firings_emitted += 1
-            elif isinstance(payload, ExchangeRetraction):
+            else:
                 self.retractions_emitted += 1
-            elif isinstance(payload, CommitNotice):
-                self.notices_emitted += 1
             self.outbox.append((destination, payload))
 
     def _coalesce(
         self, staged: List[PyTuple[str, object]]
     ) -> List[PyTuple[str, object]]:
         """Coalesce one commit batch's envelopes (dedup absorbed firings,
-        cancel firing/retraction pairs, merge notices)."""
+        cancel firing/retraction pairs)."""
         if len(staged) < 2:
             return staged
         coalesced = coalesce_envelopes(staged)
@@ -479,7 +467,8 @@ class Peer:
         writes,
         staged: List[PyTuple[str, object]],
     ) -> None:
-        """Produce one committed update's envelopes into *staged*."""
+        """Produce one committed update's envelopes into *staged*, and report
+        a routed user update's commit to the client desk."""
         ticket = self.service.ticket_for_priority(priority)
         if ticket is not None and ticket.origin is not None:
             origin = ticket.origin
@@ -504,11 +493,7 @@ class Peer:
                 ]
             staged.extend(produced)
         if ticket is not None and ticket.ticket_id in self._notify:
-            notify_origin = self._notify.pop(ticket.ticket_id)
-            notice = CommitNotice(origin=notify_origin, status=TicketStatus.COMMITTED)
-            if context is not None:
-                notice = replace(notice, trace=context)
-            staged.append((notify_origin.peer, notice))
+            self._report_routed(ticket.ticket_id, TicketStatus.COMMITTED)
 
     def scan(self) -> bool:
         """After a service pump: route questions, report failures and
@@ -524,24 +509,22 @@ class Peer:
     def _report(self, ticket_id: int, status: TicketStatus) -> None:
         self.events.append({"t": "ticket", "fid": ticket_id, "status": status.value})
 
+    def _report_routed(self, ticket_id: int, status: TicketStatus) -> None:
+        """Report a delivered routed update's terminal *status* to the desk."""
+        self.notices_emitted += 1
+        self._report(self._notify.pop(ticket_id).ticket_id, status)
+
     def _scan_failures(self) -> None:
         """Report routed updates that died without committing.
 
         The commit listener only ever sees commits; a routed update stopped
         by a budget stall ends ``FAILED`` through the service's stall path,
-        and its originating peer must still learn the terminal state or its
+        and the client desk must still learn the terminal state or its
         federated ticket (and closed-loop client) would wait forever.
         """
         for ticket_id in list(self._notify):
-            ticket = self.service.ticket(ticket_id)
-            if ticket.status is not TicketStatus.FAILED:
-                continue
-            origin = self._notify.pop(ticket_id)
-            self.notices_emitted += 1
-            notice = CommitNotice(origin=origin, status=TicketStatus.FAILED)
-            if ticket.trace_context is not None:
-                notice = replace(notice, trace=ticket.trace_context)
-            self.outbox.append((origin.peer, notice))
+            if self.service.ticket(ticket_id).status is TicketStatus.FAILED:
+                self._report_routed(ticket_id, TicketStatus.FAILED)
 
     # ------------------------------------------------------------------
     # Question routing
@@ -617,12 +600,13 @@ class Peer:
         *firing* null-factory state — the factory that materializes
         existentials inside outgoing :class:`ExchangeFiring` envelopes, whose
         numbering must also survive a restart or a reborn peer could mint a
-        null already living in another peer's store — and the commit-notice
+        null already living in another peer's store — and the report
         obligations (``ticket id → origin``) of routed updates still in
-        flight, so their originators still learn the terminal state after the
+        flight, so their clients still learn the terminal state after the
         restart, the deferred deliveries of :attr:`retry` and submissions of
         :attr:`deferred`, and the client desk: the federated ticket ids of
-        operations executing here or routed from here, and the inbox keys.
+        operations executing here, and the inbox keys.  (Checkpoints of
+        earlier builds also carry a ``routed`` key; restore ignores it.)
         The outbox and :attr:`events` are always empty at checkpoint time in
         a pumped federation (both runtimes flush them every round); anything
         in flight between peers survives the restart on the links themselves.
@@ -647,7 +631,6 @@ class Peer:
                 for ticket_id, ticket in self._executing.items()
                 if not ticket.is_done
             ),
-            "routed": sorted(self._routed),
             "inbox": sorted([executing, decision] for executing, decision in self.inbox),
             "deferred": [
                 [ticket_id, encode_user_operation(operation, self._rules.by_name)]

@@ -21,8 +21,9 @@ Two kinds of traffic cross the host's sockets, both as
   round-trip);
 * **control frames** between the coordinator and each peer — submissions,
   question answers, status polls, partition holds, checkpoint/halt and exit
-  — with events (ticket terminals, question opened — as its wire payload —
-  or vanished) pushed back on the same connection.
+  — with events (terminals of the tickets this peer executed, routed ones
+  included; question opened — as its wire payload — or vanished) pushed
+  back on the same connection.
 
 The host is single-threaded and reactive: a ``selectors`` loop blocks on the
 sockets, and every wakeup runs deliveries, service pumps, question scans and

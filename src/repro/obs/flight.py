@@ -34,7 +34,8 @@ rate is per-delivery and per-commit, not per-chase-step.  Measured on a
 shared 2-core box: ≈10–13 µs per record under ``timeit``, flushes
 included, and ≈23 µs per record section-timed inside ``sock_relay`` peers
 (cache-cold, between socket reads); a relayed insert leaves 3 records on
-its peers (control, delivery, notice).
+its peers (control at the submitting peer; delivery and ticket at the
+owner, which reports the terminal status).
 """
 
 from __future__ import annotations

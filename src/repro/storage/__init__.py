@@ -1,10 +1,13 @@
-"""Storage package: in-memory, multiversion and SQLite backends."""
+"""Storage package: in-memory and multiversion backends.
+
+The SQLite backend is imported from :mod:`repro.storage.sqlite_backend`, so
+only its users pay for ``sqlite3``.
+"""
 
 from .index import PositionIndex
 from .interface import DatabaseView, MutableDatabase, StorageError, dump_sorted
 from .memory import FrozenDatabase, MemoryDatabase
 from .overlay import OverlayView, view_with_write, view_without_write
-from .sqlite_backend import SQLiteDatabase
 from .versioned import (
     LATEST,
     Version,
@@ -23,7 +26,6 @@ __all__ = [
     "MutableDatabase",
     "OverlayView",
     "PositionIndex",
-    "SQLiteDatabase",
     "StorageError",
     "Version",
     "VersionedDatabase",

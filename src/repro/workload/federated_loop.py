@@ -3,8 +3,8 @@
 The closed-loop half is the multi-peer sibling of
 :mod:`repro.workload.closed_loop`: each client belongs to one peer, keeps at
 most one federated update outstanding (remote ones count as outstanding until
-the commit notice crosses the transport back), and thinks for a configurable
-number of rounds between submissions.  Frontier questions wait in their
+their owner reports the terminal status to the client desk), and thinks for
+a configurable number of rounds between submissions.  Frontier questions wait in their
 *originating* peer's federated inbox for ``answer_delay`` rounds before a
 client of that peer answers them — for a question raised at a remote
 executing peer, the answer then travels back over the transport like any

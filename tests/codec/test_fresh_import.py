@@ -91,7 +91,7 @@ SCRIPT = textwrap.dedent(
         assert getattr(decoded, "trace", None) == getattr(payload, "trace", None)
     assert kinds == {{
         "remote-update", "firing", "retraction", "question-opened",
-        "question-cancelled", "question-answer", "commit-notice", "bundle", "raw",
+        "question-cancelled", "question-answer", "bundle", "raw",
     }}, kinds
 
     entry = VersionedWrite(seq=4, priority=2, tid=9, write=insert(Tuple("A", [Constant(1)])))

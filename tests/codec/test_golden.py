@@ -35,10 +35,9 @@ from repro.core.frontier import (
 from repro.core.terms import Constant, LabeledNull, Variable
 from repro.core.tgd import Tgd
 from repro.core.tuples import Tuple
-from repro.core.update import DeleteOperation, InsertOperation
+from repro.core.update import DeleteOperation, InsertOperation, NullReplacementOperation
 from repro.core.violations import Violation, ViolationKind
 from repro.federation.envelopes import (
-    CommitNotice,
     ExchangeFiring,
     ExchangeRetraction,
     QuestionAnswer,
@@ -49,7 +48,8 @@ from repro.federation.envelopes import (
 )
 from repro.federation.operations import RemoteFiringOperation
 from repro.federation.transport import Bundle
-from repro.service.tickets import RemoteOrigin, TicketStatus
+from repro.obs.trace import SpanContext
+from repro.service.tickets import RemoteOrigin
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_envelopes.jsonl")
 
@@ -165,13 +165,20 @@ def golden_payloads():
             choice=DeleteSubsetOperation((Tuple("A", [Constant("c1"), Constant("k")]),)),
             answered_by="p0",
         )),
-        ("commit-notice", CommitNotice(origin=_ORIGIN, status=TicketStatus.COMMITTED)),
-        ("commit-notice-failed", CommitNotice(
-            origin=RemoteOrigin("p3", 8), status=TicketStatus.FAILED
+        ("remote-update-replace-null", RemoteUpdate(
+            operation=NullReplacementOperation(LabeledNull("p1s2"), Constant("nyc")),
+            origin=RemoteOrigin("p3", 8),
+        )),
+        # The optional trace field: absent above, pinned here.
+        ("question-cancelled-traced", QuestionCancelled(
+            executing_peer="p1",
+            decision_id=6,
+            origin=_ORIGIN,
+            trace=SpanContext(trace_id="p0.t3", span_id="p0.s9"),
         )),
         ("bundle", Bundle((
             firing,
-            CommitNotice(origin=_ORIGIN, status=TicketStatus.COMMITTED),
+            QuestionCancelled(executing_peer="p1", decision_id=5, origin=_ORIGIN),
         ))),
         ("raw-scalar", "transport-smoke"),
     ]

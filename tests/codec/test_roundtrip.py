@@ -60,7 +60,6 @@ from repro.core.update import (
 from repro.core.violations import Violation, ViolationKind
 from repro.core.writes import Write, WriteKind, delete, insert, modify
 from repro.federation.envelopes import (
-    CommitNotice,
     ExchangeFiring,
     ExchangeRetraction,
     QuestionAnswer,
@@ -74,7 +73,7 @@ from repro.federation.operations import (
     RemoteRetractionOperation,
 )
 from repro.federation.transport import Bundle
-from repro.service.tickets import RemoteOrigin, TicketStatus
+from repro.service.tickets import RemoteOrigin
 from repro.storage.versioned import VersionedWrite
 
 
@@ -233,7 +232,7 @@ class Gen:
         return RemoteRetractionOperation(tgd, assignment)
 
     def payload(self, allow_bundle=True):
-        kind = self.rng.randrange(8 if allow_bundle else 7)
+        kind = self.rng.randrange(7 if allow_bundle else 6)
         if kind == 0:
             return RemoteUpdate(operation=self.user_operation(), origin=self.origin())
         if kind == 1:
@@ -277,11 +276,6 @@ class Gen:
                 decision_id=self.rng.randrange(1, 99),
                 choice=choice,
                 answered_by="p0",
-            )
-        if kind == 6:
-            return CommitNotice(
-                origin=self.origin(),
-                status=self.rng.choice(list(TicketStatus)),
             )
         # A coalesced bundle: several payloads travelling as one envelope.
         return Bundle(
@@ -484,7 +478,7 @@ def test_inconsistent_null_renaming_is_not_equivalent():
 # Failure behavior
 # ----------------------------------------------------------------------
 def test_unknown_wire_version_is_rejected():
-    good = encode_envelope(CommitNotice(RemoteOrigin("p0", 1), TicketStatus.COMMITTED))
+    good = encode_envelope(QuestionCancelled("p1", 5, RemoteOrigin("p0", 1)))
     structure = json.loads(good.decode("utf-8"))
     structure["v"] = WIRE_VERSION + 1
     with pytest.raises(CodecError, match="unsupported wire version"):

@@ -1,8 +1,7 @@
 """Coalesced federation envelopes: unit rewrites and delivery differentials.
 
 ``coalesce_envelopes`` rewrites one commit batch's staged payload sequence —
-dedup absorbed firings, cancel firing→retraction pairs, merge commit notices
-— and the network flushes the result as per-destination transport bundles.
+dedup absorbed firings, cancel firing→retraction pairs — and the network flushes the result as per-destination transport bundles.
 Neither rewrite may change what a destination peer observes, so alongside the
 unit tests for each rule there is a differential: the same generated
 multi-peer workload delivered coalesced-and-bundled versus one-envelope-at-a-
@@ -23,7 +22,6 @@ from repro.core.tgd import Tgd
 from repro.core.tuples import make_tuple
 from repro.federation import (
     Bundle,
-    CommitNotice,
     ExchangeFiring,
     ExchangeRetraction,
     FederatedNetwork,
@@ -34,7 +32,7 @@ from repro.federation import (
     reference_chase,
 )
 from repro.federation.envelopes import QuestionCancelled, freeze_assignment
-from repro.service.tickets import RemoteOrigin, TicketStatus
+from repro.service.tickets import RemoteOrigin
 from repro.workload.federated_loop import (
     FederatedClientSpec,
     FederatedClosedLoopDriver,
@@ -97,13 +95,6 @@ class TestCoalesceRules:
         first = _retraction("a")
         staged = [("p1", first), ("p1", _retraction("a"))]
         assert coalesce_envelopes(staged) == [("p1", first)]
-
-    def test_commit_notices_merge_to_last(self):
-        early = CommitNotice(origin=ORIGIN, status=TicketStatus.COMMITTED)
-        late = CommitNotice(origin=ORIGIN, status=TicketStatus.COMMITTED)
-        other = CommitNotice(origin=RemoteOrigin("p0", 2), status=TicketStatus.FAILED)
-        staged = [("p0", early), ("p0", other), ("p0", late)]
-        assert coalesce_envelopes(staged) == [("p0", other), ("p0", late)]
 
     def test_question_payloads_pass_through_in_order(self):
         cancelled = QuestionCancelled(

@@ -2,8 +2,8 @@
 
 These fixtures pin the exchange mechanics one at a time: forward cascades
 (local chase → cross firing → remote local chase), backward retraction
-cascades, user-update routing with commit notices, question routing with
-answers, cancellations and partitions.
+cascades, user-update routing with the owner's terminal report, question
+routing with answers, cancellations and partitions.
 """
 
 from __future__ import annotations
@@ -101,6 +101,8 @@ def test_user_update_routed_to_owner_with_commit_notice():
 
 
 def test_commit_notice_is_delayed_by_partition():
+    # The owner reports a routed update's terminal status straight to the
+    # client desk; a partition still delays it by holding the update itself.
     _, _, _, network = chain_fixture()
     network.partition("a", "b")
     ticket = network.submit("a", InsertOperation(make_tuple("B1", "w")))

@@ -31,6 +31,7 @@ from repro.workload.federation_gen import (
     FederationScenarioConfig,
     generate_federation_environment,
 )
+from test_trace_propagation import assert_routed_chains
 
 DRAIN_TIMEOUT = 120.0
 
@@ -100,6 +101,9 @@ def test_traces_cross_the_socket_hop_and_do_not_disturb(tmp_path, monkeypatch):
             if span.parent_id is None
         ]
         assert len(roots) == 1, "trace grew a second root mid-exchange"
+    # A routed operation's root closes where it was submitted; the owner's
+    # remote update span, recorded in another process, carries the outcome.
+    assert_routed_chains(analysis)
     # The hop itself is visible: wire spans from the sending process carry
     # the encode cost, wire spans from the receiving process the decode
     # cost, and both sides report the framed payload size.

@@ -162,6 +162,40 @@ def test_partition_heal_preserves_causal_chains():
     assert check_convergence(network, _reference(environment)).equivalent
 
 
+def assert_routed_chains(analysis):
+    """Every routed user root is closed at its submitting peer, and the
+    owner's ``remote`` update span under it ends with the terminal status."""
+    routed = [
+        span for span in analysis.spans
+        if span.name == "update" and "routed_to" in span.attrs
+    ]
+    assert routed, "no user operation was routed"
+    chained = {
+        chain[0].span_id: chain for chain in analysis.cross_peer_chains()
+    }
+    for root in routed:
+        assert root.parent_id is None and root.attrs["kind"] == "user"
+        assert root.end is not None, "routed root left open"
+        (remote,) = [
+            span for span in analysis.spans
+            if span.parent_id == root.span_id and span.name == "update"
+        ]
+        assert remote.attrs["kind"] == "remote"
+        assert remote.peer == root.attrs["routed_to"] != root.peer
+        assert remote.attrs["status"] in ("committed", "failed")
+        assert chained[root.span_id][:2] == [root, remote]
+
+
+def test_routed_operation_chains_from_submitter_to_owner():
+    config = FederationScenarioConfig(
+        num_peers=3, cross_mappings=6, remote_insert_fraction=0.5, seed=1
+    )
+    environment = generate_federation_environment(config)
+    tracer = Tracer()
+    _run(environment, Transport(delay=1), tracer=tracer)
+    assert_routed_chains(TraceAnalysis(tracer.spans))
+
+
 @pytest.mark.parametrize("seed", [0, 3])
 def test_tracing_does_not_change_the_run(seed):
     config = FederationScenarioConfig(
