@@ -36,6 +36,9 @@ from .readlog import ReadLog
 class SchedulerStalled(RuntimeError):
     """Raised when the scheduler exceeds its global step budget."""
 
+    #: What the service pump had done, when ``RepositoryService.pump`` re-raises.
+    report = None
+
 
 class OptimisticScheduler:
     """Runs a batch of updates concurrently under optimistic concurrency control."""

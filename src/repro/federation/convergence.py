@@ -9,7 +9,9 @@ single-repository :class:`~repro.core.chase.ChaseEngine` result must each map
 homomorphically into the other.  Because a homomorphism fixes constants, this
 criterion already forces the *ground* (null-free) parts of the two databases
 to be exactly equal — which the checker also asserts directly, as the much
-cheaper first pass.
+cheaper first pass.  :func:`~repro.query.homomorphism.find_homomorphism`
+finds the homomorphisms on the chase's compiled join executor, whose
+explicit stack needs no raised recursion limit however many facts carry nulls.
 
 The reference run replays the same user operations serially against one
 :class:`~repro.storage.memory.MemoryDatabase` holding the union of all peers'
@@ -23,14 +25,15 @@ universal-solution argument applies end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set
 
 from ..core.chase import ChaseConfig, ChaseEngine
 from ..core.oracle import AlwaysExpandOracle, FrontierOracle
-from ..core.terms import DataTerm, LabeledNull, NullFactory
+from ..core.terms import NullFactory
 from ..core.tgd import Tgd
 from ..core.tuples import Tuple
 from ..core.update import UpdateRecord, UserOperation
+from ..query.homomorphism import find_homomorphism
 from ..storage.interface import DatabaseView
 from ..storage.memory import FrozenDatabase, MemoryDatabase
 
@@ -38,115 +41,18 @@ from ..storage.memory import FrozenDatabase, MemoryDatabase
 # ----------------------------------------------------------------------
 # Homomorphic equivalence of instances with labeled nulls
 # ----------------------------------------------------------------------
-def _facts(view: DatabaseView) -> List[Tuple]:
-    facts: List[Tuple] = []
-    for relation in view.relations():
-        facts.extend(view.tuples(relation))
-    return facts
+def _ground(view: DatabaseView) -> Set[Tuple]:
+    rows = (row for relation in view.relations() for row in view.tuples(relation))
+    return {row for row in rows if not row.null_set()}
 
 
-def _ground(facts: Iterable[Tuple]) -> Set[Tuple]:
-    return {row for row in facts if not row.null_set()}
-
-
-def find_homomorphism(
-    source: DatabaseView, target: DatabaseView
-) -> Optional[Dict[LabeledNull, DataTerm]]:
-    """A mapping of *source*'s nulls to *target*'s terms embedding every fact.
-
-    Constants map to themselves; a labeled null may map to any constant or
-    null, consistently across its occurrences.  Returns the assignment, or
-    ``None`` when no homomorphism exists.  Backtracking search, facts with the
-    fewest unresolved nulls first; ground facts reduce to set membership.
-    """
-    target_index: Dict[str, List[Tuple]] = {}
-    target_sets: Dict[str, Set[Tuple]] = {}
-    for relation in target.relations():
-        rows = list(target.tuples(relation))
-        target_index[relation] = rows
-        target_sets[relation] = set(rows)
-
-    pending: List[Tuple] = []
-    for row in _facts(source):
-        if row.null_set():
-            pending.append(row)
-        elif row not in target_sets.get(row.relation, ()):
-            return None  # a ground fact must be present verbatim
-
-    assignment: Dict[LabeledNull, DataTerm] = {}
-
-    def image_or_none(row: Tuple) -> Optional[Tuple]:
-        """The fully mapped image of *row*, or ``None`` if nulls are unbound."""
-        values = []
-        for value in row.values:
-            if isinstance(value, LabeledNull):
-                bound = assignment.get(value)
-                if bound is None:
-                    return None
-                values.append(bound)
-            else:
-                values.append(value)
-        return Tuple(row.relation, values)
-
-    def candidates_for(row: Tuple) -> List[Tuple]:
-        matches: List[Tuple] = []
-        for candidate in target_index.get(row.relation, ()):
-            consistent = True
-            for position, value in enumerate(row.values):
-                if isinstance(value, LabeledNull):
-                    bound = assignment.get(value)
-                    if bound is not None and candidate[position] != bound:
-                        consistent = False
-                        break
-                elif candidate[position] != value:
-                    consistent = False
-                    break
-            if consistent:
-                matches.append(candidate)
-        return matches
-
-    def solve(remaining: List[Tuple]) -> bool:
-        if not remaining:
-            return True
-        # Most-constrained first: fewest unbound nulls, then fewest candidates.
-        def unbound_count(row: Tuple) -> int:
-            return sum(1 for null in row.null_set() if null not in assignment)
-
-        remaining.sort(key=unbound_count)
-        row = remaining[0]
-        rest = remaining[1:]
-        mapped = image_or_none(row)
-        if mapped is not None:
-            if mapped in target_sets.get(mapped.relation, ()):
-                return solve(rest)
-            return False
-        for candidate in candidates_for(row):
-            newly_bound: List[LabeledNull] = []
-            ok = True
-            for position, value in enumerate(row.values):
-                if isinstance(value, LabeledNull) and value not in assignment:
-                    assignment[value] = candidate[position]
-                    newly_bound.append(value)
-                elif isinstance(value, LabeledNull):
-                    if candidate[position] != assignment[value]:
-                        ok = False
-                        break
-            if ok and solve(rest):
-                return True
-            for null in newly_bound:
-                del assignment[null]
-        return False
-
-    if solve(pending):
-        return dict(assignment)
-    return None
+def _homomorphic_both_ways(a: DatabaseView, b: DatabaseView) -> bool:
+    return find_homomorphism(a, b) is not None and find_homomorphism(b, a) is not None
 
 
 def databases_equivalent(a: DatabaseView, b: DatabaseView) -> bool:
     """Homomorphic equivalence — the identity criterion for chase results."""
-    if _ground(_facts(a)) != _ground(_facts(b)):
-        return False
-    return find_homomorphism(a, b) is not None and find_homomorphism(b, a) is not None
+    return _ground(a) == _ground(b) and _homomorphic_both_ways(a, b)
 
 
 # ----------------------------------------------------------------------
@@ -232,8 +138,8 @@ def check_convergence(network, reference: ReferenceRun) -> ConvergenceReport:
     if not network.quiescent():
         raise RuntimeError("convergence is only defined on a drained federation")
     federated = network.global_snapshot()
-    ground_equal = _ground(_facts(federated)) == _ground(_facts(reference.final))
-    equivalent = ground_equal and databases_equivalent(federated, reference.final)
+    ground_equal = _ground(federated) == _ground(reference.final)
+    equivalent = ground_equal and _homomorphic_both_ways(federated, reference.final)
     federation_aborts = 0
     federation_resumes = 0
     for peer in network.peers():

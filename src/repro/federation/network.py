@@ -409,7 +409,7 @@ class FederatedNetwork(ClientDesk):
                 destination.deliver(payload)
             report.delivered += 1
         for peer in self._peers.values():
-            service_report = peer.service.pump()
+            service_report = peer.pump()
             if service_report.steps or service_report.committed:
                 peer.activity_seq += 1
             report.steps += service_report.steps

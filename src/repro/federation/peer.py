@@ -21,6 +21,8 @@ one process, :class:`~repro.federation.proc.PeerHost` in a peer process):
   operation's terminal status is reported by the peer that executed it,
   straight to the desk, under the federated ticket id its origin carries:
   the submitting peer only forwards it;
+* :meth:`Peer.pump` pumps the service; a budget stall fails the tickets it
+  stopped and leaves the peer serving, in both runtimes;
 * :meth:`Peer.scan` diffs the service's frontier inbox after each pump:
   questions of *remote-origin* updates are staged for the originating peer,
   questions that vanished unanswered produce cancellations.
@@ -39,10 +41,11 @@ from ..codec.wire import (
     encode_payload,
     encode_user_operation,
 )
+from ..concurrency.optimistic import SchedulerStalled
 from ..core.oracle import OracleError
 from ..core.terms import NullFactory
 from ..service.admission import AdmissionError
-from ..service.repository import RepositoryService, RestoredService
+from ..service.repository import PumpReport, RepositoryService, RestoredService
 from ..service.tickets import RemoteOrigin, TicketStatus, UpdateTicket
 from ..storage.memory import FrozenDatabase
 from .envelopes import (
@@ -494,6 +497,15 @@ class Peer:
             staged.extend(produced)
         if ticket is not None and ticket.ticket_id in self._notify:
             self._report_routed(ticket.ticket_id, TicketStatus.COMMITTED)
+
+    def pump(self) -> PumpReport:
+        """One service pump.  A budget stall does not stop the peer: the
+        service has already failed the tickets it stopped, and :meth:`scan`
+        reports them to the desk."""
+        try:
+            return self.service.pump()
+        except SchedulerStalled as stall:
+            return stall.report
 
     def scan(self) -> bool:
         """After a service pump: route questions, report failures and

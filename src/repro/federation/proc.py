@@ -557,7 +557,7 @@ class PeerHost:
             progress = False
             if self.peer.retry_deferred():
                 progress = True
-            report = self.peer.service.pump()
+            report = self.peer.pump()
             if report.steps or report.admitted or report.committed:
                 progress = True
             if self.peer.scan():

@@ -269,10 +269,14 @@ class OutgoingLink:
         }
 
     def next_due(self) -> Optional[float]:
-        """The earliest due time among queued frames (None when idle/held)."""
+        """The earliest due time among queued frames (None when idle/held);
+        while disconnected, no earlier than the next redial."""
         if self.held or not self.queue:
             return None
-        return min(due for due, _ in self.queue)
+        due = min(due for due, _ in self.queue)
+        if self.channel is None or self.channel.closed:
+            return max(due, self._retry_at)
+        return due
 
     def _connect(self, hello: Optional[bytes]) -> Optional[FrameChannel]:
         try:

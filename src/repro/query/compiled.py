@@ -285,6 +285,17 @@ class CompiledConjunction:
         return _run(self._plan_for(frozenset(seed), view)[1], view, seed, None, None)
 
 
+def first_match_in_order(
+    atoms: Sequence[Atom], view: DatabaseView
+) -> Optional[Assignment]:
+    """The first homomorphism of *atoms* into *view*, or ``None``, matching
+    the atoms in the order given: the executor without the planner."""
+    ordered = tuple((atom, slot) for slot, atom in enumerate(atoms))
+    results: List[Match] = []
+    _run(_match_steps(ordered, frozenset()), view, {}, results, 1)
+    return results[0][0] if results else None
+
+
 def _getter(positions: Sequence[int]) -> Optional[Callable]:
     """Read *positions* of a row's values as one tuple; ``None`` for none."""
     if not positions:

@@ -9,15 +9,22 @@ each probed with every column it has bound — lives in
 per ordering; this module keeps the historical ad-hoc entry points, which
 compile the conjunction on the fly.  Hot callers (the chase, the violation
 queries) hold a compiled plan instead and skip the per-call compilation.
+
+:func:`find_homomorphism` maps one *database* into another on the same
+executor, without recursion: each connected component of null-carrying facts
+is a conjunction (nulls as variables) run to its first match, its atoms in
+breadth-first order over shared nulls; ground facts are membership tests.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set
 
 from ..core.atoms import Atom
+from ..core.terms import DataTerm, LabeledNull, Variable
+from ..core.tuples import Tuple
 from ..storage.interface import DatabaseView
-from .compiled import Assignment, CompiledConjunction, Match
+from .compiled import Assignment, CompiledConjunction, Match, first_match_in_order
 
 
 def find_matches(
@@ -70,3 +77,54 @@ def formula_satisfied(
         if not rhs_plan.exists_match(view, exported):
             return False
     return True
+
+
+def find_homomorphism(
+    source: DatabaseView, target: DatabaseView
+) -> Optional[Dict[LabeledNull, DataTerm]]:
+    """A mapping of *source*'s nulls to *target*'s terms embedding every fact.
+
+    Constants map to themselves; a labeled null may map to any constant or
+    null, consistently across its occurrences.  Returns the assignment, or
+    ``None`` when no homomorphism exists.
+    """
+    carrying: List[Tuple] = []
+    facts_of: Dict[LabeledNull, List[Tuple]] = {}
+    for relation in source.relations():
+        for row in source.tuples(relation):
+            nulls = row.null_set()
+            if not nulls:
+                if not target.contains(row):
+                    return None  # a ground fact must be present verbatim
+                continue
+            carrying.append(row)
+            for null in nulls:
+                facts_of.setdefault(null, []).append(row)
+    # Each component starts from its fact with the fewest distinct nulls.
+    carrying.sort(key=lambda row: len(row.null_set()))
+    assignment: Dict[LabeledNull, DataTerm] = {}
+    placed: Set[Tuple] = set()
+    for start in carrying:
+        if start in placed:
+            continue
+        placed.add(start)
+        component = [start]
+        for fact in component:  # grows while read: breadth-first
+            for null in fact.nulls():
+                for row in facts_of.pop(null, ()):
+                    if row not in placed:
+                        placed.add(row)
+                        component.append(row)
+        atoms = [
+            Atom(row.relation, [
+                Variable(value.name) if isinstance(value, LabeledNull) else value
+                for value in row.values
+            ])
+            for row in component
+        ]
+        match = first_match_in_order(atoms, target)
+        if match is None:
+            return None
+        for variable, value in match.items():
+            assignment[LabeledNull(variable.name)] = value
+    return assignment

@@ -289,7 +289,7 @@ class RepositoryService:
         affected tickets are marked ``FAILED`` (freeing their admission
         slots), everything that did commit is still reconciled, and the
         :class:`~repro.concurrency.optimistic.SchedulerStalled` is re-raised
-        for the operator.
+        for the operator, carrying this pump's report as its ``report``.
         """
         report = PumpReport()
         for ticket in self._queue.take(self._in_flight_count()):
@@ -303,9 +303,10 @@ class RepositoryService:
             return report
         try:
             report.steps = self._scheduler.pump(max_steps)
-        except SchedulerStalled:
+        except SchedulerStalled as stall:
             self._reconcile(report)
             self._fail_budget_exhausted()
+            stall.report = report
             raise
         self._reconcile(report)
         return report

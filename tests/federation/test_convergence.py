@@ -7,15 +7,25 @@ stores, unioned, must equal the single-repository chase over the union of
 mappings.  "Equal" is the chase's own identity criterion: exact equality on
 ground facts plus homomorphic equivalence over labeled nulls (chase results
 are universal solutions, unique exactly up to that).
+
+The checker's search runs on the compiled join executor; it is compared
+here with the recursive backtracker it replaced
+(``tests/oracles/recursive_homomorphism.py``) on random pairs of databases,
+and run on an instance far deeper than the default recursion limit allows
+that backtracker.
 """
 
 from __future__ import annotations
 
+import random
+import sys
+
 import pytest
+from oracles.recursive_homomorphism import find_homomorphism_recursive
 
 from repro.core.oracle import AlwaysExpandOracle
 from repro.core.schema import DatabaseSchema
-from repro.core.terms import LabeledNull
+from repro.core.terms import Constant, LabeledNull
 from repro.core.tuples import Tuple, make_tuple
 from repro.federation import (
     FederatedNetwork,
@@ -25,7 +35,7 @@ from repro.federation import (
     find_homomorphism,
     reference_chase,
 )
-from repro.storage.memory import FrozenDatabase
+from repro.storage.memory import FrozenDatabase, MemoryDatabase
 from repro.workload.federated_loop import (
     FederatedClientSpec,
     FederatedClosedLoopDriver,
@@ -80,6 +90,182 @@ def test_null_consistency_is_enforced():
     assert find_homomorphism(a, b) is None
     b_ok = _db(schema, [Tuple("R", ["c", "d"]), Tuple("S", ["d"])])
     assert find_homomorphism(a, b_ok) is not None
+
+
+def test_empty_source_maps_anywhere():
+    schema = DatabaseSchema.from_dict({"R": ["x", "y"]})
+    empty = _db(schema, [])
+    assert find_homomorphism(empty, empty) == {}
+    assert find_homomorphism(empty, _db(schema, [make_tuple("R", "c", "d")])) == {}
+    assert databases_equivalent(empty, empty)
+
+
+def test_ground_only_source_is_set_membership():
+    schema = DatabaseSchema.from_dict({"R": ["x", "y"], "S": ["x"]})
+    source = _db(schema, [make_tuple("R", "c", "d"), make_tuple("S", "c")])
+    target = _db(schema, [
+        make_tuple("R", "c", "d"), make_tuple("S", "c"), make_tuple("S", "e"),
+    ])
+    assert find_homomorphism(source, target) == {}
+    assert find_homomorphism(target, source) is None
+
+
+def test_a_null_repeated_within_one_fact_binds_once():
+    schema = DatabaseSchema.from_dict({"R": ["x", "y"]})
+    null = LabeledNull("n")
+    source = _db(schema, [Tuple("R", [null, null])])
+    assert find_homomorphism(source, _db(schema, [make_tuple("R", "c", "d")])) is None
+    diagonal = _db(schema, [make_tuple("R", "c", "d"), make_tuple("R", "e", "e")])
+    assert find_homomorphism(source, diagonal) == {null: Constant("e")}
+
+
+class _ReverseOrderedProbes(FrozenDatabase):
+    """Answers every probe in descending ``repr`` order."""
+
+    def tuples_matching(self, relation, bound):
+        rows = super().tuples_matching(relation, bound)
+        return iter(sorted(rows, key=repr, reverse=True))
+
+
+def test_a_component_backtracks_past_a_failing_first_candidate():
+    # R(c, #x) is matched first (one null against S's two) and meets a9
+    # first; only a0 extends to S, so the search must come back for it.
+    schema = DatabaseSchema.from_dict({"R": ["x", "y"], "S": ["x", "y"]})
+    x, y = LabeledNull("x"), LabeledNull("y")
+    source = _db(schema, [Tuple("R", ["c", x]), Tuple("S", [x, y])])
+    rows = [make_tuple("R", "c", "a{}".format(i)) for i in range(10)]
+    rows.append(make_tuple("S", "a0", "w"))
+    contents = {"R": frozenset(rows[:-1]), "S": frozenset(rows[-1:])}
+    target = _ReverseOrderedProbes(schema, contents)
+    assert next(target.tuples_matching("R", [(0, Constant("c"))])) == rows[9]
+    assert find_homomorphism(source, target) == {x: Constant("a0"), y: Constant("w")}
+    assert find_homomorphism_recursive(source, target) is not None
+
+
+def _chain(size, prefix):
+    """``R(k_{i mod 50}, #x_i, #x_{i//3})``: one component, a tree of nulls."""
+    schema = DatabaseSchema.from_dict({"R": ["k", "x", "parent"]})
+    rows = [
+        Tuple("R", [
+            "k{}".format(i % 50),
+            LabeledNull("{}{}".format(prefix, i)),
+            LabeledNull("{}{}".format(prefix, i // 3)),
+        ])
+        for i in range(size)
+    ]
+    return schema, rows
+
+
+def test_a_large_component_needs_no_raised_recursion_limit():
+    schema, rows = _chain(2000, "x")
+    _, renamed = _chain(2000, "y")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default, whatever ran before
+    try:
+        assert databases_equivalent(_db(schema, rows), _db(schema, renamed))
+        # The last fact is the only image of its null under the renaming.
+        assert not databases_equivalent(_db(schema, rows), _db(schema, renamed[:-1]))
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+# ----------------------------------------------------------------------
+# The search against the recursive backtracker it replaced
+# ----------------------------------------------------------------------
+RANDOM_SCHEMA = {"R": ["a", "b"], "S": ["a", "b", "c"], "T": ["a"]}
+RANDOM_CONSTANTS = [Constant(name) for name in ("p", "q", "r")]
+
+
+def _random_rows(rng, nulls, count):
+    rows = []
+    for _ in range(count):
+        relation = rng.choice(sorted(RANDOM_SCHEMA))
+        rows.append(Tuple(relation, [
+            rng.choice(nulls) if rng.random() < 0.5 else rng.choice(RANDOM_CONSTANTS)
+            for _ in RANDOM_SCHEMA[relation]
+        ]))
+    return rows
+
+
+def _fresh_nulls(rng, prefix):
+    return [LabeledNull("{}{}".format(prefix, i)) for i in range(rng.randint(1, 6))]
+
+
+def _renamed(rows, prefix):
+    renaming = {}
+    for row in rows:
+        for null in row.nulls():
+            renaming.setdefault(null, LabeledNull("{}{}".format(prefix, len(renaming))))
+    return [row.substitute(renaming) for row in rows]
+
+
+def _with_redundant_facts(rng, rows):
+    """Copies of existing facts with some positions blurred to fresh nulls."""
+    extra = []
+    for index in range(rng.randint(1, 3)):
+        row = rng.choice(rows)
+        extra.append(Tuple(row.relation, [
+            LabeledNull("r{}_{}".format(index, position)) if rng.random() < 0.5 else value
+            for position, value in enumerate(row.values)
+        ]))
+    return rows + extra
+
+
+def _altered(rng, rows):
+    index = rng.randrange(len(rows))
+    row = rows[index]
+    position = rng.randrange(len(row.values))
+    values = list(row.values)
+    values[position] = rng.choice(RANDOM_CONSTANTS + [LabeledNull("alt")])
+    return rows[:index] + [Tuple(row.relation, values)] + rows[index + 1:]
+
+
+def _view(rng, rows):
+    schema = DatabaseSchema.from_dict(RANDOM_SCHEMA)
+    if rng.random() < 0.5:
+        return _db(schema, rows)
+    database = MemoryDatabase(schema)
+    for row in rows:
+        database.insert(row)
+    return database
+
+
+def _embeds(assignment, source, target):
+    return all(
+        target.contains(row.substitute(assignment))
+        for relation in source.relations()
+        for row in source.tuples(relation)
+    )
+
+
+def _agree(source, target):
+    found = find_homomorphism(source, target)
+    assert (found is None) == (find_homomorphism_recursive(source, target) is None)
+    assert found is None or _embeds(found, source, target)
+    return found is not None
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_search_agrees_with_the_recursive_backtracker(block):
+    # 300 seeds a block, five variants a seed, both directions: 3000
+    # directed comparisons a block.
+    for seed in range(block * 300, (block + 1) * 300):
+        rng = random.Random(seed)
+        rows = _random_rows(rng, _fresh_nulls(rng, "n"), rng.randint(1, 12))
+        base = _view(rng, rows)
+        for variant in (_renamed(rows, "m"), _with_redundant_facts(rng, rows)):
+            view = _view(rng, variant)
+            assert _agree(base, view) and _agree(view, base)
+            assert databases_equivalent(base, view)
+        dropped = rng.randrange(len(rows))
+        for variant in (
+            rows[:dropped] + rows[dropped + 1:],
+            _altered(rng, rows),
+            _random_rows(rng, _fresh_nulls(rng, "u"), rng.randint(0, 12)),
+        ):
+            view = _view(rng, variant)
+            _agree(base, view)
+            _agree(view, base)
 
 
 # ----------------------------------------------------------------------

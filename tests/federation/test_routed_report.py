@@ -5,7 +5,8 @@ A user operation submitted at peer ``a`` on a relation ``b`` owns travels to
 or fails there, ``b`` reports the status straight to the client desk under
 the federated ticket id the update's origin carries.  Nothing travels back
 to ``a``, so the desk learns the outcome in the round that commits it, and a
-budget stall at ``b`` still reaches the desk as ``FAILED``.  A peer checkpoint
+budget stall at ``b`` still reaches the desk as ``FAILED`` while ``b`` keeps
+serving, in both runtimes.  A peer checkpoint
 of an earlier build, which kept a ``routed`` table of the operations the peer
 had forwarded, restores cleanly in both runtimes.
 """
@@ -18,7 +19,6 @@ import json
 import pytest
 
 from repro.codec.wire import dumps
-from repro.concurrency import SchedulerStalled
 from repro.core.schema import DatabaseSchema
 from repro.core.tgd import parse_tgds
 from repro.core.tuples import make_tuple
@@ -89,19 +89,21 @@ def test_routed_commit_reaches_the_desk_in_the_round_that_commits_it():
     assert network.peer("b").service.count("B2") == 1
 
 
-def test_routed_update_stopped_by_the_owners_budget_is_failed_at_the_desk():
+def test_routed_update_stopped_by_the_owners_budget_is_failed_at_the_desk(
+    federation_of,
+):
     # The lifetime budget admits the insert's own step but not the local
-    # chase it triggers at b (B1 -> B2).  The peer process does not survive a
-    # budget stall (the scheduler re-raises it), so this runs in-process.
-    network = FederatedNetwork(*_arguments(), max_total_steps=1)
-    ticket = network.submit("a", InsertOperation(make_tuple("B1", "w")))
-    with pytest.raises(SchedulerStalled):
-        for _ in range(5):
-            network.pump()
-    network.run_until_quiescent()
-    assert ticket.status is TicketStatus.FAILED
-    assert network.peer("b").notices_emitted == 1
-    assert network.peer("b").service.count("B2") == 0
+    # chase it triggers at b (B1 -> B2).  The stall fails the update at b,
+    # which reports it to the desk and goes on serving.
+    with federation_of(max_total_steps=1) as federation:
+        ticket = federation.submit("a", InsertOperation(make_tuple("B1", "w")))
+        _settle(federation)
+        assert ticket.status is TicketStatus.FAILED
+        if isinstance(federation, FederatedNetwork):
+            assert federation.peer("b").notices_emitted == 1
+        else:
+            assert federation._handles["b"].process.poll() is None
+        assert federation.global_snapshot().count("B2") == 0
 
 
 def test_checkpoint_with_a_routed_table_restores(federation_of, tmp_path):

@@ -1,9 +1,15 @@
-"""Transport semantics: FIFO, delay, reorder, partition/heal."""
+"""Transport semantics: FIFO, delay, reorder, partition/heal.
+
+The last test is about a peer process's outgoing socket link: while its
+destination is down, it must not ask its event loop to wake before the
+next redial.
+"""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.federation.socket_transport import OutgoingLink, SocketAddress
 from repro.federation.transport import Transport
 
 
@@ -116,3 +122,14 @@ def test_metrics_counters():
     assert metrics["transport_sent"] == 2
     assert metrics["transport_delivered"] == 1
     assert metrics["transport_in_flight"] == 1
+
+
+def test_a_disconnected_socket_link_is_not_due_before_its_redial(tmp_path):
+    # Nothing listens at the path: the dial fails and the link backs off.  A
+    # frame due now must not make the peer's select loop spin until then.
+    link = OutgoingLink("b", SocketAddress.unix(str(tmp_path / "b.sock")))
+    now = 100.0
+    link.enqueue(b"frame", now)
+    assert link.flush(now) == 0
+    assert link.queued == 1
+    assert link.next_due() > now
