@@ -163,10 +163,6 @@ class ReadLog:
         """Number of reads logged by *reader*."""
         return len(self._by_reader.get(reader, ()))
 
-    def records_for(self, reader: int) -> List[ReadRecord]:
-        """All reads logged by *reader*, in log order."""
-        return list(self._by_reader.get(reader, []))
-
     def candidates(self, write: Write, above: int) -> Dict[int, List[Ranked]]:
         """Per reader numbered above *above*, the records *write* could affect.
 

@@ -28,14 +28,7 @@ from .planner import RepairPlanner
 from .provenance import ChaseTree
 from .terms import NullFactory
 from .tgd import Tgd
-from .tuples import make_tuple
-from .update import (
-    DeleteOperation,
-    InsertOperation,
-    UpdateRecord,
-    UpdateStatus,
-    UserOperation,
-)
+from .update import UpdateRecord, UpdateStatus, UserOperation
 from .violations import Violation, violations_for_writes
 from .writes import Write, WriteKind
 
@@ -208,12 +201,3 @@ class ChaseEngine:
                     tree.add_write(write, caused_by=[root_id] if root_id else [])
         return applied
 
-
-def chase_insert(engine: ChaseEngine, relation: str, *values: object) -> UpdateRecord:
-    """Convenience helper: run the update induced by inserting a tuple."""
-    return engine.run(InsertOperation(make_tuple(relation, *values)))
-
-
-def chase_delete(engine: ChaseEngine, relation: str, *values: object) -> UpdateRecord:
-    """Convenience helper: run the update induced by deleting a tuple."""
-    return engine.run(DeleteOperation(make_tuple(relation, *values)))

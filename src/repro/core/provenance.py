@@ -41,7 +41,6 @@ class ChaseTree:
     def __init__(self) -> None:
         self._nodes: Dict[int, ProvenanceNode] = {}
         self._ids = itertools.count(1)
-        self._write_index: Dict[Write, int] = {}
         self._tuple_index: Dict[Tuple, List[int]] = {}
 
     # ------------------------------------------------------------------
@@ -65,7 +64,6 @@ class ChaseTree:
                 self._nodes[parent_id].children.append(node_id)
         self._nodes[node_id] = node
         if write is not None:
-            self._write_index[write] = node_id
             for row in write.rows_touched():
                 self._tuple_index.setdefault(row, []).append(node_id)
         return node_id
@@ -87,10 +85,6 @@ class ChaseTree:
         """Fetch a node by id."""
         return self._nodes[node_id]
 
-    def node_for_write(self, write: Write) -> Optional[int]:
-        """The node id that recorded *write*, if any."""
-        return self._write_index.get(write)
-
     def nodes_touching(self, row: Tuple) -> List[ProvenanceNode]:
         """All events whose write touched the tuple value *row*."""
         return [self._nodes[node_id] for node_id in self._tuple_index.get(row, [])]
@@ -110,18 +104,6 @@ class ChaseTree:
             seen.append(current)
             frontier.extend(self._nodes[current].parents)
         return [self._nodes[identifier] for identifier in seen]
-
-    def explain_tuple(self, row: Tuple) -> List[str]:
-        """Human-readable explanation of why *row* was written.
-
-        This is the provenance string an interface would show next to a
-        frontier tuple so that a user can decide between expand and unify.
-        """
-        explanations: List[str] = []
-        for node in self.nodes_touching(row):
-            chain = [node.label] + [ancestor.label for ancestor in self.lineage(node.node_id)]
-            explanations.append(" <= ".join(chain))
-        return explanations
 
     def __len__(self) -> int:
         return len(self._nodes)

@@ -213,7 +213,3 @@ class NullFactory:
 #: Module-level default factory, convenient for examples and small tests.
 DEFAULT_NULL_FACTORY = NullFactory()
 
-
-def fresh_null() -> LabeledNull:
-    """Return a fresh labeled null from the module-level default factory."""
-    return DEFAULT_NULL_FACTORY.fresh()

@@ -23,10 +23,6 @@ from .violations import Violation
 from .writes import NullReplacement, Write, delete, insert
 
 
-class OperationError(ValueError):
-    """Raised when a user operation cannot be applied (e.g. deleting a missing tuple)."""
-
-
 class UserOperation(ABC):
     """An initial user operation that may set off a chase."""
 

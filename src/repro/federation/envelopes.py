@@ -1,7 +1,7 @@
 """Exchange envelope payloads: what peers actually say to each other.
 
-Every payload is a small immutable value carried by a transport
-:class:`~repro.federation.transport.Envelope`.  The update-bearing payloads
+Every payload is a small immutable value that crosses a link wire-encoded
+(:func:`repro.codec.wire.encode_envelope`).  The update-bearing payloads
 (:class:`RemoteUpdate`, :class:`ExchangeFiring`, :class:`ExchangeRetraction`)
 are re-submitted through the destination peer's admission queue on delivery;
 the question-routing payloads implement the paper's collaboration loop across

@@ -3,43 +3,35 @@
 A :class:`FederatedNetwork` is the multi-peer realization of the paper's
 setting, with every peer in one process: each :class:`~repro.federation.peer.Peer`
 runs its own full update-exchange service (store, tracker, optimistic
-scheduler, admission queue, frontier inbox) over the relations it owns, and
-the tgd mappings that link peers are driven by commit-time exchange over a
-simulated :class:`~repro.federation.transport.Transport`:
+scheduler, admission queue, frontier inbox) over the relations it owns.
+User operations route to the owner of their target relation, commits fire
+the cross-peer mappings as exchange envelopes, and frontier questions route
+back to the originating peer's inbox (see :mod:`repro.federation.peer`).
+When the links are empty and every peer is idle (:meth:`quiescent`), the
+union of the peers' committed stores is a chase fixpoint of the union
+mapping set (differentially tested against the single-repository engine in
+:mod:`repro.federation.convergence`).
 
-* a user operation submitted at a peer executes at the *owner* of its target
-  relation — locally, or routed as a :class:`~repro.federation.envelopes.RemoteUpdate`
-  through the owner's admission queue, and the owner reports its terminal
-  status straight to the client desk (nothing travels back to the submitting
-  peer);
-* when an update commits, its writes fire the cross-peer mappings whose LHS
-  the committing peer owns; the resulting head firings (and, for deletions,
-  retractions) travel as envelopes and are re-submitted at the destination;
-* frontier questions raised while chasing a forwarded update are routed back
-  to the *originating* peer's federated inbox, answered there, and the answer
-  travels back to resume the parked update;
-* :meth:`FederatedNetwork.quiescent` holds when the transport is empty and
-  every peer is idle (outbox, retry queue, admission, scheduler), at which
-  point the union of the peers' committed stores is a chase fixpoint of the
-  union mapping set (differentially tested against the single-repository
-  engine in :mod:`repro.federation.convergence`).
-
-Each peer's side of that protocol is :class:`~repro.federation.peer.Peer`,
-the same code a peer process (:mod:`repro.federation.proc`) runs.  The
-client's side is :class:`ClientDesk`, the same for the socket federation
-(:mod:`repro.federation.process_network`): the :class:`FederatedTicket`
-table and a :class:`FederatedQuestion` inbox per peer, kept up to date from
-the peers' events.  The network adds the transport that moves payloads.
+Each peer runs in a :class:`~repro.federation.host.PeerRuntime`, the code a
+peer process (:mod:`repro.federation.proc`) runs between its sockets: it
+encodes, decodes, delivers, pumps, scans and stages exactly as there, over
+the in-memory links of a :class:`~repro.federation.transport.Transport`.
+The client's side is :class:`ClientDesk`, the same for the socket
+federation (:mod:`repro.federation.process_network`): the
+:class:`FederatedTicket` table and a :class:`FederatedQuestion` inbox per
+peer, kept up to date from the peers' events.
 
 The network is cooperatively scheduled like everything else in this
-reproduction: :meth:`pump` performs one federation round (retry, deliver,
-chase, route, flush), and :meth:`run_until_quiescent` loops it, optionally
-answering open questions with a strategy.
+reproduction: :meth:`pump` performs one federation round (every frame the
+transport releases to its runtime, then one work round per runtime), and
+:meth:`run_until_quiescent` loops it, optionally answering open questions
+with a strategy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple as PyTuple, Union
 
 from ..core.frontier import FrontierOperation
@@ -54,8 +46,9 @@ from ..storage.interface import DatabaseView
 from ..storage.memory import FrozenDatabase
 from .envelopes import QuestionOpened
 from .exchange import ExchangeRules, FederationError
+from .host import PeerRuntime
 from .peer import Peer
-from .transport import Transport, bundle_by_destination, unbundled
+from .transport import Transport
 
 
 @dataclass
@@ -106,8 +99,9 @@ class ClientDesk:
     :class:`FederatedQuestion` inbox.  The peers report ticket terminals and
     questions filed or gone (:attr:`~repro.federation.peer.Peer.events`),
     which a runtime hands to :meth:`_apply`.  A runtime provides ``rules``
-    and says how a submission and an answer reach the peer:
-    ``_submit_at(ticket)`` and ``_answer_at(peer_name, question, choice)``.
+    and says how a submission, an answer and a link hold reach the peers:
+    ``_submit_at(ticket)``, ``_answer_at(peer_name, question, choice)`` and
+    ``_hold(a, b, held)``.
     """
 
     def _open_desk(self, peer_names: Sequence[str]) -> None:
@@ -185,6 +179,21 @@ class ClientDesk:
         del inbox[question.key]
         self._answer_at(peer_name, question, question.by_index(choice))
 
+    def partition(self, a: str, b: str) -> None:
+        """Cut the link between two peers (messages queue, nothing is lost)."""
+        self._hold(*self._pair(a, b), True)
+
+    def heal(self, a: str, b: str) -> None:
+        """Reconnect two peers; held messages flow again."""
+        self._hold(*self._pair(a, b), False)
+
+    def _pair(self, a: str, b: str) -> PyTuple[str, str]:
+        """Validate a link's two ends before anything reaches a peer."""
+        self._inbox_of(a), self._inbox_of(b)
+        if a == b:
+            raise FederationError("peer {!r} has no link to itself".format(a))
+        return a, b
+
     def _answer_open(self, strategy: AnswerStrategy, peer_names: Sequence[str]) -> None:
         """Answer every open question of *peer_names* with *strategy*."""
         for peer_name in peer_names:
@@ -222,8 +231,6 @@ class FederationPumpReport:
     delivered: int = 0
     steps: int = 0
     committed: int = 0
-    flushed: int = 0
-    questions_opened: int = 0
 
 
 class FederatedNetwork(ClientDesk):
@@ -242,15 +249,11 @@ class FederatedNetwork(ClientDesk):
         tracer=None,
     ):
         self.schema = schema
-        self._tracer = tracer if tracer is not None else default_tracer()
+        #: The tracer the whole federation records into.
+        self.tracer = tracer if tracer is not None else default_tracer()
         self.rules = ExchangeRules.for_federation(schema, mappings, ownership)
         self.owner_of = self.rules.owner_of
         self.transport = transport if transport is not None else Transport()
-        if tracer is not None:
-            # An explicitly traced network traces its transport too (a
-            # transport built separately defaults to the process tracer).
-            self.transport.tracer = tracer
-        self.transport.mappings = self.rules.by_name
         #: Per-peer service construction parameters, kept for restarts (see
         #: :meth:`restart_peer`): a reborn peer's service is rebuilt with the
         #: same tracker, admission policy, budgets and tracer.
@@ -263,26 +266,23 @@ class FederatedNetwork(ClientDesk):
                 if isinstance(admission, dict)
                 else admission,
                 "max_total_steps": max_total_steps,
-                "tracer": self._tracer,
+                "tracer": self.tracer,
             }
             for name in ownership
         }
-        self._peers: Dict[str, Peer] = {
-            name: Peer.build(
+        self._runtimes: Dict[str, PeerRuntime] = {}
+        for name in ownership:
+            self._run(Peer.build(
                 name, schema, initial, self.rules, **self._service_arguments[name]
-            )
-            for name in ownership
-        }
-        self._open_desk(list(self._peers))
-        #: Federation-level counters, registered into one registry whose
-        #: ``collect()`` is the whole :meth:`metrics` snapshot (transport and
-        #: per-peer service metrics fold in as producers; the key set and
-        #: order are bit-compatible with the pre-registry dict merging).
-        #: Routing, exchange and delivery counters are the peers' own, summed.
+            ))
+        self._open_desk(list(self._runtimes))
+        #: One registry whose ``collect()`` is the whole :meth:`metrics`
+        #: snapshot: the peers' own routing, exchange and delivery counters
+        #: summed, then the transport's and per-peer service metrics.
         self.registry = MetricsRegistry()
         #: The :class:`Peer` counters the registry sums (see :meth:`restart_peer`).
         self._peer_counters: List[str] = []
-        self.registry.gauge("peers").set_function(lambda: len(self._peers))
+        self.registry.gauge("peers").set_function(lambda: len(self._runtimes))
         for counter in (
             "updates_routed",
             "firings_delivered",
@@ -304,13 +304,19 @@ class FederatedNetwork(ClientDesk):
         """Register a gauge summing one :class:`Peer` counter over the peers."""
         self._peer_counters.append(counter)
         self.registry.gauge(counter).set_function(
-            lambda: sum(getattr(peer, counter) for peer in self._peers.values())
+            lambda: sum(getattr(peer, counter) for peer in self.peers())
         )
 
-    @property
-    def tracer(self):
-        """The tracer the whole federation records into."""
-        return self._tracer
+    def _run(self, peer: Peer, host: Optional[Dict] = None) -> None:
+        """Run *peer* in a runtime whose links are this transport's."""
+        links = {
+            other: partial(self.transport.send, peer.name, other)
+            for other in self._service_arguments
+            if other != peer.name
+        }
+        self._runtimes[peer.name] = PeerRuntime(
+            peer, links, self.rules.by_name, self._apply, host=host
+        )
 
     # ------------------------------------------------------------------
     # Topology
@@ -318,43 +324,36 @@ class FederatedNetwork(ClientDesk):
     def peer(self, name: str) -> Peer:
         """Look a peer up by name."""
         try:
-            return self._peers[name]
+            return self._runtimes[name].peer
         except KeyError:
             raise FederationError("unknown peer {!r}".format(name))
 
     def peers(self) -> List[Peer]:
         """Every peer, in declaration order."""
-        return list(self._peers.values())
+        return [runtime.peer for runtime in self._runtimes.values()]
 
-    def partition(self, a: str, b: str) -> None:
-        """Cut the link between two peers (messages queue, nothing is lost)."""
-        self.peer(a), self.peer(b)  # validate names
-        self.transport.partition(a, b)
-
-    def heal(self, a: str, b: str) -> None:
-        """Reconnect two peers; held envelopes flow again on the next pump."""
-        self.transport.heal(a, b)
+    def _hold(self, a: str, b: str, held: bool) -> None:
+        if held:
+            self.transport.partition(a, b)
+        else:
+            self.transport.heal(a, b)
 
     # ------------------------------------------------------------------
     # Peer checkpoint and restart
     # ------------------------------------------------------------------
     def checkpoint_peer(self, name: str, path: str) -> None:
         """Persist one peer's restartable state (see :meth:`Peer.checkpoint`)."""
-        self.peer(name).checkpoint(path)
+        self._runtimes[self.peer(name).name].checkpoint(path)
 
     def restart_peer(self, name: str, path: str) -> Peer:
         """Kill peer *name* and rebuild it from a checkpoint file.
 
         The old peer object (service, store, scheduler, sessions) is simply
         dropped — that *is* the crash.  The replacement is restored from the
-        checkpoint: committed store as its initial state, pending operations
-        re-submitted with their federation origins, null-factory and
-        decision-id numbering resumed, the report obligations of routed
-        updates and client tickets re-linked to the re-submitted tickets,
-        deferred deliveries back in its retry queue (see :meth:`Peer.restore`).  Envelopes in
-        flight on the transport are untouched and deliver to the reborn peer
-        as usual (delivery re-submits through its admission queue, so
-        nothing cares that the service behind the name changed).
+        checkpoint (see :meth:`Peer.restore`) and runs in a new runtime.
+        Envelopes in flight on the transport are untouched and deliver to
+        the reborn peer as usual (delivery re-submits through its admission
+        queue, so nothing cares that the service behind the name changed).
 
         Open federated questions whose *executing* peer was the killed one
         are dropped from every inbox: their decisions died with the old
@@ -362,15 +361,15 @@ class FederatedNetwork(ClientDesk):
         decision ids.
         """
         old = self.peer(name)
-        reborn, _ = Peer.restore(
+        reborn, restored = Peer.restore(
             name, path, self.rules, **self._service_arguments[name]
         )
         # The network observes the crash; its counters do not restart.
         for counter in self._peer_counters:
             setattr(reborn, counter, getattr(old, counter))
-        self._peers[name] = reborn
+        self._run(reborn, restored.extra.get("host"))
         self._drop_questions_of(name)
-        for peer in self._peers.values():
+        for peer in self.peers():
             peer.drop_questions(name)
         return reborn
 
@@ -378,69 +377,31 @@ class FederatedNetwork(ClientDesk):
     # Submission and answers (the client desk's way to a peer)
     # ------------------------------------------------------------------
     def _submit_at(self, ticket: FederatedTicket) -> None:
-        routed = self.peer(ticket.peer).submit(ticket.ticket_id, ticket.operation)
-        if routed is not None:
-            self.transport.send(ticket.peer, *routed)
+        self._runtimes[ticket.peer].submit(ticket.ticket_id, ticket.operation)
 
     def _answer_at(
         self, peer_name: str, question: FederatedQuestion, choice
     ) -> None:
-        routed = self.peer(peer_name).answer_question(
-            question.key, choice, question.trace
-        )
-        if routed is not None:
-            self.transport.send(peer_name, routed.executing_peer, routed)
+        self._runtimes[peer_name].answer(question.key, choice, question.trace)
 
     # ------------------------------------------------------------------
     # The federation round
     # ------------------------------------------------------------------
     def pump(self) -> FederationPumpReport:
-        """One federation round: retry, deliver, chase every peer, route, flush."""
+        """One federation round: every envelope the transport releases goes
+        to its destination's runtime, then every runtime works one round."""
         report = FederationPumpReport()
-        for peer in self._peers.values():
-            if peer.retry_deferred():
-                peer.activity_seq += 1
         for envelope in self.transport.pump():
-            destination = self.peer(envelope.destination)
-            destination.activity_seq += 1
-            # A bundle unpacks in order, so delivery is indistinguishable
-            # from its payloads arriving back-to-back on a FIFO link.
-            for payload in unbundled(envelope.payload):
-                destination.deliver(payload)
+            self._runtimes[envelope.destination].receive(
+                envelope.source, envelope.payload, envelope.clock
+            )
             report.delivered += 1
-        for peer in self._peers.values():
-            service_report = peer.pump()
-            if service_report.steps or service_report.committed:
-                peer.activity_seq += 1
-            report.steps += service_report.steps
-            report.committed += len(service_report.committed)
-        for peer in self._peers.values():
-            peer.scan()
-            for event in peer.events:
-                self._apply(event)
-                if event["t"] == "question":
-                    report.questions_opened += 1
-            peer.events.clear()
-        for peer in self._peers.values():
-            if not peer.outbox:
-                continue
-            peer.activity_seq += 1
-            self._flush_pairs(peer, peer.outbox, report)
-            peer.outbox.clear()
+        for runtime in self._runtimes.values():
+            service_report = runtime.work()
+            if service_report is not None:
+                report.steps += service_report.steps
+                report.committed += len(service_report.committed)
         return report
-
-    def _flush_pairs(
-        self,
-        peer: Peer,
-        pairs: List[PyTuple[str, object]],
-        report: FederationPumpReport,
-    ) -> None:
-        """Per-destination bundle flush: every payload staged for the same
-        peer this round shares one envelope (one queue slot, one delay, one
-        delivery)."""
-        for destination, payload in bundle_by_destination(pairs):
-            self.transport.send(peer.name, destination, payload)
-        report.flushed += len(pairs)
 
     # ------------------------------------------------------------------
     # Quiescence and draining
@@ -456,14 +417,12 @@ class FederatedNetwork(ClientDesk):
         watermark drain decides it: per-directed-link send watermarks equal
         to their delivery watermarks (``sent - delivered`` is the queue
         length, so conservation ⇔ nothing in flight) plus every peer idle.
-        :meth:`run_until_quiescent` asserts this agrees with
-        :meth:`quiescent` on every round — a built-in differential between
-        the two formulations.
+        :meth:`run_until_quiescent` drains on it.
         """
         return self.transport.watermarks_conserved() and self._peers_idle()
 
     def _peers_idle(self) -> bool:
-        return all(peer.idle for peer in self._peers.values())
+        return all(peer.idle for peer in self.peers())
 
     def run_until_quiescent(
         self,
@@ -481,16 +440,8 @@ class FederatedNetwork(ClientDesk):
         for round_number in range(1, max_rounds + 1):
             self.pump()
             if answer_strategy is not None:
-                self._answer_open(answer_strategy, list(self._peers))
-            settled = self.watermark_quiescent()
-            if settled != self.quiescent():
-                raise FederationError(
-                    "watermark quiescence ({}) disagrees with queue-scan "
-                    "quiescence ({}) on round {}".format(
-                        settled, not settled, round_number
-                    )
-                )
-            if settled:
+                self._answer_open(answer_strategy, self.peer_names())
+            if self.watermark_quiescent():
                 return round_number
         raise RuntimeError(
             "federation failed to drain within {} rounds "
@@ -516,8 +467,8 @@ class FederatedNetwork(ClientDesk):
         """Per-peer service metrics producer (looks peers up live, so a
         peer reborn by :meth:`restart_peer` reports its new service)."""
         data: Dict[str, object] = {}
-        for name, peer in self._peers.items():
-            snapshot = peer.service.metrics_snapshot()
+        for name, runtime in self._runtimes.items():
+            snapshot = runtime.peer.service.metrics_snapshot()
             for key in (
                 "committed",
                 "parks",

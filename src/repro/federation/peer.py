@@ -4,16 +4,18 @@ A :class:`Peer` owns a subset of the federation's relations and wraps its own
 :class:`~repro.service.repository.RepositoryService` — its own multiversion
 store, dependency tracker, optimistic scheduler, admission queue and frontier
 inbox.  It is the one implementation of a peer's side of the exchange, which
-both runtimes drive (:class:`~repro.federation.network.FederatedNetwork` in
-one process, :class:`~repro.federation.proc.PeerHost` in a peer process):
+one :class:`~repro.federation.host.PeerRuntime` drives between its links in
+either federation runtime (a peer process, or the in-process network):
 
 * :meth:`Peer.build` and :meth:`Peer.restore` construct it with the
   runtime's tracer, fresh or from a :meth:`Peer.checkpoint`;
 * :meth:`Peer.deliver` re-submits routed updates, firings and retractions
   under the peer's *gateway* session and resumes parked decisions; what the
   bounded admission queue turns away waits in :attr:`Peer.retry`;
-* a scheduler commit listener turns every committed write set into outgoing
-  firings and retractions, staged in :attr:`Peer.outbox`;
+* everything the peer sends is staged in :attr:`Peer.outbox`: the firings
+  and retractions a scheduler commit listener makes of every committed
+  write set, the questions and cancellations of :meth:`Peer.scan`, and what
+  its clients route elsewhere;
 * :meth:`Peer.submit` and :meth:`Peer.answer_question` serve this peer's
   clients, keeping their federated ticket ids and inbox keys; what the
   clients see is reported in :attr:`Peer.events`, which the runtime's
@@ -27,7 +29,7 @@ one process, :class:`~repro.federation.proc.PeerHost` in a peer process):
   questions of *remote-origin* updates are staged for the originating peer,
   questions that vanished unanswered produce cancellations.
 
-Each runtime keeps only how payloads and events move.
+What moves the staged payloads and the events is the runtime's business.
 """
 
 from __future__ import annotations
@@ -99,9 +101,8 @@ class Peer:
         self._exchange_relations = rules.exchange_relations(name)
         #: The session envelope deliveries are submitted under.
         self.gateway = service.open_session("federation:{}".format(name))
-        #: Staged ``(destination, payload)`` pairs; the runtime flushes them
-        #: (see :func:`~repro.federation.transport.bundle_by_destination`)
-        #: at the end of each round.
+        #: Staged ``(destination, payload)`` pairs; the runtime sends them,
+        #: one message per destination, after each work round or client call.
         self.outbox: List[PyTuple[str, object]] = []
         #: Open service decisions we know about: decision_id -> origin of the
         #: asking ticket (``None`` when the question is answerable locally).
@@ -146,12 +147,6 @@ class Peer:
         self.deliveries_deferred = 0
         #: Answers whose asking update had already aborted.
         self.answers_dropped = 0
-        #: Monotonic activity sequence: the runtime advances it whenever
-        #: this peer receives a delivery or a client request, makes progress
-        #: or sends.  Unchanged seq between two observations plus conserved
-        #: link watermarks means nothing moved in between (the socket
-        #: federation's drain compares it across observations).
-        self.activity_seq = 0
         service.add_batch_commit_listener(self._on_batch_commit)
 
     # ------------------------------------------------------------------
@@ -262,24 +257,21 @@ class Peer:
     # ------------------------------------------------------------------
     # The client desk: submissions, answers, ticket terminals
     # ------------------------------------------------------------------
-    def submit(
-        self, ticket_id: int, operation
-    ) -> Optional[PyTuple[str, RemoteUpdate]]:
+    def submit(self, ticket_id: int, operation) -> None:
         """Submit a client's operation under its federated *ticket_id*.
 
         It executes here if this peer owns its target (a full admission queue
-        raises :class:`AdmissionError`); else the ``(owner, RemoteUpdate)``
-        for the runtime to send at once is returned, and the owner reports
-        the terminal status.  A traced routed operation's root span closes
-        here, on forwarding; the owner's ``remote`` update span, its child,
-        carries the outcome.
+        raises :class:`AdmissionError`); else its :class:`RemoteUpdate` is
+        staged for the owner, which reports the terminal status.  A traced
+        routed operation's root span closes here, on forwarding; the owner's
+        ``remote`` update span, its child, carries the outcome.
         """
         target = self._rules.route(self.name, operation)
         if target == self.name:
             self._executing[ticket_id] = self.service.submit(
                 self.gateway.session_id, operation
             )
-            return None
+            return
         self.updates_routed += 1
         tracer = self.service.tracer
         context = None
@@ -294,28 +286,28 @@ class Peer:
                 routed_to=target,
             )
             context = tracer.end_span(span).context
-        return target, RemoteUpdate(
+        self.outbox.append((target, RemoteUpdate(
             operation=operation,
             origin=RemoteOrigin(self.name, ticket_id),
             trace=context,
-        )
+        )))
 
-    def answer_question(
-        self, key: PyTuple[str, int], choice, trace
-    ) -> Optional[QuestionAnswer]:
+    def answer_question(self, key: PyTuple[str, int], choice, trace) -> None:
         """A client here answers question *key*: a local one resumes, a
-        routed one's :class:`QuestionAnswer` is returned for the runtime to
-        send.  An answer that raced a cancellation is dropped."""
+        routed one's :class:`QuestionAnswer` is staged for the executing
+        peer.  An answer that raced a cancellation is dropped."""
         if key not in self.inbox:
             self.answers_dropped += 1
-            return None
+            return
         self.inbox.discard(key)
         executing, decision_id = key
         if executing == self.name:
             self.answer(decision_id, choice)
-            return None
+            return
         self.answers_routed += 1
-        return QuestionAnswer(executing, decision_id, choice, self.name, trace)
+        self.outbox.append(
+            (executing, QuestionAnswer(executing, decision_id, choice, self.name, trace))
+        )
 
     def drop_questions(self, executing: str) -> None:
         """Forget the inbox keys of questions a restarted peer executed."""
@@ -660,8 +652,3 @@ class Peer:
         return {
             relation: frozenset(snapshot.tuples(relation)) for relation in self.owned
         }
-
-    def describe(self) -> str:
-        return "peer {} ({} relations, {} mappings)".format(
-            self.name, len(self.owned), len(self._rules.local_mappings(self.name))
-        )

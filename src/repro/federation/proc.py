@@ -4,21 +4,21 @@ This is the other half of the multi-process federation (the coordinator side
 lives in :mod:`repro.federation.process_network`).  A :class:`PeerHost` is
 what runs *inside* each spawned process: it builds (or restores) one
 :class:`~repro.federation.peer.Peer` from a codec-JSON config file, listens
-on its socket address, and drives the same peer code the in-process
-:class:`~repro.federation.network.FederatedNetwork` drives, so a drained
-socket federation is the same exchange and the differential oracle applies.
-The peer also keeps the client side of the protocol (ticket ids, inbox keys,
-the events the coordinator's client desk applies); the host adds sockets,
-the control protocol, telemetry and the flight recorder.
+on its socket address, and runs it in a
+:class:`~repro.federation.host.PeerRuntime` — the receive, client and work
+code the in-process :class:`~repro.federation.network.FederatedNetwork` runs
+for each of its peers — so a drained socket federation is the same exchange
+and the differential oracle applies.  The host is the socket shell around
+it: selectors, listener and channels, the control protocol, heartbeats, the
+went-idle push and the flight recorder.
 
 Two kinds of traffic cross the host's sockets, both as
 :mod:`repro.codec.framing` frames:
 
-* **envelope frames** between peers — the PR 5 wire codec *is* the protocol:
-  one frame wraps one ``encode_envelope`` document, and a per-destination
-  flush travels as a single frame carrying one
-  :class:`~repro.federation.transport.Bundle` (many payloads, one
-  round-trip);
+* **envelope frames** between peers — one frame wraps one
+  ``encode_envelope`` document, and a per-destination flush travels as a
+  single frame carrying one :class:`~repro.federation.transport.Bundle`
+  (many payloads, one round-trip);
 * **control frames** between the coordinator and each peer — submissions,
   question answers, status polls, partition holds, checkpoint/halt and exit
   — with events (terminals of the tickets this peer executed, routed ones
@@ -26,10 +26,11 @@ Two kinds of traffic cross the host's sockets, both as
   back on the same connection.
 
 The host is single-threaded and reactive: a ``selectors`` loop blocks on the
-sockets, and every wakeup runs deliveries, service pumps, question scans and
-outbox flushes to a fixpoint before sleeping again.  When the coordinator's
-connection closes — including because the coordinating process was killed —
-the host exits, which is what keeps test teardown free of orphan processes.
+sockets, and every wakeup hands envelope frames to the runtime and runs its
+work round to a fixpoint before flushing the links and sleeping again.  When
+the coordinator's connection closes — including because the coordinating
+process was killed — the host exits, which is what keeps test teardown free
+of orphan processes.
 
 :func:`main` is the one way into a peer.  :class:`ProcessFederation` forks
 the coordinator and calls it in the child (POSIX only): the child inherits
@@ -57,32 +58,30 @@ from dataclasses import asdict
 from random import Random
 from typing import Dict, List, Optional, Tuple
 
-from ..codec.framing import FRAME_CONTROL, FRAME_ENVELOPE, encode_frame
+from ..codec.framing import FRAME_CONTROL, encode_frame
 from ..codec.wire import (
     WIRE_VERSION,
     CodecError,
     _decode_choice,
-    decode_envelope,
     decode_schema,
     decode_tgd,
     decode_trace,
     decode_tuple,
     decode_user_operation,
     dumps,
-    encode_envelope,
     encode_payload,
     encode_schema,
     encode_tgd,
     encode_tuple,
     loads,
-    payload_kind,
 )
 from ..obs.flight import FlightRecorder
 from ..obs.trace import NOOP_TRACER, Tracer
 from ..service.admission import AdmissionConfig, AdmissionError
 from ..storage.memory import FrozenDatabase
 from .exchange import ExchangeRules, FederationError
-from .peer import UPDATE_BEARING, Peer
+from .host import PeerRuntime
+from .peer import Peer
 from .socket_transport import (
     ChannelClosed,
     FrameChannel,
@@ -92,7 +91,6 @@ from .socket_transport import (
     SocketTransportError,
     monotonic,
 )
-from .transport import bundle_by_destination, unbundled
 
 #: The reserved peer name the coordinator identifies itself with.
 COORDINATOR = "@coordinator"
@@ -221,10 +219,6 @@ class PeerHost:
         self._pending_events: List[bytes] = []
 
         # -- bookkeeping -------------------------------------------------
-        #: Frames decoded per source peer (the drain accounting the
-        #: coordinator compares with senders' ``frames_sent``).
-        self.frames_received: Dict[str, int] = {}
-        self.payloads_received = 0
         self._halted = False
         self._exit = False
         #: True while a coordinator ``drain()`` is subscribed to went-idle
@@ -245,12 +239,38 @@ class PeerHost:
             "max_total_steps": config["max_total_steps"],
             "tracer": self.tracer,
         }
+        flight_dir = config.get("flight_dir") or os.environ.get(
+            "REPRO_FLIGHT_DIR"
+        )
+        self.flight = FlightRecorder(
+            flight_dir,
+            self.name,
+            capacity=int(config.get("flight_capacity") or 512),
+        )
+        host = None
         if config.get("restore") is None:
-            self.peer = Peer.build(
+            peer = Peer.build(
                 self.name, self.schema, initial, self.rules, **service_arguments
             )
         else:
-            self._restore(config["restore"], service_arguments)
+            peer, restored = Peer.restore(
+                self.name, config["restore"], self.rules, **service_arguments
+            )
+            host = restored.extra.get("host", {})
+            # The send watermarks continue like the receive ones (see
+            # PeerRuntime): the drain compares them across processes.
+            for other, count in host.get("frames_sent", ()):
+                if other in self._links:
+                    self._links[other].frames_sent = int(count)
+        self.runtime = PeerRuntime(
+            peer,
+            {other: link.send for other, link in self._links.items()},
+            self._mappings,
+            self._event,
+            flight=self.flight,
+            host=host,
+        )
+        self.peer = peer
 
         # -- sockets -----------------------------------------------------
         # Listening only once the peer exists: a restore that fails exits
@@ -270,14 +290,6 @@ class PeerHost:
         )
         #: Last absolute metrics snapshot sent, for heartbeat deltas.
         self._last_telemetry_metrics: Dict[str, object] = {}
-        flight_dir = config.get("flight_dir") or os.environ.get(
-            "REPRO_FLIGHT_DIR"
-        )
-        self.flight = FlightRecorder(
-            flight_dir,
-            self.name,
-            capacity=int(config.get("flight_capacity") or 512),
-        )
         #: How many tracer spans the flight recorder has already captured.
         self._flight_span_index = 0
         # Wire counters join the metrics registry as a producer: the full
@@ -287,23 +299,6 @@ class PeerHost:
         self.peer.service.metrics.registry.register_producer(
             self._wire_metrics, prefix="wire_"
         )
-
-    def _restore(self, path: str, service_arguments: Dict) -> None:
-        """Restart from a checkpoint: the peer, then the host's wire counters."""
-        self.peer, restored = Peer.restore(
-            self.name, path, self.rules, **service_arguments
-        )
-        host_extra = restored.extra.get("host", {})
-        # Wire counters must survive the restart: the coordinator's drain
-        # barrier compares every sender's frames_sent against this peer's
-        # frames_received, and a reborn peer restarting at zero could never
-        # catch up with a survivor's full history.
-        for peer, count in host_extra.get("frames_received", ()):
-            self.frames_received[peer] = int(count)
-        for peer, count in host_extra.get("frames_sent", ()):
-            if peer in self._links:
-                self._links[peer].frames_sent = int(count)
-        self.payloads_received = int(host_extra.get("payloads_received", 0))
 
     # ------------------------------------------------------------------
     # The loop
@@ -385,52 +380,7 @@ class PeerHost:
             if frame.kind == FRAME_CONTROL:
                 self._handle_control(channel, loads(frame.payload))
             else:
-                self._handle_envelope(channel.label, frame.payload)
-
-    # ------------------------------------------------------------------
-    # Envelope delivery
-    # ------------------------------------------------------------------
-    def _handle_envelope(self, source: str, payload_bytes: bytes) -> None:
-        self.peer.activity_seq += 1
-        self.frames_received[source] = self.frames_received.get(source, 0) + 1
-        if self.tracer.enabled:
-            before = self.tracer.clock()
-            payload = decode_envelope(payload_bytes, self._mappings)
-            seconds = self.tracer.clock() - before
-            self._wire_span(
-                payload, before, seconds, self.name, len(payload_bytes),
-                decode_seconds=seconds,
-            )
-        else:
-            payload = decode_envelope(payload_bytes, self._mappings)
-        payloads = unbundled(payload)
-        self.payloads_received += len(payloads)
-        for inner in payloads:
-            admitted = self.peer.deliver(inner)
-            if self.flight.enabled and isinstance(inner, UPDATE_BEARING):
-                self.flight.record(
-                    "delivery",
-                    payload=payload_kind(inner),
-                    origin=inner.origin.peer,
-                    deferred=not admitted,
-                )
-        self._publish()
-
-    def _publish(self) -> None:
-        """Send the peer's events to the coordinator's client desk."""
-        for event in self.peer.events:
-            if event["t"] == "question":
-                opened = event["q"]
-                self.flight.record(
-                    "question",
-                    executing=opened.executing_peer,
-                    decision=opened.decision_id,
-                )
-                event = dict(event, q=encode_payload(opened, self._mappings))
-            elif event["t"] == "ticket":
-                self.flight.record("ticket", fid=event["fid"], status=event["status"])
-            self._event(event)
-        self.peer.events.clear()
+                self.runtime.receive(channel.label, frame.payload)
 
     # ------------------------------------------------------------------
     # Control handling
@@ -449,12 +399,25 @@ class PeerHost:
                 for frame in pending:
                     self._send_event_frame(frame)
         elif kind == "submit":
-            self._handle_submit(
-                int(body["fid"]),
-                decode_user_operation(body["op"], self._mappings),
-            )
+            fid = int(body["fid"])
+            operation = decode_user_operation(body["op"], self._mappings)
+            try:
+                self.runtime.submit(fid, operation)
+            except AdmissionError:
+                # Flood submission must be loss-free: admission overflow is
+                # backpressure here, not a client error, because the
+                # submitting client is a remote process.
+                self.peer.deferred.append((fid, operation))
         elif kind == "answer":
-            self._handle_answer(body)
+            # The coordinator's answer can race a cancellation, which the
+            # peer tolerates.  The choice is normally an index into the
+            # request the executing peer still holds parked: relayed onward
+            # as-is, no tuples materialised here.
+            self.runtime.answer(
+                (body["executing"], int(body["decision"])),
+                _decode_choice(body["choice"], self._mappings),
+                decode_trace(body.get("tr")),
+            )
         elif kind == "status":
             self._send_control(channel, self._status_reply(body.get("round", 0)))
         elif kind == "watch":
@@ -466,10 +429,8 @@ class PeerHost:
                 # behind this frame, so no notice trails a finished drain.
                 self._idle_pushed_at = -1
                 self._idle_push()
-        elif kind == "hold":
-            self._links[body["peer"]].held = True
-        elif kind == "release":
-            self._links[body["peer"]].held = False
+        elif kind in ("hold", "release"):
+            self._links[body["peer"]].held = kind == "hold"
         elif kind == "reset-link":
             # The destination process was replaced: drop the (possibly
             # half-dead) connection so the next flush dials the reborn
@@ -498,50 +459,21 @@ class PeerHost:
         else:
             raise FederationError("unknown control message {!r}".format(kind))
 
-    def _handle_submit(self, fid: int, operation) -> None:
-        self.peer.activity_seq += 1
-        try:
-            routed = self.peer.submit(fid, operation)
-        except AdmissionError:
-            # Flood submission must be loss-free: admission overflow is
-            # backpressure here, not a client error, because the submitting
-            # client is a remote process.
-            self.peer.deferred.append((fid, operation))
-            return
-        if routed is not None:
-            self._enqueue_payload(*routed)
-
-    def _handle_answer(self, body: Dict) -> None:
-        self.peer.activity_seq += 1
-        # The coordinator's answer can race a cancellation, which the peer
-        # tolerates.  The choice is normally an index into the request the
-        # executing peer still holds parked: relayed onward as-is, no tuples
-        # materialised here.
-        routed = self.peer.answer_question(
-            (body["executing"], int(body["decision"])),
-            _decode_choice(body["choice"], self._mappings),
-            decode_trace(body.get("tr")),
-        )
-        if routed is not None:
-            self._enqueue_payload(routed.executing_peer, routed)
-
     def _handle_checkpoint(self, channel: FrameChannel, body: Dict) -> None:
         # Reach a local fixpoint, then push every queued frame out regardless
         # of simulated link delay: the frames' contents are already decided,
         # and a checkpoint must not strand them in a dying process.
         self._work()
         self._flush(force=True)
-        host_extra = {
-            # Exact at checkpoint time: every link toward this peer is held
-            # and this peer is caught up (coordinator's checkpoint protocol),
-            # so the counters restored from here continue the same streams.
-            "frames_received": sorted(self.frames_received.items()),
-            "frames_sent": sorted(
+        # The watermarks are exact now: every link toward this peer is held
+        # and this peer is caught up (coordinator's checkpoint protocol), so
+        # the counters restored from here continue the same streams.
+        self.runtime.checkpoint(
+            body["path"],
+            frames_sent=sorted(
                 (peer, link.frames_sent) for peer, link in self._links.items()
             ),
-            "payloads_received": self.payloads_received,
-        }
-        self.peer.checkpoint(body["path"], extra={"host": host_extra})
+        )
         if body.get("halt"):
             # Freeze: no more pumps or flushes — the coordinator is about to
             # kill this process, and work done after the checkpoint would
@@ -553,69 +485,8 @@ class PeerHost:
     # The work fixpoint
     # ------------------------------------------------------------------
     def _work(self) -> None:
-        while True:
-            progress = False
-            if self.peer.retry_deferred():
-                progress = True
-            report = self.peer.pump()
-            if report.steps or report.admitted or report.committed:
-                progress = True
-            if self.peer.scan():
-                progress = True
-            self._publish()
-            if self.peer.outbox:
-                self._stage_outbox()
-                progress = True
-            if not progress:
-                return
-            self.peer.activity_seq += 1
-
-    def _stage_outbox(self) -> None:
-        """Frame the outbox: one message per destination."""
-        for destination, payload in bundle_by_destination(self.peer.outbox):
-            self._enqueue_payload(destination, payload)
-        self.peer.outbox.clear()
-
-    def _enqueue_payload(self, destination: str, payload: object) -> None:
-        if destination == self.name:  # pragma: no cover - rules never stage this
-            raise FederationError("peer {} staged an envelope to itself".format(
-                self.name
-            ))
-        if self.tracer.enabled:
-            before = self.tracer.clock()
-            encoded = encode_envelope(payload, self._mappings)
-            seconds = self.tracer.clock() - before
-            self._wire_span(
-                payload, before, seconds, destination, len(encoded),
-                encode_seconds=seconds,
-            )
-        else:
-            encoded = encode_envelope(payload, self._mappings)
-        self._links[destination].enqueue(
-            encode_frame(FRAME_ENVELOPE, encoded), monotonic()
-        )
-
-    def _wire_span(
-        self, payload, start: float, seconds: float, destination: str,
-        size: int, **codec_seconds: float,
-    ) -> None:
-        """Record one half of a wire hop (this peer's codec CPU in the
-        attrs), parented into the payload's trace like the in-process
-        transport's wire span."""
-        context = getattr(payload, "trace", None)
-        if context is not None:
-            self.tracer.record_span(
-                "wire",
-                start,
-                start + seconds,
-                phase="wire",
-                parent=context,
-                peer=self.name,
-                kind=payload_kind(payload),
-                destination=destination,
-                bytes=size,
-                **codec_seconds,
-            )
+        while self.runtime.work() is not None:
+            pass
 
     def _flush(self, force: bool = False) -> None:
         now = float("inf") if force else monotonic()
@@ -623,7 +494,7 @@ class PeerHost:
         for link in self._links.values():
             sent += link.flush(now, hello=self._hello)
         if sent:
-            self.peer.activity_seq += 1
+            self.runtime.activity_seq += 1
 
     # ------------------------------------------------------------------
     # Telemetry and the flight recorder
@@ -634,8 +505,8 @@ class PeerHost:
             "frames_sent": sum(
                 link.frames_sent for link in self._links.values()
             ),
-            "frames_received": sum(self.frames_received.values()),
-            "payloads_received": self.payloads_received,
+            "frames_received": sum(self.runtime.frames_received.values()),
+            "payloads_received": self.runtime.payloads_received,
             "deliveries_deferred": self.peer.deliveries_deferred,
             "answers_dropped": self.peer.answers_dropped,
         }
@@ -707,7 +578,7 @@ class PeerHost:
         the frame went out, and independent of ``telemetry_interval``, so
         the watermark drain works with periodic heartbeats off.
         """
-        if not self._watched or self.peer.activity_seq == self._idle_pushed_at:
+        if not self._watched or self.runtime.activity_seq == self._idle_pushed_at:
             return
         if self._coordinator is None or self._coordinator.closed:
             return
@@ -715,21 +586,21 @@ class PeerHost:
             return
         # Recorded, not flushed: the ring reaches disk at heartbeats, under
         # ring pressure and at dumps, and the drain does not wait on a file.
-        self.flight.record("idle", activity_seq=self.peer.activity_seq)
+        self.flight.record("idle", activity_seq=self.runtime.activity_seq)
         frame = encode_frame(FRAME_CONTROL, dumps({
             "t": "idle",
             "peer": self.name,
-            "activity_seq": self.peer.activity_seq,
+            "activity_seq": self.runtime.activity_seq,
             "sent": {
                 peer: link.frames_sent for peer, link in self._links.items()
             },
-            "received": self.frames_received,
+            "received": self.runtime.frames_received,
         }))
         try:
             self._coordinator.send_bytes(frame)
         except SocketTransportError:
             return  # not marked as pushed: the next idle pass retries
-        self._idle_pushed_at = self.peer.activity_seq
+        self._idle_pushed_at = self.runtime.activity_seq
 
     def _flight_sync(self) -> None:
         """Copy tracer spans recorded since the last sync into the flight ring."""
@@ -759,8 +630,20 @@ class PeerHost:
     # ------------------------------------------------------------------
     # Events and replies
     # ------------------------------------------------------------------
-    def _event(self, body: Dict) -> None:
-        frame = encode_frame(FRAME_CONTROL, dumps(body))
+    def _event(self, event: Dict) -> None:
+        """The runtime's event sink: one control frame for the coordinator's
+        client desk (queued while it is not connected)."""
+        if event["t"] == "question":
+            opened = event["q"]
+            self.flight.record(
+                "question",
+                executing=opened.executing_peer,
+                decision=opened.decision_id,
+            )
+            event = dict(event, q=encode_payload(opened, self._mappings))
+        elif event["t"] == "ticket":
+            self.flight.record("ticket", fid=event["fid"], status=event["status"])
+        frame = encode_frame(FRAME_CONTROL, dumps(event))
         if self._coordinator is None or self._coordinator.closed:
             self._pending_events.append(frame)
             return
@@ -788,7 +671,7 @@ class PeerHost:
             "halted": self._halted,
             "outbox": len(self.peer.outbox),
             "queued": sum(link.queued for link in self._links.values()),
-            "activity_seq": self.peer.activity_seq,
+            "activity_seq": self.runtime.activity_seq,
             "retry": len(self.peer.retry) + len(self.peer.deferred),
             "held": sorted(
                 peer for peer, link in self._links.items() if link.held
@@ -796,13 +679,13 @@ class PeerHost:
             "sent": {
                 peer: link.frames_sent for peer, link in self._links.items()
             },
-            "received": dict(self.frames_received),
+            "received": dict(self.runtime.frames_received),
             # Per-link inflight gauges; in the status shape (not only the
             # heartbeat's) so metrics() has one key set whichever came last.
             "links": {
                 peer: link.stats() for peer, link in self._links.items()
             },
-            "payloads_received": self.payloads_received,
+            "payloads_received": self.runtime.payloads_received,
             "open_questions": len(self.peer.inbox),
             "committed": snapshot["committed"],
             # The *full* registry collect, not a hand-kept key list: every

@@ -8,9 +8,10 @@ own OS process (running the ``repro-peer`` entry point of
 TCP or Unix-domain sockets, one :mod:`repro.codec.framing` frame per
 per-destination bundle.  The coordinator never touches an envelope: it only
 speaks the control protocol — submissions in, ticket/question events out,
-status polls for the drain barrier — so the exchange protocol on the peer
-links is exactly the wire codec the in-process transport already speaks, and
-the in-process federation stays available as the differential oracle.
+status polls for the drain barrier.  A peer process runs the
+:class:`~repro.federation.host.PeerRuntime` the in-process network runs for
+each of its peers, so the in-process federation is the differential oracle
+of the same peer code.
 
 The client surface — ``submit`` / ``ticket`` / ``tickets`` / ``inbox`` /
 ``answer`` — is the in-process network's own
@@ -791,15 +792,10 @@ class ProcessFederation(ClientDesk):
     # ------------------------------------------------------------------
     # Partitions
     # ------------------------------------------------------------------
-    def partition(self, a: str, b: str) -> None:
-        """Cut the link between two peers (frames queue, nothing is lost)."""
-        self._send(a, {"t": "hold", "peer": b})
-        self._send(b, {"t": "hold", "peer": a})
-
-    def heal(self, a: str, b: str) -> None:
-        """Reconnect two peers; held frames flow on their next flush."""
-        self._send(a, {"t": "release", "peer": b})
-        self._send(b, {"t": "release", "peer": a})
+    def _hold(self, a: str, b: str, held: bool) -> None:
+        kind = "hold" if held else "release"
+        self._send(a, {"t": kind, "peer": b})
+        self._send(b, {"t": kind, "peer": a})
 
     # ------------------------------------------------------------------
     # Checkpoint, kill, restart

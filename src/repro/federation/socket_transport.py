@@ -1,9 +1,9 @@
 """The socket transport: framed codec bytes between real OS processes.
 
 This module is the byte-moving half of the multi-process federation.  Where
-:class:`~repro.federation.transport.Transport` simulates a network inside one
-process (and stays on as the differential oracle), the classes here put the
-same codec dialect on actual sockets:
+:class:`~repro.federation.transport.Transport` is the in-memory link layer
+of one process, the classes here carry the same encoded envelopes on actual
+sockets:
 
 * :class:`SocketAddress` — a Unix-domain path or a TCP host/port, with a
   codec-JSON body so address maps travel inside peer config files;
@@ -25,7 +25,7 @@ sockets with a send timeout, and the peer host multiplexes *reads* with a
 bookkeeping.  The price is known and unpaid: a blocking ``sendall`` *can*
 stall — with 5–10 KB per user operation both ends of a stream fill their
 kernel buffers and block in ``sendall`` toward each other until the send
-timeout fires (bench finding 1 in ``bench/README.md``; ROADMAP item 3 makes
+timeout fires (bench finding 1 in ``bench/README.md``; ROADMAP item 5 makes
 sends non-blocking).
 """
 
@@ -37,7 +37,7 @@ import socket
 import time
 from typing import Dict, List, Optional, Tuple
 
-from ..codec.framing import Frame, FrameDecoder, encode_frame
+from ..codec.framing import FRAME_ENVELOPE, Frame, FrameDecoder, encode_frame
 
 #: Send-side socket timeout: a peer whose kernel buffer stays full this long
 #: is treated as dead (frames requeue and the link redials).
@@ -254,6 +254,11 @@ class OutgoingLink:
 
     def enqueue(self, frame_bytes: bytes, now: float) -> None:
         self.queue.append((now + self.delay, frame_bytes))
+
+    def send(self, data: bytes, kind: str, payloads: int, clock) -> None:
+        """Queue one encoded envelope as a frame: the peer runtime's link
+        call (a socket link needs only the bytes)."""
+        self.enqueue(encode_frame(FRAME_ENVELOPE, data), monotonic())
 
     @property
     def queued(self) -> int:

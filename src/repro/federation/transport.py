@@ -1,4 +1,4 @@
-"""The simulated inter-peer transport: FIFO links with delay, reorder, partition.
+"""The in-memory link layer: FIFO links with delay, reorder, partition.
 
 Peers of a :class:`~repro.federation.network.FederatedNetwork` never call each
 other directly; every exchange envelope crosses this in-process fabric.  Each
@@ -9,11 +9,12 @@ late messages overtake earlier ones), and a partitioned link *holds* its
 messages — nothing is ever dropped — until :meth:`Transport.heal` reconnects
 the pair.
 
-The fabric carries **bytes**, not objects: every payload is encoded through
-the wire codec (:mod:`repro.codec`) at :meth:`Transport.send` and decoded at
-delivery, so nothing crosses a link that could not equally cross a socket —
-every federation differential run therefore proves wire-serializability of
-the whole exchange protocol for free.
+The fabric carries **bytes** and nothing else: the sending peer's
+:class:`~repro.federation.host.PeerRuntime` encodes each message and the
+receiving one decodes it, with the code a peer process runs on its sockets,
+so nothing crosses a link that could not equally cross a socket.  The module
+also holds what both link layers share above the bytes: :class:`Bundle` and
+the per-destination flush rule.
 """
 
 from __future__ import annotations
@@ -21,13 +22,16 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (
-    Deque, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple as PyTuple,
+    Deque, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple as PyTuple,
 )
 
-from ..codec.wire import decode_envelope, encode_envelope, payload_kind
-from ..obs.trace import Span, SpanContext, default_tracer
+# The envelope codec the peer runtime calls, looked up on this module at
+# call time: the benchmark's per-layer timing shims these two names here
+# (bench/trace.py).
+from ..codec.wire import decode_envelope, encode_envelope  # noqa: F401
+from ..obs.trace import SpanContext
 
 
 @dataclass(frozen=True)
@@ -55,28 +59,24 @@ class Bundle:
 def bundle_by_destination(
     pairs: Iterable[PyTuple[str, object]],
 ) -> List[PyTuple[str, object]]:
-    """The flush rule of both federation runtimes: one message per
-    destination, in first-staged order, made by :func:`bundled`."""
+    """The flush rule: one message per destination, in first-staged order.
+
+    One payload travels as itself, several as a :class:`Bundle` carrying the
+    first traced member's context: the whole flush is one wire hop in that
+    update's trace (every member keeps its own context for the receiver).
+    """
     by_destination: Dict[str, List[object]] = {}
     for destination, payload in pairs:
         by_destination.setdefault(destination, []).append(payload)
-    return [
-        (destination, bundled(batch)) for destination, batch in by_destination.items()
-    ]
-
-
-def bundled(payloads: Sequence[object]) -> object:
-    """One payload as itself, several as a :class:`Bundle` carrying the
-    first traced member's context: the whole flush is one wire hop in that
-    update's trace (every member keeps its own context for the receiver)."""
-    if len(payloads) == 1:
-        return payloads[0]
-    trace = None
-    for payload in payloads:
-        trace = getattr(payload, "trace", None)
-        if trace is not None:
-            break
-    return Bundle(tuple(payloads), trace=trace)
+    messages: List[PyTuple[str, object]] = []
+    for destination, batch in by_destination.items():
+        if len(batch) == 1:
+            messages.append((destination, batch[0]))
+            continue
+        traces = (getattr(payload, "trace", None) for payload in batch)
+        trace = next((context for context in traces if context is not None), None)
+        messages.append((destination, Bundle(tuple(batch), trace=trace)))
+    return messages
 
 
 def unbundled(payload: object) -> PyTuple[object, ...]:
@@ -86,29 +86,23 @@ def unbundled(payload: object) -> PyTuple[object, ...]:
 
 @dataclass(frozen=True)
 class Envelope:
-    """One message in flight between two peers.
-
-    The queued envelope's ``payload`` is the encoded ``bytes`` and
-    ``payload_kind`` names the wire kind; the envelopes
-    :meth:`Transport.pump` hands back carry the *decoded* payload (receivers
-    never see bytes).
-    """
+    """One message in flight between two peers: the encoded ``payload``
+    bytes and what the sender said about them."""
 
     seq: int
     source: str
     destination: str
-    payload: object
+    payload: bytes
     #: Transport tick at which the message was sent.
     sent_at: int
     #: Earliest transport tick at which the message may be delivered.
     due_at: int
     #: Wire kind of the payload.
     payload_kind: str
-
-    def describe(self) -> str:
-        return "envelope #{} {} -> {}: {}".format(
-            self.seq, self.source, self.destination, self.payload_kind
-        )
+    #: The sender's tracer clock at the send (``None`` untraced): the
+    #: receiver's half of the ``wire`` span starts there, so it covers the
+    #: time the message spent on this link.
+    clock: Optional[float] = None
 
 
 class Transport:
@@ -123,12 +117,7 @@ class Transport:
       queued, not lost; healing releases them on the next pump.
     """
 
-    def __init__(
-        self,
-        delay: int = 0,
-        reorder_seed: Optional[int] = None,
-        tracer=None,
-    ):
+    def __init__(self, delay: int = 0, reorder_seed: Optional[int] = None):
         if delay < 0:
             raise ValueError("delay cannot be negative")
         self._default_delay = delay
@@ -138,11 +127,6 @@ class Transport:
         self._rng = random.Random(reorder_seed) if reorder_seed is not None else None
         self._seq = itertools.count(1)
         self._tick = 0
-        self.tracer = tracer if tracer is not None else default_tracer()
-        #: The federation's mapping table (``name -> Tgd``); the owning
-        #: network sets it so mappings cross the wire by name.  ``None``
-        #: (a bare transport) encodes them inline.
-        self.mappings = None
         #: Counters for the metrics snapshot.
         self.sent = 0
         self.delivered = 0
@@ -158,11 +142,6 @@ class Transport:
         self.wire_bytes_sent = 0
         #: Wire bytes attributed per payload kind.
         self.wire_bytes_by_kind: Dict[str, int] = {}
-        #: Codec CPU seconds, metered only while tracing is enabled.
-        self.encode_seconds = 0.0
-        self.decode_seconds = 0.0
-        #: Envelope seq -> open ``wire`` span (ended at delivery).
-        self._wire_spans: Dict[int, Span] = {}
 
     # ------------------------------------------------------------------
     # Configuration
@@ -196,78 +175,40 @@ class Transport:
     # ------------------------------------------------------------------
     # Sending and pumping
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> int:
-        """The current transport tick (advanced by :meth:`pump`)."""
-        return self._tick
-
-    def send(self, source: str, destination: str, payload: object) -> Envelope:
-        """Enqueue *payload* on the ``source -> destination`` link.
-
-        The payload is wire-encoded *now* — the sender's live objects never
-        enter the queue, so mutating them after ``send`` cannot reach the
-        receiver, exactly as over a real socket.
-        """
+    def send(
+        self,
+        source: str,
+        destination: str,
+        data: bytes,
+        kind: str = "raw",
+        payloads: int = 1,
+        clock: Optional[float] = None,
+    ) -> Envelope:
+        """Enqueue the encoded message *data* on the ``source -> destination``
+        link; *kind* and *payloads* (its wire kind and payload count) feed
+        the metrics, *clock* rides along to the receiver."""
         if source == destination:
             raise ValueError("a peer does not message itself over the transport")
-        kind = payload_kind(payload)
-        encode_seconds = 0.0
-        if self.tracer.enabled:
-            before = self.tracer.clock()
-            queued = encode_envelope(payload, self.mappings)
-            encode_seconds = self.tracer.clock() - before
-            self.encode_seconds += encode_seconds
-        else:
-            queued = encode_envelope(payload, self.mappings)
-        self.wire_bytes_sent += len(queued)
-        self.wire_bytes_by_kind[kind] = (
-            self.wire_bytes_by_kind.get(kind, 0) + len(queued)
-        )
+        link = (source, destination)
         envelope = Envelope(
             seq=next(self._seq),
             source=source,
             destination=destination,
-            payload=queued,
+            payload=data,
             sent_at=self._tick,
             due_at=self._tick + 1 + self.delay_of(source, destination),
             payload_kind=kind,
+            clock=clock,
         )
-        self._queues.setdefault((source, destination), deque()).append(envelope)
+        self._queues.setdefault(link, deque()).append(envelope)
         self.sent += 1
-        link = (source, destination)
         self.link_sent[link] = self.link_sent.get(link, 0) + 1
-        if isinstance(payload, Bundle):
+        if kind == "bundle":
             self.bundles_sent += 1
-            self.payloads_sent += len(payload)
-        else:
-            self.payloads_sent += 1
-        if self.tracer.enabled:
-            context = getattr(payload, "trace", None)
-            if context is not None:
-                self._wire_spans[envelope.seq] = self.tracer.start_span(
-                    "wire",
-                    phase="wire",
-                    parent=context,
-                    peer=source,
-                    kind=kind,
-                    destination=destination,
-                    bytes=len(queued),
-                    encode_seconds=encode_seconds,
-                )
+        self.payloads_sent += payloads
+        self.wire_bytes_sent += len(data)
+        self.wire_bytes_by_kind[kind] = self.wire_bytes_by_kind.get(kind, 0) + len(data)
         return envelope
-
-    def send_bundle(
-        self, source: str, destination: str, payloads: Iterable[object]
-    ) -> Optional[Envelope]:
-        """Flush *payloads* to one destination as a single bundled envelope.
-
-        An empty iterable sends nothing; otherwise the payloads travel as
-        :func:`bundled` makes them.  Returns the envelope sent, if any.
-        """
-        batch = list(payloads)
-        if not batch:
-            return None
-        return self.send(source, destination, bundled(batch))
 
     def pump(self) -> List[Envelope]:
         """Advance one tick and return the envelopes delivered this tick.
@@ -302,27 +243,7 @@ class Transport:
         for envelope in deliverable:
             link = (envelope.source, envelope.destination)
             self.link_delivered[link] = self.link_delivered.get(link, 0) + 1
-        # Decode at the delivery boundary: receivers get fresh objects
-        # reconstructed from the bytes, never the sender's instances.
-        if not self.tracer.enabled:
-            return [
-                replace(
-                    envelope,
-                    payload=decode_envelope(envelope.payload, self.mappings),
-                )
-                for envelope in deliverable
-            ]
-        decoded: List[Envelope] = []
-        for envelope in deliverable:
-            before = self.tracer.clock()
-            payload = decode_envelope(envelope.payload, self.mappings)
-            decode_seconds = self.tracer.clock() - before
-            self.decode_seconds += decode_seconds
-            span = self._wire_spans.pop(envelope.seq, None)
-            if span is not None:
-                self.tracer.end_span(span, decode_seconds=decode_seconds)
-            decoded.append(replace(envelope, payload=payload))
-        return decoded
+        return deliverable
 
     # ------------------------------------------------------------------
     # Introspection

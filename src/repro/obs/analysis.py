@@ -12,11 +12,13 @@ Phase accounting conventions (must match the instrumentation sites):
   ``chase`` phase to ``validate``, so "validation" means tracker plus
   conflict checks plus group validation, as in the paper's accounting
   (nested ``conflict-check`` spans are phase-less to avoid double counting);
-* ``wire`` spans last from send to delivery (simulated transit), with the
-  actual codec CPU in ``encode_seconds``/``decode_seconds`` attrs; the
-  ``wire`` phase sums the codec CPU and the transit wall goes to a separate
-  ``transit`` bucket (in a simulated transport transit is scheduling delay,
-  not work).
+* every hop records two ``wire`` half-spans, the sender's around its encode
+  and the receiver's around its decode, with the codec CPU in
+  ``encode_seconds``/``decode_seconds`` attrs; in process the receiver's
+  half starts at the send, so it also covers the simulated transit.  The
+  ``wire`` phase sums the codec CPU and the rest of the span wall goes to a
+  separate ``transit`` bucket (in a simulated transport transit is
+  scheduling delay, not work).
 """
 
 from __future__ import annotations

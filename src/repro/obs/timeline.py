@@ -307,7 +307,3 @@ class TelemetryTimeline:
                 elif rec == "drain":
                     timeline.record_drain(record.get("drain", {}))
         return timeline
-
-
-def load_spool(path: str) -> TelemetryTimeline:
-    return TelemetryTimeline.from_spool(path)

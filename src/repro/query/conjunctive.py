@@ -8,7 +8,7 @@ in-memory evaluator.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple as PyTuple
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple as PyTuple
 
 from ..core.atoms import Atom, atoms_relations, atoms_variables
 from ..core.terms import DataTerm, Variable
@@ -69,12 +69,6 @@ class ConjunctiveQuery(ReadQuery):
         for assignment, _ in find_matches(self._atoms, view, self._seed):
             answers.add(tuple(assignment[v] for v in self._answer_variables))
         return frozenset(answers)
-
-    def evaluate_with_witnesses(
-        self, view: DatabaseView
-    ) -> List[PyTuple[Assignment, PyTuple]]:
-        """All matches with the tuples witnessing each body atom."""
-        return find_matches(self._atoms, view, self._seed)
 
     def is_boolean(self) -> bool:
         """``True`` when the query has no answer variables."""

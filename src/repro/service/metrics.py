@@ -129,14 +129,6 @@ class ServiceMetrics:
         executed = max(1, statistics.updates_executed)
         return statistics.aborts / executed
 
-    def frontier_wait_p50(self) -> float:
-        """Median frontier wait, seconds (0.0 when nothing parked yet)."""
-        return self.frontier_waits.percentile(0.5)
-
-    def frontier_wait_p95(self) -> float:
-        """95th-percentile frontier wait, seconds."""
-        return self.frontier_waits.percentile(0.95)
-
     def snapshot(
         self, statistics: RunStatistics, now: float, store: Optional[object] = None
     ) -> Dict[str, float]:

@@ -98,17 +98,6 @@ class UpdateTicket:
         """``True`` while the ticket waits on a frontier answer."""
         return self.status is TicketStatus.WAITING_FRONTIER
 
-    def queue_wait_seconds(self) -> Optional[float]:
-        """Time from submission to admission (``None`` while still queued)."""
-        if self.admitted_at is None:
-            return None
-        return self.admitted_at - self.submitted_at
-
-    def turnaround_seconds(self) -> Optional[float]:
-        """Time from submission to commit (``None`` until committed)."""
-        if self.committed_at is None:
-            return None
-        return self.committed_at - self.submitted_at
 
     def describe(self) -> str:
         """One-line description for logs and the CLI."""

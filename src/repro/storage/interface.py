@@ -168,15 +168,6 @@ class MutableDatabase(DatabaseView):
         that null-replacements only cause LHS-violations (Section 2).
         """
 
-    def apply_substitution(
-        self, substitution: Dict[LabeledNull, DataTerm]
-    ) -> List[Tuple]:
-        """Apply several null replacements; returns all modified tuples."""
-        modified: List[Tuple] = []
-        for null, value in substitution.items():
-            modified.extend(self.replace_null(null, value))
-        return modified
-
     @abstractmethod
     def snapshot(self) -> "DatabaseView":
         """Return an immutable copy of the current state."""

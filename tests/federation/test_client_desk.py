@@ -128,3 +128,21 @@ def test_routed_question_is_answered_at_its_origin(federation_of):
         assert federation.inbox("a") == []
         snapshot = federation.global_snapshot()
         assert (snapshot.count("Person"), snapshot.count("Father")) == (1, 1)
+
+
+def test_a_link_to_an_unknown_peer_or_to_itself_is_rejected(federation_of):
+    with federation_of(CHAIN) as federation:
+        for a, b in (("a", "zz"), ("zz", "a"), ("a", "a")):
+            with pytest.raises(FederationError):
+                federation.partition(a, b)
+            with pytest.raises(FederationError):
+                federation.heal(a, b)
+        # Nothing reached a peer: the federation works on, every peer alive.
+        ticket = federation.submit("a", InsertOperation(make_tuple("A1", "v1")))
+        _settle(federation)
+        assert ticket.status is TicketStatus.COMMITTED
+        if isinstance(federation, ProcessFederation):
+            assert all(
+                handle.process.poll() is None
+                for handle in federation._handles.values()
+            )

@@ -1,7 +1,8 @@
 """Coalesced federation envelopes: unit rewrites and delivery differentials.
 
 ``coalesce_envelopes`` rewrites one commit batch's staged payload sequence —
-dedup absorbed firings, cancel firing→retraction pairs — and the network flushes the result as per-destination transport bundles.
+dedup absorbed firings, cancel firing→retraction pairs — and the peer
+runtime stages the result as per-destination bundles.
 Neither rewrite may change what a destination peer observes, so alongside the
 unit tests for each rule there is a differential: the same generated
 multi-peer workload delivered coalesced-and-bundled versus one-envelope-at-a-
@@ -12,6 +13,9 @@ below.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,7 +35,10 @@ from repro.federation import (
     databases_equivalent,
     reference_chase,
 )
+from repro.codec.wire import decode_envelope
 from repro.federation.envelopes import QuestionCancelled, freeze_assignment
+from repro.federation.host import PeerRuntime
+from repro.obs.trace import NOOP_TRACER
 from repro.service.tickets import RemoteOrigin
 from repro.workload.federated_loop import (
     FederatedClientSpec,
@@ -109,39 +116,68 @@ class TestCoalesceRules:
         assert coalesce_envelopes(staged) == [("p1", a), ("p1", b), ("p1", c)]
 
 
+class _StagingPeer:
+    """Just what a runtime's staging reads of a peer: name, outbox, tracer."""
+
+    def __init__(self, outbox):
+        self.name = "a"
+        self.outbox = list(outbox)
+        self.service = SimpleNamespace(tracer=NOOP_TRACER)
+
+
 class TestBundleTransport:
-    def test_empty_flush_sends_nothing(self):
+    """A peer runtime stages its outbox onto the transport as one encoded
+    message per destination."""
+
+    def _stage(self, payloads):
         transport = Transport()
-        assert transport.send_bundle("a", "b", []) is None
+        runtime = PeerRuntime(
+            _StagingPeer(("b", payload) for payload in payloads),
+            {"b": partial(transport.send, "a", "b")},
+            None,
+            lambda event: None,
+        )
+        runtime._stage_outbox()
+        assert runtime.peer.outbox == []
+        return transport
+
+    def test_empty_flush_sends_nothing(self):
+        transport = self._stage([])
         assert transport.sent == 0
 
     def test_single_payload_is_sent_bare(self):
-        transport = Transport()
-        envelope = transport.send_bundle("a", "b", ["payload"])
-        assert envelope is not None and envelope.payload_kind == "raw"
+        transport = self._stage(["payload"])
         assert transport.bundles_sent == 0
         assert transport.payloads_sent == 1
         [delivered] = transport.pump()
-        assert delivered.payload == "payload"
+        assert delivered.payload_kind == "raw"
+        assert decode_envelope(delivered.payload) == "payload"
 
     def test_many_payloads_share_one_envelope(self):
-        transport = Transport()
-        envelope = transport.send_bundle("a", "b", ["one", "two", "three"])
-        # The queued envelope carries bytes; the wire kind names the bundle
-        # without decoding it.
-        assert envelope.payload_kind == "bundle"
-        assert isinstance(envelope.payload, bytes)
+        transport = self._stage(["one", "two", "three"])
         assert transport.sent == 1
         assert transport.bundles_sent == 1
         assert transport.payloads_sent == 3
         [delivered] = transport.pump()
-        assert isinstance(delivered.payload, Bundle)
-        assert delivered.payload.payloads == ("one", "two", "three")
-        assert len(delivered.payload) == 3
+        # The link carries bytes; the wire kind names the bundle without
+        # decoding it.
+        assert delivered.payload_kind == "bundle"
+        assert isinstance(delivered.payload, bytes)
+        bundle = decode_envelope(delivered.payload)
+        assert isinstance(bundle, Bundle)
+        assert bundle.payloads == ("one", "two", "three")
+        assert len(bundle) == 3
         metrics = transport.metrics()
         assert metrics["transport_bundles_sent"] == 1
         assert metrics["transport_payloads_sent"] == 3
         assert metrics["transport_wire_bytes_sent"] > 0
+
+
+def _stage_per_envelope(runtime):
+    """The reference staging: one link message per staged payload."""
+    for destination, payload in runtime.peer.outbox:
+        runtime._send(destination, payload)
+    runtime.peer.outbox.clear()
 
 
 class PerEnvelopeNetwork(FederatedNetwork):
@@ -149,13 +185,9 @@ class PerEnvelopeNetwork(FederatedNetwork):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        for peer in self.peers():
-            peer._coalesce = lambda staged: staged
-
-    def _flush_pairs(self, peer, pairs, report):
-        for destination, payload in pairs:
-            self.transport.send(peer.name, destination, payload)
-            report.flushed += 1
+        for runtime in self._runtimes.values():
+            runtime.peer._coalesce = lambda staged: staged
+            runtime._stage_outbox = partial(_stage_per_envelope, runtime)
 
 
 def _run_network(

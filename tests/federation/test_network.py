@@ -274,6 +274,7 @@ def test_answer_that_is_not_a_listed_alternative_travels_inline():
 
 
 def test_stale_and_out_of_range_indexed_answers_are_dropped():
+    from repro.codec.wire import encode_envelope
     from repro.federation.envelopes import QuestionAnswer
 
     network = question_fixture()
@@ -281,10 +282,10 @@ def test_stale_and_out_of_range_indexed_answers_are_dropped():
     question = _pump_until_question(network, "a")[0]
     # Out of range for the parked request, then a decision b never asked.
     for decision_id, choice in ((question.decision_id, 99), (4242, 0)):
-        network.transport.send("a", "b", QuestionAnswer(
+        network.transport.send("a", "b", encode_envelope(QuestionAnswer(
             executing_peer="b", decision_id=decision_id, choice=choice,
             answered_by="a",
-        ))
+        )), "question-answer")
     for _ in range(3):
         network.pump()
     assert network.metrics()["answers_dropped"] == 2

@@ -221,3 +221,21 @@ def test_tracing_does_not_change_the_run(seed):
     assert _cost_panel(untraced) == _cost_panel(traced)
     # Tracing did record something — the differential is not vacuous.
     assert traced.tracer.spans
+
+
+def test_each_hop_records_both_halves_and_in_process_transit():
+    """Every hop's sender and receiver record a ``wire`` half-span; the
+    transport hands the send clock to the receiving runtime, so its half
+    covers the hop's time on the link, which the breakdown calls transit."""
+    config = FederationScenarioConfig(
+        num_peers=3, cross_mappings=6, remote_insert_fraction=0.3, seed=0
+    )
+    tracer = Tracer()
+    _run(generate_federation_environment(config), Transport(delay=1), tracer=tracer)
+    wire = [span for span in tracer.spans if span.phase == "wire"]
+    sent = [span for span in wire if "encode_seconds" in span.attrs]
+    received = [span for span in wire if "decode_seconds" in span.attrs]
+    assert sent and len(sent) == len(received) == len(wire) // 2
+    assert all(span.peer != span.attrs["destination"] for span in sent)
+    assert all(span.peer == span.attrs["destination"] for span in received)
+    assert TraceAnalysis(tracer.spans).phase_breakdown()["transit"] > 0
