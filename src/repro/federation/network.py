@@ -249,8 +249,7 @@ class FederatedNetwork(ClientDesk):
         tracer=None,
     ):
         self.schema = schema
-        #: The tracer the whole federation records into.
-        self.tracer = tracer if tracer is not None else default_tracer()
+        self._tracer = tracer if tracer is not None else default_tracer()
         self.rules = ExchangeRules.for_federation(schema, mappings, ownership)
         self.owner_of = self.rules.owner_of
         self.transport = transport if transport is not None else Transport()
@@ -266,7 +265,7 @@ class FederatedNetwork(ClientDesk):
                 if isinstance(admission, dict)
                 else admission,
                 "max_total_steps": max_total_steps,
-                "tracer": self.tracer,
+                "tracer": self._tracer,
             }
             for name in ownership
         }
@@ -318,15 +317,23 @@ class FederatedNetwork(ClientDesk):
             peer, links, self.rules.by_name, self._apply, host=host
         )
 
+    @property
+    def tracer(self):
+        """The tracer the whole federation records into."""
+        return self._tracer
+
     # ------------------------------------------------------------------
     # Topology
     # ------------------------------------------------------------------
-    def peer(self, name: str) -> Peer:
-        """Look a peer up by name."""
+    def _runtime(self, name: str) -> PeerRuntime:
         try:
-            return self._runtimes[name].peer
+            return self._runtimes[name]
         except KeyError:
             raise FederationError("unknown peer {!r}".format(name))
+
+    def peer(self, name: str) -> Peer:
+        """Look a peer up by name."""
+        return self._runtime(name).peer
 
     def peers(self) -> List[Peer]:
         """Every peer, in declaration order."""
@@ -343,7 +350,7 @@ class FederatedNetwork(ClientDesk):
     # ------------------------------------------------------------------
     def checkpoint_peer(self, name: str, path: str) -> None:
         """Persist one peer's restartable state (see :meth:`Peer.checkpoint`)."""
-        self._runtimes[self.peer(name).name].checkpoint(path)
+        self._runtime(name).checkpoint(path)
 
     def restart_peer(self, name: str, path: str) -> Peer:
         """Kill peer *name* and rebuild it from a checkpoint file.
