@@ -415,21 +415,9 @@ class FederatedNetwork(ClientDesk):
     # ------------------------------------------------------------------
     def quiescent(self) -> bool:
         """``True`` when no queue anywhere can produce further work."""
-        return not self.transport.in_flight and self._peers_idle()
-
-    def watermark_quiescent(self) -> bool:
-        """The conservation form of :meth:`quiescent`.
-
-        Same distributed condition, decided the way the socket federation's
-        watermark drain decides it: per-directed-link send watermarks equal
-        to their delivery watermarks (``sent - delivered`` is the queue
-        length, so conservation ⇔ nothing in flight) plus every peer idle.
-        :meth:`run_until_quiescent` drains on it.
-        """
-        return self.transport.watermarks_conserved() and self._peers_idle()
-
-    def _peers_idle(self) -> bool:
-        return all(peer.idle for peer in self.peers())
+        return not self.transport.in_flight and all(
+            peer.idle for peer in self.peers()
+        )
 
     def run_until_quiescent(
         self,
@@ -448,7 +436,7 @@ class FederatedNetwork(ClientDesk):
             self.pump()
             if answer_strategy is not None:
                 self._answer_open(answer_strategy, self.peer_names())
-            if self.watermark_quiescent():
+            if self.quiescent():
                 return round_number
         raise RuntimeError(
             "federation failed to drain within {} rounds "

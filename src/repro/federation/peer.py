@@ -11,7 +11,8 @@ either federation runtime (a peer process, or the in-process network):
   runtime's tracer, fresh or from a :meth:`Peer.checkpoint`;
 * :meth:`Peer.deliver` re-submits routed updates, firings and retractions
   under the peer's *gateway* session and resumes parked decisions; what the
-  bounded admission queue turns away waits in :attr:`Peer.retry`;
+  bounded admission queue turns away waits in :attr:`Peer.retry`, and later
+  deliveries wait behind it (admission is first come, first served);
 * everything the peer sends is staged in :attr:`Peer.outbox`: the firings
   and retractions a scheduler commit listener makes of every committed
   write set, the questions and cancellations of :meth:`Peer.scan`, and what
@@ -335,8 +336,9 @@ class Peer:
     def deliver(self, payload: object) -> bool:
         """Deliver one payload that arrived from another peer.
 
-        ``False`` when the bounded admission queue was full and the
-        (update-bearing) payload now waits in :attr:`retry`.
+        ``False`` when the (update-bearing) payload now waits in
+        :attr:`retry`: the bounded admission queue was full, or older
+        deliveries wait there already and it queues behind them.
         """
         if isinstance(payload, QuestionOpened):
             self.questions_routed += 1
@@ -348,7 +350,7 @@ class Peer:
             self.answer(payload.decision_id, payload.choice, routed=True)
         elif not isinstance(payload, UPDATE_BEARING):
             raise FederationError("undeliverable payload {!r}".format(payload))
-        elif not self._submit_delivery(payload):
+        elif self.retry or not self._submit_delivery(payload):
             self.retry.append(payload)
             self.deliveries_deferred += 1
             return False
@@ -356,22 +358,24 @@ class Peer:
 
     def retry_deferred(self) -> bool:
         """Re-submit deferred deliveries, then deferred client submissions,
-        in order; ``True`` if any got in."""
-        if not self.retry and not self.deferred:
-            return False
-        pending, self.retry = self.retry, []
-        for payload in pending:
+        oldest first, up to the first the admission queue turns away (none
+        overtakes an older one); ``True`` if any got in."""
+        delivered = 0
+        for payload in self.retry:
             if not self._submit_delivery(payload):
-                self.retry.append(payload)
-        submissions, self.deferred = self.deferred, []
-        for ticket_id, operation in submissions:
-            try:
-                self.submit(ticket_id, operation)
-            except AdmissionError:
-                self.deferred.append((ticket_id, operation))
-        return len(self.retry) + len(self.deferred) != len(pending) + len(
-            submissions
-        )
+                break
+            delivered += 1
+        del self.retry[:delivered]
+        submitted = 0
+        if not self.retry:
+            for ticket_id, operation in self.deferred:
+                try:
+                    self.submit(ticket_id, operation)
+                except AdmissionError:
+                    break
+                submitted += 1
+            del self.deferred[:submitted]
+        return bool(delivered or submitted)
 
     def _submit_delivery(self, payload) -> bool:
         """Submit one update-bearing payload; ``False`` when admission is full."""

@@ -55,7 +55,6 @@ import sys
 import time
 import traceback
 from dataclasses import asdict
-from random import Random
 from typing import Dict, List, Optional, Tuple
 
 from ..codec.framing import FRAME_CONTROL, encode_frame
@@ -109,8 +108,6 @@ def encode_peer_config(
     tracker: str = "PRECISE",
     admission: Optional[AdmissionConfig] = None,
     max_total_steps: int = 1_000_000,
-    link_delay: float = 0.0,
-    reorder_seed: Optional[int] = None,
     trace: bool = False,
     trace_path: Optional[str] = None,
     restore: Optional[str] = None,
@@ -145,8 +142,6 @@ def encode_peer_config(
         "tracker": tracker,
         "admission": None if admission is None else asdict(admission),
         "max_total_steps": max_total_steps,
-        "link_delay": link_delay,
-        "reorder_seed": reorder_seed,
         "trace": trace,
         "trace_path": trace_path,
         "restore": restore,
@@ -198,20 +193,11 @@ class PeerHost:
             self.tracer = NOOP_TRACER
 
         # -- outgoing links ---------------------------------------------
-        link_delay = float(config.get("link_delay") or 0.0)
-        reorder_seed = config.get("reorder_seed")
-        self._links: Dict[str, OutgoingLink] = {}
-        for peer, address in self._addresses.items():
-            if peer == self.name:
-                continue
-            rng = None
-            if reorder_seed is not None:
-                # Seed with a string: deterministic across processes (unlike
-                # hash()), distinct per directed link.
-                rng = Random("{}:{}:{}".format(reorder_seed, self.name, peer))
-            self._links[peer] = OutgoingLink(
-                peer, address, delay=link_delay, rng=rng
-            )
+        self._links: Dict[str, OutgoingLink] = {
+            peer: OutgoingLink(peer, address)
+            for peer, address in self._addresses.items()
+            if peer != self.name
+        }
         self._hello = encode_frame(
             FRAME_CONTROL, dumps({"t": "hello", "peer": self.name})
         )
@@ -273,10 +259,12 @@ class PeerHost:
         self.peer = peer
 
         # -- sockets -----------------------------------------------------
-        # Listening only once the peer exists: a restore that fails exits
-        # before the coordinator can connect.
-        self._listener = FrameListener(self._addresses[self.name])
+        # The selector first: a coordinator's dial succeeds the moment the
+        # listener listens, and must then find every descriptor the host
+        # loop holds already open.  Listening only once the peer exists: a
+        # restore that fails exits before the coordinator can connect.
         self._selector = selectors.DefaultSelector()
+        self._listener = FrameListener(self._addresses[self.name])
         self._selector.register(self._listener, selectors.EVENT_READ, self._listener)
 
         # -- telemetry + flight recorder --------------------------------
@@ -288,17 +276,8 @@ class PeerHost:
             if self._telemetry_interval > 0
             else None
         )
-        #: Last absolute metrics snapshot sent, for heartbeat deltas.
-        self._last_telemetry_metrics: Dict[str, object] = {}
         #: How many tracer spans the flight recorder has already captured.
         self._flight_span_index = 0
-        # Wire counters join the metrics registry as a producer: the full
-        # collect() the status path serves now includes them uniformly
-        # (keys: wire_frames_sent, wire_frames_received, ...), so new
-        # instruments cannot silently drop off the status path again.
-        self.peer.service.metrics.registry.register_producer(
-            self._wire_metrics, prefix="wire_"
-        )
 
     # ------------------------------------------------------------------
     # The loop
@@ -401,13 +380,17 @@ class PeerHost:
         elif kind == "submit":
             fid = int(body["fid"])
             operation = decode_user_operation(body["op"], self._mappings)
-            try:
-                self.runtime.submit(fid, operation)
-            except AdmissionError:
-                # Flood submission must be loss-free: admission overflow is
-                # backpressure here, not a client error, because the
-                # submitting client is a remote process.
+            # Flood submission must be loss-free: admission overflow is
+            # backpressure here, not a client error, because the submitting
+            # client is a remote process.  A submission waits behind those
+            # already deferred, so none overtakes an older one.
+            if self.peer.deferred:
                 self.peer.deferred.append((fid, operation))
+            else:
+                try:
+                    self.runtime.submit(fid, operation)
+                except AdmissionError:
+                    self.peer.deferred.append((fid, operation))
         elif kind == "answer":
             # The coordinator's answer can race a cancellation, which the
             # peer tolerates.  The choice is normally an index into the
@@ -460,9 +443,9 @@ class PeerHost:
             raise FederationError("unknown control message {!r}".format(kind))
 
     def _handle_checkpoint(self, channel: FrameChannel, body: Dict) -> None:
-        # Reach a local fixpoint, then push every queued frame out regardless
-        # of simulated link delay: the frames' contents are already decided,
-        # and a checkpoint must not strand them in a dying process.
+        # Reach a local fixpoint, then push every queued frame out, redialing
+        # at once if a link is backing off: the frames' contents are already
+        # decided, and a checkpoint must not strand them in a dying process.
         self._work()
         self._flush(force=True)
         # The watermarks are exact now: every link toward this peer is held
@@ -499,18 +482,6 @@ class PeerHost:
     # ------------------------------------------------------------------
     # Telemetry and the flight recorder
     # ------------------------------------------------------------------
-    def _wire_metrics(self) -> Dict[str, object]:
-        """Socket-layer counters, published through the metrics registry."""
-        return {
-            "frames_sent": sum(
-                link.frames_sent for link in self._links.values()
-            ),
-            "frames_received": sum(self.runtime.frames_received.values()),
-            "payloads_received": self.runtime.payloads_received,
-            "deliveries_deferred": self.peer.deliveries_deferred,
-            "answers_dropped": self.peer.answers_dropped,
-        }
-
     def _telemetry_tick(self) -> None:
         """Emit one heartbeat frame and sync the flight recorder when due."""
         if self._next_telemetry is None:
@@ -534,27 +505,10 @@ class PeerHost:
                 pass
 
     def _telemetry_body(self) -> Dict:
-        """One unsolicited heartbeat: the status shape plus seq + deltas."""
+        """One unsolicited heartbeat: the status document plus seq + wall."""
         body = self._status_reply(0)
         del body["round"]
-        body["t"] = "telemetry"
-        body["seq"] = self._telemetry_seq
-        body["wall"] = time.time()
-        # Metrics travel as deltas against the previous heartbeat: numeric
-        # keys carry the difference (the timeline re-accumulates them into
-        # absolutes), non-numeric keys pass through as-is.
-        metrics = body["metrics"]
-        delta: Dict[str, object] = {}
-        for key, value in metrics.items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                base = self._last_telemetry_metrics.get(key, 0)
-                if isinstance(base, (int, float)) and not isinstance(base, bool):
-                    delta[key] = value - base
-                    continue
-            delta[key] = value
-        self._last_telemetry_metrics = metrics
-        body["metrics"] = delta
-        body["metrics_delta"] = True
+        body.update(t="telemetry", seq=self._telemetry_seq, wall=time.time())
         return body
 
     def _is_idle(self) -> bool:
@@ -690,8 +644,7 @@ class PeerHost:
             "committed": snapshot["committed"],
             # The *full* registry collect, not a hand-kept key list: every
             # registered instrument and producer (service counters, store
-            # gauges, scheduler stats, wire_ counters) rides the status
-            # path uniformly.  tests/federation/test_telemetry.py pins the
+            # gauges, scheduler stats) rides the status path uniformly.  tests/federation/test_telemetry.py pins the
             # shape so a new instrument cannot silently drop off again.
             "metrics": snapshot,
             "deliveries_deferred": self.peer.deliveries_deferred,

@@ -92,6 +92,11 @@ from .socket_transport import (
 )
 
 
+#: How long a peer may take to listen (spawn, restart), and to answer a
+#: snapshot or trace export.
+STARTUP_TIMEOUT = 20.0
+
+
 class ProcessFederationError(FederationError):
     """A coordination failure: a peer died, timed out, or misbehaved."""
 
@@ -210,7 +215,6 @@ class _PeerHandle:
         "process",
         "channel",
         "replies",
-        "last_status",
     )
 
     def __init__(self, name: str, address: SocketAddress):
@@ -222,7 +226,6 @@ class _PeerHandle:
         self.channel: Optional[FrameChannel] = None
         #: Replies keyed by message type, drained by the await helpers.
         self.replies: Dict[str, List[Dict]] = {}
-        self.last_status: Optional[Dict] = None
 
 
 class ProcessFederation(ClientDesk):
@@ -237,15 +240,10 @@ class ProcessFederation(ClientDesk):
         tracker: str = "PRECISE",
         admission=None,
         max_total_steps: int = 1_000_000,
-        link_delay: float = 0.0,
-        reorder_seed: Optional[int] = None,
         trace: Optional[bool] = None,
         transport: str = "unix",
         workdir: Optional[str] = None,
-        startup_timeout: float = 20.0,
         telemetry_interval: float = 0.25,
-        stalled_after: float = 1.5,
-        dead_after: float = 2.0,
         flight: bool = True,
         flight_dir: Optional[str] = None,
     ):
@@ -270,14 +268,11 @@ class ProcessFederation(ClientDesk):
         self._tracker = tracker
         self._admission = admission
         self._max_total_steps = max_total_steps
-        self._link_delay = link_delay
-        self._reorder_seed = reorder_seed
         if trace is None:
             # Same opt-in as everywhere else: REPRO_TRACE=1 turns the whole
             # federation on (each peer process gets its own prefixed tracer).
             trace = os.environ.get("REPRO_TRACE") == "1"
         self._trace = trace
-        self._startup_timeout = startup_timeout
         self._owns_workdir = workdir is None
         self.workdir = workdir or tempfile.mkdtemp(prefix="repro-fed-")
         os.makedirs(self.workdir, exist_ok=True)
@@ -291,12 +286,9 @@ class ProcessFederation(ClientDesk):
                 or os.environ.get("REPRO_FLIGHT_DIR")
                 or os.path.join(self.workdir, "flight")
             )
-        #: Federation-wide time series + liveness watchdog over heartbeats.
-        self.timeline = TelemetryTimeline(
-            interval=self._telemetry_interval,
-            stalled_after=stalled_after,
-            dead_after=dead_after,
-        )
+        #: Federation-wide time series + liveness watchdog over heartbeats
+        #: (at its default stalled/dead thresholds).
+        self.timeline = TelemetryTimeline(interval=self._telemetry_interval)
         for name in self._ownership:
             self.timeline.register_peer(name)
         self._last_liveness: Dict[str, str] = {}
@@ -305,7 +297,7 @@ class ProcessFederation(ClientDesk):
         #: The watermark drain's working set: the latest body per peer that
         #: carried an ``activity_seq`` (went-idle notices a drain subscribed
         #: to, heartbeats, and status replies all qualify).  Kept apart
-        #: from the timeline's merged view on purpose — kill/restart *clears*
+        #: from the timeline's view on purpose — kill/restart *clears*
         #: a peer's entry, because a reborn peer resets its activity seq and
         #: a stale pre-restart view could coincidentally match it.
         self._watermarks: Dict[str, Dict] = {}
@@ -317,8 +309,8 @@ class ProcessFederation(ClientDesk):
         self._spool({
             "rec": "meta",
             "interval": self._telemetry_interval,
-            "stalled_after": stalled_after,
-            "dead_after": dead_after,
+            "stalled_after": self.timeline.stalled_after,
+            "dead_after": self.timeline.dead_after,
             "peers": sorted(self._ownership),
             "wall": time.time(),
         })
@@ -389,8 +381,6 @@ class ProcessFederation(ClientDesk):
             if isinstance(self._admission, dict)
             else self._admission,
             max_total_steps=self._max_total_steps,
-            link_delay=self._link_delay,
-            reorder_seed=self._reorder_seed,
             trace=self._trace,
             trace_path=trace_path,
             restore=restore,
@@ -406,7 +396,7 @@ class ProcessFederation(ClientDesk):
 
     def _connect(self, name: str) -> None:
         handle = self._handles[name]
-        deadline = time.monotonic() + self._startup_timeout
+        deadline = time.monotonic() + STARTUP_TIMEOUT
         # A forked peer listens within milliseconds: retry fast, then back
         # off so a slow start does not spin.
         delay = 0.001
@@ -424,7 +414,7 @@ class ProcessFederation(ClientDesk):
                 if time.monotonic() > deadline:
                     raise ProcessFederationError(
                         "peer {!r} did not start listening within {}s".format(
-                            name, self._startup_timeout
+                            name, STARTUP_TIMEOUT
                         )
                     )
                 time.sleep(delay)
@@ -523,7 +513,7 @@ class ProcessFederation(ClientDesk):
         if kind == "idle":
             # The went-idle notice: link watermarks and the activity seq,
             # nothing more — it feeds the drain and proves the peer alive,
-            # but is neither merged into the timeline's view nor spooled
+            # but is neither kept as the timeline's view nor spooled
             # (a drain gets one per settling of every peer it watches).
             body["quiescent"] = True
             self._note_watermark(body["peer"], body)
@@ -597,10 +587,9 @@ class ProcessFederation(ClientDesk):
                 deadline,
                 matches=lambda body: body.get("round") == round_number,
             )
-            self._handles[name].last_status = replies[name]
             # Status replies feed the timeline too: a drain round proves the
-            # peer alive, and its absolute counters refresh the merged view,
-            # so post-drain metrics() is at least as fresh as the last round.
+            # peer alive, and its reply becomes the view, so post-drain
+            # metrics() is at least as fresh as the last round.
             self._observe_telemetry(name, replies[name], "status")
         return replies
 
@@ -934,7 +923,7 @@ class ProcessFederation(ClientDesk):
     # ------------------------------------------------------------------
     def global_snapshot(self) -> FrozenDatabase:
         """The union of every peer's committed owned relations."""
-        deadline = time.monotonic() + self._startup_timeout
+        deadline = time.monotonic() + STARTUP_TIMEOUT
         names = [
             name for name, handle in self._handles.items()
             if handle.channel is not None
@@ -956,27 +945,21 @@ class ProcessFederation(ClientDesk):
     def metrics(self) -> Dict[str, Dict]:
         """The freshest status-shaped document per peer.
 
-        Served from the telemetry timeline: the merged view of the latest
-        unsolicited heartbeat *or* drain-time status reply, whichever came
-        last.  Freshness semantics: after ``drain()`` the numbers are at
-        least as fresh as the final status round (status replies feed the
-        timeline too); between drains they are at most one heartbeat
-        interval old; with telemetry off the values are exactly the old
-        drain-time ``last_status``.  Keys are bit-compatible with the raw
-        status reply; peers that have reported nothing yet are omitted.
+        Served from the telemetry timeline: the latest unsolicited heartbeat
+        *or* drain-time status reply, whichever came last.  Freshness
+        semantics: after ``drain()`` the numbers are at least as fresh as
+        the final status round (status replies feed the timeline too);
+        between drains they are at most one heartbeat interval old; with
+        telemetry off they are exactly the last status round's.  Keys are
+        bit-compatible with the raw status reply; peers that have reported
+        nothing yet are omitted.
         """
-        merged: Dict[str, Dict] = {}
-        for name, handle in self._handles.items():
-            view = self.timeline.latest(name)
-            if view is None and handle.last_status is not None:
-                view = dict(handle.last_status)
-            if view is not None:
-                merged[name] = view
-        return merged
+        views = {name: self.timeline.latest(name) for name in self._handles}
+        return {name: view for name, view in views.items() if view is not None}
 
     def export_traces(self) -> List[str]:
         """Ask every live peer to export its spans; returns the JSONL paths."""
-        deadline = time.monotonic() + self._startup_timeout
+        deadline = time.monotonic() + STARTUP_TIMEOUT
         paths: List[str] = []
         names = [
             name for name, handle in self._handles.items()

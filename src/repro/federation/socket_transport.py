@@ -12,12 +12,11 @@ sockets:
   drains whatever the kernel has and returns complete frames (partials stay
   buffered in the channel's :class:`~repro.codec.framing.FrameDecoder`);
 * :class:`FrameListener` — the accepting side, yielding channels;
-* :class:`OutgoingLink` — the sender-side per-destination queue re-creating
-  the in-process transport's link semantics on real sockets: optional
-  seconds-based delivery delay, seeded reordering of each ready batch, and
-  ``hold``/``release`` (partition: frames queue, nothing is lost) plus
+* :class:`OutgoingLink` — the sender-side per-destination FIFO of frames,
+  with ``hold``/``release`` (partition: frames queue, nothing is lost) plus
   transparent reconnect (a dead destination keeps its frames queued until it
-  comes back — exactly how the simulated transport treats a partition).
+  comes back — exactly how the in-memory transport treats a partition).
+  Seeded delay and reorder are simulated by the in-memory transport alone.
 
 Everything here is deliberately blocking-socket based: channels use blocking
 sockets with a send timeout, and the peer host multiplexes *reads* with a
@@ -32,10 +31,9 @@ sends non-blocking).
 from __future__ import annotations
 
 import os
-import random
 import socket
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..codec.framing import FRAME_ENVELOPE, Frame, FrameDecoder, encode_frame
 
@@ -221,30 +219,20 @@ class FrameListener:
 
 
 class OutgoingLink:
-    """Sender-side state of one directed peer link.
+    """Sender-side state of one directed peer link: a FIFO of frame bytes.
 
-    Mirrors the in-process transport's per-link queue: frames queue with a
-    due time (``delay`` seconds), a seeded RNG shuffles each ready batch
-    (reorder), and ``hold`` parks the whole link (partition — frames are
-    *held*, never dropped).  The channel is dialed lazily and redialed after
-    failures; frames stay queued across reconnects, so a killed-and-restarted
+    ``hold`` parks the whole link (partition — frames are *held*, never
+    dropped).  The channel is dialed lazily and redialed after failures;
+    frames stay queued across reconnects, so a killed-and-restarted
     destination receives everything once it listens again.
     """
 
-    def __init__(
-        self,
-        destination: str,
-        address: SocketAddress,
-        delay: float = 0.0,
-        rng: Optional[random.Random] = None,
-    ):
+    def __init__(self, destination: str, address: SocketAddress):
         self.destination = destination
         self.address = address
-        self.delay = delay
-        self.rng = rng
         self.held = False
-        #: Queued ``(due_time, frame_bytes)`` pairs, FIFO by append order.
-        self.queue: List[Tuple[float, bytes]] = []
+        #: Frames not yet written, in send order.
+        self.queue: List[bytes] = []
         self.channel: Optional[FrameChannel] = None
         #: Earliest next redial (monotonic seconds); backs off on failure.
         self._retry_at = 0.0
@@ -252,36 +240,34 @@ class OutgoingLink:
         #: coordinator compares against the destination's received count).
         self.frames_sent = 0
 
-    def enqueue(self, frame_bytes: bytes, now: float) -> None:
-        self.queue.append((now + self.delay, frame_bytes))
-
     def send(self, data: bytes, kind: str, payloads: int, clock) -> None:
         """Queue one encoded envelope as a frame: the peer runtime's link
         call (a socket link needs only the bytes)."""
-        self.enqueue(encode_frame(FRAME_ENVELOPE, data), monotonic())
+        self.queue.append(encode_frame(FRAME_ENVELOPE, data))
 
     @property
     def queued(self) -> int:
         return len(self.queue)
+
+    @property
+    def connected(self) -> bool:
+        return self.channel is not None and not self.channel.closed
 
     def stats(self) -> Dict[str, object]:
         """Inflight gauges for the telemetry plane (cheap, no syscalls)."""
         return {
             "queued": len(self.queue),
             "held": self.held,
-            "connected": self.channel is not None and not self.channel.closed,
+            "connected": self.connected,
             "frames_sent": self.frames_sent,
         }
 
     def next_due(self) -> Optional[float]:
-        """The earliest due time among queued frames (None when idle/held);
-        while disconnected, no earlier than the next redial."""
-        if self.held or not self.queue:
+        """When a disconnected link with queued frames redials next (None
+        otherwise: the host flushes a connected link on every pass)."""
+        if self.held or not self.queue or self.connected:
             return None
-        due = min(due for due, _ in self.queue)
-        if self.channel is None or self.channel.closed:
-            return max(due, self._retry_at)
-        return due
+        return self._retry_at
 
     def _connect(self, hello: Optional[bytes]) -> Optional[FrameChannel]:
         try:
@@ -297,42 +283,35 @@ class OutgoingLink:
         return channel
 
     def flush(self, now: float, hello: Optional[bytes] = None) -> int:
-        """Send every due frame; returns how many went out.
+        """Send every queued frame; returns how many went out.
 
         *hello* is the identification frame a fresh connection must lead
         with (the receiver learns who is dialing from it).  On any send
-        failure the unsent frames stay queued and the link backs off before
+        failure the frames stay queued and the link backs off before
         redialing — delivery is at-least-once over reconnects, which is the
         same contract the in-process transport gives a healed partition.
         """
         if self.held or not self.queue:
             return 0
-        ready = [entry for entry in self.queue if entry[0] <= now]
-        if not ready:
-            return 0
-        if self.channel is None or self.channel.closed:
+        if not self.connected:
             if now < self._retry_at:
                 return 0
             self.channel = self._connect(hello)
             if self.channel is None:
                 self._retry_at = now + 0.05
                 return 0
-        if self.rng is not None and len(ready) > 1:
-            self.rng.shuffle(ready)
-        remaining = [entry for entry in self.queue if entry[0] > now]
-        sent = 0
         try:
-            # One syscall for the whole ready batch: the receiver's decoder
-            # splits the coalesced segment back into frames.
-            self.channel.send_bytes(b"".join(frame for _, frame in ready))
-            sent = len(ready)
+            # One syscall for the whole queue: the receiver's decoder splits
+            # the coalesced segment back into frames.
+            self.channel.send_bytes(b"".join(self.queue))
         except SocketTransportError:
             # Nothing (or everything) went out; sendall gives no partial
-            # count.  Requeue the whole batch — receivers absorb duplicates
+            # count.  Keep the whole queue — receivers absorb duplicates
             # idempotently, exactly like redelivery after a heal.
-            remaining = ready + remaining
             self._retry_at = now + 0.05
-        self.queue = remaining
+            return 0
+        sent = len(self.queue)
+        self.queue = []
         self.frames_sent += sent
         return sent
 

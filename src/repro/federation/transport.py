@@ -9,7 +9,9 @@ late messages overtake earlier ones), and a partitioned link *holds* its
 messages — nothing is ever dropped — until :meth:`Transport.heal` reconnects
 the pair.
 
-The fabric carries **bytes** and nothing else: the sending peer's
+It is the one place delay and reorder are simulated: the socket federation's
+links are plain FIFOs, so the differential tests that shuffle message order
+run here.  The fabric carries **bytes** and nothing else: the sending peer's
 :class:`~repro.federation.host.PeerRuntime` encodes each message and the
 receiving one decodes it, with the code a peer process runs on its sockets,
 so nothing crosses a link that could not equally cross a socket.  The module
@@ -130,13 +132,6 @@ class Transport:
         #: Counters for the metrics snapshot.
         self.sent = 0
         self.delivered = 0
-        #: Per-directed-link send/receive watermarks (the in-process twin of
-        #: the socket federation's frames_sent / frames_received vectors):
-        #: for every link, ``sent - delivered`` equals its queue length, so
-        #: the conservation check "all watermarks equal" is exactly
-        #: "nothing in flight".
-        self.link_sent: Dict[PyTuple[str, str], int] = {}
-        self.link_delivered: Dict[PyTuple[str, str], int] = {}
         self.bundles_sent = 0
         self.payloads_sent = 0
         self.wire_bytes_sent = 0
@@ -202,7 +197,6 @@ class Transport:
         )
         self._queues.setdefault(link, deque()).append(envelope)
         self.sent += 1
-        self.link_sent[link] = self.link_sent.get(link, 0) + 1
         if kind == "bundle":
             self.bundles_sent += 1
         self.payloads_sent += payloads
@@ -240,9 +234,6 @@ class Transport:
         if self._rng is not None and len(deliverable) > 1:
             self._rng.shuffle(deliverable)
         self.delivered += len(deliverable)
-        for envelope in deliverable:
-            link = (envelope.source, envelope.destination)
-            self.link_delivered[link] = self.link_delivered.get(link, 0) + 1
         return deliverable
 
     # ------------------------------------------------------------------
@@ -265,13 +256,6 @@ class Transport:
     def pending(self, source: str, destination: str) -> int:
         """Messages queued on one directed link."""
         return len(self._queues.get((source, destination), ()))
-
-    def watermarks_conserved(self) -> bool:
-        """True when every directed link's deliveries caught up with sends."""
-        return all(
-            self.link_delivered.get(link, 0) == sent
-            for link, sent in self.link_sent.items()
-        )
 
     def metrics(self) -> Dict[str, int]:
         """Flat counters for the federation metrics snapshot."""

@@ -145,10 +145,14 @@ class TraceAnalysis:
         return breakdown
 
     def wire_bytes_by_kind(self) -> Dict[str, int]:
-        """Total wire bytes attributed per envelope payload kind."""
+        """Total wire bytes attributed per envelope payload kind.
+
+        Both halves of a hop carry its ``bytes``; only the sending half (its
+        ``destination`` is another peer) is counted, so each hop counts once.
+        """
         totals: Dict[str, int] = defaultdict(int)
         for span in self.spans:
-            if span.phase == "wire":
+            if span.phase == "wire" and span.attrs.get("destination") != span.peer:
                 kind = str(span.attrs.get("kind", "unknown"))
                 totals[kind] += int(span.attrs.get("bytes", 0))
         return dict(totals)

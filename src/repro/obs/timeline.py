@@ -1,15 +1,14 @@
 """The federation-wide telemetry timeline: heartbeats, liveness, drains.
 
 The coordinator side of the live telemetry plane.  Each peer process pushes
-unsolicited ``telemetry`` control frames (a monotonic heartbeat ``seq``, a
-metrics-registry snapshot *delta*, and inflight frame/queue gauges) at its
-own cadence; the coordinator feeds every arrival — and every drain-time
-status reply, which shares the same body shape — into a
-:class:`TelemetryTimeline`.  The timeline keeps three things per peer:
+unsolicited ``telemetry`` control frames (its status document — absolute
+counters, the metrics-registry snapshot, inflight frame/queue gauges — plus
+a monotonic heartbeat ``seq``) at its own cadence; the coordinator feeds
+every arrival — and every drain-time status reply, the same document —
+into a :class:`TelemetryTimeline`.  The timeline keeps three things per peer:
 
-* the **merged view**: the latest full status-shaped document, with metric
-  deltas accumulated back into absolute counters (what
-  ``ProcessFederation.metrics()`` now serves);
+* the **view**: the latest status document, heartbeat or status reply,
+  whichever came last (what ``ProcessFederation.metrics()`` serves);
 * a bounded **history** of samples for rate computations (committed/s in
   ``repro-top``);
 * **liveness**: age of the last frame (heartbeat, status reply or went-idle
@@ -52,13 +51,8 @@ class PeerTelemetry:
         self.seq = 0
         #: Wall-clock arrival time of the last telemetry *or* status frame.
         self.last_arrival: Optional[float] = None
-        #: The merged status-shaped view (absolute counters).
+        #: The latest status document (absolute counters).
         self.view: Dict[str, object] = {}
-        #: Heartbeat-delta accumulation base.  Deltas are always relative to
-        #: the previous *heartbeat* (the peer does not reset its base on a
-        #: status round), so they must never be applied on top of a status
-        #: reply's absolute metrics — that would double-count the interval.
-        self.accumulated: Dict[str, object] = {}
         #: Sticky death reason (EOF, explicit kill); None while breathing.
         self.dead_reason: Optional[str] = None
         #: (wall, seq, committed) samples for rate computation.
@@ -106,10 +100,9 @@ class TelemetryTimeline:
     ) -> None:
         """Feed one telemetry frame or status reply into the timeline.
 
-        Telemetry frames carry ``seq`` and (usually) *delta* metrics, which
-        accumulate into the merged view; status replies carry absolute
-        metrics and refresh the view and arrival time without advancing the
-        heartbeat sequence — a drain round proves the peer alive too.
+        Either replaces the view and refreshes the arrival time; only a
+        telemetry frame advances the heartbeat sequence (a drain round
+        proves the peer alive too, but is no heartbeat).
         """
         entry = self.peers.get(peer)
         if entry is None:
@@ -118,35 +111,20 @@ class TelemetryTimeline:
         now = self.clock() if now is None else now
         entry.last_arrival = now
         self._settled_until = 0.0
-        metrics = body.get("metrics") or {}
-        if body.get("metrics_delta"):
-            merged = dict(entry.accumulated)
-            for key, value in metrics.items():
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    base = merged.get(key, 0)
-                    if isinstance(base, (int, float)) and not isinstance(base, bool):
-                        merged[key] = base + value
-                        continue
-                merged[key] = value
-            entry.accumulated = merged
-            metrics = merged
-        view = dict(entry.view)
-        for key, value in body.items():
-            if key in ("t", "seq", "wall", "metrics_delta", "round"):
-                continue
-            view[key] = value
-        view["metrics"] = metrics
-        entry.view = view
+        entry.view = {
+            key: value for key, value in body.items()
+            if key not in ("t", "seq", "wall", "round")
+        }
         if kind == "telemetry":
             seq = body.get("seq")
             if isinstance(seq, int) and seq > entry.seq:
                 entry.seq = seq
-            entry.history.append((now, entry.seq, view.get("committed", 0)))
+            entry.history.append((now, entry.seq, body.get("committed", 0)))
 
     def touch(self, peer: str, now: Optional[float] = None) -> None:
         """Any frame from *peer* proves it alive: refresh its arrival time.
 
-        For frames that carry nothing to merge (the went-idle notice).
+        For frames that carry no status document (the went-idle notice).
         """
         self.register_peer(peer)
         self.peers[peer].last_arrival = self.clock() if now is None else now
@@ -165,7 +143,6 @@ class TelemetryTimeline:
         entry.dead_reason = None
         entry.seq = 0
         entry.last_arrival = None
-        entry.accumulated = {}
         entry.history.clear()
         self._settled_until = 0.0
 
@@ -173,7 +150,7 @@ class TelemetryTimeline:
     # Queries
     # ------------------------------------------------------------------
     def latest(self, peer: str) -> Optional[Dict[str, object]]:
-        """The merged status-shaped view for *peer* (None before any frame)."""
+        """The latest status document of *peer* (None before any frame)."""
         entry = self.peers.get(peer)
         if entry is None or not entry.view:
             return None

@@ -271,20 +271,8 @@ def test_search_agrees_with_the_recursive_backtracker(block):
 # ----------------------------------------------------------------------
 # Randomized multi-peer differential runs
 # ----------------------------------------------------------------------
-class _CheckedNetwork(FederatedNetwork):
-    """Decides quiescence both ways after every round and requires them to
-    agree: the queue scan, and the watermark conservation the drain uses."""
-
-    def pump(self):
-        report = super().pump()
-        assert self.quiescent() == self.watermark_quiescent(), (
-            "queue-scan and watermark quiescence disagree"
-        )
-        return report
-
-
 def _run_federated(environment, transport, answer_delay=1, max_rounds=5_000):
-    network = _CheckedNetwork(
+    network = FederatedNetwork(
         environment.schema,
         environment.initial,
         list(environment.mappings),

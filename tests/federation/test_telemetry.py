@@ -105,9 +105,6 @@ PINNED_METRIC_KEYS = {
     # scheduler statistics
     "scheduler_algorithm", "scheduler_steps", "scheduler_aborts",
     "scheduler_updates_executed", "scheduler_wall_seconds",
-    # socket-layer counters (the wire_ producer added by this PR)
-    "wire_frames_sent", "wire_frames_received", "wire_payloads_received",
-    "wire_deliveries_deferred", "wire_answers_dropped",
 }
 
 #: The status-shaped top-level keys metrics() must keep bit-compatible.
@@ -137,11 +134,6 @@ def test_status_reply_carries_the_full_metrics_registry(tmp_path):
                 name, sorted(lost)
             )
         assert merged["a"]["metrics"]["committed"] >= 1
-        # Wire counters agree with the status-reply top level.
-        assert (
-            merged["a"]["metrics"]["wire_payloads_received"]
-            == merged["a"]["payloads_received"]
-        )
 
 
 # ----------------------------------------------------------------------
@@ -515,18 +507,15 @@ def test_drain_twice_around_a_mid_drain_freeze(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Satellite: heartbeats between status rounds never double-count deltas
+# Heartbeats and status rounds interleave: the latest document wins
 # ----------------------------------------------------------------------
 def test_interleaved_heartbeats_and_status_rounds_never_double_count():
-    """Seeded fuzz over the delta/absolute interleaving.
+    """Seeded fuzz over the heartbeat/status-reply interleaving.
 
-    Heartbeats carry metrics as deltas against the previous *heartbeat*
-    (the peer does not reset its delta base when it answers a status
-    round), status replies carry absolutes.  Whatever the interleaving —
+    Both carry the peer's absolute counters.  Whatever the interleaving —
     in particular an unsolicited heartbeat landing between two status
-    rounds — the merged view must track the peer's true counters exactly:
-    applying a heartbeat delta on top of a status absolute would
-    double-count the interval.
+    rounds — the view must be exactly the latest document observed: nothing
+    is added up across documents, so nothing can be counted twice.
     """
     import random
 
@@ -536,53 +525,34 @@ def test_interleaved_heartbeats_and_status_rounds_never_double_count():
     for trial in range(40):
         timeline = TelemetryTimeline(interval=0.1)
         timeline.register_peer("p")
-        truth = {"committed": 0, "scheduler_steps": 0, "wire_frames_sent": 0}
-        heartbeat_base = dict(truth)
+        truth = {"committed": 0, "scheduler_steps": 0, "store_versions": 0}
         seq = 0
         wall = 1000.0
         for event in range(rng.randint(3, 25)):
             wall += rng.random()
             for key in truth:
                 truth[key] += rng.randint(0, 7)
+            body = {
+                "peer": "p",
+                "committed": truth["committed"],
+                "metrics": dict(truth),
+            }
             if rng.random() < 0.5:
                 seq += 1
-                delta = {
-                    key: truth[key] - heartbeat_base[key] for key in truth
-                }
-                heartbeat_base = dict(truth)
-                timeline.observe(
-                    "p",
-                    {
-                        "t": "telemetry",
-                        "peer": "p",
-                        "seq": seq,
-                        "committed": truth["committed"],
-                        "metrics": delta,
-                        "metrics_delta": True,
-                    },
-                    kind="telemetry",
-                    now=wall,
-                )
+                body.update(t="telemetry", seq=seq, wall=wall)
+                timeline.observe("p", body, kind="telemetry", now=wall)
             else:
-                timeline.observe(
-                    "p",
-                    {
-                        "t": "status-reply",
-                        "round": event,
-                        "peer": "p",
-                        "committed": truth["committed"],
-                        "metrics": dict(truth),
-                    },
-                    kind="status",
-                    now=wall,
-                )
+                body.update(t="status-reply", round=event)
+                timeline.observe("p", body, kind="status", now=wall)
             view = timeline.latest("p")
+            assert view["committed"] == truth["committed"]
             for key, expected in truth.items():
                 assert view["metrics"][key] == expected, (
                     "trial {} event {}: {} drifted to {} (truth {})".format(
                         trial, event, key, view["metrics"][key], expected
                     )
                 )
+            assert timeline.peers["p"].seq == seq
 
 
 # ----------------------------------------------------------------------

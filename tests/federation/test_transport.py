@@ -146,7 +146,7 @@ def test_a_disconnected_socket_link_is_not_due_before_its_redial(tmp_path):
     # frame due now must not make the peer's select loop spin until then.
     link = OutgoingLink("b", SocketAddress.unix(str(tmp_path / "b.sock")))
     now = 100.0
-    link.enqueue(b"frame", now)
+    link.send(b"envelope", "raw", 1, None)
     assert link.flush(now) == 0
     assert link.queued == 1
     assert link.next_due() > now

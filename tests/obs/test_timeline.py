@@ -1,4 +1,4 @@
-"""Telemetry timeline unit tests: delta merge, watchdog, drains, spooling."""
+"""Telemetry timeline unit tests: latest view, watchdog, drains, spooling."""
 
 from __future__ import annotations
 
@@ -25,38 +25,40 @@ def _timeline(interval=1.0):
 
 
 def _hb(seq, metrics, **extra):
-    body = {"t": "telemetry", "seq": seq, "metrics": metrics,
-            "metrics_delta": True, "committed": metrics.get("committed", 0)}
+    body = {"t": "telemetry", "seq": seq, "wall": 0.0, "metrics": metrics,
+            "committed": metrics.get("committed", 0)}
     body.update(extra)
     return body
 
 
 def test_deltas_accumulate_into_absolutes():
+    # Heartbeats carry absolutes: the view is the latest one as sent, minus
+    # the frame's own fields, and nothing is added up across heartbeats.
     timeline, clock = _timeline()
     timeline.observe("a", _hb(1, {"committed": 3, "algo": "fifo"}))
     clock.now += 1
-    timeline.observe("a", _hb(2, {"committed": 2, "algo": "fifo"}))
+    timeline.observe("a", _hb(2, {"committed": 5, "algo": "fifo"}))
     view = timeline.latest("a")
-    assert view["metrics"]["committed"] == 5
-    assert view["metrics"]["algo"] == "fifo"  # non-numeric passes through
+    assert view == {"metrics": {"committed": 5, "algo": "fifo"}, "committed": 5}
     assert timeline.peers["a"].seq == 2
 
 
 def test_status_absolutes_do_not_poison_the_delta_base():
-    # The peer's delta base is its previous *heartbeat*; a status reply's
-    # absolute metrics refresh the view but must not shift accumulation.
+    # A status reply between two heartbeats is the view until the next
+    # heartbeat replaces it; it does not advance the heartbeat sequence.
     timeline, clock = _timeline()
     timeline.observe("a", _hb(1, {"committed": 3}))
     clock.now += 0.5
     timeline.observe(
         "a",
-        {"t": "status-reply", "metrics": {"committed": 4}, "committed": 4},
+        {"t": "status-reply", "round": 7, "metrics": {"committed": 4},
+         "committed": 4},
         kind="status",
     )
-    assert timeline.latest("a")["metrics"]["committed"] == 4
+    assert timeline.latest("a") == {"metrics": {"committed": 4}, "committed": 4}
+    assert timeline.peers["a"].seq == 1
     clock.now += 0.5
-    # Peer has committed 5 total now; its delta vs the last heartbeat is 2.
-    timeline.observe("a", _hb(2, {"committed": 2}))
+    timeline.observe("a", _hb(2, {"committed": 5}))
     assert timeline.latest("a")["metrics"]["committed"] == 5
 
 
@@ -148,7 +150,7 @@ def test_spool_round_trip(tmp_path):
         {"rec": "telemetry", "peer": "a", "kind": "telemetry", "wall": 100.1,
          "body": _hb(1, {"committed": 2})},
         {"rec": "telemetry", "peer": "a", "kind": "telemetry", "wall": 100.4,
-         "body": _hb(2, {"committed": 3})},
+         "body": _hb(2, {"committed": 5})},
         {"rec": "liveness", "peer": "b", "state": "dead",
          "reason": "eof(exit=-9)", "age": 1.0, "wall": 100.5},
         {"rec": "drain", "wall": 100.6,

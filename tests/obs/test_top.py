@@ -17,7 +17,7 @@ def _write_spool(path):
                   "retry": 0, "open_questions": 2,
                   "sent": {"b": 7}, "received": {"b": 5},
                   "links": {"b": {"queued": 1}},
-                  "metrics": {"committed": 4}, "metrics_delta": True}},
+                  "metrics": {"committed": 4}}},
         {"rec": "liveness", "peer": "b", "state": "dead",
          "reason": "eof(exit=-9)", "age": 1.0, "wall": 100.5},
     ]

@@ -239,3 +239,18 @@ def test_each_hop_records_both_halves_and_in_process_transit():
     assert all(span.peer != span.attrs["destination"] for span in sent)
     assert all(span.peer == span.attrs["destination"] for span in received)
     assert TraceAnalysis(tracer.spans).phase_breakdown()["transit"] > 0
+
+
+def test_wire_bytes_by_kind_counts_each_hop_once():
+    """Both halves of a hop carry its bytes; the analysis counts the
+    sender's only, so its total is what the transport carried."""
+    config = FederationScenarioConfig(
+        num_peers=3, cross_mappings=6, remote_insert_fraction=0.3, seed=0
+    )
+    tracer = Tracer()
+    network = _run(
+        generate_federation_environment(config), Transport(delay=1), tracer=tracer
+    )
+    by_kind = TraceAnalysis(tracer.spans).wire_bytes_by_kind()
+    assert sum(by_kind.values()) == network.transport.wire_bytes_sent > 0
+    assert by_kind == network.transport.wire_bytes_by_kind
