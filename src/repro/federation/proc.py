@@ -644,8 +644,9 @@ class PeerHost:
             "committed": snapshot["committed"],
             # The *full* registry collect, not a hand-kept key list: every
             # registered instrument and producer (service counters, store
-            # gauges, scheduler stats) rides the status path uniformly.  tests/federation/test_telemetry.py pins the
-            # shape so a new instrument cannot silently drop off again.
+            # gauges, scheduler stats) rides the status path uniformly.
+            # tests/federation/test_telemetry.py pins the shape so a new
+            # instrument cannot silently drop off again.
             "metrics": snapshot,
             "deliveries_deferred": self.peer.deliveries_deferred,
             "answers_dropped": self.peer.answers_dropped,

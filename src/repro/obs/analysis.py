@@ -152,7 +152,8 @@ class TraceAnalysis:
         """
         totals: Dict[str, int] = defaultdict(int)
         for span in self.spans:
-            if span.phase == "wire" and span.attrs.get("destination") != span.peer:
+            sending = span.attrs.get("destination") != span.peer
+            if span.phase == "wire" and sending:
                 kind = str(span.attrs.get("kind", "unknown"))
                 totals[kind] += int(span.attrs.get("bytes", 0))
         return dict(totals)
