@@ -70,7 +70,7 @@ class Frame(NamedTuple):
 
 
 def encode_frame(kind: int, payload: bytes) -> bytes:
-    """Wrap *payload* in one frame (header + bytes), ready for ``sendall``."""
+    """Wrap *payload* in one frame (header + bytes), ready to write to a socket."""
     if kind not in _KINDS:
         raise FramingError("unknown frame kind {!r}".format(kind))
     if len(payload) > MAX_FRAME_PAYLOAD:

@@ -25,12 +25,13 @@ Two kinds of traffic cross the host's sockets, both as
   included; question opened — as its wire payload — or vanished) pushed
   back on the same connection.
 
-The host is single-threaded and reactive: a ``selectors`` loop blocks on the
-sockets, and every wakeup hands envelope frames to the runtime and runs its
-work round to a fixpoint before flushing the links and sleeping again.  When
-the coordinator's connection closes — including because the coordinating
-process was killed — the host exits, which is what keeps test teardown free
-of orphan processes.
+The host is single-threaded and reactive: one ``selectors`` loop reads and
+writes every socket, its outgoing links included, and every wakeup hands
+envelope frames to the runtime and runs its work round to a fixpoint before
+handing the links their frames and sleeping again; only a checkpoint waits
+for frames to go out.  When the coordinator's stream ends or breaks —
+including because the coordinating process was killed — the host exits,
+which is what keeps test teardown free of orphan processes.
 
 :func:`main` is the one way into a peer.  :class:`ProcessFederation` forks
 the coordinator and calls it in the child (POSIX only): the child inherits
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import select
 import selectors
 import signal
 import sys
@@ -87,8 +89,6 @@ from .socket_transport import (
     FrameListener,
     OutgoingLink,
     SocketAddress,
-    SocketTransportError,
-    monotonic,
 )
 
 #: The reserved peer name the coordinator identifies itself with.
@@ -193,8 +193,12 @@ class PeerHost:
             self.tracer = NOOP_TRACER
 
         # -- outgoing links ---------------------------------------------
+        # The selector first: a coordinator's dial succeeds the moment the
+        # listener listens, and must then find every descriptor the host
+        # loop holds already open.
+        self._selector = selectors.DefaultSelector()
         self._links: Dict[str, OutgoingLink] = {
-            peer: OutgoingLink(peer, address)
+            peer: OutgoingLink(peer, address, self._selector)
             for peer, address in self._addresses.items()
             if peer != self.name
         }
@@ -202,6 +206,7 @@ class PeerHost:
             FRAME_CONTROL, dumps({"t": "hello", "peer": self.name})
         )
         self._coordinator: Optional[FrameChannel] = None
+        #: Control frames for the coordinator before its hello names it.
         self._pending_events: List[bytes] = []
 
         # -- bookkeeping -------------------------------------------------
@@ -259,11 +264,8 @@ class PeerHost:
         self.peer = peer
 
         # -- sockets -----------------------------------------------------
-        # The selector first: a coordinator's dial succeeds the moment the
-        # listener listens, and must then find every descriptor the host
-        # loop holds already open.  Listening only once the peer exists: a
-        # restore that fails exits before the coordinator can connect.
-        self._selector = selectors.DefaultSelector()
+        # Listening only once the peer exists: a restore that fails exits
+        # before the coordinator can connect.
         self._listener = FrameListener(self._addresses[self.name])
         self._selector.register(self._listener, selectors.EVENT_READ, self._listener)
 
@@ -272,7 +274,7 @@ class PeerHost:
         self._telemetry_interval = float(config.get("telemetry_interval") or 0.0)
         self._telemetry_seq = 0
         self._next_telemetry = (
-            monotonic() + self._telemetry_interval
+            time.monotonic() + self._telemetry_interval
             if self._telemetry_interval > 0
             else None
         )
@@ -292,12 +294,14 @@ class PeerHost:
             pass
         try:
             while not self._exit:
-                for key, _ in self._selector.select(self._select_timeout()):
+                for key, events in self._selector.select(self._select_timeout()):
                     ready = key.data
                     if ready is self._listener:
                         self._accept()
+                    elif isinstance(ready, OutgoingLink):
+                        ready.ready(events)
                     else:
-                        self._read_channel(ready)
+                        self._read_channel(ready, events)
                 if not self._halted:
                     self._work()
                     self._flush()
@@ -331,23 +335,20 @@ class PeerHost:
                     due.append(link_due)
             if self.peer.retry or self.peer.deferred:
                 # Admission frees on commits; retry shortly even without input.
-                due.append(monotonic() + 0.01)
+                due.append(time.monotonic() + 0.01)
         if not due:
             return None  # only control traffic matters now
-        return max(0.0, min(due) - monotonic())
+        return max(0.0, min(due) - time.monotonic())
 
     def _accept(self) -> None:
         channel = self._listener.accept()
-        self._selector.register(channel, selectors.EVENT_READ, channel)
+        channel.attach(self._selector, channel)
 
-    def _read_channel(self, channel: FrameChannel) -> None:
+    def _read_channel(self, channel: FrameChannel, events: int) -> None:
         try:
-            frames = channel.receive()
+            frames = channel.ready(events)
         except ChannelClosed:
-            try:
-                self._selector.unregister(channel)
-            except KeyError:  # pragma: no cover - already gone
-                pass
+            channel.close()
             if channel is self._coordinator:
                 # The coordinating process is gone; there is nobody left to
                 # drive or drain this peer.  Exiting here is the orphan
@@ -374,9 +375,8 @@ class PeerHost:
             channel.label = body["peer"]
             if channel.label == COORDINATOR:
                 self._coordinator = channel
-                pending, self._pending_events = self._pending_events, []
-                for frame in pending:
-                    self._send_event_frame(frame)
+                channel.write(b"".join(self._pending_events))
+                self._pending_events = []
         elif kind == "submit":
             fid = int(body["fid"])
             operation = decode_user_operation(body["op"], self._mappings)
@@ -402,7 +402,7 @@ class PeerHost:
                 decode_trace(body.get("tr")),
             )
         elif kind == "status":
-            self._send_control(channel, self._status_reply(body.get("round", 0)))
+            self._tell(self._status_reply(body.get("round", 0)))
         elif kind == "watch":
             self._watched = bool(body["on"])
             if self._watched:
@@ -414,18 +414,12 @@ class PeerHost:
                 self._idle_push()
         elif kind in ("hold", "release"):
             self._links[body["peer"]].held = kind == "hold"
-        elif kind == "reset-link":
-            # The destination process was replaced: drop the (possibly
-            # half-dead) connection so the next flush dials the reborn
-            # listener.  Queued frames are kept — delivery stays
-            # at-least-once.
-            self._links[body["peer"]].reset()
         elif kind == "drop-questions":
             self.peer.drop_questions(body["executing"])
         elif kind == "checkpoint":
-            self._handle_checkpoint(channel, body)
+            self._handle_checkpoint(body)
         elif kind == "snapshot":
-            self._send_control(channel, {
+            self._tell({
                 "t": "snapshot-reply",
                 "relations": {
                     relation: [encode_tuple(row) for row in sorted(rows, key=repr)]
@@ -434,20 +428,25 @@ class PeerHost:
             })
         elif kind == "trace-export":
             count = self.tracer.export_jsonl(body["path"])
-            self._send_control(
-                channel, {"t": "trace-exported", "path": body["path"], "spans": count}
-            )
+            self._tell({"t": "trace-exported", "path": body["path"], "spans": count})
         elif kind == "exit":
             self._exit = True
         else:
             raise FederationError("unknown control message {!r}".format(kind))
 
-    def _handle_checkpoint(self, channel: FrameChannel, body: Dict) -> None:
+    def _handle_checkpoint(self, body: Dict) -> None:
         # Reach a local fixpoint, then push every queued frame out, redialing
-        # at once if a link is backing off: the frames' contents are already
-        # decided, and a checkpoint must not strand them in a dying process.
+        # at once if a link is backing off, and wait (the host's one wait)
+        # until the sockets took them whole: a destination never stops
+        # reading, and a checkpoint must not strand them in a dying process.
         self._work()
         self._flush(force=True)
+        writing = [link for link in self._links.values() if link.writing]
+        while writing:
+            select.select([], [link.channel for link in writing], [])
+            for link in writing:
+                link.ready(selectors.EVENT_WRITE)
+            writing = [link for link in writing if link.writing]
         # The watermarks are exact now: every link toward this peer is held
         # and this peer is caught up (coordinator's checkpoint protocol), so
         # the counters restored from here continue the same streams.
@@ -462,7 +461,7 @@ class PeerHost:
             # kill this process, and work done after the checkpoint would
             # fork the state the reborn peer restores.
             self._halted = True
-        self._send_control(channel, {"t": "checkpoint-done", "path": body["path"]})
+        self._tell({"t": "checkpoint-done", "path": body["path"]})
 
     # ------------------------------------------------------------------
     # The work fixpoint
@@ -472,7 +471,7 @@ class PeerHost:
             pass
 
     def _flush(self, force: bool = False) -> None:
-        now = float("inf") if force else monotonic()
+        now = float("inf") if force else time.monotonic()
         sent = 0
         for link in self._links.values():
             sent += link.flush(now, hello=self._hello)
@@ -486,7 +485,7 @@ class PeerHost:
         """Emit one heartbeat frame and sync the flight recorder when due."""
         if self._next_telemetry is None:
             return
-        now = monotonic()
+        now = time.monotonic()
         if now < self._next_telemetry:
             return
         self._next_telemetry = now + self._telemetry_interval
@@ -496,13 +495,7 @@ class PeerHost:
         if self._coordinator is not None and not self._coordinator.closed:
             # Only a connected coordinator gets heartbeats: queueing them
             # while disconnected would flood stale frames on reconnect.
-            frame = encode_frame(
-                FRAME_CONTROL, dumps(self._telemetry_body())
-            )
-            try:
-                self._coordinator.send_bytes(frame)
-            except SocketTransportError:
-                pass
+            self._tell(self._telemetry_body())
 
     def _telemetry_body(self) -> Dict:
         """One unsolicited heartbeat: the status document plus seq + wall."""
@@ -528,9 +521,9 @@ class PeerHost:
         instead of pacing status rounds.  Outside a drain nobody reads the
         notice, so an unwatched peer sends none: a busy peer emits only what
         its operations need plus its heartbeat.  One notice per activity seq
-        — a watched peer that stays idle stays silent — counted only once
-        the frame went out, and independent of ``telemetry_interval``, so
-        the watermark drain works with periodic heartbeats off.
+        — a watched peer that stays idle stays silent — and independent of
+        ``telemetry_interval``, so the watermark drain works with periodic
+        heartbeats off.
         """
         if not self._watched or self.runtime.activity_seq == self._idle_pushed_at:
             return
@@ -541,7 +534,7 @@ class PeerHost:
         # Recorded, not flushed: the ring reaches disk at heartbeats, under
         # ring pressure and at dumps, and the drain does not wait on a file.
         self.flight.record("idle", activity_seq=self.runtime.activity_seq)
-        frame = encode_frame(FRAME_CONTROL, dumps({
+        self._tell({
             "t": "idle",
             "peer": self.name,
             "activity_seq": self.runtime.activity_seq,
@@ -549,11 +542,7 @@ class PeerHost:
                 peer: link.frames_sent for peer, link in self._links.items()
             },
             "received": self.runtime.frames_received,
-        }))
-        try:
-            self._coordinator.send_bytes(frame)
-        except SocketTransportError:
-            return  # not marked as pushed: the next idle pass retries
+        })
         self._idle_pushed_at = self.runtime.activity_seq
 
     def _flight_sync(self) -> None:
@@ -597,23 +586,16 @@ class PeerHost:
             event = dict(event, q=encode_payload(opened, self._mappings))
         elif event["t"] == "ticket":
             self.flight.record("ticket", fid=event["fid"], status=event["status"])
-        frame = encode_frame(FRAME_CONTROL, dumps(event))
-        if self._coordinator is None or self._coordinator.closed:
-            self._pending_events.append(frame)
-            return
-        self._send_event_frame(frame)
+        self._tell(event)
 
-    def _send_event_frame(self, frame: bytes) -> None:
-        try:
-            self._coordinator.send_bytes(frame)
-        except SocketTransportError:
+    def _tell(self, body: Dict) -> None:
+        """Write one control frame to the coordinator (held back until its
+        hello names it); a broken stream is the read path's news."""
+        frame = encode_frame(FRAME_CONTROL, dumps(body))
+        if self._coordinator is None:
             self._pending_events.append(frame)
-
-    def _send_control(self, channel: FrameChannel, body: Dict) -> None:
-        try:
-            channel.send_frame(FRAME_CONTROL, dumps(body))
-        except SocketTransportError:  # pragma: no cover - peer died mid-reply
-            pass
+        else:
+            self._coordinator.write(frame)
 
     def _status_reply(self, round_number: int) -> Dict:
         snapshot = self.peer.service.metrics_snapshot()

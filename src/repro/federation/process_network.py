@@ -8,7 +8,10 @@ own OS process (running the ``repro-peer`` entry point of
 TCP or Unix-domain sockets, one :mod:`repro.codec.framing` frame per
 per-destination bundle.  The coordinator never touches an envelope: it only
 speaks the control protocol — submissions in, ticket/question events out,
-status polls for the drain barrier.  A peer process runs the
+status polls for the drain barrier.  No call waits on a peer's reading: a
+frame a socket cannot take yet leaves when ``poll`` next turns the
+selector, and a control stream that ends or breaks, on a read or a write,
+takes one lost path.  A peer process runs the
 :class:`~repro.federation.host.PeerRuntime` the in-process network runs for
 each of its peers, so the in-process federation is the differential oracle
 of the same peer code.
@@ -65,9 +68,9 @@ import sys
 import tempfile
 import time
 import traceback
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..codec.framing import FRAME_CONTROL
+from ..codec.framing import FRAME_CONTROL, encode_frame
 from ..codec.wire import (
     _encode_choice,
     decode_payload,
@@ -210,7 +213,6 @@ class _PeerHandle:
     __slots__ = (
         "name",
         "address",
-        "config_path",
         "log_path",
         "process",
         "channel",
@@ -220,7 +222,6 @@ class _PeerHandle:
     def __init__(self, name: str, address: SocketAddress):
         self.name = name
         self.address = address
-        self.config_path: Optional[str] = None
         self.log_path: Optional[str] = None
         self.process: Optional[_PeerProcess] = None
         self.channel: Optional[FrameChannel] = None
@@ -390,7 +391,6 @@ class ProcessFederation(ClientDesk):
         config_path = os.path.join(self.workdir, "peer-{}.json".format(name))
         with open(config_path, "wb") as handle_file:
             handle_file.write(config)
-        handle.config_path = config_path
         handle.log_path = os.path.join(self.workdir, "peer-{}.log".format(name))
         handle.process = _fork_peer(config_path, handle.log_path)
 
@@ -419,13 +419,10 @@ class ProcessFederation(ClientDesk):
                     )
                 time.sleep(delay)
                 delay = min(delay * 2, 0.02)
-        channel = FrameChannel(sock, label=name)
-        channel.send_frame(
-            FRAME_CONTROL, dumps({"t": "hello", "peer": COORDINATOR})
-        )
-        handle.channel = channel
-        self._selector.register(channel, selectors.EVENT_READ, handle)
+        handle.channel = FrameChannel(sock, label=name)
+        handle.channel.attach(self._selector, handle)
         self._expect_eof.discard(name)
+        self._send(name, {"t": "hello", "peer": COORDINATOR})
 
     # ------------------------------------------------------------------
     # Event pumping and the telemetry plane
@@ -484,22 +481,12 @@ class ProcessFederation(ClientDesk):
     def poll(self, timeout: float = 0.0) -> int:
         """Process pending control traffic; returns handled message count."""
         handled = 0
-        for key, _ in self._selector.select(timeout):
+        for key, events in self._selector.select(timeout):
             handle = key.data
             try:
-                frames = handle.channel.receive()
+                frames = handle.channel.ready(events)
             except ChannelClosed:
-                self._selector.unregister(handle.channel)
-                handle.channel = None
-                if handle.name not in self._expect_eof:
-                    # A vanished peer is a liveness fact, not a coordinator
-                    # crash: the watchdog reports it dead right here (well
-                    # before any drain timeout), and the peer's flight dump
-                    # plus its log carry the why.
-                    self.timeline.mark_dead(
-                        handle.name,
-                        "eof(exit={})".format(handle.process.poll()),
-                    )
+                self._lost(handle)
                 continue
             for frame in frames:
                 self._dispatch(handle, loads(frame.payload))
@@ -544,13 +531,37 @@ class ProcessFederation(ClientDesk):
                 )
             self.poll(0.05)
 
+    def _lost(self, handle: _PeerHandle) -> None:
+        """Close a control channel whose stream ended or broke."""
+        handle.channel.close()
+        handle.channel = None
+        if handle.name not in self._expect_eof:
+            # A vanished peer is a liveness fact, not a coordinator crash:
+            # the watchdog reports it dead right here (well before any drain
+            # timeout), and the peer's flight dump plus its log carry the why.
+            self.timeline.mark_dead(
+                handle.name, "eof(exit={})".format(handle.process.poll())
+            )
+
     def _send(self, name: str, body: Dict) -> None:
-        handle = self._handles[name]
-        if handle.channel is None:
+        """Queue one control frame for *name*.  Raises when its stream is
+        broken; the next :meth:`poll` then takes the lost path."""
+        channel = self._handles[name].channel
+        if channel is None:
             raise ProcessFederationError(
                 "peer {!r} has no control channel".format(name)
             )
-        handle.channel.send_frame(FRAME_CONTROL, dumps(body))
+        channel.write(encode_frame(FRAME_CONTROL, dumps(body)))
+        if channel.error is not None:
+            raise SocketTransportError(channel.error)
+
+    def _broadcast(self, names: Iterable[str], body: Dict) -> None:
+        """Queue one control frame for every live peer of *names*."""
+        frame = encode_frame(FRAME_CONTROL, dumps(body))
+        for name in names:
+            channel = self._handles[name].channel
+            if channel is not None:
+                channel.write(frame)
 
     # ------------------------------------------------------------------
     # Submission and answers (the client desk's way to a peer)
@@ -726,15 +737,10 @@ class ProcessFederation(ClientDesk):
             self._watch(False)
 
     def _watch(self, on: bool) -> None:
-        """Subscribe to (or cancel) every live peer's went-idle notices."""
-        for name, handle in self._handles.items():
-            if handle.channel is not None:
-                try:
-                    self._send(name, {"t": "watch", "on": on})
-                except SocketTransportError:
-                    # The peer is gone: the next poll() reads the EOF.  A
-                    # watch left on is harmless; the next watch-on resets it.
-                    pass
+        """Subscribe to (or cancel) every live peer's went-idle notices.  A
+        watch left on by a peer that broke is harmless: the next watch-on
+        resets it."""
+        self._broadcast(self._handles, {"t": "watch", "on": on})
 
     def _drain_timeout_message(self, timeout: float, replies: Dict[str, Dict]) -> str:
         return (
@@ -806,6 +812,7 @@ class ProcessFederation(ClientDesk):
         halt, a timeout, a lost peer — the holds are released and the
         federation resumes.
         """
+        self._inbox_of(name)
         deadline = time.monotonic() + timeout
         others = [
             other for other in self._handles
@@ -825,10 +832,15 @@ class ProcessFederation(ClientDesk):
                 )
                 # The victim need not be fully quiescent (parked questions
                 # are checkpointable state, as in-process), but nothing
-                # addressed to it may be in flight and nothing may be stuck
-                # in its own queues.
+                # addressed to it may be in flight — received, or still
+                # being written by a sender — and nothing may be stuck in
+                # its own queues.
                 if (
                     caught_up
+                    and not any(
+                        replies[other]["links"][name]["writing"]
+                        for other in others
+                    )
                     and not victim["outbox"]
                     and not victim["queued"]
                     and not victim["retry"]
@@ -849,13 +861,7 @@ class ProcessFederation(ClientDesk):
             halted = halt
         finally:
             if not halted:
-                for other in others:
-                    try:
-                        self._send(other, {"t": "release", "peer": name})
-                    except (ProcessFederationError, SocketTransportError):
-                        # Gone meanwhile: no link left to release, and the
-                        # next poll() reads its EOF.
-                        pass
+                self._broadcast(others, {"t": "release", "peer": name})
 
     def kill_peer(self, name: str, timeout: float = 10.0, force: bool = False) -> None:
         """Terminate a peer process (its unsaved state *is* the crash).
@@ -864,6 +870,7 @@ class ProcessFederation(ClientDesk):
         ``force=True`` sends SIGKILL — no dump marker, only what the
         recorder already flushed at its last heartbeat survives.
         """
+        self._inbox_of(name)
         handle = self._handles[name]
         self._expect_eof.add(name)
         # A dead peer's last observation is no longer a watermark: its
@@ -871,9 +878,7 @@ class ProcessFederation(ClientDesk):
         # coincidentally match the fresh one.
         self._watermarks.pop(name, None)
         if handle.channel is not None:
-            self._selector.unregister(handle.channel)
-            handle.channel.close()
-            handle.channel = None
+            self._lost(handle)
         if handle.process is not None and handle.process.poll() is None:
             if force:
                 handle.process.kill()
@@ -894,8 +899,10 @@ class ProcessFederation(ClientDesk):
         executing service died are dropped everywhere (the reborn peer drops
         its own keys on restore; the re-submitted updates re-ask under fresh
         decision ids), and the holds the kill flow placed toward the victim
-        are released so held frames deliver to the reborn process.
+        are released so held frames deliver to the reborn process (the
+        survivors' links dropped the dead one's connections at its EOF).
         """
+        self._inbox_of(name)
         if self._handles[name].process is not None:
             if self._handles[name].process.poll() is None:
                 raise ProcessFederationError(
@@ -908,15 +915,9 @@ class ProcessFederation(ClientDesk):
         self.timeline.revive(name)
         self.liveness()
         self._drop_questions_of(name)
-        for other, handle in self._handles.items():
-            if other == name or handle.channel is None:
-                continue
-            self._send(other, {"t": "drop-questions", "executing": name})
-            # Reset before release: a stale TCP connection to the dead
-            # process can swallow one sendall without an error, so the link
-            # must redial the reborn listener before any frame flushes.
-            self._send(other, {"t": "reset-link", "peer": name})
-            self._send(other, {"t": "release", "peer": name})
+        others = [other for other in self._handles if other != name]
+        self._broadcast(others, {"t": "drop-questions", "executing": name})
+        self._broadcast(others, {"t": "release", "peer": name})
 
     # ------------------------------------------------------------------
     # Global state
@@ -981,14 +982,15 @@ class ProcessFederation(ClientDesk):
         if self._closed:
             return
         self._closed = True
-        for name, handle in self._handles.items():
-            self._expect_eof.add(name)
-            if handle.channel is not None:
-                try:
-                    handle.channel.send_frame(FRAME_CONTROL, dumps({"t": "exit"}))
-                except (OSError, ConnectionError):
-                    pass
+        self._expect_eof.update(self._handles)
+        self._broadcast(self._handles, {"t": "exit"})
         deadline = time.monotonic() + timeout
+        # What the sockets have not taken yet leaves on the selector.
+        while time.monotonic() < deadline and any(
+            handle.channel is not None and handle.channel.pending
+            for handle in self._handles.values()
+        ):
+            self.poll(0.05)
         for handle in self._handles.values():
             if handle.process is None:
                 continue
@@ -1004,12 +1006,7 @@ class ProcessFederation(ClientDesk):
                     handle.process.wait()
         for handle in self._handles.values():
             if handle.channel is not None:
-                try:
-                    self._selector.unregister(handle.channel)
-                except KeyError:  # pragma: no cover - already unregistered
-                    pass
-                handle.channel.close()
-                handle.channel = None
+                self._lost(handle)
         self._selector.close()
         if self._spool_handle is not None:
             try:

@@ -7,10 +7,10 @@ sockets:
 
 * :class:`SocketAddress` — a Unix-domain path or a TCP host/port, with a
   codec-JSON body so address maps travel inside peer config files;
-* :class:`FrameChannel` — one connected stream socket speaking
-  :mod:`repro.codec.framing` frames: ``send_frame`` writes, ``receive``
-  drains whatever the kernel has and returns complete frames (partials stay
-  buffered in the channel's :class:`~repro.codec.framing.FrameDecoder`);
+* :class:`FrameChannel` — one connected non-blocking stream socket speaking
+  :mod:`repro.codec.framing` frames: ``write`` queues, ``ready`` serves a
+  selector report (partial frames stay in its
+  :class:`~repro.codec.framing.FrameDecoder`);
 * :class:`FrameListener` — the accepting side, yielding channels;
 * :class:`OutgoingLink` — the sender-side per-destination FIFO of frames,
   with ``hold``/``release`` (partition: frames queue, nothing is lost) plus
@@ -18,29 +18,22 @@ sockets:
   comes back — exactly how the in-memory transport treats a partition).
   Seeded delay and reorder are simulated by the in-memory transport alone.
 
-Everything here is deliberately blocking-socket based: channels use blocking
-sockets with a send timeout, and the peer host multiplexes *reads* with a
-``selectors`` loop, which keeps the code free of half-written-frame
-bookkeeping.  The price is known and unpaid: a blocking ``sendall`` *can*
-stall — with 5–10 KB per user operation both ends of a stream fill their
-kernel buffers and block in ``sendall`` toward each other until the send
-timeout fires (bench finding 1 in ``bench/README.md``; ROADMAP item 5 makes
-sends non-blocking).
+No write waits: a channel sends what its socket takes and leaves the rest
+to ``EVENT_WRITE`` on its owner's one ``selectors`` loop, which reads every
+channel — outgoing links too, so a link drops a replaced destination's dead
+connection at its EOF instead of writing into it.  A broken stream, noticed
+by a read or a write, surfaces from ``ready``, the owner's one lost path.
 """
 
 from __future__ import annotations
 
 import os
+import selectors
 import socket
-import time
-from typing import Dict, List, Optional
+from collections import deque
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ..codec.framing import FRAME_ENVELOPE, Frame, FrameDecoder, encode_frame
-
-#: Send-side socket timeout: a peer whose kernel buffer stays full this long
-#: is treated as dead (frames requeue and the link redials).
-SEND_TIMEOUT_SECONDS = 10.0
-
 
 class SocketTransportError(ConnectionError):
     """A channel operation failed (the peer is gone or the stream broke)."""
@@ -100,7 +93,7 @@ class SocketAddress:
         return self.path if self.kind == "unix" else (self.host, self.port)
 
     def connect(self, timeout: float = 5.0) -> socket.socket:
-        """Dial this address; returns a connected blocking socket."""
+        """Dial this address; returns a connected socket."""
         sock = socket.socket(self._family(), socket.SOCK_STREAM)
         sock.settimeout(timeout)
         try:
@@ -108,72 +101,99 @@ class SocketAddress:
         except OSError:
             sock.close()
             raise
-        sock.settimeout(SEND_TIMEOUT_SECONDS)
         if self.kind == "tcp":
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return sock
 
-    def describe(self) -> str:
-        if self.kind == "unix":
-            return "unix:{}".format(self.path)
-        return "tcp:{}:{}".format(self.host, self.port)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return "SocketAddress({})".format(self.describe())
-
 
 class FrameChannel:
-    """One connected stream socket carrying frames in both directions."""
+    """One connected non-blocking stream socket carrying frames both ways.
+
+    What :meth:`write` cannot send at once leaves on ``EVENT_WRITE`` of the
+    selector the channel is :meth:`attach`-ed to (see :meth:`ready`).
+    """
 
     def __init__(self, sock: socket.socket, label: str = ""):
+        sock.setblocking(False)
         self.sock = sock
         #: Who is on the other end ("" until the hello frame names them).
         self.label = label
         self.decoder = FrameDecoder()
         self.closed = False
+        #: Why the stream broke on a write (None while it has not).
+        self.error: Optional[str] = None
+        #: Bytes the socket has not taken yet, and the count it has taken.
+        self._out = bytearray()
+        self.written = 0
+        self._selector: Optional[selectors.BaseSelector] = None
+        self._data = None
 
     def fileno(self) -> int:
         return self.sock.fileno()
 
-    def send_frame(self, kind: int, payload: bytes) -> None:
-        self.send_bytes(encode_frame(kind, payload))
+    def attach(self, selector: selectors.BaseSelector, data) -> None:
+        """Register with the owner's selector, which reports to *data*."""
+        self._selector, self._data = selector, data
+        selector.register(self, selectors.EVENT_READ, data)
+        self._arm()
 
-    def send_bytes(self, data: bytes) -> None:
-        """Write pre-framed bytes (possibly several frames batched)."""
-        if self.closed:
-            raise SocketTransportError("channel {} is closed".format(self.label))
+    @property
+    def pending(self) -> bool:
+        return bool(self._out)
+
+    def write(self, data: bytes) -> int:
+        """Queue *data*, send what the socket takes now; returns the stream
+        offset at which *data* ends (compare with :attr:`written`)."""
+        if not self.closed and self.error is None:
+            self._out += data
+            self._send()
+        return self.written + len(self._out)
+
+    def _send(self) -> None:
         try:
-            self.sock.sendall(data)
+            sent = self.sock.send(self._out)
+            del self._out[:sent]
+            self.written += sent
+        except BlockingIOError:
+            pass
         except OSError as error:
-            self.close()
-            raise SocketTransportError(
-                "send to {} failed: {}".format(self.label or "peer", error)
-            )
+            self.error = "send to {} failed: {}".format(self.label or "peer", error)
+            self._out.clear()
+        self._arm()
 
-    def receive(self) -> List[Frame]:
-        """Read once and return every frame that completed.
+    def _arm(self) -> None:
+        """Ask for ``EVENT_WRITE`` exactly while bytes wait (the selector
+        makes no system call while the events stay the same)."""
+        if self._selector is not None:
+            writing = selectors.EVENT_WRITE if self._out else 0
+            self._selector.modify(self, selectors.EVENT_READ | writing, self._data)
 
-        Call after a readiness notification: one ``recv`` on a readable
-        blocking socket returns promptly.  Raises :class:`ChannelClosed` on
-        EOF (the remote side is gone).
-        """
-        if self.closed:
-            raise ChannelClosed("channel {} is closed".format(self.label))
+    def ready(self, events: int) -> List[Frame]:
+        """Serve one selector report; returns every frame that completed.
+        Raises :class:`ChannelClosed` on EOF or a broken write."""
+        if events & selectors.EVENT_WRITE and self._out:
+            self._send()
+        if self.error is not None:
+            raise ChannelClosed(self.error)
+        if not events & selectors.EVENT_READ:
+            return []
         try:
             data = self.sock.recv(1 << 16)
+        except BlockingIOError:
+            return []
         except OSError as error:
-            self.close()
             raise ChannelClosed(
                 "recv from {} failed: {}".format(self.label or "peer", error)
             )
         if not data:
-            self.close()
             raise ChannelClosed("{} closed the stream".format(self.label or "peer"))
         return self.decoder.feed(data)
 
     def close(self) -> None:
         if not self.closed:
             self.closed = True
+            if self._selector is not None:
+                self._selector.unregister(self)
             try:
                 self.sock.close()
             except OSError:  # pragma: no cover - close is best effort
@@ -202,7 +222,6 @@ class FrameListener:
 
     def accept(self) -> FrameChannel:
         sock, _ = self.sock.accept()
-        sock.settimeout(SEND_TIMEOUT_SECONDS)
         if self.address.kind == "tcp":
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return FrameChannel(sock)
@@ -222,21 +241,30 @@ class OutgoingLink:
     """Sender-side state of one directed peer link: a FIFO of frame bytes.
 
     ``hold`` parks the whole link (partition — frames are *held*, never
-    dropped).  The channel is dialed lazily and redialed after failures;
-    frames stay queued across reconnects, so a killed-and-restarted
-    destination receives everything once it listens again.
+    dropped).  The channel is dialed lazily and redialed after its EOF;
+    frames not yet written whole stay queued across reconnects, so a
+    killed-and-restarted destination receives everything once it listens.
     """
 
-    def __init__(self, destination: str, address: SocketAddress):
+    def __init__(
+        self,
+        destination: str,
+        address: SocketAddress,
+        selector: Optional[selectors.BaseSelector] = None,
+    ):
         self.destination = destination
         self.address = address
         self.held = False
-        #: Frames not yet written, in send order.
+        #: Frames not yet handed to a channel, in send order.
         self.queue: List[bytes] = []
+        #: Frames handed to the channel, each with the stream offset at
+        #: which it ends, until the socket has taken it whole.
+        self._in_channel: Deque[Tuple[int, bytes]] = deque()
         self.channel: Optional[FrameChannel] = None
+        self._selector = selector
         #: Earliest next redial (monotonic seconds); backs off on failure.
         self._retry_at = 0.0
-        #: Frames actually written to the socket (the drain accounting the
+        #: Frames the socket took whole (the drain accounting the
         #: coordinator compares against the destination's received count).
         self.frames_sent = 0
 
@@ -247,93 +275,85 @@ class OutgoingLink:
 
     @property
     def queued(self) -> int:
-        return len(self.queue)
+        """Frames not yet written whole."""
+        return len(self.queue) + len(self._in_channel)
 
     @property
-    def connected(self) -> bool:
-        return self.channel is not None and not self.channel.closed
+    def writing(self) -> bool:
+        """Whether the channel holds frames not yet written whole."""
+        return bool(self._in_channel)
 
     def stats(self) -> Dict[str, object]:
         """Inflight gauges for the telemetry plane (cheap, no syscalls)."""
         return {
             "queued": len(self.queue),
+            "writing": len(self._in_channel),
             "held": self.held,
-            "connected": self.connected,
+            "connected": self.channel is not None,
             "frames_sent": self.frames_sent,
         }
 
     def next_due(self) -> Optional[float]:
         """When a disconnected link with queued frames redials next (None
         otherwise: the host flushes a connected link on every pass)."""
-        if self.held or not self.queue or self.connected:
+        if self.held or not self.queue or self.channel is not None:
             return None
         return self._retry_at
 
-    def _connect(self, hello: Optional[bytes]) -> Optional[FrameChannel]:
-        try:
-            sock = self.address.connect()
-        except OSError:
-            return None
-        channel = FrameChannel(sock, label=self.destination)
-        if hello is not None:
-            try:
-                channel.send_bytes(hello)
-            except SocketTransportError:
-                return None
-        return channel
-
     def flush(self, now: float, hello: Optional[bytes] = None) -> int:
-        """Send every queued frame; returns how many went out.
+        """Hand every queued frame to the channel; returns how many.
 
         *hello* is the identification frame a fresh connection must lead
-        with (the receiver learns who is dialing from it).  On any send
-        failure the frames stay queued and the link backs off before
-        redialing — delivery is at-least-once over reconnects, which is the
-        same contract the in-process transport gives a healed partition.
+        with (the receiver learns who is dialing from it).  A failed dial
+        keeps the frames queued and backs off before redialing.
         """
         if self.held or not self.queue:
             return 0
-        if not self.connected:
+        if self.channel is None:
             if now < self._retry_at:
                 return 0
-            self.channel = self._connect(hello)
-            if self.channel is None:
+            try:
+                sock = self.address.connect()
+            except OSError:
                 self._retry_at = now + 0.05
                 return 0
-        try:
-            # One syscall for the whole queue: the receiver's decoder splits
-            # the coalesced segment back into frames.
-            self.channel.send_bytes(b"".join(self.queue))
-        except SocketTransportError:
-            # Nothing (or everything) went out; sendall gives no partial
-            # count.  Keep the whole queue — receivers absorb duplicates
-            # idempotently, exactly like redelivery after a heal.
-            self._retry_at = now + 0.05
-            return 0
-        sent = len(self.queue)
+            self.channel = FrameChannel(sock, label=self.destination)
+            if self._selector is not None:
+                self.channel.attach(self._selector, self)
+            if hello is not None:
+                self.channel.write(hello)
+        # One write for the whole queue: the receiver's decoder splits the
+        # coalesced segment back into frames.
+        data = b"".join(self.queue)
+        offset = self.channel.write(data) - len(data)
+        for frame in self.queue:
+            offset += len(frame)
+            self._in_channel.append((offset, frame))
+        handed = len(self.queue)
         self.queue = []
-        self.frames_sent += sent
-        return sent
+        self.ready(0)
+        return handed
 
-    def reset(self) -> None:
-        """Drop the connection (keep the queue); the next flush redials.
-
-        Needed when the *destination* process is replaced: a TCP connection
-        to a killed peer can accept one more ``sendall`` into its dead
-        buffer without an error (the RST races the write), silently losing
-        the frame — and this side never notices, because outgoing links are
-        write-only.  Resetting before traffic resumes makes the next flush
-        dial the reborn listener instead.
-        """
-        self.close()
-        self._retry_at = 0.0
+    def ready(self, events: int) -> None:
+        """Serve the channel's selector report; count the frames written
+        whole.  A destination sends nothing back, so a read finds its EOF:
+        the frames not written whole go again, whole, after a redial
+        (at-least-once, like redelivery after a heal)."""
+        try:
+            self.channel.ready(events)
+            lost = False
+        except ChannelClosed:
+            lost = True
+        written = self.channel.written
+        while self._in_channel and self._in_channel[0][0] <= written:
+            self._in_channel.popleft()
+            self.frames_sent += 1
+        if lost:
+            self.queue[:0] = [frame for _, frame in self._in_channel]
+            self._in_channel.clear()
+            self.close()
 
     def close(self) -> None:
         if self.channel is not None:
             self.channel.close()
             self.channel = None
-
-
-def monotonic() -> float:
-    """The clock links and hosts share (separable for tests)."""
-    return time.monotonic()

@@ -146,3 +146,24 @@ def test_a_link_to_an_unknown_peer_or_to_itself_is_rejected(federation_of):
                 handle.process.poll() is None
                 for handle in federation._handles.values()
             )
+
+
+def test_a_call_naming_an_unknown_peer_is_rejected(federation_of, tmp_path):
+    with federation_of(CHAIN) as federation:
+        path = str(tmp_path / "zz.ckpt")
+        with pytest.raises(FederationError):
+            federation.checkpoint_peer("zz", path)
+        with pytest.raises(FederationError):
+            federation.restart_peer("zz", path)
+        if isinstance(federation, ProcessFederation):
+            with pytest.raises(FederationError):
+                federation.kill_peer("zz")
+        # Nothing reached a peer: the federation works on, every peer alive.
+        ticket = federation.submit("a", InsertOperation(make_tuple("A1", "v1")))
+        _settle(federation)
+        assert ticket.status is TicketStatus.COMMITTED
+        if isinstance(federation, ProcessFederation):
+            assert all(
+                handle.process.poll() is None
+                for handle in federation._handles.values()
+            )

@@ -393,8 +393,9 @@ def test_partition_then_heal_sockets_converge(tmp_path, drain_mode):
 # Kill and restart of a real process
 # ----------------------------------------------------------------------
 # Both transports on purpose: a TCP connection to a killed peer can absorb
-# one sendall without an error (the RST races the write), so survivors must
-# reset their outgoing links before the release — UDS alone never sees it.
+# a write without an error (the RST races the write), so survivors must drop
+# their outgoing links at the dead process's EOF before the release — UDS
+# alone never sees it.
 # Watermark mode on both transports: a reborn peer resets its activity
 # sequence, so kill/restart is where a stale coordinator watermark view
 # could fake quiescence.  The poll oracle rides along once as the control.
@@ -447,6 +448,38 @@ def test_kill_and_restart_peer_process_converges(tmp_path, transport, drain_mode
         assert all(ticket.is_done for ticket in tickets)
         snapshot = federation.global_snapshot()
     assert databases_equivalent(snapshot, _reference(environment).final)
+
+
+def test_a_replaced_destination_receives_every_held_frame_over_tcp(tmp_path):
+    """Frames queued toward a killed peer reach its reborn process, not the
+    dead process's TCP connection, which the survivor reads to its EOF."""
+    schema, mappings, initial = chain_pieces()
+    with running(ProcessFederation(
+        schema,
+        initial,
+        mappings,
+        ownership={"a": ["A1", "A2"], "b": ["B1", "B2"]},
+        transport="tcp",
+        workdir=str(tmp_path),
+    )) as federation:
+        # a's link to b connects first, so there is a connection to go stale.
+        tickets = [federation.submit("a", InsertOperation(make_tuple("A1", "v0")))]
+        federation.drain(timeout=DRAIN_TIMEOUT)
+        path = str(tmp_path / "b.ckpt")
+        federation.checkpoint_peer("b", path, halt=True)
+        federation.kill_peer("b")
+        for index in range(1, 6):
+            tickets.append(federation.submit(
+                "a", InsertOperation(make_tuple("A1", "v{}".format(index)))
+            ))
+        federation.restart_peer("b", path)
+        federation.drain(timeout=DRAIN_TIMEOUT)
+        assert all(ticket.status is TicketStatus.COMMITTED for ticket in tickets)
+        snapshot = federation.global_snapshot()
+        expected = {"v{}".format(index) for index in range(6)}
+        for relation in ("B1", "B2"):
+            rows = snapshot.tuples(relation)
+            assert {row.values[0].value for row in rows} == expected
 
 
 def test_restarted_peer_process_forgets_its_dead_services_questions(tmp_path):

@@ -344,28 +344,16 @@ def test_a_drain_that_times_out_leaves_nobody_subscribed(tmp_path, idle_notices)
         assert federation.last_drain["settle_reason"] == "watermark-idle"
 
 
-def test_a_notice_whose_send_failed_is_sent_again(tmp_path):
-    """The per-seq dedupe counts frames that went out, not attempts."""
-    from repro.codec.framing import FrameDecoder
-    from repro.codec.wire import loads
+def test_a_notice_the_socket_cannot_take_yet_leaves_once_it_can(tmp_path):
+    """The per-seq dedupe counts notices queued on the coordinator's
+    channel: one the socket cannot take yet is neither lost nor sent twice."""
+    import selectors
+    import socket
+
+    from repro.codec.framing import FRAME_CONTROL, FrameDecoder, encode_frame
+    from repro.codec.wire import dumps, loads
     from repro.federation.proc import PeerHost, encode_peer_config
-    from repro.federation.socket_transport import (
-        SocketAddress,
-        SocketTransportError,
-    )
-
-    class FlakyCoordinator:
-        closed = False
-
-        def __init__(self):
-            self.failures_left = 1
-            self.sent = []
-
-        def send_bytes(self, data):
-            if self.failures_left:
-                self.failures_left -= 1
-                raise SocketTransportError("injected send failure")
-            self.sent.append(data)
+    from repro.federation.socket_transport import FrameChannel, SocketAddress
 
     schema, mappings, initial = chain_pieces()
     ownership = {"a": ("A1", "A2"), "b": ("B1", "B2")}
@@ -376,26 +364,61 @@ def test_a_notice_whose_send_failed_is_sent_again(tmp_path):
     host = PeerHost(loads(encode_peer_config(
         "a", schema, initial, mappings, ownership, addresses
     )))
+    ours, theirs = socket.socketpair()
+    coordinator = FrameChannel(ours, label="@coordinator")
     try:
-        host._coordinator = coordinator = FlakyCoordinator()
-        host._idle_push()
-        assert coordinator.failures_left == 1  # unwatched: not even tried
-        # Subscribing makes an idle peer report at once: the failing send.
+        # Fill the socket: the coordinator is not reading.
+        padding = encode_frame(FRAME_CONTROL, dumps({"t": "padding"}))
+        while not coordinator.pending:
+            coordinator.write(padding)
+        host._coordinator = coordinator
+        host._idle_push()  # unwatched: nothing queued
+        # Subscribing makes an idle peer report at once, behind the padding.
         host._handle_control(None, {"t": "watch", "on": True})
-        assert coordinator.failures_left == 0 and coordinator.sent == []
-        host._idle_push()
-        assert len(coordinator.sent) == 1
-        (frame,) = FrameDecoder().feed(coordinator.sent[0])
-        assert loads(frame.payload)["t"] == "idle"
-        host._idle_push()
-        assert len(coordinator.sent) == 1  # one notice per activity seq
+        assert coordinator.pending
+        host._idle_push()  # one notice per activity seq
+        # The coordinator reads; the queued bytes leave on EVENT_WRITE.
+        theirs.setblocking(False)
+        decoder = FrameDecoder()
+        kinds = []
+        while True:
+            try:
+                data = theirs.recv(1 << 16)
+            except BlockingIOError:
+                if not coordinator.pending:
+                    break
+                coordinator.ready(selectors.EVENT_WRITE)
+                continue
+            kinds.extend(loads(frame.payload)["t"] for frame in decoder.feed(data))
+        assert kinds[-1] == "idle"
+        assert kinds.count("idle") == 1
+        assert set(kinds) == {"padding", "idle"}
     finally:
+        coordinator.close()
+        theirs.close()
         host._shutdown()
 
 
 # ----------------------------------------------------------------------
 # The liveness watchdog
 # ----------------------------------------------------------------------
+def test_a_refused_write_marks_its_peer_dead(tmp_path):
+    """A write into a dead peer's stream raises, and the next poll takes
+    the lost path: the peer is dead and its channel gone, with no heartbeat
+    age to tell the watchdog."""
+    from repro.federation.socket_transport import SocketTransportError
+
+    with running(chain_federation(tmp_path, telemetry_interval=0)) as federation:
+        handle = federation._handles["b"]
+        handle.process.kill()
+        handle.process.wait(timeout=WAIT_TIMEOUT)
+        with pytest.raises(SocketTransportError):
+            federation.submit("b", InsertOperation(make_tuple("B1", "w1")))
+        federation.poll()
+        assert federation.liveness()["b"]["state"] == DEAD
+        assert handle.channel is None
+
+
 def test_watchdog_flags_a_stopped_peer_and_recovers(tmp_path):
     with running(chain_federation(tmp_path)) as federation:
         _wait_until(
