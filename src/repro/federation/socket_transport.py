@@ -35,6 +35,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from ..codec.framing import FRAME_ENVELOPE, Frame, FrameDecoder, encode_frame
 
+
 class SocketTransportError(ConnectionError):
     """A channel operation failed (the peer is gone or the stream broke)."""
 
