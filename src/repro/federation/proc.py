@@ -28,10 +28,11 @@ Two kinds of traffic cross the host's sockets, both as
 The host is single-threaded and reactive: one ``selectors`` loop reads and
 writes every socket, its outgoing links included, and every wakeup hands
 envelope frames to the runtime and runs its work round to a fixpoint before
-handing the links their frames and sleeping again; only a checkpoint waits
-for frames to go out.  When the coordinator's stream ends or breaks —
-including because the coordinating process was killed — the host exits,
-which is what keeps test teardown free of orphan processes.
+handing the links their frames and sleeping again; only a checkpoint waits,
+on that loop and for a bounded time, for frames to go out.  When the
+coordinator's stream ends or breaks — including because the coordinating
+process was killed — the host exits, which is what keeps test teardown free
+of orphan processes.
 
 :func:`main` is the one way into a peer.  :class:`ProcessFederation` forks
 the coordinator and calls it in the child (POSIX only): the child inherits
@@ -50,7 +51,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import select
 import selectors
 import signal
 import sys
@@ -297,7 +297,7 @@ class PeerHost:
                 for key, events in self._selector.select(self._select_timeout()):
                     ready = key.data
                     if ready is self._listener:
-                        self._accept()
+                        self._listener.accept(self._selector)
                     elif isinstance(ready, OutgoingLink):
                         ready.ready(events)
                     else:
@@ -339,10 +339,6 @@ class PeerHost:
         if not due:
             return None  # only control traffic matters now
         return max(0.0, min(due) - time.monotonic())
-
-    def _accept(self) -> None:
-        channel = self._listener.accept()
-        channel.attach(self._selector, channel)
 
     def _read_channel(self, channel: FrameChannel, events: int) -> None:
         try:
@@ -435,18 +431,24 @@ class PeerHost:
             raise FederationError("unknown control message {!r}".format(kind))
 
     def _handle_checkpoint(self, body: Dict) -> None:
-        # Reach a local fixpoint, then push every queued frame out, redialing
-        # at once if a link is backing off, and wait (the host's one wait)
-        # until the sockets took them whole: a destination never stops
-        # reading, and a checkpoint must not strand them in a dying process.
+        # Reach a local fixpoint, push every queued frame out (redialing at
+        # once), and wait on the one selector, reads left pending, until the
+        # sockets took them whole: a dying process must not strand them.  A
+        # destination that stops reading fails the checkpoint; none halts.
         self._work()
         self._flush(force=True)
+        deadline = time.monotonic() + float(body["within"])
         writing = [link for link in self._links.values() if link.writing]
-        while writing:
-            select.select([], [link.channel for link in writing], [])
-            for link in writing:
-                link.ready(selectors.EVENT_WRITE)
+        while writing and time.monotonic() < deadline:
+            for key, events in self._selector.select(deadline - time.monotonic()):
+                if key.data in writing:
+                    key.data.ready(events)
             writing = [link for link in writing if link.writing]
+        if time.monotonic() >= deadline:
+            stalled = sorted(link.destination for link in writing)
+            error = "deadline passed, frames toward {} unwritten".format(stalled)
+            self._tell({"t": "checkpoint-done", "path": body["path"], "error": error})
+            return
         # The watermarks are exact now: every link toward this peer is held
         # and this peer is caught up (coordinator's checkpoint protocol), so
         # the counters restored from here continue the same streams.
@@ -472,10 +474,7 @@ class PeerHost:
 
     def _flush(self, force: bool = False) -> None:
         now = float("inf") if force else time.monotonic()
-        sent = 0
-        for link in self._links.values():
-            sent += link.flush(now, hello=self._hello)
-        if sent:
+        if sum(link.flush(now, self._hello) for link in self._links.values()):
             self.runtime.activity_seq += 1
 
     # ------------------------------------------------------------------
@@ -527,9 +526,8 @@ class PeerHost:
         """
         if not self._watched or self.runtime.activity_seq == self._idle_pushed_at:
             return
-        if self._coordinator is None or self._coordinator.closed:
-            return
-        if self._halted or not self._is_idle():
+        # Watched means the coordinator said hello; closed means it is gone.
+        if self._halted or self._coordinator.closed or not self._is_idle():
             return
         # Recorded, not flushed: the ring reaches disk at heartbeats, under
         # ring pressure and at dumps, and the drain does not wait on a file.
@@ -647,8 +645,7 @@ class PeerHost:
                 self.tracer.export_jsonl(self._trace_path)
             except OSError:  # pragma: no cover - export is best effort
                 pass
-        for link in self._links.values():
-            link.close()
+        # Every channel, outgoing links' included, is on the selector.
         for key in list(self._selector.get_map().values()):
             ready = key.data
             if ready is not self._listener:

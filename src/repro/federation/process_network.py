@@ -419,8 +419,7 @@ class ProcessFederation(ClientDesk):
                     )
                 time.sleep(delay)
                 delay = min(delay * 2, 0.02)
-        handle.channel = FrameChannel(sock, label=name)
-        handle.channel.attach(self._selector, handle)
+        handle.channel = FrameChannel(sock, self._selector, handle, label=name)
         self._expect_eof.discard(name)
         self._send(name, {"t": "hello", "peer": COORDINATOR})
 
@@ -607,9 +606,8 @@ class ProcessFederation(ClientDesk):
     @staticmethod
     def _round_settled(replies: Dict[str, Dict]) -> bool:
         """One status round's global-quiescence test."""
-        for reply in replies.values():
-            if not reply["quiescent"]:
-                return False
+        if not all(reply["quiescent"] for reply in replies.values()):
+            return False
         for name, reply in replies.items():
             for destination, sent in reply["sent"].items():
                 if destination not in replies:
@@ -853,11 +851,17 @@ class ProcessFederation(ClientDesk):
                         )
                     )
                 self.poll(0.01)
-            self._send(name, {"t": "checkpoint", "path": path, "halt": halt})
-            self._await_reply(
+            # Half the time left bounds the victim's wait for its writes.
+            within = (deadline - time.monotonic()) / 2
+            self._send(name, {
+                "t": "checkpoint", "path": path, "halt": halt, "within": within
+            })
+            reply = self._await_reply(
                 name, "checkpoint-done", deadline,
                 matches=lambda body: body.get("path") == path,
             )
+            if "error" in reply:
+                raise ProcessFederationError(reply["error"])
             halted = halt
         finally:
             if not halted:

@@ -8,9 +8,9 @@ sockets:
 * :class:`SocketAddress` — a Unix-domain path or a TCP host/port, with a
   codec-JSON body so address maps travel inside peer config files;
 * :class:`FrameChannel` — one connected non-blocking stream socket speaking
-  :mod:`repro.codec.framing` frames: ``write`` queues, ``ready`` serves a
-  selector report (partial frames stay in its
-  :class:`~repro.codec.framing.FrameDecoder`);
+  :mod:`repro.codec.framing` frames, registered with its owner's selector:
+  ``write`` queues, ``ready`` serves a selector report (partial frames stay
+  in its :class:`~repro.codec.framing.FrameDecoder`);
 * :class:`FrameListener` — the accepting side, yielding channels;
 * :class:`OutgoingLink` — the sender-side per-destination FIFO of frames,
   with ``hold``/``release`` (partition: frames queue, nothing is lost) plus
@@ -110,11 +110,15 @@ class SocketAddress:
 class FrameChannel:
     """One connected non-blocking stream socket carrying frames both ways.
 
-    What :meth:`write` cannot send at once leaves on ``EVENT_WRITE`` of the
-    selector the channel is :meth:`attach`-ed to (see :meth:`ready`).
+    The channel registers with its owner's *selector*, which reports to
+    *data* (the channel itself by default).  What :meth:`write` cannot send
+    at once leaves on ``EVENT_WRITE`` of that selector (see :meth:`ready`).
     """
 
-    def __init__(self, sock: socket.socket, label: str = ""):
+    def __init__(
+        self, sock: socket.socket, selector: selectors.BaseSelector,
+        data=None, label: str = "",
+    ):
         sock.setblocking(False)
         self.sock = sock
         #: Who is on the other end ("" until the hello frame names them).
@@ -126,17 +130,12 @@ class FrameChannel:
         #: Bytes the socket has not taken yet, and the count it has taken.
         self._out = bytearray()
         self.written = 0
-        self._selector: Optional[selectors.BaseSelector] = None
-        self._data = None
+        self._selector = selector
+        self._data = self if data is None else data
+        selector.register(self, selectors.EVENT_READ, self._data)
 
     def fileno(self) -> int:
         return self.sock.fileno()
-
-    def attach(self, selector: selectors.BaseSelector, data) -> None:
-        """Register with the owner's selector, which reports to *data*."""
-        self._selector, self._data = selector, data
-        selector.register(self, selectors.EVENT_READ, data)
-        self._arm()
 
     @property
     def pending(self) -> bool:
@@ -144,11 +143,14 @@ class FrameChannel:
 
     def write(self, data: bytes) -> int:
         """Queue *data*, send what the socket takes now; returns the stream
-        offset at which *data* ends (compare with :attr:`written`)."""
+        offset at which *data* ends (compare with :attr:`written`).  The
+        offset holds even when the stream broke, so nothing in a failed
+        write ever reads as taken."""
+        end = self.written + len(self._out) + len(data)
         if not self.closed and self.error is None:
             self._out += data
             self._send()
-        return self.written + len(self._out)
+        return end
 
     def _send(self) -> None:
         try:
@@ -165,9 +167,8 @@ class FrameChannel:
     def _arm(self) -> None:
         """Ask for ``EVENT_WRITE`` exactly while bytes wait (the selector
         makes no system call while the events stay the same)."""
-        if self._selector is not None:
-            writing = selectors.EVENT_WRITE if self._out else 0
-            self._selector.modify(self, selectors.EVENT_READ | writing, self._data)
+        writing = selectors.EVENT_WRITE if self._out else 0
+        self._selector.modify(self, selectors.EVENT_READ | writing, self._data)
 
     def ready(self, events: int) -> List[Frame]:
         """Serve one selector report; returns every frame that completed.
@@ -193,8 +194,7 @@ class FrameChannel:
     def close(self) -> None:
         if not self.closed:
             self.closed = True
-            if self._selector is not None:
-                self._selector.unregister(self)
+            self._selector.unregister(self)
             try:
                 self.sock.close()
             except OSError:  # pragma: no cover - close is best effort
@@ -221,11 +221,11 @@ class FrameListener:
     def fileno(self) -> int:
         return self.sock.fileno()
 
-    def accept(self) -> FrameChannel:
+    def accept(self, selector: selectors.BaseSelector) -> FrameChannel:
         sock, _ = self.sock.accept()
         if self.address.kind == "tcp":
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return FrameChannel(sock)
+        return FrameChannel(sock, selector)
 
     def close(self) -> None:
         try:
@@ -248,10 +248,8 @@ class OutgoingLink:
     """
 
     def __init__(
-        self,
-        destination: str,
-        address: SocketAddress,
-        selector: Optional[selectors.BaseSelector] = None,
+        self, destination: str, address: SocketAddress,
+        selector: selectors.BaseSelector,
     ):
         self.destination = destination
         self.address = address
@@ -318,9 +316,9 @@ class OutgoingLink:
             except OSError:
                 self._retry_at = now + 0.05
                 return 0
-            self.channel = FrameChannel(sock, label=self.destination)
-            if self._selector is not None:
-                self.channel.attach(self._selector, self)
+            self.channel = FrameChannel(
+                sock, self._selector, self, label=self.destination
+            )
             if hello is not None:
                 self.channel.write(hello)
         # One write for the whole queue: the receiver's decoder splits the
@@ -340,13 +338,14 @@ class OutgoingLink:
         whole.  A destination sends nothing back, so a read finds its EOF:
         the frames not written whole go again, whole, after a redial
         (at-least-once, like redelivery after a heal)."""
+        if self.channel is None:  # lost earlier in the same select batch
+            return
         try:
             self.channel.ready(events)
             lost = False
         except ChannelClosed:
             lost = True
-        written = self.channel.written
-        while self._in_channel and self._in_channel[0][0] <= written:
+        while self._in_channel and self._in_channel[0][0] <= self.channel.written:
             self._in_channel.popleft()
             self.frames_sent += 1
         if lost:

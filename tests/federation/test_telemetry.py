@@ -365,7 +365,8 @@ def test_a_notice_the_socket_cannot_take_yet_leaves_once_it_can(tmp_path):
         "a", schema, initial, mappings, ownership, addresses
     )))
     ours, theirs = socket.socketpair()
-    coordinator = FrameChannel(ours, label="@coordinator")
+    selector = selectors.DefaultSelector()
+    coordinator = FrameChannel(ours, selector, label="@coordinator")
     try:
         # Fill the socket: the coordinator is not reading.
         padding = encode_frame(FRAME_CONTROL, dumps({"t": "padding"}))
@@ -387,7 +388,9 @@ def test_a_notice_the_socket_cannot_take_yet_leaves_once_it_can(tmp_path):
             except BlockingIOError:
                 if not coordinator.pending:
                     break
-                coordinator.ready(selectors.EVENT_WRITE)
+                for key, events in selector.select(1.0):
+                    assert events == selectors.EVENT_WRITE
+                    key.data.ready(events)
                 continue
             kinds.extend(loads(frame.payload)["t"] for frame in decoder.feed(data))
         assert kinds[-1] == "idle"
@@ -395,6 +398,7 @@ def test_a_notice_the_socket_cannot_take_yet_leaves_once_it_can(tmp_path):
         assert set(kinds) == {"padding", "idle"}
     finally:
         coordinator.close()
+        selector.close()
         theirs.close()
         host._shutdown()
 

@@ -1,16 +1,23 @@
 """Transport semantics: FIFO, delay, reorder, partition/heal.
 
 The transport carries bytes only (peer runtimes encode and decode), so the
-messages here are byte strings.  The last test is about a peer process's outgoing socket link: while its
-destination is down, it must not ask its event loop to wake before the
-next redial.
+messages here are byte strings.  The last two tests are about a peer
+process's outgoing socket link: while its destination is down, it must not
+ask its event loop to wake before the next redial, and frames a broken
+write refused are neither lost nor counted as sent.
 """
 
 from __future__ import annotations
 
+import selectors
+
 import pytest
 
-from repro.federation.socket_transport import OutgoingLink, SocketAddress
+from repro.federation.socket_transport import (
+    FrameListener,
+    OutgoingLink,
+    SocketAddress,
+)
 from repro.federation.transport import Transport
 
 
@@ -144,9 +151,35 @@ def test_the_send_clock_rides_along_to_the_receiver():
 def test_a_disconnected_socket_link_is_not_due_before_its_redial(tmp_path):
     # Nothing listens at the path: the dial fails and the link backs off.  A
     # frame due now must not make the peer's select loop spin until then.
-    link = OutgoingLink("b", SocketAddress.unix(str(tmp_path / "b.sock")))
+    selector = selectors.DefaultSelector()
+    link = OutgoingLink("b", SocketAddress.unix(str(tmp_path / "b.sock")), selector)
     now = 100.0
     link.send(b"envelope", "raw", 1, None)
     assert link.flush(now) == 0
     assert link.queued == 1
     assert link.next_due() > now
+    selector.close()
+
+
+def test_frames_a_broken_write_refused_stay_queued_and_unsent(tmp_path):
+    # The destination closes its end: the next write fails at once (EPIPE),
+    # so every frame of that flush goes back on the queue for a redial.
+    address = SocketAddress.unix(str(tmp_path / "b.sock"))
+    listener = FrameListener(address)
+    selector = selectors.DefaultSelector()
+    link = OutgoingLink("b", address, selector)
+    try:
+        link.send(b"first", "raw", 1, None)
+        assert link.flush(0.0, hello=b"hello") == 1
+        assert link.frames_sent == 1
+        listener.accept(selector).close()
+        for index in range(3):
+            link.send(b"envelope-%d" % index, "raw", 1, None)
+        assert link.flush(0.0) == 3
+        assert link.frames_sent == 1
+        assert link.queued == 3
+        assert link.channel is None
+    finally:
+        link.close()
+        listener.close()
+        selector.close()
