@@ -36,10 +36,10 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.9",
-    # Pure standard library at runtime; the test/benchmark suite needs extras.
+    # Pure standard library at runtime; the test suite needs extras.
     install_requires=[],
     extras_require={
-        "test": ["pytest", "pytest-benchmark", "hypothesis"],
+        "test": ["pytest", "hypothesis"],
     },
     entry_points={
         "console_scripts": [

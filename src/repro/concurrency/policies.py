@@ -3,7 +3,7 @@
 Section 5.2 leaves the scheduling policy open and discusses the trade-offs;
 the experiments use "a round-robin policy that interleaves chases at the level
 of individual steps".  That policy is the default here; a stratum-level policy
-and a lowest-priority-first policy are provided for the ablation benchmarks.
+and a lowest-priority-first policy are provided for the scheduling ablation.
 """
 
 from __future__ import annotations

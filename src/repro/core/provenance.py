@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
-from .tuples import Tuple
 from .violations import Violation
 from .writes import Write
 
@@ -41,7 +40,6 @@ class ChaseTree:
     def __init__(self) -> None:
         self._nodes: Dict[int, ProvenanceNode] = {}
         self._ids = itertools.count(1)
-        self._tuple_index: Dict[Tuple, List[int]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -63,9 +61,6 @@ class ChaseTree:
                 node.parents.append(parent_id)
                 self._nodes[parent_id].children.append(node_id)
         self._nodes[node_id] = node
-        if write is not None:
-            for row in write.rows_touched():
-                self._tuple_index.setdefault(row, []).append(node_id)
         return node_id
 
     def add_write(self, write: Write, caused_by: Iterable[int] = ()) -> int:
@@ -85,25 +80,9 @@ class ChaseTree:
         """Fetch a node by id."""
         return self._nodes[node_id]
 
-    def nodes_touching(self, row: Tuple) -> List[ProvenanceNode]:
-        """All events whose write touched the tuple value *row*."""
-        return [self._nodes[node_id] for node_id in self._tuple_index.get(row, [])]
-
     def roots(self) -> List[ProvenanceNode]:
         """Events with no recorded cause (normally the initial user operation)."""
         return [node for node in self._nodes.values() if node.is_root()]
-
-    def lineage(self, node_id: int) -> List[ProvenanceNode]:
-        """All ancestors of a node, nearest first (why did this happen?)."""
-        seen: List[int] = []
-        frontier = list(self._nodes[node_id].parents)
-        while frontier:
-            current = frontier.pop(0)
-            if current in seen:
-                continue
-            seen.append(current)
-            frontier.extend(self._nodes[current].parents)
-        return [self._nodes[identifier] for identifier in seen]
 
     def __len__(self) -> int:
         return len(self._nodes)

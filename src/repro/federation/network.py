@@ -40,7 +40,7 @@ from ..core.tgd import Tgd
 from ..core.update import UserOperation
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import default_tracer
-from ..service.admission import AdmissionConfig, AdmissionError
+from ..service.admission import AdmissionConfig
 from ..service.tickets import TicketStatus
 from ..storage.interface import DatabaseView
 from ..storage.memory import FrozenDatabase
@@ -130,9 +130,9 @@ class ClientDesk:
         self._tickets[ticket.ticket_id] = ticket
         try:
             self._submit_at(ticket)
-        except AdmissionError:
-            # Local admission overflow is the submitting client's error;
-            # unregister the stillborn ticket and let the caller back off.
+        except Exception:
+            # Admission overflow, or a stream to a dead peer: the submission
+            # reached no peer, so unregister the stillborn ticket.
             del self._tickets[ticket.ticket_id]
             raise
         return ticket
@@ -177,7 +177,12 @@ class ClientDesk:
                 "question {} is not open at peer {!r}".format(question.key, peer_name)
             )
         del inbox[question.key]
-        self._answer_at(peer_name, question, question.by_index(choice))
+        try:
+            self._answer_at(peer_name, question, question.by_index(choice))
+        except Exception:
+            # The answer reached no peer: the question is still open.
+            inbox[question.key] = question
+            raise
 
     def partition(self, a: str, b: str) -> None:
         """Cut the link between two peers (messages queue, nothing is lost)."""

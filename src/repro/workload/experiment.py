@@ -11,8 +11,8 @@ random choice.
 Running that exact configuration in pure Python takes hours, so the harness is
 parameterized: :meth:`ExperimentConfig.paper_scale` reproduces the paper's
 parameters, :meth:`ExperimentConfig.small_scale` (the default) shrinks every
-dimension while preserving the qualitative shape of the curves.  See
-EXPERIMENTS.md for the recorded outputs.
+dimension while preserving the qualitative shape of the curves;
+``tests/workload/test_paper_panels.py`` asserts those shapes at small scale.
 
 Run from the command line::
 

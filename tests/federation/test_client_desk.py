@@ -19,7 +19,13 @@ from repro.core.schema import DatabaseSchema
 from repro.core.tgd import parse_tgds
 from repro.core.tuples import make_tuple
 from repro.core.update import InsertOperation
-from repro.federation import FederatedNetwork, FederationError, ProcessFederation
+from repro.federation import (
+    FederatedNetwork,
+    FederationError,
+    ProcessFederation,
+    ProcessFederationError,
+    SocketTransportError,
+)
 from repro.service.tickets import TicketStatus
 from repro.storage.memory import FrozenDatabase
 
@@ -167,3 +173,40 @@ def test_a_call_naming_an_unknown_peer_is_rejected(federation_of, tmp_path):
                 handle.process.poll() is None
                 for handle in federation._handles.values()
             )
+
+
+def test_a_call_that_reaches_no_peer_leaves_the_desk_as_it_was(tmp_path):
+    """An answer or a submission whose write fails reached no peer: the
+    question stays open and no ticket is left queued forever."""
+    relations, mappings, ownership = CYCLIC
+    schema = DatabaseSchema.from_dict(relations)
+    federation = ProcessFederation(
+        schema,
+        FrozenDatabase(schema, {name: frozenset() for name in relations}),
+        parse_tgds(mappings),
+        ownership,
+        workdir=str(tmp_path),
+    )
+    try:
+        ticket = federation.submit("a", InsertOperation(make_tuple("Person", "alice")))
+        deadline = time.monotonic() + TIMEOUT
+        while not federation.inbox("a"):
+            assert time.monotonic() < deadline, "the question never reached a"
+            federation.poll(0.05)
+        (question,) = federation.inbox("a")
+        process = federation._handles["a"].process
+        process.kill()
+        process.wait(timeout=TIMEOUT)
+        with pytest.raises(SocketTransportError):
+            federation.answer("a", question, 0)
+        assert federation.inbox("a") == [question]
+        with pytest.raises(SocketTransportError):
+            federation.submit("a", InsertOperation(make_tuple("Seed", "s1")))
+        federation.poll()
+        with pytest.raises(ProcessFederationError):
+            federation.submit("a", InsertOperation(make_tuple("Seed", "s2")))
+        assert federation.tickets() == [ticket]
+        assert federation.inbox("a") == [question]
+    finally:
+        federation.close()
+        federation.assert_reaped()
