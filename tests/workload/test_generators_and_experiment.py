@@ -20,6 +20,7 @@ from repro.workload import (
     insert_workload,
     mapping_prefix,
     mixed_workload,
+    run_cell_once,
     run_workload_experiment,
 )
 from repro.workload.metrics import CellResult, ExperimentResult, mean
@@ -165,6 +166,19 @@ class TestExperimentHarness:
         assert len(mixed) == config.num_updates
         with pytest.raises(ValueError):
             build_workload(environment, "bogus", seed=1)
+
+    def test_abort_ordering_between_algorithms(self):
+        """The headline shape: NAIVE >= COARSE >= PRECISE aborts on a conflict-heavy cell."""
+        config = ExperimentConfig.small_scale().scaled(num_updates=25, runs_per_cell=1)
+        environment = build_environment(config)
+        mapping_count = max(config.mapping_counts)
+        naive = run_cell_once(environment, mapping_count, "NAIVE", INSERT_WORKLOAD, seed=7)
+        coarse = run_cell_once(environment, mapping_count, "COARSE", INSERT_WORKLOAD, seed=7)
+        precise = run_cell_once(environment, mapping_count, "PRECISE", INSERT_WORKLOAD, seed=7)
+        assert naive.aborts >= coarse.aborts >= precise.aborts
+        assert coarse.cascading_abort_requests >= precise.cascading_abort_requests
+        # PRECISE pays for its precision in tracker work.
+        assert precise.tracker_cost_units > coarse.tracker_cost_units
 
     def test_scaled_config_helpers(self):
         paper = ExperimentConfig.paper_scale()
