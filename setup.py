@@ -44,7 +44,7 @@ setup(
     entry_points={
         "console_scripts": [
             "repro-serve=repro.service.cli:main",
-            "repro-experiment=repro.workload.experiment:main",
+            "repro-experiment=repro.workload.__main__:main",
             "repro-trace=repro.obs.cli:main",
             "repro-top=repro.obs.top:main",
             "repro-peer=repro.federation.proc:main",

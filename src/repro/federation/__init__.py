@@ -5,12 +5,13 @@ exchange between many autonomous peers joined by tgd mappings — on top of the
 single-repository service layer.  Each :class:`~repro.federation.peer.Peer`
 runs its own :class:`~repro.service.repository.RepositoryService` over the
 relations it owns, inside a :class:`~repro.federation.host.PeerRuntime`
-that both runtimes share; cross-peer mappings are driven by commit-time
-exchange envelopes crossing the in-process
-:class:`~repro.federation.transport.Transport` (configurable delay,
-reordering and partition/heal) or a peer process's sockets; frontier
-questions raised by forwarded updates route back to the originating peer's
-inbox.  When every
+that both runtimes share and that handles the one control protocol a
+coordinator speaks; cross-peer mappings are driven by commit-time exchange
+envelopes crossing the in-process
+:class:`~repro.federation.transport.Transport` (configurable delay and
+reordering) or a peer process's sockets, and a partition is a link hold at
+the senders in both; frontier questions raised by forwarded updates route
+back to the originating peer's inbox.  When every
 queue drains (:meth:`~repro.federation.network.FederatedNetwork.quiescent`),
 the union of the peers' committed stores is differentially checked against
 the single-repository chase over the union of mappings

@@ -19,7 +19,12 @@ the in-memory links of a :class:`~repro.federation.transport.Transport`.
 The client's side is :class:`ClientDesk`, the same for the socket
 federation (:mod:`repro.federation.process_network`): the
 :class:`FederatedTicket` table and a :class:`FederatedQuestion` inbox per
-peer, kept up to date from the peers' events.
+peer, kept up to date from the peers' events.  The desk builds every control
+message once (submit, answer, hold/release, drop-questions, snapshot) and
+sends it through one primitive, ``_send``: here a call into the peer's
+runtime, there a frame write.  So a submission the admission queue turns
+away waits at the peer, first come, first served, in both runtimes, and a
+partition is two directed link holds at the senders in both.
 
 The network is cooperatively scheduled like everything else in this
 reproduction: :meth:`pump` performs one federation round (every frame the
@@ -30,10 +35,17 @@ with a strategy.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple as PyTuple, Union
 
+from ..codec.wire import (
+    _encode_choice,
+    decode_tuple,
+    encode_trace,
+    encode_user_operation,
+)
 from ..core.frontier import FrontierOperation
 from ..core.schema import DatabaseSchema
 from ..core.tgd import Tgd
@@ -91,25 +103,39 @@ FederatedQuestion = QuestionOpened
 AnswerStrategy = Callable[[FederatedQuestion], Union[FrontierOperation, int]]
 
 
+#: How long a snapshot reply may take.
+REPLY_TIMEOUT = 20.0
+
+
 class ClientDesk:
     """The client-facing half of a federation, shared by both runtimes.
 
     A client submits a user operation at a peer and holds a
     :class:`FederatedTicket`; it answers the questions of that peer's
-    :class:`FederatedQuestion` inbox.  The peers report ticket terminals and
-    questions filed or gone (:attr:`~repro.federation.peer.Peer.events`),
-    which a runtime hands to :meth:`_apply`.  A runtime provides ``rules``
-    and says how a submission, an answer and a link hold reach the peers:
-    ``_submit_at(ticket)``, ``_answer_at(peer_name, question, choice)`` and
-    ``_hold(a, b, held)``.
+    :class:`FederatedQuestion` inbox.  The desk builds every control message
+    a coordinator sends (see :meth:`~repro.federation.host.PeerRuntime.control`)
+    and hands it to ``_send(peer_name, body)``.  What a peer sends back —
+    ticket terminals, questions filed or gone
+    (:attr:`~repro.federation.peer.Peer.events`) and replies — a runtime
+    hands to :meth:`_receive`.  A runtime opens the desk (:meth:`_open_desk`)
+    and provides ``_send``, the peers it can reach (``_live_peers``), and
+    ``_wait`` for a reply that has not arrived yet.
     """
 
-    def _open_desk(self, peer_names: Sequence[str]) -> None:
+    def _open_desk(self, schema: DatabaseSchema, mappings, ownership: Dict) -> None:
+        self.schema = schema
+        #: Routing, and the mapping table every peer builds from the same
+        #: list (mappings cross the wire by name).
+        self.rules = ExchangeRules.for_federation(schema, mappings, ownership)
         self._inboxes: Dict[str, Dict[PyTuple[str, int], FederatedQuestion]] = {
-            name: {} for name in peer_names
+            name: {} for name in ownership
         }
         self._tickets: Dict[int, FederatedTicket] = {}
         self._next_ticket_id = 1
+        #: Replies per peer and message type, taken by :meth:`_await_reply`.
+        self._replies: Dict[str, Dict[str, List[Dict]]] = {
+            name: {} for name in ownership
+        }
 
     def _inbox_of(self, peer_name: str) -> Dict[PyTuple[str, int], FederatedQuestion]:
         try:
@@ -129,10 +155,14 @@ class ClientDesk:
         self._next_ticket_id += 1
         self._tickets[ticket.ticket_id] = ticket
         try:
-            self._submit_at(ticket)
+            self._send(peer_name, {
+                "t": "submit",
+                "fid": ticket.ticket_id,
+                "op": encode_user_operation(operation, self.rules.by_name),
+            })
         except Exception:
-            # Admission overflow, or a stream to a dead peer: the submission
-            # reached no peer, so unregister the stillborn ticket.
+            # A stream to a dead peer: the submission reached no peer, so
+            # unregister the stillborn ticket.
             del self._tickets[ticket.ticket_id]
             raise
         return ticket
@@ -178,32 +208,101 @@ class ClientDesk:
             )
         del inbox[question.key]
         try:
-            self._answer_at(peer_name, question, question.by_index(choice))
+            self._send(peer_name, {
+                "t": "answer",
+                "executing": question.executing_peer,
+                "decision": question.decision_id,
+                "choice": _encode_choice(question.by_index(choice), self.rules.by_name),
+                "tr": encode_trace(question.trace),
+            })
         except Exception:
             # The answer reached no peer: the question is still open.
             inbox[question.key] = question
             raise
 
     def partition(self, a: str, b: str) -> None:
-        """Cut the link between two peers (messages queue, nothing is lost)."""
-        self._hold(*self._pair(a, b), True)
+        """Cut the link between two peers (messages queue, nothing is lost):
+        each holds its link toward the other."""
+        self._hold(a, b, "hold")
 
     def heal(self, a: str, b: str) -> None:
         """Reconnect two peers; held messages flow again."""
-        self._hold(*self._pair(a, b), False)
+        self._hold(a, b, "release")
 
-    def _pair(self, a: str, b: str) -> PyTuple[str, str]:
-        """Validate a link's two ends before anything reaches a peer."""
+    def _hold(self, a: str, b: str, kind: str) -> None:
+        # Both ends are validated before anything reaches a peer.
         self._inbox_of(a), self._inbox_of(b)
         if a == b:
             raise FederationError("peer {!r} has no link to itself".format(a))
-        return a, b
+        self._send(a, {"t": kind, "peer": b})
+        self._send(b, {"t": kind, "peer": a})
+
+    def global_snapshot(self) -> FrozenDatabase:
+        """The union of every peer's committed owned relations."""
+        deadline = time.monotonic() + REPLY_TIMEOUT
+        names = self._live_peers()
+        for name in names:
+            self._send(name, {"t": "snapshot"})
+        owned: Dict[str, Dict[str, frozenset]] = {}
+        for name in names:
+            reply = self._await_reply(name, "snapshot-reply", deadline)
+            owned[name] = {
+                relation: frozenset(decode_tuple(row) for row in rows)
+                for relation, rows in reply["relations"].items()
+            }
+        return FrozenDatabase(self.schema, {
+            relation: owned[self.rules.owner_of[relation]][relation]
+            for relation in self.schema.relation_names()
+        })
+
+    def _restarted(self, name: str) -> None:
+        """The restart epilogue: drop every question the restarted peer
+        executed, at the desk and at every other live peer.  Its decisions
+        died with the old service; the re-submitted updates re-ask them
+        under fresh decision ids (the reborn peer drops its own keys on
+        restore)."""
+        for inbox in self._inboxes.values():
+            for key in [key for key in inbox if key[0] == name]:
+                del inbox[key]
+        for other in self._live_peers():
+            if other != name:
+                self._send(other, {"t": "drop-questions", "executing": name})
 
     def _answer_open(self, strategy: AnswerStrategy, peer_names: Sequence[str]) -> None:
         """Answer every open question of *peer_names* with *strategy*."""
         for peer_name in peer_names:
             for question in self.inbox(peer_name):
                 self.answer(peer_name, question, strategy(question))
+
+    def _receive(self, name: str, body: Dict) -> None:
+        """Take one message from peer *name*: a ``ticket`` terminal status,
+        a ``question`` filed in the peer's inbox or a ``question-gone``
+        event is applied, anything else is a reply kept for its awaiter."""
+        kind = body["t"]
+        if kind in ("ticket", "question", "question-gone"):
+            self._apply(body)
+        else:
+            self._replies[name].setdefault(kind, []).append(body)
+
+    def _await_reply(
+        self, name: str, kind: str, deadline: float, matches=None
+    ) -> Dict:
+        """The oldest reply of *kind* from *name* that *matches*."""
+        while True:
+            queued = self._replies[name].get(kind, [])
+            for index, body in enumerate(queued):
+                if matches is None or matches(body):
+                    return queued.pop(index)
+            self._wait(name, kind, deadline)
+
+    def _live_peers(self) -> List[str]:
+        """The peers a control message can reach now."""
+        return self.peer_names()
+
+    def _wait(self, name: str, kind: str, deadline: float) -> None:
+        """Wait for more of what peers send; raises past *deadline*.  A peer
+        runtime in this process replies inside ``_send``, so none is late."""
+        raise FederationError("no {} from peer {!r}".format(kind, name))
 
     def _apply(self, event: Dict) -> None:
         """Apply one peer event: a ``ticket`` terminal status, a ``question``
@@ -220,13 +319,6 @@ class ClientDesk:
             self._inboxes[event["inbox"]].pop(
                 (event["executing"], event["decision"]), None
             )
-
-    def _drop_questions_of(self, executing: str) -> None:
-        """Drop every question a restarted peer executed: its decisions died
-        with the old service (the re-submitted updates re-ask them)."""
-        for inbox in self._inboxes.values():
-            for key in [key for key in inbox if key[0] == executing]:
-                del inbox[key]
 
 
 @dataclass
@@ -253,10 +345,8 @@ class FederatedNetwork(ClientDesk):
         max_total_steps: int = 1_000_000,
         tracer=None,
     ):
-        self.schema = schema
+        self._open_desk(schema, mappings, ownership)
         self._tracer = tracer if tracer is not None else default_tracer()
-        self.rules = ExchangeRules.for_federation(schema, mappings, ownership)
-        self.owner_of = self.rules.owner_of
         self.transport = transport if transport is not None else Transport()
         #: Per-peer service construction parameters, kept for restarts (see
         #: :meth:`restart_peer`): a reborn peer's service is rebuilt with the
@@ -279,7 +369,6 @@ class FederatedNetwork(ClientDesk):
             self._run(Peer.build(
                 name, schema, initial, self.rules, **self._service_arguments[name]
             ))
-        self._open_desk(list(self._runtimes))
         #: One registry whose ``collect()`` is the whole :meth:`metrics`
         #: snapshot: the peers' own routing, exchange and delivery counters
         #: summed, then the transport's and per-peer service metrics.
@@ -314,12 +403,13 @@ class FederatedNetwork(ClientDesk):
     def _run(self, peer: Peer, host: Optional[Dict] = None) -> None:
         """Run *peer* in a runtime whose links are this transport's."""
         links = {
-            other: partial(self.transport.send, peer.name, other)
+            other: self.transport.link(peer.name, other)
             for other in self._service_arguments
             if other != peer.name
         }
         self._runtimes[peer.name] = PeerRuntime(
-            peer, links, self.rules.by_name, self._apply, host=host
+            peer, links, self.rules.by_name, partial(self._receive, peer.name),
+            host=host,
         )
 
     @property
@@ -344,11 +434,8 @@ class FederatedNetwork(ClientDesk):
         """Every peer, in declaration order."""
         return [runtime.peer for runtime in self._runtimes.values()]
 
-    def _hold(self, a: str, b: str, held: bool) -> None:
-        if held:
-            self.transport.partition(a, b)
-        else:
-            self.transport.heal(a, b)
+    def _send(self, name: str, body: Dict) -> None:
+        self._runtime(name).control(body)
 
     # ------------------------------------------------------------------
     # Peer checkpoint and restart
@@ -368,9 +455,7 @@ class FederatedNetwork(ClientDesk):
         queue, so nothing cares that the service behind the name changed).
 
         Open federated questions whose *executing* peer was the killed one
-        are dropped from every inbox: their decisions died with the old
-        service, and the re-submitted updates will re-ask them under fresh
-        decision ids.
+        are dropped from every inbox (:meth:`ClientDesk._restarted`).
         """
         old = self.peer(name)
         reborn, restored = Peer.restore(
@@ -380,21 +465,8 @@ class FederatedNetwork(ClientDesk):
         for counter in self._peer_counters:
             setattr(reborn, counter, getattr(old, counter))
         self._run(reborn, restored.extra.get("host"))
-        self._drop_questions_of(name)
-        for peer in self.peers():
-            peer.drop_questions(name)
+        self._restarted(name)
         return reborn
-
-    # ------------------------------------------------------------------
-    # Submission and answers (the client desk's way to a peer)
-    # ------------------------------------------------------------------
-    def _submit_at(self, ticket: FederatedTicket) -> None:
-        self._runtimes[ticket.peer].submit(ticket.ticket_id, ticket.operation)
-
-    def _answer_at(
-        self, peer_name: str, question: FederatedQuestion, choice
-    ) -> None:
-        self._runtimes[peer_name].answer(question.key, choice, question.trace)
 
     # ------------------------------------------------------------------
     # The federation round
@@ -435,7 +507,7 @@ class FederatedNetwork(ClientDesk):
         (a client of) the peer whose inbox holds it, each round.  Without one,
         the loop still drains workloads that never park.  Raises
         ``RuntimeError`` when *max_rounds* pass without quiescence — e.g.
-        while a partition still holds envelopes.
+        while a held link still holds envelopes.
         """
         for round_number in range(1, max_rounds + 1):
             self.pump()
@@ -445,24 +517,14 @@ class FederatedNetwork(ClientDesk):
                 return round_number
         raise RuntimeError(
             "federation failed to drain within {} rounds "
-            "(transport in flight: {}, partitions: {})".format(
-                max_rounds, self.transport.in_flight, self.transport.partitions()
+            "(transport in flight: {}, held links: {})".format(
+                max_rounds, self.transport.in_flight, self.transport.held()
             )
         )
 
     # ------------------------------------------------------------------
-    # Global state
+    # Metrics
     # ------------------------------------------------------------------
-    def global_snapshot(self) -> FrozenDatabase:
-        """The union of every peer's committed owned relations."""
-        contents: Dict[str, frozenset] = {}
-        for relation in self.schema.relation_names():
-            owner = self.peer(self.owner_of[relation])
-            contents[relation] = frozenset(
-                owner.service.scheduler.committed_view().tuples(relation)
-            )
-        return FrozenDatabase(self.schema, contents)
-
     def _peer_service_metrics(self) -> Dict[str, object]:
         """Per-peer service metrics producer (looks peers up live, so a
         peer reborn by :meth:`restart_peer` reports its new service)."""

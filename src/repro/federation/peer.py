@@ -129,7 +129,8 @@ class Peer:
         #: away, in arrival order (see :meth:`retry_deferred`).
         self.retry: List[object] = []
         #: Client ``(ticket id, operation)`` submissions the admission queue
-        #: turned away, where the runtime defers instead of raising.
+        #: turned away, in arrival order: the runtime defers them instead of
+        #: raising (see :meth:`retry_deferred`).
         self.deferred: List[PyTuple[int, object]] = []
         #: Exchange counters (aggregated by the network's metrics snapshot
         #: and the peer process's status replies).

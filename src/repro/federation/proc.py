@@ -9,8 +9,11 @@ on its socket address, and runs it in a
 code the in-process :class:`~repro.federation.network.FederatedNetwork` runs
 for each of its peers — so a drained socket federation is the same exchange
 and the differential oracle applies.  The host is the socket shell around
-it: selectors, listener and channels, the control protocol, heartbeats, the
-went-idle push and the flight recorder.
+it: selectors, listener and channels, hello and exit, trace export, the
+checkpoint's bounded write wait, heartbeats and the flight recorder.  Every
+other control message is the runtime's own vocabulary
+(:meth:`~repro.federation.host.PeerRuntime.control`), the same the
+in-process network's client desk sends.
 
 Two kinds of traffic cross the host's sockets, both as
 :mod:`repro.codec.framing` frames:
@@ -20,10 +23,11 @@ Two kinds of traffic cross the host's sockets, both as
   single frame carrying one :class:`~repro.federation.transport.Bundle`
   (many payloads, one round-trip);
 * **control frames** between the coordinator and each peer — submissions,
-  question answers, status polls, partition holds, checkpoint/halt and exit
-  — with events (terminals of the tickets this peer executed, routed ones
-  included; question opened — as its wire payload — or vanished) pushed
-  back on the same connection.
+  question answers, status polls, link holds, snapshots, checkpoint/halt and
+  exit — with replies and events (terminals of the tickets this peer
+  executed, routed ones included; question opened — as its wire payload —
+  or vanished; went-idle notices while a drain watches) pushed back on the
+  same connection.
 
 The host is single-threaded and reactive: one ``selectors`` loop reads and
 writes every socket, its outgoing links included, and every wakeup hands
@@ -40,7 +44,7 @@ the coordinator's imported modules, environment and hash seed, but no
 descriptor above 2 — the fork closes them all and points stdout/stderr at
 ``peer-<name>.log`` before :func:`main` reads its config — so a peer holds
 only the sockets and files it opens itself, and dropping the coordinator's
-connection still reaches it as EOF.  The module also is the ``repro-peer``
+connection still reaches it as EOF.  :func:`main` also is the ``repro-peer``
 console entry point, for a peer started on its own (another machine, another
 interpreter)::
 
@@ -53,7 +57,6 @@ import argparse
 import os
 import selectors
 import signal
-import sys
 import time
 import traceback
 from dataclasses import asdict
@@ -63,12 +66,9 @@ from ..codec.framing import FRAME_CONTROL, encode_frame
 from ..codec.wire import (
     WIRE_VERSION,
     CodecError,
-    _decode_choice,
     decode_schema,
     decode_tgd,
-    decode_trace,
     decode_tuple,
-    decode_user_operation,
     dumps,
     encode_payload,
     encode_schema,
@@ -78,9 +78,9 @@ from ..codec.wire import (
 )
 from ..obs.flight import FlightRecorder
 from ..obs.trace import NOOP_TRACER, Tracer
-from ..service.admission import AdmissionConfig, AdmissionError
+from ..service.admission import AdmissionConfig
 from ..storage.memory import FrozenDatabase
-from .exchange import ExchangeRules, FederationError
+from .exchange import ExchangeRules
 from .host import PeerRuntime
 from .peer import Peer
 from .socket_transport import (
@@ -209,14 +209,7 @@ class PeerHost:
         #: Control frames for the coordinator before its hello names it.
         self._pending_events: List[bytes] = []
 
-        # -- bookkeeping -------------------------------------------------
-        self._halted = False
         self._exit = False
-        #: True while a coordinator ``drain()`` is subscribed to went-idle
-        #: notices (the ``watch`` control frame); a reborn peer starts False.
-        self._watched = False
-        #: The activity seq the last went-idle push reported (-1 = never).
-        self._idle_pushed_at = -1
 
         initial = FrozenDatabase(self.schema, {
             relation: frozenset(decode_tuple(body) for body in rows)
@@ -247,15 +240,10 @@ class PeerHost:
             peer, restored = Peer.restore(
                 self.name, config["restore"], self.rules, **service_arguments
             )
-            host = restored.extra.get("host", {})
-            # The send watermarks continue like the receive ones (see
-            # PeerRuntime): the drain compares them across processes.
-            for other, count in host.get("frames_sent", ()):
-                if other in self._links:
-                    self._links[other].frames_sent = int(count)
+            host = restored.extra.get("host")
         self.runtime = PeerRuntime(
             peer,
-            {other: link.send for other, link in self._links.items()},
+            self._links,
             self._mappings,
             self._event,
             flight=self.flight,
@@ -302,7 +290,7 @@ class PeerHost:
                         ready.ready(events)
                     else:
                         self._read_channel(ready, events)
-                if not self._halted:
+                if not self.runtime.halted:
                     self._work()
                     self._flush()
                 # Heartbeats keep beating while halted: a frozen-for-kill
@@ -328,7 +316,7 @@ class PeerHost:
         due = []
         if self._next_telemetry is not None:
             due.append(self._next_telemetry)
-        if not self._halted:
+        if not self.runtime.halted:
             for link in self._links.values():
                 link_due = link.next_due()
                 if link_due is not None:
@@ -362,10 +350,9 @@ class PeerHost:
     # Control handling
     # ------------------------------------------------------------------
     def _handle_control(self, channel: FrameChannel, body: Dict) -> None:
+        """The socket-level kinds; the rest is the runtime's vocabulary."""
         kind = body["t"]
-        if self.flight.enabled and kind in (
-            "submit", "answer", "checkpoint", "exit", "hold", "release"
-        ):
+        if self.flight.enabled and kind in ("checkpoint", "exit"):
             self.flight.record("control", control=kind)
         if kind == "hello":
             channel.label = body["peer"]
@@ -373,62 +360,15 @@ class PeerHost:
                 self._coordinator = channel
                 channel.write(b"".join(self._pending_events))
                 self._pending_events = []
-        elif kind == "submit":
-            fid = int(body["fid"])
-            operation = decode_user_operation(body["op"], self._mappings)
-            # Flood submission must be loss-free: admission overflow is
-            # backpressure here, not a client error, because the submitting
-            # client is a remote process.  A submission waits behind those
-            # already deferred, so none overtakes an older one.
-            if self.peer.deferred:
-                self.peer.deferred.append((fid, operation))
-            else:
-                try:
-                    self.runtime.submit(fid, operation)
-                except AdmissionError:
-                    self.peer.deferred.append((fid, operation))
-        elif kind == "answer":
-            # The coordinator's answer can race a cancellation, which the
-            # peer tolerates.  The choice is normally an index into the
-            # request the executing peer still holds parked: relayed onward
-            # as-is, no tuples materialised here.
-            self.runtime.answer(
-                (body["executing"], int(body["decision"])),
-                _decode_choice(body["choice"], self._mappings),
-                decode_trace(body.get("tr")),
-            )
-        elif kind == "status":
-            self._tell(self._status_reply(body.get("round", 0)))
-        elif kind == "watch":
-            self._watched = bool(body["on"])
-            if self._watched:
-                # A new subscriber has seen nothing: forget the per-seq
-                # dedupe so a peer that is already idle reports at once —
-                # here, ahead of the reply to any status request queued
-                # behind this frame, so no notice trails a finished drain.
-                self._idle_pushed_at = -1
-                self._idle_push()
-        elif kind in ("hold", "release"):
-            self._links[body["peer"]].held = kind == "hold"
-        elif kind == "drop-questions":
-            self.peer.drop_questions(body["executing"])
         elif kind == "checkpoint":
             self._handle_checkpoint(body)
-        elif kind == "snapshot":
-            self._tell({
-                "t": "snapshot-reply",
-                "relations": {
-                    relation: [encode_tuple(row) for row in sorted(rows, key=repr)]
-                    for relation, rows in self.peer.owned_snapshot().items()
-                },
-            })
         elif kind == "trace-export":
             count = self.tracer.export_jsonl(body["path"])
             self._tell({"t": "trace-exported", "path": body["path"], "spans": count})
         elif kind == "exit":
             self._exit = True
         else:
-            raise FederationError("unknown control message {!r}".format(kind))
+            self.runtime.control(body)
 
     def _handle_checkpoint(self, body: Dict) -> None:
         # Reach a local fixpoint, push every queued frame out (redialing at
@@ -452,17 +392,12 @@ class PeerHost:
         # The watermarks are exact now: every link toward this peer is held
         # and this peer is caught up (coordinator's checkpoint protocol), so
         # the counters restored from here continue the same streams.
-        self.runtime.checkpoint(
-            body["path"],
-            frames_sent=sorted(
-                (peer, link.frames_sent) for peer, link in self._links.items()
-            ),
-        )
+        self.runtime.checkpoint(body["path"])
         if body.get("halt"):
             # Freeze: no more pumps or flushes — the coordinator is about to
             # kill this process, and work done after the checkpoint would
             # fork the state the reborn peer restores.
-            self._halted = True
+            self.runtime.halted = True
         self._tell({"t": "checkpoint-done", "path": body["path"]})
 
     # ------------------------------------------------------------------
@@ -498,50 +433,15 @@ class PeerHost:
 
     def _telemetry_body(self) -> Dict:
         """One unsolicited heartbeat: the status document plus seq + wall."""
-        body = self._status_reply(0)
+        body = self.runtime.status(0)
         del body["round"]
         body.update(t="telemetry", seq=self._telemetry_seq, wall=time.time())
         return body
 
-    def _is_idle(self) -> bool:
-        """The cheap no-snapshot quiescence check (idle push, status reply)."""
-        return self.peer.idle and not any(
-            link.queued for link in self._links.values()
-        )
-
     def _idle_push(self) -> None:
-        """Push one went-idle notice to a coordinator that is draining.
-
-        The event-driven half of the watermark drain: ``drain()`` subscribes
-        with a ``watch`` control frame, and while it is subscribed this peer
-        tells the coordinator its per-link watermarks and activity seq — and
-        nothing else — the moment it settles (service quiescent, nothing
-        in the outbox, queued, or parked), so the drain blocks on its selector
-        instead of pacing status rounds.  Outside a drain nobody reads the
-        notice, so an unwatched peer sends none: a busy peer emits only what
-        its operations need plus its heartbeat.  One notice per activity seq
-        — a watched peer that stays idle stays silent — and independent of
-        ``telemetry_interval``, so the watermark drain works with periodic
-        heartbeats off.
-        """
-        if not self._watched or self.runtime.activity_seq == self._idle_pushed_at:
-            return
-        # Watched means the coordinator said hello; closed means it is gone.
-        if self._halted or self._coordinator.closed or not self._is_idle():
-            return
-        # Recorded, not flushed: the ring reaches disk at heartbeats, under
-        # ring pressure and at dumps, and the drain does not wait on a file.
-        self.flight.record("idle", activity_seq=self.runtime.activity_seq)
-        self._tell({
-            "t": "idle",
-            "peer": self.name,
-            "activity_seq": self.runtime.activity_seq,
-            "sent": {
-                peer: link.frames_sent for peer, link in self._links.items()
-            },
-            "received": self.runtime.frames_received,
-        })
-        self._idle_pushed_at = self.runtime.activity_seq
+        """The runtime's went-idle notice, for a coordinator still connected."""
+        if self._coordinator is not None and not self._coordinator.closed:
+            self.runtime.idle_push()
 
     def _flight_sync(self) -> None:
         """Copy tracer spans recorded since the last sync into the flight ring."""
@@ -572,8 +472,8 @@ class PeerHost:
     # Events and replies
     # ------------------------------------------------------------------
     def _event(self, event: Dict) -> None:
-        """The runtime's event sink: one control frame for the coordinator's
-        client desk (queued while it is not connected)."""
+        """The runtime's sink: one control frame for the coordinator's client
+        desk (queued while it is not connected)."""
         if event["t"] == "question":
             opened = event["q"]
             self.flight.record(
@@ -594,47 +494,6 @@ class PeerHost:
             self._pending_events.append(frame)
         else:
             self._coordinator.write(frame)
-
-    def _status_reply(self, round_number: int) -> Dict:
-        snapshot = self.peer.service.metrics_snapshot()
-        return {
-            "t": "status-reply",
-            "round": round_number,
-            "peer": self.name,
-            "quiescent": self._is_idle(),
-            "halted": self._halted,
-            "outbox": len(self.peer.outbox),
-            "queued": sum(link.queued for link in self._links.values()),
-            "activity_seq": self.runtime.activity_seq,
-            "retry": len(self.peer.retry) + len(self.peer.deferred),
-            "held": sorted(
-                peer for peer, link in self._links.items() if link.held
-            ),
-            "sent": {
-                peer: link.frames_sent for peer, link in self._links.items()
-            },
-            "received": dict(self.runtime.frames_received),
-            # Per-link inflight gauges; in the status shape (not only the
-            # heartbeat's) so metrics() has one key set whichever came last.
-            "links": {
-                peer: link.stats() for peer, link in self._links.items()
-            },
-            "payloads_received": self.runtime.payloads_received,
-            "open_questions": len(self.peer.inbox),
-            "committed": snapshot["committed"],
-            # The *full* registry collect, not a hand-kept key list: every
-            # registered instrument and producer (service counters, store
-            # gauges, scheduler stats) rides the status path uniformly.
-            # tests/federation/test_telemetry.py pins the shape so a new
-            # instrument cannot silently drop off again.
-            "metrics": snapshot,
-            "deliveries_deferred": self.peer.deliveries_deferred,
-            "answers_dropped": self.peer.answers_dropped,
-            "firings_emitted": self.peer.firings_emitted,
-            "retractions_emitted": self.peer.retractions_emitted,
-            "notices_emitted": self.peer.notices_emitted,
-            "envelopes_coalesced": self.peer.envelopes_coalesced,
-        }
 
     def _shutdown(self) -> None:
         # A graceful shutdown still closes the flight record (first-reason
@@ -678,7 +537,3 @@ def main(argv: Optional[List[str]] = None) -> int:
         traceback.print_exc()
         return 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,35 +1,30 @@
 """The process federation: real peer processes, coordinated over sockets.
 
 :class:`ProcessFederation` is the multi-process counterpart of
-:class:`~repro.federation.network.FederatedNetwork`: the same schema /
-initial-state / mappings / ownership description, but every peer runs as its
-own OS process (running the ``repro-peer`` entry point of
-:mod:`repro.federation.proc`) and the peers exchange envelopes directly over
-TCP or Unix-domain sockets, one :mod:`repro.codec.framing` frame per
-per-destination bundle.  The coordinator never touches an envelope: it only
-speaks the control protocol — submissions in, ticket/question events out,
-status polls for the drain barrier.  No call waits on a peer's reading: a
-frame a socket cannot take yet leaves when ``poll`` next turns the
-selector, and a control stream that ends or breaks, on a read or a write,
-takes one lost path.  A peer process runs the
+:class:`~repro.federation.network.FederatedNetwork`: the same description,
+but every peer runs as its own OS process (the ``repro-peer`` entry point of
+:mod:`repro.federation.proc`, around the
 :class:`~repro.federation.host.PeerRuntime` the in-process network runs for
 each of its peers, so the in-process federation is the differential oracle
-of the same peer code.
+of the same peer code), and the peers exchange envelopes directly over TCP
+or Unix-domain sockets, one :mod:`repro.codec.framing` frame per
+per-destination bundle.  The coordinator never touches an envelope.  Its
+client surface is the in-process network's own
+:class:`~repro.federation.network.ClientDesk`, which builds every control
+message once; here ``_send`` writes it as a frame, and the peers' event
+frames and replies feed the desk back.  So admission backpressure happens
+inside the peer, not in the submitting client, in both runtimes.  No call
+waits on a peer's reading: a frame a socket cannot take yet leaves when
+``poll`` next turns the selector, and a control stream that ends or breaks,
+on a read or a write, takes one lost path.
 
-The client surface — ``submit`` / ``ticket`` / ``tickets`` / ``inbox`` /
-``answer`` — is the in-process network's own
-:class:`~repro.federation.network.ClientDesk`, fed by the peers' ``ticket``,
-``question`` and ``question-gone`` event frames.  The rest shadows the
-in-process network where the concept carries over: ``drain`` (the process
-world's ``run_until_quiescent``) / ``partition`` / ``heal`` /
-``checkpoint_peer`` / ``kill_peer`` / ``restart_peer`` / ``global_snapshot``.
-Differences are forced by distribution: submission is asynchronous (admission
-backpressure happens inside the peer, not in the submitting client), and
-quiescence is a distributed condition — ``drain`` declares the federation
-quiescent only when every peer reports itself idle, every directed link's
-receive counter has caught up with its send counter, and one confirming
-status round finds no peer's activity sequence moved since those views were
-taken.
+What distribution adds is ``drain`` (the process world's
+``run_until_quiescent``), ``checkpoint_peer``'s quiesce loop and
+``kill_peer``.  Quiescence is a distributed condition: ``drain`` declares the
+federation quiescent only when every peer reports itself idle, every
+directed link's receive counter has caught up with its send counter, and
+one confirming status round finds no peer's activity sequence moved since
+those views were taken.
 
 Peers are forked from the coordinator (POSIX only), which has already
 imported every module a peer runs, so a peer starts in milliseconds instead
@@ -71,18 +66,9 @@ import traceback
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..codec.framing import FRAME_CONTROL, encode_frame
-from ..codec.wire import (
-    _encode_choice,
-    decode_payload,
-    decode_tuple,
-    dumps,
-    encode_trace,
-    encode_user_operation,
-    loads,
-)
-from ..storage.memory import FrozenDatabase
-from .exchange import ExchangeRules, FederationError
-from .network import AnswerStrategy, ClientDesk, FederatedQuestion, FederatedTicket
+from ..codec.wire import decode_payload, dumps, loads
+from .exchange import FederationError
+from .network import REPLY_TIMEOUT, AnswerStrategy, ClientDesk
 from ..obs import trace as obs_trace
 from ..obs.timeline import TelemetryTimeline
 from ..obs.trace import encode_record
@@ -95,8 +81,7 @@ from .socket_transport import (
 )
 
 
-#: How long a peer may take to listen (spawn, restart), and to answer a
-#: snapshot or trace export.
+#: How long a peer may take to listen (spawn, restart).
 STARTUP_TIMEOUT = 20.0
 
 
@@ -210,14 +195,7 @@ def _fork_peer(config_path: str, log_path: str) -> _PeerProcess:
 class _PeerHandle:
     """Everything the coordinator tracks per peer process."""
 
-    __slots__ = (
-        "name",
-        "address",
-        "log_path",
-        "process",
-        "channel",
-        "replies",
-    )
+    __slots__ = ("name", "address", "log_path", "process", "channel")
 
     def __init__(self, name: str, address: SocketAddress):
         self.name = name
@@ -225,8 +203,6 @@ class _PeerHandle:
         self.log_path: Optional[str] = None
         self.process: Optional[_PeerProcess] = None
         self.channel: Optional[FrameChannel] = None
-        #: Replies keyed by message type, drained by the await helpers.
-        self.replies: Dict[str, List[Dict]] = {}
 
 
 class ProcessFederation(ClientDesk):
@@ -254,18 +230,12 @@ class ProcessFederation(ClientDesk):
             raise ProcessFederationError(
                 "unknown transport {!r} (use 'unix' or 'tcp')".format(transport)
             )
-        self.schema = schema
         self._initial = initial
         self._mappings = list(mappings)
         self._ownership = {
             name: tuple(relations) for name, relations in ownership.items()
         }
-        #: Routing, and the mapping table every peer builds from the same
-        #: list (mappings cross the wire by name).
-        self.rules = ExchangeRules.for_federation(
-            schema, self._mappings, self._ownership
-        )
-        self.owner_of = self.rules.owner_of
+        self._open_desk(schema, self._mappings, self._ownership)
         self._tracker = tracker
         self._admission = admission
         self._max_total_steps = max_total_steps
@@ -321,7 +291,6 @@ class ProcessFederation(ClientDesk):
             for name in self._ownership
         }
         self._selector = selectors.DefaultSelector()
-        self._open_desk(list(self._ownership))
         self._next_round = 1
         self._closed = False
         #: Peers whose control EOF is expected (killed or exiting).
@@ -506,29 +475,19 @@ class ProcessFederation(ClientDesk):
             self.timeline.touch(body["peer"])
         elif kind == "telemetry":
             self._observe_telemetry(body["peer"], body, "telemetry")
-        elif kind in ("ticket", "question", "question-gone"):
+        else:
+            # An event, or a reply (status-reply, checkpoint-done,
+            # snapshot-reply, trace-exported) parked for its awaiter.
             if kind == "question":
                 body["q"] = decode_payload(body["q"], self.rules.by_name)
-            self._apply(body)
-        else:
-            # A reply (status-reply, checkpoint-done, snapshot-reply,
-            # trace-exported): parked for whoever is awaiting it.
-            handle.replies.setdefault(kind, []).append(body)
+            self._receive(handle.name, body)
 
-    def _await_reply(
-        self, name: str, kind: str, deadline: float, matches=None
-    ) -> Dict:
-        handle = self._handles[name]
-        while True:
-            queued = handle.replies.get(kind, [])
-            for index, body in enumerate(queued):
-                if matches is None or matches(body):
-                    return queued.pop(index)
-            if time.monotonic() > deadline:
-                raise ProcessFederationError(
-                    "timed out waiting for {} from peer {!r}".format(kind, name)
-                )
-            self.poll(0.05)
+    def _wait(self, name: str, kind: str, deadline: float) -> None:
+        if time.monotonic() > deadline:
+            raise ProcessFederationError(
+                "timed out waiting for {} from peer {!r}".format(kind, name)
+            )
+        self.poll(0.05)
 
     def _lost(self, handle: _PeerHandle) -> None:
         """Close a control channel whose stream ended or broke."""
@@ -554,6 +513,12 @@ class ProcessFederation(ClientDesk):
         if channel.error is not None:
             raise SocketTransportError(channel.error)
 
+    def _live_peers(self) -> List[str]:
+        return [
+            name for name, handle in self._handles.items()
+            if handle.channel is not None
+        ]
+
     def _broadcast(self, names: Iterable[str], body: Dict) -> None:
         """Queue one control frame for every live peer of *names*."""
         frame = encode_frame(FRAME_CONTROL, dumps(body))
@@ -561,25 +526,6 @@ class ProcessFederation(ClientDesk):
             channel = self._handles[name].channel
             if channel is not None:
                 channel.write(frame)
-
-    # ------------------------------------------------------------------
-    # Submission and answers (the client desk's way to a peer)
-    # ------------------------------------------------------------------
-    def _submit_at(self, ticket: FederatedTicket) -> None:
-        self._send(ticket.peer, {
-            "t": "submit",
-            "fid": ticket.ticket_id,
-            "op": encode_user_operation(ticket.operation, self.rules.by_name),
-        })
-
-    def _answer_at(self, peer_name: str, question: FederatedQuestion, choice) -> None:
-        self._send(peer_name, {
-            "t": "answer",
-            "executing": question.executing_peer,
-            "decision": question.decision_id,
-            "choice": _encode_choice(choice, self.rules.by_name),
-            "tr": encode_trace(question.trace),
-        })
 
     # ------------------------------------------------------------------
     # Drain (the distributed run_until_quiescent)
@@ -646,8 +592,8 @@ class ProcessFederation(ClientDesk):
         # Settle state never survives across drain calls: a previous drain
         # that died mid-round (peer-lost, timeout) can leave status replies
         # parked that no awaiter will ever claim.
-        for handle in self._handles.values():
-            handle.replies.pop("status-reply", None)
+        for replies in self._replies.values():
+            replies.pop("status-reply", None)
         deadline = time.monotonic() + timeout
         started = time.monotonic()
         round_seconds: List[float] = []
@@ -661,10 +607,7 @@ class ProcessFederation(ClientDesk):
                 self.poll(0.0)
                 # Live names *after* the poll: an EOF processed just now
                 # must not leave us sending a status frame to a dead channel.
-                names = [
-                    name for name, handle in self._handles.items()
-                    if handle.channel is not None
-                ]
+                names = self._live_peers()
                 if answer_strategy is not None:
                     self._answer_open(answer_strategy, names)
                 views = {
@@ -783,14 +726,6 @@ class ProcessFederation(ClientDesk):
         self._spool({"rec": "drain", "wall": time.time(), "drain": record})
 
     # ------------------------------------------------------------------
-    # Partitions
-    # ------------------------------------------------------------------
-    def _hold(self, a: str, b: str, held: bool) -> None:
-        kind = "hold" if held else "release"
-        self._send(a, {"t": kind, "peer": b})
-        self._send(b, {"t": kind, "peer": a})
-
-    # ------------------------------------------------------------------
     # Checkpoint, kill, restart
     # ------------------------------------------------------------------
     def checkpoint_peer(
@@ -899,12 +834,11 @@ class ProcessFederation(ClientDesk):
     def restart_peer(self, name: str, path: str) -> None:
         """Spawn a fresh process for *name* restoring the checkpoint *path*.
 
-        Mirrors the in-process ``restart_peer`` epilogue: questions whose
-        executing service died are dropped everywhere (the reborn peer drops
-        its own keys on restore; the re-submitted updates re-ask under fresh
-        decision ids), and the holds the kill flow placed toward the victim
-        are released so held frames deliver to the reborn process (the
-        survivors' links dropped the dead one's connections at its EOF).
+        Ends in the in-process ``restart_peer``'s epilogue
+        (:meth:`ClientDesk._restarted`), then releases the holds the kill
+        flow placed toward the victim so held frames deliver to the reborn
+        process (the survivors' links dropped the dead one's connections at
+        its EOF).
         """
         self._inbox_of(name)
         if self._handles[name].process is not None:
@@ -918,35 +852,13 @@ class ProcessFederation(ClientDesk):
         # The reborn process starts a fresh heartbeat stream.
         self.timeline.revive(name)
         self.liveness()
-        self._drop_questions_of(name)
+        self._restarted(name)
         others = [other for other in self._handles if other != name]
-        self._broadcast(others, {"t": "drop-questions", "executing": name})
         self._broadcast(others, {"t": "release", "peer": name})
 
     # ------------------------------------------------------------------
     # Global state
     # ------------------------------------------------------------------
-    def global_snapshot(self) -> FrozenDatabase:
-        """The union of every peer's committed owned relations."""
-        deadline = time.monotonic() + STARTUP_TIMEOUT
-        names = [
-            name for name, handle in self._handles.items()
-            if handle.channel is not None
-        ]
-        for name in names:
-            self._send(name, {"t": "snapshot"})
-        owned: Dict[str, Dict[str, frozenset]] = {}
-        for name in names:
-            reply = self._await_reply(name, "snapshot-reply", deadline)
-            owned[name] = {
-                relation: frozenset(decode_tuple(row) for row in rows)
-                for relation, rows in reply["relations"].items()
-            }
-        contents: Dict[str, frozenset] = {}
-        for relation in self.schema.relation_names():
-            contents[relation] = owned[self.owner_of[relation]][relation]
-        return FrozenDatabase(self.schema, contents)
-
     def metrics(self) -> Dict[str, Dict]:
         """The freshest status-shaped document per peer.
 
@@ -964,12 +876,9 @@ class ProcessFederation(ClientDesk):
 
     def export_traces(self) -> List[str]:
         """Ask every live peer to export its spans; returns the JSONL paths."""
-        deadline = time.monotonic() + STARTUP_TIMEOUT
+        deadline = time.monotonic() + REPLY_TIMEOUT
         paths: List[str] = []
-        names = [
-            name for name, handle in self._handles.items()
-            if handle.channel is not None
-        ]
+        names = self._live_peers()
         for name in names:
             path = os.path.join(self.workdir, "trace-{}.jsonl".format(name))
             self._send(name, {"t": "trace-export", "path": path})

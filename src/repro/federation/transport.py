@@ -1,13 +1,17 @@
-"""The in-memory link layer: FIFO links with delay, reorder, partition.
+"""The in-memory link layer: FIFO links with delay and reorder.
 
 Peers of a :class:`~repro.federation.network.FederatedNetwork` never call each
 other directly; every exchange envelope crosses this in-process fabric.  Each
-ordered pair of peers has its own FIFO queue; a message becomes deliverable
-``delay`` pumps after it was sent (per-link delays can override the default),
-an optional seeded reorderer shuffles each pump's deliverable batch (letting
-late messages overtake earlier ones), and a partitioned link *holds* its
-messages — nothing is ever dropped — until :meth:`Transport.heal` reconnects
-the pair.
+ordered pair of peers has its own :class:`MemoryLink`, the sender's FIFO; a
+message becomes deliverable ``delay`` pumps after it was sent (per-link
+delays can override the default), and an optional seeded reorderer shuffles
+each pump's deliverable batch (letting late messages overtake earlier ones).
+
+A :class:`MemoryLink` has the interface of a peer process's socket link
+(:class:`~repro.federation.socket_transport.OutgoingLink`): ``send``,
+``held``, ``frames_sent``, ``queued`` and ``stats()``.  A held link keeps
+its messages, nothing is ever dropped, so a partition is two directed holds
+at the senders, placed by the ``hold`` control message in both runtimes.
 
 It is the one place delay and reorder are simulated: the socket federation's
 links are plain FIFOs, so the differential tests that shuffle message order
@@ -21,13 +25,10 @@ the per-destination flush rule.
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import (
-    Deque, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple as PyTuple,
-)
+from typing import Deque, Dict, Iterable, List, Optional, Tuple as PyTuple
 
 # The envelope codec the peer runtime calls, looked up on this module at
 # call time: the benchmark's per-layer timing shims these two names here
@@ -91,12 +92,9 @@ class Envelope:
     """One message in flight between two peers: the encoded ``payload``
     bytes and what the sender said about them."""
 
-    seq: int
     source: str
     destination: str
     payload: bytes
-    #: Transport tick at which the message was sent.
-    sent_at: int
     #: Earliest transport tick at which the message may be delivered.
     due_at: int
     #: Wire kind of the payload.
@@ -107,16 +105,50 @@ class Envelope:
     clock: Optional[float] = None
 
 
+class MemoryLink:
+    """One directed in-memory link: the sender's FIFO of envelopes.
+
+    ``held`` parks the whole link (a partition holds, never drops);
+    ``frames_sent`` counts the envelopes the transport released from it.
+    """
+
+    def __init__(self, transport: "Transport", source: str, destination: str):
+        self._transport = transport
+        self.source = source
+        self.destination = destination
+        self.held = False
+        self.queue: Deque[Envelope] = deque()
+        self.frames_sent = 0
+
+    def send(self, data: bytes, kind: str, payloads: int, clock) -> Envelope:
+        """The peer runtime's link call (see :meth:`Transport.send`)."""
+        return self._transport.send(
+            self.source, self.destination, data, kind, payloads, clock
+        )
+
+    @property
+    def queued(self) -> int:
+        """Envelopes not yet released to the destination."""
+        return len(self.queue)
+
+    def stats(self) -> Dict[str, object]:
+        return {
+            "queued": len(self.queue),
+            "held": self.held,
+            "frames_sent": self.frames_sent,
+        }
+
+
 class Transport:
-    """In-process message fabric with per-link FIFO queues.
+    """In-process message fabric: one :class:`MemoryLink` per directed pair.
 
     * ``delay`` — pumps a message waits before it is deliverable (default 0:
       the next pump delivers it).
     * ``reorder_seed`` — when set, each pump's deliverable batch is shuffled
       with a seeded RNG **and** due messages may overtake earlier not-yet-due
       ones on the same link; when unset, links are strictly FIFO.
-    * :meth:`partition` / :meth:`heal` — a partitioned pair's messages are
-      queued, not lost; healing releases them on the next pump.
+    * A held link (:attr:`MemoryLink.held`) delivers nothing; its messages
+      go on the first pump after it is released.
     """
 
     def __init__(self, delay: int = 0, reorder_seed: Optional[int] = None):
@@ -124,10 +156,11 @@ class Transport:
             raise ValueError("delay cannot be negative")
         self._default_delay = delay
         self._link_delay: Dict[PyTuple[str, str], int] = {}
+        self._links: Dict[PyTuple[str, str], MemoryLink] = {}
+        #: The queues of the links that ever sent, in first-send order: the
+        #: order a pump collects them in.
         self._queues: Dict[PyTuple[str, str], Deque[Envelope]] = {}
-        self._partitioned: Set[FrozenSet[str]] = set()
         self._rng = random.Random(reorder_seed) if reorder_seed is not None else None
-        self._seq = itertools.count(1)
         self._tick = 0
         #: Counters for the metrics snapshot.
         self.sent = 0
@@ -151,21 +184,16 @@ class Transport:
         """The delivery delay currently configured for a directed link."""
         return self._link_delay.get((source, destination), self._default_delay)
 
-    def partition(self, a: str, b: str) -> None:
-        """Cut the (bidirectional) link between *a* and *b*; messages queue up."""
-        self._partitioned.add(frozenset((a, b)))
-
-    def heal(self, a: str, b: str) -> None:
-        """Reconnect *a* and *b*; held messages deliver on the next pumps."""
-        self._partitioned.discard(frozenset((a, b)))
-
-    def is_partitioned(self, a: str, b: str) -> bool:
-        """``True`` while the pair cannot exchange messages."""
-        return frozenset((a, b)) in self._partitioned
-
-    def partitions(self) -> List[FrozenSet[str]]:
-        """The currently cut pairs."""
-        return list(self._partitioned)
+    def link(self, source: str, destination: str) -> MemoryLink:
+        """The directed link ``source -> destination``."""
+        link = self._links.get((source, destination))
+        if link is None:
+            if source == destination:
+                raise ValueError("a peer does not message itself over the transport")
+            link = self._links[(source, destination)] = MemoryLink(
+                self, source, destination
+            )
+        return link
 
     # ------------------------------------------------------------------
     # Sending and pumping
@@ -182,20 +210,16 @@ class Transport:
         """Enqueue the encoded message *data* on the ``source -> destination``
         link; *kind* and *payloads* (its wire kind and payload count) feed
         the metrics, *clock* rides along to the receiver."""
-        if source == destination:
-            raise ValueError("a peer does not message itself over the transport")
-        link = (source, destination)
         envelope = Envelope(
-            seq=next(self._seq),
             source=source,
             destination=destination,
             payload=data,
-            sent_at=self._tick,
             due_at=self._tick + 1 + self.delay_of(source, destination),
             payload_kind=kind,
             clock=clock,
         )
-        self._queues.setdefault(link, deque()).append(envelope)
+        link = self.link(source, destination)
+        self._queues.setdefault((source, destination), link.queue).append(envelope)
         self.sent += 1
         if kind == "bundle":
             self.bundles_sent += 1
@@ -210,15 +234,17 @@ class Transport:
         Per link, the deliverable prefix (every due message up to the first
         not-yet-due one) is taken in FIFO order; with reordering enabled, all
         due messages are taken regardless of position and the combined batch
-        is shuffled.  Partitioned links deliver nothing.
+        is shuffled.  Held links deliver nothing.
         """
         self._tick += 1
         deliverable: List[Envelope] = []
-        for link, queue in self._queues.items():
+        for pair, queue in self._queues.items():
             if not queue:
                 continue
-            if self._partitioned and frozenset(link) in self._partitioned:
+            link = self._links[pair]
+            if link.held:
                 continue
+            taken = len(deliverable)
             if self._rng is not None:
                 kept: Deque[Envelope] = deque()
                 while queue:
@@ -231,6 +257,7 @@ class Transport:
             else:
                 while queue and queue[0].due_at <= self._tick:
                     deliverable.append(queue.popleft())
+            link.frames_sent += len(deliverable) - taken
         if self._rng is not None and len(deliverable) > 1:
             self._rng.shuffle(deliverable)
         self.delivered += len(deliverable)
@@ -241,21 +268,16 @@ class Transport:
     # ------------------------------------------------------------------
     @property
     def in_flight(self) -> int:
-        """Messages queued anywhere (including those held by partitions)."""
+        """Messages queued anywhere (including those on held links)."""
         return sum(len(queue) for queue in self._queues.values())
 
-    @property
-    def held_by_partition(self) -> int:
-        """Messages currently held on partitioned links (a gauge)."""
-        return sum(
-            len(queue)
-            for link, queue in self._queues.items()
-            if frozenset(link) in self._partitioned
-        )
+    def held(self) -> List[PyTuple[str, str]]:
+        """The held directed links, as ``(source, destination)`` pairs."""
+        return [pair for pair, link in self._links.items() if link.held]
 
     def pending(self, source: str, destination: str) -> int:
         """Messages queued on one directed link."""
-        return len(self._queues.get((source, destination), ()))
+        return self.link(source, destination).queued
 
     def metrics(self) -> Dict[str, int]:
         """Flat counters for the federation metrics snapshot."""
@@ -263,7 +285,9 @@ class Transport:
             "transport_sent": self.sent,
             "transport_delivered": self.delivered,
             "transport_in_flight": self.in_flight,
-            "transport_partitioned_pairs": len(self._partitioned),
+            "transport_partitioned_pairs": len(
+                {frozenset(pair) for pair in self.held()}
+            ),
             "transport_bundles_sent": self.bundles_sent,
             "transport_payloads_sent": self.payloads_sent,
             "transport_wire_bytes_sent": self.wire_bytes_sent,

@@ -14,18 +14,18 @@ parameters, :meth:`ExperimentConfig.small_scale` (the default) shrinks every
 dimension while preserving the qualitative shape of the curves;
 ``tests/workload/test_paper_panels.py`` asserts those shapes at small scale.
 
-Run from the command line::
+Run from the command line (:mod:`repro.workload.__main__`, the
+``repro-experiment`` entry point)::
 
-    python -m repro.workload.experiment --figure 3 --scale small
-    python -m repro.workload.experiment --figure 4 --scale small --runs 3
+    python -m repro.workload --figure 3 --scale small
+    python -m repro.workload --figure 4 --scale small --runs 3
 """
 
 from __future__ import annotations
 
-import argparse
 import random
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple as PyTuple
+from dataclasses import dataclass, replace
+from typing import List, Optional, Tuple as PyTuple
 
 from ..concurrency.aborts import RunStatistics
 from ..concurrency.dependencies import make_tracker
@@ -253,65 +253,3 @@ def run_figure_4(
 ) -> ExperimentResult:
     """Figure 4: the mixed 80% insert / 20% delete workload."""
     return run_workload_experiment(MIXED_WORKLOAD, config, environment)
-
-
-def _parse_arguments(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
-    parser = argparse.ArgumentParser(
-        description="Reproduce the Youtopia update-exchange experiments (Figures 3 and 4)."
-    )
-    parser.add_argument(
-        "--figure", type=int, choices=(3, 4), default=3, help="which figure to reproduce"
-    )
-    parser.add_argument(
-        "--scale",
-        choices=("tiny", "small", "paper"),
-        default="small",
-        help="experiment scale (paper scale is very slow in pure Python)",
-    )
-    parser.add_argument("--runs", type=int, default=None, help="override runs per cell")
-    parser.add_argument("--updates", type=int, default=None, help="override updates per run")
-    parser.add_argument("--seed", type=int, default=None, help="override the base seed")
-    return parser.parse_args(argv)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Command-line entry point."""
-    arguments = _parse_arguments(argv)
-    if arguments.scale == "paper":
-        config = ExperimentConfig.paper_scale()
-    elif arguments.scale == "tiny":
-        config = ExperimentConfig.tiny_scale()
-    else:
-        config = ExperimentConfig.small_scale()
-    overrides = {}
-    if arguments.runs is not None:
-        overrides["runs_per_cell"] = arguments.runs
-    if arguments.updates is not None:
-        overrides["num_updates"] = arguments.updates
-    if arguments.seed is not None:
-        overrides["seed"] = arguments.seed
-    if overrides:
-        config = config.scaled(**overrides)
-
-    def progress(workload, mapping_count, algorithm, run_index, statistics):
-        print(
-            "[{}] mappings={:>3} algo={:<7} run={} aborts={} cascading-requests={}".format(
-                workload,
-                mapping_count,
-                algorithm,
-                run_index,
-                statistics.aborts,
-                statistics.cascading_abort_requests,
-            )
-        )
-
-    environment = build_environment(config)
-    workload_kind = INSERT_WORKLOAD if arguments.figure == 3 else MIXED_WORKLOAD
-    result = run_workload_experiment(workload_kind, config, environment, progress)
-    print()
-    print(result.format_table())
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via the CLI
-    raise SystemExit(main())

@@ -15,8 +15,9 @@ waiting for completions*: arrivals at each peer follow a seeded Poisson
 process (or fixed-size batches on a fixed interval), which is what actually
 exercises admission control — a closed loop self-paces and never builds the
 bursty queues where compatible-group admission has headroom.  Admission
-overflow is modelled as client backoff: the rejected operation retries on a
-later round, counted in the report.
+overflow is the peer's business: a submission its admission queue turns
+away waits there, first come, first served, so every arrival is submitted
+on the round it arrives.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple as PyTuple, Union
-
-from ..service.admission import AdmissionError
 
 from ..core.frontier import (
     DeleteSubsetOperation,
@@ -171,8 +170,6 @@ class FederatedOpenLoopReport:
     rounds: int = 0
     submitted: int = 0
     answered: int = 0
-    #: Submissions rejected by a full admission queue and retried later.
-    backoffs: int = 0
     #: Deepest admission queue observed at any peer during the run.
     max_queue_depth: int = 0
     all_submitted: bool = False
@@ -258,18 +255,10 @@ class FederatedOpenLoopDriver(_QuestionLoop):
             if not stream:
                 continue
             due = min(self.arrivals.draw(self._rng, round_number), len(stream))
-            for _ in range(due):
-                operation = stream[0]
-                try:
-                    self.network.submit(peer, operation)
-                except AdmissionError:
-                    # Bounded admission queue: the open loop backs off and
-                    # re-offers the same operation on a later round (FIFO
-                    # order within the peer's stream is preserved).
-                    report.backoffs += 1
-                    break
-                stream.pop(0)
-                report.submitted += 1
+            for operation in stream[:due]:
+                self.network.submit(peer, operation)
+            del stream[:due]
+            report.submitted += due
 
     def _observe_queues(self, report: FederatedOpenLoopReport) -> None:
         for peer in self.network.peers():

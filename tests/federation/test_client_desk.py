@@ -26,6 +26,7 @@ from repro.federation import (
     ProcessFederationError,
     SocketTransportError,
 )
+from repro.service import AdmissionConfig
 from repro.service.tickets import TicketStatus
 from repro.storage.memory import FrozenDatabase
 
@@ -35,6 +36,11 @@ CHAIN = (
     {"A1": ["x"], "A2": ["x", "y"], "B1": ["x"], "B2": ["x"]},
     ["A1(x) -> exists y . A2(x, y)", "A2(x, y) -> B1(x)", "B1(x) -> B2(x)"],
     {"a": ["A1", "A2"], "b": ["B1", "B2"]},
+)
+RELAY = (
+    {"A1": ["x"], "B1": ["x"]},
+    ["A1(x) -> B1(x)"],
+    {"a": ["A1"], "b": ["B1"]},
 )
 CYCLIC = (
     {"Seed": ["x"], "Person": ["name"], "Father": ["child", "father"]},
@@ -48,7 +54,7 @@ def federation_of(request, tmp_path):
     """Build a federation of the parametrized runtime over a topology."""
 
     @contextlib.contextmanager
-    def build(topology):
+    def build(topology, admission=None):
         relations, mappings, ownership = topology
         schema = DatabaseSchema.from_dict(relations)
         arguments = (
@@ -58,9 +64,11 @@ def federation_of(request, tmp_path):
             ownership,
         )
         if request.param == "inprocess":
-            yield FederatedNetwork(*arguments)
+            yield FederatedNetwork(*arguments, admission=admission)
             return
-        federation = ProcessFederation(*arguments, workdir=str(tmp_path))
+        federation = ProcessFederation(
+            *arguments, admission=admission, workdir=str(tmp_path)
+        )
         try:
             yield federation
         finally:
@@ -104,6 +112,34 @@ def test_tickets_and_rejections(federation_of):
             federation.inbox("zz")
         with pytest.raises(FederationError):
             federation.submit("zz", InsertOperation(make_tuple("A1", "v2")))
+
+
+def test_a_full_admission_queue_defers_submissions_in_order(
+    federation_of, monkeypatch
+):
+    """One admission slot and four submissions at one peer: every call
+    returns a ticket, and the peer commits all four in submission order."""
+    one_slot = AdmissionConfig(max_in_flight=1, batch_size=1, max_queue_depth=1)
+    with federation_of(RELAY, admission=one_slot) as federation:
+        committed = []
+        apply = federation._apply
+
+        def recording(event):
+            if event["t"] == "ticket":
+                committed.append((event["fid"], event["status"]))
+            apply(event)
+
+        monkeypatch.setattr(federation, "_apply", recording)
+        tickets = [
+            federation.submit("a", InsertOperation(make_tuple("A1", value)))
+            for value in ("v0", "v1", "v2", "v3")
+        ]
+        assert [ticket.ticket_id for ticket in tickets] == [1, 2, 3, 4]
+        _settle(federation)
+        assert committed == [(fid, "committed") for fid in (1, 2, 3, 4)]
+        assert [ticket.status for ticket in tickets] == [TicketStatus.COMMITTED] * 4
+        snapshot = federation.global_snapshot()
+        assert (snapshot.count("A1"), snapshot.count("B1")) == (4, 4)
 
 
 def test_routed_question_is_answered_at_its_origin(federation_of):

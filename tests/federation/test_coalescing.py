@@ -133,7 +133,7 @@ class TestBundleTransport:
         transport = Transport()
         runtime = PeerRuntime(
             _StagingPeer(("b", payload) for payload in payloads),
-            {"b": partial(transport.send, "a", "b")},
+            {"b": transport.link("a", "b")},
             None,
             lambda event: None,
         )

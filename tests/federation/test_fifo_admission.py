@@ -1,22 +1,21 @@
 """Admission stays first come, first served across deferrals.
 
 A peer whose bounded admission queue turns work away keeps it: deliveries
-in :attr:`Peer.retry`, a peer process's client submissions in
-:attr:`Peer.deferred`.  Work that arrives while older work waits there must
-queue behind it, even when a slot has just come free, or the newest
-arrival takes the slot the oldest one has been waiting for.
+in :attr:`Peer.retry`, client submissions in :attr:`Peer.deferred` (in both
+runtimes, through the client desk).  Work that arrives while older work
+waits there must queue behind it, even when a slot has just come free, or
+the newest arrival takes the slot the oldest one has been waiting for.
 """
 
 from __future__ import annotations
 
-from repro.codec.wire import encode_user_operation, loads
+import contextlib
+
 from repro.core.schema import DatabaseSchema
 from repro.core.tgd import parse_tgds
 from repro.core.tuples import make_tuple
 from repro.core.update import InsertOperation
-from repro.federation import FederatedNetwork, Transport
-from repro.federation.proc import PeerHost, encode_peer_config
-from repro.federation.socket_transport import SocketAddress
+from repro.federation import FederatedNetwork, ProcessFederation, Transport
 from repro.service import AdmissionConfig
 from repro.service.tickets import TicketStatus
 from repro.storage.memory import FrozenDatabase
@@ -55,32 +54,58 @@ def test_a_fresh_delivery_queues_behind_the_deferred_ones():
     assert _admitted(b.service) == ["w0", "w1", "w2", "w3", "w4"]
 
 
-def test_a_fresh_submission_queues_behind_the_deferred_ones(tmp_path):
+@contextlib.contextmanager
+def _one_slot_federation(runtime, workdir):
+    """Peer ``a`` owns ``A1`` behind one admission slot, in *runtime*."""
     schema = DatabaseSchema.from_dict({"A1": ["x"]})
-    ownership = {"a": ("A1",), "b": ()}
-    addresses = {
-        name: SocketAddress.unix(str(tmp_path / "{}.sock".format(name)))
-        for name in ownership
-    }
-    host = PeerHost(loads(encode_peer_config(
-        "a", schema, FrozenDatabase(schema, {"A1": frozenset()}), [],
-        ownership, addresses, admission=ONE_SLOT,
-    )))
-
-    def submit(fid):
-        operation = InsertOperation(make_tuple("A1", "v{}".format(fid)))
-        host._handle_control(None, {
-            "t": "submit", "fid": fid, "op": encode_user_operation(operation, {}),
-        })
-
+    arguments = (
+        schema, FrozenDatabase(schema, {"A1": frozenset()}), [],
+        {"a": ("A1",), "b": ()},
+    )
+    if runtime is FederatedNetwork:
+        yield FederatedNetwork(*arguments, admission=ONE_SLOT)
+        return
+    federation = ProcessFederation(*arguments, admission=ONE_SLOT, workdir=workdir)
     try:
-        submit(1)
-        submit(2)  # the slot is taken: deferred
-        host.peer.pump()  # v1 leaves the slot for the scheduler
-        assert len(host.peer.deferred) == 1
-        submit(3)
-        host._work()
-        assert host.peer.deferred == []
-        assert _admitted(host.peer.service) == ["v1", "v2", "v3"]
+        yield federation
     finally:
-        host._shutdown()
+        federation.close()
+        federation.assert_reaped()
+
+
+def test_a_fresh_submission_queues_behind_the_deferred_ones(tmp_path, monkeypatch):
+    """Through the client desk, in both runtimes."""
+    for runtime in (FederatedNetwork, ProcessFederation):
+        with _one_slot_federation(runtime, str(tmp_path)) as federation:
+            _submissions_queue_behind_the_deferred_ones(federation, monkeypatch)
+
+
+def _submissions_queue_behind_the_deferred_ones(federation, monkeypatch):
+    committed = []
+    apply = federation._apply
+
+    def recording(event):
+        if event["t"] == "ticket":
+            committed.append(event["fid"])
+        apply(event)
+
+    monkeypatch.setattr(federation, "_apply", recording)
+
+    def submit(value):
+        return federation.submit("a", InsertOperation(make_tuple("A1", value)))
+
+    tickets = [submit("v1"), submit("v2")]  # the slot is taken: v2 is deferred
+    if isinstance(federation, FederatedNetwork):
+        a = federation.peer("a")
+        a.pump()  # v1 leaves the slot for the scheduler
+        assert [fid for fid, _ in a.deferred] == [2]
+    else:
+        federation.poll(0.05)  # the peer admits v1 and defers v2
+    tickets.append(submit("v3"))
+    if isinstance(federation, FederatedNetwork):
+        federation.run_until_quiescent(max_rounds=200)
+        assert _admitted(a.service) == ["v1", "v2", "v3"]
+    else:
+        federation.drain(timeout=120.0)
+    assert committed == [1, 2, 3]
+    assert all(ticket.status is TicketStatus.COMMITTED for ticket in tickets)

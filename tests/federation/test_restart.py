@@ -140,11 +140,16 @@ def test_restart_under_partition_then_heal_converges(tmp_path):
     for _ in range(6):
         network.pump()
         _answer_open_questions(network)
-    held = network.transport.held_by_partition
+    links = [
+        network.transport.link(peers[0], peers[1]),
+        network.transport.link(peers[1], peers[0]),
+    ]
+    assert all(link.held for link in links)
+    held = sum(link.queued for link in links)
     path = str(tmp_path / "partitioned.ckpt")
     network.peer(peers[1]).checkpoint(path)
     network.restart_peer(peers[1], path)
-    assert network.transport.held_by_partition == held  # nothing lost
+    assert sum(link.queued for link in links) == held  # nothing lost
     network.heal(peers[0], peers[1])
     network.run_until_quiescent(answer_strategy=expanding_answer, max_rounds=5_000)
     _assert_converges(environment, network)

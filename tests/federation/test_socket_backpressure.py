@@ -113,7 +113,7 @@ def test_a_checkpoint_whose_destination_stops_reading_fails_without_halting(
             link.send(bytes(1 << 16), "raw", 1, None)
         host._handle_checkpoint({"path": path, "halt": True, "within": 0.2})
         assert link.writing
-        assert not host._halted
+        assert not host.runtime.halted
         assert not os.path.exists(path)
         (frame,) = FrameDecoder().feed(b"".join(host._pending_events))
         reply = loads(frame.payload)

@@ -1,4 +1,4 @@
-"""Transport semantics: FIFO, delay, reorder, partition/heal.
+"""Transport semantics: FIFO, delay, reorder, held links.
 
 The transport carries bytes only (peer runtimes encode and decode), so the
 messages here are byte strings.  The last two tests are about a peer
@@ -97,23 +97,28 @@ def test_reorder_shuffles_batch_deterministically():
 def test_partition_holds_and_heal_releases():
     transport = Transport()
     transport.send("a", "b", b"held")
-    transport.partition("a", "b")
-    assert transport.is_partitioned("b", "a")
+    link = transport.link("a", "b")
+    link.held = True
     assert _payloads(transport.pump()) == []
     assert _payloads(transport.pump()) == []
-    assert transport.in_flight == 1  # nothing lost
-    transport.heal("a", "b")
+    assert link.queued == 1 and link.frames_sent == 0  # nothing lost
+    link.held = False
     assert _payloads(transport.pump()) == [b"held"]
-    assert transport.in_flight == 0
+    assert link.queued == 0 and link.frames_sent == 1
 
 
 def test_partition_is_bidirectional_and_pairwise():
+    # A partition is two directed holds, one at each sender.
     transport = Transport()
-    transport.partition("a", "b")
+    pair = [transport.link("a", "b"), transport.link("b", "a")]
+    for link in pair:
+        link.held = True
     transport.send("b", "a", b"ba")
     transport.send("a", "c", b"ac")
     assert _payloads(transport.pump()) == [b"ac"]
-    transport.heal("a", "b")
+    assert transport.metrics()["transport_partitioned_pairs"] == 1
+    for link in pair:
+        link.held = False
     assert _payloads(transport.pump()) == [b"ba"]
 
 

@@ -1,6 +1,10 @@
 """Tests for the synthetic generators and the experiment harness (Section 6)."""
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -24,6 +28,8 @@ from repro.workload import (
     run_workload_experiment,
 )
 from repro.workload.metrics import CellResult, ExperimentResult, mean
+
+_SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
 
 class TestSchemaGeneration:
@@ -186,6 +192,18 @@ class TestExperimentHarness:
         assert paper.mapping_counts == (20, 40, 60, 80, 100)
         custom = ExperimentConfig.small_scale().scaled(num_updates=5)
         assert custom.num_updates == 5
+
+    def test_the_command_line_runs_without_a_runtime_warning(self):
+        # ``python -m repro.workload`` runs the package's __main__, which the
+        # package itself never imports: no "found in sys.modules" warning.
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.workload",
+             "--help"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(_SRC)),
+        )
+        assert done.returncode == 0, done.stderr
+        assert "--figure" in done.stdout
 
 
 class TestMetrics:

@@ -2,8 +2,8 @@
 
 The open-loop driver decouples submission from completion — the shape where
 admission queues actually build and group admission has headroom.  These
-tests pin the arrival processes (seeded, reproducible), the backoff behavior
-under a bounded admission queue, and — as always — that the drained
+tests pin the arrival processes (seeded, reproducible), the deferral at the
+peers under a bounded admission queue, and — as always — that the drained
 federation still matches the single-repository chase.
 """
 
@@ -21,6 +21,7 @@ from repro.federation import (
     reference_chase,
 )
 from repro.service.admission import AdmissionConfig
+from repro.service.tickets import TicketStatus
 from repro.workload.federated_loop import (
     ArrivalProcess,
     FederatedOpenLoopDriver,
@@ -116,12 +117,24 @@ def test_open_loop_run_drains_and_converges(kind):
     assert convergence.equivalent, convergence.summary()
 
 
-def test_bursty_arrivals_build_queues_and_back_off():
-    """A bounded admission queue under bursts: backoffs happen, nothing lost."""
+class _DeferralRecordingDriver(FederatedOpenLoopDriver):
+    """Also records the longest submission deferral seen at any peer."""
+
+    deepest_deferral = 0
+
+    def _observe_queues(self, report):
+        super()._observe_queues(report)
+        for peer in self.network.peers():
+            self.deepest_deferral = max(self.deepest_deferral, len(peer.deferred))
+
+
+def test_bursty_arrivals_are_deferred_at_the_peers_and_none_is_lost():
+    """A bounded admission queue under bursts: the peers defer the overflow,
+    nothing is lost, and no admission queue grows past its bound."""
     environment = _environment(seed=2, operations_per_peer=10)
     admission = AdmissionConfig(max_in_flight=2, batch_size=1, max_queue_depth=2)
     network = _network(environment, admission=admission)
-    driver = FederatedOpenLoopDriver(
+    driver = _DeferralRecordingDriver(
         network,
         {peer: list(ops) for peer, ops in environment.operations.items()},
         ArrivalProcess(kind="batch", batch_size=10, interval=3, seed=2),
@@ -129,8 +142,11 @@ def test_bursty_arrivals_build_queues_and_back_off():
     )
     report = driver.run(max_rounds=5_000)
     assert report.all_submitted and report.drained
-    assert report.backoffs > 0, "the burst should overflow the bounded queue"
-    assert report.max_queue_depth > 0
+    assert driver.deepest_deferral > 0, "the burst should overflow the bounded queue"
+    assert 0 < report.max_queue_depth <= admission.max_queue_depth
+    assert all(
+        ticket.status is TicketStatus.COMMITTED for ticket in network.tickets()
+    )
     assert report.submitted == sum(
         len(ops) for ops in environment.operations.values()
     )
