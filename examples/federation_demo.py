@@ -75,11 +75,11 @@ def main() -> None:
     # ------------------------------------------------------------------
     operations = [InsertOperation(make_tuple("Offer", "ABC Tours", "Niagara Falls"))]
     network.submit("agency", operations[0])
-    rounds = network.run_until_quiescent()
+    rounds = network.drain()
     snapshot = network.global_snapshot()
     print(
-        "offer cascaded in {} rounds: {} listing(s), {} review(s) by {} critic(s), "
-        "{} archived".format(
+        "offer cascaded (drained in {} status round(s)): {} listing(s), "
+        "{} review(s) by {} critic(s), {} archived".format(
             rounds,
             snapshot.count("Listing"),
             snapshot.count("Review"),
@@ -123,7 +123,7 @@ def main() -> None:
         if isinstance(alternative, UnifyOperation)
     ][0]
     network.answer("archive", question, unify)
-    network.run_until_quiescent(answer_strategy=conservative_answer)
+    network.drain(answer_strategy=conservative_answer)
     print(
         "answered ({}); routed ticket is now: {}".format(
             unify.describe(), ticket.status.value
@@ -153,7 +153,7 @@ def main() -> None:
     )
     assert held > 0 and not network.quiescent()
     network.heal("portal", "archive")
-    network.run_until_quiescent(answer_strategy=conservative_answer)
+    network.drain(answer_strategy=conservative_answer)
     print(
         "healed: archive caught up to {} rows, federation quiescent: {}".format(
             network.peer("archive").service.count("Archived"), network.quiescent()

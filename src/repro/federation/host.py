@@ -70,11 +70,11 @@ class PeerRuntime:
         #: client request and work round that moved anything (and by the
         #: host when its links send).  Unchanged seq between two
         #: observations plus conserved link watermarks means nothing moved
-        #: in between (the socket federation's drain compares it).
+        #: in between (the client desk's drain compares it).
         self.activity_seq = 0
         # *host* is a checkpoint's host extras: a reborn peer continues its
         # link watermarks, or it could never catch up with a survivor's send
-        # counts (a drain compares them across processes).
+        # counts (a drain compares them, in either runtime).
         host = host or {}
         for name, count in host.get("frames_sent", ()):
             links[name].frames_sent = int(count)
@@ -271,8 +271,10 @@ class PeerRuntime:
     def idle_push(self) -> None:
         """Send one went-idle notice to a subscribed drain: the per-link
         watermarks and activity seq, the moment the peer settles, so the
-        drain blocks on its selector instead of pacing status rounds.  An
-        unwatched peer sends none, and a watched one one per activity seq.
+        drain waits for it instead of pacing status rounds.  Called after
+        each work pass: by ``FederatedNetwork.pump`` in process, by the peer
+        host's loop in a peer process.  An unwatched peer sends none, and a
+        watched one one per activity seq.
         """
         if (
             not self.watched
@@ -289,7 +291,7 @@ class PeerRuntime:
             "peer": self.name,
             "activity_seq": self.activity_seq,
             "sent": {peer: link.frames_sent for peer, link in self.links.items()},
-            "received": self.frames_received,
+            "received": dict(self.frames_received),
         })
         self._idle_pushed_at = self.activity_seq
 

@@ -28,9 +28,11 @@ partition is two directed link holds at the senders in both.
 
 The network is cooperatively scheduled like everything else in this
 reproduction: :meth:`pump` performs one federation round (every frame the
-transport releases to its runtime, then one work round per runtime), and
-:meth:`run_until_quiescent` loops it, optionally answering open questions
-with a strategy.
+transport releases to its runtime, one work round per runtime, then each
+runtime's went-idle notice if a drain watches).  The drain is the desk's,
+written once for both runtimes (:meth:`ClientDesk.drain`): the watermark
+protocol over went-idle notices and status rounds, which lets time pass
+here by one :meth:`pump` and over sockets by one selector poll.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ class FederatedTicket:
 FederatedQuestion = QuestionOpened
 
 
-#: ``strategy(question) -> choice`` used by :meth:`run_until_quiescent`.
+#: ``strategy(question) -> choice`` used by :meth:`ClientDesk.drain`.
 AnswerStrategy = Callable[[FederatedQuestion], Union[FrontierOperation, int]]
 
 
@@ -118,8 +120,10 @@ class ClientDesk:
     ticket terminals, questions filed or gone
     (:attr:`~repro.federation.peer.Peer.events`) and replies — a runtime
     hands to :meth:`_receive`.  A runtime opens the desk (:meth:`_open_desk`)
-    and provides ``_send``, the peers it can reach (``_live_peers``), and
-    ``_wait`` for a reply that has not arrived yet.
+    and provides ``_send``, the peers it can reach (``_live_peers``),
+    ``_wait`` for a reply that has not arrived yet, and ``_pass_time(wait)``,
+    its way of letting time pass while :meth:`drain` waits (``False`` when
+    it knows that nothing can move any more unless the desk acts).
     """
 
     def _open_desk(self, schema: DatabaseSchema, mappings, ownership: Dict) -> None:
@@ -136,6 +140,12 @@ class ClientDesk:
         self._replies: Dict[str, Dict[str, List[Dict]]] = {
             name: {} for name in ownership
         }
+        #: The drain's working set: the latest body per peer that carried an
+        #: ``activity_seq`` (went-idle notices, status replies, heartbeats).
+        self._watermarks: Dict[str, Dict] = {}
+        self._next_round = 1
+        #: Decomposition record of the most recent :meth:`drain` (None before one).
+        self.last_drain: Optional[Dict] = None
 
     def _inbox_of(self, peer_name: str) -> Dict[PyTuple[str, int], FederatedQuestion]:
         try:
@@ -260,7 +270,10 @@ class ClientDesk:
         executed, at the desk and at every other live peer.  Its decisions
         died with the old service; the re-submitted updates re-ask them
         under fresh decision ids (the reborn peer drops its own keys on
-        restore)."""
+        restore).  Its drain view goes too: a reborn runtime counts its
+        activity seq from 0 again, and :meth:`_note_watermark` keeps the
+        higher seq, so a stale view would bury every notice it sends."""
+        self._watermarks.pop(name, None)
         for inbox in self._inboxes.values():
             for key in [key for key in inbox if key[0] == name]:
                 del inbox[key]
@@ -268,19 +281,27 @@ class ClientDesk:
             if other != name:
                 self._send(other, {"t": "drop-questions", "executing": name})
 
-    def _answer_open(self, strategy: AnswerStrategy, peer_names: Sequence[str]) -> None:
-        """Answer every open question of *peer_names* with *strategy*."""
-        for peer_name in peer_names:
-            for question in self.inbox(peer_name):
-                self.answer(peer_name, question, strategy(question))
+    def _answer_open(self, strategy: AnswerStrategy, peer_names: Sequence[str]) -> bool:
+        """Answer every open question of *peer_names* with *strategy*;
+        ``True`` when there was one."""
+        questions = [(name, q) for name in peer_names for q in self.inbox(name)]
+        for name, question in questions:
+            self.answer(name, question, strategy(question))
+        return bool(questions)
 
     def _receive(self, name: str, body: Dict) -> None:
         """Take one message from peer *name*: a ``ticket`` terminal status,
         a ``question`` filed in the peer's inbox or a ``question-gone``
-        event is applied, anything else is a reply kept for its awaiter."""
+        event is applied, a went-idle notice becomes the peer's drain view,
+        anything else is a reply kept for its awaiter."""
         kind = body["t"]
         if kind in ("ticket", "question", "question-gone"):
             self._apply(body)
+        elif kind == "idle":
+            # Link watermarks and the activity seq, sent the moment a
+            # watched peer settles.
+            body["quiescent"] = True
+            self._note_watermark(name, body)
         else:
             self._replies[name].setdefault(kind, []).append(body)
 
@@ -303,6 +324,195 @@ class ClientDesk:
         """Wait for more of what peers send; raises past *deadline*.  A peer
         runtime in this process replies inside ``_send``, so none is late."""
         raise FederationError("no {} from peer {!r}".format(kind, name))
+
+    # ------------------------------------------------------------------
+    # Drain: the watermark protocol, for both runtimes
+    # ------------------------------------------------------------------
+    def _note_watermark(self, peer: str, body: Dict) -> None:
+        """Keep *body* as the peer's drain view unless a newer one is held.
+
+        Frames are dispatched as they arrive but a status reply is consumed
+        later, by whoever awaited it: a went-idle notice that was sent after
+        the reply (higher ``activity_seq``) can already be in place by then,
+        and the older reply must not bury it — the peer, idle, would never
+        send another.
+        """
+        known = self._watermarks.get(peer)
+        if known is None or body["activity_seq"] >= known["activity_seq"]:
+            self._watermarks[peer] = body
+
+    def _observe(self, name: str, body: Dict, kind: str) -> None:
+        """Take a status document (*kind* ``status`` or ``telemetry``) from
+        peer *name* as its drain view."""
+        self._note_watermark(name, body)
+
+    def _status_round(self, names: Sequence[str], deadline: float) -> Dict[str, Dict]:
+        """Ask every peer of *names* for its status document; wait for all."""
+        round_number = self._next_round
+        self._next_round += 1
+        for name in names:
+            self._send(name, {"t": "status", "round": round_number})
+        replies: Dict[str, Dict] = {}
+        for name in names:
+            replies[name] = self._await_reply(
+                name,
+                "status-reply",
+                deadline,
+                matches=lambda body: body.get("round") == round_number,
+            )
+            self._observe(name, replies[name], "status")
+        return replies
+
+    @staticmethod
+    def _round_settled(replies: Dict[str, Dict]) -> bool:
+        """One status round's global-quiescence test."""
+        if not all(reply["quiescent"] for reply in replies.values()):
+            return False
+        for name, reply in replies.items():
+            for destination, sent in reply["sent"].items():
+                if destination not in replies:
+                    continue
+                received = replies[destination]["received"].get(name, 0)
+                # At-least-once delivery: a resend after a reconnect can push
+                # received *past* sent, never below it at quiescence.
+                if received < sent:
+                    return False
+        return True
+
+    def drain(
+        self,
+        answer_strategy: Optional[AnswerStrategy] = None,
+        timeout: float = 60.0,
+    ) -> int:
+        """Let time pass, answer, and wait until the federation is drained.
+
+        The protocol is conservation-based and event-driven.  The drain
+        subscribes to every live peer's went-idle notices (a ``watch``
+        control message on entry, cancelled on every way out): a watched
+        peer reports the moment it settles, at once if it already has, and
+        a peer nobody is draining sends none.  Time passes (``_pass_time``)
+        until every live peer's view is quiescent with every link's
+        frames-sent equal to the destination's frames-received; then one
+        confirming status round decides.  Drained iff that round is settled
+        and no peer's monotonic ``activity_seq`` advanced since its view was
+        observed — an unchanged seq brackets the gap, so no frame can have
+        moved in between.  With *answer_strategy*, every open question is
+        answered by (a client of) the peer whose inbox holds it as time
+        passes, and the drain goes on while any is open.
+
+        Returns the number of status rounds; raises ``RuntimeError`` past
+        *timeout* seconds, or at once when ``_pass_time`` knows that nothing
+        moves any more and no answer is due (e.g. a held link in process).
+        Each call leaves a latency-decomposition record (round count,
+        per-round wall seconds, settle reason, time-to-idle) on
+        ``self.last_drain``.
+        """
+        # Settle state never survives across drain calls: a previous drain
+        # that died mid-round (peer-lost, timeout) can leave status replies
+        # parked that no awaiter will ever claim.
+        for replies in self._replies.values():
+            replies.pop("status-reply", None)
+        started = time.monotonic()
+        deadline = started + timeout
+        round_seconds: List[float] = []
+        rounds = 0
+        time_to_idle: Optional[float] = None
+        wait = 0.0
+        # Subscribe before looking at any view: a peer that is already idle
+        # answers the watch with a notice at once, a busy one when it settles.
+        self._watch(True)
+        try:
+            while True:
+                moving = self._pass_time(wait)
+                wait = 0.0
+                # Live names *after* time passed: a peer lost just now must
+                # not be sent a status request.
+                names = self._live_peers()
+                views = {
+                    name: self._watermarks[name]
+                    for name in names
+                    if name in self._watermarks
+                }
+                if time.monotonic() > deadline:
+                    self._record_drain(rounds, started, round_seconds, "timeout")
+                    why = "within {}s".format(timeout)
+                    raise RuntimeError(self._drain_failure_message(why, views))
+                if answer_strategy is not None:
+                    moving |= self._answer_open(answer_strategy, names)
+                if len(views) < len(names) or not self._round_settled(views):
+                    if not moving:
+                        # Undrainable (a held link, a parked question and no
+                        # strategy, frames lost with a crash): say so now.
+                        self._record_drain(rounds, started, round_seconds, "stuck")
+                        raise RuntimeError(self._drain_failure_message(
+                            "(nothing moves any more)",
+                            self._status_round(names, deadline),
+                        ))
+                    # Not a candidate yet (a peer with no view reports as
+                    # soon as it is idle, being watched): let time pass.
+                    time_to_idle = None
+                    wait = min(0.25, max(0.0, deadline - time.monotonic()))
+                    continue
+                # Candidate: every live peer's last view is idle and the
+                # per-link watermarks conserve; the confirm decides.
+                if time_to_idle is None:
+                    time_to_idle = time.monotonic() - started
+                round_started = time.monotonic()
+                replies = self._status_round(names, deadline)
+                round_seconds.append(time.monotonic() - round_started)
+                rounds += 1
+                if not self._round_settled(replies) or any(
+                    replies[name]["activity_seq"] != views[name]["activity_seq"]
+                    for name in names
+                ):
+                    # Stale (activity since the views were taken): the
+                    # replies just refreshed every view for the next pass.
+                    time_to_idle = None
+                elif answer_strategy is None or not any(
+                    self._inboxes[name] for name in names
+                ):
+                    self._record_drain(
+                        rounds, started, round_seconds, "watermark-idle",
+                        time_to_idle,
+                    )
+                    return rounds
+        except FederationError:
+            # A status round hung on a lost peer: record what the drain
+            # managed before surfacing the coordination failure.
+            self._record_drain(rounds, started, round_seconds, "peer-lost")
+            raise
+        finally:
+            self._watch(False)
+
+    def _watch(self, on: bool) -> None:
+        """Subscribe to (or cancel) every live peer's went-idle notices."""
+        for name in self._live_peers():
+            self._send(name, {"t": "watch", "on": on})
+
+    def _drain_failure_message(self, why: str, replies: Dict[str, Dict]) -> str:
+        keys = ("quiescent", "outbox", "queued", "retry", "held", "sent", "received")
+        return "federation failed to drain {}: {}".format(why, {
+            name: {key: reply.get(key) for key in keys}
+            for name, reply in replies.items()
+        })
+
+    def _record_drain(
+        self,
+        rounds: int,
+        started: float,
+        round_seconds: List[float],
+        settle_reason: str,
+        time_to_idle: Optional[float] = None,
+    ) -> None:
+        record = {
+            "rounds": rounds,
+            "seconds": time.monotonic() - started,
+            "round_seconds": [round(value, 6) for value in round_seconds],
+            "settle_reason": settle_reason,
+        }
+        if time_to_idle is not None:
+            record["time_to_idle_seconds"] = round(time_to_idle, 6)
+        self.last_drain = record
 
     def _apply(self, event: Dict) -> None:
         """Apply one peer event: a ``ticket`` terminal status, a ``question``
@@ -448,8 +658,10 @@ class FederatedNetwork(ClientDesk):
         """Kill peer *name* and rebuild it from a checkpoint file.
 
         The old peer object (service, store, scheduler, sessions) is simply
-        dropped — that *is* the crash.  The replacement is restored from the
-        checkpoint (see :meth:`Peer.restore`) and runs in a new runtime.
+        dropped — that *is* the crash.  The replacement is restored from a
+        :meth:`checkpoint_peer` file and continues its link watermarks (a
+        bare :meth:`Peer.checkpoint` file has none and is refused: no drain
+        could settle after it).
         Envelopes in flight on the transport are untouched and deliver to
         the reborn peer as usual (delivery re-submits through its admission
         queue, so nothing cares that the service behind the name changed).
@@ -461,10 +673,12 @@ class FederatedNetwork(ClientDesk):
         reborn, restored = Peer.restore(
             name, path, self.rules, **self._service_arguments[name]
         )
+        if "host" not in restored.extra:
+            raise FederationError("{!r} is no checkpoint_peer file".format(path))
         # The network observes the crash; its counters do not restart.
         for counter in self._peer_counters:
             setattr(reborn, counter, getattr(old, counter))
-        self._run(reborn, restored.extra.get("host"))
+        self._run(reborn, restored.extra["host"])
         self._restarted(name)
         return reborn
 
@@ -485,42 +699,27 @@ class FederatedNetwork(ClientDesk):
             if service_report is not None:
                 report.steps += service_report.steps
                 report.committed += len(service_report.committed)
+        for runtime in self._runtimes.values():
+            runtime.idle_push()
         return report
 
-    # ------------------------------------------------------------------
-    # Quiescence and draining
-    # ------------------------------------------------------------------
+    def _pass_time(self, wait: float) -> bool:
+        """A drain's time passes one round at a time; ``False`` when no
+        activity seq advanced and every queued envelope sits on a held link."""
+        runtimes = self._runtimes.values()
+        before = [runtime.activity_seq for runtime in runtimes]
+        self.pump()
+        return before != [runtime.activity_seq for runtime in runtimes] or any(
+            link.queued and not link.held for r in runtimes for link in r.links.values()
+        )
+
     def quiescent(self) -> bool:
-        """``True`` when no queue anywhere can produce further work."""
-        return not self.transport.in_flight and all(
-            peer.idle for peer in self.peers()
-        )
+        """``True`` when no runtime can produce further work: every peer is
+        idle and no link holds an envelope."""
+        return all(runtime.is_idle() for runtime in self._runtimes.values())
 
-    def run_until_quiescent(
-        self,
-        answer_strategy: Optional[AnswerStrategy] = None,
-        max_rounds: int = 10_000,
-    ) -> int:
-        """Pump until the federation drains; returns the number of rounds.
-
-        With *answer_strategy*, every open federated question is answered by
-        (a client of) the peer whose inbox holds it, each round.  Without one,
-        the loop still drains workloads that never park.  Raises
-        ``RuntimeError`` when *max_rounds* pass without quiescence — e.g.
-        while a held link still holds envelopes.
-        """
-        for round_number in range(1, max_rounds + 1):
-            self.pump()
-            if answer_strategy is not None:
-                self._answer_open(answer_strategy, self.peer_names())
-            if self.quiescent():
-                return round_number
-        raise RuntimeError(
-            "federation failed to drain within {} rounds "
-            "(transport in flight: {}, held links: {})".format(
-                max_rounds, self.transport.in_flight, self.transport.held()
-            )
-        )
+    #: The drain's former name, kept for the benchmark's in-process system.
+    run_until_quiescent = ClientDesk.drain
 
     # ------------------------------------------------------------------
     # Metrics

@@ -18,13 +18,12 @@ waits on a peer's reading: a frame a socket cannot take yet leaves when
 ``poll`` next turns the selector, and a control stream that ends or breaks,
 on a read or a write, takes one lost path.
 
-What distribution adds is ``drain`` (the process world's
-``run_until_quiescent``), ``checkpoint_peer``'s quiesce loop and
-``kill_peer``.  Quiescence is a distributed condition: ``drain`` declares the
-federation quiescent only when every peer reports itself idle, every
-directed link's receive counter has caught up with its send counter, and
-one confirming status round finds no peer's activity sequence moved since
-those views were taken.
+The drain is the desk's too (:meth:`~repro.federation.network.ClientDesk.drain`,
+the watermark protocol both runtimes run); here its time passes in
+``poll``, and a drain that times out names each peer's liveness.  What
+distribution adds is ``checkpoint_peer``'s quiesce loop, ``kill_peer``, and
+the telemetry plane: heartbeats feed the timeline, and each drain's record
+lands on the timeline and in the spool.
 
 Peers are forked from the coordinator (POSIX only), which has already
 imported every module a peer runs, so a peer starts in milliseconds instead
@@ -68,7 +67,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from ..codec.framing import FRAME_CONTROL, encode_frame
 from ..codec.wire import decode_payload, dumps, loads
 from .exchange import FederationError
-from .network import REPLY_TIMEOUT, AnswerStrategy, ClientDesk
+from .network import REPLY_TIMEOUT, ClientDesk
 from ..obs import trace as obs_trace
 from ..obs.timeline import TelemetryTimeline
 from ..obs.trace import encode_record
@@ -263,15 +262,6 @@ class ProcessFederation(ClientDesk):
         for name in self._ownership:
             self.timeline.register_peer(name)
         self._last_liveness: Dict[str, str] = {}
-        #: Decomposition record of the most recent drain() (None before one).
-        self.last_drain: Optional[Dict] = None
-        #: The watermark drain's working set: the latest body per peer that
-        #: carried an ``activity_seq`` (went-idle notices a drain subscribed
-        #: to, heartbeats, and status replies all qualify).  Kept apart
-        #: from the timeline's view on purpose — kill/restart *clears*
-        #: a peer's entry, because a reborn peer resets its activity seq and
-        #: a stale pre-restart view could coincidentally match it.
-        self._watermarks: Dict[str, Dict] = {}
         self._spool_path = os.path.join(self.workdir, "telemetry.jsonl")
         try:
             self._spool_handle = open(self._spool_path, "a")
@@ -291,7 +281,6 @@ class ProcessFederation(ClientDesk):
             for name in self._ownership
         }
         self._selector = selectors.DefaultSelector()
-        self._next_round = 1
         self._closed = False
         #: Peers whose control EOF is expected (killed or exiting).
         self._expect_eof: set = set()
@@ -405,22 +394,11 @@ class ProcessFederation(ClientDesk):
         except (OSError, ValueError):  # pragma: no cover - best effort
             pass
 
-    def _note_watermark(self, peer: str, body: Dict) -> None:
-        """Keep *body* as the peer's drain view unless a newer one is held.
-
-        Frames are dispatched as they arrive but a status reply is consumed
-        later, by whoever awaited it: a went-idle notice that was sent after
-        the reply (higher ``activity_seq``) can already be in place by then,
-        and the older reply must not bury it — the peer, idle, would never
-        send another.
-        """
-        known = self._watermarks.get(peer)
-        if known is None or body["activity_seq"] >= known["activity_seq"]:
-            self._watermarks[peer] = body
-
-    def _observe_telemetry(self, peer: str, body: Dict, kind: str) -> None:
-        if "activity_seq" in body:
-            self._note_watermark(peer, body)
+    def _observe(self, peer: str, body: Dict, kind: str) -> None:
+        """A heartbeat or status reply is the drain's view, and the
+        timeline's: a drain round proves the peer alive, so post-drain
+        metrics() is at least as fresh as the last round."""
+        super()._observe(peer, body, kind)
         self.timeline.observe(peer, body, kind=kind)
         self._spool({
             "rec": "telemetry",
@@ -465,22 +443,19 @@ class ProcessFederation(ClientDesk):
 
     def _dispatch(self, handle: _PeerHandle, body: Dict) -> None:
         kind = body["t"]
+        if kind == "telemetry":
+            self._observe(handle.name, body, "telemetry")
+            return
         if kind == "idle":
-            # The went-idle notice: link watermarks and the activity seq,
-            # nothing more — it feeds the drain and proves the peer alive,
-            # but is neither kept as the timeline's view nor spooled
-            # (a drain gets one per settling of every peer it watches).
-            body["quiescent"] = True
-            self._note_watermark(body["peer"], body)
-            self.timeline.touch(body["peer"])
-        elif kind == "telemetry":
-            self._observe_telemetry(body["peer"], body, "telemetry")
-        else:
-            # An event, or a reply (status-reply, checkpoint-done,
-            # snapshot-reply, trace-exported) parked for its awaiter.
-            if kind == "question":
-                body["q"] = decode_payload(body["q"], self.rules.by_name)
-            self._receive(handle.name, body)
+            # A went-idle notice feeds the drain and proves the peer alive,
+            # but is neither kept as the timeline's view nor spooled (a
+            # drain gets one per settling of every peer it watches).
+            self.timeline.touch(handle.name)
+        elif kind == "question":
+            body["q"] = decode_payload(body["q"], self.rules.by_name)
+        # An event, a went-idle notice, or a reply (status-reply,
+        # checkpoint-done, snapshot-reply, trace-exported) for its awaiter.
+        self._receive(handle.name, body)
 
     def _wait(self, name: str, kind: str, deadline: float) -> None:
         if time.monotonic() > deadline:
@@ -528,202 +503,29 @@ class ProcessFederation(ClientDesk):
                 channel.write(frame)
 
     # ------------------------------------------------------------------
-    # Drain (the distributed run_until_quiescent)
+    # The drain's socket-specific pieces
     # ------------------------------------------------------------------
-    def _status_round(self, names: Sequence[str], deadline: float) -> Dict[str, Dict]:
-        round_number = self._next_round
-        self._next_round += 1
-        for name in names:
-            self._send(name, {"t": "status", "round": round_number})
-        replies: Dict[str, Dict] = {}
-        for name in names:
-            replies[name] = self._await_reply(
-                name,
-                "status-reply",
-                deadline,
-                matches=lambda body: body.get("round") == round_number,
-            )
-            # Status replies feed the timeline too: a drain round proves the
-            # peer alive, and its reply becomes the view, so post-drain
-            # metrics() is at least as fresh as the last round.
-            self._observe_telemetry(name, replies[name], "status")
-        return replies
-
-    @staticmethod
-    def _round_settled(replies: Dict[str, Dict]) -> bool:
-        """One status round's global-quiescence test."""
-        if not all(reply["quiescent"] for reply in replies.values()):
-            return False
-        for name, reply in replies.items():
-            for destination, sent in reply["sent"].items():
-                if destination not in replies:
-                    continue
-                received = replies[destination]["received"].get(name, 0)
-                # At-least-once delivery: a resend after a reconnect can push
-                # received *past* sent, never below it at quiescence.
-                if received < sent:
-                    return False
+    def _pass_time(self, wait: float) -> bool:
+        """Up to *wait* seconds on the selector; the peers work on their own."""
+        self.poll(wait)
         return True
 
-    def drain(
-        self,
-        answer_strategy: Optional[AnswerStrategy] = None,
-        timeout: float = 60.0,
-    ) -> int:
-        """Poll, answer, and wait until the federation is drained.
-
-        The protocol is conservation-based and event-driven.  The drain
-        subscribes to every live peer's went-idle notices (a ``watch``
-        control frame on entry, cancelled on every way out): a watched peer
-        reports the moment it settles, at once if it already has, and a
-        peer nobody is draining sends none.  The coordinator blocks on its
-        selector until every live peer's view is quiescent with every
-        link's frames-sent equal to the destination's frames-received, then
-        issues exactly one confirming status round.  Drained iff the confirm
-        round is settled and no peer's monotonic ``activity_seq`` advanced
-        since its view was observed — an unchanged seq brackets the gap, so
-        no frame can have moved in between.
-
-        Returns the number of status rounds.  Each call leaves a
-        latency-decomposition record (round count, per-round wall seconds,
-        settle reason, time-to-idle) on ``self.last_drain`` and the
-        telemetry timeline's ``drains`` list.
-        """
-        # Settle state never survives across drain calls: a previous drain
-        # that died mid-round (peer-lost, timeout) can leave status replies
-        # parked that no awaiter will ever claim.
-        for replies in self._replies.values():
-            replies.pop("status-reply", None)
-        deadline = time.monotonic() + timeout
-        started = time.monotonic()
-        round_seconds: List[float] = []
-        rounds = 0
-        time_to_idle: Optional[float] = None
-        # Subscribe before looking at any view: a peer that is already idle
-        # answers the watch with a notice at once, a busy one when it settles.
-        self._watch(True)
-        try:
-            while True:
-                self.poll(0.0)
-                # Live names *after* the poll: an EOF processed just now
-                # must not leave us sending a status frame to a dead channel.
-                names = self._live_peers()
-                if answer_strategy is not None:
-                    self._answer_open(answer_strategy, names)
-                views = {
-                    name: self._watermarks[name]
-                    for name in names
-                    if name in self._watermarks
-                }
-                if len(views) < len(names) or not self._round_settled(views):
-                    # Not a candidate yet (a peer with no observation at all
-                    # — fresh spawn, cleared by restart — reports as soon as
-                    # it is idle, being watched): block on the selector
-                    # until a went-idle push (or heartbeat) moves some view.
-                    time_to_idle = None
-                    self.poll(min(0.25, max(0.0, deadline - time.monotonic())))
-                    if time.monotonic() > deadline:
-                        self._record_drain(
-                            rounds, started, round_seconds, "timeout"
-                        )
-                        raise RuntimeError(
-                            self._drain_timeout_message(timeout, views)
-                        )
-                    continue
-                # Candidate: every live peer's last observation is idle and
-                # the per-link watermarks conserve.  One confirming status
-                # round decides it — if no activity seq moved between each
-                # view and its confirm reply, nothing was in flight when the
-                # views were taken, so the settled confirm is the truth.
-                if time_to_idle is None:
-                    time_to_idle = time.monotonic() - started
-                trigger = {
-                    name: view["activity_seq"] for name, view in views.items()
-                }
-                round_started = time.monotonic()
-                replies = self._status_round(names, deadline)
-                round_seconds.append(time.monotonic() - round_started)
-                rounds += 1
-                if self._round_settled(replies) and all(
-                    replies[name]["activity_seq"] == trigger[name]
-                    for name in names
-                ):
-                    open_questions = sum(
-                        len(self._inboxes[name]) for name in names
-                    )
-                    if answer_strategy is not None and open_questions:
-                        continue
-                    self._record_drain(
-                        rounds, started, round_seconds, "watermark-idle",
-                        time_to_idle,
-                    )
-                    return rounds
-                # The candidate was stale (activity since the views were
-                # taken); the confirm replies just refreshed every view, so
-                # the next iteration re-evaluates from them.
-                time_to_idle = None
-                if time.monotonic() > deadline:
-                    self._record_drain(
-                        rounds, started, round_seconds, "timeout"
-                    )
-                    raise RuntimeError(
-                        self._drain_timeout_message(timeout, replies)
-                    )
-        except ProcessFederationError:
-            # A status round hung on a dead/stalled peer: record what the
-            # drain managed before surfacing the coordination failure.
-            self._record_drain(rounds, started, round_seconds, "peer-lost")
-            raise
-        finally:
-            self._watch(False)
-
     def _watch(self, on: bool) -> None:
-        """Subscribe to (or cancel) every live peer's went-idle notices.  A
-        watch left on by a peer that broke is harmless: the next watch-on
-        resets it."""
-        self._broadcast(self._handles, {"t": "watch", "on": on})
+        """The desk's watch, past broken streams (the next poll takes the
+        lost path; a watch left on at a broken peer is harmless)."""
+        self._broadcast(self._live_peers(), {"t": "watch", "on": on})
 
-    def _drain_timeout_message(self, timeout: float, replies: Dict[str, Dict]) -> str:
-        return (
-            "process federation failed to drain within {}s: "
-            "liveness={} {}".format(
-                timeout,
-                {
-                    name: entry["state"]
-                    for name, entry in self.liveness().items()
-                },
-                {
-                    name: {
-                        key: reply.get(key)
-                        for key in (
-                            "quiescent", "outbox", "queued",
-                            "retry", "held", "sent", "received",
-                        )
-                    }
-                    for name, reply in replies.items()
-                },
-            )
+    def _drain_failure_message(self, why: str, replies: Dict[str, Dict]) -> str:
+        return "process {} liveness={}".format(
+            super()._drain_failure_message(why, replies),
+            {name: entry["state"] for name, entry in self.liveness().items()},
         )
 
-    def _record_drain(
-        self,
-        rounds: int,
-        started: float,
-        round_seconds: List[float],
-        settle_reason: str,
-        time_to_idle: Optional[float] = None,
-    ) -> None:
-        record = {
-            "rounds": rounds,
-            "seconds": time.monotonic() - started,
-            "round_seconds": [round(value, 6) for value in round_seconds],
-            "settle_reason": settle_reason,
-        }
-        if time_to_idle is not None:
-            record["time_to_idle_seconds"] = round(time_to_idle, 6)
-        self.last_drain = record
-        self.timeline.record_drain(record)
-        self._spool({"rec": "drain", "wall": time.time(), "drain": record})
+    def _record_drain(self, *args, **kwargs) -> None:
+        """Each drain's record also lands on the timeline and in the spool."""
+        super()._record_drain(*args, **kwargs)
+        self.timeline.record_drain(self.last_drain)
+        self._spool({"rec": "drain", "wall": time.time(), "drain": self.last_drain})
 
     # ------------------------------------------------------------------
     # Checkpoint, kill, restart
@@ -812,10 +614,6 @@ class ProcessFederation(ClientDesk):
         self._inbox_of(name)
         handle = self._handles[name]
         self._expect_eof.add(name)
-        # A dead peer's last observation is no longer a watermark: its
-        # reborn process restarts the activity seq, and a stale view could
-        # coincidentally match the fresh one.
-        self._watermarks.pop(name, None)
         if handle.channel is not None:
             self._lost(handle)
         if handle.process is not None and handle.process.poll() is None:
@@ -846,7 +644,6 @@ class ProcessFederation(ClientDesk):
                 raise ProcessFederationError(
                     "peer {!r} is still running; kill_peer first".format(name)
                 )
-        self._watermarks.pop(name, None)
         self._spawn(name, restore=path)
         self._connect(name)
         # The reborn process starts a fresh heartbeat stream.

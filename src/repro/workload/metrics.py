@@ -9,7 +9,7 @@ slowdown of PRECISE relative to COARSE in per-update execution time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple as PyTuple
+from typing import Dict, List, Tuple as PyTuple
 
 from ..concurrency.aborts import RunStatistics
 from ..obs.stats import mean  # noqa: F401  (re-exported: the one shared implementation)

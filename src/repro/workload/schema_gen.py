@@ -8,7 +8,7 @@ seeded so that every experiment cell sees the same schema.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from ..core.schema import DatabaseSchema, RelationSchema, generic_attributes
 

@@ -78,13 +78,6 @@ def federation_of(request, tmp_path):
     return build
 
 
-def _settle(federation):
-    if isinstance(federation, FederatedNetwork):
-        federation.run_until_quiescent()
-    else:
-        federation.drain(timeout=TIMEOUT)
-
-
 def _advance(federation):
     if isinstance(federation, FederatedNetwork):
         federation.pump()
@@ -102,7 +95,7 @@ def test_tickets_and_rejections(federation_of):
         assert [ticket.ticket_id for ticket in tickets] == [1, 2, 3]
         assert federation.tickets() == tickets
         assert [ticket.target for ticket in tickets] == ["a", "b", "b"]
-        _settle(federation)
+        federation.drain(timeout=TIMEOUT)
         assert [ticket.status for ticket in tickets] == [TicketStatus.COMMITTED] * 3
         assert all(ticket.is_done for ticket in tickets)
         assert federation.ticket(2) is tickets[1]
@@ -112,6 +105,19 @@ def test_tickets_and_rejections(federation_of):
             federation.inbox("zz")
         with pytest.raises(FederationError):
             federation.submit("zz", InsertOperation(make_tuple("A1", "v2")))
+
+
+def test_a_drain_leaves_the_same_record_in_both_runtimes(federation_of):
+    with federation_of(CHAIN) as federation:
+        federation.submit("a", InsertOperation(make_tuple("A1", "v1")))
+        rounds = federation.drain(timeout=TIMEOUT)
+        record = federation.last_drain
+        assert set(record) == {
+            "rounds", "seconds", "round_seconds", "settle_reason",
+            "time_to_idle_seconds",
+        }
+        assert record["rounds"] == rounds == len(record["round_seconds"]) >= 1
+        assert record["settle_reason"] == "watermark-idle"
 
 
 def test_a_full_admission_queue_defers_submissions_in_order(
@@ -135,7 +141,7 @@ def test_a_full_admission_queue_defers_submissions_in_order(
             for value in ("v0", "v1", "v2", "v3")
         ]
         assert [ticket.ticket_id for ticket in tickets] == [1, 2, 3, 4]
-        _settle(federation)
+        federation.drain(timeout=TIMEOUT)
         assert committed == [(fid, "committed") for fid in (1, 2, 3, 4)]
         assert [ticket.status for ticket in tickets] == [TicketStatus.COMMITTED] * 4
         snapshot = federation.global_snapshot()
@@ -165,7 +171,7 @@ def test_routed_question_is_answered_at_its_origin(federation_of):
         federation.answer("a", question, unify)
         with pytest.raises(FederationError):
             federation.answer("a", question, unify)
-        _settle(federation)
+        federation.drain(timeout=TIMEOUT)
         assert ticket.status is TicketStatus.COMMITTED
         assert federation.inbox("a") == []
         snapshot = federation.global_snapshot()
@@ -181,7 +187,7 @@ def test_a_link_to_an_unknown_peer_or_to_itself_is_rejected(federation_of):
                 federation.heal(a, b)
         # Nothing reached a peer: the federation works on, every peer alive.
         ticket = federation.submit("a", InsertOperation(make_tuple("A1", "v1")))
-        _settle(federation)
+        federation.drain(timeout=TIMEOUT)
         assert ticket.status is TicketStatus.COMMITTED
         if isinstance(federation, ProcessFederation):
             assert all(
@@ -202,7 +208,7 @@ def test_a_call_naming_an_unknown_peer_is_rejected(federation_of, tmp_path):
                 federation.kill_peer("zz")
         # Nothing reached a peer: the federation works on, every peer alive.
         ticket = federation.submit("a", InsertOperation(make_tuple("A1", "v1")))
-        _settle(federation)
+        federation.drain(timeout=TIMEOUT)
         assert ticket.status is TicketStatus.COMMITTED
         if isinstance(federation, ProcessFederation):
             assert all(

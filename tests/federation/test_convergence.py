@@ -359,7 +359,7 @@ def test_partition_then_heal_converges():
     assert not network.quiescent()
     network.heal(peers[0], peers[1])
     network.heal(peers[1], peers[2])
-    network.run_until_quiescent(answer_strategy=expanding_answer, max_rounds=5_000)
+    network.drain(answer_strategy=expanding_answer)
     report = _assert_converges(environment, network)
     assert report.equivalent
 

@@ -49,7 +49,7 @@ def test_a_fresh_delivery_queues_behind_the_deferred_ones():
     assert len(b.retry) == 3
     assert b.service.queue_depth == 0
     tickets.append(network.submit("a", InsertOperation(make_tuple("B1", "w4"))))
-    network.run_until_quiescent(max_rounds=200)
+    network.drain()
     assert all(ticket.status is TicketStatus.COMMITTED for ticket in tickets)
     assert _admitted(b.service) == ["w0", "w1", "w2", "w3", "w4"]
 
@@ -102,10 +102,8 @@ def _submissions_queue_behind_the_deferred_ones(federation, monkeypatch):
     else:
         federation.poll(0.05)  # the peer admits v1 and defers v2
     tickets.append(submit("v3"))
+    federation.drain(timeout=120.0)
     if isinstance(federation, FederatedNetwork):
-        federation.run_until_quiescent(max_rounds=200)
         assert _admitted(a.service) == ["v1", "v2", "v3"]
-    else:
-        federation.drain(timeout=120.0)
     assert committed == [1, 2, 3]
     assert all(ticket.status is TicketStatus.COMMITTED for ticket in tickets)

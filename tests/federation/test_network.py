@@ -54,8 +54,8 @@ def chain_fixture(delay=1, reorder_seed=None):
 def test_forward_cascade_across_peers():
     schema, mappings, initial, network = chain_fixture()
     network.submit("a", InsertOperation(make_tuple("A1", "v1")))
-    rounds = network.run_until_quiescent()
-    assert rounds >= 2  # at least one transport crossing
+    network.drain()
+    assert network.metrics()["transport_delivered"] >= 1
     snapshot = network.global_snapshot()
     assert snapshot.count("A1") == 1
     assert snapshot.count("A2") == 1
@@ -74,9 +74,9 @@ def test_backward_retraction_cascades_to_source_peer():
         DeleteOperation(make_tuple("B1", "v1")),
     ]
     network.submit("a", operations[0])
-    network.run_until_quiescent()
+    network.drain()
     network.submit("b", operations[1])
-    network.run_until_quiescent()
+    network.drain()
     snapshot = network.global_snapshot()
     # The retraction deleted A2 at a, whose local backward chase deleted A1.
     assert snapshot.count("A1") == 0
@@ -92,7 +92,7 @@ def test_user_update_routed_to_owner_with_commit_notice():
     ticket = network.submit("a", InsertOperation(make_tuple("B1", "w")))
     assert ticket.is_remote and ticket.target == "b"
     assert ticket.status is TicketStatus.QUEUED
-    network.run_until_quiescent()
+    network.drain()
     assert ticket.status is TicketStatus.COMMITTED
     assert network.metrics()["updates_routed"] == 1
     # The update executed at b: b's store holds it, a's does not.
@@ -112,15 +112,43 @@ def test_commit_notice_is_delayed_by_partition():
     assert ticket.status is TicketStatus.QUEUED
     assert network.peer("b").service.count("B1") == 0
     network.heal("a", "b")
-    network.run_until_quiescent()
+    network.drain()
     assert ticket.status is TicketStatus.COMMITTED
+
+
+def test_a_drain_that_cannot_settle_says_so_at_once():
+    """A held link holds the cascade, so no pump can move anything: the
+    drain raises at once, naming the held link, not at its timeout."""
+    _, _, _, network = chain_fixture()
+    network.partition("a", "b")
+    network.submit("a", InsertOperation(make_tuple("A1", "v1")))
+    with pytest.raises(RuntimeError, match="nothing moves") as failure:
+        network.drain(timeout=60.0)
+    assert "'held': ['b']" in str(failure.value)
+    assert network.last_drain["settle_reason"] == "stuck"
+    network.heal("a", "b")
+    network.drain()
+    assert network.global_snapshot().count("B2") == 1
+
+
+def test_a_went_idle_notice_carries_a_copy_of_the_receive_counters():
+    """Like a status reply: the drain view stays what the peer reported."""
+    _, _, _, network = chain_fixture()
+    network.submit("a", InsertOperation(make_tuple("A1", "v1")))
+    network.drain()
+    runtime = network._runtimes["b"]
+    notices = []
+    runtime._events = notices.append
+    runtime.control({"t": "watch", "on": True})
+    assert notices[0]["received"] == runtime.frames_received == {"a": 1}
+    assert notices[0]["received"] is not runtime.frames_received
 
 
 def test_unowned_relations_stay_empty_everywhere():
     _, _, _, network = chain_fixture()
     network.submit("a", InsertOperation(make_tuple("A1", "v1")))
     network.submit("b", InsertOperation(make_tuple("B1", "w1")))
-    network.run_until_quiescent()
+    network.drain()
     for peer in network.peers():
         snapshot = peer.service.snapshot()
         for relation in snapshot.relations():
@@ -157,6 +185,14 @@ def question_fixture():
     return network
 
 
+def _unify(question):
+    return next(
+        alternative
+        for alternative in question.alternatives()
+        if isinstance(alternative, UnifyOperation)
+    )
+
+
 def _pump_until_question(network, peer_name, max_rounds=50):
     for _ in range(max_rounds):
         network.pump()
@@ -180,7 +216,7 @@ def test_question_routes_to_originating_peer_and_answer_resumes():
     ][0]
     network.answer("a", question, unify)
     assert network.inbox("a") == []  # removed optimistically
-    network.run_until_quiescent()
+    network.drain()
     snapshot = network.global_snapshot()
     assert snapshot.count("Person") == 1
     assert snapshot.count("Father") == 1
@@ -188,6 +224,37 @@ def test_question_routes_to_originating_peer_and_answer_resumes():
     assert metrics["questions_routed"] == 1
     assert metrics["answers_routed"] == 1
     assert metrics["answers_dropped"] == 0
+
+
+def test_an_answer_during_a_drain_makes_its_first_candidate_stale(monkeypatch):
+    """b's drain view is the idle one the previous drain confirmed.  Since
+    then a question parked at b, and the drain's own answer moves b again:
+    every view still reads idle and conserved, so the drain confirms a
+    candidate that is stale, and only a later round settles.  In process
+    the order is deterministic; over sockets this branch is reached by
+    timing."""
+    network = question_fixture()
+    network.drain()
+    ticket = network.submit("b", InsertOperation(make_tuple("Person", "bob")))
+    _pump_until_question(network, "b")
+    moved = []
+    status_round = network._status_round
+
+    def confirming(names, deadline):
+        views = {name: network._watermarks[name]["activity_seq"] for name in names}
+        replies = status_round(names, deadline)
+        moved.append(sorted(
+            name for name in names if replies[name]["activity_seq"] != views[name]
+        ))
+        return replies
+
+    monkeypatch.setattr(network, "_status_round", confirming)
+    rounds = network.drain(answer_strategy=_unify, timeout=30.0)
+    assert rounds >= 2 and rounds == len(moved)
+    assert moved[0] == ["b"] and moved[-1] == []
+    assert network.last_drain["settle_reason"] == "watermark-idle"
+    assert ticket.status is TicketStatus.COMMITTED
+    assert network.inbox("b") == [] and network.quiescent()
 
 
 def test_local_question_stays_local():
@@ -202,7 +269,7 @@ def test_local_question_stays_local():
         if isinstance(alternative, UnifyOperation)
     ][0]
     network.answer("b", questions[0], unify)
-    network.run_until_quiescent()
+    network.drain()
     assert network.global_snapshot().count("Person") == 1
 
 
@@ -236,7 +303,7 @@ def test_remote_answer_travels_as_an_index_into_the_parked_request():
     envelope = network.transport._queues[("a", "b")][-1]
     assert envelope.payload_kind == "question-answer"
     assert b'"c":{"i":%d,"t":"index"}' % position in envelope.payload
-    network.run_until_quiescent()
+    network.drain()
     assert network.global_snapshot().count("Father") == 1
     assert network.metrics()["answers_dropped"] == 0
 
@@ -267,7 +334,7 @@ def test_answer_that_is_not_a_listed_alternative_travels_inline():
     network.answer("a", question, both)
     envelope = network.transport._queues[("a", "b")][-1]
     assert b'"t":"op"' in envelope.payload
-    network.run_until_quiescent()
+    network.drain()
     snapshot = network.global_snapshot()
     assert snapshot.count("L") == 0 and snapshot.count("M") == 0
     assert network.metrics()["answers_dropped"] == 0
@@ -296,7 +363,7 @@ def test_stale_and_out_of_range_indexed_answers_are_dropped():
         if isinstance(alternative, UnifyOperation)
     ][0]
     network.answer("a", question, unify)
-    network.run_until_quiescent()
+    network.drain()
     assert network.metrics()["answers_dropped"] == 2
     assert network.global_snapshot().count("Father") == 1
 
@@ -354,7 +421,7 @@ def test_bounded_admission_defers_deliveries_instead_of_losing_them():
         network.submit("a", InsertOperation(make_tuple("B1", "w{}".format(index))))
         for index in range(6)
     ]
-    network.run_until_quiescent(max_rounds=200)
+    network.drain()
     # Every routed update eventually executed; overflow deferred, not lost.
     assert all(ticket.status is TicketStatus.COMMITTED for ticket in tickets)
     assert network.metrics()["deliveries_deferred"] > 0
@@ -392,7 +459,7 @@ def test_deferred_deliveries_wait_in_the_destination_peers_retry_queue():
         rounds += 1
         assert rounds < 200
     assert network.metrics()["deliveries_deferred"] == deferred  # counted once
-    network.run_until_quiescent(max_rounds=200)
+    network.drain()
     assert all(ticket.status is TicketStatus.COMMITTED for ticket in tickets)
     assert network.peer("b").service.count("B1") == 6
 

@@ -12,6 +12,8 @@ other convergence differential.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.oracle import AlwaysExpandOracle
@@ -21,6 +23,7 @@ from repro.core.tuples import make_tuple
 from repro.core.update import InsertOperation
 from repro.federation import (
     FederatedNetwork,
+    FederationError,
     Transport,
     check_convergence,
     reference_chase,
@@ -89,9 +92,13 @@ def test_kill_and_restart_mid_workload_converges(tmp_path, seed, victim_index, k
 
     victim = network.peer_names()[victim_index]
     path = str(tmp_path / "{}.ckpt".format(victim))
-    body = network.peer(victim).checkpoint(path)
+    # The runtime's checkpoint: the peer plus the link watermarks the
+    # drain's conservation check compares across the restart.
+    network.checkpoint_peer(victim, path)
+    with open(path) as handle:
+        pending = json.load(handle)["pending"]
     busy = (
-        bool(body["pending"])
+        bool(pending)
         or network.transport.in_flight > 0
         or any(not t.is_done for t in network.tickets())
     )
@@ -102,7 +109,7 @@ def test_kill_and_restart_mid_workload_converges(tmp_path, seed, victim_index, k
     assert reborn.service is not old_service  # the old process is gone
     assert network.peer(victim) is reborn
 
-    network.run_until_quiescent(answer_strategy=expanding_answer, max_rounds=5_000)
+    network.drain(answer_strategy=expanding_answer)
     _assert_converges(environment, network)
 
 
@@ -114,7 +121,7 @@ def test_restart_preserves_committed_state_exactly(tmp_path):
     for peer, operations in environment.operations.items():
         for operation in operations:
             network.submit(peer, operation)
-    network.run_until_quiescent(answer_strategy=expanding_answer, max_rounds=5_000)
+    network.drain(answer_strategy=expanding_answer)
     victim = network.peer_names()[0]
     before = network.peer(victim).owned_snapshot()
     path = str(tmp_path / "quiesced.ckpt")
@@ -123,6 +130,72 @@ def test_restart_preserves_committed_state_exactly(tmp_path):
     assert network.peer(victim).owned_snapshot() == before
     assert network.quiescent()
     _assert_converges(environment, network)
+
+
+def test_a_drain_right_after_a_restart_reads_the_reborn_peers_view(tmp_path):
+    """A reborn runtime counts its activity seq from 0 again: the desk drops
+    the old peer's drain view, or that view's higher seq would bury every
+    notice of the reborn peer and no confirming round could settle."""
+    config = FederationScenarioConfig(num_peers=3, cross_mappings=4, seed=5)
+    environment = generate_federation_environment(config)
+    network = _build_network(environment)
+    for peer, operations in environment.operations.items():
+        for operation in operations:
+            network.submit(peer, operation)
+    network.drain(answer_strategy=expanding_answer)
+    victim = network.peer_names()[0]
+    assert network._watermarks[victim]["activity_seq"] > 0
+    path = str(tmp_path / "drained.ckpt")
+    network.checkpoint_peer(victim, path)
+    network.restart_peer(victim, path)
+    assert victim not in network._watermarks
+    assert network.drain(timeout=5.0) == 1
+    assert network.last_drain["settle_reason"] == "watermark-idle"
+
+
+def test_a_bare_peer_checkpoint_is_refused(tmp_path):
+    """Only the runtime's checkpoint carries the link watermarks: a peer
+    reborn without them would count frames received from 0, and no drain
+    could ever settle again."""
+    config = FederationScenarioConfig(num_peers=3, cross_mappings=4, seed=5)
+    environment = generate_federation_environment(config)
+    network = _build_network(environment)
+    for peer, operations in environment.operations.items():
+        for operation in operations:
+            network.submit(peer, operation)
+    network.drain(answer_strategy=expanding_answer)
+    victim = network.peer_names()[0]
+    old = network.peer(victim)
+    path = str(tmp_path / "bare.ckpt")
+    old.checkpoint(path)
+    with pytest.raises(FederationError, match="checkpoint_peer"):
+        network.restart_peer(victim, path)
+    assert network.peer(victim) is old
+    assert network.drain(timeout=5.0) == 1
+    _assert_converges(environment, network)
+
+
+def test_frames_delivered_after_the_checkpoint_die_with_the_crash(tmp_path):
+    """b checkpoints, then takes a frame from a and crashes: the reborn b
+    never saw it, the link's counts cannot conserve, and the drain says so
+    at once instead of at its timeout."""
+    schema = DatabaseSchema.from_dict({"A1": ["x"], "B1": ["x"]})
+    network = FederatedNetwork(
+        schema,
+        FrozenDatabase(schema, {"A1": frozenset(), "B1": frozenset()}),
+        parse_tgds(["A1(x) -> B1(x)"]),
+        {"a": ["A1"], "b": ["B1"]},
+    )
+    path = str(tmp_path / "b.ckpt")
+    network.checkpoint_peer("b", path)
+    network.submit("a", InsertOperation(make_tuple("A1", "v1")))
+    network.drain()
+    assert network.peer("b").service.count("B1") == 1
+    network.restart_peer("b", path)
+    with pytest.raises(RuntimeError, match="nothing moves"):
+        network.drain(timeout=60.0)
+    assert network.last_drain["settle_reason"] == "stuck"
+    assert network.peer("b").service.count("B1") == 0
 
 
 def test_restart_under_partition_then_heal_converges(tmp_path):
@@ -147,11 +220,11 @@ def test_restart_under_partition_then_heal_converges(tmp_path):
     assert all(link.held for link in links)
     held = sum(link.queued for link in links)
     path = str(tmp_path / "partitioned.ckpt")
-    network.peer(peers[1]).checkpoint(path)
+    network.checkpoint_peer(peers[1], path)
     network.restart_peer(peers[1], path)
     assert sum(link.queued for link in links) == held  # nothing lost
     network.heal(peers[0], peers[1])
-    network.run_until_quiescent(answer_strategy=expanding_answer, max_rounds=5_000)
+    network.drain(answer_strategy=expanding_answer)
     _assert_converges(environment, network)
 
 
@@ -175,7 +248,7 @@ def test_restarted_peer_keeps_the_network_tracer(tmp_path):
         tracer=tracer,
     )
     network.submit("a", InsertOperation(make_tuple("A1", "v1")))
-    network.run_until_quiescent()
+    network.drain()
     path = str(tmp_path / "b.ckpt")
     network.checkpoint_peer("b", path)
     network.restart_peer("b", path)
@@ -183,7 +256,7 @@ def test_restarted_peer_keeps_the_network_tracer(tmp_path):
 
     before = sum(1 for span in tracer.spans if span.peer == "b")
     network.submit("b", InsertOperation(make_tuple("B1", "w1")))
-    network.run_until_quiescent()
+    network.drain()
     after = sum(1 for span in tracer.spans if span.peer == "b")
     assert after > before
     assert network.global_snapshot().count("B2") == 2

@@ -65,13 +65,6 @@ def federation_of(request, tmp_path):
     return build
 
 
-def _settle(federation):
-    if isinstance(federation, FederatedNetwork):
-        federation.run_until_quiescent()
-    else:
-        federation.drain(timeout=TIMEOUT)
-
-
 def test_routed_commit_reaches_the_desk_in_the_round_that_commits_it():
     network = FederatedNetwork(*_arguments())
     # B2 is on no mapping's LHS: the insert commits without a chase step.
@@ -97,7 +90,7 @@ def test_routed_update_stopped_by_the_owners_budget_is_failed_at_the_desk(
     # which reports it to the desk and goes on serving.
     with federation_of(max_total_steps=1) as federation:
         ticket = federation.submit("a", InsertOperation(make_tuple("B1", "w")))
-        _settle(federation)
+        federation.drain(timeout=TIMEOUT)
         assert ticket.status is TicketStatus.FAILED
         if isinstance(federation, FederatedNetwork):
             assert federation.peer("b").notices_emitted == 1
@@ -110,7 +103,7 @@ def test_checkpoint_with_a_routed_table_restores(federation_of, tmp_path):
     path = str(tmp_path / "a.ckpt")
     with federation_of() as federation:
         routed = federation.submit("a", InsertOperation(make_tuple("B1", "w1")))
-        _settle(federation)
+        federation.drain(timeout=TIMEOUT)
         assert routed.status is TicketStatus.COMMITTED
         if isinstance(federation, FederatedNetwork):
             federation.checkpoint_peer("a", path)
@@ -129,7 +122,7 @@ def test_checkpoint_with_a_routed_table_restores(federation_of, tmp_path):
             federation.submit("a", InsertOperation(make_tuple("B1", "w2"))),
             federation.submit("a", InsertOperation(make_tuple("A1", "v1"))),
         ]
-        _settle(federation)
+        federation.drain(timeout=TIMEOUT)
         assert [ticket.status for ticket in tickets] == [TicketStatus.COMMITTED] * 2
         snapshot = federation.global_snapshot()
         assert (snapshot.count("B1"), snapshot.count("B2")) == (3, 3)

@@ -153,7 +153,7 @@ def test_partition_heal_preserves_causal_chains():
     assert network.transport.in_flight > 0
     network.heal(peers[0], peers[1])
     network.heal(peers[1], peers[2])
-    network.run_until_quiescent(answer_strategy=expanding_answer, max_rounds=5_000)
+    network.drain(answer_strategy=expanding_answer)
     analysis = TraceAnalysis(tracer.spans)
     _assert_causal_closure(analysis)
     # Envelopes held behind the partition still carried their contexts: at

@@ -5,7 +5,8 @@ Status rounds at a fixed cadence until two *consecutive* rounds are settled
 frames-sent) with an identical counter fingerprint.  It never subscribes to
 went-idle notices and never compares activity sequences: it reaches
 quiescence only through the coordinator's status rounds, so a bug in the
-event-driven path of ``ProcessFederation.drain`` cannot hide in both.
+event-driven path of ``ClientDesk.drain`` (the drain both runtimes run)
+cannot hide in both.
 """
 
 from __future__ import annotations
