@@ -47,7 +47,6 @@ setup(
             "repro-experiment=repro.workload.__main__:main",
             "repro-trace=repro.obs.cli:main",
             "repro-top=repro.obs.top:main",
-            "repro-peer=repro.federation.proc:main",
         ]
     },
     classifiers=[

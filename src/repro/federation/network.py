@@ -119,18 +119,36 @@ class ClientDesk:
     and hands it to ``_send(peer_name, body)``.  What a peer sends back —
     ticket terminals, questions filed or gone
     (:attr:`~repro.federation.peer.Peer.events`) and replies — a runtime
-    hands to :meth:`_receive`.  A runtime opens the desk (:meth:`_open_desk`)
-    and provides ``_send``, the peers it can reach (``_live_peers``),
-    ``_wait`` for a reply that has not arrived yet, and ``_pass_time(wait)``,
-    its way of letting time pass while :meth:`drain` waits (``False`` when
-    it knows that nothing can move any more unless the desk acts).
+    hands to :meth:`_receive`.  A runtime opens the desk (:meth:`_open_desk`),
+    starts each peer with :meth:`_start_peer`, and provides ``_send``, the
+    peers it can reach (``_live_peers``), ``_wait`` for a reply that has not
+    arrived yet, and ``_pass_time(wait)``, its way of letting time pass while
+    :meth:`drain` waits (``False`` when it knows that nothing can move any
+    more unless the desk acts).
     """
 
-    def _open_desk(self, schema: DatabaseSchema, mappings, ownership: Dict) -> None:
+    def _open_desk(
+        self, schema: DatabaseSchema, initial: DatabaseView, mappings, ownership: Dict,
+        tracker: str, admission, max_total_steps: int,
+    ) -> None:
         self.schema = schema
+        #: The union initial database every peer starts from.
+        self._initial = initial
         #: Routing, and the mapping table every peer builds from the same
         #: list (mappings cross the wire by name).
         self.rules = ExchangeRules.for_federation(schema, mappings, ownership)
+        #: Per-peer service arguments, for every start and restart: each peer
+        #: may run its own admission policy (slow archive, fast edge).
+        self._service_arguments = {
+            name: {
+                "tracker": tracker,
+                "admission": admission.get(name)
+                if isinstance(admission, dict)
+                else admission,
+                "max_total_steps": max_total_steps,
+            }
+            for name in ownership
+        }
         self._inboxes: Dict[str, Dict[PyTuple[str, int], FederatedQuestion]] = {
             name: {} for name in ownership
         }
@@ -146,6 +164,25 @@ class ClientDesk:
         self._next_round = 1
         #: Decomposition record of the most recent :meth:`drain` (None before one).
         self.last_drain: Optional[Dict] = None
+
+    def _start_peer(
+        self, name: str, tracer, restore: Optional[str] = None
+    ) -> PyTuple[Peer, Optional[Dict]]:
+        """Build peer *name*, or restore it from a ``checkpoint_peer`` file:
+        the one way a peer starts, in process and in a forked peer process.
+        Returns the peer and the host extras its runtime continues from.  A
+        file without them, such as a bare :meth:`Peer.checkpoint`, is
+        refused: the reborn runtime would count frames received from 0, and
+        no drain could settle after it."""
+        arguments = dict(self._service_arguments[name], tracer=tracer)
+        if restore is None:
+            return Peer.build(
+                name, self.schema, self._initial, self.rules, **arguments
+            ), None
+        peer, restored = Peer.restore(name, restore, self.rules, **arguments)
+        if "host" not in restored.extra:
+            raise FederationError("{!r} is no checkpoint_peer file".format(restore))
+        return peer, restored.extra["host"]
 
     def _inbox_of(self, peer_name: str) -> Dict[PyTuple[str, int], FederatedQuestion]:
         try:
@@ -555,30 +592,14 @@ class FederatedNetwork(ClientDesk):
         max_total_steps: int = 1_000_000,
         tracer=None,
     ):
-        self._open_desk(schema, mappings, ownership)
+        self._open_desk(
+            schema, initial, mappings, ownership, tracker, admission, max_total_steps
+        )
         self._tracer = tracer if tracer is not None else default_tracer()
         self.transport = transport if transport is not None else Transport()
-        #: Per-peer service construction parameters, kept for restarts (see
-        #: :meth:`restart_peer`): a reborn peer's service is rebuilt with the
-        #: same tracker, admission policy, budgets and tracer.
-        self._service_arguments = {
-            name: {
-                "tracker": tracker,
-                # Heterogeneous federations: each peer may run its own
-                # admission policy (slow archive, fast edge).
-                "admission": admission.get(name)
-                if isinstance(admission, dict)
-                else admission,
-                "max_total_steps": max_total_steps,
-                "tracer": self._tracer,
-            }
-            for name in ownership
-        }
         self._runtimes: Dict[str, PeerRuntime] = {}
         for name in ownership:
-            self._run(Peer.build(
-                name, schema, initial, self.rules, **self._service_arguments[name]
-            ))
+            self._run(*self._start_peer(name, self._tracer))
         #: One registry whose ``collect()`` is the whole :meth:`metrics`
         #: snapshot: the peers' own routing, exchange and delivery counters
         #: summed, then the transport's and per-peer service metrics.
@@ -614,7 +635,7 @@ class FederatedNetwork(ClientDesk):
         """Run *peer* in a runtime whose links are this transport's."""
         links = {
             other: self.transport.link(peer.name, other)
-            for other in self._service_arguments
+            for other in self._inboxes
             if other != peer.name
         }
         self._runtimes[peer.name] = PeerRuntime(
@@ -659,9 +680,8 @@ class FederatedNetwork(ClientDesk):
 
         The old peer object (service, store, scheduler, sessions) is simply
         dropped — that *is* the crash.  The replacement is restored from a
-        :meth:`checkpoint_peer` file and continues its link watermarks (a
-        bare :meth:`Peer.checkpoint` file has none and is refused: no drain
-        could settle after it).
+        :meth:`checkpoint_peer` file and continues its link watermarks
+        (:meth:`ClientDesk._start_peer` refuses a file without them).
         Envelopes in flight on the transport are untouched and deliver to
         the reborn peer as usual (delivery re-submits through its admission
         queue, so nothing cares that the service behind the name changed).
@@ -670,15 +690,11 @@ class FederatedNetwork(ClientDesk):
         are dropped from every inbox (:meth:`ClientDesk._restarted`).
         """
         old = self.peer(name)
-        reborn, restored = Peer.restore(
-            name, path, self.rules, **self._service_arguments[name]
-        )
-        if "host" not in restored.extra:
-            raise FederationError("{!r} is no checkpoint_peer file".format(path))
+        reborn, host = self._start_peer(name, self._tracer, restore=path)
         # The network observes the crash; its counters do not restart.
         for counter in self._peer_counters:
             setattr(reborn, counter, getattr(old, counter))
-        self._run(reborn, restored.extra["host"])
+        self._run(reborn, host)
         self._restarted(name)
         return reborn
 

@@ -8,7 +8,9 @@ one :class:`~repro.federation.host.PeerRuntime` drives between its links in
 either federation runtime (a peer process, or the in-process network):
 
 * :meth:`Peer.build` and :meth:`Peer.restore` construct it with the
-  runtime's tracer, fresh or from a :meth:`Peer.checkpoint`;
+  runtime's tracer, fresh or from a :meth:`Peer.checkpoint`; both runtimes
+  call them only through
+  :meth:`~repro.federation.network.ClientDesk._start_peer`;
 * :meth:`Peer.deliver` re-submits routed updates, firings and retractions
   under the peer's *gateway* session and resumes parked decisions; what the
   bounded admission queue turns away waits in :attr:`Peer.retry`, and later

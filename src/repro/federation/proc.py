@@ -2,9 +2,11 @@
 
 This is the other half of the multi-process federation (the coordinator side
 lives in :mod:`repro.federation.process_network`).  A :class:`PeerHost` is
-what runs *inside* each spawned process: it builds (or restores) one
-:class:`~repro.federation.peer.Peer` from a codec-JSON config file, listens
-on its socket address, and runs it in a
+what runs *inside* each forked process: it starts one
+:class:`~repro.federation.peer.Peer` through the coordinator's client desk
+(:meth:`~repro.federation.network.ClientDesk._start_peer`, the one peer
+start-up of both runtimes, on the objects the child inherited), listens on
+its socket address, and runs it in a
 :class:`~repro.federation.host.PeerRuntime` — the receive, client and work
 code the in-process :class:`~repro.federation.network.FederatedNetwork` runs
 for each of its peers — so a drained socket federation is the same exchange
@@ -36,53 +38,24 @@ handing the links their frames and sleeping again; only a checkpoint waits,
 on that loop and for a bounded time, for frames to go out.  When the
 coordinator's stream ends or breaks — including because the coordinating
 process was killed — the host exits, which is what keeps test teardown free
-of orphan processes.
-
-:func:`main` is the one way into a peer.  :class:`ProcessFederation` forks
-the coordinator and calls it in the child (POSIX only): the child inherits
-the coordinator's imported modules, environment and hash seed, but no
-descriptor above 2 — the fork closes them all and points stdout/stderr at
-``peer-<name>.log`` before :func:`main` reads its config — so a peer holds
-only the sockets and files it opens itself, and dropping the coordinator's
-connection still reaches it as EOF.  :func:`main` also is the ``repro-peer``
-console entry point, for a peer started on its own (another machine, another
-interpreter)::
-
-    repro-peer --config /path/to/peer-config.json
+of orphan processes.  A peer runs only in a child its coordinator forked
+(see :mod:`repro.federation.process_network`): no coordinator can attach to
+a peer it did not start.
 """
 
 from __future__ import annotations
 
-import argparse
-import os
 import selectors
 import signal
 import time
 import traceback
-from dataclasses import asdict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..codec.framing import FRAME_CONTROL, encode_frame
-from ..codec.wire import (
-    WIRE_VERSION,
-    CodecError,
-    decode_schema,
-    decode_tgd,
-    decode_tuple,
-    dumps,
-    encode_payload,
-    encode_schema,
-    encode_tgd,
-    encode_tuple,
-    loads,
-)
+from ..codec.wire import dumps, encode_payload, loads
 from ..obs.flight import FlightRecorder
 from ..obs.trace import NOOP_TRACER, Tracer
-from ..service.admission import AdmissionConfig
-from ..storage.memory import FrozenDatabase
-from .exchange import ExchangeRules
 from .host import PeerRuntime
-from .peer import Peer
 from .socket_transport import (
     ChannelClosed,
     FrameChannel,
@@ -96,96 +69,33 @@ COORDINATOR = "@coordinator"
 
 
 # ----------------------------------------------------------------------
-# Peer config files (written by the coordinator, read by the peer process)
-# ----------------------------------------------------------------------
-def encode_peer_config(
-    name: str,
-    schema,
-    initial,
-    mappings,
-    ownership: Dict[str, Tuple[str, ...]],
-    addresses: Dict[str, SocketAddress],
-    tracker: str = "PRECISE",
-    admission: Optional[AdmissionConfig] = None,
-    max_total_steps: int = 1_000_000,
-    trace: bool = False,
-    trace_path: Optional[str] = None,
-    restore: Optional[str] = None,
-    telemetry_interval: float = 0.0,
-    flight_dir: Optional[str] = None,
-    flight_capacity: int = 512,
-) -> bytes:
-    """One peer's complete startup description, as canonical codec JSON.
-
-    *initial* is the **union** initial database: the peer filters its own
-    store down to owned relations but needs the whole thing for null-factory
-    avoidance (see :meth:`Peer.build`).
-    """
-    body = {
-        "v": WIRE_VERSION,
-        "t": "peer-config",
-        "name": name,
-        "schema": encode_schema(schema),
-        "mappings": [encode_tgd(tgd) for tgd in mappings],
-        "ownership": [
-            [peer, list(relations)] for peer, relations in ownership.items()
-        ],
-        "initial": {
-            relation: [encode_tuple(row) for row in sorted(
-                initial.tuples(relation), key=repr
-            )]
-            for relation in schema.relation_names()
-        },
-        "addresses": {
-            peer: address.to_body() for peer, address in addresses.items()
-        },
-        "tracker": tracker,
-        "admission": None if admission is None else asdict(admission),
-        "max_total_steps": max_total_steps,
-        "trace": trace,
-        "trace_path": trace_path,
-        "restore": restore,
-        "telemetry_interval": telemetry_interval,
-        "flight_dir": flight_dir,
-        "flight_capacity": flight_capacity,
-    }
-    return dumps(body) + b"\n"
-
-
-# ----------------------------------------------------------------------
 # The host
 # ----------------------------------------------------------------------
 class PeerHost:
     """One peer's event loop: sockets in, chase in the middle, sockets out."""
 
-    def __init__(self, config: Dict):
-        if config.get("v") != WIRE_VERSION:
-            raise CodecError(
-                "unsupported peer-config version {!r} (this build speaks {})".format(
-                    config.get("v"), WIRE_VERSION
-                )
-            )
-        if config.get("t") != "peer-config":
-            raise CodecError("not a peer config")
-        self.name = config["name"]
-        self.schema = decode_schema(config["schema"])
-        self.rules = ExchangeRules.for_federation(
-            self.schema,
-            [decode_tgd(body) for body in config["mappings"]],
-            {peer: relations for peer, relations in config["ownership"]},
-        )
+    def __init__(
+        self,
+        desk,
+        name: str,
+        addresses: Dict[str, SocketAddress],
+        restore: Optional[str] = None,
+        trace_path: Optional[str] = None,
+        telemetry_interval: float = 0.0,
+        flight_dir: Optional[str] = None,
+    ):
+        """Start peer *name* through *desk* (restoring *restore*, a
+        ``checkpoint_peer`` file) and listen on its entry of *addresses*.
+        With *trace_path* the peer traces, and exports there at shutdown."""
+        self.name = name
         #: Mappings cross the wire by name: every peer and the coordinator
-        #: build this same table from the same configured mapping list.
-        self._mappings = self.rules.by_name
-        self._addresses = {
-            peer: SocketAddress.from_body(body)
-            for peer, body in config["addresses"].items()
-        }
-        self._trace_path = config.get("trace_path")
-        if config.get("trace"):
+        #: use the desk's one table.
+        self._mappings = desk.rules.by_name
+        self._trace_path = trace_path
+        if trace_path:
             # One tracer per process, ids prefixed with the peer name so the
             # coordinator's merged multi-file export cannot collide.
-            self.tracer = Tracer(prefix="{}.".format(self.name))
+            self.tracer = Tracer(prefix="{}.".format(name))
         else:
             # Explicitly the noop even under REPRO_TRACE=1: the inherited
             # environment must not wire peer processes to *unprefixed*
@@ -199,11 +109,11 @@ class PeerHost:
         self._selector = selectors.DefaultSelector()
         self._links: Dict[str, OutgoingLink] = {
             peer: OutgoingLink(peer, address, self._selector)
-            for peer, address in self._addresses.items()
-            if peer != self.name
+            for peer, address in addresses.items()
+            if peer != name
         }
         self._hello = encode_frame(
-            FRAME_CONTROL, dumps({"t": "hello", "peer": self.name})
+            FRAME_CONTROL, dumps({"t": "hello", "peer": name})
         )
         self._coordinator: Optional[FrameChannel] = None
         #: Control frames for the coordinator before its hello names it.
@@ -211,55 +121,26 @@ class PeerHost:
 
         self._exit = False
 
-        initial = FrozenDatabase(self.schema, {
-            relation: frozenset(decode_tuple(body) for body in rows)
-            for relation, rows in config["initial"].items()
-        })
-        service_arguments = {
-            "tracker": config["tracker"],
-            "admission": None
-            if config["admission"] is None
-            else AdmissionConfig(**config["admission"]),
-            "max_total_steps": config["max_total_steps"],
-            "tracer": self.tracer,
-        }
-        flight_dir = config.get("flight_dir") or os.environ.get(
-            "REPRO_FLIGHT_DIR"
-        )
-        self.flight = FlightRecorder(
-            flight_dir,
-            self.name,
-            capacity=int(config.get("flight_capacity") or 512),
-        )
-        host = None
-        if config.get("restore") is None:
-            peer = Peer.build(
-                self.name, self.schema, initial, self.rules, **service_arguments
-            )
-        else:
-            peer, restored = Peer.restore(
-                self.name, config["restore"], self.rules, **service_arguments
-            )
-            host = restored.extra.get("host")
+        self.flight = FlightRecorder(flight_dir, name)
+        self.peer, host = desk._start_peer(name, self.tracer, restore)
         self.runtime = PeerRuntime(
-            peer,
+            self.peer,
             self._links,
             self._mappings,
             self._event,
             flight=self.flight,
             host=host,
         )
-        self.peer = peer
 
         # -- sockets -----------------------------------------------------
         # Listening only once the peer exists: a restore that fails exits
         # before the coordinator can connect.
-        self._listener = FrameListener(self._addresses[self.name])
+        self._listener = FrameListener(addresses[name])
         self._selector.register(self._listener, selectors.EVENT_READ, self._listener)
 
         # -- telemetry + flight recorder --------------------------------
         #: Unsolicited heartbeat cadence in seconds (0 = telemetry off).
-        self._telemetry_interval = float(config.get("telemetry_interval") or 0.0)
+        self._telemetry_interval = float(telemetry_interval)
         self._telemetry_seq = 0
         self._next_telemetry = (
             time.monotonic() + self._telemetry_interval
@@ -511,29 +392,3 @@ class PeerHost:
                 ready.close()
         self._selector.close()
         self._listener.close()
-
-
-# ----------------------------------------------------------------------
-# Entry point
-# ----------------------------------------------------------------------
-def main(argv: Optional[List[str]] = None) -> int:
-    """``repro-peer``: run one federation peer from a config file."""
-    parser = argparse.ArgumentParser(
-        prog="repro-peer",
-        description="Run one update-exchange federation peer as a process.",
-    )
-    parser.add_argument(
-        "--config",
-        required=True,
-        help="path to a codec-JSON peer config (written by ProcessFederation)",
-    )
-    arguments = parser.parse_args(argv)
-    with open(arguments.config, "rb") as handle:
-        config = loads(handle.read())
-    host = PeerHost(config)
-    try:
-        host.run()
-    except Exception:  # pragma: no cover - surfaced via the process log
-        traceback.print_exc()
-        return 1
-    return 0

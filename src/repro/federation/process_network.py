@@ -2,8 +2,8 @@
 
 :class:`ProcessFederation` is the multi-process counterpart of
 :class:`~repro.federation.network.FederatedNetwork`: the same description,
-but every peer runs as its own OS process (the ``repro-peer`` entry point of
-:mod:`repro.federation.proc`, around the
+but every peer runs as its own OS process (a
+:class:`~repro.federation.proc.PeerHost` around the
 :class:`~repro.federation.host.PeerRuntime` the in-process network runs for
 each of its peers, so the in-process federation is the differential oracle
 of the same peer code), and the peers exchange envelopes directly over TCP
@@ -28,19 +28,20 @@ lands on the timeline and in the spool.
 Peers are forked from the coordinator (POSIX only), which has already
 imported every module a peer runs, so a peer starts in milliseconds instead
 of paying a fresh interpreter's imports.  Each peer is a direct child of the
-coordinator and runs exactly what ``repro-peer --config <file>`` runs; besides
-stdin it inherits memory only — the imported modules, ``os.environ`` and the
-hash seed.  Before it reads its config the child closes every inherited
-descriptor from 3 up (the coordinator's control channels, selector, spool
-and whatever its caller had open), points fds 1 and 2, ``sys.stdout``,
-``sys.stderr`` and ``faulthandler`` at ``peer-<name>.log``, freezes the
-inherited heap out of the garbage collector (no coordinator object is
-finalized in the child, where a socket finalizer could close a descriptor
-number the peer has reused), drops the shared tracer, restores the default
-SIGINT/SIGTERM handlers, and leaves only through ``os._exit``.  Forking is
-safe only while the coordinator is single-threaded (Python 3.12 warns
-otherwise).  A peer on another machine or under another interpreter runs
-the ``repro-peer`` console script directly.
+coordinator and starts through the desk's own
+:meth:`~repro.federation.network.ClientDesk._start_peer`, on the schema,
+initial database, rules and service arguments it inherited: no config file
+is written or read.  Besides stdin it inherits memory only — those objects,
+the imported modules, ``os.environ`` and the hash seed.  Before it starts the
+peer the child closes every inherited descriptor from 3 up (the
+coordinator's control channels, selector, spool and whatever its caller had
+open), points fds 1 and 2, ``sys.stdout``, ``sys.stderr`` and
+``faulthandler`` at ``peer-<name>.log``, freezes the inherited heap out of
+the garbage collector (no coordinator object is finalized in the child,
+where a socket finalizer could close a descriptor number the peer has
+reused), drops the shared tracer, restores the default SIGINT/SIGTERM
+handlers, and leaves only through ``os._exit``.  Forking is safe only while
+the coordinator is single-threaded (Python 3.12 warns otherwise).
 
 Teardown is strict by design: :meth:`close` walks exit-request → ``wait`` →
 ``terminate`` → ``kill`` and then :meth:`assert_reaped` verifies no child
@@ -62,7 +63,7 @@ import sys
 import tempfile
 import time
 import traceback
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..codec.framing import FRAME_CONTROL, encode_frame
 from ..codec.wire import decode_payload, dumps, loads
@@ -71,7 +72,7 @@ from .network import REPLY_TIMEOUT, ClientDesk
 from ..obs import trace as obs_trace
 from ..obs.timeline import TelemetryTimeline
 from ..obs.trace import encode_record
-from .proc import COORDINATOR, encode_peer_config, main as peer_main
+from .proc import COORDINATOR, PeerHost
 from .socket_transport import (
     ChannelClosed,
     FrameChannel,
@@ -124,7 +125,7 @@ class _PeerProcess:
         while self.poll() is None:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                raise subprocess.TimeoutExpired("repro-peer", timeout)
+                raise subprocess.TimeoutExpired("peer {}".format(self.pid), timeout)
             time.sleep(min(delay, remaining))
             delay = min(delay * 2, 0.05)
         return self.returncode
@@ -141,8 +142,8 @@ class _PeerProcess:
         self.send_signal(signal.SIGKILL)
 
 
-def _fork_peer(config_path: str, log_path: str) -> _PeerProcess:
-    """Fork a child that runs ``repro-peer --config config_path``."""
+def _fork_peer(serve: Callable[[], None], log_path: str) -> _PeerProcess:
+    """Fork a child that runs *serve*, a peer's whole life, into *log_path*."""
     # No collection may run in the child before the freeze: the fork hooks
     # allocate, and a collection there would finalize coordinator garbage.
     collecting = gc.isenabled()
@@ -177,7 +178,8 @@ def _fork_peer(config_path: str, log_path: str) -> _PeerProcess:
         obs_trace._shared_tracer = None
         signal.signal(signal.SIGINT, signal.default_int_handler)
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        code = peer_main(["--config", config_path])
+        serve()
+        code = 0
     except SystemExit as exit_request:
         code = exit_request.code or 0
     except BaseException:
@@ -220,7 +222,6 @@ class ProcessFederation(ClientDesk):
         transport: str = "unix",
         workdir: Optional[str] = None,
         telemetry_interval: float = 0.25,
-        flight: bool = True,
         flight_dir: Optional[str] = None,
     ):
         # Checked before anything touches the filesystem: a constructor
@@ -229,15 +230,9 @@ class ProcessFederation(ClientDesk):
             raise ProcessFederationError(
                 "unknown transport {!r} (use 'unix' or 'tcp')".format(transport)
             )
-        self._initial = initial
-        self._mappings = list(mappings)
-        self._ownership = {
-            name: tuple(relations) for name, relations in ownership.items()
-        }
-        self._open_desk(schema, self._mappings, self._ownership)
-        self._tracker = tracker
-        self._admission = admission
-        self._max_total_steps = max_total_steps
+        self._open_desk(
+            schema, initial, mappings, ownership, tracker, admission, max_total_steps
+        )
         if trace is None:
             # Same opt-in as everywhere else: REPRO_TRACE=1 turns the whole
             # federation on (each peer process gets its own prefixed tracer).
@@ -249,17 +244,15 @@ class ProcessFederation(ClientDesk):
         # -- the live telemetry plane -----------------------------------
         self._telemetry_interval = float(telemetry_interval)
         #: Postmortem flight dumps land here (param > env > workdir/flight).
-        self._flight_dir = None
-        if flight:
-            self._flight_dir = (
-                flight_dir
-                or os.environ.get("REPRO_FLIGHT_DIR")
-                or os.path.join(self.workdir, "flight")
-            )
+        self._flight_dir = (
+            flight_dir
+            or os.environ.get("REPRO_FLIGHT_DIR")
+            or os.path.join(self.workdir, "flight")
+        )
         #: Federation-wide time series + liveness watchdog over heartbeats
         #: (at its default stalled/dead thresholds).
         self.timeline = TelemetryTimeline(interval=self._telemetry_interval)
-        for name in self._ownership:
+        for name in ownership:
             self.timeline.register_peer(name)
         self._last_liveness: Dict[str, str] = {}
         self._spool_path = os.path.join(self.workdir, "telemetry.jsonl")
@@ -272,22 +265,22 @@ class ProcessFederation(ClientDesk):
             "interval": self._telemetry_interval,
             "stalled_after": self.timeline.stalled_after,
             "dead_after": self.timeline.dead_after,
-            "peers": sorted(self._ownership),
+            "peers": sorted(ownership),
             "wall": time.time(),
         })
         self._addresses = self._assign_addresses(transport)
         self._handles: Dict[str, _PeerHandle] = {
             name: _PeerHandle(name, self._addresses[name])
-            for name in self._ownership
+            for name in ownership
         }
         self._selector = selectors.DefaultSelector()
         self._closed = False
         #: Peers whose control EOF is expected (killed or exiting).
         self._expect_eof: set = set()
         try:
-            for name in self._ownership:
+            for name in ownership:
                 self._spawn(name, restore=None)
-            for name in self._ownership:
+            for name in ownership:
                 self._connect(name)
         except Exception:
             self.close()
@@ -302,12 +295,12 @@ class ProcessFederation(ClientDesk):
                 name: SocketAddress.unix(
                     os.path.join(self.workdir, "peer-{}.sock".format(name))
                 )
-                for name in self._ownership
+                for name in self.peer_names()
             }
         addresses: Dict[str, SocketAddress] = {}
         probes = []
         try:
-            for name in self._ownership:
+            for name in self.peer_names():
                 # Bind port 0 and keep the socket open while picking the
                 # rest, so the kernel cannot hand two peers the same port.
                 probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -328,29 +321,13 @@ class ProcessFederation(ClientDesk):
             trace_path = os.path.join(
                 self.workdir, "trace-{}.jsonl".format(name)
             )
-        config = encode_peer_config(
-            name=name,
-            schema=self.schema,
-            initial=self._initial,
-            mappings=self._mappings,
-            ownership=self._ownership,
-            addresses=self._addresses,
-            tracker=self._tracker,
-            admission=self._admission.get(name)
-            if isinstance(self._admission, dict)
-            else self._admission,
-            max_total_steps=self._max_total_steps,
-            trace=self._trace,
-            trace_path=trace_path,
-            restore=restore,
-            telemetry_interval=self._telemetry_interval,
-            flight_dir=self._flight_dir,
-        )
-        config_path = os.path.join(self.workdir, "peer-{}.json".format(name))
-        with open(config_path, "wb") as handle_file:
-            handle_file.write(config)
         handle.log_path = os.path.join(self.workdir, "peer-{}.log".format(name))
-        handle.process = _fork_peer(config_path, handle.log_path)
+        # The child starts its peer through this very desk, on the objects
+        # it inherited, and runs it until the coordinator's stream ends.
+        handle.process = _fork_peer(lambda: PeerHost(
+            self, name, self._addresses, restore=restore, trace_path=trace_path,
+            telemetry_interval=self._telemetry_interval, flight_dir=self._flight_dir,
+        ).run(), handle.log_path)
 
     def _connect(self, name: str) -> None:
         handle = self._handles[name]

@@ -5,8 +5,7 @@ This module is the byte-moving half of the multi-process federation.  Where
 of one process, the classes here carry the same encoded envelopes on actual
 sockets:
 
-* :class:`SocketAddress` — a Unix-domain path or a TCP host/port, with a
-  codec-JSON body so address maps travel inside peer config files;
+* :class:`SocketAddress` — a Unix-domain path or a TCP host/port;
 * :class:`FrameChannel` — one connected non-blocking stream socket speaking
   :mod:`repro.codec.framing` frames, registered with its owner's selector:
   ``write`` queues, ``ready`` serves a selector report (partial frames stay
@@ -74,18 +73,6 @@ class SocketAddress:
     @classmethod
     def tcp(cls, host: str, port: int) -> "SocketAddress":
         return cls("tcp", host=host, port=port)
-
-    def to_body(self) -> Dict[str, object]:
-        """The JSON body peer config files carry."""
-        if self.kind == "unix":
-            return {"kind": "unix", "path": self.path}
-        return {"kind": "tcp", "host": self.host, "port": self.port}
-
-    @classmethod
-    def from_body(cls, body: Dict[str, object]) -> "SocketAddress":
-        if body["kind"] == "unix":
-            return cls.unix(str(body["path"]))
-        return cls.tcp(str(body["host"]), int(body["port"]))
 
     def _family(self) -> int:
         return socket.AF_UNIX if self.kind == "unix" else socket.AF_INET

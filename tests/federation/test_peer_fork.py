@@ -1,7 +1,8 @@
 """Forked peer processes: what a peer inherits from its coordinator, and what not.
 
 ``ProcessFederation`` forks the coordinator to start a peer.  The child keeps
-the coordinator's memory but must hold none of its descriptors (a peer that
+the coordinator's memory, and starts its peer from the coordinator's own
+objects (no config file is written), but must hold none of its descriptors (a peer that
 kept a coordinator control socket open would hide that channel's EOF from
 the peer on the other end), must write its output and a startup traceback to
 its own ``peer-<name>.log`` whatever the coordinator's stdout/stderr are,
@@ -56,6 +57,14 @@ def chain_federation(tmp_path):
     )
 
 
+def _peer_configs(federation):
+    """Files a peer could be started from: there must be none."""
+    return [
+        name for name in os.listdir(federation.workdir)
+        if name.startswith("peer-") and name.endswith(".json")
+    ]
+
+
 def _descriptor_targets(pid):
     """``readlink`` of every open descriptor of *pid*, keyed by fd."""
     directory = "/proc/{}/fd".format(pid)
@@ -71,6 +80,7 @@ def _descriptor_targets(pid):
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
 def test_reborn_peer_holds_none_of_the_coordinators_descriptors(tmp_path):
     with running(chain_federation(tmp_path)) as federation:
+        assert _peer_configs(federation) == []
         ticket = federation.submit("a", InsertOperation(make_tuple("A1", "v1")))
         federation.drain(timeout=DRAIN_TIMEOUT)
         path = str(tmp_path / "b.ckpt")
@@ -80,6 +90,7 @@ def test_reborn_peer_holds_none_of_the_coordinators_descriptors(tmp_path):
         # Forked while the coordinator holds a live control channel (to a),
         # its selector and its telemetry spool.
         federation.restart_peer("b", path)
+        assert _peer_configs(federation) == []
         pids += [handle.process.pid for handle in federation._handles.values()]
         channel_inodes = {
             os.fstat(handle.channel.fileno()).st_ino

@@ -39,12 +39,14 @@ from repro.core.update import InsertOperation
 from repro.federation import (
     FederatedNetwork,
     FederationError,
+    Peer,
     ProcessFederation,
     ProcessFederationError,
     Transport,
     databases_equivalent,
     reference_chase,
 )
+from repro.obs.trace import NOOP_TRACER
 from repro.service.tickets import TicketStatus
 from repro.storage.memory import FrozenDatabase
 from repro.workload.federated_loop import (
@@ -545,6 +547,31 @@ def test_failed_checkpoint_releases_its_holds(tmp_path):
         federation.drain(timeout=5)
         assert ticket.status is TicketStatus.COMMITTED
         assert federation.global_snapshot().count("B2") == 1
+
+
+def test_a_bare_peer_checkpoint_is_refused_at_restart(tmp_path):
+    """Only ``checkpoint_peer``'s file carries the link watermarks: a reborn
+    process without them would count frames received from 0, and no drain
+    could settle.  The forked peer refuses the file before it listens."""
+    schema, mappings, initial = chain_pieces()
+    with running(ProcessFederation(
+        schema,
+        initial,
+        mappings,
+        ownership={"a": ["A1", "A2"], "b": ["B1", "B2"]},
+        workdir=str(tmp_path),
+    )) as federation:
+        path = str(tmp_path / "bare.ckpt")
+        Peer.build(
+            "b", schema, initial, federation.rules, tracer=NOOP_TRACER
+        ).checkpoint(path)
+        federation.kill_peer("b")
+        with pytest.raises(ProcessFederationError) as failure:
+            federation.restart_peer("b", path)
+        log_path = os.path.join(federation.workdir, "peer-b.log")
+        assert log_path in str(failure.value)
+        with open(log_path) as handle:
+            assert "checkpoint_peer" in handle.read()
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,8 @@ from repro.core.tgd import parse_tgds
 from repro.core.tuples import make_tuple
 from repro.core.update import InsertOperation
 from repro.federation import ProcessFederation
-from repro.federation.proc import PeerHost, encode_peer_config
+from repro.federation.network import ClientDesk
+from repro.federation.proc import PeerHost
 from repro.federation.socket_transport import FrameListener, SocketAddress
 from repro.service.tickets import TicketStatus
 from repro.storage.memory import FrozenDatabase
@@ -100,11 +101,12 @@ def test_a_checkpoint_whose_destination_stops_reading_fails_without_halting(
         name: SocketAddress.unix(str(tmp_path / "{}.sock".format(name)))
         for name in ownership
     }
-    host = PeerHost(loads(encode_peer_config(
-        "a", schema,
-        FrozenDatabase(schema, {name: frozenset() for name in relations}),
-        parse_tgds(["A1(x) -> B1(x)"]), ownership, addresses,
-    )))
+    desk = ClientDesk()
+    desk._open_desk(
+        schema, FrozenDatabase(schema, {name: frozenset() for name in relations}),
+        parse_tgds(["A1(x) -> B1(x)"]), ownership, "PRECISE", None, 1_000_000,
+    )
+    host = PeerHost(desk, "a", addresses)
     unread = FrameListener(addresses["b"])
     path = str(tmp_path / "a.checkpoint")
     try:

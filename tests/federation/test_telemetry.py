@@ -352,7 +352,8 @@ def test_a_notice_the_socket_cannot_take_yet_leaves_once_it_can(tmp_path):
 
     from repro.codec.framing import FRAME_CONTROL, FrameDecoder, encode_frame
     from repro.codec.wire import dumps, loads
-    from repro.federation.proc import PeerHost, encode_peer_config
+    from repro.federation.network import ClientDesk
+    from repro.federation.proc import PeerHost
     from repro.federation.socket_transport import FrameChannel, SocketAddress
 
     schema, mappings, initial = chain_pieces()
@@ -361,9 +362,9 @@ def test_a_notice_the_socket_cannot_take_yet_leaves_once_it_can(tmp_path):
         name: SocketAddress.unix(str(tmp_path / "{}.sock".format(name)))
         for name in ownership
     }
-    host = PeerHost(loads(encode_peer_config(
-        "a", schema, initial, mappings, ownership, addresses
-    )))
+    desk = ClientDesk()
+    desk._open_desk(schema, initial, mappings, ownership, "PRECISE", None, 1_000_000)
+    host = PeerHost(desk, "a", addresses)
     ours, theirs = socket.socketpair()
     selector = selectors.DefaultSelector()
     coordinator = FrameChannel(ours, selector, label="@coordinator")

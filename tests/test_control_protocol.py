@@ -8,7 +8,9 @@ answer, hold a link or take a snapshot — a runtime's own ``_submit_at`` or
 ``global_snapshot``, or a peer host that handles ``submit`` itself — is how
 the two runtimes drifted apart before, so this test fails on one.  The drain
 is the desk's too: one watermark protocol, which each runtime only lets time
-pass for.
+pass for.  So is peer start-up: ``ClientDesk._start_peer`` alone builds or
+restores a peer, in process and in a forked peer process, from the objects
+the coordinator holds (no config file, no second entry point).
 """
 
 import ast
@@ -96,3 +98,35 @@ def test_run_until_quiescent_is_a_bare_alias_nobody_outside_bench_calls():
         if isinstance(node, ast.Attribute) and node.attr == "run_until_quiescent"
     ]
     assert not callers, "run_until_quiescent is called in {}".format(callers)
+
+
+def _peer_starts(node: ast.AST):
+    """The ``Peer.build``/``Peer.restore`` calls inside *node*."""
+    return sorted(
+        call.func.attr
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and ast.unparse(call.func.value) == "Peer"
+        and call.func.attr in ("build", "restore")
+    )
+
+
+def test_a_peer_starts_only_through_the_client_desk():
+    starts = {
+        str(path.relative_to(ROOT)): _peer_starts(ast.parse(path.read_text()))
+        for path in sorted((ROOT / "src").rglob("*.py"))
+    }
+    assert {path: calls for path, calls in starts.items() if calls} == {
+        "src/repro/federation/network.py": ["build", "restore"],
+    }
+    (start_peer,) = [
+        node for node in _class("network.py", "ClientDesk").body
+        if isinstance(node, ast.FunctionDef) and node.name == "_start_peer"
+    ]
+    assert _peer_starts(start_peer) == ["build", "restore"]
+    module = ast.parse((FEDERATION / "proc.py").read_text())
+    defined = {
+        node.name for node in module.body if isinstance(node, ast.FunctionDef)
+    }
+    assert not defined & {"encode_peer_config", "main"}
