@@ -46,7 +46,7 @@ from ..core.terms import Constant, LabeledNull, Variable
 from ..core.tgd import Tgd
 from ..core.tuples import Tuple
 from ..core.writes import Write, WriteKind
-from ..obs.trace import SpanContext
+from ..obs.trace import SpanContext, prebuilt_encoder
 
 # Bound by :mod:`repro.codec.late`, which the package root imports last.  This
 # module is first imported while ``repro.core`` is still initialising (core ->
@@ -81,6 +81,7 @@ WIRE_VERSION = 2
 
 #: Constant payload types the wire codec can carry losslessly.
 _SCALAR_TYPES = (str, int, float, bool, type(None))
+_SCALAR_CLASSES = frozenset(_SCALAR_TYPES)
 
 
 #: A federation's mapping table (``name -> Tgd``); ``None`` encodes inline.
@@ -134,7 +135,18 @@ def _relation_and_terms(body: Any, what: str) -> List[Any]:
 
 def encode_tuple(row: Tuple) -> List[Any]:
     """Encode a data tuple as ``[relation, value...]``."""
-    return [row.relation] + [encode_term(value) for value in row.values]
+    body: List[Any] = [row.relation]
+    for value in row.values:
+        # Exact classes first (base snapshots encode every stored row);
+        # anything else, subclasses included, goes through encode_term.
+        kind = type(value)
+        if kind is Constant and type(value.value) in _SCALAR_CLASSES:
+            body.append(value.value)
+        elif kind is LabeledNull:
+            body.append({"n": value.name})
+        else:
+            body.append(encode_term(value))
+    return body
 
 
 def decode_tuple(body: List[Any]) -> Tuple:
@@ -648,14 +660,13 @@ def _decode_payload_body(body: Dict[str, Any], mappings: Mappings) -> object:
 # ----------------------------------------------------------------------
 # The byte layer
 # ----------------------------------------------------------------------
-#: The codec's dialect, built once (``json.dumps`` with any non-default
-#: option builds a fresh encoder per call).
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+#: The codec's dialect, its encoder built once.
+_encode = prebuilt_encoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
 def dumps(structure: object) -> bytes:
     """Serialize a JSON-able structure deterministically (the codec's dialect)."""
-    return _ENCODER.encode(structure).encode("utf-8")
+    return _encode(structure).encode("utf-8")
 
 
 def loads(data: bytes) -> object:

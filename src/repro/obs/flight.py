@@ -31,9 +31,11 @@ JSON line and a deque append (no I/O), disabled recorders
 (``directory=None``) return after one attribute read, and nothing here ever
 touches the chase hot path — the recorder only sees host-level events, whose
 rate is per-delivery and per-commit, not per-chase-step.  Measured on a
-shared 2-core box: ≈10–13 µs per record under ``timeit``, flushes
-included, and ≈23 µs per record section-timed inside ``sock_relay`` peers
-(cache-cold, between socket reads); a relayed insert leaves 3 records on
+shared 2-core box: ≈5.7 µs per six-field event record under ``timeit``,
+flushes included, with the JSON encoder built once per process (≈6.7 µs
+when ``JSONEncoder.encode`` built one per record).  Section-timed inside
+``sock_relay`` peers (cache-cold, between socket reads) a record cost
+≈23 µs with the per-record encoder; a relayed insert leaves 3 records on
 its peers (control at the submitting peer; delivery and ticket at the
 owner, which reports the terminal status).
 """

@@ -29,11 +29,42 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Union
 
+
+def prebuilt_encoder(**options) -> Callable[[object], str]:
+    """``json.JSONEncoder(**options).encode``, its C encoder built once.
+
+    ``JSONEncoder.encode`` builds a fresh C encoder, a circularity
+    ``markers`` dict and a float formatter on every call.  The function
+    returned here builds the encoder once, without the circularity check:
+    the system serialises freshly built trees, which hold no cycle.  The
+    bytes are the same.
+    """
+    settings = json.JSONEncoder(**options)
+    iterencode = json.encoder.c_make_encoder(
+        None,
+        settings.default,
+        json.encoder.encode_basestring_ascii
+        if settings.ensure_ascii
+        else json.encoder.encode_basestring,
+        None,
+        settings.key_separator,
+        settings.item_separator,
+        settings.sort_keys,
+        settings.skipkeys,
+        settings.allow_nan,
+    )
+    join = "".join
+
+    def encode(structure: object) -> str:
+        return join(iterencode(structure, 0))
+
+    return encode
+
+
 #: Serialises one JSONL record, keys sorted: the dialect of every record
 #: line the system writes (span exports, flight segments, the telemetry
-#: spool), byte-identical to ``json.dumps(record, sort_keys=True)``, which
-#: would build a fresh encoder per call.
-encode_record = json.JSONEncoder(sort_keys=True).encode
+#: spool), byte-identical to ``json.dumps(record, sort_keys=True)``.
+encode_record = prebuilt_encoder(sort_keys=True)
 
 
 @dataclass(frozen=True)

@@ -556,11 +556,9 @@ class RepositoryService:
             "pending": pending,
             "extra": extra or {},
         }
-        if segments is not None:
-            # Commit records flush the log, but write-less commits advance
-            # the watermark without one: the manifest must not name a
-            # watermark whose tombstones the on-disk log has not reached.
-            segments.flush()
+        # A commit batch that logged no write advances the watermark without
+        # a commit record, so the manifest may name a watermark above the
+        # log's: replaying up to it reads the same writes.
         replace_file(manifest_path, dumps(body) + b"\n")
         if base is not previous:
             # Only now does nothing refer to the old base and the segments
@@ -584,8 +582,8 @@ class RepositoryService:
         """Rebuild a service from a :meth:`checkpoint` file.
 
         The base snapshot the manifest names is loaded and the log's
-        committed, non-rolled-back entries between the base's watermark and
-        the manifest's are replayed onto it by content, in log order; the
+        entries between the base's watermark and the manifest's are
+        replayed onto it by content, in seq order; the
         result becomes the new service's initial database.  The checkpointed
         null-factory state and decision-id high-water mark carry over
         (unless the caller overrides ``null_factory`` /

@@ -6,15 +6,16 @@ bytes on disk speak the same versioned, self-describing dialect as the bytes
 on the federation transport:
 
 * :class:`WriteLogSegments` — the append-only redo log, cut into bounded
-  segment files.  Every applied :class:`~repro.storage.versioned.VersionedWrite`
-  is appended as one JSON line, a rollback appends a tombstone for the
-  rolled-back priority, and a commit appends a ``{"t":"commit"}`` record
-  carrying the new watermark and flushes the (single, long-lived) append
-  handle.  Nothing is deleted at commit time: a segment stays until a *base*
-  snapshot covers every priority it mentions (:meth:`WriteLogSegments.drop_covered`).
-  :meth:`WriteLogSegments.replay` returns the non-rolled-back writes of a
-  priority range in log order, so ``base at B + replay(after=B, upto=W)`` is
-  the committed store at any recorded watermark ``W``.
+  segment files.  It holds committed work only: each commit batch appends
+  one ``{"t":"commit"}`` record carrying the new watermark and the batch's
+  writes (seq, priority and write, in seq order) and flushes the (single,
+  long-lived) append handle.  An update that rolls back leaves nothing in
+  the log.  Nothing is deleted at commit time: a segment stays until a
+  *base* snapshot covers every watermark it records
+  (:meth:`WriteLogSegments.drop_covered`).  :meth:`WriteLogSegments.replay`
+  returns the logged writes of a priority range in seq order, so ``base at B
+  + replay(after=B, upto=W)`` is the committed store at any commit
+  watermark ``W``.
 * :func:`write_snapshot` / :func:`read_snapshot` — the committed store at a
   watermark, frozen into one codec-encoded file (schema, watermark, one row
   per tuple *identity*), replaced atomically.
@@ -34,17 +35,16 @@ from __future__ import annotations
 import os
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple as PyTuple
 
-from ..codec.rows import encode_row
 from ..codec.wire import (
     CodecError,
     WIRE_VERSION,
     decode_schema,
     decode_tuple,
-    decode_versioned_write,
+    decode_write,
     dumps,
     encode_schema,
     encode_tuple,
-    encode_versioned_write,
+    encode_write,
     loads,
 )
 from ..core.schema import DatabaseSchema
@@ -107,10 +107,15 @@ def _read_segment(path: str, newest: bool) -> PyTuple[List[Dict], int]:
                     break
                 raise
             _check_version(record)
-            if record.get("t") not in ("write", "rollback", "commit"):
+            kind = record.get("t")
+            if kind in ("write", "rollback"):
                 raise CodecError(
-                    "unknown segment record type {!r}".format(record.get("t"))
+                    "segment record type {!r} in {!r}: the log predates commit "
+                    "records, so only the build that wrote it can restore "
+                    "it".format(kind, path)
                 )
+            if kind != "commit":
+                raise CodecError("unknown segment record type {!r}".format(kind))
             records.append(record)
         intact += len(line) + 1
     return records, intact
@@ -122,8 +127,9 @@ class _Segment:
     __slots__ = ("top", "entries", "size")
 
     def __init__(self, top: int = 0, entries: int = 0, size: int = 0):
-        #: Highest priority any of its records mentions.
+        #: Highest watermark its commit records carry.
         self.top = top
+        #: Logged writes its commit records carry.
         self.entries = entries
         #: Bytes of intact records (a torn tail is not counted).
         self.size = size
@@ -144,15 +150,11 @@ class WriteLogSegments:
         #: The one open append handle (on the newest segment, once needed).
         self._handle = None
         for index, records, intact in self._scan():
-            segment = self._segments[index] = _Segment(0, len(records), intact)
+            segment = self._segments[index] = _Segment(size=intact)
             for record in records:
-                if record["t"] == "write":
-                    segment.top = max(segment.top, record["e"]["pri"])
-                elif record["t"] == "rollback":
-                    segment.top = max(segment.top, record["p"])
-                else:
-                    segment.top = max(segment.top, record["w"])
-                    self._watermark = max(self._watermark, record["w"])
+                segment.top = max(segment.top, record["w"])
+                segment.entries += len(record["e"])
+            self._watermark = max(self._watermark, segment.top)
 
     # ------------------------------------------------------------------
     # Layout
@@ -207,66 +209,41 @@ class WriteLogSegments:
             self._handle = open(self._segment_path(newest), "ab")
         return self._segments[newest]
 
-    def _append_records(self, records: List[Dict], top: int) -> None:
-        """Append *records* (mentioning priorities up to *top*), rolling segments.
+    def append(self, entries: Sequence[VersionedWrite], watermark: int) -> None:
+        """Append one commit record and flush: the log's only write path.
 
-        This is the store's hottest durable path (every chase step's write
-        batch lands here): the records go into the open handle's buffer and
-        reach the operating system at the next commit record.
-        """
-        lines = [dumps(record) + b"\n" for record in records]
-        position = 0
-        while position < len(lines):
-            segment = self._writable()
-            room = self.max_entries_per_segment - segment.entries
-            data = b"".join(lines[position:position + room])
-            self._handle.write(data)
-            segment.entries += min(room, len(lines) - position)
-            segment.size += len(data)
-            segment.top = max(segment.top, top)
-            position += room
-
-    def append(self, entries: Sequence[VersionedWrite]) -> None:
-        """Append applied writes (seq-ascending, as the store logs them)."""
-        if entries:
-            self._append_records(
-                [
-                    {"v": WIRE_VERSION, "t": "write", "e": encode_versioned_write(entry)}
-                    for entry in entries
-                ],
-                max(entry.priority for entry in entries),
-            )
-
-    def record_rollback(self, priority: int) -> None:
-        """Append a tombstone: every logged write of *priority* is void."""
-        self._append_records(
-            [{"v": WIRE_VERSION, "t": "rollback", "p": priority}], priority
-        )
-
-    def record_commit(self, watermark: int) -> None:
-        """Append the commit record for *watermark* and flush the log.
-
-        The caller guarantees (as for the in-memory
-        :meth:`~repro.storage.versioned.VersionedDatabase.compact_below`) that
-        every priority at or below *watermark* is committed or fully rolled
-        back.  The flush makes this the durability point: what a killed
-        process leaves on disk ends at its last commit record, give or take a
-        tail of uncommitted writes that a replay bounded by the watermark
-        never reads.
+        *entries* are the writes a commit batch made durable (seq-ascending,
+        every priority at or below *watermark*); the caller guarantees (as
+        for the in-memory
+        :meth:`~repro.storage.versioned.VersionedDatabase.compact_below`)
+        that every priority at or below *watermark* is committed or fully
+        rolled back.  The flush makes the record the durability point: what
+        a killed process leaves on disk ends at its last whole commit
+        record.  A record goes whole into the newest segment; a segment
+        takes no new record once it holds ``max_entries_per_segment``
+        writes.
         """
         self._watermark = max(self._watermark, watermark)
-        self._append_records(
-            [{"v": WIRE_VERSION, "t": "commit", "w": self._watermark}], self._watermark
-        )
+        data = dumps({
+            "v": WIRE_VERSION,
+            "t": "commit",
+            "w": self._watermark,
+            # What replay reads, and no more: the seq orders the replay,
+            # the priority bounds it and sets what each write sees.
+            "e": [
+                [entry.seq, entry.priority, encode_write(entry.write)]
+                for entry in entries
+            ],
+        }) + b"\n"
+        segment = self._writable()
+        self._handle.write(data)
         self._handle.flush()
-
-    def flush(self) -> None:
-        """Hand every buffered record to the operating system."""
-        if self._handle is not None:
-            self._handle.flush()
+        segment.entries += len(entries)
+        segment.size += len(data)
+        segment.top = self._watermark
 
     def close(self) -> None:
-        """Flush and release the append handle (a later append reopens it)."""
+        """Release the append handle (a later append reopens it)."""
         if self._handle is not None:
             self._handle.close()
             self._handle = None
@@ -277,7 +254,7 @@ class WriteLogSegments:
     def drop_covered(self, watermark: int) -> int:
         """Delete the segments a base snapshot at *watermark* makes redundant.
 
-        A segment whose every mentioned priority is at or below *watermark*
+        A segment whose every commit record is at or below *watermark*
         carries nothing a replay onto that base still needs.  The caller
         guarantees the base is already durably in place.  Returns the number
         of segment files deleted.
@@ -296,30 +273,25 @@ class WriteLogSegments:
     # Replay
     # ------------------------------------------------------------------
     def replay(self, after: int = 0, upto: Optional[int] = None) -> List[VersionedWrite]:
-        """The logged writes of priorities in ``(after, upto]``, in log order.
+        """The logged writes of priorities in ``(after, upto]``, in seq order.
 
-        Rolled-back priorities are filtered (their tombstone may live in a
-        later segment than their writes).  *after* is the watermark of the
-        base the replay is applied onto; *upto* bounds it to a recorded
-        commit watermark (everything at or below one is committed or rolled
-        back), and ``None`` also returns the uncommitted tail.
+        *after* is the watermark of the base the replay is applied onto;
+        *upto* bounds it to a commit watermark, and ``None`` reads up to the
+        last commit record.  Every logged write is committed, so nothing is
+        filtered but the range.  A replayed entry carries no tuple identity
+        (its ``tid`` is 0, which no store hands out): replay applies writes
+        by content.
         """
-        self.flush()
-        raw: List[Dict] = []
-        rolled_back: Set[int] = set()
+        replayed: List[VersionedWrite] = []
         for _, records, _ in self._scan():
             for record in records:
-                if record["t"] == "rollback":
-                    rolled_back.add(record["p"])
-                elif record["t"] == "write":
-                    priority = record["e"]["pri"]
+                for seq, priority, write in record["e"]:
                     if priority > after and (upto is None or priority <= upto):
-                        raw.append(record["e"])
-        live = [
-            decode_versioned_write(body) for body in raw if body["pri"] not in rolled_back
-        ]
-        live.sort(key=lambda entry: entry.seq)
-        return live
+                        replayed.append(
+                            VersionedWrite(seq, priority, 0, decode_write(write))
+                        )
+        replayed.sort(key=lambda entry: entry.seq)
+        return replayed
 
 
 # ----------------------------------------------------------------------
@@ -330,27 +302,40 @@ def write_snapshot(
     schema: DatabaseSchema,
     relations: Mapping[str, Iterable[Tuple]],
     watermark: int,
+    encoded: Dict[Tuple, bytes],
 ) -> int:
     """Freeze the committed store at *watermark* into one file, atomically.
 
     *relations* holds one row per tuple identity: two identities with equal
     content are two rows, so a replayed ``DELETE`` (which removes one
-    identity) leaves the twin the live store still shows.  Returns the
-    number of bytes written.
+    identity) leaves the twin the live store still shows.  *encoded* maps
+    rows to their encoded bytes; it is left holding exactly this snapshot's
+    rows, so a caller that writes bases repeatedly through one dict encodes
+    a row once for as long as it stays in the store.  The file holds what
+    :func:`dumps` makes of the snapshot document, rows in the order of their
+    bytes, assembled from those pieces.  Returns the number of bytes
+    written.
     """
-    data = dumps({
-        "v": WIRE_VERSION,
-        "t": "snapshot",
-        "watermark": watermark,
-        "schema": encode_schema(schema),
-        # Rows in the flat row codec's order: deterministic (up to rows that
-        # differ only in a constant's *type*, which that codec cannot tell
-        # apart), and computed without serialising every row to compare it.
-        "relations": {
-            relation: [encode_tuple(row) for row in sorted(rows, key=encode_row)]
-            for relation, rows in relations.items()
-        },
-    }) + b"\n"
+    rows_of: List[bytes] = []
+    kept: Dict[Tuple, bytes] = {}
+    for relation in sorted(relations):
+        texts = []
+        for row in relations[relation]:
+            text = encoded.get(row)
+            if text is None:
+                text = dumps(encode_tuple(row))
+            kept[row] = text
+            texts.append(text)
+        texts.sort()
+        rows_of.append(dumps(relation) + b":[" + b",".join(texts) + b"]")
+    encoded.clear()
+    encoded.update(kept)
+    data = b"".join((
+        b'{"relations":{', b",".join(rows_of),
+        b'},"schema":', dumps(encode_schema(schema)),
+        b',"t":"snapshot","v":', dumps(WIRE_VERSION),
+        b',"watermark":', dumps(watermark), b"}\n",
+    ))
     replace_file(path, data)
     return len(data)
 
@@ -372,9 +357,9 @@ def read_snapshot(path: str) -> PyTuple[DatabaseSchema, Dict[str, List[Tuple]], 
 def recover(base_path: str, log_directory: Optional[str], watermark: int) -> FrozenDatabase:
     """The committed store at *watermark*: a base plus the log's entries above it.
 
-    The log's committed, non-rolled-back writes between the base's watermark
-    and *watermark* are replayed onto the base by content
-    (:meth:`~repro.storage.versioned.VersionedDatabase.apply_write`), in log
+    The log's writes between the base's watermark and *watermark* are
+    replayed onto the base by content
+    (:meth:`~repro.storage.versioned.VersionedDatabase.apply_write`), in seq
     order.  A by-content write can only ever land on an identity whose
     content some replayed write names, so only those base rows are loaded
     into the replay store; the rest pass straight through to the result.

@@ -260,9 +260,12 @@ class VersionedDatabase:
         #: Number of compaction passes performed (introspection).
         self.compactions = 0
         #: Optional durable redo log (:class:`~repro.storage.durable.WriteLogSegments`):
-        #: when attached, every applied write, rollback and commit is
-        #: mirrored to codec-encoded segment files (see :meth:`attach_segments`).
+        #: when attached, every commit batch's writes go to codec-encoded
+        #: segment files (see :meth:`attach_segments`).
         self._segments = None
+        #: The rows of the last :meth:`snapshot_to` base, encoded: the next
+        #: base re-encodes only the rows that changed since.
+        self._encoded_rows: Dict[Tuple, bytes] = {}
 
     # ------------------------------------------------------------------
     # Loading and basic accessors
@@ -332,15 +335,15 @@ class VersionedDatabase:
                 self._bump_relations(touched)
 
     def attach_segments(self, segments) -> None:
-        """Enable durable mode: mirror the write log to *segments*.
+        """Enable durable mode: log every commit batch to *segments*.
 
         *segments* is a :class:`~repro.storage.durable.WriteLogSegments`.
-        From this call on, every applied write is appended to the segment
-        files through the wire codec, rollbacks append tombstones, and
-        :meth:`compact_below` appends a commit record carrying the watermark
-        (and flushes).  Nothing is deleted at commit time, so a base written
-        by ``snapshot_to(path, B)`` plus ``segments.replay(after=B, upto=W)``
-        reproduces the committed store at any later recorded watermark ``W``
+        From this call on, :meth:`compact_below` appends one commit record
+        per batch, carrying the watermark and the batch's writes in seq
+        order (and flushes); writes that roll back never reach the log.
+        Nothing is deleted at commit time, so a base written by
+        ``snapshot_to(path, B)`` plus ``segments.replay(after=B, upto=W)``
+        reproduces the committed store at any later commit watermark ``W``
         (see :mod:`repro.storage.durable`).
         """
         self._segments = segments
@@ -374,7 +377,9 @@ class VersionedDatabase:
             content = record.visible_content(watermark)
             if content is not None:
                 relations[content.relation].append(content)
-        return write_snapshot(path, self._schema, relations, int(watermark))
+        return write_snapshot(
+            path, self._schema, relations, int(watermark), self._encoded_rows
+        )
 
     @classmethod
     def restore_from(cls, path: str) -> "PyTuple[VersionedDatabase, int]":
@@ -619,8 +624,6 @@ class VersionedDatabase:
             return
         self._write_log.extend(entries)
         self._unfiled.extend(entries)
-        if self._segments is not None:
-            self._segments.append(entries)
         by_priority: Dict[int, List[VersionedWrite]] = {}
         for entry in entries:
             by_priority.setdefault(entry.priority, []).append(entry)
@@ -739,8 +742,6 @@ class VersionedDatabase:
         removed = self._log_by_priority.get(priority)
         if not removed:
             return []
-        if self._segments is not None:
-            self._segments.record_rollback(priority)
         self._bump_relations({entry.write.relation for entry in removed})
         self._drop_priority_log(priority)
         for tid in {entry.tid for entry in removed}:
@@ -890,10 +891,13 @@ class VersionedDatabase:
             ]
         if not targets:
             return 0
+        committed: List[VersionedWrite] = []
         touched_tids: Set[int] = set()
         touched_relations: Set[str] = set()
         for priority in targets:
-            for entry in self._log_by_priority[priority]:
+            entries = self._log_by_priority[priority]
+            committed.extend(entries)
+            for entry in entries:
                 touched_tids.add(entry.tid)
                 touched_relations.add(entry.write.relation)
         removed_versions = 0
@@ -936,7 +940,8 @@ class VersionedDatabase:
         if self._segments is not None:
             # The commit record is the durability point of this batch; the
             # segments themselves stay until a base snapshot covers them.
-            self._segments.record_commit(watermark)
+            committed.sort(key=lambda entry: entry.seq)
+            self._segments.append(committed, watermark)
         return removed_versions
 
     # ------------------------------------------------------------------

@@ -36,6 +36,8 @@ from repro.codec.wire import (
     encode_frontier_operation,
     encode_frontier_request,
     encode_schema,
+    encode_term,
+    encode_tuple,
     encode_user_operation,
     encode_versioned_write,
 )
@@ -497,6 +499,21 @@ def test_malformed_bytes_are_rejected():
         decode_envelope(b"\xff\xfe not json")
     with pytest.raises(CodecError):
         decode_envelope(dumps({"v": WIRE_VERSION, "b": {"t": "no-such-payload"}}))
+
+
+def test_encode_tuple_encodes_each_value_as_encode_term_does():
+    """The exact-class fast path and the general path write the same body."""
+
+    class Tagged(Constant):
+        pass
+
+    row = Tuple("R", [
+        Constant("a"), Constant(7), Constant(2.5), Constant(True), Constant(None),
+        LabeledNull("n1"), Tagged("b"),
+    ])
+    assert encode_tuple(row) == ["R"] + [encode_term(value) for value in row.values]
+    with pytest.raises(CodecError, match="not wire-encodable"):
+        encode_tuple(Tuple("R", [Constant((1, 2))]))
 
 
 def test_unencodable_payload_is_rejected():

@@ -397,9 +397,14 @@ def test_incremental_equals_full_under_aborts(tmp_path, seed, durable):
 
 @pytest.mark.parametrize("seed", range(2))
 def test_incremental_equals_full_on_a_generated_repository(tmp_path, seed):
-    """Section 6 mixed stream over 15 mappings: cascades, deletes, unifies."""
+    """Section 6 mixed stream over 15 mappings: cascades, deletes, unifies.
+
+    Sized so the log outgrows the base several times: the log holds
+    committed writes only, so it needs a small start and a long stream to
+    overtake a base that grows with the store.
+    """
     rng = random.Random(seed)
-    environment = build_environment(ExperimentConfig().scaled(num_initial_tuples=30))
+    environment = build_environment(ExperimentConfig().scaled(num_initial_tuples=10))
     mappings = list(mapping_prefix(environment.mappings, 15))
     service = RepositoryService(
         environment.initial, mappings,
@@ -407,7 +412,7 @@ def test_incremental_equals_full_on_a_generated_repository(tmp_path, seed):
         durable_dir=str(tmp_path / "wal"),
     )
     operations = mixed_workload(
-        environment.schema, environment.initial, 150, environment.constant_pool,
+        environment.schema, environment.initial, 200, environment.constant_pool,
         rng=rng, delete_fraction=0.3,
     )
     manifests = _drive_with_checkpoints(

@@ -2,10 +2,11 @@
 
 The contract under test: at any moment, a base written by
 ``snapshot_to(path, watermark)`` plus replaying the redo log's entries above
-that watermark onto the restored base yields a store whose every view matches
-the original — across rollbacks (tombstoned priorities filtered), commits
-(a commit record carries the watermark; segments stay until a base covers
-them), process "restarts" (a fresh
+that watermark onto the restored base yields the original's committed view —
+across rollbacks (a rolled-back update writes nothing to the log), commits
+(one commit record per batch carries the watermark and the batch's writes;
+segments stay until a base covers them), writes that interleave out of
+priority order (replay goes by seq), process "restarts" (a fresh
 :class:`~repro.storage.durable.WriteLogSegments` over the same directory),
 kills mid-append (a torn tail is dropped) and two tuple identities holding
 equal content (the base keeps both).
@@ -19,15 +20,16 @@ import shutil
 
 import pytest
 
-from repro.codec import CodecError
+from repro.codec import WIRE_VERSION, CodecError
+from repro.codec.wire import dumps, encode_schema, encode_tuple
 from repro.core.schema import DatabaseSchema
 from repro.core.terms import Constant, LabeledNull
 from repro.core.tuples import Tuple
 from repro.core.writes import delete, insert, modify
-from repro.storage.durable import WriteLogSegments, read_snapshot, recover
+from repro.storage.durable import WriteLogSegments, read_snapshot, recover, write_snapshot
 from repro.storage.interface import dump_sorted
 from repro.storage.memory import FrozenDatabase
-from repro.storage.versioned import LATEST, VersionedDatabase
+from repro.storage.versioned import LATEST, VersionedDatabase, VersionedWrite
 
 SCHEMA = DatabaseSchema.from_dict({"R": ["a", "b"], "S": ["x"]})
 
@@ -86,45 +88,130 @@ def test_snapshot_round_trip():
     assert dump_sorted(restored.latest_view()) == dump_sorted(store.view_for(1))
 
 
+def _base_document(watermark, relations):
+    return dumps({
+        "v": WIRE_VERSION,
+        "t": "snapshot",
+        "watermark": watermark,
+        "schema": encode_schema(SCHEMA),
+        "relations": {
+            relation: sorted((encode_tuple(row) for row in rows), key=dumps)
+            for relation, rows in relations.items()
+        },
+    }) + b"\n"
+
+
+def test_a_base_is_what_dumps_makes_of_the_snapshot_document(tmp_path):
+    """A base is assembled from per-row bytes, which the next base reuses."""
+    path = str(tmp_path / "base.json")
+    twin, typed = Tuple("S", ["s1"]), Tuple("S", [7])
+    relations = {
+        "R": [Tuple("R", ["r1", "r2"]), Tuple("R", ["é", LabeledNull("n1")])],
+        "S": [twin, Tuple("S", ["7"]), typed, twin],
+    }
+    encoded = {}
+    size = write_snapshot(path, SCHEMA, relations, 3, encoded)
+    assert _read(path) == _base_document(3, relations) and size == len(_read(path))
+    assert set(encoded) == {row for rows in relations.values() for row in rows}
+    # The next base takes a kept row's bytes as they are, and forgets the
+    # rows it no longer holds.
+    relations["S"].remove(typed)
+    encoded[twin] = dumps(encode_tuple(Tuple("S", ["kept"])))
+    write_snapshot(path, SCHEMA, relations, 4, encoded)
+    assert read_snapshot(path)[1]["S"].count(Tuple("S", ["kept"])) == 2
+    assert typed not in encoded
+
+
 def test_segments_replay_applied_writes(tmp_path):
     store, segments = _store(tmp_path)
     store.apply_writes([insert(Tuple("S", ["w1"])), insert(Tuple("S", ["w2"]))], 1)
     store.apply_write(delete(Tuple("S", ["s1"])), 2)
-    segments.close()  # nothing committed yet: the appends were still buffered
+    applied = list(store.write_log())
+    # Nothing is logged before its commit ...
+    assert WriteLogSegments(str(tmp_path / "segments")).replay() == []
+    store.compact_below(2)
+    # ... and the commit record, flushed, holds the batch as it was applied.
     replayed = WriteLogSegments(str(tmp_path / "segments")).replay()
-    assert [entry.write.describe() for entry in replayed] == [
-        logged.write.describe() for logged in store.write_log()
+    assert [(entry.seq, entry.priority, entry.write) for entry in replayed] == [
+        (logged.seq, logged.priority, logged.write) for logged in applied
     ]
-    assert [entry.seq for entry in replayed] == [e.seq for e in store.write_log()]
+    segments.close()
 
 
-def test_rollback_tombstones_filter_replay(tmp_path):
+def test_rolled_back_writes_never_replay(tmp_path):
     store, segments = _store(tmp_path)
     store.apply_writes([insert(Tuple("S", ["keep"]))], 1)
     store.apply_writes([insert(Tuple("S", ["drop"])), insert(Tuple("R", ["q", "q"]))], 2)
+    store.apply_writes([insert(Tuple("S", ["also"]))], 3)
     store.rollback(2)
+    store.compact_below(3)
     segments.close()
     replayed = WriteLogSegments(str(tmp_path / "segments")).replay()
-    assert {entry.priority for entry in replayed} == {1}
+    assert {entry.priority for entry in replayed} == {1, 3}
+
+
+def _log_bytes(directory):
+    return b"".join(
+        _read(os.path.join(directory, name)) for name in sorted(os.listdir(directory))
+    )
+
+
+def test_a_rolled_back_update_leaves_no_byte_in_the_log(tmp_path):
+    store, segments = _store(tmp_path)
+    store.apply_writes([insert(Tuple("S", ["drop"])), insert(Tuple("R", ["q", "q"]))], 1)
+    store.rollback(1)
+    store.apply_writes([insert(Tuple("S", ["keep"]))], 2)
+    store.compact_below(2)
+    segments.close()
+    data = _log_bytes(str(tmp_path / "segments"))
+    assert b"keep" in data
+    assert b"drop" not in data and b'"q"' not in data
+    assert data.count(b"\n") == 1  # one commit record, nothing else
+
+
+@pytest.mark.parametrize("batches", [[3], [1, 2, 3]], ids=["one-batch", "three-batches"])
+def test_interleaved_priorities_replay_to_the_committed_view(tmp_path, batches):
+    """Writes in seq order 2, 1, 3: replay goes by seq, not by record or priority.
+
+    Priority 1 cannot see priority 2's ``S(y)``, so it inserts a second
+    identity, and priority 3's delete removes the older one: the committed
+    view still shows ``S(y)``.  Applied in priority order, the second insert
+    would find the first and do nothing, and the delete would leave no
+    ``S(y)``.
+    """
+    store, segments = _store(tmp_path)
+    base = str(tmp_path / "base.json")
+    store.snapshot_to(base, 0)
+    y = Tuple("S", ["y"])
+    store.apply_write(insert(y), 2)
+    store.apply_write(insert(y), 1)
+    store.apply_write(delete(y), 3)
+    for watermark in batches:
+        store.compact_below(watermark)
+    segments.close()
+    assert store.view_for(3).contains(y)
+    rebuilt, _ = _replay_onto(base, str(tmp_path / "segments"))
+    assert _same_contents(rebuilt, store, 3)
+    assert y in set(recover(base, str(tmp_path / "segments"), 3).tuples("S"))
 
 
 def test_commit_records_the_watermark_and_a_base_drops_covered_segments(tmp_path):
     store, segments = _store(tmp_path)
-    for priority in range(1, 9):
+    for priority in range(1, 11):
         store.apply_writes([insert(Tuple("S", ["v{}".format(priority)]))], priority)
+        store.compact_below(priority)  # the commit: one appended record, one flush
+    store.apply_writes([insert(Tuple("S", ["in-flight"]))], 11)  # never commits
     before = len(segments.segment_indexes())
-    assert before >= 2  # small segments roll over
-    store.compact_below(6)  # the commit: one appended record, one flush
+    assert before >= 3  # small segments roll over
     assert not os.path.exists(tmp_path / "segments" / "segments-meta.json")
     reopened = WriteLogSegments(str(tmp_path / "segments"))
-    assert reopened.watermark == 6
-    # Committing deletes nothing: the log alone still reproduces 1..6 ...
-    assert len(reopened.segment_indexes()) >= before
+    assert reopened.watermark == 10
+    # Committing deletes nothing: the log alone still reproduces 1..10, and
+    # the uncommitted 11 is not in it.
+    assert len(reopened.segment_indexes()) == before
     assert {e.priority for e in reopened.replay(upto=6)} == set(range(1, 7))
-    # ... while 7 and 8 (appended before the commit record, so flushed with
-    # it) are the uncommitted tail a watermark-bounded replay never reads.
-    assert {e.priority for e in reopened.replay(after=6)} == {7, 8}
-    # Only a base snapshot at the watermark retires the segments it covers.
+    assert {e.priority for e in reopened.replay()} == set(range(1, 11))
+    # Only a base snapshot at a watermark retires the segments it covers.
     store.snapshot_to(str(tmp_path / "base.json"), 6)
     retained_before = segments.retained_bytes()
     assert segments.drop_covered(6) >= 1
@@ -132,7 +219,7 @@ def test_commit_records_the_watermark_and_a_base_drops_covered_segments(tmp_path
     segments.close()
     reopened = WriteLogSegments(str(tmp_path / "segments"))
     assert len(reopened.segment_indexes()) < before
-    assert {e.priority for e in reopened.replay(after=6)} == {7, 8}
+    assert {e.priority for e in reopened.replay(after=6)} == {7, 8, 9, 10}
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -169,7 +256,8 @@ def test_randomized_snapshot_plus_replay_reproduces_the_store(tmp_path, seed):
     segments.drop_covered(committed)
     segments.close()
     rebuilt, _ = _replay_onto(snapshot_path, str(tmp_path / "segments{}".format(seed)))
-    assert _same_contents(rebuilt, store)
+    # The log holds committed work only: the rest of the store is in flight.
+    assert _same_contents(rebuilt, store, committed)
 
 
 def _random_committed_history(store, rng, priorities):
@@ -263,12 +351,13 @@ def test_base_keeps_both_identities_of_equal_content(tmp_path):
 # Torn tails and atomic files
 # ----------------------------------------------------------------------
 def _three_segment_log(directory):
-    """Ten committed single-write priorities over segments of four entries."""
+    """Eleven committed single-write priorities (five more roll back) over
+    segments of four entries: commit records 4 + 4 + 3."""
     store = VersionedDatabase(SCHEMA)
     store.load_initial(_initial())
     segments = WriteLogSegments(directory, max_entries_per_segment=4)
     store.attach_segments(segments)
-    for priority in range(1, 11):
+    for priority in range(1, 17):
         store.apply_writes([insert(Tuple("S", ["t{}".format(priority)]))], priority)
         if priority % 3 == 0:
             store.rollback(priority)
@@ -293,15 +382,18 @@ def test_a_chopped_newest_segment_loses_only_its_torn_record(tmp_path, seed):
         reopened = WriteLogSegments(directory, max_entries_per_segment=4)
         # Exactly the committed history up to the last commit record that
         # survived whole: nothing invented, nothing lost, nothing reordered.
-        committed = reopened.replay(upto=reopened.watermark)
-        assert committed == [e for e in complete if e.priority <= reopened.watermark]
+        survived = reopened.watermark
+        committed = reopened.replay(upto=survived)
+        assert committed == [e for e in complete if e.priority <= survived]
         # An append first truncates the torn record away, so the next reopen
         # (where this segment may no longer be the newest) reads cleanly.
-        reopened.record_rollback(99)
+        later = VersionedWrite(100, 99, 0, insert(Tuple("S", ["later"])))
+        reopened.append([later], 99)
         reopened.close()
         again = WriteLogSegments(directory, max_entries_per_segment=4)
-        assert again.watermark == reopened.watermark
-        assert again.replay(upto=again.watermark) == committed
+        assert again.watermark == 99
+        assert again.replay(upto=survived) == committed
+        assert again.replay(after=survived) == [later]
         for name in os.listdir(directory):
             if name > names[-1]:
                 os.remove(os.path.join(directory, name))
@@ -355,6 +447,24 @@ def test_a_snapshot_write_that_dies_half_way_keeps_the_old_file(tmp_path, dying_
     assert _read(path) == good
     assert os.listdir(str(tmp_path)) == ["snap.json"]  # no temp file left behind
     assert read_snapshot(path)[2] == 0
+
+
+def test_a_log_from_before_commit_records_is_refused(tmp_path):
+    """Per-write and rollback records were the log's shape before commit records."""
+    legacy = {
+        "write": {"e": {"seq": 1, "pri": 1, "tid": 1, "w": {"k": "insert", "row": ["S", "a"]}}},
+        "rollback": {"p": 1},
+    }
+    for kind, body in legacy.items():
+        directory = tmp_path / kind
+        directory.mkdir()
+        with open(directory / "segment-00000001.log", "wb") as handle:
+            handle.write(dumps(dict(body, v=WIRE_VERSION, t=kind)) + b"\n")
+            handle.write(dumps({"v": WIRE_VERSION, "t": "commit", "w": 1, "e": []}) + b"\n")
+        with pytest.raises(
+            CodecError, match="segment record type '{}'.*predates commit records".format(kind)
+        ):
+            WriteLogSegments(str(directory))
 
 
 def test_unknown_segment_version_is_rejected(tmp_path):
