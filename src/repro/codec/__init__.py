@@ -46,13 +46,11 @@ from .wire import (
     decode_schema,
     decode_tuple,
     decode_user_operation,
-    decode_versioned_write,
     encode_envelope,
     encode_payload,
     encode_schema,
     encode_tuple,
     encode_user_operation,
-    encode_versioned_write,
     payload_kind,
     payloads_equivalent,
 )
@@ -75,7 +73,6 @@ __all__ = [
     "decode_term",
     "decode_tuple",
     "decode_user_operation",
-    "decode_versioned_write",
     "encode_envelope",
     "encode_frame",
     "encode_payload",
@@ -84,7 +81,6 @@ __all__ = [
     "encode_term",
     "encode_tuple",
     "encode_user_operation",
-    "encode_versioned_write",
     "payload_kind",
     "payloads_equivalent",
 ]

@@ -34,7 +34,6 @@ from ..federation.envelopes import (
 from ..federation.operations import RemoteFiringOperation, RemoteRetractionOperation
 from ..federation.transport import Bundle
 from ..service.tickets import RemoteOrigin
-from ..storage.versioned import VersionedWrite
 from . import wire
 
 for _name in wire.__annotations__:

@@ -64,7 +64,6 @@ DeleteOperation: type
 NullReplacementOperation: type
 Violation: type
 ViolationKind: type
-VersionedWrite: type
 RemoteFiringOperation: type
 RemoteRetractionOperation: type
 RemoteOrigin: type
@@ -231,25 +230,6 @@ def decode_write(body: Dict[str, Any]) -> Write:
         old_row=decode_tuple(body["old"]) if "old" in body else None,
         null=decode_term(body["null"]) if "null" in body else None,
         replacement=decode_term(body["rep"]) if "rep" in body else None,
-    )
-
-
-def encode_versioned_write(entry) -> Dict[str, Any]:
-    """Encode a logged write with its provenance (seq, priority, tid)."""
-    return {
-        "seq": entry.seq,
-        "pri": entry.priority,
-        "tid": entry.tid,
-        "w": encode_write(entry.write),
-    }
-
-
-def decode_versioned_write(body: Dict[str, Any]):
-    return VersionedWrite(
-        seq=body["seq"],
-        priority=body["pri"],
-        tid=body["tid"],
-        write=decode_write(body["w"]),
     )
 
 

@@ -12,10 +12,10 @@ on the federation transport:
   long-lived) append handle.  An update that rolls back leaves nothing in
   the log.  Nothing is deleted at commit time: a segment stays until a
   *base* snapshot covers every watermark it records
-  (:meth:`WriteLogSegments.drop_covered`).  :meth:`WriteLogSegments.replay`
-  returns the logged writes of a priority range in seq order, so ``base at B
-  + replay(after=B, upto=W)`` is the committed store at any commit
-  watermark ``W``.
+  (:meth:`WriteLogSegments.drop_covered`).  :func:`replay_log` returns the
+  logged writes of a priority range in seq order, reading each segment once,
+  so ``base at B + replay_log(log, after=B, upto=W)`` is the committed store
+  at any commit watermark ``W``.
 * :func:`write_snapshot` / :func:`read_snapshot` — the committed store at a
   watermark, frozen into one codec-encoded file (schema, watermark, one row
   per tuple *identity*), replaced atomically.
@@ -121,6 +121,25 @@ def _read_segment(path: str, newest: bool) -> PyTuple[List[Dict], int]:
     return records, intact
 
 
+def _segment_path(directory: str, index: int) -> str:
+    return os.path.join(
+        directory, "{}{:08d}{}".format(_SEGMENT_PREFIX, index, _SEGMENT_SUFFIX)
+    )
+
+
+def _scan(directory: str) -> Iterator[PyTuple[int, List[Dict], int]]:
+    """``(index, intact records, intact bytes)`` per segment file, oldest first."""
+    indexes = sorted(
+        int(name[len(_SEGMENT_PREFIX):-len(_SEGMENT_SUFFIX)])
+        for name in os.listdir(directory)
+        if name.startswith(_SEGMENT_PREFIX) and name.endswith(_SEGMENT_SUFFIX)
+    )
+    for index in indexes:
+        yield (index,) + _read_segment(
+            _segment_path(directory, index), newest=index == indexes[-1]
+        )
+
+
 class _Segment:
     """What the log remembers about one segment file."""
 
@@ -149,7 +168,7 @@ class WriteLogSegments:
         self._segments: Dict[int, _Segment] = {}
         #: The one open append handle (on the newest segment, once needed).
         self._handle = None
-        for index, records, intact in self._scan():
+        for index, records, intact in _scan(directory):
             segment = self._segments[index] = _Segment(size=intact)
             for record in records:
                 segment.top = max(segment.top, record["w"])
@@ -159,11 +178,6 @@ class WriteLogSegments:
     # ------------------------------------------------------------------
     # Layout
     # ------------------------------------------------------------------
-    def _segment_path(self, index: int) -> str:
-        return os.path.join(
-            self.directory, "{}{:08d}{}".format(_SEGMENT_PREFIX, index, _SEGMENT_SUFFIX)
-        )
-
     def segment_indexes(self) -> List[int]:
         """The retained segment indexes, oldest first."""
         return list(self._segments)
@@ -177,18 +191,6 @@ class WriteLogSegments:
         """Total size of the retained segments (what a replay may have to read)."""
         return sum(segment.size for segment in self._segments.values())
 
-    def _scan(self) -> Iterator[PyTuple[int, List[Dict], int]]:
-        """``(index, intact records, intact bytes)`` per segment file, oldest first."""
-        indexes = sorted(
-            int(name[len(_SEGMENT_PREFIX):-len(_SEGMENT_SUFFIX)])
-            for name in os.listdir(self.directory)
-            if name.startswith(_SEGMENT_PREFIX) and name.endswith(_SEGMENT_SUFFIX)
-        )
-        for index in indexes:
-            yield (index,) + _read_segment(
-                self._segment_path(index), newest=index == indexes[-1]
-            )
-
     # ------------------------------------------------------------------
     # Appending
     # ------------------------------------------------------------------
@@ -196,7 +198,7 @@ class WriteLogSegments:
         """The newest segment with room, its append handle open."""
         newest = next(reversed(self._segments), None)
         if newest is not None and self._handle is None:
-            self._handle = open(self._segment_path(newest), "ab")
+            self._handle = open(_segment_path(self.directory, newest), "ab")
             # A predecessor killed mid-append left a torn tail: cut it off
             # before anything lands behind it.
             self._handle.truncate(self._segments[newest].size)
@@ -206,7 +208,7 @@ class WriteLogSegments:
             self.close()
             newest = 1 if newest is None else newest + 1
             self._segments[newest] = _Segment()
-            self._handle = open(self._segment_path(newest), "ab")
+            self._handle = open(_segment_path(self.directory, newest), "ab")
         return self._segments[newest]
 
     def append(self, entries: Sequence[VersionedWrite], watermark: int) -> None:
@@ -265,7 +267,7 @@ class WriteLogSegments:
         if covered and covered[-1] == next(reversed(self._segments)):
             self.close()
         for index in covered:
-            os.remove(self._segment_path(index))
+            os.remove(_segment_path(self.directory, index))
             del self._segments[index]
         return len(covered)
 
@@ -273,25 +275,32 @@ class WriteLogSegments:
     # Replay
     # ------------------------------------------------------------------
     def replay(self, after: int = 0, upto: Optional[int] = None) -> List[VersionedWrite]:
-        """The logged writes of priorities in ``(after, upto]``, in seq order.
+        """The logged writes of priorities in ``(after, upto]``: :func:`replay_log`."""
+        return replay_log(self.directory, after, upto)
 
-        *after* is the watermark of the base the replay is applied onto;
-        *upto* bounds it to a commit watermark, and ``None`` reads up to the
-        last commit record.  Every logged write is committed, so nothing is
-        filtered but the range.  A replayed entry carries no tuple identity
-        (its ``tid`` is 0, which no store hands out): replay applies writes
-        by content.
-        """
-        replayed: List[VersionedWrite] = []
-        for _, records, _ in self._scan():
-            for record in records:
-                for seq, priority, write in record["e"]:
-                    if priority > after and (upto is None or priority <= upto):
-                        replayed.append(
-                            VersionedWrite(seq, priority, 0, decode_write(write))
-                        )
-        replayed.sort(key=lambda entry: entry.seq)
-        return replayed
+
+def replay_log(
+    directory: str, after: int = 0, upto: Optional[int] = None
+) -> List[VersionedWrite]:
+    """The writes the log in *directory* holds for priorities in ``(after, upto]``.
+
+    One read of each segment, in seq order.  *after* is the watermark of the
+    base the replay is applied onto; *upto* bounds it to a commit watermark,
+    and ``None`` reads up to the last commit record.  Every logged write is
+    committed, so nothing is filtered but the range.  A replayed entry
+    carries no tuple identity (its ``tid`` is 0, which no store hands out):
+    replay applies writes by content.
+    """
+    replayed: List[VersionedWrite] = []
+    for _, records, _ in _scan(directory):
+        for record in records:
+            for seq, priority, write in record["e"]:
+                if priority > after and (upto is None or priority <= upto):
+                    replayed.append(
+                        VersionedWrite(seq, priority, 0, decode_write(write))
+                    )
+    replayed.sort(key=lambda entry: entry.seq)
+    return replayed
 
 
 # ----------------------------------------------------------------------
@@ -372,7 +381,7 @@ def recover(base_path: str, log_directory: Optional[str], watermark: int) -> Fro
                 "the state at watermark {} needs the redo log above base {!r}, "
                 "and there is none at {!r}".format(watermark, base_path, log_directory)
             )
-        entries = WriteLogSegments(log_directory).replay(base_watermark, watermark)
+        entries = replay_log(log_directory, base_watermark, watermark)
     named = {row for entry in entries for row in entry.write.rows_touched()}
     store = VersionedDatabase(schema)
     contents: Dict[str, Set[Tuple]] = {}

@@ -4,29 +4,27 @@ The violation queries of Section 4.2 are conjunctive queries whose join
 predicates are dictated by the mappings; the paper notes (Section 5.1.2) that
 "it is possible to improve performance by appropriate indexing".  The
 :class:`PositionIndex` below is the simplest useful structure: a hash index
-from ``(relation, position, term)`` to the set of tuples holding that term at
-that position.
+from ``(relation, position, term)`` to the bucket of tuples holding that term
+at that position, and from each labeled null to the bucket of tuples holding
+it.  A bucket is its one row, bare, until a second row arrives
+(:mod:`repro.storage.buckets`).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import AbstractSet, Dict, Iterable, Set, Tuple as PyTuple
+from typing import AbstractSet, Dict, Iterable, Tuple as PyTuple
 
 from ..core.terms import DataTerm, LabeledNull
 from ..core.tuples import Tuple
-
-#: What a probe of an absent key returns: one shared empty set, so a miss
-#: allocates nothing (callers only read buckets).
-_NO_ROWS: AbstractSet[Tuple] = frozenset()
+from .buckets import bucket_add, bucket_discard, bucket_members
 
 
 class PositionIndex:
     """Hash index over every (relation, position, value) combination."""
 
     def __init__(self) -> None:
-        self._by_value: Dict[PyTuple[str, int, DataTerm], Set[Tuple]] = defaultdict(set)
-        self._by_null: Dict[LabeledNull, Set[Tuple]] = defaultdict(set)
+        self._by_value: Dict[PyTuple[str, int, DataTerm], object] = {}
+        self._by_null: Dict[LabeledNull, object] = {}
         #: Number of rows indexed, maintained incrementally: ``len()`` used to
         #: recount every value bucket on each call (O(#buckets)), which turned
         #: the introspection gauges into accidental full scans.
@@ -34,33 +32,25 @@ class PositionIndex:
 
     def add(self, row: Tuple) -> None:
         """Index *row* (idempotent)."""
+        by_value, relation = self._by_value, row.relation
         changed = False
         for position, value in enumerate(row.values):
-            bucket = self._by_value[(row.relation, position, value)]
-            if row not in bucket:
-                bucket.add(row)
+            if bucket_add(by_value, (relation, position, value), row):
                 changed = True
         for null in row.null_set():
-            self._by_null[null].add(row)
+            bucket_add(self._by_null, null, row)
         if changed or not row.values:
             self._size += 1
 
     def remove(self, row: Tuple) -> None:
         """Remove *row* from the index (no-op if absent)."""
+        by_value, relation = self._by_value, row.relation
         removed = False
         for position, value in enumerate(row.values):
-            bucket = self._by_value.get((row.relation, position, value))
-            if bucket is not None and row in bucket:
-                bucket.discard(row)
+            if bucket_discard(by_value, (relation, position, value), row):
                 removed = True
-                if not bucket:
-                    del self._by_value[(row.relation, position, value)]
         for null in row.null_set():
-            bucket = self._by_null.get(null)
-            if bucket is not None:
-                bucket.discard(row)
-                if not bucket:
-                    del self._by_null[null]
+            bucket_discard(self._by_null, null, row)
         if removed:
             self._size -= 1
 
@@ -79,14 +69,12 @@ class PositionIndex:
             if not values:
                 added += 1
                 continue
-            first = by_value[(relation, 0, values[0])]
-            if row not in first:
-                first.add(row)
+            if bucket_add(by_value, (relation, 0, values[0]), row):
                 added += 1
             for position in range(1, len(values)):
-                by_value[(relation, position, values[position])].add(row)
+                bucket_add(by_value, (relation, position, values[position]), row)
             for null in row.null_set():
-                by_null[null].add(row)
+                bucket_add(by_null, null, row)
         self._size += added
 
     def remove_many(self, rows: Iterable[Tuple]) -> None:
@@ -94,15 +82,23 @@ class PositionIndex:
         for row in rows:
             self.remove(row)
 
+    def bucket(self, relation: str, position: int, value: DataTerm) -> object:
+        """The raw bucket of *value* at *position*: ``None``, a row or a set."""
+        return self._by_value.get((relation, position, value))
+
+    def null_bucket(self, null: LabeledNull) -> object:
+        """The raw bucket of the rows containing *null*: ``None``, a row or a set."""
+        return self._by_null.get(null)
+
     def lookup(
         self, relation: str, position: int, value: DataTerm
     ) -> AbstractSet[Tuple]:
-        """Tuples of *relation* holding *value* at *position* (the live bucket)."""
-        return self._by_value.get((relation, position, value), _NO_ROWS)
+        """Tuples of *relation* holding *value* at *position*."""
+        return bucket_members(self._by_value.get((relation, position, value)))
 
     def with_null(self, null: LabeledNull) -> AbstractSet[Tuple]:
-        """All indexed tuples containing *null* (the live bucket)."""
-        return self._by_null.get(null, _NO_ROWS)
+        """All indexed tuples containing *null*."""
+        return bucket_members(self._by_null.get(null))
 
     def rebuild(self, rows: Iterable[Tuple]) -> None:
         """Clear the index and re-index *rows* from scratch."""

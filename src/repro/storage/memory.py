@@ -30,8 +30,20 @@ from typing import (
 from ..core.schema import DatabaseSchema, SchemaError
 from ..core.terms import DataTerm, LabeledNull
 from ..core.tuples import Tuple
+from .buckets import bucket_copy
 from .index import PositionIndex
 from .interface import DatabaseView, MutableDatabase, StorageError
+
+
+def _agreeing(row: object, bound: Sequence[PyTuple[int, DataTerm]]) -> Iterator[Tuple]:
+    """*row* (a bucket of one row, or ``None``) if it holds every pair of *bound*."""
+    if row is None:
+        return iter(())
+    values = row.values
+    for position, value in bound:
+        if values[position] != value:
+            return iter(())
+    return iter((row,))
 
 
 class IndexedProbes(DatabaseView):
@@ -55,15 +67,20 @@ class IndexedProbes(DatabaseView):
             return self.tuples(relation)
         index = self._probe_index()
         (position, value), *rest = bound
-        first = index.lookup(relation, position, value)
+        first = index.bucket(relation, position, value)
+        if type(first) is not set:
+            return _agreeing(first, rest)
         if not rest:
             return iter(list(first))
         # The first pair's bucket in its own order, minus every row missing
         # from the narrowest other bucket; the survivors are re-checked on
-        # every pair (a row may be in one bucket and not the next).
+        # every pair (a row may be in one bucket and not the next).  A bucket
+        # of one row or none holds the whole answer.
         narrowest = first
         for position, value in rest:
-            bucket = index.lookup(relation, position, value)
+            bucket = index.bucket(relation, position, value)
+            if type(bucket) is not set:
+                return _agreeing(bucket, bound)
             if len(bucket) < len(narrowest):
                 narrowest = bucket
         matches: List[Tuple] = []
@@ -78,7 +95,7 @@ class IndexedProbes(DatabaseView):
         return iter(matches)
 
     def tuples_containing_null(self, null: LabeledNull) -> Iterator[Tuple]:
-        return iter(tuple(self._probe_index().with_null(null)))
+        return iter(bucket_copy(self._probe_index().null_bucket(null)))
 
     def more_specific_tuples(self, row: Tuple) -> List[Tuple]:
         # The chase issues this correction query on every generated tuple, so
@@ -98,13 +115,18 @@ class IndexedProbes(DatabaseView):
                 if first != position:
                     repeats.append((first, position))
                 continue
-            bucket = index.lookup(relation, position, value)
-            if candidates is None:
-                candidates = set(bucket)
-            else:
-                candidates &= bucket
-            if not candidates:
+            bucket = index.bucket(relation, position, value)
+            if type(bucket) is set:
+                if candidates is None:
+                    candidates = set(bucket)
+                else:
+                    candidates &= bucket
+                if not candidates:
+                    return []
+            elif bucket is None or (candidates is not None and bucket not in candidates):
                 return []
+            else:
+                candidates = {bucket}
         if candidates is None:
             # All-null pattern: every tuple of the relation is a candidate.
             candidates = self._rows(relation)

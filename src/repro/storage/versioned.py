@@ -64,9 +64,8 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from collections import defaultdict
 from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import merge as heap_merge
 from typing import (
     Dict,
@@ -84,6 +83,7 @@ from ..core.schema import DatabaseSchema, SchemaError
 from ..core.terms import DataTerm, LabeledNull
 from ..core.tuples import Tuple
 from ..core.writes import Write, WriteKind
+from .buckets import bucket_add, bucket_copy, bucket_discard
 from .interface import DatabaseView, StorageError
 from .memory import FrozenDatabase
 
@@ -91,6 +91,10 @@ from .memory import FrozenDatabase
 @dataclass(frozen=True)
 class Version:
     """One version of one stored tuple."""
+
+    # Slots: a store holds one or more per row, and without them Python
+    # before 3.11 gives each instance a dict of its own.
+    __slots__ = ("seq", "priority", "content")
 
     #: Global creation sequence number (the paper's per-tuple version number,
     #: realized globally so comparisons never tie).
@@ -105,9 +109,11 @@ class Version:
 class VersionedTuple:
     """A tuple identity together with all its versions (newest last)."""
 
+    __slots__ = ("tid", "relation", "versions")
+
     tid: int
     relation: str
-    versions: List[Version] = field(default_factory=list)
+    versions: List[Version]
 
     def visible_version(self, priority: int) -> Optional[Version]:
         """The version visible to an update numbered *priority* (or ``None``).
@@ -234,13 +240,14 @@ class VersionedDatabase:
         # indexed under contents of old versions — so readers re-check the
         # visible content, but they turn the chase-hot joins and correction
         # queries from relation scans into bucket probes, mirroring
-        # PositionIndex on the single-version store.
-        self._value_index: Dict[PyTuple[str, int, DataTerm], Set[int]] = defaultdict(set)
-        self._null_index: Dict[LabeledNull, Set[int]] = defaultdict(set)
+        # PositionIndex on the single-version store.  A bucket is its one tid,
+        # bare, until a second tid arrives (repro.storage.buckets).
+        self._value_index: Dict[PyTuple[str, int, DataTerm], object] = {}
+        self._null_index: Dict[LabeledNull, object] = {}
         # Exact content -> the identities some version of which holds exactly
         # that content (one entry per distinct stored content): the one index
         # behind _find_visible_tid.
-        self._content_index: Dict[Tuple, Set[int]] = defaultdict(set)
+        self._content_index: Dict[Tuple, object] = {}
         # The size gauges, kept current by every write, rollback, compaction
         # and load: telemetry reads them on every heartbeat and status reply,
         # so they must not walk the store.
@@ -321,12 +328,12 @@ class VersionedDatabase:
                 touched.add(relation)
                 loaded += 1
                 # A fresh tid is in no bucket yet: every add is a new entry.
-                content_index[row].add(tid)
+                bucket_add(content_index, row, tid)
                 for position, value in enumerate(values):
-                    value_index[(relation, position, value)].add(tid)
+                    bucket_add(value_index, (relation, position, value), tid)
                 nulls = row.null_set()
                 for null in nulls:
-                    null_index[null].add(tid)
+                    bucket_add(null_index, null, tid)
                 entries += 1 + len(values) + len(nulls)
         finally:
             self._version_count += loaded
@@ -592,22 +599,13 @@ class VersionedDatabase:
         return next(self._seq_counter)
 
     def _index_content(self, tid: int, row: Tuple) -> None:
-        added = 0
-        bucket = self._content_index[row]
-        if tid not in bucket:
-            bucket.add(tid)
-            added += 1
+        added = bucket_add(self._content_index, row, tid)
         relation, value_index = row.relation, self._value_index
         for position, value in enumerate(row.values):
-            bucket = value_index[(relation, position, value)]
-            if tid not in bucket:
-                bucket.add(tid)
-                added += 1
+            added += bucket_add(value_index, (relation, position, value), tid)
+        null_index = self._null_index
         for null in row.null_set():
-            bucket = self._null_index[null]
-            if tid not in bucket:
-                bucket.add(tid)
-                added += 1
+            added += bucket_add(null_index, null, tid)
         self._index_entries += added
 
     def extend_log(self, entries: Sequence[VersionedWrite]) -> None:
@@ -651,10 +649,10 @@ class VersionedDatabase:
         row = write.row
         self._schema.validate_tuple(row)
         tid = next(self._tid_counter)
-        record = VersionedTuple(tid=tid, relation=row.relation)
         seq = self._next_seq()
-        record.versions.append(Version(seq=seq, priority=priority, content=row))
-        self._tuples[tid] = record
+        self._tuples[tid] = VersionedTuple(
+            tid, row.relation, [Version(seq=seq, priority=priority, content=row)]
+        )
         self._by_relation[row.relation].add(tid)
         self._version_count += 1
         self._index_content(tid, row)
@@ -673,9 +671,11 @@ class VersionedDatabase:
         # Lowest tid first: which of two equal-valued identities a delete or
         # modify hits is a function of the inputs, not of set iteration order.
         bucket = self._content_index.get(row)
-        if not bucket:
+        if bucket is None:
             return None
         tuples = self._tuples
+        if type(bucket) is not set:
+            return bucket if tuples[bucket].visible_content(priority) == row else None
         for tid in sorted(bucket):
             if tuples[tid].visible_content(priority) == row:
                 return tid
@@ -823,31 +823,14 @@ class VersionedDatabase:
             if row is None:
                 continue
             if row not in keep_contents:
-                bucket = self._content_index.get(row)
-                if bucket is not None and tid in bucket:
-                    bucket.remove(tid)
-                    dropped += 1
-                    if not bucket:
-                        del self._content_index[row]
+                dropped += bucket_discard(self._content_index, row, tid)
             for position, value in enumerate(row.values):
                 key = (row.relation, position, value)
-                if key in keep_values:
-                    continue
-                bucket = self._value_index.get(key)
-                if bucket is not None and tid in bucket:
-                    bucket.remove(tid)
-                    dropped += 1
-                    if not bucket:
-                        del self._value_index[key]
+                if key not in keep_values:
+                    dropped += bucket_discard(self._value_index, key, tid)
             for null in row.null_set():
-                if null in keep_nulls:
-                    continue
-                bucket = self._null_index.get(null)
-                if bucket is not None and tid in bucket:
-                    bucket.remove(tid)
-                    dropped += 1
-                    if not bucket:
-                        del self._null_index[null]
+                if null not in keep_nulls:
+                    dropped += bucket_discard(self._null_index, null, tid)
         self._index_entries -= dropped
 
     # ------------------------------------------------------------------
@@ -1068,20 +1051,25 @@ class VersionedView(DatabaseView):
             return iter((row,) if self.contains(row) else ())
         # The first pair's bucket, in its own order, minus every identity
         # missing from another pair's bucket — dropped before its version
-        # chain is read.
+        # chain is read.  A first bucket of one identity is read as it is:
+        # its visible content is checked against every pair anyway.
         value_index = store._value_index
         (position, value), *rest = bound
-        survivors: Iterable[int] = value_index.get((relation, position, value), ())
-        if not rest:
-            survivors = tuple(survivors)
+        first = value_index.get((relation, position, value))
+        if type(first) is not set or not rest:
+            return self._visible_contents(bucket_copy(first), bound)
+        survivors: Iterable[int] = first
         for position, value in rest:
-            bucket = value_index.get((relation, position, value), ())
-            survivors = [tid for tid in survivors if tid in bucket]
+            bucket = value_index.get((relation, position, value))
+            if type(bucket) is not set:
+                survivors = (bucket,) if bucket in survivors else ()
+            else:
+                survivors = [tid for tid in survivors if tid in bucket]
         return self._visible_contents(survivors, bound)
 
     def tuples_containing_null(self, null: LabeledNull) -> Iterator[Tuple]:
-        bucket = self._store._null_index.get(null, ())
-        for content in self._visible_contents(tuple(bucket)):
+        tids = bucket_copy(self._store._null_index.get(null))
+        for content in self._visible_contents(tids):
             if content.contains_null(null):
                 yield content
 

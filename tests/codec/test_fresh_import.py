@@ -38,8 +38,7 @@ SCRIPT = textwrap.dedent(
 
     from repro.codec import wire
     from repro.codec.wire import (
-        decode_envelope, decode_versioned_write, encode_envelope,
-        encode_versioned_write, loads, dumps,
+        decode_envelope, decode_write, encode_envelope, encode_write, loads, dumps,
     )
     from repro.core.frontier import UnifyOperation
     from repro.core.terms import Constant, LabeledNull, Variable
@@ -51,7 +50,6 @@ SCRIPT = textwrap.dedent(
     )
     from repro.federation.operations import RemoteRetractionOperation
     from repro.obs.trace import SpanContext
-    from repro.storage.versioned import VersionedWrite
     from test_golden import _FRONTIER, _ORIGIN, _TGD, golden_cases
 
     declared = getattr(wire, "__annotations__", {{}})
@@ -94,8 +92,8 @@ SCRIPT = textwrap.dedent(
         "question-cancelled", "question-answer", "bundle", "raw",
     }}, kinds
 
-    entry = VersionedWrite(seq=4, priority=2, tid=9, write=insert(Tuple("A", [Constant(1)])))
-    assert decode_versioned_write(loads(dumps(encode_versioned_write(entry)))) == entry
+    write = insert(Tuple("A", [Constant(1)]))
+    assert decode_write(loads(dumps(encode_write(write)))) == write
     print("ok", len(cases))
     """
 )

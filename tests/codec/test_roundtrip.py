@@ -31,7 +31,7 @@ from repro.codec.wire import (
     decode_frontier_request,
     decode_schema,
     decode_user_operation,
-    decode_versioned_write,
+    decode_write,
     dumps,
     encode_frontier_operation,
     encode_frontier_request,
@@ -39,7 +39,7 @@ from repro.codec.wire import (
     encode_term,
     encode_tuple,
     encode_user_operation,
-    encode_versioned_write,
+    encode_write,
 )
 from repro.core.atoms import Atom
 from repro.core.frontier import (
@@ -76,7 +76,6 @@ from repro.federation.operations import (
 )
 from repro.federation.transport import Bundle
 from repro.service.tickets import RemoteOrigin
-from repro.storage.versioned import VersionedWrite
 
 
 # ----------------------------------------------------------------------
@@ -144,14 +143,6 @@ class Gen:
         replacement = self.constant()
         old = Tuple("R0", [null, self.constant()])
         return modify(old, old.substitute({null: replacement}), null, replacement)
-
-    def versioned_write(self):
-        return VersionedWrite(
-            seq=self.rng.randrange(1, 10_000),
-            priority=self.rng.randrange(1, 500),
-            tid=self.rng.randrange(1, 10_000),
-            write=self.write(),
-        )
 
     def origin(self):
         return RemoteOrigin(
@@ -309,8 +300,8 @@ def test_random_payload_round_trip(seed):
 def test_random_structure_round_trips(seed):
     gen = Gen(seed)
     for _ in range(60):
-        entry = gen.versioned_write()
-        assert decode_versioned_write(encode_versioned_write(entry)) == entry
+        write = gen.write()
+        assert decode_write(encode_write(write)) == write
         request = gen.frontier_request()
         assert decode_frontier_request(encode_frontier_request(request)) == request
         operation = gen.frontier_operation()

@@ -187,6 +187,38 @@ def test_durable_dir_keeps_the_log_and_checkpoints_a_manifest(tmp_path):
     assert dump_sorted(moved.service.snapshot()) == at_checkpoint
 
 
+def test_restore_reads_each_segment_once(tmp_path, monkeypatch):
+    from repro.storage import durable
+
+    database, mappings = genealogy_repository()
+    service = RepositoryService(
+        database.snapshot(), mappings, durable_dir=str(tmp_path / "wal")
+    )
+    session = service.open_session("writer")
+    path = str(tmp_path / "svc.ckpt")
+    first = service.checkpoint(path)
+    ticket = service.submit(session.session_id, InsertOperation(make_tuple("Person", "kim")))
+    _answer_until_done(service, session.session_id, [ticket])
+    second = service.checkpoint(path)
+    # The same base and a higher watermark: restore replays the log.
+    assert second["base"] == first["base"] and second["watermark"] > first["watermark"]
+    service.close()
+    read = durable._read_segment
+    reads = []
+
+    def counted(segment, newest):
+        reads.append(segment)
+        return read(segment, newest)
+
+    monkeypatch.setattr(durable, "_read_segment", counted)
+    restored = RepositoryService.restore(path, mappings)
+    assert dump_sorted(restored.service.snapshot()) == dump_sorted(service.snapshot())
+    segments = [
+        name for name in os.listdir(str(tmp_path / "wal")) if name.endswith(".log")
+    ]
+    assert segments and sorted(os.path.basename(p) for p in reads) == sorted(segments)
+
+
 def test_a_second_service_cannot_append_to_the_same_log(tmp_path):
     from repro.service.repository import ServiceError
 

@@ -18,6 +18,7 @@ from repro.core.schema import DatabaseSchema, SchemaError
 from repro.core.terms import Constant, LabeledNull
 from repro.core.tuples import Tuple
 from repro.core.writes import delete, insert, modify
+from repro.storage.buckets import bucket_members
 from repro.storage.memory import FrozenDatabase
 from repro.storage.versioned import VersionedDatabase
 
@@ -36,7 +37,7 @@ def _random_row(rng):
 def _recount(store):
     versions = sum(len(record.versions) for record in store._tuples.values())
     entries = sum(
-        len(bucket)
+        len(bucket_members(bucket))
         for index in (store._value_index, store._null_index, store._content_index)
         for bucket in index.values()
     )
@@ -59,9 +60,9 @@ def _state(store):
         },
         # Buckets as lists: the join probe iterates them in their own order.
         {relation: list(tids) for relation, tids in store._by_relation.items()},
-        {key: list(tids) for key, tids in store._value_index.items()},
-        {key: list(tids) for key, tids in store._null_index.items()},
-        {key: list(tids) for key, tids in store._content_index.items()},
+        {key: list(bucket_members(tids)) for key, tids in store._value_index.items()},
+        {key: list(bucket_members(tids)) for key, tids in store._null_index.items()},
+        {key: list(bucket_members(tids)) for key, tids in store._content_index.items()},
         store.latest_view().to_dict(),
         store.version_count(),
         store.index_entry_count(),

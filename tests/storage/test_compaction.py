@@ -27,6 +27,7 @@ from repro.core.schema import DatabaseSchema
 from repro.core.terms import Constant, LabeledNull
 from repro.core.tuples import Tuple
 from repro.core.writes import delete, insert, modify
+from repro.storage.buckets import bucket_members
 from repro.storage.interface import DatabaseView
 from repro.storage.versioned import LATEST, VersionedDatabase
 
@@ -34,7 +35,7 @@ from repro.storage.versioned import LATEST, VersionedDatabase
 def _assert_indexes_exact(store):
     """Both directions: indexed ⊆ justified and stored ⊆ indexed."""
     for (relation, position, value), bucket in store._value_index.items():
-        for tid in bucket:
+        for tid in bucket_members(bucket):
             record = store._tuples.get(tid)
             assert record is not None, "value-index bucket holds a dead tid"
             assert any(
@@ -44,7 +45,7 @@ def _assert_indexes_exact(store):
                 for version in record.versions
             ), "value-index entry not justified by any remaining version"
     for null, bucket in store._null_index.items():
-        for tid in bucket:
+        for tid in bucket_members(bucket):
             record = store._tuples.get(tid)
             assert record is not None, "null-index bucket holds a dead tid"
             assert any(
@@ -52,8 +53,8 @@ def _assert_indexes_exact(store):
                 for version in record.versions
             ), "null-index entry not justified by any remaining version"
     for row, bucket in store._content_index.items():
-        assert bucket, "content-index bucket left empty instead of removed"
-        for tid in bucket:
+        assert bucket_members(bucket), "content-index bucket left empty instead of removed"
+        for tid in bucket_members(bucket):
             record = store._tuples.get(tid)
             assert record is not None, "content-index bucket holds a dead tid"
             assert any(
@@ -64,11 +65,13 @@ def _assert_indexes_exact(store):
             row = version.content
             if row is None:
                 continue
-            assert tid in store._content_index.get(row, ())
+            assert tid in bucket_members(store._content_index.get(row))
             for position, value in enumerate(row.values):
-                assert tid in store._value_index.get((row.relation, position, value), ())
+                assert tid in bucket_members(
+                    store._value_index.get((row.relation, position, value))
+                )
             for null in row.null_set():
-                assert tid in store._null_index.get(null, ())
+                assert tid in bucket_members(store._null_index.get(null))
 
 
 def _assert_view_matches_bruteforce(store, priority, probe_rows, probe_nulls):
@@ -238,7 +241,7 @@ def test_delete_and_modify_of_a_shared_value_hit_the_lower_tid():
     for kind in ("delete", "modify"):
         store = VersionedDatabase(schema)
         store.load_rows([Tuple("R", (Constant("a"), Constant("other"))), shared, shared])
-        twins = sorted(store._content_index[shared])
+        twins = sorted(bucket_members(store._content_index.get(shared)))
         assert len(twins) == 2
         filled = Tuple("R", (Constant("a"), Constant("c")))
         write = (

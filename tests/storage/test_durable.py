@@ -26,6 +26,7 @@ from repro.core.schema import DatabaseSchema
 from repro.core.terms import Constant, LabeledNull
 from repro.core.tuples import Tuple
 from repro.core.writes import delete, insert, modify
+from repro.storage import durable
 from repro.storage.durable import WriteLogSegments, read_snapshot, recover, write_snapshot
 from repro.storage.interface import dump_sorted
 from repro.storage.memory import FrozenDatabase
@@ -364,6 +365,31 @@ def _three_segment_log(directory):
         store.compact_below(priority)
     segments.close()
     return sorted(name for name in os.listdir(directory) if name.endswith(".log"))
+
+
+def test_recover_reads_each_segment_once(tmp_path, monkeypatch):
+    directory = str(tmp_path / "log")
+    names = _three_segment_log(directory)
+    base = str(tmp_path / "base")
+    initial = _initial()
+    write_snapshot(
+        base, SCHEMA, {name: list(initial.tuples(name)) for name in SCHEMA.relation_names()},
+        0, {},
+    )
+    read = durable._read_segment
+    reads = []
+
+    def counted(path, newest):
+        reads.append(os.path.basename(path))
+        return read(path, newest)
+
+    monkeypatch.setattr(durable, "_read_segment", counted)
+    recovered = recover(base, directory, 16)
+    assert sorted(reads) == names
+    assert set(recovered.tuples("S")) == {Tuple("S", ["s1"])} | {
+        Tuple("S", ["t{}".format(priority)])
+        for priority in range(1, 17) if priority % 3
+    }
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 7, 2026])

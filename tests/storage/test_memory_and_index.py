@@ -8,6 +8,7 @@ from repro.core.schema import DatabaseSchema, SchemaError
 from repro.core.terms import Constant, LabeledNull
 from repro.core.tuples import Tuple, make_tuple
 from repro.core.writes import delete, insert, modify
+from repro.storage.buckets import bucket_members
 from repro.storage.index import PositionIndex
 from repro.storage.interface import DatabaseView, dump_sorted
 from repro.storage.memory import MemoryDatabase
@@ -152,6 +153,20 @@ class TestPositionIndex:
         assert index.lookup("P", 0, Constant("x")) == set()
         assert index.with_null(LabeledNull("n")) == set()
         assert len(index) == 0
+
+    def test_a_bucket_holds_one_row_bare_and_two_as_a_set(self):
+        index = PositionIndex()
+        first, second = make_tuple("P", "x", "y"), make_tuple("P", "x", "z")
+        index.add(first)
+        assert index.bucket("P", 0, Constant("x")) is first
+        index.add(second)
+        bucket = index.bucket("P", 0, Constant("x"))
+        assert type(bucket) is set and bucket_members(bucket) == {first, second}
+        index.remove(first)
+        assert bucket_members(index.bucket("P", 0, Constant("x"))) == {second}
+        index.remove(second)
+        assert index.bucket("P", 0, Constant("x")) is None
+        assert index.lookup("P", 0, Constant("x")) == set()
 
     def test_remove_missing_row_is_noop(self):
         index = PositionIndex()
