@@ -1,17 +1,12 @@
 """The wire-format codec: one canonical byte encoding for everything exchanged.
 
 Every object that crosses a process boundary in this reproduction — federation
-envelopes on the transport, rows in the SQLite backend, write-log segments and
-snapshots on disk, service checkpoints — goes through this package.  Two
-encodings live here:
-
-* the **row codec** (:mod:`repro.codec.rows`): the flat one-string-per-term
-  encoding the SQL layer stores in TEXT columns (``c:<value>`` / ``n:<name>``),
-  shared verbatim by the SQLite backend and the generated SQL;
-* the **wire codec** (:mod:`repro.codec.wire`): a self-describing, versioned,
-  ``pickle``-free JSON encoding with round-trip identity for terms, tuples,
-  mappings, writes, frontier structures, user operations, update tickets and
-  every federation envelope (bundles included).
+envelopes on the transport, write-log segments and snapshots on disk, service
+checkpoints — goes through this package: the **wire codec**
+(:mod:`repro.codec.wire`), a self-describing, versioned, ``pickle``-free JSON
+encoding with round-trip identity for terms, tuples, mappings, writes,
+frontier structures, user operations, update tickets and every federation
+envelope (bundles included), and its **framing** (:mod:`repro.codec.framing`).
 
 The wire codec is deliberately deterministic (sorted keys, compact
 separators, canonical member ordering) so that golden-bytes fixtures can pin
@@ -37,7 +32,6 @@ from .framing import (
     FramingError,
     encode_frame,
 )
-from .rows import decode_row, decode_term, encode_row, encode_term
 from .wire import (
     CodecError,
     WIRE_VERSION,
@@ -52,7 +46,6 @@ from .wire import (
     encode_tuple,
     encode_user_operation,
     payload_kind,
-    payloads_equivalent,
 )
 
 __all__ = [
@@ -68,19 +61,14 @@ __all__ = [
     "WIRE_VERSION",
     "decode_envelope",
     "decode_payload",
-    "decode_row",
     "decode_schema",
-    "decode_term",
     "decode_tuple",
     "decode_user_operation",
     "encode_envelope",
     "encode_frame",
     "encode_payload",
-    "encode_row",
     "encode_schema",
-    "encode_term",
     "encode_tuple",
     "encode_user_operation",
     "payload_kind",
-    "payloads_equivalent",
 ]

@@ -96,11 +96,6 @@ class FrameDecoder:
         self._max_payload = max_payload
         self._buffer = bytearray()
 
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered toward an incomplete frame (0 between frames)."""
-        return len(self._buffer)
-
     def feed(self, data: bytes) -> List[Frame]:
         """Absorb *data*; return every frame it completed, in order."""
         self._buffer.extend(data)

@@ -12,11 +12,6 @@ identity holds for every supported object: ``decode(encode(x)) == x`` under
 the value equality the core types define (tgd equality ignores names, which
 the codec nevertheless preserves).
 
-Because chase results are unique only up to the renaming of labeled nulls,
-the codec also provides :func:`payloads_equivalent` — structural equality of
-two payloads after canonicalizing null names in first-occurrence order — for
-differential tests that compare independently minted envelopes.
-
 Version 2 sends only what the receiver lacks.  Terms are compact (constants
 are bare JSON scalars, labeled nulls ``{"n": name}``, variables
 ``{"x": name}``) and tuples are ``[relation, value...]`` lists.  A mapping
@@ -678,46 +673,3 @@ def decode_envelope(data: bytes, mappings: Mappings = None) -> object:
             )
         )
     return decode_payload(structure["b"], mappings)
-
-
-# ----------------------------------------------------------------------
-# Null-renaming-aware equality
-# ----------------------------------------------------------------------
-def _canonicalize_nulls(node: object, renaming: Dict[str, str]) -> object:
-    """Rewrite every encoded labeled null to its first-occurrence-order name.
-
-    Traversal is deterministic: lists in order, dict keys sorted — the same
-    order :func:`dumps` serializes, so two payloads that differ only in null
-    names canonicalize to identical structures.  An encoded null is the only
-    one-key dict keyed ``"n"`` (inline tgds carry ``"l"`` and ``"h"`` too).
-    """
-    if isinstance(node, dict):
-        if len(node) == 1 and "n" in node:
-            name = node["n"]
-            if name not in renaming:
-                renaming[name] = "_{}".format(len(renaming))
-            return {"n": renaming[name]}
-        return {
-            key: _canonicalize_nulls(node[key], renaming)
-            for key in sorted(node)
-            # Trace contexts are observability metadata, not payload content:
-            # two runs of the same workload get different span ids, and
-            # equivalence must not depend on whether either run was traced.
-            if key != "tr"
-        }
-    if isinstance(node, list):
-        return [_canonicalize_nulls(item, renaming) for item in node]
-    return node
-
-
-def payloads_equivalent(a: object, b: object) -> bool:
-    """Structural equality of two payloads up to labeled-null renaming.
-
-    The renaming must be *consistent* (a bijection on null names), which the
-    first-occurrence canonicalization gives for free: if the two payloads use
-    their nulls in the same positions, the canonical forms coincide; any
-    inconsistent reuse makes them differ.
-    """
-    canonical_a = _canonicalize_nulls(encode_payload(a), {})
-    canonical_b = _canonicalize_nulls(encode_payload(b), {})
-    return canonical_a == canonical_b

@@ -3,7 +3,7 @@
 This package implements Sections 4 and 5 of the paper: the chase-step system
 model, the read-query log, direct-conflict detection, the optimistic scheduler
 (Algorithm 4), the NAIVE / COARSE / PRECISE cascading-abort algorithms and the
-final-state serializability utilities.
+final-state comparison of serial and concurrent runs.
 """
 
 from .aborts import AbortDecision, RunStatistics, consolidate_aborts
@@ -26,12 +26,7 @@ from .policies import (
     make_policy,
 )
 from .readlog import ReadLog, ReadRecord
-from .serializability import (
-    SerialExecutor,
-    databases_equal,
-    databases_isomorphic,
-    final_state_matches_some_serial_order,
-)
+from .serializability import SerialExecutor, databases_isomorphic
 
 __all__ = [
     "AbortDecision",
@@ -54,9 +49,7 @@ __all__ = [
     "StepResult",
     "UpdateExecution",
     "consolidate_aborts",
-    "databases_equal",
     "databases_isomorphic",
-    "final_state_matches_some_serial_order",
     "find_direct_conflicts",
     "make_policy",
     "make_tracker",

@@ -120,11 +120,6 @@ class UpdateExecution:
         return self.status is UpdateStatus.TERMINATED
 
     @property
-    def is_aborted(self) -> bool:
-        """``True`` once the update has been aborted (its restart is separate)."""
-        return self.status is UpdateStatus.ABORTED
-
-    @property
     def is_active(self) -> bool:
         """``True`` while the update can still take steps."""
         return self.status in (UpdateStatus.PENDING, UpdateStatus.RUNNING)

@@ -600,10 +600,6 @@ class OptimisticScheduler:
         """
         self._batch_commit_listeners.append(listener)
 
-    def committed_priorities(self) -> Set[int]:
-        """The priorities that have committed so far."""
-        return set(self._committed)
-
     def drain_newly_committed(self) -> List[int]:
         """Priorities committed since the last drain (in commit order).
 

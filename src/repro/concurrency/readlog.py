@@ -41,7 +41,6 @@ from typing import (
     Dict,
     FrozenSet,
     Hashable,
-    Iterator,
     List,
     Set,
     Tuple as PyTuple,
@@ -200,24 +199,6 @@ class ReadLog:
         ranks, sums = charged
         count = bisect_left(ranks, stop)
         return count, sums[count - 1] if count else 0
-
-    def records_with_reader_above(self, priority: int) -> Iterator[ReadRecord]:
-        """Reads logged by updates numbered strictly above *priority*.
-
-        These are the reads a write by update *priority* could retroactively
-        invalidate.
-        """
-        for reader, records in self._by_reader.items():
-            if reader > priority:
-                for record in records:
-                    yield record
-
-    def dependencies_of(self, reader: int) -> Set[int]:
-        """Union of the read dependencies recorded for *reader*."""
-        dependencies: Set[int] = set()
-        for record in self._by_reader.get(reader, []):
-            dependencies.update(record.dependencies)
-        return dependencies
 
     def readers_depending_on(self, priority: int) -> Set[int]:
         """Every reader with a recorded read dependency on update *priority*."""

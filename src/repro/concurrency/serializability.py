@@ -1,18 +1,15 @@
-"""Final-state serializability checking utilities (Definition 3.4).
+"""Final-state comparison for serializability (Definition 3.4).
 
 The paper defines serializability of a schedule prefix through the final
 states of its terminating extensions.  Checking the definition exactly is
-impractical (it quantifies over all futures); what this module provides is
-the *final-state comparison* machinery used by tests and examples:
+impractical (it quantifies over all futures); this module provides the
+final-state comparison that ``examples/interference.py`` runs:
 
-* :func:`databases_equal` and :func:`databases_isomorphic` — compare two
-  repository states, the latter up to a renaming of labeled nulls (two chases
-  that invent different fresh null names are still "the same" outcome);
+* :func:`databases_isomorphic` — compare two repository states up to a
+  renaming of labeled nulls (two chases that invent different fresh null
+  names are still "the same" outcome);
 * :class:`SerialExecutor` — run a batch of updates serially, in a given
-  order, with a chosen oracle, producing the reference final state;
-* :func:`final_state_matches_some_serial_order` — decide whether a concurrent
-  run's final state coincides (up to null renaming) with the final state of
-  *some* serial order of the same updates.
+  order, with a chosen oracle, producing the reference final state.
 
 Together with the optimistic scheduler these are enough to demonstrate the
 paper's Example 3.1: the unsafe interleaving produces a state no serial order
@@ -22,7 +19,6 @@ offending update.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple as PyTuple
 
 from ..core.oracle import AlwaysUnifyOracle, FrontierOracle
@@ -33,15 +29,6 @@ from ..core.tuples import Tuple
 from ..core.update import UserOperation
 from ..storage.interface import DatabaseView
 from ..storage.memory import FrozenDatabase, MemoryDatabase
-
-
-def databases_equal(first: DatabaseView, second: DatabaseView) -> bool:
-    """Exact equality of the two views' tuple sets, relation by relation."""
-    relations = set(first.relations()) | set(second.relations())
-    for relation in relations:
-        if frozenset(first.tuples(relation)) != frozenset(second.tuples(relation)):
-            return False
-    return True
 
 
 def _null_signature(view: DatabaseView) -> Dict[str, int]:
@@ -147,29 +134,3 @@ class SerialExecutor:
         )
         engine.run_all(operations)
         return database.snapshot()
-
-
-def final_state_matches_some_serial_order(
-    initial: DatabaseView,
-    mappings: Sequence[Tgd],
-    operations: Sequence[UserOperation],
-    observed_final: DatabaseView,
-    oracle_factory: Optional[Callable[[], FrontierOracle]] = None,
-    max_orders: int = 720,
-) -> bool:
-    """Is *observed_final* isomorphic to the outcome of some serial order?
-
-    The check enumerates serial orders (up to ``max_orders`` permutations) and
-    replays each with the given oracle factory; it is meant for the small
-    hand-constructed scenarios in the tests and examples, not for 500-update
-    workloads.  Because serial replays re-make oracle decisions, use a
-    deterministic oracle for meaningful comparisons.
-    """
-    executor = SerialExecutor(initial, mappings, oracle_factory=oracle_factory)
-    for count, order in enumerate(itertools.permutations(operations)):
-        if count >= max_orders:
-            break
-        final = executor.run(list(order))
-        if databases_isomorphic(final, observed_final):
-            return True
-    return False

@@ -15,7 +15,6 @@ from .oracle import (
     AlwaysExpandOracle,
     AlwaysUnifyOracle,
     CallbackOracle,
-    CountingOracle,
     DeferredOracle,
     FrontierOracle,
     FrontierPending,
@@ -80,7 +79,6 @@ __all__ = [
     "AlwaysExpandOracle",
     "AlwaysUnifyOracle",
     "CallbackOracle",
-    "CountingOracle",
     "DeferredOracle",
     "FrontierPending",
     "InteractiveOracle",

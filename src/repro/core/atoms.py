@@ -96,10 +96,6 @@ class Atom:
         """Constants of the atom, in positional order."""
         return tuple(term for term in self._terms if is_constant(term))
 
-    def positions_of(self, variable: Variable) -> List[int]:
-        """Positions at which *variable* occurs."""
-        return [index for index, term in enumerate(self._terms) if term == variable]
-
     # ------------------------------------------------------------------
     # Instantiation and matching
     # ------------------------------------------------------------------
@@ -155,13 +151,6 @@ class Atom:
             elif bound != value:
                 return None
         return result
-
-    def rename(self, renaming: Dict[Variable, Variable]) -> "Atom":
-        """Return a copy with variables renamed per *renaming*."""
-        return Atom(
-            self._relation,
-            [renaming.get(term, term) if is_variable(term) else term for term in self._terms],
-        )
 
 
 def atoms_variables(atoms: Sequence[Atom]) -> FrozenSet[Variable]:

@@ -14,21 +14,20 @@ The backward chase has a symmetric notion: when several witness tuples could
 be deleted to repair an RHS-violation, they become **negative frontier
 tuples** and the human selects the subset to delete.
 
-This module also contains :func:`plan_repair`: given a violation and the
-current view, decide whether the repair is deterministic (no human needed) or
-requires a frontier request, and report the correction queries read along the
-way so that concurrency control can log them.
+This module also plans the backward repair (:func:`plan_backward_repair`);
+the forward repair, which keeps per-firing state, is planned by
+:class:`~repro.core.planner.RepairPlanner`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple as PyTuple, Union
+from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple as PyTuple, Union
 
 from ..query.base import ReadQuery
-from ..query.correction_query import MoreSpecificQuery, NullOccurrenceQuery
+from ..query.correction_query import NullOccurrenceQuery
 from ..storage.interface import DatabaseView
-from .terms import DataTerm, LabeledNull, NullFactory, Variable
+from .terms import LabeledNull
 from .tuples import Tuple, unification_assignment
 from .violations import ReadRecorder, Violation
 from .writes import Write, delete, insert, modify
@@ -51,10 +50,6 @@ class FrontierTuple:
     #: Labeled nulls freshly created for this firing (they occur nowhere else,
     #: so unification never needs occurrence queries for them).
     fresh_nulls: FrozenSet[LabeledNull] = frozenset()
-
-    def inherited_nulls(self) -> FrozenSet[LabeledNull]:
-        """Nulls of the tuple that were *not* freshly generated for this firing."""
-        return self.row.null_set() - self.fresh_nulls
 
     def __repr__(self) -> str:
         return "FrontierTuple({!r}, {} candidate(s))".format(
@@ -180,77 +175,6 @@ RepairPlan = Union[DeterministicRepair, PositiveFrontierRequest, NegativeFrontie
 # ----------------------------------------------------------------------
 # Planning
 # ----------------------------------------------------------------------
-def _generate_rhs_tuples(
-    violation: Violation, null_factory: NullFactory
-) -> PyTuple[List[Tuple], FrozenSet[LabeledNull]]:
-    """Instantiate the RHS atoms of the violated mapping.
-
-    Frontier variables take their values from the violation's assignment;
-    existential variables are given fresh labeled nulls, shared across the RHS
-    atoms of this firing (a tgd with several RHS atoms produces tuples that
-    share those nulls and must be treated consistently — Section 2.2).
-    """
-    assignment: Dict[Variable, DataTerm] = violation.exported_assignment()
-    fresh: Dict[Variable, LabeledNull] = {}
-    for variable in sorted(violation.tgd.existential_variables(), key=lambda v: v.name):
-        fresh[variable] = null_factory.fresh()
-    full_assignment = dict(assignment)
-    full_assignment.update(fresh)
-    generated = [atom.instantiate(full_assignment) for atom in violation.tgd.rhs]
-    return generated, frozenset(fresh.values())
-
-
-def plan_forward_repair(
-    violation: Violation,
-    view: DatabaseView,
-    null_factory: NullFactory,
-    recorder: Optional[ReadRecorder] = None,
-) -> Union[DeterministicRepair, PositiveFrontierRequest, None]:
-    """Plan the forward-chase repair of an LHS-violation.
-
-    Returns ``None`` when the violation no longer holds on *view* (another
-    repair satisfied it in the meantime), a :class:`DeterministicRepair` when
-    every generated tuple can be inserted outright, and a
-    :class:`PositiveFrontierRequest` when nondeterminism was detected.
-    """
-    if not violation.still_holds(view):
-        return None
-    generated, fresh_nulls = _generate_rhs_tuples(violation, null_factory)
-    missing = [row for row in generated if not view.contains(row)]
-    frontier_tuples: List[FrontierTuple] = []
-    nondeterministic = False
-    for row in missing:
-        query = MoreSpecificQuery(row)
-        candidates = tuple(
-            candidate for candidate in query.evaluate(view) if candidate != row
-        )
-        if recorder is not None:
-            recorder(query, frozenset(candidates))
-        frontier_tuple = FrontierTuple(
-            row=row,
-            violation=violation,
-            candidates=tuple(sorted(candidates, key=repr)),
-            fresh_nulls=fresh_nulls & row.null_set(),
-        )
-        frontier_tuples.append(frontier_tuple)
-        if candidates:
-            nondeterministic = True
-            # The unification would rewrite every occurrence of the tuple's
-            # inherited nulls: issue (and log) the occurrence queries now, as
-            # the paper's chase step does.
-            for null in sorted(frontier_tuple.inherited_nulls(), key=lambda n: n.name):
-                occurrence = NullOccurrenceQuery(null)
-                answer = occurrence.evaluate(view)
-                if recorder is not None:
-                    recorder(occurrence, answer)
-    if not nondeterministic:
-        writes = tuple(insert(row) for row in missing)
-        return DeterministicRepair(violation=violation, writes=writes)
-    return PositiveFrontierRequest(
-        violation=violation, frontier_tuples=tuple(frontier_tuples)
-    )
-
-
 def plan_backward_repair(
     violation: Violation,
     view: DatabaseView,
@@ -273,18 +197,6 @@ def plan_backward_repair(
             violation=violation, writes=(delete(candidates[0]),)
         )
     return NegativeFrontierRequest(violation=violation, candidates=candidates)
-
-
-def plan_repair(
-    violation: Violation,
-    view: DatabaseView,
-    null_factory: NullFactory,
-    recorder: Optional[ReadRecorder] = None,
-) -> Optional[RepairPlan]:
-    """Plan the repair of *violation*, dispatching on its kind."""
-    if violation.is_lhs():
-        return plan_forward_repair(violation, view, null_factory, recorder)
-    return plan_backward_repair(violation, view, recorder)
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,7 @@ plus deterministic variants useful for examples and tests:
 * :class:`AlwaysExpandOracle` / :class:`AlwaysUnifyOracle` — fixed policies;
 * :class:`ScriptedOracle` — replays a prepared list of decisions;
 * :class:`CallbackOracle` — delegates to an arbitrary function;
-* :class:`InteractiveOracle` — prompts on stdin (used by an example, never by
-  tests);
+* :class:`InteractiveOracle` — prompts a human on stdin;
 * :class:`DeferredOracle` — answers *asynchronously*: ``decide`` never returns
   an operation but registers a :class:`PendingDecision` and raises
   :class:`FrontierPending`, parking the asking update until somebody posts an
@@ -56,8 +55,8 @@ class FrontierOracle(ABC):
         """Withdraw an asynchronous decision whose asking update aborted.
 
         A no-op for synchronous oracles (they never leave decisions open);
-        :class:`DeferredOracle` overrides it and wrapping oracles forward it,
-        so executions can always cancel through whatever oracle they hold.
+        :class:`DeferredOracle` overrides it, so executions can always cancel
+        through whatever oracle they hold.
         """
 
     def reset(self) -> None:
@@ -159,11 +158,6 @@ class ScriptedOracle(FrontierOracle):
             return entry(request, view)
         return entry
 
-    @property
-    def decisions_used(self) -> int:
-        """How many scripted decisions have been consumed."""
-        return self._position
-
     def reset(self) -> None:
         self._position = 0
 
@@ -203,41 +197,6 @@ class InteractiveOracle(FrontierOracle):
             self._echo("please enter a number between 0 and {}".format(len(alternatives) - 1))
 
 
-class CountingOracle(FrontierOracle):
-    """Wrap another oracle and count how often it is consulted.
-
-    The experiment harness uses this to report frontier-operation counts,
-    a proxy for "how much human attention a workload would consume".
-    """
-
-    def __init__(self, inner: FrontierOracle):
-        self._inner = inner
-        self.positive_requests = 0
-        self.negative_requests = 0
-
-    def decide(
-        self, request: FrontierRequest, view: DatabaseView
-    ) -> FrontierOperation:
-        if isinstance(request, PositiveFrontierRequest):
-            self.positive_requests += 1
-        else:
-            self.negative_requests += 1
-        return self._inner.decide(request, view)
-
-    @property
-    def total_requests(self) -> int:
-        """Total number of frontier requests answered."""
-        return self.positive_requests + self.negative_requests
-
-    def cancel(self, decision_id: int) -> None:
-        self._inner.cancel(decision_id)
-
-    def reset(self) -> None:
-        self.positive_requests = 0
-        self.negative_requests = 0
-        self._inner.reset()
-
-
 @dataclass
 class PendingDecision:
     """A frontier question that has been asked but not yet answered.
@@ -253,11 +212,6 @@ class PendingDecision:
     answer: Optional[FrontierOperation] = None
     answered: bool = False
     cancelled: bool = False
-
-    @property
-    def is_open(self) -> bool:
-        """``True`` while the decision still awaits an answer."""
-        return not self.answered and not self.cancelled
 
     def alternatives(self) -> List[FrontierOperation]:
         """The legal answers, in the order clients may index them."""

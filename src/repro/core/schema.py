@@ -24,7 +24,7 @@ class RelationSchema:
 
     Attribute names are primarily documentation (the chase operates
     positionally) but they make mappings, examples and error messages far more
-    readable, and the SQLite backend uses them as column names.
+    readable.
     """
 
     name: str
@@ -47,18 +47,6 @@ class RelationSchema:
     def arity(self) -> int:
         """Number of attributes."""
         return len(self.attributes)
-
-    def position_of(self, attribute: str) -> int:
-        """Return the zero-based position of *attribute*.
-
-        Raises :class:`SchemaError` when the attribute does not exist.
-        """
-        try:
-            return self.attributes.index(attribute)
-        except ValueError:
-            raise SchemaError(
-                "relation {!r} has no attribute {!r}".format(self.name, attribute)
-            ) from None
 
     def validate_tuple(self, row: Tuple) -> None:
         """Check that *row* belongs to this relation and has the right arity."""
@@ -131,16 +119,6 @@ class DatabaseSchema:
     def validate_tuple(self, row: Tuple) -> None:
         """Check *row* against the schema of its relation."""
         self.relation(row.relation).validate_tuple(row)
-
-    def copy(self) -> "DatabaseSchema":
-        """Return a shallow copy (relation schemas are immutable)."""
-        return DatabaseSchema(dict(self.relations))
-
-    def restrict(self, names: Iterable[str]) -> "DatabaseSchema":
-        """Return a schema containing only the relations in *names*."""
-        return DatabaseSchema(
-            {name: self.relation(name) for name in names}
-        )
 
     def describe(self) -> str:
         """Human-readable multi-line description of the schema."""

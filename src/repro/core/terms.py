@@ -182,10 +182,6 @@ class NullFactory:
             self._next += 1
         return LabeledNull("{}{}".format(self._prefix, index))
 
-    def fresh_many(self, count: int) -> list:
-        """Return *count* distinct fresh labeled nulls."""
-        return [self.fresh() for _ in range(count)]
-
     @property
     def prefix(self) -> str:
         """The prefix used for generated null names."""

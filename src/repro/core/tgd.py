@@ -100,18 +100,6 @@ class Tgd:
         """All relations mentioned by the tgd."""
         return self.lhs_relations() | self.rhs_relations()
 
-    def has_self_join(self) -> bool:
-        """``True`` when some relation occurs twice on the same side."""
-        lhs_names = [atom.relation for atom in self._lhs]
-        rhs_names = [atom.relation for atom in self._rhs]
-        return len(lhs_names) != len(set(lhs_names)) or len(rhs_names) != len(
-            set(rhs_names)
-        )
-
-    def is_full(self) -> bool:
-        """``True`` when the tgd has no existential variables (a *full* tgd)."""
-        return not self.existential_variables()
-
     # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------
@@ -458,14 +446,6 @@ class MappingSet:
         """Validate every mapping against *schema*."""
         for tgd in self._tgds:
             tgd.validate(schema)
-
-    def mappings_reading(self, relation: str) -> List[Tgd]:
-        """Mappings with *relation* on their LHS (affected by inserts into it)."""
-        return [tgd for tgd in self._tgds if relation in tgd.lhs_relations()]
-
-    def mappings_writing(self, relation: str) -> List[Tgd]:
-        """Mappings with *relation* on their RHS (affected by deletes from it)."""
-        return [tgd for tgd in self._tgds if relation in tgd.rhs_relations()]
 
     def graph(self) -> MappingGraph:
         """The relation-level mapping graph."""

@@ -10,7 +10,7 @@ frontier tuple instead of inserting ``t`` (Section 2.2).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple as PyTuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple as PyTuple
 
 from .terms import Constant, DataTerm, LabeledNull, as_data_term, is_null
 
@@ -92,14 +92,6 @@ class Tuple:
             self._null_set = cached
         return cached
 
-    def has_nulls(self) -> bool:
-        """``True`` when at least one field is a labeled null."""
-        return bool(self.null_set())
-
-    def is_ground(self) -> bool:
-        """``True`` when every field is a constant."""
-        return not self.has_nulls()
-
     def contains_null(self, null: LabeledNull) -> bool:
         """``True`` when *null* occurs in some field of this tuple."""
         return null in self._values
@@ -158,10 +150,6 @@ class Tuple:
         """``True`` when ``self`` is more specific than *other* (Def. 2.4)."""
         return self.specificity_map(other) is not None
 
-    def strictly_more_specific_than(self, other: "Tuple") -> bool:
-        """``True`` when ``self`` is more specific than *other* and not equal."""
-        return self != other and self.is_more_specific_than(other)
-
 
 def make_tuple(relation: str, *values: object) -> Tuple:
     """Convenience constructor: ``make_tuple('C', 'Ithaca')``."""
@@ -205,27 +193,3 @@ def unification_assignment(
     return {
         null: term for null, term in assignment.items() if null != term
     }
-
-
-def most_specific(tuples: Sequence[Tuple]) -> Sequence[Tuple]:
-    """Filter *tuples* down to those not strictly less specific than another.
-
-    Useful for presenting unification candidates: if both ``C(NYC)`` and
-    ``C(x4)`` could be unified with a frontier tuple, only the former is a
-    maximally informative choice.  Ties (equal tuples) are kept once.
-    """
-    kept = []
-    for candidate in tuples:
-        dominated = False
-        for other in tuples:
-            if other is candidate:
-                continue
-            if (
-                other.strictly_more_specific_than(candidate)
-                and not candidate.strictly_more_specific_than(other)
-            ):
-                dominated = True
-                break
-        if not dominated and candidate not in kept:
-            kept.append(candidate)
-    return kept

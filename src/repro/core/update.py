@@ -26,11 +26,6 @@ from .writes import NullReplacement, Write, delete, insert
 class UserOperation(ABC):
     """An initial user operation that may set off a chase."""
 
-    @property
-    @abstractmethod
-    def is_positive(self) -> bool:
-        """``True`` for insertions and null-replacements, ``False`` for deletions."""
-
     @abstractmethod
     def initial_writes(self, view: DatabaseView) -> List[Write]:
         """The tuple-level writes the operation performs, given the current view."""
@@ -67,10 +62,6 @@ class InsertOperation(UserOperation):
     def __hash__(self) -> int:
         return hash(("insert", self.row))
 
-    @property
-    def is_positive(self) -> bool:
-        return True
-
     def initial_writes(self, view: DatabaseView) -> List[Write]:
         if view.contains(self.row):
             # Inserting an existing tuple is a no-op; the chase starts with an
@@ -99,10 +90,6 @@ class DeleteOperation(UserOperation):
     def __hash__(self) -> int:
         return hash(("delete", self.row))
 
-    @property
-    def is_positive(self) -> bool:
-        return False
-
     def initial_writes(self, view: DatabaseView) -> List[Write]:
         if not view.contains(self.row):
             return []
@@ -129,10 +116,6 @@ class NullReplacementOperation(UserOperation):
 
     def __hash__(self) -> int:
         return hash(("replace", self.null, self.value))
-
-    @property
-    def is_positive(self) -> bool:
-        return True
 
     def initial_writes(self, view: DatabaseView) -> List[Write]:
         affected = list(view.tuples_containing_null(self.null))
@@ -174,11 +157,6 @@ class UpdateRecord:
     steps: int = 0
     terminated: bool = False
     status: UpdateStatus = UpdateStatus.PENDING
-
-    @property
-    def is_positive(self) -> bool:
-        """Positive updates start with an insertion or null-replacement."""
-        return self.operation.is_positive
 
     @property
     def write_count(self) -> int:

@@ -68,10 +68,6 @@ class Violation:
             if variable in frontier
         }
 
-    def is_lhs(self) -> bool:
-        """``True`` for LHS-violations (forward-chase repairs)."""
-        return self.kind is ViolationKind.LHS
-
     def is_rhs(self) -> bool:
         """``True`` for RHS-violations (backward-chase repairs)."""
         return self.kind is ViolationKind.RHS

@@ -13,10 +13,11 @@ cheaper first pass.  :func:`~repro.query.homomorphism.find_homomorphism`
 finds the homomorphisms on the chase's compiled join executor, whose
 explicit stack needs no raised recursion limit however many facts carry nulls.
 
-The reference run replays the same user operations serially against one
-:class:`~repro.storage.memory.MemoryDatabase` holding the union of all peers'
-mappings, with :class:`~repro.core.oracle.AlwaysExpandOracle` standing in for
-the humans — the same always-expand policy
+The reference run replays the user operations it is given, in the order
+given, serially against one :class:`~repro.storage.memory.MemoryDatabase`
+under the union of all peers' mappings, with
+:class:`~repro.core.oracle.AlwaysExpandOracle` standing in for the humans —
+the same always-expand policy
 :func:`~repro.workload.federated_loop.expanding_answer` applies on the
 federated side, so both sides perform plain restricted-chase steps and the
 universal-solution argument applies end to end.

@@ -79,10 +79,6 @@ class FederatedTicket:
     status: TicketStatus = TicketStatus.QUEUED
 
     @property
-    def is_remote(self) -> bool:
-        return self.peer != self.target
-
-    @property
     def is_done(self) -> bool:
         return self.status in (TicketStatus.COMMITTED, TicketStatus.FAILED)
 
@@ -285,9 +281,15 @@ class ClientDesk:
         self._send(b, {"t": kind, "peer": a})
 
     def global_snapshot(self) -> FrozenDatabase:
-        """The union of every peer's committed owned relations."""
+        """The union of every peer's committed owned relations; raises
+        :class:`FederationError` while an owner of some relation is down."""
         deadline = time.monotonic() + REPLY_TIMEOUT
         names = self._live_peers()
+        dead = sorted(set(self.rules.owner_of.values()) - set(names))
+        if dead:
+            raise FederationError(
+                "cannot read the store of dead peer(s) {}".format(", ".join(dead))
+            )
         for name in names:
             self._send(name, {"t": "snapshot"})
         owned: Dict[str, Dict[str, frozenset]] = {}

@@ -75,10 +75,6 @@ class RemoteFiringOperation(UserOperation):
     def __hash__(self) -> int:
         return hash(("fire", self.tgd, frozenset(self.assignment.items()), self.head_rows))
 
-    @property
-    def is_positive(self) -> bool:
-        return True
-
     def initial_writes(self, view: DatabaseView) -> List[Write]:
         plan = get_plan(self.tgd)
         if plan.rhs.exists_match(view, self.assignment):
@@ -110,10 +106,6 @@ class RemoteRetractionOperation(UserOperation):
 
     def __hash__(self) -> int:
         return hash(("retract", self.tgd, frozenset(self.assignment.items())))
-
-    @property
-    def is_positive(self) -> bool:
-        return False
 
     def initial_writes(self, view: DatabaseView) -> List[Write]:
         plan = get_plan(self.tgd)

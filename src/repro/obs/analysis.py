@@ -112,14 +112,6 @@ class TraceAnalysis:
                 chains.append(chain)
         return chains
 
-    def critical_path(self, trace_id: str) -> List[Span]:
-        """Root→latest-finishing span of a trace: where its wall time went."""
-        members = self.traces.get(trace_id, [])
-        if not members:
-            return []
-        latest = max(members, key=lambda span: span.end if span.end is not None else span.start)
-        return self.causal_chain(latest)
-
     # ------------------------------------------------------------------
     # Attribution
     # ------------------------------------------------------------------

@@ -196,10 +196,6 @@ class FlightRecorder:
         self.flush()
         return list(self._paths)
 
-    @property
-    def dumped(self) -> bool:
-        return self._dumped
-
 
 # ----------------------------------------------------------------------
 # Loading dumps back

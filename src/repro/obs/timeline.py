@@ -232,21 +232,6 @@ class TelemetryTimeline:
     def record_drain(self, record: Dict[str, object]) -> None:
         self.drains.append(record)
 
-    def time_to_idle_series(self) -> List[float]:
-        """Seconds-to-first-idle-candidate of each settled drain.
-
-        Only drains that settled carry the measurement
-        (``time_to_idle_seconds``): the wall time from drain
-        entry until every peer's observed view first looked conserved and
-        idle, i.e. the workload's own settle tail with the coordinator's
-        confirmation overhead excluded.
-        """
-        return [
-            float(record["time_to_idle_seconds"])
-            for record in self.drains
-            if "time_to_idle_seconds" in record
-        ]
-
     # ------------------------------------------------------------------
     # Spooling
     # ------------------------------------------------------------------

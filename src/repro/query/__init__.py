@@ -1,4 +1,4 @@
-"""Query package: homomorphisms, conjunctive, violation and correction queries."""
+"""Query package: homomorphisms, compiled match plans, violation and correction queries."""
 
 from .base import ReadQuery
 from .compiled import (
@@ -8,20 +8,18 @@ from .compiled import (
     compile_mappings,
     get_plan,
 )
-from .conjunctive import ConjunctiveQuery
 from .correction_query import (
     MoreSpecificQuery,
     NullOccurrenceQuery,
     correction_queries_for_frontier_tuple,
 )
-from .homomorphism import exists_match, find_matches, formula_satisfied
+from .homomorphism import exists_match, find_matches
 from .violation_query import ViolationQuery, ViolationRow
 
 __all__ = [
     "CompiledConjunction",
     "CompiledMappings",
     "CompiledTgd",
-    "ConjunctiveQuery",
     "MoreSpecificQuery",
     "NullOccurrenceQuery",
     "ReadQuery",
@@ -31,6 +29,5 @@ __all__ = [
     "correction_queries_for_frontier_tuple",
     "exists_match",
     "find_matches",
-    "formula_satisfied",
     "get_plan",
 ]

@@ -114,7 +114,7 @@ class CompiledConjunction:
 
     When the view offers O(1) relation-cardinality estimates
     (:meth:`~repro.storage.interface.DatabaseView.cardinality_estimate`),
-    :meth:`ordering_for` refines the static tie-break: among equally-bound
+    :meth:`_plan_for` refines the static tie-break: among equally-bound
     atoms the *cheapest* relation is matched first (smallest live
     cardinality), and the cached ordering is re-planned once some relation's
     size crosses a power-of-two bucket boundary — live statistics instead of
@@ -138,7 +138,7 @@ class CompiledConjunction:
         # tuple of (atom, original position) in match order.
         self._orderings: Dict[FrozenSet[Variable], _Plan] = {}
         # (bound-variable frozenset, per-atom cardinality-bucket signature)
-        # -> (ordering, match plan); consulted by ordering_for.  Keying on the
+        # -> (ordering, match plan); consulted by _plan_for.  Keying on the
         # quantized live statistics makes the cache store-agnostic: plans are
         # shared process-wide, and two stores with different relation sizes
         # simply hit different signature entries.
@@ -156,12 +156,6 @@ class CompiledConjunction:
     def variable_set(self) -> FrozenSet[Variable]:
         """All distinct variables of the conjunction."""
         return self._variable_set
-
-    def ordering(
-        self, bound: FrozenSet[Variable]
-    ) -> PyTuple[PyTuple[Atom, int], ...]:
-        """Atoms in match order, each paired with its original position."""
-        return self._static_plan(bound & self._variable_set)[0]
 
     def _static_plan(self, key: FrozenSet[Variable]) -> _Plan:
         cached = self._orderings.get(key)
@@ -191,12 +185,12 @@ class CompiledConjunction:
         plan = self._orderings[key] = self._match_plan(key, ordered)
         return plan
 
-    def ordering_for(
-        self, bound: FrozenSet[Variable], view: DatabaseView
-    ) -> PyTuple[PyTuple[Atom, int], ...]:
-        """The match ordering for *bound* refined by *view*'s live statistics.
+    def _plan_for(self, bound: FrozenSet[Variable], view: DatabaseView) -> _Plan:
+        """The match plan for *bound* refined by *view*'s live statistics;
+        its first member is the atoms in match order, each paired with its
+        original position.
 
-        Falls back to the static :meth:`ordering` when the view has no cheap
+        Falls back to the static plan when the view has no cheap
         cardinality estimates.  Cardinality-aware orderings are cached per
         (bound variables, quantized cardinality signature): the ordering is
         recomputed exactly when some atom's relation crossed a power-of-two
@@ -204,9 +198,6 @@ class CompiledConjunction:
         time may have become the most expensive one to scan first — and the
         signature keying keeps the process-shared plan cache store-agnostic.
         """
-        return self._plan_for(bound, view)[0]
-
-    def _plan_for(self, bound: FrozenSet[Variable], view: DatabaseView) -> _Plan:
         bound_key = bound & self._variable_set
         if len(self.atoms) <= 1:
             return self._static_plan(bound_key)

@@ -56,29 +56,6 @@ def exists_match(
     return CompiledConjunction(atoms).exists_match(view, assignment)
 
 
-def formula_satisfied(
-    lhs: Sequence[Atom],
-    rhs: Sequence[Atom],
-    view: DatabaseView,
-) -> bool:
-    """Check ``∀ x (LHS(x) → ∃ z RHS(x, z))`` over the view.
-
-    This is tgd satisfaction: every homomorphism of the LHS must extend to a
-    homomorphism of the RHS.
-    """
-    rhs_plan = CompiledConjunction(rhs)
-    rhs_variables = rhs_plan.variable_set
-    for assignment, _ in find_matches(lhs, view):
-        exported = {
-            variable: value
-            for variable, value in assignment.items()
-            if variable in rhs_variables
-        }
-        if not rhs_plan.exists_match(view, exported):
-            return False
-    return True
-
-
 def find_homomorphism(
     source: DatabaseView, target: DatabaseView
 ) -> Optional[Dict[LabeledNull, DataTerm]]:

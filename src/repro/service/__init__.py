@@ -15,7 +15,7 @@ Layering: ``core`` (chase, oracles) → ``storage`` (multiversion store) →
 
 from .admission import AdmissionConfig, AdmissionError, AdmissionQueue
 from .inbox import FrontierInbox, InboxQuestion
-from .metrics import ServiceMetrics, percentile
+from .metrics import ServiceMetrics
 from .repository import PumpReport, RepositoryService, ServiceError
 from .session import ClientSession, SessionError
 from .tickets import RemoteOrigin, TicketStatus, UpdateTicket
@@ -35,5 +35,4 @@ __all__ = [
     "SessionError",
     "TicketStatus",
     "UpdateTicket",
-    "percentile",
 ]

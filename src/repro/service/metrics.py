@@ -20,7 +20,6 @@ from typing import Dict, Optional
 
 from ..concurrency.aborts import RunStatistics
 from ..obs.metrics import MetricsRegistry
-from ..obs.stats import mean, percentile  # noqa: F401  (re-exported for compatibility)
 
 #: Number of most-recent latency samples kept per distribution.  Bounding the
 #: windows keeps a long-running service's memory flat and each snapshot's

@@ -199,12 +199,6 @@ class RepositoryService:
             raise SessionError("session #{} is closed".format(session_id))
         return session
 
-    def close_session(self, session_id: int) -> ClientSession:
-        """Disconnect a client; its in-flight tickets keep running to commit."""
-        session = self.session(session_id)
-        session.closed = True
-        return session
-
     def sessions(self) -> List[ClientSession]:
         """Every session ever opened, in id order."""
         return [self._sessions[sid] for sid in sorted(self._sessions)]
@@ -332,25 +326,6 @@ class RepositoryService:
                 ticket.wait_span = None
             if ticket.trace_span is not None:
                 self._tracer.end_span(ticket.trace_span, status="failed")
-
-    def run_until_blocked(self, max_pumps: int = 10_000) -> List[PumpReport]:
-        """Pump until the service needs outside input (answers or submissions).
-
-        Returns the reports of every pump performed.  On return, either all
-        work is done or every remaining in-flight update is parked on an open
-        inbox question.
-        """
-        reports: List[PumpReport] = []
-        for _ in range(max_pumps):
-            report = self.pump()
-            reports.append(report)
-            if self._queue.depth == 0 and self._scheduler.is_idle:
-                break
-            if not report.steps and not report.admitted:
-                # No progress possible: every admission slot is held by a
-                # parked update and only an answer can free one.
-                break
-        return reports
 
     def _reconcile(self, report: PumpReport) -> None:
         self._apply_restarts()
@@ -655,11 +630,6 @@ class RepositoryService:
     def tracer(self):
         """The tracer this service records into (the noop when disabled)."""
         return self._tracer
-
-    @property
-    def queue_depth(self) -> int:
-        """Submissions still waiting for admission."""
-        return self._queue.depth
 
     @property
     def statistics(self) -> RunStatistics:

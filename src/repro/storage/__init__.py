@@ -1,13 +1,9 @@
-"""Storage package: in-memory and multiversion backends.
-
-The SQLite backend is imported from :mod:`repro.storage.sqlite_backend`, so
-only its users pay for ``sqlite3``.
-"""
+"""Storage package: the in-memory and multiversion stores and the redo log."""
 
 from .index import PositionIndex
 from .interface import DatabaseView, MutableDatabase, StorageError, dump_sorted
 from .memory import FrozenDatabase, MemoryDatabase
-from .overlay import OverlayView, view_with_write, view_without_write
+from .overlay import OverlayView, view_without_write
 from .versioned import (
     LATEST,
     Version,
@@ -35,7 +31,6 @@ __all__ = [
     "WriteLogSegments",
     "dump_sorted",
     "read_snapshot",
-    "view_with_write",
     "view_without_write",
     "write_snapshot",
 ]

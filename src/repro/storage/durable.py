@@ -26,8 +26,9 @@ append.  No ``fsync`` is issued anywhere: a flush hands the bytes to the
 operating system, which is what survives a killed process (not a power cut).
 
 Consumed by :meth:`~repro.storage.versioned.VersionedDatabase.snapshot_to`,
-:meth:`~repro.storage.versioned.VersionedDatabase.restore_from` and the
-service-level checkpoint (:meth:`~repro.service.repository.RepositoryService.checkpoint`).
+the service-level checkpoint
+(:meth:`~repro.service.repository.RepositoryService.checkpoint`) and
+:func:`recover`, the one restore path.
 """
 
 from __future__ import annotations
@@ -270,13 +271,6 @@ class WriteLogSegments:
             os.remove(_segment_path(self.directory, index))
             del self._segments[index]
         return len(covered)
-
-    # ------------------------------------------------------------------
-    # Replay
-    # ------------------------------------------------------------------
-    def replay(self, after: int = 0, upto: Optional[int] = None) -> List[VersionedWrite]:
-        """The logged writes of priorities in ``(after, upto]``: :func:`replay_log`."""
-        return replay_log(self.directory, after, upto)
 
 
 def replay_log(

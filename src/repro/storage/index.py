@@ -12,11 +12,11 @@ it.  A bucket is its one row, bare, until a second row arrives
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, Iterable, Tuple as PyTuple
+from typing import Dict, Iterable, Tuple as PyTuple
 
 from ..core.terms import DataTerm, LabeledNull
 from ..core.tuples import Tuple
-from .buckets import bucket_add, bucket_discard, bucket_members
+from .buckets import bucket_add, bucket_discard
 
 
 class PositionIndex:
@@ -77,11 +77,6 @@ class PositionIndex:
                 bucket_add(by_null, null, row)
         self._size += added
 
-    def remove_many(self, rows: Iterable[Tuple]) -> None:
-        """Bulk-remove *rows* (each a no-op if absent)."""
-        for row in rows:
-            self.remove(row)
-
     def bucket(self, relation: str, position: int, value: DataTerm) -> object:
         """The raw bucket of *value* at *position*: ``None``, a row or a set."""
         return self._by_value.get((relation, position, value))
@@ -89,16 +84,6 @@ class PositionIndex:
     def null_bucket(self, null: LabeledNull) -> object:
         """The raw bucket of the rows containing *null*: ``None``, a row or a set."""
         return self._by_null.get(null)
-
-    def lookup(
-        self, relation: str, position: int, value: DataTerm
-    ) -> AbstractSet[Tuple]:
-        """Tuples of *relation* holding *value* at *position*."""
-        return bucket_members(self._by_value.get((relation, position, value)))
-
-    def with_null(self, null: LabeledNull) -> AbstractSet[Tuple]:
-        """All indexed tuples containing *null*."""
-        return bucket_members(self._by_null.get(null))
 
     def rebuild(self, rows: Iterable[Tuple]) -> None:
         """Clear the index and re-index *rows* from scratch."""

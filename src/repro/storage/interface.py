@@ -1,11 +1,11 @@
-"""Storage interfaces shared by the in-memory, multiversion and SQLite backends.
+"""Storage interfaces shared by the in-memory and multiversion stores.
 
 The chase and the query layer only ever need two things from storage:
 
 * a read-only :class:`DatabaseView` — "what tuples are visible right now?" —
   used to evaluate conjunctive, violation and correction queries, and
-* a mutable :class:`MutableDatabase` — insert / delete / null-replacement —
-  used by chase steps to apply their writes.
+* a mutable :class:`MutableDatabase` — insert / delete / snapshot — used by
+  chase steps to apply their writes.
 
 The multiversion store used by the concurrency-control layer produces one
 :class:`DatabaseView` per update priority (Section 4.1 of the paper: an update
@@ -20,7 +20,7 @@ content indexes, the two single-version stores through one shared
 implementation over a position index
 (:class:`~repro.storage.memory.IndexedProbes`; an immutable snapshot builds
 its index on its first probe).  The overlay view delegates the join and
-null probes to its base, and the SQLite store answers the join probe in SQL.
+null probes to its base.
 """
 
 from __future__ import annotations
@@ -158,15 +158,6 @@ class MutableDatabase(DatabaseView):
     @abstractmethod
     def delete(self, row: Tuple) -> bool:
         """Delete *row*; return ``True`` when the database changed."""
-
-    @abstractmethod
-    def replace_null(self, null: LabeledNull, value: DataTerm) -> List[Tuple]:
-        """Replace every occurrence of *null* by *value*.
-
-        Returns the list of tuples (post-replacement) that were modified.
-        Replacement is global and consistent, as required for the guarantee
-        that null-replacements only cause LHS-violations (Section 2).
-        """
 
     @abstractmethod
     def snapshot(self) -> "DatabaseView":

@@ -1,9 +1,10 @@
 """Single-version in-memory stores.
 
 This is the storage backend used by single-chase scenarios: the examples, the
-fixtures, the initial-database generator, and as the materialization target of
-the final-state serializability checker.  The concurrency-control layer uses
-the multiversion store in :mod:`repro.storage.versioned` instead.
+fixtures, the initial-database generator, the federation's reference chase and
+the serial executor of :mod:`repro.concurrency.serializability`.  The
+concurrency-control layer uses the multiversion store in
+:mod:`repro.storage.versioned` instead.
 
 Both stores here — the mutable :class:`MemoryDatabase` and its immutable
 :class:`FrozenDatabase` snapshots — answer the join probe, the correction
@@ -262,19 +263,6 @@ class MemoryDatabase(IndexedProbes, MutableDatabase):
         self._stamp += 1
         return True
 
-    def replace_null(self, null: LabeledNull, value: DataTerm) -> List[Tuple]:
-        affected = list(self._index.with_null(null))
-        modified: List[Tuple] = []
-        for row in affected:
-            replacement = row.substitute({null: value})
-            self.delete(row)
-            # The replacement may collide with an existing tuple; set
-            # semantics make the collision a silent merge, exactly as a
-            # unification should behave.
-            self.insert(replacement)
-            modified.append(replacement)
-        return modified
-
     def snapshot(self) -> FrozenDatabase:
         return FrozenDatabase(
             self._schema,
@@ -284,24 +272,12 @@ class MemoryDatabase(IndexedProbes, MutableDatabase):
     # ------------------------------------------------------------------
     # Bulk helpers
     # ------------------------------------------------------------------
-    def insert_all(self, rows) -> int:
-        """Insert every row in *rows*; return how many actually changed the DB."""
-        return sum(1 for row in rows if self.insert(row))
-
     def clear(self) -> None:
         """Remove all tuples (the schema is kept)."""
         for bucket in self._relations.values():
             bucket.clear()
         self._index.rebuild(())
         self._stamp += 1
-
-    def copy(self) -> "MemoryDatabase":
-        """Deep copy of the store (tuples are immutable and shared)."""
-        duplicate = MemoryDatabase(self._schema)
-        for relation, bucket in self._relations.items():
-            for row in bucket:
-                duplicate.insert(row)
-        return duplicate
 
     def load_from(self, view: DatabaseView) -> None:
         """Replace the contents of this store by the contents of *view*.

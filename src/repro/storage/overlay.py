@@ -125,13 +125,3 @@ def view_without_write(base: DatabaseView, write: Write) -> DatabaseView:
     added = {write.old_row} if write.old_row is not None else set()
     return OverlayView(base, added=added, hidden=hidden)
 
-
-def view_with_write(base: DatabaseView, write: Write) -> DatabaseView:
-    """A view showing the state as if *write* had (additionally) been performed."""
-    if write.kind is WriteKind.INSERT:
-        return OverlayView(base, added={write.row})
-    if write.kind is WriteKind.DELETE:
-        return OverlayView(base, hidden={write.row})
-    added = {write.row}
-    hidden = {write.old_row} if write.old_row is not None else set()
-    return OverlayView(base, added=added, hidden=hidden)

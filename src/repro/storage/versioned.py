@@ -349,7 +349,7 @@ class VersionedDatabase:
         per batch, carrying the watermark and the batch's writes in seq
         order (and flushes); writes that roll back never reach the log.
         Nothing is deleted at commit time, so a base written by
-        ``snapshot_to(path, B)`` plus ``segments.replay(after=B, upto=W)``
+        ``snapshot_to(path, B)`` plus ``replay_log(segments.directory, B, W)``
         reproduces the committed store at any later commit watermark ``W``
         (see :mod:`repro.storage.durable`).
         """
@@ -359,13 +359,6 @@ class VersionedDatabase:
     def segments(self):
         """The attached durable segment log (``None`` in memory-only mode)."""
         return self._segments
-
-    def visible_content_of(self, tid: int, priority: float) -> Optional[Tuple]:
-        """The content of tuple identity *tid* visible at *priority* (or None)."""
-        record = self._tuples.get(tid)
-        if record is None:
-            return None
-        return record.visible_content(priority)
 
     def snapshot_to(self, path: str, watermark: float) -> int:
         """Persist the committed store at *watermark* as one codec snapshot.
@@ -387,24 +380,6 @@ class VersionedDatabase:
         return write_snapshot(
             path, self._schema, relations, int(watermark), self._encoded_rows
         )
-
-    @classmethod
-    def restore_from(cls, path: str) -> "PyTuple[VersionedDatabase, int]":
-        """Rebuild a store from a :meth:`snapshot_to` file.
-
-        Returns ``(store, watermark)``: the snapshot's rows are loaded as
-        priority-0 initial contents (visible to every future update, not
-        logged), one tuple identity per row — a restored store starts a
-        fresh priority sequence, which is what the service layer's
-        checkpoint/restore wants.
-        """
-        from .durable import read_snapshot
-
-        schema, relations, watermark = read_snapshot(path)
-        store = cls(schema)
-        for rows in relations.values():
-            store.load_rows(rows)
-        return store, watermark
 
     def write_log(self) -> WriteLogView:
         """The full write log, oldest first (a read-only, copy-free view)."""
@@ -533,11 +508,7 @@ class VersionedDatabase:
 
     def materialize(self, priority: float = LATEST) -> FrozenDatabase:
         """Freeze the view at *priority* into an immutable database."""
-        view = self.view_for(priority)
-        return FrozenDatabase(
-            self._schema,
-            {name: frozenset(view.tuples(name)) for name in self._schema.relation_names()},
-        )
+        return FrozenDatabase(self._schema, self.view_for(priority).to_dict())
 
     # ------------------------------------------------------------------
     # Writes
@@ -945,12 +916,6 @@ class VersionedDatabase:
     def priorities_in_log(self) -> Set[int]:
         """Every update priority that has at least one logged write."""
         return set(self._log_by_priority)
-
-    def log_index_entry_count(self) -> int:
-        """(writer, key) memberships of the transposed log, plus writes yet to file."""
-        return sum(len(bucket) for bucket in self._writers.values()) + len(
-            self._unfiled
-        )
 
     def index_entry_count(self) -> int:
         """Total (tid, bucket) memberships across the content indexes (O(1))."""

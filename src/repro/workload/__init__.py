@@ -16,8 +16,6 @@ from .experiment import (
     build_environment,
     build_workload,
     run_cell_once,
-    run_figure_3,
-    run_figure_4,
     run_workload_experiment,
 )
 from .mapping_gen import generate_mapping, generate_mappings, mapping_prefix
@@ -50,7 +48,5 @@ __all__ = [
     "mixed_workload",
     "random_seed_tuple",
     "run_cell_once",
-    "run_figure_3",
-    "run_figure_4",
     "run_workload_experiment",
 ]

@@ -237,19 +237,3 @@ def run_workload_experiment(
                     progress(workload_kind, mapping_count, algorithm, run_index, statistics)
             result.cells.append(cell)
     return result
-
-
-def run_figure_3(
-    config: Optional[ExperimentConfig] = None,
-    environment: Optional[ExperimentEnvironment] = None,
-) -> ExperimentResult:
-    """Figure 3: the all-insert workload."""
-    return run_workload_experiment(INSERT_WORKLOAD, config, environment)
-
-
-def run_figure_4(
-    config: Optional[ExperimentConfig] = None,
-    environment: Optional[ExperimentEnvironment] = None,
-) -> ExperimentResult:
-    """Figure 4: the mixed 80% insert / 20% delete workload."""
-    return run_workload_experiment(MIXED_WORKLOAD, config, environment)

@@ -105,28 +105,6 @@ class FederationEnvironment:
     #: Per-directed-link delays in pumps (empty for a homogeneous federation).
     link_delays: Dict[PyTuple[str, str], int] = field(default_factory=dict)
 
-    def apply_link_delays(self, transport) -> None:
-        """Configure *transport* with this scenario's per-link delays."""
-        for (source, destination), delay in self.link_delays.items():
-            transport.set_delay(source, destination, delay)
-
-    def all_operations(self) -> List[UserOperation]:
-        """Every operation, interleaved round-robin across peers.
-
-        This is the canonical serial order the single-repository reference
-        replays; for the terminating, insert-plus-free-delete scenarios the
-        generator produces, any serial order chases to an equivalent result.
-        """
-        streams = [list(self.operations[peer]) for peer in sorted(self.operations)]
-        merged: List[UserOperation] = []
-        cursor = 0
-        while any(streams):
-            stream = streams[cursor % len(streams)]
-            if stream:
-                merged.append(stream.pop(0))
-            cursor += 1
-        return merged
-
 
 def _generate_side(
     relations: Sequence[str],

@@ -9,10 +9,10 @@ slowdown of PRECISE relative to COARSE in per-update execution time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple as PyTuple
+from typing import List, Tuple as PyTuple
 
 from ..concurrency.aborts import RunStatistics
-from ..obs.stats import mean  # noqa: F401  (re-exported: the one shared implementation)
+from ..obs.stats import mean
 
 
 @dataclass
@@ -89,28 +89,6 @@ class ExperimentResult:
     # ------------------------------------------------------------------
     # The three panels
     # ------------------------------------------------------------------
-    def abort_series(self) -> Dict[str, List[PyTuple[int, float]]]:
-        """Panel (a): number of aborts vs. number of mappings, per algorithm."""
-        return {
-            algorithm: [
-                (count, self.cell(count, algorithm).aborts)
-                for count in self.mapping_counts()
-                if self._has_cell(count, algorithm)
-            ]
-            for algorithm in self.algorithms()
-        }
-
-    def cascading_request_series(self) -> Dict[str, List[PyTuple[int, float]]]:
-        """Panel (b): cascading abort requests vs. number of mappings."""
-        return {
-            algorithm: [
-                (count, self.cell(count, algorithm).cascading_abort_requests)
-                for count in self.mapping_counts()
-                if self._has_cell(count, algorithm)
-            ]
-            for algorithm in self.algorithms()
-        }
-
     def precise_slowdown_series(
         self, use_cost_model: bool = False
     ) -> List[PyTuple[int, float]]:

@@ -76,7 +76,7 @@ def test_chopped_stream_reassembles(seed):
     received = []
     for chunk in _chop(stream, rng):
         received.extend(decoder.feed(chunk))
-    assert decoder.pending_bytes == 0
+    assert len(decoder._buffer) == 0
     assert len(received) == len(expected)
     for (name, framed), frame in zip(expected, received):
         assert framed == b"".join(
@@ -99,15 +99,15 @@ def test_truncated_frame_stays_pending():
     decoder = FrameDecoder()
     # Header split across feeds: nothing delivered, bytes pending.
     assert decoder.feed(framed[:3]) == []
-    assert decoder.pending_bytes == 3
+    assert len(decoder._buffer) == 3
     # Full header, partial payload: still nothing delivered.
     assert decoder.feed(framed[3:-2]) == []
-    assert decoder.pending_bytes == len(framed) - 2
+    assert len(decoder._buffer) == len(framed) - 2
     # The last bytes complete the frame.
     frames = decoder.feed(framed[-2:])
     assert len(frames) == 1
     assert decode_envelope(frames[0].payload) == "transport-smoke"
-    assert decoder.pending_bytes == 0
+    assert len(decoder._buffer) == 0
 
 
 def test_bad_magic_rejected():
@@ -174,4 +174,4 @@ def test_chopper_with_interleaved_control_frames(seed):
         received.extend(decoder.feed(chunk))
     assert len(received) == len(stream_frames)
     assert b"".join(encode_frame(f.kind, f.payload) for f in received) == stream
-    assert decoder.pending_bytes == 0
+    assert len(decoder._buffer) == 0

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import random
+from typing import Dict
 
 import pytest
 
@@ -24,7 +25,6 @@ from repro.codec import (
     decode_envelope,
     encode_envelope,
     payload_kind,
-    payloads_equivalent,
 )
 from repro.codec.wire import (
     decode_frontier_operation,
@@ -35,6 +35,7 @@ from repro.codec.wire import (
     dumps,
     encode_frontier_operation,
     encode_frontier_request,
+    encode_payload,
     encode_schema,
     encode_term,
     encode_tuple,
@@ -76,6 +77,46 @@ from repro.federation.operations import (
 )
 from repro.federation.transport import Bundle
 from repro.service.tickets import RemoteOrigin
+
+
+def _canonicalize_nulls(node: object, renaming: Dict[str, str]) -> object:
+    """Rewrite every encoded labeled null to its first-occurrence-order name.
+
+    Traversal is deterministic: lists in order, dict keys sorted — the same
+    order :func:`dumps` serializes, so two payloads that differ only in null
+    names canonicalize to identical structures.  An encoded null is the only
+    one-key dict keyed ``"n"`` (inline tgds carry ``"l"`` and ``"h"`` too).
+    """
+    if isinstance(node, dict):
+        if len(node) == 1 and "n" in node:
+            name = node["n"]
+            if name not in renaming:
+                renaming[name] = "_{}".format(len(renaming))
+            return {"n": renaming[name]}
+        return {
+            key: _canonicalize_nulls(node[key], renaming)
+            for key in sorted(node)
+            # Trace contexts are observability metadata, not payload content:
+            # two runs of the same workload get different span ids, and
+            # equivalence must not depend on whether either run was traced.
+            if key != "tr"
+        }
+    if isinstance(node, list):
+        return [_canonicalize_nulls(item, renaming) for item in node]
+    return node
+
+
+def payloads_equivalent(a: object, b: object) -> bool:
+    """Structural equality of two payloads up to labeled-null renaming.
+
+    The renaming must be *consistent* (a bijection on null names), which the
+    first-occurrence canonicalization gives for free: if the two payloads use
+    their nulls in the same positions, the canonical forms coincide; any
+    inconsistent reuse makes them differ.
+    """
+    canonical_a = _canonicalize_nulls(encode_payload(a), {})
+    canonical_b = _canonicalize_nulls(encode_payload(b), {})
+    return canonical_a == canonical_b
 
 
 # ----------------------------------------------------------------------

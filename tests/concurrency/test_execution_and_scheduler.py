@@ -114,7 +114,7 @@ class TestUpdateExecution:
         )
         execution.run_step()
         execution.abort()
-        assert execution.is_aborted
+        assert execution.status is UpdateStatus.ABORTED
         assert not execution.is_active
         restart = execution.restart_as(10)
         assert restart.priority == 10

@@ -92,7 +92,7 @@ def _assert_identical(environment, operations, mappings, tracker_name, seed):
     for field in PANEL_FIELDS:
         assert getattr(grouped_stats, field) == getattr(single_stats, field), field
     # Same commit order and watermark.
-    assert grouped.committed_priorities() == single.committed_priorities()
+    assert grouped._committed == single._committed
     assert grouped.commit_watermark() == single.commit_watermark()
     # The batching itself: both commit the same number of members, the group
     # path in no more (usually fewer) batches and compaction sweeps.
@@ -157,7 +157,7 @@ def test_batch_listener_sees_union_write_set_once_per_batch():
         assert batch_writes == single_writes
     assert len(batches) == scheduler.statistics.group_commits
     assert all(batch for batch in batches)
-    assert sum(len(batch) for batch in batches) == len(scheduler.committed_priorities())
+    assert sum(len(batch) for batch in batches) == len(scheduler._committed)
 
 
 def test_failed_validation_falls_back_to_singletons():

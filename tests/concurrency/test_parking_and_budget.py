@@ -78,7 +78,7 @@ class TestParking:
         assert execution.is_active
         scheduler.pump()
         assert execution.is_terminated
-        assert scheduler.committed_priorities() == {priority}
+        assert scheduler._committed == {priority}
         assert scheduler.commit_watermark() == priority
         final = scheduler.final_database()
         assert set(final.tuples("Person")) == {make_tuple("Person", "John")}
@@ -130,13 +130,13 @@ class TestParking:
         scheduler.resume(second, second_decision.answer)
         scheduler.pump()
         assert scheduler.execution(second).is_terminated
-        assert scheduler.committed_priorities() == set()
+        assert scheduler._committed == set()
         assert scheduler.commit_watermark() == 0
         first_decision = oracle.pending()[0]
         oracle.post(first_decision.decision_id, _unify_alternative(first_decision))
         scheduler.resume(first, first_decision.answer)
         scheduler.pump()
-        assert scheduler.committed_priorities() == {first, second}
+        assert scheduler._committed == {first, second}
 
     def test_pump_respects_max_steps(self):
         oracle = RandomOracle(seed=0)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from oracles.conflicts_scan import records_with_reader_above
+
 from repro.concurrency.aborts import consolidate_aborts
 from repro.concurrency.dependencies import (
     CoarseTracker,
@@ -27,7 +29,11 @@ class TestReadLog:
         log.record(5, query, {2, 3})
         log.record(7, query, {5})
         assert log.readers() == [5, 7]
-        assert log.dependencies_of(5) == {2, 3}
+        assert {
+            dependency
+            for record in records_with_reader_above(log, 4) if record.reader == 5
+            for dependency in record.dependencies
+        } == {2, 3}
         assert log.readers_depending_on(5) == {7}
         assert log.readers_depending_on(1) == set()
         assert log.total_records() == 2
@@ -37,7 +43,7 @@ class TestReadLog:
         query = NullOccurrenceQuery(LabeledNull("x1"))
         log.record(2, query, set())
         log.record(9, query, set())
-        readers = {record.reader for record in log.records_with_reader_above(5)}
+        readers = {record.reader for record in records_with_reader_above(log, 5)}
         assert readers == {9}
 
     def test_remove_reader(self):

@@ -22,10 +22,6 @@ class TestAtomConstruction:
         atom = Atom("C", ["Ithaca"])
         assert atom.constants() == (Constant("Ithaca"),)
 
-    def test_variable_positions(self):
-        atom = Atom("S", ["a", "c", "c"])
-        assert atom.positions_of(Variable("c")) == [1, 2]
-
     def test_equality_and_hash(self):
         assert Atom("C", ["c"]) == Atom("C", ["c"])
         assert Atom("C", ["c"]) != Atom("C", ["d"])
@@ -98,11 +94,6 @@ class TestMatch:
 
 
 class TestRenameAndHelpers:
-    def test_rename(self):
-        atom = Atom("T", ["n", "c", "cs"])
-        renamed = atom.rename({Variable("n"): Variable("m")})
-        assert renamed.variables() == (Variable("m"), Variable("c"), Variable("cs"))
-
     def test_atoms_variables_and_relations(self):
         atoms = [Atom("A", ["l", "n"]), Atom("T", ["n", "c", "cs"])]
         assert atoms_variables(atoms) == {

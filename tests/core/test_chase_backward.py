@@ -40,7 +40,6 @@ class TestExample23:
             DeleteOperation(make_tuple("R", "XYZ", "Geneva Winery", "Great!"))
         )
         assert record.terminated
-        assert not record.is_positive
         assert not database.contains(make_tuple("T", "Geneva Winery", "XYZ", "Syracuse"))
         assert database.contains(make_tuple("A", "Geneva", "Geneva Winery"))
         assert satisfies_all(mappings, database)

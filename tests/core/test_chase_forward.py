@@ -52,7 +52,6 @@ class TestExample11:
         )
         # The initial insert plus the generated review tuple.
         assert record.write_count == 2
-        assert record.is_positive
 
     def test_inserting_existing_tuple_is_a_noop(self, travel_engine):
         record = travel_engine.run(InsertOperation(make_tuple("C", "Ithaca")))

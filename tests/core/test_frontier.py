@@ -11,10 +11,9 @@ from repro.core.frontier import (
     PositiveFrontierRequest,
     UnifyOperation,
     plan_backward_repair,
-    plan_forward_repair,
-    plan_repair,
     writes_for_operation,
 )
+from repro.core.planner import RepairPlanner
 from repro.core.terms import LabeledNull, NullFactory
 from repro.core.tuples import make_tuple
 from repro.core.violations import violations_for_write
@@ -42,7 +41,7 @@ class TestForwardPlanning:
         violation = _lhs_violation_after_insert(
             database, mappings, make_tuple("T", "Niagara Falls", "ABC Tours", "Toronto")
         )
-        plan = plan_forward_repair(violation, database, NullFactory(prefix="f"))
+        plan = RepairPlanner(mappings, NullFactory(prefix="f")).plan(violation, database)
         assert isinstance(plan, DeterministicRepair)
         assert len(plan.writes) == 1
         write = plan.writes[0]
@@ -56,7 +55,7 @@ class TestForwardPlanning:
         violation = _lhs_violation_after_insert(
             database, mappings, make_tuple("Person", "John")
         )
-        plan = plan_forward_repair(violation, database, NullFactory(prefix="f"))
+        plan = RepairPlanner(mappings, NullFactory(prefix="f")).plan(violation, database)
         assert isinstance(plan, PositiveFrontierRequest)
         rows = {frontier.row.relation for frontier in plan.frontier_tuples}
         assert rows == {"Father", "Person"}
@@ -70,7 +69,7 @@ class TestForwardPlanning:
         violation = _lhs_violation_after_insert(
             database, mappings, make_tuple("Person", "John")
         )
-        plan = plan_forward_repair(violation, database, NullFactory(prefix="f"))
+        plan = RepairPlanner(mappings, NullFactory(prefix="f")).plan(violation, database)
         all_fresh = set()
         for frontier in plan.frontier_tuples:
             all_fresh.update(frontier.fresh_nulls)
@@ -87,7 +86,7 @@ class TestForwardPlanning:
             database, mappings, make_tuple("T", "Niagara Falls", "ABC Tours", "Toronto")
         )
         database.insert(make_tuple("R", "ABC Tours", "Niagara Falls", "Fine"))
-        assert plan_forward_repair(violation, database, NullFactory()) is None
+        assert RepairPlanner(mappings, NullFactory()).plan(violation, database) is None
 
     def test_recorder_sees_more_specific_queries(self):
         database, mappings = genealogy_repository()
@@ -95,8 +94,8 @@ class TestForwardPlanning:
             database, mappings, make_tuple("Person", "John")
         )
         seen = []
-        plan_forward_repair(
-            violation, database, NullFactory(prefix="f"), recorder=lambda q, a: seen.append(q.kind)
+        RepairPlanner(mappings, NullFactory(prefix="f")).plan(
+            violation, database, recorder=lambda q, a: seen.append(q.kind)
         )
         assert "more-specific" in seen
 
@@ -137,7 +136,7 @@ class TestBackwardPlanning:
             database, mappings, make_tuple("T", "Niagara Falls", "ABC Tours", "Toronto")
         )
         assert isinstance(
-            plan_repair(lhs_violation, database, NullFactory()), DeterministicRepair
+            RepairPlanner(mappings, NullFactory()).plan(lhs_violation, database), DeterministicRepair
         )
 
 
@@ -147,7 +146,7 @@ class TestWritesForOperations:
         violation = _lhs_violation_after_insert(
             database, mappings, make_tuple("Person", "John")
         )
-        plan = plan_forward_repair(violation, database, NullFactory(prefix="f"))
+        plan = RepairPlanner(mappings, NullFactory(prefix="f")).plan(violation, database)
         father = next(f for f in plan.frontier_tuples if f.row.relation == "Father")
         writes = writes_for_operation(ExpandOperation(father), database)
         assert len(writes) == 1
@@ -159,7 +158,7 @@ class TestWritesForOperations:
         violation = _lhs_violation_after_insert(
             database, mappings, make_tuple("Person", "John")
         )
-        plan = plan_forward_repair(violation, database, NullFactory(prefix="f"))
+        plan = RepairPlanner(mappings, NullFactory(prefix="f")).plan(violation, database)
         father = next(f for f in plan.frontier_tuples if f.row.relation == "Father")
         person = next(f for f in plan.frontier_tuples if f.row.relation == "Person")
         # Expand the father tuple, then unify the person frontier tuple with
@@ -181,7 +180,7 @@ class TestWritesForOperations:
         violation = _lhs_violation_after_insert(
             database, mappings, make_tuple("Person", "John")
         )
-        plan = plan_forward_repair(violation, database, NullFactory(prefix="f"))
+        plan = RepairPlanner(mappings, NullFactory(prefix="f")).plan(violation, database)
         person = next(f for f in plan.frontier_tuples if f.row.relation == "Person")
         writes = writes_for_operation(
             UnifyOperation(person, make_tuple("Person", "John")), database
@@ -208,7 +207,7 @@ class TestWritesForOperations:
         violation = _lhs_violation_after_insert(
             database, mappings, make_tuple("Person", "John")
         )
-        plan = plan_forward_repair(violation, database, NullFactory(prefix="f"))
+        plan = RepairPlanner(mappings, NullFactory(prefix="f")).plan(violation, database)
         alternatives = plan.alternatives()
         kinds = [type(alternative).__name__ for alternative in alternatives]
         assert kinds.count("ExpandOperation") == len(plan.frontier_tuples)
@@ -225,7 +224,7 @@ class TestIndexOf:
         violation = _lhs_violation_after_insert(
             database, mappings, make_tuple("Person", "John")
         )
-        request = plan_forward_repair(violation, database, NullFactory(prefix="f"))
+        request = RepairPlanner(mappings, NullFactory(prefix="f")).plan(violation, database)
         alternatives = request.alternatives()
         assert any(isinstance(option, UnifyOperation) for option in alternatives)
         for position, option in enumerate(alternatives):

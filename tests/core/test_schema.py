@@ -15,7 +15,6 @@ class TestRelationSchema:
     def test_basic_properties(self):
         relation = RelationSchema("T", ["attraction", "company", "tour_start"])
         assert relation.arity == 3
-        assert relation.position_of("company") == 1
         assert str(relation) == "T(attraction, company, tour_start)"
 
     def test_rejects_empty_name_and_attributes(self):
@@ -27,11 +26,6 @@ class TestRelationSchema:
     def test_rejects_duplicate_attributes(self):
         with pytest.raises(SchemaError):
             RelationSchema("R", ["a", "a"])
-
-    def test_unknown_attribute(self):
-        relation = RelationSchema("R", ["a", "b"])
-        with pytest.raises(SchemaError):
-            relation.position_of("c")
 
     def test_validate_tuple(self):
         relation = RelationSchema("R", ["a", "b"])
@@ -61,14 +55,6 @@ class TestDatabaseSchema:
             schema.relation("Z")
         with pytest.raises(SchemaError):
             schema.validate_tuple(make_tuple("Z", 1))
-
-    def test_restrict_and_copy(self):
-        schema = DatabaseSchema.from_dict({"C": ["city"], "V": ["city", "convention"]})
-        restricted = schema.restrict(["C"])
-        assert restricted.relation_names() == ["C"]
-        copied = schema.copy()
-        assert copied.relation_names() == schema.relation_names()
-        assert copied is not schema
 
     def test_describe_lists_every_relation(self):
         schema = DatabaseSchema.from_dict({"C": ["city"], "V": ["city", "convention"]})

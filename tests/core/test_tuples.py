@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.terms import Constant, LabeledNull, Variable
-from repro.core.tuples import Tuple, make_tuple, most_specific, unification_assignment
+from repro.core.tuples import Tuple, make_tuple, unification_assignment
 
 
 def null(name):
@@ -34,13 +34,12 @@ class TestTupleBasics:
 
     def test_null_helpers(self):
         row = make_tuple("R", "a", null("x"), null("x"), null("y"))
-        assert row.has_nulls()
-        assert not row.is_ground()
+        assert row.null_set()
         assert row.nulls() == (null("x"), null("x"), null("y"))
         assert row.null_set() == {null("x"), null("y")}
         assert row.contains_null(null("y"))
         assert not row.contains_null(null("z"))
-        assert make_tuple("R", "a").is_ground()
+        assert not make_tuple("R", "a").null_set()
 
     def test_substitute_replaces_all_occurrences(self):
         row = make_tuple("R", null("x"), "a", null("x"))
@@ -58,7 +57,6 @@ class TestSpecificity:
     def test_every_tuple_is_more_specific_than_itself(self):
         row = make_tuple("R", "a", null("x"))
         assert row.is_more_specific_than(row)
-        assert not row.strictly_more_specific_than(row)
 
     def test_constant_refines_null(self):
         general = make_tuple("C", null("x4"))
@@ -119,7 +117,7 @@ def test_specificity_is_reflexive(row):
 def test_strict_specificity_is_antisymmetric_on_distinct_tuples(first, second):
     if first.arity != second.arity:
         return
-    if first.strictly_more_specific_than(second) and second.strictly_more_specific_than(first):
+    if first != second and first.is_more_specific_than(second) and second.is_more_specific_than(first):
         # Mutual strict specificity means the two tuples differ only by a
         # renaming of nulls; they must then have nulls in the same positions.
         for mine, theirs in zip(first.values, second.values):
@@ -162,13 +160,3 @@ class TestUnificationAssignment:
         target = make_tuple("R", "b", "a", null("z"))
         assignment = unification_assignment(general, target)
         assert general.substitute(assignment) == target
-
-
-class TestMostSpecific:
-    def test_dominated_tuples_are_dropped(self):
-        rows = [make_tuple("C", null("x")), make_tuple("C", "NYC")]
-        assert most_specific(rows) == [make_tuple("C", "NYC")]
-
-    def test_incomparable_tuples_are_kept(self):
-        rows = [make_tuple("C", "NYC"), make_tuple("C", "Ithaca")]
-        assert set(most_specific(rows)) == set(rows)

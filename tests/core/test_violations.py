@@ -48,7 +48,7 @@ class TestIncrementalDetection:
         assert len(violations) == 1
         violation = violations[0]
         assert violation.kind is ViolationKind.LHS
-        assert violation.is_lhs() and not violation.is_rhs()
+        assert not violation.is_rhs()
         assert new_tour in violation.witness
 
     def test_delete_seeds_rhs_violation(self, travel):
@@ -72,11 +72,13 @@ class TestIncrementalDetection:
         # Replace x1 (the unknown tour company) consistently in T and R; the
         # paper notes this cannot violate sigma3 because both occurrences change.
         x1 = LabeledNull("x1")
-        modified = database.replace_null(x1, make_tuple("C", "ABC Tours").values[0])
-        writes = [
-            modify(row.substitute({}), row, x1, make_tuple("C", "ABC Tours").values[0])
-            for row in modified
-        ]
+        company = make_tuple("C", "ABC Tours").values[0]
+        writes = []
+        for row in list(database.tuples_containing_null(x1)):
+            database.delete(row)
+            modified = row.substitute({x1: company})
+            database.insert(modified)
+            writes.append(modify(row, modified, x1, company))
         assert violations_for_writes(writes, list(mappings), database) == []
 
     def test_modify_write_only_checked_against_lhs(self, travel):

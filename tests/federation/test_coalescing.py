@@ -19,6 +19,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from drivers import FederatedClientSpec, FederatedClosedLoopDriver, all_operations
 from repro.core.atoms import Atom
 from repro.core.oracle import AlwaysExpandOracle
 from repro.core.terms import Constant, Variable
@@ -40,11 +41,7 @@ from repro.federation.envelopes import QuestionCancelled, freeze_assignment
 from repro.federation.host import PeerRuntime
 from repro.obs.trace import NOOP_TRACER
 from repro.service.tickets import RemoteOrigin
-from repro.workload.federated_loop import (
-    FederatedClientSpec,
-    FederatedClosedLoopDriver,
-    expanding_answer,
-)
+from repro.workload.federated_loop import expanding_answer
 from repro.workload.federation_gen import (
     FederationScenarioConfig,
     generate_federation_environment,
@@ -217,7 +214,7 @@ def _reference(environment):
         environment.schema,
         environment.initial,
         list(environment.mappings),
-        environment.all_operations(),
+        all_operations(environment),
         oracle=AlwaysExpandOracle(),
     )
 

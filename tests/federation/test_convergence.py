@@ -21,6 +21,7 @@ import random
 import sys
 
 import pytest
+from drivers import FederatedClientSpec, FederatedClosedLoopDriver, all_operations
 from oracles.recursive_homomorphism import find_homomorphism_recursive
 
 from repro.core.oracle import AlwaysExpandOracle
@@ -36,11 +37,7 @@ from repro.federation import (
     reference_chase,
 )
 from repro.storage.memory import FrozenDatabase, MemoryDatabase
-from repro.workload.federated_loop import (
-    FederatedClientSpec,
-    FederatedClosedLoopDriver,
-    expanding_answer,
-)
+from repro.workload.federated_loop import expanding_answer
 from repro.workload.federation_gen import (
     FederationScenarioConfig,
     generate_federation_environment,
@@ -296,7 +293,7 @@ def _assert_converges(environment, network):
         environment.schema,
         environment.initial,
         list(environment.mappings),
-        environment.all_operations(),
+        all_operations(environment),
         oracle=AlwaysExpandOracle(),
     )
     assert reference.all_terminated

@@ -47,7 +47,7 @@ def test_a_fresh_delivery_queues_behind_the_deferred_ones():
     b = network.peer("b")
     # w0 took the slot and ran; w1..w3 wait at b, and the slot is free again.
     assert len(b.retry) == 3
-    assert b.service.queue_depth == 0
+    assert b.service._queue.depth == 0
     tickets.append(network.submit("a", InsertOperation(make_tuple("B1", "w4"))))
     network.drain()
     assert all(ticket.status is TicketStatus.COMMITTED for ticket in tickets)

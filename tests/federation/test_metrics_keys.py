@@ -8,12 +8,9 @@ hash seeds.
 
 from __future__ import annotations
 
+from drivers import FederatedClientSpec, FederatedClosedLoopDriver
 from repro.federation import FederatedNetwork, Transport
-from repro.workload.federated_loop import (
-    FederatedClientSpec,
-    FederatedClosedLoopDriver,
-    expanding_answer,
-)
+from repro.workload.federated_loop import expanding_answer
 from repro.workload.federation_gen import (
     FederationScenarioConfig,
     generate_federation_environment,

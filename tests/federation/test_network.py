@@ -90,7 +90,7 @@ def test_backward_retraction_cascades_to_source_peer():
 def test_user_update_routed_to_owner_with_commit_notice():
     _, _, _, network = chain_fixture()
     ticket = network.submit("a", InsertOperation(make_tuple("B1", "w")))
-    assert ticket.is_remote and ticket.target == "b"
+    assert ticket.target == "b"
     assert ticket.status is TicketStatus.QUEUED
     network.drain()
     assert ticket.status is TicketStatus.COMMITTED

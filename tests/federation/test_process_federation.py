@@ -29,6 +29,7 @@ import time
 import warnings
 
 import pytest
+from drivers import FederatedClientSpec, FederatedClosedLoopDriver, all_operations
 from oracles.poll_drain import poll_drain
 
 from repro.core.oracle import AlwaysExpandOracle
@@ -49,12 +50,7 @@ from repro.federation import (
 from repro.obs.trace import NOOP_TRACER
 from repro.service.tickets import TicketStatus
 from repro.storage.memory import FrozenDatabase
-from repro.workload.federated_loop import (
-    FederatedClientSpec,
-    FederatedClosedLoopDriver,
-    conservative_answer,
-    expanding_answer,
-)
+from repro.workload.federated_loop import conservative_answer, expanding_answer
 from repro.workload.federation_gen import (
     FederationScenarioConfig,
     generate_federation_environment,
@@ -95,7 +91,7 @@ def _reference(environment):
         environment.schema,
         environment.initial,
         list(environment.mappings),
-        environment.all_operations(),
+        all_operations(environment),
         oracle=AlwaysExpandOracle(),
     )
     assert reference.all_terminated
@@ -482,6 +478,20 @@ def test_a_replaced_destination_receives_every_held_frame_over_tcp(tmp_path):
         for relation in ("B1", "B2"):
             rows = snapshot.tuples(relation)
             assert {row.values[0].value for row in rows} == expected
+
+
+def test_global_snapshot_names_a_killed_owner(tmp_path):
+    schema, mappings, initial = chain_pieces()
+    with running(ProcessFederation(
+        schema,
+        initial,
+        mappings,
+        ownership={"a": ["A1", "A2"], "b": ["B1", "B2"]},
+        workdir=str(tmp_path),
+    )) as federation:
+        federation.kill_peer("b")
+        with pytest.raises(FederationError, match="dead peer.*b"):
+            federation.global_snapshot()
 
 
 def test_restarted_peer_process_forgets_its_dead_services_questions(tmp_path):

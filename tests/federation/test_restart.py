@@ -16,6 +16,7 @@ import json
 
 import pytest
 
+from drivers import all_operations
 from repro.core.oracle import AlwaysExpandOracle
 from repro.core.schema import DatabaseSchema
 from repro.core.tgd import parse_tgds
@@ -58,7 +59,7 @@ def _assert_converges(environment, network):
         environment.schema,
         environment.initial,
         list(environment.mappings),
-        environment.all_operations(),
+        all_operations(environment),
         oracle=AlwaysExpandOracle(),
     )
     assert reference.all_terminated

@@ -66,7 +66,7 @@ def test_dump_records_first_reason_and_flushes_tail(tmp_path):
     records = load_flight_records(str(tmp_path))
     dumps = [entry for entry in records if entry["kind"] == "dump"]
     assert [entry["reason"] for entry in dumps] == ["sigterm"]
-    assert recorder.dumped
+    assert recorder._dumped
 
 
 def test_span_records_round_trip_through_a_dump(tmp_path):

@@ -18,6 +18,7 @@ processes and the spans land in per-process JSONL exports:
 
 from __future__ import annotations
 
+from drivers import all_operations
 from repro.core.oracle import AlwaysExpandOracle
 from repro.federation import (
     ProcessFederation,
@@ -129,7 +130,7 @@ def test_traces_cross_the_socket_hop_and_do_not_disturb(tmp_path, monkeypatch):
         environment.schema,
         environment.initial,
         list(environment.mappings),
-        environment.all_operations(),
+        all_operations(environment),
         oracle=AlwaysExpandOracle(),
     )
     assert reference.all_terminated

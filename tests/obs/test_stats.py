@@ -14,18 +14,16 @@ from __future__ import annotations
 import pytest
 
 from repro.obs.stats import mean, percentile
-
-# The service and workload layers must keep re-exporting the shared
-# implementations (call sites import from either).
-from repro.service.metrics import mean as service_mean
-from repro.service.metrics import percentile as service_percentile
-from repro.workload.metrics import mean as workload_mean
+from repro.service import metrics as service_metrics
+from repro.workload import metrics as workload_metrics
 
 
 def test_reexports_are_the_shared_implementations():
-    assert service_mean is mean
-    assert service_percentile is percentile
-    assert workload_mean is mean
+    # One implementation: the workload layer's cell means use the shared
+    # helper, and the service layer keeps no copy of either.
+    assert workload_metrics.mean is mean
+    assert not hasattr(service_metrics, "mean")
+    assert not hasattr(service_metrics, "percentile")
 
 
 def test_mean_empty_is_zero():

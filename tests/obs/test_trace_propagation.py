@@ -16,15 +16,12 @@ from __future__ import annotations
 
 import pytest
 
+from drivers import FederatedClientSpec, FederatedClosedLoopDriver, all_operations
 from repro.core.oracle import AlwaysExpandOracle
 from repro.federation import FederatedNetwork, Transport
 from repro.obs.analysis import TraceAnalysis
 from repro.obs.trace import Tracer
-from repro.workload.federated_loop import (
-    FederatedClientSpec,
-    FederatedClosedLoopDriver,
-    expanding_answer,
-)
+from repro.workload.federated_loop import expanding_answer
 from repro.federation.convergence import check_convergence, reference_chase
 from repro.workload.federation_gen import (
     FederationScenarioConfig,
@@ -60,7 +57,7 @@ def _reference(environment):
         environment.schema,
         environment.initial,
         list(environment.mappings),
-        environment.all_operations(),
+        all_operations(environment),
         oracle=AlwaysExpandOracle(),
     )
     assert reference.all_terminated

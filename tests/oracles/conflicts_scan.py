@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Set
+from typing import Dict, Iterator, Sequence, Set
 
 from repro.concurrency.conflicts import ConflictReport
-from repro.concurrency.readlog import ReadLog
+from repro.concurrency.readlog import ReadLog, ReadRecord
 from repro.storage.versioned import VersionedDatabase, VersionedWrite
+
+
+def records_with_reader_above(read_log: ReadLog, priority: int) -> Iterator[ReadRecord]:
+    """Reads logged by updates numbered strictly above *priority*: the reads
+    a write by update *priority* could retroactively invalidate."""
+    for reader, records in read_log._by_reader.items():
+        if reader > priority:
+            yield from records
 
 
 def find_direct_conflicts_scan(
@@ -27,7 +35,7 @@ def find_direct_conflicts_scan(
     views: Dict[int, object] = {}
     for logged in writes:
         writer = logged.priority
-        for record in list(read_log.records_with_reader_above(writer)):
+        for record in list(records_with_reader_above(read_log, writer)):
             reader = record.reader
             if reader not in abortable or reader == writer:
                 continue

@@ -1,20 +1,22 @@
-"""Plain conjunctive queries over a database view.
+"""Plain conjunctive queries and tgd satisfaction over a database view.
 
 These are the ``LHS query`` and ``RHS query`` building blocks of the violation
-queries of Section 4.2, and they are also exposed directly as a small query
-facility for examples and for cross-checking the SQLite backend against the
-in-memory evaluator.
+queries of Section 4.2.  The tests evaluate them through the in-memory match
+search and through generated SQL on the SQLite oracle, and compare; and they
+hold :func:`~repro.core.violations.satisfies_all` to the definition of tgd
+satisfaction (:func:`formula_satisfied`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple as PyTuple
+from typing import FrozenSet, Optional, Sequence, Tuple as PyTuple
 
-from ..core.atoms import Atom, atoms_relations, atoms_variables
-from ..core.terms import DataTerm, Variable
-from ..storage.interface import DatabaseView
-from .base import ReadQuery
-from .homomorphism import Assignment, find_matches
+from repro.core.atoms import Atom, atoms_relations, atoms_variables
+from repro.core.terms import DataTerm, Variable
+from repro.query.base import ReadQuery
+from repro.query.compiled import CompiledConjunction
+from repro.query.homomorphism import Assignment, find_matches
+from repro.storage.interface import DatabaseView
 
 #: A query answer: the values of the answer variables, in order.
 AnswerRow = PyTuple[DataTerm, ...]
@@ -70,10 +72,6 @@ class ConjunctiveQuery(ReadQuery):
             answers.add(tuple(assignment[v] for v in self._answer_variables))
         return frozenset(answers)
 
-    def is_boolean(self) -> bool:
-        """``True`` when the query has no answer variables."""
-        return not self._answer_variables
-
     def holds(self, view: DatabaseView) -> bool:
         """Existence check (useful for boolean queries)."""
         return bool(find_matches(self._atoms, view, self._seed, limit=1))
@@ -96,3 +94,26 @@ class ConjunctiveQuery(ReadQuery):
         return hash(
             (self._atoms, self._answer_variables, frozenset(self._seed.items()))
         )
+
+
+def formula_satisfied(
+    lhs: Sequence[Atom],
+    rhs: Sequence[Atom],
+    view: DatabaseView,
+) -> bool:
+    """Check ``∀ x (LHS(x) → ∃ z RHS(x, z))`` over the view.
+
+    This is tgd satisfaction: every homomorphism of the LHS must extend to a
+    homomorphism of the RHS.
+    """
+    rhs_plan = CompiledConjunction(rhs)
+    rhs_variables = rhs_plan.variable_set
+    for assignment, _ in find_matches(lhs, view):
+        exported = {
+            variable: value
+            for variable, value in assignment.items()
+            if variable in rhs_variables
+        }
+        if not rhs_plan.exists_match(view, exported):
+            return False
+    return True

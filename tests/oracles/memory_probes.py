@@ -16,6 +16,7 @@ from typing import Iterator, List, Sequence, Tuple as PyTuple
 
 from repro.core.terms import DataTerm, LabeledNull
 from repro.core.tuples import Tuple
+from repro.storage.buckets import bucket_members
 from repro.storage.memory import MemoryDatabase
 
 
@@ -28,7 +29,7 @@ def tuples_matching(
     # A fresh list (callers may mutate while scanning) in bucket order.
     return iter([
         row
-        for row in db._index.lookup(relation, first_position, first_value)
+        for row in bucket_members(db._index.bucket(relation, first_position, first_value))
         if all(row[position] == value for position, value in rest)
     ])
 
@@ -38,7 +39,7 @@ def more_specific_tuples(db: MemoryDatabase, row: Tuple) -> List[Tuple]:
     for position, value in enumerate(row.values):
         if isinstance(value, LabeledNull):
             continue
-        bucket = db._index.lookup(row.relation, position, value)
+        bucket = bucket_members(db._index.bucket(row.relation, position, value))
         if candidates is None:
             candidates = set(bucket)
         else:

@@ -25,7 +25,7 @@ def find_matches_recursive(
     limit: Optional[int] = None,
 ) -> List[Match]:
     seed: Assignment = dict(assignment) if assignment else {}
-    ordered = conjunction.ordering_for(frozenset(seed), view)
+    ordered = conjunction._plan_for(frozenset(seed), view)[0]
     atom_count = len(ordered)
     results: List[Match] = []
 

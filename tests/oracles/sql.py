@@ -3,37 +3,52 @@
 Section 4.2 presents the read queries of a chase step as SQL
 (``SELECT * FROM (LHS query) WHERE NOT EXISTS (SELECT * FROM (RHS query))``,
 Example 4.1).  This module renders our query objects into exactly that shape
-so the SQLite backend can evaluate them, and so tests can cross-check the
-in-memory evaluator against a real SQL engine.
+so the SQLite oracle (:mod:`oracles.sqlite_backend`) can evaluate them, and
+tests cross-check the in-memory evaluator against a real SQL engine.
 
 Terms are encoded into a single text column per attribute: constants as
 ``c:<value>`` and labeled nulls as ``n:<name>``.  The encoding preserves
-equality, which is all conjunctive-query evaluation needs; its single
-definition lives in :mod:`repro.codec.rows` (re-exported here for backward
-compatibility) and is shared with the SQLite backend.
+equality, which is all conjunctive-query evaluation needs, but it is lossy on
+constant payload types (``Constant(42)`` decodes as ``Constant('42')``).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple as PyTuple
 
-from ..codec.rows import decode_row, decode_term, encode_row, encode_term
-from ..core.atoms import Atom
-from ..core.schema import DatabaseSchema
-from ..core.terms import DataTerm, Variable, is_variable
-from ..core.tgd import Tgd
+from repro.core.atoms import Atom
+from repro.core.schema import DatabaseSchema
+from repro.core.terms import Constant, DataTerm, LabeledNull, Variable, is_variable
+from repro.core.tgd import Tgd
+from repro.core.tuples import Tuple
 
-__all__ = [
-    "conjunction_sql",
-    "conjunctive_query_sql",
-    "create_table_statement",
-    "decode_row",
-    "decode_term",
-    "encode_row",
-    "encode_term",
-    "quote_identifier",
-    "violation_query_sql",
-]
+
+def encode_term(term: DataTerm) -> str:
+    """Encode a data term into its storage string."""
+    if isinstance(term, LabeledNull):
+        return "n:{}".format(term.name)
+    if isinstance(term, Constant):
+        return "c:{}".format(term.value)
+    raise TypeError("cannot encode {!r} for SQL storage".format(term))
+
+
+def decode_term(text: str) -> DataTerm:
+    """Decode a storage string back into a data term."""
+    if text.startswith("n:"):
+        return LabeledNull(text[2:])
+    if text.startswith("c:"):
+        return Constant(text[2:])
+    raise ValueError("malformed encoded term {!r}".format(text))
+
+
+def encode_row(row: Tuple) -> PyTuple[str, ...]:
+    """Encode every field of *row*."""
+    return tuple(encode_term(value) for value in row.values)
+
+
+def decode_row(relation: str, fields: Sequence[str]) -> Tuple:
+    """Decode a stored row of *relation*."""
+    return Tuple(relation, [decode_term(field) for field in fields])
 
 
 def quote_identifier(name: str) -> str:

@@ -1,27 +1,17 @@
-"""SQLite-backed storage and query evaluation.
+"""An SQLite-backed store: the oracle for the in-memory query evaluator.
 
 The paper presents a chase step's reads as SQL queries against an RDBMS
-(Example 4.1).  This backend stores a repository in an SQLite database —
-one table per relation, one TEXT column per attribute, terms encoded through
-the canonical row codec (:mod:`repro.codec.rows`, shared with the SQL
-generator) — and evaluates conjunctive and violation queries by generating
-SQL.
+(Example 4.1).  This store keeps a repository in an SQLite database — one
+table per relation, one TEXT column per attribute, terms encoded as
+:mod:`oracles.sql` encodes them — and evaluates conjunctive and violation
+queries by generating SQL.  It implements the same
+:class:`~repro.storage.interface.MutableDatabase` interface as the in-memory
+store, so the chase engine runs on it unchanged, and tests cross-check the
+in-memory evaluator against SQLite on the same data.
 
-It serves two purposes:
-
-* it demonstrates that the update-exchange machinery runs unchanged on top of
-  a real SQL engine (the backend implements the same
-  :class:`~repro.storage.interface.MutableDatabase` interface as the in-memory
-  store, so the chase engine can use it directly), and
-* it is used by tests to cross-check the in-memory query evaluator against
-  SQLite on the same data.
-
-Transaction discipline: the connection runs in autocommit mode
-(``isolation_level=None``) so single-row writes are one statement with no
-per-row ``commit()`` round-trip, and every bulk operation — :meth:`load_from`,
-:meth:`replace_null` — wraps its statements in one explicit ``BEGIN``/
-``COMMIT`` pair with ``executemany`` batching, instead of one transaction per
-row.
+The connection runs in autocommit mode (``isolation_level=None``); a bulk
+load or a null replacement wraps its statements in one explicit
+``BEGIN``/``COMMIT`` pair.
 """
 
 from __future__ import annotations
@@ -30,20 +20,24 @@ import sqlite3
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple as PyTuple
 
-from ..codec.rows import decode_row, decode_term, encode_row, encode_term
-from ..core.atoms import Atom
-from ..core.schema import DatabaseSchema, SchemaError
-from ..core.terms import DataTerm, LabeledNull, Variable
-from ..core.tgd import Tgd
-from ..core.tuples import Tuple
-from ..query.sql import (
+from repro.core.atoms import Atom
+from repro.core.schema import DatabaseSchema, SchemaError
+from repro.core.terms import DataTerm, LabeledNull, Variable
+from repro.core.tgd import Tgd
+from repro.core.tuples import Tuple
+from repro.storage.interface import DatabaseView, MutableDatabase
+from repro.storage.memory import FrozenDatabase
+
+from .sql import (
     conjunctive_query_sql,
     create_table_statement,
+    decode_row,
+    decode_term,
+    encode_row,
+    encode_term,
     quote_identifier,
     violation_query_sql,
 )
-from .interface import DatabaseView, MutableDatabase
-from .memory import FrozenDatabase
 
 
 class SQLiteDatabase(MutableDatabase):

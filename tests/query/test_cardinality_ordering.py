@@ -1,6 +1,6 @@
 """Cardinality-aware join ordering: correctness, tie-breaks and re-planning.
 
-``CompiledConjunction.ordering_for`` refines the static most-bound-first
+``CompiledConjunction._plan_for`` refines the static most-bound-first
 ordering with live relation cardinalities: among equally-bound atoms the
 cheapest relation is matched first, and the cached ordering is re-planned
 when a relation grows past the threshold.  Result *sets* must be unchanged —
@@ -38,7 +38,7 @@ class TestCheapestFirst:
     def test_equally_bound_atoms_order_by_cardinality(self):
         conjunction = _conjunction()
         database = _database(big=30, small=2)
-        ordered = conjunction.ordering_for(frozenset(), database)
+        ordered = conjunction._plan_for(frozenset(), database)[0]
         assert [atom.relation for atom, _ in ordered] == ["Small", "Big"]
 
     def test_boundness_still_dominates_cardinality(self):
@@ -48,7 +48,7 @@ class TestCheapestFirst:
             [Atom("Big", [X, Y]), Atom("Small", [Y, Variable("z")])]
         )
         database = _database(big=30, small=2)
-        ordered = conjunction.ordering_for(frozenset({X, Y}), database)
+        ordered = conjunction._plan_for(frozenset({X, Y}), database)[0]
         assert [atom.relation for atom, _ in ordered] == ["Big", "Small"]
 
     def test_falls_back_to_static_without_estimates(self):
@@ -58,15 +58,15 @@ class TestCheapestFirst:
 
         conjunction = _conjunction()
         database = NoEstimates(SCHEMA)
-        assert conjunction.ordering_for(frozenset(), database) == (
-            conjunction.ordering(frozenset())
+        assert conjunction._plan_for(frozenset(), database)[0] == (
+            conjunction._static_plan(frozenset())[0]
         )
 
     def test_single_atom_uses_static_path(self):
         conjunction = CompiledConjunction([Atom("Big", [X, Y])])
         database = _database(big=3, small=0)
-        assert conjunction.ordering_for(frozenset(), database) == (
-            conjunction.ordering(frozenset())
+        assert conjunction._plan_for(frozenset(), database)[0] == (
+            conjunction._static_plan(frozenset())[0]
         )
 
 
@@ -74,23 +74,23 @@ class TestReplanning:
     def test_ordering_is_cached_within_a_size_bucket(self):
         conjunction = _conjunction()
         database = _database(big=30, small=2)
-        first = conjunction.ordering_for(frozenset(), database)
+        first = conjunction._plan_for(frozenset(), database)[0]
         assert [atom.relation for atom, _ in first] == ["Small", "Big"]
         # Grow Small without crossing its power-of-two bucket: plan reused.
         assert _cardinality_bucket(3) == _cardinality_bucket(2)
         database.insert(make_tuple("Small", "extra", "row"))
-        assert conjunction.ordering_for(frozenset(), database) is first
+        assert conjunction._plan_for(frozenset(), database)[0] is first
 
     def test_growth_past_a_bucket_boundary_replans(self):
         conjunction = _conjunction()
         database = _database(big=30, small=2)
-        conjunction.ordering_for(frozenset(), database)
+        conjunction._plan_for(frozenset(), database)[0]
         # Cross several buckets AND pass Big's size: the re-plan must both
         # trigger and flip the order.
         assert _cardinality_bucket(102) > _cardinality_bucket(30)
         for index in range(100):
             database.insert(make_tuple("Small", "g{}".format(index), "h{}".format(index)))
-        replanned = conjunction.ordering_for(frozenset(), database)
+        replanned = conjunction._plan_for(frozenset(), database)[0]
         assert [atom.relation for atom, _ in replanned] == ["Big", "Small"]
 
     def test_orderings_are_history_independent_across_stores(self):
@@ -99,11 +99,11 @@ class TestReplanning:
         conjunction = _conjunction()
         grown = _database(big=4, small=200)
         assert [
-            atom.relation for atom, _ in conjunction.ordering_for(frozenset(), grown)
+            atom.relation for atom, _ in conjunction._plan_for(frozenset(), grown)[0]
         ] == ["Big", "Small"]
         fresh = _database(big=30, small=2)
         assert [
-            atom.relation for atom, _ in conjunction.ordering_for(frozenset(), fresh)
+            atom.relation for atom, _ in conjunction._plan_for(frozenset(), fresh)[0]
         ] == ["Small", "Big"]
 
 
@@ -122,7 +122,7 @@ class TestResultsUnchanged:
     def test_seeded_matches_agree_after_replan(self):
         conjunction = _conjunction()
         database = _database(big=6, small=1)
-        conjunction.ordering_for(frozenset(), database)
+        conjunction._plan_for(frozenset(), database)[0]
         for index in range(40):
             database.insert(make_tuple("Small", "k{}".format(index), "v{}".format(index)))
         expected = find_matches([Atom("Big", [X, Y]), Atom("Small", [X, Y])], database)

@@ -48,12 +48,12 @@ class TestPlanCache:
         for tgd in mappings:
             relations |= tgd.relations()
         for relation in relations:
-            assert [plan.tgd for plan in compiled.reading(relation)] == (
-                mappings.mappings_reading(relation)
-            )
-            assert [plan.tgd for plan in compiled.writing(relation)] == (
-                mappings.mappings_writing(relation)
-            )
+            assert [plan.tgd for plan in compiled.reading(relation)] == [
+                tgd for tgd in mappings if relation in tgd.lhs_relations()
+            ]
+            assert [plan.tgd for plan in compiled.writing(relation)] == [
+                tgd for tgd in mappings if relation in tgd.rhs_relations()
+            ]
 
     def test_compile_mappings_is_idempotent(self):
         compiled = compile_mappings(travel_mappings())

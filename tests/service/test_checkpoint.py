@@ -21,6 +21,7 @@ import random
 
 import pytest
 
+from drivers import run_until_blocked
 from repro.core.terms import LabeledNull
 from repro.core.tuples import make_tuple
 from repro.core.update import DeleteOperation, InsertOperation
@@ -28,6 +29,7 @@ from repro.fixtures.genealogy import genealogy_repository
 from repro.service.admission import AdmissionConfig
 from repro.service.repository import RepositoryService
 from repro.service.tickets import RemoteOrigin, TicketStatus
+from repro.storage.durable import replay_log
 from repro.storage.interface import dump_sorted
 from repro.workload import ExperimentConfig, build_environment
 from repro.workload.closed_loop import conservative_answer
@@ -44,7 +46,7 @@ def test_checkpoint_carries_committed_state_and_watermark(tmp_path):
     service, mappings = _service()
     session = service.open_session("writer")
     ticket = service.submit(session.session_id, InsertOperation(make_tuple("Person", "zoe")))
-    service.run_until_blocked()
+    run_until_blocked(service)
     # Answer until the insert commits (the cyclic mapping parks it).
     for _ in range(10):
         if ticket.status is TicketStatus.COMMITTED:
@@ -52,7 +54,7 @@ def test_checkpoint_carries_committed_state_and_watermark(tmp_path):
         for question in service.inbox():
             service.answer(session.session_id, question.decision_id,
                            conservative_answer(question))
-        service.run_until_blocked()
+        run_until_blocked(service)
     assert ticket.status is TicketStatus.COMMITTED
     path = str(tmp_path / "svc.ckpt")
     body = service.checkpoint(path)
@@ -90,7 +92,7 @@ def test_restored_null_factory_and_decision_ids_do_not_collide(tmp_path):
     service, mappings = _service()
     session = service.open_session("writer")
     service.submit(session.session_id, InsertOperation(make_tuple("Person", "ann")))
-    service.run_until_blocked()
+    run_until_blocked(service)
     assert service.inbox()  # a question was asked -> a decision id was issued
     minted = service.null_factory.fresh()
     issued = service.inbox()[0].decision_id
@@ -103,7 +105,7 @@ def test_restored_null_factory_and_decision_ids_do_not_collide(tmp_path):
     assert int(fresh.name[len(restored.null_factory.prefix):]) > int(
         minted.name[len(service.null_factory.prefix):]
     )
-    restored.run_until_blocked()
+    run_until_blocked(restored)
     assert restored.inbox()
     assert all(q.decision_id > issued for q in restored.inbox())
 
@@ -152,7 +154,7 @@ def test_durable_dir_keeps_the_log_and_checkpoints_a_manifest(tmp_path):
     # The insert's write is still in the durable log after its commit.
     assert segments.watermark == service.scheduler.commit_watermark() >= 1
     assert make_tuple("Person", "kim") in [
-        entry.write.row for entry in segments.replay(upto=segments.watermark)
+        entry.write.row for entry in replay_log(segments.directory, upto=segments.watermark)
     ]
     path = str(tmp_path / "svc.ckpt")
     first = service.checkpoint(path)
@@ -160,7 +162,7 @@ def test_durable_dir_keeps_the_log_and_checkpoints_a_manifest(tmp_path):
     # the segments it covers; the manifest itself holds no rows.
     assert first["log"] == "wal" and first["base"].startswith("wal" + os.sep)
     assert "relations" not in first
-    assert segments.replay(upto=segments.watermark) == []
+    assert replay_log(segments.directory, upto=segments.watermark) == []
     # A little more traffic: the log has not outgrown the base, so the next
     # checkpoint is the manifest alone and restore replays the log.
     ticket = service.submit(session.session_id, DeleteOperation(make_tuple("Person", "kim")))
@@ -338,7 +340,7 @@ def test_checkpoint_does_not_walk_ticket_history(tmp_path, monkeypatch):
 # ----------------------------------------------------------------------
 def _answer_until_done(service, session_id, tickets):
     for _ in range(50):
-        service.run_until_blocked()
+        run_until_blocked(service)
         if all(ticket.is_done for ticket in tickets):
             return
         for question in service.inbox():

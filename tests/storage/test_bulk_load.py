@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from snapshot_restore import restore_from
 from repro.core.schema import DatabaseSchema, SchemaError
 from repro.core.terms import Constant, LabeledNull
 from repro.core.tuples import Tuple
@@ -184,6 +185,6 @@ def test_gauges_equal_a_recount_after_every_mutation(seed, tmp_path):
     # A restore loads the snapshot's rows through the same bulk path.
     path = str(tmp_path / "store.snapshot")
     store.snapshot_to(path, next_priority)
-    restored, _ = VersionedDatabase.restore_from(path)
+    restored, _ = restore_from(path)
     _assert_gauges(restored)
     assert restored.latest_view().to_dict() == store.view_for(next_priority).to_dict()

@@ -174,14 +174,14 @@ class TestPositionIndexBulk:
     def test_add_many_indexes_nulls(self):
         # Regression: add_many used to build the null groups and drop them —
         # bulk-loaded stores lost their entire null index (and with it
-        # tuples_containing_null / replace_null).
+        # tuples_containing_null).
         null = LabeledNull("n9")
         row = Tuple("P", (Constant("a"), null))
         index = PositionIndex()
         index.add_many([row])
-        assert index.with_null(null) == {row}
+        assert bucket_members(index.null_bucket(null)) == {row}
         index.rebuild([row])
-        assert index.with_null(null) == {row}
+        assert bucket_members(index.null_bucket(null)) == {row}
 
     def test_bulk_loaded_memory_database_replaces_nulls(self):
         null = LabeledNull("n1")
@@ -189,17 +189,20 @@ class TestPositionIndexBulk:
         source.insert(Tuple("P", (Constant("a"), null)))
         loaded = MemoryDatabase(SCHEMA)
         loaded.load_from(source)
-        assert list(loaded.tuples_containing_null(null))
-        modified = loaded.replace_null(null, Constant("v"))
-        assert modified == [Tuple("P", (Constant("a"), Constant("v")))]
+        for row in list(loaded.tuples_containing_null(null)):
+            loaded.delete(row)
+            loaded.insert(row.substitute({null: Constant("v")}))
+        assert loaded.snapshot().to_dict()["P"] == {Tuple("P", (Constant("a"), Constant("v")))}
+        assert not list(loaded.tuples_containing_null(null))
 
     def test_remove_many(self):
         rows = [make_tuple("P", "a", "b"), make_tuple("P", "c", "d")]
         index = PositionIndex()
         index.add_many(rows)
-        index.remove_many(rows)
+        for row in rows:
+            index.remove(row)
         assert len(index) == 0
-        assert index.lookup("P", 0, Constant("a")) == set()
+        assert bucket_members(index.bucket("P", 0, Constant("a"))) == set()
 
     def test_rebuild_resets_the_counter(self):
         index = PositionIndex()

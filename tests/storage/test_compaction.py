@@ -251,7 +251,7 @@ def test_delete_and_modify_of_a_shared_value_hit_the_lower_tid():
         logged = store.apply_write(write, priority=1)
         assert logged.tid == twins[0]
         # The twin is untouched, so the value stays visible through it ...
-        assert store.visible_content_of(twins[1], 1) == shared
+        assert store._tuples[twins[1]].visible_content(1) == shared
         assert store.view_for(1).contains(shared)
         # ... and the next write of the same kind reaches it.
         assert store.apply_write(write, priority=2).tid == twins[1]

@@ -20,6 +20,7 @@ import shutil
 
 import pytest
 
+from snapshot_restore import restore_from
 from repro.codec import WIRE_VERSION, CodecError
 from repro.codec.wire import dumps, encode_schema, encode_tuple
 from repro.core.schema import DatabaseSchema
@@ -27,7 +28,13 @@ from repro.core.terms import Constant, LabeledNull
 from repro.core.tuples import Tuple
 from repro.core.writes import delete, insert, modify
 from repro.storage import durable
-from repro.storage.durable import WriteLogSegments, read_snapshot, recover, write_snapshot
+from repro.storage.durable import (
+    WriteLogSegments,
+    read_snapshot,
+    recover,
+    replay_log,
+    write_snapshot,
+)
 from repro.storage.interface import dump_sorted
 from repro.storage.memory import FrozenDatabase
 from repro.storage.versioned import LATEST, VersionedDatabase, VersionedWrite
@@ -55,9 +62,9 @@ def _store(tmp_path, name="segments"):
 
 def _replay_onto(snapshot_path, segments_dir):
     """A 'restarted process': restore the snapshot, replay fresh segments."""
-    store, watermark = VersionedDatabase.restore_from(snapshot_path)
+    store, watermark = restore_from(snapshot_path)
     reopened = WriteLogSegments(segments_dir)
-    for entry in reopened.replay(after=watermark):
+    for entry in replay_log(reopened.directory, after=watermark):
         store.apply_write(entry.write, entry.priority)
     return store, watermark
 
@@ -84,7 +91,7 @@ def test_snapshot_round_trip():
     assert schema.relation_names() == SCHEMA.relation_names()
     assert sorted(relations) == ["R", "S"]
     assert set(relations["S"]) == {Tuple("S", ["s1"]), Tuple("S", ["s2"])}
-    restored, restored_watermark = VersionedDatabase.restore_from(path)
+    restored, restored_watermark = restore_from(path)
     assert restored_watermark == 1
     assert dump_sorted(restored.latest_view()) == dump_sorted(store.view_for(1))
 
@@ -129,10 +136,10 @@ def test_segments_replay_applied_writes(tmp_path):
     store.apply_write(delete(Tuple("S", ["s1"])), 2)
     applied = list(store.write_log())
     # Nothing is logged before its commit ...
-    assert WriteLogSegments(str(tmp_path / "segments")).replay() == []
+    assert replay_log(str(tmp_path / "segments")) == []
     store.compact_below(2)
     # ... and the commit record, flushed, holds the batch as it was applied.
-    replayed = WriteLogSegments(str(tmp_path / "segments")).replay()
+    replayed = replay_log(str(tmp_path / "segments"))
     assert [(entry.seq, entry.priority, entry.write) for entry in replayed] == [
         (logged.seq, logged.priority, logged.write) for logged in applied
     ]
@@ -147,7 +154,7 @@ def test_rolled_back_writes_never_replay(tmp_path):
     store.rollback(2)
     store.compact_below(3)
     segments.close()
-    replayed = WriteLogSegments(str(tmp_path / "segments")).replay()
+    replayed = replay_log(str(tmp_path / "segments"))
     assert {entry.priority for entry in replayed} == {1, 3}
 
 
@@ -210,8 +217,8 @@ def test_commit_records_the_watermark_and_a_base_drops_covered_segments(tmp_path
     # Committing deletes nothing: the log alone still reproduces 1..10, and
     # the uncommitted 11 is not in it.
     assert len(reopened.segment_indexes()) == before
-    assert {e.priority for e in reopened.replay(upto=6)} == set(range(1, 7))
-    assert {e.priority for e in reopened.replay()} == set(range(1, 11))
+    assert {e.priority for e in replay_log(reopened.directory, upto=6)} == set(range(1, 7))
+    assert {e.priority for e in replay_log(reopened.directory)} == set(range(1, 11))
     # Only a base snapshot at a watermark retires the segments it covers.
     store.snapshot_to(str(tmp_path / "base.json"), 6)
     retained_before = segments.retained_bytes()
@@ -220,7 +227,7 @@ def test_commit_records_the_watermark_and_a_base_drops_covered_segments(tmp_path
     segments.close()
     reopened = WriteLogSegments(str(tmp_path / "segments"))
     assert len(reopened.segment_indexes()) < before
-    assert {e.priority for e in reopened.replay(after=6)} == {7, 8, 9, 10}
+    assert {e.priority for e in replay_log(reopened.directory, after=6)} == {7, 8, 9, 10}
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -304,7 +311,7 @@ def test_reopening_after_an_unclean_stop_yields_the_last_committed_state(tmp_pat
     assert reopened.watermark == commits[-1]
     rebuilt = VersionedDatabase(SCHEMA)
     rebuilt.load_initial(_initial())
-    for entry in reopened.replay(upto=reopened.watermark):
+    for entry in replay_log(reopened.directory, upto=reopened.watermark):
         rebuilt.apply_write(entry.write, entry.priority)
     assert dump_sorted(rebuilt.latest_view()) == dump_sorted(
         store.view_for(reopened.watermark)
@@ -401,7 +408,7 @@ def test_a_chopped_newest_segment_loses_only_its_torn_record(tmp_path, seed):
     assert len(names) >= 3
     newest = os.path.join(directory, names[-1])
     whole = _read(newest)
-    complete = WriteLogSegments(directory).replay()
+    complete = replay_log(directory)
     for _ in range(12):
         with open(newest, "wb") as handle:
             handle.write(whole[:rng.randrange(len(whole))])
@@ -409,7 +416,7 @@ def test_a_chopped_newest_segment_loses_only_its_torn_record(tmp_path, seed):
         # Exactly the committed history up to the last commit record that
         # survived whole: nothing invented, nothing lost, nothing reordered.
         survived = reopened.watermark
-        committed = reopened.replay(upto=survived)
+        committed = replay_log(reopened.directory, upto=survived)
         assert committed == [e for e in complete if e.priority <= survived]
         # An append first truncates the torn record away, so the next reopen
         # (where this segment may no longer be the newest) reads cleanly.
@@ -418,8 +425,8 @@ def test_a_chopped_newest_segment_loses_only_its_torn_record(tmp_path, seed):
         reopened.close()
         again = WriteLogSegments(directory, max_entries_per_segment=4)
         assert again.watermark == 99
-        assert again.replay(upto=survived) == committed
-        assert again.replay(after=survived) == [later]
+        assert replay_log(again.directory, upto=survived) == committed
+        assert replay_log(again.directory, after=survived) == [later]
         for name in os.listdir(directory):
             if name > names[-1]:
                 os.remove(os.path.join(directory, name))
@@ -454,10 +461,10 @@ def test_an_undecodable_terminated_last_record_is_dropped_too(tmp_path):
     directory = str(tmp_path / "log")
     names = _three_segment_log(directory)
     newest = os.path.join(directory, names[-1])
-    before = [entry.seq for entry in WriteLogSegments(directory).replay()]
+    before = [entry.seq for entry in replay_log(directory)]
     with open(newest, "ab") as handle:
         handle.write(b'{"v": 2, "t": "wri\x00\x00\n')
-    assert [entry.seq for entry in WriteLogSegments(directory).replay()] == before
+    assert [entry.seq for entry in replay_log(directory)] == before
 
 
 def test_a_snapshot_write_that_dies_half_way_keeps_the_old_file(tmp_path, dying_write):

@@ -60,7 +60,9 @@ def _random_store(rng):
             database.insert(row)
         else:
             database.delete(row)
-    database.replace_null(NULLS[2], CONSTANTS[0])
+    for row in list(database.tuples_containing_null(NULLS[2])):
+        database.delete(row)
+        database.insert(row.substitute({NULLS[2]: CONSTANTS[0]}))
     return database
 
 

@@ -3,12 +3,12 @@
 import pytest
 
 from oracles.probe import assert_probe_matches_default, probes_for
+from oracles.sqlite_backend import SQLiteDatabase
 from repro.core import ChaseEngine, DeleteOperation, InsertOperation, ScriptedOracle, satisfies_all
 from repro.core.frontier import DeleteSubsetOperation, NegativeFrontierRequest
 from repro.core.terms import Constant, LabeledNull
 from repro.core.tuples import make_tuple
 from repro.fixtures import travel_mappings, travel_schema, travel_tuples
-from repro.storage.sqlite_backend import SQLiteDatabase
 
 
 @pytest.fixture

@@ -19,7 +19,6 @@ ALLOWED = {
     ("obs/top.py", "_demo"),
     # Once per checkpoint; ``storage.durable`` imports ``storage.versioned``.
     ("storage/versioned.py", "VersionedDatabase.snapshot_to"),
-    ("storage/versioned.py", "VersionedDatabase.restore_from"),
 }
 
 

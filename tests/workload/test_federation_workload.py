@@ -4,12 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from drivers import FederatedClientSpec, FederatedClosedLoopDriver, all_operations
 from repro.core.update import DeleteOperation, InsertOperation
 from repro.federation import FederatedNetwork, Transport
-from repro.workload.federated_loop import (
-    FederatedClientSpec,
-    FederatedClosedLoopDriver,
-)
 from repro.workload.federation_gen import (
     FederationScenarioConfig,
     generate_federation_environment,
@@ -54,7 +51,7 @@ def test_generator_invariants(seed):
                 assert isinstance(operation, InsertOperation)
 
     # The canonical serial order interleaves every stream completely.
-    merged = environment.all_operations()
+    merged = all_operations(environment)
     assert len(merged) == sum(len(ops) for ops in environment.operations.values())
 
     # The generated initial database satisfies the union of mappings.

@@ -27,7 +27,8 @@ from repro.workload import (
     run_cell_once,
     run_workload_experiment,
 )
-from repro.workload.metrics import CellResult, ExperimentResult, mean
+from repro.obs.stats import mean
+from repro.workload.metrics import CellResult, ExperimentResult
 
 _SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 

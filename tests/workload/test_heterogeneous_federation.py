@@ -11,6 +11,7 @@ comparable; only the serving policies differ.
 
 from __future__ import annotations
 
+from drivers import FederatedClientSpec, FederatedClosedLoopDriver, all_operations
 from repro.core.oracle import AlwaysExpandOracle
 from repro.federation import (
     FederatedNetwork,
@@ -18,11 +19,7 @@ from repro.federation import (
     check_convergence,
     reference_chase,
 )
-from repro.workload.federated_loop import (
-    FederatedClientSpec,
-    FederatedClosedLoopDriver,
-    expanding_answer,
-)
+from repro.workload.federated_loop import expanding_answer
 from repro.workload.federation_gen import (
     FederationScenarioConfig,
     generate_federation_environment,
@@ -80,7 +77,8 @@ def test_homogeneous_scenario_content_is_unchanged():
 def test_heterogeneous_federation_converges():
     environment = generate_federation_environment(_config())
     transport = Transport(delay=1)
-    environment.apply_link_delays(transport)
+    for (source, destination), delay in environment.link_delays.items():
+        transport.set_delay(source, destination, delay)
     network = FederatedNetwork(
         environment.schema,
         environment.initial,
@@ -108,7 +106,7 @@ def test_heterogeneous_federation_converges():
         environment.schema,
         environment.initial,
         list(environment.mappings),
-        environment.all_operations(),
+        all_operations(environment),
         oracle=AlwaysExpandOracle(),
     )
     assert check_convergence(network, reference).equivalent

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from drivers import ArrivalProcess, FederatedOpenLoopDriver, all_operations
 from repro.core.oracle import AlwaysExpandOracle
 from repro.federation import (
     FederatedNetwork,
@@ -22,11 +23,7 @@ from repro.federation import (
 )
 from repro.service.admission import AdmissionConfig
 from repro.service.tickets import TicketStatus
-from repro.workload.federated_loop import (
-    ArrivalProcess,
-    FederatedOpenLoopDriver,
-    expanding_answer,
-)
+from repro.workload.federated_loop import expanding_answer
 from repro.workload.federation_gen import (
     FederationScenarioConfig,
     generate_federation_environment,
@@ -110,7 +107,7 @@ def test_open_loop_run_drains_and_converges(kind):
         environment.schema,
         environment.initial,
         list(environment.mappings),
-        environment.all_operations(),
+        all_operations(environment),
         oracle=AlwaysExpandOracle(),
     )
     convergence = check_convergence(network, reference)

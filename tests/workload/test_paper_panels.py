@@ -26,6 +26,7 @@ from repro.concurrency.policies import (
 )
 from repro.core.oracle import RandomOracle
 from repro.core.terms import NullFactory
+from repro.obs.stats import mean
 from repro.storage.versioned import VersionedDatabase
 from repro.workload import (
     ExperimentConfig,
@@ -36,7 +37,6 @@ from repro.workload import (
     run_workload_experiment,
 )
 from repro.workload.mapping_gen import mapping_prefix
-from repro.workload.metrics import mean
 
 WORKLOADS = (INSERT_WORKLOAD, MIXED_WORKLOAD)
 
@@ -64,6 +64,18 @@ def figures(config, environment):
     }
 
 
+def _series(result, measure):
+    """Panel (a) or (b): a cell *measure* vs. number of mappings, per algorithm."""
+    return {
+        algorithm: [
+            (count, getattr(result.cell(count, algorithm), measure))
+            for count in result.mapping_counts()
+            if result._has_cell(count, algorithm)
+        ]
+        for algorithm in result.algorithms()
+    }
+
+
 def _densest(series):
     """The value at the highest mapping density of a per-algorithm series."""
     return {algorithm: points[-1][1] for algorithm, points in series.items()}
@@ -72,7 +84,7 @@ def _densest(series):
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_abort_ordering_between_algorithms(figures, workload):
     """Panel (a): NAIVE >= COARSE >= PRECISE aborts at the densest setting."""
-    series = figures[workload].abort_series()
+    series = _series(figures[workload], "aborts")
     top = _densest(series)
     # The densest cell must conflict, or the ordering below shows nothing.
     assert top["COARSE"] > 0
@@ -87,7 +99,7 @@ def test_precise_makes_the_fewest_cascading_requests(figures, workload):
     """Panel (b): NAIVE and COARSE request at least as many cascading aborts
     as PRECISE at the densest setting, and PRECISE almost none at the
     sparsest."""
-    series = figures[workload].cascading_request_series()
+    series = _series(figures[workload], "cascading_abort_requests")
     top = _densest(series)
     assert top["NAIVE"] >= top["PRECISE"]
     assert top["COARSE"] >= top["PRECISE"]
